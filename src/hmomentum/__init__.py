@@ -8,24 +8,19 @@ cross-checking every equivalence among them.
 """
 
 from .forms import (
-    AngleVariables,
-    angle_variables,
     coeff_a,
-    coeff_b,
     distribution_max_l,
     lombardi_ogilvie_alpha,
     lombardi_ogilvie_c,
     podolsky_pauling_G,
     podolsky_pauling_chi,
     psi_gegenbauer,
-    psi_script_D,
     psi_trig,
 )
 from .hydrogenic import (
     PhysicalScale,
     QuantumState,
     SlaterExpansion,
-    apply_radial_momentum,
     expectation_p2,
     expectation_r2,
     normalization_constant,

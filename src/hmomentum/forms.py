@@ -1,7 +1,11 @@
 """Closed-form momentum-space families and their changes of variables.
 
-The finite Gegenbauer expansion, its boundary-value (script-D) variant,
-the trigonometric expansion, the Lombardi-Ogilvie family, the
+The trigonometric, Gegenbauer and script-D expansions and the
+Lombardi-Ogilvie family are one polynomial in w = hbar beta /
+(hbar beta - i p), evaluated by one recurrence kernel (`psi_trig`,
+`_lombardi_ogilvie_kernel`).  The paper's literal sums, `psi_gegenbauer`
+and `lombardi_ogilvie_alpha`, are kept only as the independent oracles
+the verification suites compare the kernel against.  Also here: the
 Podolsky-Pauling family in both the p and chi parametrizations, and the
 maximal-l distribution shapes.
 
@@ -15,8 +19,8 @@ functions are defined up to such a convention).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
 
 from .hydrogenic import (
     PhysicalScale,
@@ -26,37 +30,84 @@ from .hydrogenic import (
 from .specfun import binomial, factorial, gegenbauer_C, gegenbauer_D1
 
 
-@dataclass(frozen=True)
-class AngleVariables:
-    """The equivalent angle parametrizations of a radial momentum p.
+def _log_ratio(num: int, den: int) -> float:
+    """log(num / den) for positive integers of any size, to double precision.
 
-    x = cos(gamma) = cos(theta) = (1/2) [(1/2)^2 + (p/2 hbar beta)^2]^{-1/2},
-    theta = arctan(p / hbar beta), and cos(chi_p) =
-    (hbar^2 beta^2 - p^2) / (hbar^2 beta^2 + p^2).  x, gamma and chi_p
-    depend on p only through p^2; theta is odd in p.
+    Unlike a difference of two lgamma values of order N log N, it does
+    not lose the digits that the difference cancels.
     """
-
-    x: float
-    gamma: float
-    theta: float
-    chi_p: float
-
-
-def angle_variables(p: float, scale: PhysicalScale = PhysicalScale()) -> AngleVariables:
-    """Compute all angle variables at radial momentum p."""
-    pm = scale.momentum
-    theta = math.atan2(p, pm)
-    b = p / (2.0 * pm)
-    x = 0.5 / math.sqrt(0.25 + b * b)
-    gamma = math.acos(x)
-    chi_p = math.acos((pm * pm - p * p) / (pm * pm + p * p))
-    assert abs(x - abs(math.cos(theta))) < 1e-14
-    return AngleVariables(x=x, gamma=gamma, theta=theta, chi_p=chi_p)
+    shift = num.bit_length() - den.bit_length()
+    # int / int is correctly rounded; the shift keeps the quotient in (1/2, 2).
+    mantissa = num / (den << shift) if shift >= 0 else (num << -shift) / den
+    return math.log(mantissa) + shift * math.log(2.0)
 
 
-def _check_term_index(N: int, l: int, t: int) -> None:
-    if not 0 <= t <= N - l - 1:
-        raise IndexError(f"term index t={t} out of range for (N={N}, l={l})")
+@functools.lru_cache(maxsize=4096)
+def _log_b0(N: int, l: int) -> float:
+    """log(b_0 sqrt(2 beta)), b_0 = a_0 the first expansion coefficient."""
+    return 0.5 * _log_ratio(factorial(N + l) * 4 ** (l + 2) * factorial(l + 1) ** 2,
+                            factorial(N - l - 1) * 2 * N * factorial(2 * l + 1) ** 2)
+
+
+@functools.lru_cache(maxsize=4096)
+def _log_c0(l: int) -> float:
+    """log c_0 = log((l+1)! / (2l+1)!), the first Lombardi-Ogilvie coefficient."""
+    return _log_ratio(factorial(l + 1), factorial(2 * l + 1))
+
+
+def _hypergeometric_kernel(N: int, l: int, q: float, log_scale: float) -> complex:
+    """e^{log_scale} w^{l+2} 2F1(-n, l+2; 2l+2; 2w), w = 1/(1 - i q), n = N-l-1.
+
+    The polynomial runs Gauss's contiguous relation in the degree (DLMF
+    15.5.11 with a = -m), forward from F_0 = 1:
+    (c+m) F_{m+1} = (2m + c - (b+m) z) F_m - m (1-z) F_{m-1}, with
+    b = l+2, c = 2l+2, z = 2w.  Unlike the explicit alternating sum it
+    does not cancel at large n.  The scale and w^{l+2} =
+    cos^{l+2}(theta) e^{i (l+2) theta}, theta = arctan q, share one
+    exponential, so that neither under- or overflows on its own.
+    """
+    b, c = l + 2, 2 * l + 2
+    d = 1.0 + q * q
+    z = complex(2.0 / d, 2.0 * q / d)
+    prev, cur = 0.0, 1.0
+    for m in range(N - l - 1):
+        prev, cur = cur, ((2 * m + c - (b + m) * z) * cur - m * (1.0 - z) * prev) / (c + m)
+    log_abs = log_scale - 0.5 * b * math.log1p(q * q)
+    if not log_abs > -math.inf:  # NaN p, or |q| > 1e154 where w^{l+2} is 0
+        return complex(math.exp(log_abs))
+    # Scale by 2^shift last, in one correctly rounded step, so that values
+    # in the subnormal range are still the nearest doubles.
+    shift = math.floor(log_abs / math.log(2.0))
+    value = cmath.exp(complex(log_abs - shift * math.log(2.0), b * math.atan(q))) * cur
+    return complex(math.ldexp(value.real, shift), math.ldexp(value.imag, shift))
+
+
+def psi_trig(state: QuantumState, p: float) -> complex:
+    """Momentum wave function of the trigonometric expansion.
+
+    psi = sum_t b_t e^{i k theta} cos^k(theta), k = l+t+2,
+    theta = arctan(p / hbar beta), with b_t = a_t (`coeff_a`).  Since
+    e^{i theta} cos(theta) = w, the sum is b_0 w^{l+2} 2F1(-n, l+2; 2l+2; 2w)
+    and is evaluated so, with log b_0 from exact integers.  The Gegenbauer and
+    script-D expansions are the same function, term by term, because
+    sin(gamma) (D^1 + i C^1)(cos gamma) = e^{i (n+1) gamma}.  Defined
+    for any real p; psi(-p) = conj(psi(p)).
+    """
+    N, l = state.N, state.l
+    log_b0 = _log_b0(N, l) - 0.5 * math.log(2.0 * state.scale.beta)
+    return _hypergeometric_kernel(N, l, p / state.scale.momentum, log_b0)
+
+
+def _lombardi_ogilvie_kernel(state: QuantumState, p: float) -> complex:
+    """`lombardi_ogilvie_alpha` as (-1)^l c_0 conj(w)^{l+2} 2F1(-n, l+2; 2l+2; 2 conj(w)).
+
+    Its z = i hbar beta / (p - i hbar beta) is -conj(w), and
+    c_k = (-1)^k c_0 (-n)_k (l+2)_k 2^k / ((2l+2)_k k!) with
+    c_0 = (l+1)!/(2l+1)!.  conj(w) is w at -p.
+    """
+    N, l = state.N, state.l
+    value = _hypergeometric_kernel(N, l, -p / state.scale.momentum, _log_c0(l))
+    return -value if l % 2 else value
 
 
 def coeff_a(state: QuantumState, t: int) -> float:
@@ -64,9 +115,11 @@ def coeff_a(state: QuantumState, t: int) -> float:
 
     a = N_{Nl} 2^{l+t+2} (-1)^t binom(N+l, N-l-1-t) Gamma(l+t+2)
         / (t! (2 beta)^2).
+    The trigonometric coefficient b^{(t)}_{Nl} is the same number.
     """
     N, l = state.N, state.l
-    _check_term_index(N, l, t)
+    if not 0 <= t <= N - l - 1:
+        raise IndexError(f"term index t={t} out of range for (N={N}, l={l})")
     beta = state.scale.beta
     return (
         normalization_constant(state)
@@ -78,44 +131,6 @@ def coeff_a(state: QuantumState, t: int) -> float:
     )
 
 
-def coeff_b(state: QuantumState, t: int) -> float:
-    """Trigonometric-expansion coefficient b^{(t)}_{Nl}.
-
-    Textually identical to a^{(N)}_{l t}; kept as a separate entry point
-    mirroring the two expansions.
-    """
-    N, l = state.N, state.l
-    _check_term_index(N, l, t)
-    beta = state.scale.beta
-    return (
-        normalization_constant(state)
-        * 2.0 ** (l + t + 2)
-        / (2.0 * beta) ** 2
-        * (-1) ** t
-        / factorial(t)
-        * binomial(N + l, N - l - 1 - t)
-        * math.gamma(l + t + 2)
-    )
-
-
-def psi_trig(state: QuantumState, p: float) -> complex:
-    """Trigonometric finite expansion of the momentum wave function.
-
-    psi = sum_t b_t e^{i (l+t+2) theta} cos^{l+t+2}(theta) with
-    theta = arctan(p / hbar beta); defined for any real p by the odd
-    extension of theta.
-    """
-    N, l = state.N, state.l
-    pm = state.scale.momentum
-    theta = math.atan2(p, pm)
-    cos_t = pm / math.hypot(p, pm)
-    total = 0.0 + 0.0j
-    for t in range(N - l):
-        k = l + t + 2
-        total += coeff_b(state, t) * cmath.exp(1j * k * theta) * cos_t ** k
-    return total
-
-
 def psi_gegenbauer(state: QuantumState, p: float) -> complex:
     """Gegenbauer finite expansion of the momentum wave function.
 
@@ -124,14 +139,19 @@ def psi_gegenbauer(state: QuantumState, p: float) -> complex:
     carried by D^1 and the imaginary part by C^1 (see module docstring).
     p = 0 is the analytic limit sum_t a_t; negative p is the odd-theta
     (conjugate) extension.
+
+    The paper's literal sum, kept as the oracle that the form-equivalence
+    suite compares `psi_trig` against.  Its alternating terms cancel as N
+    grows, so it is meant for small N only.
     """
     N, l = state.N, state.l
     if p < 0:
         return psi_gegenbauer(state, -p).conjugate()
     if p == 0:
         return complex(sum(coeff_a(state, t) for t in range(N - l)))
-    angles = angle_variables(p, state.scale)
-    x, gamma = angles.x, angles.gamma
+    pm = state.scale.momentum
+    x = pm / math.hypot(p, pm)
+    gamma = math.acos(x)
     if gamma == 0.0:
         # p small enough that cos(gamma) rounds to 1; analytic limit.
         return complex(sum(coeff_a(state, t) for t in range(N - l)))
@@ -141,33 +161,6 @@ def psi_gegenbauer(state: QuantumState, p: float) -> complex:
         n = l + 1 + t
         combo = sin_g * complex(gegenbauer_D1(n, x), gegenbauer_C(n, 1.0, x))
         total += coeff_a(state, t) * x ** (l + 2 + t) * combo
-    return total
-
-
-def psi_script_D(state: QuantumState, p: float) -> complex:
-    """Script-D (boundary value) form: sum_t 2 a_t sqrt(1-x^2) x^{l+2+t} D-script.
-
-    Identical to `psi_gegenbauer` by construction, since the script-D
-    function is the (C^1 + i D^1)/2 combination under the same phase
-    convention.
-    """
-    from .specfun import gegenbauer_script_D1
-
-    N, l = state.N, state.l
-    if p < 0:
-        return psi_script_D(state, -p).conjugate()
-    if p == 0:
-        return complex(sum(coeff_a(state, t) for t in range(N - l)))
-    angles = angle_variables(p, state.scale)
-    x = angles.x
-    if x >= 1.0:
-        return complex(sum(coeff_a(state, t) for t in range(N - l)))
-    root = math.sqrt(1.0 - x * x)
-    total = 0.0 + 0.0j
-    for t in range(N - l):
-        n = l + 1 + t
-        total += 2.0 * coeff_a(state, t) * root * x ** (l + 2 + t) \
-            * gegenbauer_script_D1(n, x)
     return total
 
 
@@ -193,6 +186,10 @@ def lombardi_ogilvie_alpha(state: QuantumState, p: float) -> complex:
     beta_p = hbar beta the momentum scale.  The external normalization
     constant is not reproduced; comparisons against this family are
     proportionality tests.
+
+    The paper's literal sum, kept as the oracle that the
+    Lombardi-Ogilvie proportionality suite compares `psi_trig` against;
+    for small N only.  The CLI evaluates this family with the kernel.
     """
     N, l = state.N, state.l
     bp = state.scale.momentum
@@ -203,8 +200,15 @@ def lombardi_ogilvie_alpha(state: QuantumState, p: float) -> complex:
     return total
 
 
-def _pp_prefactor(N: int, l: int) -> float:
-    return math.sqrt(factorial(N - l - 1) * N / (math.pi * factorial(N + l)))
+@functools.lru_cache(maxsize=4096)
+def _pp_log_prefactor(N: int, l: int, momentum: float) -> float:
+    """log of (2 hbar beta)^{5/2} (hbar beta)^{-4} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)).
+
+    The prefactor shared by both Podolsky-Pauling parametrizations.
+    """
+    return (0.5 * (_log_ratio(32 * 4 ** l * factorial(l) ** 2 * factorial(N - l - 1) * N,
+                              factorial(N + l)) - math.log(math.pi))
+            - 1.5 * math.log(momentum))
 
 
 def podolsky_pauling_G(state: QuantumState, p: float) -> float:
@@ -212,23 +216,22 @@ def podolsky_pauling_G(state: QuantumState, p: float) -> float:
 
     G = (2 hbar beta)^{5/2} Gamma(l+1) sqrt((N-l-1)! N / (pi (N+l)!))
         (4 hbar beta p)^l / (hbar^2 beta^2 + p^2)^{l+2}
-        C^{l+1}_{N-l-1}((hbar^2 beta^2 - p^2) / (hbar^2 beta^2 + p^2)).
+        C^{l+1}_{N-l-1}((hbar^2 beta^2 - p^2) / (hbar^2 beta^2 + p^2)),
+    evaluated in q = p / hbar beta as
+    e^{log pref} (1+q^2)^{-2} (2q/(1+q^2))^l C^{l+1}_{N-l-1}((1-q^2)/(1+q^2)).
 
     Normalized so that int_0^inf G^2 p^2 dp = 1.
     """
     if p < 0:
         raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {p}")
     N, l = state.N, state.l
-    pm = state.scale.momentum
-    denom = pm * pm + p * p
-    arg = (pm * pm - p * p) / denom
+    q = p / state.scale.momentum
+    c2 = 1.0 / (1.0 + q * q)
     return (
-        (2.0 * pm) ** 2.5
-        * math.gamma(l + 1)
-        * _pp_prefactor(N, l)
-        * (4.0 * pm * p) ** l
-        / denom ** (l + 2)
-        * gegenbauer_C(N - l - 1, l + 1, arg)
+        math.exp(_pp_log_prefactor(N, l, state.scale.momentum))
+        * c2 * c2
+        * (2.0 * q * c2) ** l
+        * gegenbauer_C(N - l - 1, l + 1, 2.0 * c2 - 1.0)
     )
 
 
@@ -241,21 +244,15 @@ def podolsky_pauling_chi(state: QuantumState, chi: float) -> float:
     """Podolsky-Pauling function in the chi parametrization, chi in [0, pi].
 
     Equals G_{Nl} at p(chi) = hbar beta tan(chi/2):
-    (2 hbar beta)^{5/2} 2^l Gamma(l+1) sqrt((N-l-1)! N / (pi (N+l)!))
-    cos^4(chi/2) S_{(N-1) l}(chi), divided by (hbar beta)^4.
+    e^{log pref} cos^4(chi/2) S_{(N-1) l}(chi), with the prefactor of
+    `podolsky_pauling_G`.
     """
     if not 0.0 <= chi <= math.pi:
         raise ValueError(f"chi must lie in [0, pi], got {chi}")
-    N, l = state.N, state.l
-    pm = state.scale.momentum
     return (
-        (2.0 * pm) ** 2.5
-        * 2.0 ** l
-        * math.gamma(l + 1)
-        * _pp_prefactor(N, l)
+        math.exp(_pp_log_prefactor(state.N, state.l, state.scale.momentum))
         * math.cos(chi / 2.0) ** 4
-        * ultraspherical_S(N, l, chi)
-        / pm ** 4
+        * ultraspherical_S(state.N, state.l, chi)
     )
 
 
@@ -279,10 +276,11 @@ def distribution_max_l(form: str, N: int, p: float,
     raise ValueError(f"unknown distribution form {form!r}")
 
 
+# trig, gegenbauer and script_D are one function (see `psi_trig`).
 FORM_EVALUATORS = {
     "trig": psi_trig,
-    "gegenbauer": psi_gegenbauer,
-    "script_D": psi_script_D,
-    "lombardi_ogilvie": lombardi_ogilvie_alpha,
+    "gegenbauer": psi_trig,
+    "script_D": psi_trig,
+    "lombardi_ogilvie": _lombardi_ogilvie_kernel,
     "podolsky_pauling": lambda state, p: complex(podolsky_pauling_G(state, p)),
 }

@@ -1,8 +1,7 @@
 """Position-space hydrogenic radial states and their analytic machinery.
 
-Radial wave functions R_{Nl}, their Slater-term expansions, the radial
-momentum operator applied term-wise, and the <r^2>, <p^2> expectation
-values used by the uncertainty check.
+Radial wave functions R_{Nl}, their Slater-term expansions, and the
+<r^2>, <p^2> expectation values used by the uncertainty check.
 
 Scaled units (hbar = 1, beta = 1) are the default; a physical-mode scale
 can be built from Z, the reduced mass and the fine-structure constant.
@@ -68,9 +67,9 @@ class QuantumState:
 class SlaterExpansion:
     """Finite sum of Slater-type terms c * rho^m * exp(-rho/2), rho = 2 beta r.
 
-    Powers may drop to -1 after an application of the radial momentum
-    operator; such terms remain integrable against r^2 dr and are flagged
-    by `has_inverse_power`.
+    Powers may drop to -1 (the radial momentum operator applied to an
+    m = 0 term gives one); such terms remain integrable against r^2 dr and
+    are flagged by `has_inverse_power`.
     """
 
     l: int
@@ -139,26 +138,6 @@ def radial_wavefunction(state: QuantumState, r: float) -> float:
         * rho ** l
         * laguerre(N - l - 1, 2 * l + 1, rho)
     )
-
-
-def apply_radial_momentum(expansion: SlaterExpansion) -> SlaterExpansion:
-    """Apply p_r = -i hbar (1/r) d/dr (r .) term-wise, exactly.
-
-    Each rho^m e^{-rho/2} maps to
-    -i hbar 2 beta [ (m+1) rho^{m-1} - rho^m / 2 ] e^{-rho/2}.
-    A term with m = 0 produces a rho^{-1} piece (integrable against
-    r^2 dr); see `SlaterExpansion.has_inverse_power`.
-    """
-    hbar = expansion.scale.hbar
-    beta = expansion.scale.beta
-    acc: dict[int, complex] = {}
-    for m, c in expansion.terms:
-        down = -1j * hbar * 2.0 * beta * c * (m + 1)
-        if down != 0:
-            acc[m - 1] = acc.get(m - 1, 0.0 + 0.0j) + down
-        acc[m] = acc.get(m, 0.0 + 0.0j) + 1j * hbar * beta * c
-    terms = tuple(sorted((m, c) for m, c in acc.items() if c != 0))
-    return SlaterExpansion(expansion.l, terms, expansion.scale)
 
 
 def expectation_r2(state: QuantumState) -> float:

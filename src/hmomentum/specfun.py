@@ -1,8 +1,8 @@
 """Special functions evaluated by stable recurrences.
 
 Factorials and binomials, generalized Laguerre polynomials, Gegenbauer
-polynomials, the order-1 Gegenbauer function of the second kind, Ferrers
-functions of order -1/2, and spherical Bessel/Neumann functions.
+polynomials, the order-1 Gegenbauer function of the second kind, and
+spherical Bessel functions.
 
 Polynomials are evaluated with three-term recurrences rather than their
 explicit alternating sums, which become unstable at high degree.  All
@@ -11,7 +11,6 @@ functions here are pure and thread-safe.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 # math.factorial overflows float conversion past 170!.
@@ -101,61 +100,6 @@ def gegenbauer_D1(n: int, x: float) -> float:
     return math.cos((n + 1) * theta) / math.sin(theta)
 
 
-def gegenbauer_script_D1(n: int, x: float) -> complex:
-    """Boundary-value Gegenbauer function of the second kind, order 1.
-
-    The combined first/second-kind value at x + i0, evaluated as
-    e^{i(n+1) theta} / (2 sin theta), theta = arccos(x), under this
-    package's phase convention (the real part carries D_n^1, the
-    imaginary part C_n^1, so that the assembled momentum forms agree
-    with the trigonometric expansion exactly).
-    """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"script-D requires |x| < 1, got x={x}")
-    theta = math.acos(x)
-    return cmath.exp(1j * (n + 1) * theta) / (2.0 * math.sin(theta))
-
-
-def _check_half_integer_degree(nu: float) -> int:
-    """Map nu to the integer n = nu - 1/2 used by the order -1/2 family."""
-    n = nu - 0.5
-    if abs(n - round(n)) > 1e-12 or round(n) < 0:
-        raise ValueError(
-            f"order -1/2 Ferrers functions implemented for nu - 1/2 a "
-            f"nonnegative integer, got nu={nu}"
-        )
-    return int(round(n))
-
-
-def ferrers_P_mhalf(nu: float, x: float) -> float:
-    """Ferrers function of the first kind P_nu^{-1/2}(x), x in [-1, 1].
-
-    Defined through the Gegenbauer connection with mu = 1/2:
-    P_nu^{-1/2}(x) = sqrt(2/pi) * Gamma(nu+1/2)/Gamma(nu+3/2)
-                     * (1-x^2)^{1/4} * C_{nu-1/2}^1(x).
-    """
-    n = _check_half_integer_degree(nu)
-    if not -1.0 <= x <= 1.0:
-        raise ValueError(f"P requires x in [-1, 1], got {x}")
-    pref = math.sqrt(2.0 / math.pi) * math.gamma(nu + 0.5) / math.gamma(nu + 1.5)
-    return pref * (1.0 - x * x) ** 0.25 * gegenbauer_C(n, 1.0, x)
-
-
-def ferrers_Q_mhalf(nu: float, x: float) -> float:
-    """Ferrers function of the second kind Q_nu^{-1/2}(x), x in (-1, 1).
-
-    Q_nu^{-1/2}(x) = sqrt(pi/2) * Gamma(nu+1/2)/Gamma(nu+3/2)
-                     * (1-x^2)^{1/4} * D_{nu-1/2}^1(x).
-    """
-    n = _check_half_integer_degree(nu)
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"Q requires |x| < 1, got {x}")
-    pref = math.sqrt(math.pi / 2.0) * math.gamma(nu + 0.5) / math.gamma(nu + 1.5)
-    return pref * (1.0 - x * x) ** 0.25 * gegenbauer_D1(n, x)
-
-
 def spherical_bessel_j(l: int, x: float) -> float:
     """Spherical Bessel function j_l(x).
 
@@ -195,9 +139,3 @@ def spherical_bessel_j(l: int, x: float) -> float:
             out *= 1e-250
     return out * (j0 / jc)
 
-
-def spherical_neumann_n0(x: float) -> float:
-    """Spherical Neumann function n_0(x) = -cos(x)/x for x > 0."""
-    if x <= 0:
-        raise ValueError(f"n_0 requires x > 0, got {x}")
-    return -math.cos(x) / x

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import gammaincc
 
 from .hydrogenic import PhysicalScale, SlaterExpansion
 
@@ -95,13 +94,6 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def slater_tail_bound(power: int, rho0: float) -> float:
-    """Upper bound on int_{rho0}^inf rho^power e^{-rho/2} drho."""
-    return 2.0 ** (power + 1) * math.gamma(power + 1) * float(
-        gammaincc(power + 1, rho0 / 2.0)
-    )
 
 
 def _oscillatory_quad(g: Callable[[float], float], k: float, lo: float, hi: float,

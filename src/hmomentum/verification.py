@@ -163,7 +163,7 @@ def _phase_aligned_residual(values_a, values_b, ref_a, ref_b) -> float:
 
 def verify_form_equivalence(max_N: int = 8, grid=None,
                             config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
-    """Gegenbauer expansion vs trigonometric expansion, phase-aligned."""
+    """psi_trig (the 2F1 recurrence) vs the literal Gegenbauer sum, phase-aligned."""
     if max_N > 8:
         raise ValueError("form-equivalence suite specified for max_N <= 8")
     scale = config.scale
@@ -225,6 +225,8 @@ def verify_quadrature(max_N: int = 4, grid=None,
 def verify_lo_proportionality(max_N: int = 6, grid=None,
                               config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """Constancy in p of psi_trig / conj(alpha_LO), per state.
+
+    psi_trig runs the 2F1 recurrence; alpha_LO is the paper's literal c_k sum.
 
     The Lombardi-Ogilvie closed form matches the incoming-kernel
     convention while the trigonometric expansion matches the outgoing

@@ -41,6 +41,22 @@ class TestEval:
         vg = [float(x) for x in out_g.strip().split(",")]
         assert vg == pytest.approx(vt, abs=1e-12)
 
+    @pytest.mark.parametrize("N,l,p", [("1", "0", "0"), ("3", "1", "0.7"),
+                                       ("12", "5", "-2.5"), ("60", "0", "0.01")])
+    def test_trig_gegenbauer_script_D_identical(self, capsys, N, l, p):
+        """The three expansions are one function: byte-identical records."""
+        outs = {run_cli(capsys, "eval", form, N, l, "--p", p)
+                for form in ("trig", "gegenbauer", "script_D")}
+        assert len(outs) == 1
+
+    @pytest.mark.parametrize("form", ["trig", "lombardi_ogilvie", "podolsky_pauling"])
+    def test_large_N(self, capsys, form):
+        code, out = run_cli(capsys, "eval", form, "200", "0", "--p", "0.3")
+        assert code == EXIT_OK
+        vals = [float(x) for x in out.strip().split(",")]
+        assert all(math.isfinite(v) for v in vals)
+        assert vals[3] > 0
+
     def test_hbar_beta_flag(self, capsys):
         # psi scales as beta^{-1/2} psi_1(p/beta): density 1/2 at p = 2, beta = 2
         code, out = run_cli(capsys, "eval", "trig", "1", "0",

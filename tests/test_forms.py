@@ -8,61 +8,25 @@ import pytest
 from scipy.integrate import quad
 
 from hmomentum.forms import (
-    angle_variables,
+    FORM_EVALUATORS,
     coeff_a,
-    coeff_b,
     distribution_max_l,
     lombardi_ogilvie_alpha,
     lombardi_ogilvie_c,
     podolsky_pauling_G,
     podolsky_pauling_chi,
     psi_gegenbauer,
-    psi_script_D,
     psi_trig,
     ultraspherical_S,
 )
 from hmomentum.hydrogenic import (
-    PhysicalScale,
     QuantumState,
     normalization_constant,
     slater_expansion,
 )
-from hmomentum.specfun import binomial, ferrers_P_mhalf, ferrers_Q_mhalf
+from hmomentum.specfun import binomial
 from hmomentum.transform import OUTGOING_STRICT, transform_slater_expansion
-
-
-class TestAngleVariables:
-    def test_at_zero(self):
-        ang = angle_variables(0.0)
-        assert ang.x == 1.0
-        assert ang.gamma == 0.0
-        assert ang.theta == 0.0
-        assert ang.chi_p == 0.0
-
-    def test_at_momentum_scale(self):
-        ang = angle_variables(1.0)
-        assert ang.x == pytest.approx(1.0 / math.sqrt(2.0))
-        assert ang.theta == pytest.approx(math.pi / 4.0)
-        assert ang.gamma == pytest.approx(math.pi / 4.0)
-        assert ang.chi_p == pytest.approx(math.pi / 2.0)
-
-    def test_large_p_limits(self):
-        ang = angle_variables(1e8)
-        assert ang.theta == pytest.approx(math.pi / 2.0, abs=1e-7)
-        assert ang.chi_p == pytest.approx(math.pi, abs=1e-3)
-        assert ang.x == pytest.approx(0.0, abs=1e-7)
-
-    def test_even_and_odd_parts(self):
-        plus = angle_variables(0.7)
-        minus = angle_variables(-0.7)
-        assert minus.x == plus.x
-        assert minus.chi_p == plus.chi_p
-        assert minus.theta == -plus.theta
-
-    def test_scale_covariance(self):
-        scale = PhysicalScale(beta=2.0)
-        assert angle_variables(2.0, scale).theta == pytest.approx(
-            angle_variables(1.0).theta)
+from oracles import ferrers_P_mhalf, ferrers_Q_mhalf
 
 
 class TestCoefficients:
@@ -75,12 +39,17 @@ class TestCoefficients:
         assert coeff_a(QuantumState(2, 1), 0) == pytest.approx(expect)
 
     def test_b_equals_a(self):
+        """The kernel is the literal trigonometric sum with b_t = a_t."""
         for N in range(1, 7):
             for l in range(N):
                 state = QuantumState(N, l)
-                for t in range(N - l):
-                    assert coeff_b(state, t) == pytest.approx(
-                        coeff_a(state, t), rel=1e-14)
+                for p in (0.0, 0.4, -1.3, 6.0):
+                    theta = math.atan(p)
+                    literal = sum(
+                        coeff_a(state, t) * cmath.exp(1j * (l + t + 2) * theta)
+                        * math.cos(theta) ** (l + t + 2) for t in range(N - l))
+                    assert psi_trig(state, p) == pytest.approx(
+                        literal, rel=1e-13, abs=1e-14)
 
     def test_sign_alternation(self):
         state = QuantumState(5, 1)
@@ -91,7 +60,7 @@ class TestCoefficients:
         with pytest.raises(IndexError):
             coeff_a(QuantumState(2, 1), 1)
         with pytest.raises(IndexError):
-            coeff_b(QuantumState(3, 0), -1)
+            coeff_a(QuantumState(3, 0), -1)
 
 
 class TestPsiTrig:
@@ -164,10 +133,14 @@ class TestPsiGegenbauer:
                     cmath.exp(1j * (n + 1) * gamma), abs=1e-13)
 
     def test_script_D_identical(self):
+        """The CLI's script-D route against the literal Gegenbauer sum.
+
+        Script-D is (D^1 + i C^1)/2 under the package's phase convention.
+        """
         for N, l in [(1, 0), (2, 0), (4, 3), (6, 1)]:
             state = QuantumState(N, l)
             for p in (0.0, 0.5, -2.0, 9.0):
-                assert psi_script_D(state, p) == pytest.approx(
+                assert FORM_EVALUATORS["script_D"](state, p) == pytest.approx(
                     psi_gegenbauer(state, p), rel=1e-12, abs=1e-13)
 
 

