@@ -8,12 +8,14 @@ Subcommands:
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error,
 3 I/O error.  All floating values are emitted with 17 significant
-digits and a dot decimal separator.
+digits and a dot decimal separator.  `table` and `plot` evaluate their
+whole grid in one call of the array-valued forms.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -27,20 +29,34 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# Rows %-formatted per write: bounds the text held at once for a large table.
+CSV_BLOCK_ROWS = 4096
+
 
 class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _require_finite(**flags) -> None:
+    for name, value in flags.items():
+        if not math.isfinite(value):
+            raise UsageError(f"--{name} must be finite, got {value}")
+
+
+def _usage_checked(function, *args, **kwargs):
+    """function(*args, **kwargs), with its ValueError, an argument outside
+    its domain, reported as a usage error."""
+    try:
+        return function(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _scale_from_args(args, N: int) -> PhysicalScale:
     if getattr(args, "physical", False):
-        return PhysicalScale.from_physical(
-            args.Z, args.mu, args.alpha_fs, N, hbar=args.hbar, c=args.c)
-    return PhysicalScale(hbar=1.0, beta=args.hbar_beta)
+        return _usage_checked(PhysicalScale.from_physical, args.Z, args.mu,
+                              args.alpha_fs, N, hbar=args.hbar, c=args.c)
+    return _usage_checked(PhysicalScale, hbar=1.0, beta=args.hbar_beta)
 
 
 def _add_scale_flags(parser: argparse.ArgumentParser) -> None:
@@ -56,33 +72,53 @@ def _add_scale_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _state_from_args(args) -> QuantumState:
-    try:
-        return QuantumState(args.N, args.l, _scale_from_args(args, args.N))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _usage_checked(QuantumState, args.N, args.l, _scale_from_args(args, args.N))
 
 
-def _write_lines(path, lines) -> None:
-    text = "\n".join(lines) + "\n"
+def _write_lines(path, chunks) -> None:
+    """Write the text `chunks`, each ending in a newline, to `path` or stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write `header` (unless None), then one row per entry of the
+    equal-length float `columns`, every value with 17 significant digits."""
+    rows = np.array(columns).T.reshape(-1, len(columns))
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+
+    def text():
+        if header is not None:
+            yield header + "\n"
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            yield row * len(block) % tuple(block.ravel().tolist())
+
+    _write_lines(path, text())
+
+
+def _complex_columns(p, values) -> list:
+    """The p,re,im,abs2 columns of complex `values` at momenta `p`."""
+    # np.hypot is bit for bit Python's abs(complex); np.abs of a complex is not.
+    modulus = np.hypot(values.real, values.imag)
+    return [p, values.real, values.imag, modulus * modulus]
 
 
 def cmd_eval(args) -> int:
+    _require_finite(p=args.p)
     state = _state_from_args(args)
-    value = FORM_EVALUATORS[args.form](state, args.p)
-    record = ",".join(
-        [_fmt(args.p), _fmt(value.real), _fmt(value.imag), _fmt(abs(value) ** 2)])
-    _write_lines(args.output, [record])
+    value = _usage_checked(FORM_EVALUATORS[args.form], state, args.p)
+    _write_csv(args.output, None, _complex_columns(args.p, value))
     return EXIT_OK
 
 
 def _grid_from_args(args) -> np.ndarray:
     if args.count < 2:
         raise UsageError("grid needs --count >= 2")
+    _require_finite(pmin=args.pmin, pmax=args.pmax)
     if not args.pmin < args.pmax:
         raise UsageError("grid needs --pmin < --pmax")
     return np.linspace(args.pmin, args.pmax, args.count)
@@ -91,39 +127,33 @@ def _grid_from_args(args) -> np.ndarray:
 def cmd_table(args) -> int:
     state = _state_from_args(args)
     grid = _grid_from_args(args)
-    evaluator = FORM_EVALUATORS[args.form]
-    lines = ["p,re,im,abs2"]
-    for p in grid:
-        value = evaluator(state, p)
-        lines.append(",".join(
-            [_fmt(p), _fmt(value.real), _fmt(value.imag), _fmt(abs(value) ** 2)]))
-    _write_lines(args.output, lines)
+    values = _usage_checked(FORM_EVALUATORS[args.form], state, grid)
+    _write_csv(args.output, "p,re,im,abs2", _complex_columns(grid, values))
     return EXIT_OK
 
 
 def cmd_plot(args) -> int:
     if args.N < 1:
         raise UsageError("N must be >= 1")
+    if args.count < 2:
+        raise UsageError("grid needs --count >= 2")
     scale = _scale_from_args(args, args.N)
     pmax = args.pmax if args.pmax is not None else 5.0 * scale.momentum
-    if args.form == "PP":
-        grid = np.linspace(0.0, pmax, args.count)
-    else:
-        grid = np.linspace(-pmax, pmax, args.count)
-    lines = ["p,density"]
-    for p in grid:
-        lines.append(",".join(
-            [_fmt(p), _fmt(distribution_max_l(args.form, args.N, p, scale))]))
-    _write_lines(args.output, lines)
+    _require_finite(pmax=pmax)
+    pmin = 0.0 if args.form == "PP" else -pmax
+    grid = np.linspace(pmin, pmax, args.count)
+    _write_csv(args.output, "p,density",
+               [grid, _usage_checked(distribution_max_l, args.form, args.N, grid, scale)])
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    config = VerifyConfig(scale=PhysicalScale(hbar=1.0, beta=args.hbar_beta),
-                          tol_scale=args.tol_scale)
+    if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
+        raise UsageError(f"--tol-scale must be positive and finite, got {args.tol_scale}")
+    config = VerifyConfig(scale=_scale_from_args(args, 1), tol_scale=args.tol_scale)
     suites = args.suite if args.suite else None
     report = run_all(config, suites)
-    _write_lines(args.output, [report.to_json()])
+    _write_lines(args.output, [report.to_json() + "\n"])
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
 
 

@@ -18,9 +18,10 @@ functions are defined up to such a convention).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
+
+import numpy as np
 
 from .hydrogenic import (
     PhysicalScale,
@@ -28,6 +29,9 @@ from .hydrogenic import (
     normalization_constant,
 )
 from .specfun import binomial, factorial, gegenbauer_C, gegenbauer_D1
+
+
+_LOG2 = math.log(2.0)
 
 
 def _log_ratio(num: int, den: int) -> float:
@@ -55,35 +59,40 @@ def _log_c0(l: int) -> float:
     return _log_ratio(factorial(l + 1), factorial(2 * l + 1))
 
 
-def _hypergeometric_kernel(N: int, l: int, q: float, log_scale: float) -> complex:
+def _hypergeometric_kernel(N: int, l: int, q, log_scale: float):
     """e^{log_scale} w^{l+2} 2F1(-n, l+2; 2l+2; 2w), w = 1/(1 - i q), n = N-l-1.
 
-    The polynomial runs Gauss's contiguous relation in the degree (DLMF
-    15.5.11 with a = -m), forward from F_0 = 1:
+    q is a float or a float64 array; the result is a complex scalar or an
+    array of q's shape.  The polynomial runs Gauss's contiguous relation
+    in the degree (DLMF 15.5.11 with a = -m), forward from F_0 = 1:
     (c+m) F_{m+1} = (2m + c - (b+m) z) F_m - m (1-z) F_{m-1}, with
     b = l+2, c = 2l+2, z = 2w.  Unlike the explicit alternating sum it
-    does not cancel at large n.  The scale and w^{l+2} =
+    does not cancel at large n.  The recurrence uses only operators, so
+    a float q stays a Python scalar through it.  The scale and w^{l+2} =
     cos^{l+2}(theta) e^{i (l+2) theta}, theta = arctan q, share one
     exponential, so that neither under- or overflows on its own.
     """
     b, c = l + 2, 2 * l + 2
-    d = 1.0 + q * q
-    z = complex(2.0 / d, 2.0 * q / d)
-    prev, cur = 0.0, 1.0
-    for m in range(N - l - 1):
-        prev, cur = cur, ((2 * m + c - (b + m) * z) * cur - m * (1.0 - z) * prev) / (c + m)
-    log_abs = log_scale - 0.5 * b * math.log1p(q * q)
-    if not log_abs > -math.inf:  # NaN p, or |q| > 1e154 where w^{l+2} is 0
-        return complex(math.exp(log_abs))
-    # Scale by 2^shift last, in one correctly rounded step, so that values
-    # in the subnormal range are still the nearest doubles.
-    shift = math.floor(log_abs / math.log(2.0))
-    value = cmath.exp(complex(log_abs - shift * math.log(2.0), b * math.atan(q))) * cur
-    return complex(math.ldexp(value.real, shift), math.ldexp(value.imag, shift))
+    with np.errstate(over="ignore", invalid="ignore"):  # |q| > 1e154 and inf q
+        d = 1.0 + q * q
+        z = 2.0 / d + 1j * (2.0 * q / d)
+        prev, cur = 0.0, 1.0
+        for m in range(N - l - 1):
+            prev, cur = cur, ((2 * m + c - (b + m) * z) * cur - m * (1.0 - z) * prev) / (c + m)
+        log_abs = log_scale - 0.5 * b * np.log1p(q * q)
+        regular = log_abs > -np.inf  # False for NaN q, or |q| > 1e154 where w^{l+2} is 0
+        # Scale by 2^shift last, in one correctly rounded step, so that values
+        # in the subnormal range are still the nearest doubles.
+        shift = np.floor(np.where(regular, log_abs, 0.0) / _LOG2).astype(np.int64)
+        value = np.exp((log_abs - shift * _LOG2) + 1j * (b * np.arctan(q))) * cur
+        value = np.ldexp(value.real, shift) + 1j * np.ldexp(value.imag, shift)
+        return np.where(regular, value, np.exp(log_abs))[()]
 
 
-def psi_trig(state: QuantumState, p: float) -> complex:
+def psi_trig(state: QuantumState, p):
     """Momentum wave function of the trigonometric expansion.
+
+    p is a float or a float64 array; the value is complex, of p's shape.
 
     psi = sum_t b_t e^{i k theta} cos^k(theta), k = l+t+2,
     theta = arctan(p / hbar beta), with b_t = a_t (`coeff_a`).  Since
@@ -98,12 +107,12 @@ def psi_trig(state: QuantumState, p: float) -> complex:
     return _hypergeometric_kernel(N, l, p / state.scale.momentum, log_b0)
 
 
-def _lombardi_ogilvie_kernel(state: QuantumState, p: float) -> complex:
+def _lombardi_ogilvie_kernel(state: QuantumState, p):
     """`lombardi_ogilvie_alpha` as (-1)^l c_0 conj(w)^{l+2} 2F1(-n, l+2; 2l+2; 2 conj(w)).
 
     Its z = i hbar beta / (p - i hbar beta) is -conj(w), and
     c_k = (-1)^k c_0 (-n)_k (l+2)_k 2^k / ((2l+2)_k k!) with
-    c_0 = (l+1)!/(2l+1)!.  conj(w) is w at -p.
+    c_0 = (l+1)!/(2l+1)!.  conj(w) is w at -p.  p is a float or an array.
     """
     N, l = state.N, state.l
     value = _hypergeometric_kernel(N, l, -p / state.scale.momentum, _log_c0(l))
@@ -211,7 +220,13 @@ def _pp_log_prefactor(N: int, l: int, momentum: float) -> float:
             - 1.5 * math.log(momentum))
 
 
-def podolsky_pauling_G(state: QuantumState, p: float) -> float:
+def _any_negative(p) -> bool:
+    """Whether a float, or any entry of an array, is below 0; cheap on floats."""
+    negative = p < 0
+    return bool(negative.any() if isinstance(negative, np.ndarray) else negative)
+
+
+def podolsky_pauling_G(state: QuantumState, p):
     """Podolsky-Pauling radial momentum function G_{Nl}(p), p >= 0.
 
     G = (2 hbar beta)^{5/2} Gamma(l+1) sqrt((N-l-1)! N / (pi (N+l)!))
@@ -220,10 +235,11 @@ def podolsky_pauling_G(state: QuantumState, p: float) -> float:
     evaluated in q = p / hbar beta as
     e^{log pref} (1+q^2)^{-2} (2q/(1+q^2))^l C^{l+1}_{N-l-1}((1-q^2)/(1+q^2)).
 
-    Normalized so that int_0^inf G^2 p^2 dp = 1.
+    Normalized so that int_0^inf G^2 p^2 dp = 1.  p is a float or a
+    float64 array.
     """
-    if p < 0:
-        raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {p}")
+    if _any_negative(p):
+        raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {np.min(p)}")
     N, l = state.N, state.l
     q = p / state.scale.momentum
     c2 = 1.0 / (1.0 + q * q)
@@ -256,19 +272,20 @@ def podolsky_pauling_chi(state: QuantumState, chi: float) -> float:
     )
 
 
-def distribution_max_l(form: str, N: int, p: float,
-                       scale: PhysicalScale = PhysicalScale()) -> float:
+def distribution_max_l(form: str, N: int, p,
+                       scale: PhysicalScale = PhysicalScale()):
     """Unnormalized maximal-l (l = N-1) momentum density shapes.
 
     "PP": (4 hbar beta p)^{2(N-1)} / (hbar^2 beta^2 + p^2)^{2(N+1)},
     defined for p >= 0.
     "LO": 1 / (hbar^2 beta^2 + p^2)^{N+1}, defined for any real p.
+    p is a float or a float64 array.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     pm = scale.momentum
     if form == "PP":
-        if p < 0:
+        if _any_negative(p):
             raise ValueError("PP density is defined for p >= 0")
         return (4.0 * pm * p) ** (2 * (N - 1)) / (pm * pm + p * p) ** (2 * (N + 1))
     if form == "LO":
@@ -276,11 +293,12 @@ def distribution_max_l(form: str, N: int, p: float,
     raise ValueError(f"unknown distribution form {form!r}")
 
 
-# trig, gegenbauer and script_D are one function (see `psi_trig`).
+# trig, gegenbauer and script_D are one function (see `psi_trig`).  Every
+# entry takes a float or a float64 array of p.
 FORM_EVALUATORS = {
     "trig": psi_trig,
     "gegenbauer": psi_trig,
     "script_D": psi_trig,
     "lombardi_ogilvie": _lombardi_ogilvie_kernel,
-    "podolsky_pauling": lambda state, p: complex(podolsky_pauling_G(state, p)),
+    "podolsky_pauling": lambda state, p: np.complex128(podolsky_pauling_G(state, p)),
 }

@@ -28,8 +28,9 @@ class PhysicalScale:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.beta <= 0:
-            raise ValueError("hbar and beta must be positive")
+        if not (0 < self.hbar < math.inf and 0 < self.beta < math.inf):
+            raise ValueError(f"hbar and beta must be positive and finite, "
+                             f"got hbar={self.hbar}, beta={self.beta}")
 
     @classmethod
     def from_physical(cls, Z: int, mu: float, alpha_fs: float, N: int,

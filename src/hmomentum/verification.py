@@ -176,7 +176,7 @@ def verify_form_equivalence(max_N: int = 8, grid=None,
     worst = 0.0
     states = _states(max_N, scale)
     for state in states:
-        trig = [psi_trig(state, p) for p in grid]
+        trig = psi_trig(state, grid)
         geg = [psi_gegenbauer(state, p) for p in grid]
         ref_t = psi_trig(state, p_ref)
         ref_g = psi_gegenbauer(state, p_ref)
@@ -204,8 +204,7 @@ def verify_quadrature(max_N: int = 4, grid=None,
     failures = []
     states = _states(max_N, scale)
     for state in states:
-        for p in grid:
-            closed = psi_trig(state, p)
+        for p, closed in zip(grid, psi_trig(state, grid)):
             try:
                 numeric = transform_numeric(
                     lambda r: radial_wavefunction(state, r), p,
@@ -242,13 +241,9 @@ def verify_lo_proportionality(max_N: int = 6, grid=None,
     constants = []
     states = _states(max_N, scale)
     for state in states:
-        ratios = []
-        for p in grid:
-            alpha = lombardi_ogilvie_alpha(state, p)
-            if abs(alpha) < 1e-13:
-                continue
-            ratios.append(psi_trig(state, p) / alpha.conjugate())
-        ratios = np.asarray(ratios)
+        alpha = np.array([lombardi_ogilvie_alpha(state, p) for p in grid])
+        kept = np.abs(alpha) >= 1e-13
+        ratios = psi_trig(state, grid[kept]) / alpha[kept].conjugate()
         mean = ratios.mean()
         rel_std = float(np.sqrt(np.mean(np.abs(ratios - mean) ** 2)) / abs(mean))
         worst = max(worst, rel_std)
@@ -364,10 +359,7 @@ def verify_so4_constancy(max_N: int = 6, grid=None,
     worst = 0.0
     states = [QuantumState(N, N - 1, scale) for N in range(1, max_N + 1)]
     for state in states:
-        vals = np.array([
-            abs(psi_trig(state, p)) ** 2 * (pm2 + p * p) ** (state.N + 1)
-            for p in grid
-        ])
+        vals = np.abs(psi_trig(state, grid)) ** 2 * (pm2 + grid * grid) ** (state.N + 1)
         rel_std = float(vals.std() / vals.mean())
         worst = max(worst, rel_std)
     return CheckResult.from_residual(

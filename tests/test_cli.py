@@ -175,3 +175,42 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestUsageErrors:
+    """Input outside the domain exits 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        # Podolsky-Pauling is defined for p >= 0
+        ["eval", "podolsky_pauling", "3", "1", "--p", "-1"],
+        ["eval", "podolsky_pauling", "3", "1", "--p=-inf"],
+        ["table", "podolsky_pauling", "3", "1", "--pmin", "-1", "--pmax", "1"],
+        # non-finite momenta and scales
+        ["eval", "trig", "3", "1", "--p", "nan"],
+        ["eval", "trig", "3", "1", "--p", "inf"],
+        ["eval", "lombardi_ogilvie", "3", "1", "--p=-inf"],
+        ["eval", "trig", "3", "1", "--p", "1", "--hbar-beta", "nan"],
+        ["eval", "trig", "3", "1", "--p", "1", "--hbar-beta", "inf"],
+        ["table", "trig", "3", "1", "--pmin", "0", "--pmax", "inf"],
+        ["table", "trig", "3", "1", "--pmin", "nan", "--pmax", "1"],
+        ["table", "trig", "3", "1", "--pmin", "0", "--pmax", "1", "--hbar-beta", "nan"],
+        ["plot", "LO", "2", "--pmax", "inf"],
+        ["plot", "PP", "2", "--pmax", "nan"],
+        ["plot", "LO", "2", "--hbar-beta", "inf"],
+        ["plot", "LO", "2", "--hbar-beta", "0"],
+        ["verify", "--suite", "so4_constancy", "--hbar-beta", "nan"],
+        # the remaining flag checks
+        ["verify", "--suite", "so4_constancy", "--hbar-beta", "0"],
+        ["verify", "--suite", "so4_constancy", "--hbar-beta", "-1"],
+        ["verify", "--suite", "so4_constancy", "--tol-scale", "0"],
+        ["verify", "--suite", "so4_constancy", "--tol-scale", "-1"],
+        ["verify", "--suite", "so4_constancy", "--tol-scale", "nan"],
+        ["verify", "--suite", "so4_constancy", "--tol-scale", "inf"],
+        ["plot", "PP", "2", "--count", "0"],
+        ["plot", "LO", "2", "--count", "1"],
+    ], ids=" ".join)
+    def test_exit_2(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
