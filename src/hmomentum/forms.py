@@ -119,6 +119,20 @@ def _lombardi_ogilvie_kernel(state: QuantumState, p):
     return -value if l % 2 else value
 
 
+# The largest N at which the literal sums `psi_gegenbauer` and
+# `lombardi_ogilvie_alpha` stay within 1e-11 of the state's peak |value|,
+# for every l and hbar beta in {1e-3, 1, 1e3}, against the exact-arithmetic
+# oracle of tests/test_kernel.py; at N = 12 both pass 1.1e-11, and the
+# cancellation between their alternating terms grows about 3x per N.
+LITERAL_MAX_N = 11
+
+
+def _check_literal_N(state: QuantumState) -> None:
+    if state.N > LITERAL_MAX_N:
+        raise ValueError(f"the literal sum is accurate only for N <= {LITERAL_MAX_N}, "
+                         f"got N={state.N}")
+
+
 def coeff_a(state: QuantumState, t: int) -> float:
     """Gegenbauer-expansion coefficient a^{(N)}_{l t}.
 
@@ -151,8 +165,9 @@ def psi_gegenbauer(state: QuantumState, p: float) -> complex:
 
     The paper's literal sum, kept as the oracle that the form-equivalence
     suite compares `psi_trig` against.  Its alternating terms cancel as N
-    grows, so it is meant for small N only.
+    grows, so it raises ValueError for N > LITERAL_MAX_N.
     """
+    _check_literal_N(state)
     N, l = state.N, state.l
     if p < 0:
         return psi_gegenbauer(state, -p).conjugate()
@@ -198,8 +213,10 @@ def lombardi_ogilvie_alpha(state: QuantumState, p: float) -> complex:
 
     The paper's literal sum, kept as the oracle that the
     Lombardi-Ogilvie proportionality suite compares `psi_trig` against;
-    for small N only.  The CLI evaluates this family with the kernel.
+    it raises ValueError for N > LITERAL_MAX_N.  The CLI evaluates this
+    family with the kernel.
     """
+    _check_literal_N(state)
     N, l = state.N, state.l
     bp = state.scale.momentum
     z = 1j * bp / (p - 1j * bp)
@@ -220,6 +237,17 @@ def _pp_log_prefactor(N: int, l: int, momentum: float) -> float:
             - 1.5 * math.log(momentum))
 
 
+# At q = p / hbar beta >= Q_CAP the Podolsky-Pauling function and density
+# are 0 in double precision (given a finite prefactor), and below it 1 + q*q
+# is still finite; `_capped` lowers larger q, inf included, to Q_CAP.
+Q_CAP = 1e154
+
+
+def _capped(q):
+    """q with every value above Q_CAP lowered to Q_CAP, NaN kept; cheap on floats."""
+    return np.minimum(q, Q_CAP) if isinstance(q, np.ndarray) else min(q, Q_CAP)
+
+
 def _any_negative(p) -> bool:
     """Whether a float, or any entry of an array, is below 0; cheap on floats."""
     negative = p < 0
@@ -236,12 +264,12 @@ def podolsky_pauling_G(state: QuantumState, p):
     e^{log pref} (1+q^2)^{-2} (2q/(1+q^2))^l C^{l+1}_{N-l-1}((1-q^2)/(1+q^2)).
 
     Normalized so that int_0^inf G^2 p^2 dp = 1.  p is a float or a
-    float64 array.
+    float64 array; G is 0 from q = Q_CAP on, p = inf included.
     """
     if _any_negative(p):
         raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {np.min(p)}")
     N, l = state.N, state.l
-    q = p / state.scale.momentum
+    q = _capped(p / state.scale.momentum)
     c2 = 1.0 / (1.0 + q * q)
     return (
         math.exp(_pp_log_prefactor(N, l, state.scale.momentum))
@@ -277,7 +305,10 @@ def distribution_max_l(form: str, N: int, p,
     """Unnormalized maximal-l (l = N-1) momentum density shapes.
 
     "PP": (4 hbar beta p)^{2(N-1)} / (hbar^2 beta^2 + p^2)^{2(N+1)},
-    defined for p >= 0.
+    defined for p >= 0, evaluated in q = p / hbar beta as
+    (4q/(1+q^2))^{2(N-1)} ((1+q^2) hbar^2 beta^2)^{-4}, so that no power
+    overflows before the division; 0 from q = Q_CAP on (exactly so for
+    hbar beta above 1e-113).
     "LO": 1 / (hbar^2 beta^2 + p^2)^{N+1}, defined for any real p.
     p is a float or a float64 array.
     """
@@ -287,7 +318,9 @@ def distribution_max_l(form: str, N: int, p,
     if form == "PP":
         if _any_negative(p):
             raise ValueError("PP density is defined for p >= 0")
-        return (4.0 * pm * p) ** (2 * (N - 1)) / (pm * pm + p * p) ** (2 * (N + 1))
+        q = _capped(p / pm)
+        c2 = 1.0 / (1.0 + q * q)
+        return (4.0 * q * c2) ** (2 * (N - 1)) * (c2 / (pm * pm)) ** 4
     if form == "LO":
         return 1.0 / (pm * pm + p * p) ** (N + 1)
     raise ValueError(f"unknown distribution form {form!r}")

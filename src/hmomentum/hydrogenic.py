@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .specfun import binomial, factorial, laguerre
 
 
@@ -124,18 +126,19 @@ def slater_expansion(state: QuantumState, normalized: bool = False) -> SlaterExp
     return expansion
 
 
-def radial_wavefunction(state: QuantumState, r: float) -> float:
+def radial_wavefunction(state: QuantumState, r):
     """R_{Nl}(r) = N_{Nl} e^{-rho/2} rho^l L_{N-l-1}^{2l+1}(rho), rho = 2 beta r.
 
     Normalized so that the integral of R^2 r^2 dr over (0, inf) is 1.
+    r is a float or a float64 array; the value is real, of r's shape.
     """
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    if np.min(r) < 0:
+        raise ValueError(f"r must be >= 0, got {np.min(r)}")
     N, l = state.N, state.l
     rho = 2.0 * state.scale.beta * r
     return (
         normalization_constant(state)
-        * math.exp(-rho / 2.0)
+        * np.exp(-rho / 2.0)
         * rho ** l
         * laguerre(N - l - 1, 2 * l + 1, rho)
     )

@@ -1,8 +1,7 @@
 """Special functions evaluated by stable recurrences.
 
 Factorials and binomials, generalized Laguerre polynomials, Gegenbauer
-polynomials, the order-1 Gegenbauer function of the second kind, and
-spherical Bessel functions.
+polynomials, and the order-1 Gegenbauer function of the second kind.
 
 Polynomials are evaluated with three-term recurrences rather than their
 explicit alternating sums, which become unstable at high degree.  All
@@ -12,6 +11,8 @@ functions here are pure and thread-safe.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 # math.factorial overflows float conversion past 170!.
 FLOAT_FACTORIAL_MAX = 170
@@ -48,18 +49,19 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def laguerre(n: int, alpha: int, x: float) -> float:
+def laguerre(n: int, alpha: int, x):
     """Generalized Laguerre polynomial L_n^alpha(x) by three-term recurrence.
 
     The recurrence (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}
-    is stable in the direction of increasing degree.
+    is stable in the direction of increasing degree.  x is a float or a
+    float64 array; the value has x's shape.
     """
     if n < 0:
         raise ValueError(f"laguerre degree must be >= 0, got {n}")
     if alpha < 0:
         raise ValueError(f"laguerre index must be >= 0, got {alpha}")
     if n == 0:
-        return 1.0
+        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
     prev = 1.0
     cur = 1.0 + alpha - x
     for k in range(1, n):
@@ -98,44 +100,3 @@ def gegenbauer_D1(n: int, x: float) -> float:
         raise ValueError(f"D_n^1 requires |x| < 1, got x={x}")
     theta = math.acos(x)
     return math.cos((n + 1) * theta) / math.sin(theta)
-
-
-def spherical_bessel_j(l: int, x: float) -> float:
-    """Spherical Bessel function j_l(x).
-
-    Upward recurrence for x >= l; downward (Miller) recurrence for x < l,
-    where the upward direction is unstable.  j_0(0) = 1 by continuity.
-    """
-    if l < 0:
-        raise ValueError(f"order must be >= 0, got {l}")
-    x = float(x)
-    if x == 0.0:
-        return 1.0 if l == 0 else 0.0
-    j0 = math.sin(x) / x
-    if l == 0:
-        return j0
-    j1 = math.sin(x) / (x * x) - math.cos(x) / x
-    if l == 1:
-        return j1
-    if abs(x) >= l:
-        prev, cur = j0, j1
-        for k in range(1, l):
-            prev, cur = cur, (2 * k + 1) / x * cur - prev
-        return cur
-    # Miller's algorithm: recurse downward from well above l, then
-    # normalize with the known j_0.
-    top = l + int(abs(x)) + 25
-    jp1 = 0.0
-    jc = 1e-30
-    out = 0.0
-    for k in range(top, 0, -1):
-        jm1 = (2 * k + 1) / x * jc - jp1
-        jp1, jc = jc, jm1
-        if k - 1 == l:
-            out = jc
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp1 *= 1e-250
-            out *= 1e-250
-    return out * (j0 / jc)
-

@@ -10,11 +10,11 @@ from __future__ import annotations
 import datetime
 import json
 import math
-import warnings
+import os
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .forms import (
     lombardi_ogilvie_alpha,
@@ -33,12 +33,15 @@ from .hydrogenic import (
 from .transform import (
     OUTGOING_STRICT,
     DEFAULT_QUADRATURE,
+    GL_ORDER,
+    ConvergenceError,
     QuadratureSpec,
     diagonalization_residual,
+    gauss_legendre_panels,
+    panels_needed,
     parseval_check,
     transform_numeric,
 )
-from .specfun import spherical_bessel_j
 
 
 @dataclass(frozen=True)
@@ -204,15 +207,14 @@ def verify_quadrature(max_N: int = 4, grid=None,
     failures = []
     states = _states(max_N, scale)
     for state in states:
-        for p, closed in zip(grid, psi_trig(state, grid)):
-            try:
-                numeric = transform_numeric(
-                    lambda r: radial_wavefunction(state, r), p,
-                    OUTGOING_STRICT, config.quad_spec, scale)
-            except Exception as exc:  # noqa: BLE001 - recorded per point
-                failures.append(f"(N={state.N},l={state.l},p={p:g}): {exc}")
-                continue
-            worst = max(worst, abs(numeric - closed))
+        try:
+            numeric = transform_numeric(
+                lambda r: radial_wavefunction(state, r), grid,
+                OUTGOING_STRICT, config.quad_spec, scale)
+        except ConvergenceError as exc:
+            failures.append(f"(N={state.N},l={state.l}): {exc}")
+            continue
+        worst = max(worst, float(np.max(np.abs(numeric - psi_trig(state, grid)))))
     details = "; ".join(failures) if failures else ""
     residual = worst if not failures else math.inf
     return CheckResult.from_residual(
@@ -258,28 +260,31 @@ def verify_pp_vs_hankel(max_N: int = 4, config: VerifyConfig = DEFAULT_CONFIG) -
     """Closed-form Podolsky-Pauling vs the j_l Hankel-quadrature oracle.
 
     Proportionality (constancy of the ratio in p) between G_{Nl}(p) and
-    int_0^inf j_l(p r / hbar) R_{Nl}(r) r^2 dr.
+    int_0^inf j_l(p r / hbar) R_{Nl}(r) r^2 dr, the latter over the whole
+    grid at once by the numerical transform's Gauss-Legendre panels in rho,
+    with j_l from scipy.special.
     """
+    from scipy.special import spherical_jn
+
     scale = config.scale
     grid = np.linspace(0.2, 5.0, 12) * scale.momentum
-    r_hi = config.quad_spec.max_rho / (2.0 * scale.beta)
+    # In rho = 2 beta r: j_l(p r / hbar) = j_l(b rho), b = p / (2 hbar beta).
+    b = grid / (2.0 * scale.momentum)
+    max_rho = config.quad_spec.max_rho
+    centers, offsets, weights = gauss_legendre_panels(
+        0.0, max_rho, int(panels_needed(b[-1], max_rho)), GL_ORDER)
+    rho = (centers[:, None] + offsets).ravel()
+    r = rho / (2.0 * scale.beta)
+    weights = np.tile(weights, centers.size) * r * r / (2.0 * scale.beta)
+    bessel = {l: spherical_jn(l, np.outer(rho, b)) for l in range(max_N)}
     worst = 0.0
     states = _states(max_N, scale)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for state in states:
-            ratios = []
-            for p in grid:
-                k = p / scale.hbar
-                numeric, _ = quad(
-                    lambda r: spherical_bessel_j(state.l, k * r)
-                    * radial_wavefunction(state, r) * r * r,
-                    0.0, r_hi, epsabs=1e-13, epsrel=1e-12, limit=800)
-                ratios.append(podolsky_pauling_G(state, p) / numeric)
-            ratios = np.asarray(ratios)
-            mean = ratios.mean()
-            rel_std = float(np.sqrt(np.mean((ratios - mean) ** 2)) / abs(mean))
-            worst = max(worst, rel_std)
+    for state in states:
+        numeric = (radial_wavefunction(state, r) * weights) @ bessel[state.l]
+        ratios = podolsky_pauling_G(state, grid) / numeric
+        mean = ratios.mean()
+        rel_std = float(np.sqrt(np.mean((ratios - mean) ** 2)) / abs(mean))
+        worst = max(worst, rel_std)
     return CheckResult.from_residual(
         "podolsky_pauling_vs_hankel", [(s.N, s.l) for s in states],
         "12-point linear grid, p/(hbar beta) in [0.2, 5]", worst,
@@ -290,14 +295,11 @@ def verify_pp_vs_hankel(max_N: int = 4, config: VerifyConfig = DEFAULT_CONFIG) -
 # entry is (f, f', support).  All vanish to first order at the endpoints.
 def _bump(a, b):
     def f(r):
-        if not a < r < b:
-            return 0.0
-        return (r - a) ** 2 * (b - r) ** 2
+        return np.where((a < r) & (r < b), (r - a) ** 2 * (b - r) ** 2, 0.0)
 
     def df(r):
-        if not a < r < b:
-            return 0.0
-        return 2.0 * (r - a) * (b - r) ** 2 - 2.0 * (r - a) ** 2 * (b - r)
+        return np.where((a < r) & (r < b),
+                        2.0 * (r - a) * (b - r) ** 2 - 2.0 * (r - a) ** 2 * (b - r), 0.0)
 
     return f, df, (a, b)
 
@@ -379,12 +381,29 @@ SUITES = {
 }
 
 
+def _run_suite(name: str, config: VerifyConfig) -> CheckResult:
+    """The suite's result; if it raises, a failed result named by its SUITES
+    key, with an infinite residual and the exception and where it was raised."""
+    try:
+        return SUITES[name](config)
+    except Exception as exc:  # noqa: BLE001 - one suite's crash fails only that suite
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return CheckResult(
+            name, (), "", math.inf, math.nan, False,
+            f"raised {type(exc).__name__}: {exc} (in {frame.name}, "
+            f"{os.path.basename(frame.filename)}:{frame.lineno})")
+
+
 def run_all(config: VerifyConfig = DEFAULT_CONFIG,
             suites=None) -> VerificationReport:
-    """Run the requested suites (all by default) and assemble a report."""
+    """Run the requested suites (all by default) and assemble a report.
+
+    A suite that raises is reported as failed (see `_run_suite`); the
+    others still run.
+    """
     names = list(SUITES) if suites is None else list(suites)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    results = [SUITES[name](config) for name in names]
+    results = [_run_suite(name, config) for name in names]
     return VerificationReport.assemble(results, config.describe())

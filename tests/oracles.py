@@ -1,9 +1,10 @@
 """Independent reference routes used only by the tests.
 
 The order -1/2 Ferrers functions (a third assembly of the momentum wave
-function), the spherical Neumann function n_0, and the radial momentum
-operator applied term-wise to a Slater expansion (the p_r check of the
-Schroedinger equation).
+function), the spherical Bessel function j_l by recurrence and the
+spherical Neumann function n_0, and the radial momentum operator applied
+term-wise to a Slater expansion (the p_r check of the Schroedinger
+equation).
 """
 
 import math
@@ -48,6 +49,46 @@ def ferrers_Q_mhalf(nu: float, x: float) -> float:
         raise ValueError(f"Q requires |x| < 1, got {x}")
     pref = math.sqrt(math.pi / 2.0) * math.gamma(nu + 0.5) / math.gamma(nu + 1.5)
     return pref * (1.0 - x * x) ** 0.25 * gegenbauer_D1(n, x)
+
+
+def spherical_bessel_j(l: int, x: float) -> float:
+    """Spherical Bessel function j_l(x).
+
+    Upward recurrence for x >= l; downward (Miller) recurrence for x < l,
+    where the upward direction is unstable.  j_0(0) = 1 by continuity.
+    """
+    if l < 0:
+        raise ValueError(f"order must be >= 0, got {l}")
+    x = float(x)
+    if x == 0.0:
+        return 1.0 if l == 0 else 0.0
+    j0 = math.sin(x) / x
+    if l == 0:
+        return j0
+    j1 = math.sin(x) / (x * x) - math.cos(x) / x
+    if l == 1:
+        return j1
+    if abs(x) >= l:
+        prev, cur = j0, j1
+        for k in range(1, l):
+            prev, cur = cur, (2 * k + 1) / x * cur - prev
+        return cur
+    # Miller's algorithm: recurse downward from well above l, then
+    # normalize with the known j_0.
+    top = l + int(abs(x)) + 25
+    jp1 = 0.0
+    jc = 1e-30
+    out = 0.0
+    for k in range(top, 0, -1):
+        jm1 = (2 * k + 1) / x * jc - jp1
+        jp1, jc = jc, jm1
+        if k - 1 == l:
+            out = jc
+        if abs(jc) > 1e250:
+            jc *= 1e-250
+            jp1 *= 1e-250
+            out *= 1e-250
+    return out * (j0 / jc)
 
 
 def spherical_neumann_n0(x: float) -> float:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +170,19 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["overall_pass"] is False
 
+    def test_crashing_suite_is_reported(self, capsys):
+        """At hbar beta = 1e4 the <p^2> quadrature raises; the report still
+        comes out, with that suite failed and the others run."""
+        code, out = run_cli(capsys, "verify", "--hbar-beta", "1e4")
+        assert code == 1
+        report = json.loads(out)
+        assert report["overall_pass"] is False
+        failed = [r for r in report["results"] if not r["passed"]]
+        assert [r["name"] for r in failed] == ["uncertainty"]
+        assert failed[0]["max_residual"] == math.inf
+        assert "RuntimeError" in failed[0]["details"]
+        assert len(report["results"]) == 7
+
     def test_unknown_suite_argparse_exit(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "bogus"])
@@ -214,3 +231,19 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported by the quadratures of `verify` only, not by eval/table."""
+    code = ("import sys, hmomentum.cli\n"
+            "assert not any(m.startswith('scipy') for m in sys.modules)\n"
+            "hmomentum.cli.main(['eval', 'trig', '3', '1', '--p', '0.5'])\n"
+            "hmomentum.cli.main(['table', 'podolsky_pauling', '3', '1', '--pmin', '0',"
+            " '--pmax', '2', '--count', '5'])\n"
+            "assert not any(m.startswith('scipy') for m in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr

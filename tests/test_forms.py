@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hmomentum.forms import (
     ultraspherical_S,
 )
 from hmomentum.hydrogenic import (
+    PhysicalScale,
     QuantumState,
     normalization_constant,
     slater_expansion,
@@ -209,6 +211,16 @@ class TestPodolskyPauling:
                           0.0, math.inf, limit=400)
             assert val == pytest.approx(1.0, abs=1e-8)
 
+    def test_zero_at_infinity(self):
+        """G tends to 0; inf * 0 and q * q past 1e154 must not show."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for N, l in [(1, 0), (3, 1), (6, 4)]:
+                state = QuantumState(N, l)
+                assert podolsky_pauling_G(state, math.inf) == 0.0
+                values = podolsky_pauling_G(state, np.array([0.3, 2e154, 1e300, math.inf]))
+                assert values[0] != 0.0 and list(values[1:]) == [0.0, 0.0, 0.0]
+
     def test_chi_route_equals_p_route(self):
         for N, l in [(1, 0), (2, 1), (3, 0), (4, 2)]:
             state = QuantumState(N, l)
@@ -251,6 +263,31 @@ class TestDistributions:
     def test_pp_negative_p_rejected(self):
         with pytest.raises(ValueError):
             distribution_max_l("PP", 2, -1.0)
+
+    def test_pp_zero_at_large_p(self):
+        """(4 p)^{2(N-1)} and (1 + p^2)^{2(N+1)} both overflow at p = 1e77."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert distribution_max_l("PP", 3, 1e77) == 0.0
+            assert list(distribution_max_l("PP", 3, np.array([1e77, 1e200, math.inf]))) \
+                == [0.0, 0.0, 0.0]
+
+    def test_pp_matches_literal_formula(self):
+        """Against (4 pm p)^{2(N-1)} / (pm^2 + p^2)^{2(N+1)} wherever its
+        numerator, denominator and value are finite normal numbers."""
+        tiny = np.finfo(float).tiny
+        for pm in (1e-3, 1.0, 1e3):
+            p = np.concatenate([[0.0], np.logspace(-8, 80, 2000)]) * pm
+            for N in (1, 2, 3, 8, 20):
+                with np.errstate(all="ignore"):
+                    num = (4.0 * pm * p) ** (2 * (N - 1))
+                    den = (pm * pm + p * p) ** (2 * (N + 1))
+                    ref = num / den
+                normal = ((num >= tiny) | (num == 1.0)) & (den >= tiny) & (ref >= tiny) \
+                    & np.isfinite(num) & np.isfinite(den)
+                got = distribution_max_l("PP", N, p, PhysicalScale(1.0, pm))
+                assert np.all(np.abs(got[normal] - ref[normal]) <= 1e-13 * ref[normal])
+                assert np.all(np.isfinite(got))
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,24 @@ class TestQuantumState:
             QuantumState(2, -1)
 
 
+class TestRadialArrays:
+    def test_array_equals_point_by_point(self):
+        r = np.array([[0.0, 1e-3, 0.5], [2.0, 17.0, 60.0]])
+        for N, l in [(1, 0), (4, 0), (5, 2), (9, 8)]:
+            state = QuantumState(N, l, PhysicalScale(beta=0.7))
+            values = radial_wavefunction(state, r)
+            assert values.shape == r.shape
+            for x, value in zip(r.ravel(), values.ravel()):
+                assert value == radial_wavefunction(state, float(x))
+
+    def test_float_in_float_out(self):
+        assert isinstance(radial_wavefunction(QuantumState(2, 0), 1.5), float)
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError):
+            radial_wavefunction(QuantumState(2, 0), np.array([1.0, -0.5]))
+
+
 class TestNormalization:
     def test_ground_state(self):
         # (2 beta)^{3/2} sqrt(0!/(2*1*1!)) = 2^{3/2}/sqrt(2) = 2 at beta=1

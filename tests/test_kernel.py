@@ -13,7 +13,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from hmomentum.forms import FORM_EVALUATORS, psi_trig
+from hmomentum.forms import (
+    FORM_EVALUATORS,
+    LITERAL_MAX_N,
+    lombardi_ogilvie_alpha,
+    psi_gegenbauer,
+    psi_trig,
+)
 from hmomentum.hydrogenic import PhysicalScale, QuantumState
 
 REL_TOL = 1e-11
@@ -116,3 +122,22 @@ def test_unit_norm(N, hbar_beta):
                 / math.cos(theta) ** 2
         norm = total * (math.pi / count) * hbar_beta / (2.0 * math.pi)
         assert abs(norm - 1.0) <= 1e-12, (l, norm)
+
+
+@pytest.mark.parametrize("literal,oracle", [(psi_gegenbauer, trig_oracle),
+                                            (lombardi_ogilvie_alpha, lo_oracle)])
+def test_literal_sums_to_their_limit(literal, oracle):
+    """The literal sums meet REL_TOL of the peak up to LITERAL_MAX_N and
+    raise ValueError past it, where they no longer would."""
+    N = LITERAL_MAX_N
+    for hbar_beta in (1e-3, 1.0, 1e3):
+        ps = momenta(hbar_beta, 16) + [0.0]
+        for l in range(N):
+            state = QuantumState(N, l, PhysicalScale(1.0, hbar_beta))
+            exact = [oracle(N, l, hbar_beta, p) for p in ps]
+            peak = max(abs(v) for v in exact)
+            for p, ref in zip(ps, exact):
+                assert abs(literal(state, p) - ref) <= REL_TOL * peak, (l, p)
+    for N, l in [(N + 1, 0), (N + 1, N), (200, 0)]:
+        with pytest.raises(ValueError):
+            literal(QuantumState(N, l), 0.3)

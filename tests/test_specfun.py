@@ -14,9 +14,13 @@ from hmomentum.specfun import (
     gegenbauer_C,
     gegenbauer_D1,
     laguerre,
-    spherical_bessel_j,
 )
-from oracles import ferrers_P_mhalf, ferrers_Q_mhalf, spherical_neumann_n0
+from oracles import (
+    ferrers_P_mhalf,
+    ferrers_Q_mhalf,
+    spherical_bessel_j,
+    spherical_neumann_n0,
+)
 
 
 def laguerre_sum_exact(n, alpha, x):
@@ -88,6 +92,14 @@ class TestLaguerre:
                 exact = laguerre_sum_exact(n, alpha, x)
                 got = laguerre(n, alpha, x)
                 assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+    def test_array_equals_point_by_point(self):
+        x = np.array([[0.0, 0.1, 1.0], [10.0, 50.0, 200.0]])
+        for n in (0, 1, 2, 7, 30):
+            values = laguerre(n, 3, x)
+            assert values.shape == x.shape
+            assert [float(v) for v in values.ravel()] == [laguerre(n, 3, float(v))
+                                                         for v in x.ravel()]
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

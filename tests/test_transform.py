@@ -6,11 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from hmomentum.hydrogenic import PhysicalScale, QuantumState, slater_expansion
+from hmomentum.forms import psi_trig
+from hmomentum.hydrogenic import (
+    PhysicalScale,
+    QuantumState,
+    radial_wavefunction,
+    slater_expansion,
+)
 from hmomentum.transform import (
     DEFAULT_CONVENTION,
     INCOMING_STRICT,
+    MIN_PANELS,
     OUTGOING_STRICT,
+    PANEL_PHASE,
     ConvergenceError,
     QuadratureSpec,
     TransformConvention,
@@ -81,7 +89,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("p", [0.0, 0.1, 1.0, 5.0, 20.0])
     def test_against_numeric(self, power, p):
         scale = PhysicalScale()
-        f = lambda r: (2.0 * r) ** power * math.exp(-r)  # rho^m e^{-rho/2}, beta=1
+        f = lambda r: (2.0 * r) ** power * np.exp(-r)  # rho^m e^{-rho/2}, beta=1
         # The un-cancelled integrand reaches ~2^power Gamma(power+2), which
         # sets the achievable absolute accuracy; budget the spec accordingly.
         floor = 1e-13 * 2.0 ** power * math.gamma(power + 2)
@@ -95,31 +103,31 @@ class TestClosedForm:
 class TestTransformNumeric:
     def test_ground_state_at_zero(self):
         # int_0^inf e^{-r} r dr = 1; times prefactor 1 under strict
-        val = transform_numeric(lambda r: math.exp(-r), 0.0, INCOMING_STRICT)
+        val = transform_numeric(lambda r: np.exp(-r), 0.0, INCOMING_STRICT)
         assert val == pytest.approx(1.0 + 0.0j, abs=1e-11)
 
     def test_kernel_sign_conjugation(self):
-        f = lambda r: r * math.exp(-r)
+        f = lambda r: r * np.exp(-r)
         p = 1.7
         out = transform_numeric(f, p, OUTGOING_STRICT)
         inc = transform_numeric(f, p, INCOMING_STRICT)
         assert inc == pytest.approx(out.conjugate(), abs=1e-12)
 
     def test_conjugate_symmetry_in_p(self):
-        f = lambda r: r * math.exp(-r / 2)
+        f = lambda r: r * np.exp(-r / 2)
         for p in (0.4, 1.0, 3.3):
             plus = transform_numeric(f, p, INCOMING_STRICT)
             minus = transform_numeric(f, -p, INCOMING_STRICT)
             assert minus == pytest.approx(plus.conjugate(), abs=1e-12)
 
     def test_paper_prefactor_is_overall_i(self):
-        f = lambda r: math.exp(-r)
+        f = lambda r: np.exp(-r)
         strict = transform_numeric(f, 0.9, INCOMING_STRICT)
         paper = transform_numeric(f, 0.9, DEFAULT_CONVENTION)
         assert paper == pytest.approx(1j * strict, abs=1e-12)
 
     def test_compact_support(self):
-        f = lambda r: (r - 1.0) * (2.0 - r) if 1.0 < r < 2.0 else 0.0
+        f = lambda r: np.where((1.0 < r) & (r < 2.0), (r - 1.0) * (2.0 - r), 0.0)
         val = transform_numeric(f, 0.0, INCOMING_STRICT, support=(1.0, 2.0))
         # int_1^2 (r-1)(2-r) r dr = 1/4 by expansion
         assert val.real == pytest.approx(0.25, abs=1e-11)
@@ -132,11 +140,65 @@ class TestTransformNumeric:
 
     def test_convergence_error(self):
         spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, panel_budget=1)
-        f = lambda r: math.exp(-r) * math.cos(7.0 * r)
+        f = lambda r: np.exp(-r) * np.cos(7.0 * r)
         with pytest.raises(ConvergenceError) as err:
             transform_numeric(f, 5.0, INCOMING_STRICT, spec)
         assert err.value.error_bound > 0
         assert isinstance(err.value.estimate, complex)
+
+
+class TestArrayTransform:
+    """transform_numeric over an array of p, in one call of f."""
+
+    @pytest.mark.parametrize("conv", [OUTGOING_STRICT, INCOMING_STRICT, DEFAULT_CONVENTION])
+    @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
+    def test_equals_point_by_point(self, conv, hbar_beta):
+        """Both calls lay out the MIN_PANELS floor here (|b| max_rho <= 64 pi),
+        so they sum the same nodes; across layouts the values agree to the
+        rounding of the integrand at the nodes, which test_matches_psi_trig
+        bounds."""
+        scale = PhysicalScale(1.0, hbar_beta)
+        q = np.array([[-1.5, -0.7, -1e-3, 0.0], [0.0, 1e-3, 0.7, 0.7]])
+        assert 0.5 * 1.5 * QuadratureSpec().max_rho <= MIN_PANELS * PANEL_PHASE
+        for N, l in [(1, 0), (3, 1), (6, 5), (8, 2)]:
+            state = QuantumState(N, l, scale)
+            f = lambda r: radial_wavefunction(state, r)
+            values = transform_numeric(f, q * hbar_beta, conv, scale=scale)
+            assert values.shape == q.shape
+            for p, value in zip((q * hbar_beta).ravel(), values.ravel()):
+                assert abs(value - transform_numeric(f, p, conv, scale=scale)) <= 1e-15
+
+    @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
+    def test_matches_psi_trig(self, hbar_beta):
+        scale = PhysicalScale(1.0, hbar_beta)
+        q = np.array([0.0, 1e-3, 1.0, 20.0, 1000.0])
+        p = np.concatenate([-q[:0:-1], q]) * hbar_beta
+        for N, l in [(1, 0), (2, 1), (3, 0), (4, 3), (5, 2), (8, 2), (8, 7)]:
+            state = QuantumState(N, l, scale)
+            numeric = transform_numeric(lambda r: radial_wavefunction(state, r), p,
+                                        OUTGOING_STRICT, scale=scale)
+            assert np.max(np.abs(numeric - psi_trig(state, p))) <= 1e-12, (N, l)
+
+    def test_shapes(self):
+        value = transform_numeric(lambda r: np.exp(-r), 0.5, INCOMING_STRICT)
+        assert isinstance(value, complex) and np.ndim(value) == 0
+        assert transform_numeric(lambda r: np.exp(-r), np.array([])).shape == (0,)
+
+    def test_panel_budget_exceeded(self):
+        """|p| = 1000 hbar beta needs about 40000 panels; 400 do not resolve it."""
+        f = lambda r: radial_wavefunction(QuantumState(2, 1), r)
+        p = np.array([0.5, 1000.0])
+        transform_numeric(f, p, OUTGOING_STRICT)
+        with pytest.raises(ConvergenceError) as err:
+            transform_numeric(f, p, OUTGOING_STRICT, QuadratureSpec(panel_budget=400))
+        assert "panel_budget 400" in str(err.value)
+        assert err.value.estimate.shape == p.shape
+        assert err.value.error_bound[1] > QuadratureSpec().abs_tol
+
+    def test_non_finite_p_rejected(self):
+        for bad in (math.inf, math.nan, np.array([0.0, -math.inf])):
+            with pytest.raises(ValueError):
+                transform_numeric(lambda r: np.exp(-r), bad)
 
 
 class TestExpansionTransform:
@@ -182,9 +244,10 @@ class TestParseval:
 class TestDiagonalization:
     @staticmethod
     def _bump():
-        f = lambda r: (r - 1.0) ** 2 * (2.0 - r) ** 2 if 1.0 < r < 2.0 else 0.0
-        df = lambda r: (2.0 * (r - 1.0) * (2.0 - r) ** 2
-                        - 2.0 * (r - 1.0) ** 2 * (2.0 - r)) if 1.0 < r < 2.0 else 0.0
+        f = lambda r: np.where((1.0 < r) & (r < 2.0), (r - 1.0) ** 2 * (2.0 - r) ** 2, 0.0)
+        df = lambda r: np.where((1.0 < r) & (r < 2.0),
+                                2.0 * (r - 1.0) * (2.0 - r) ** 2
+                                - 2.0 * (r - 1.0) ** 2 * (2.0 - r), 0.0)
         return f, df
 
     def test_incoming_eigenvalue(self):

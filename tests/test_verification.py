@@ -96,6 +96,19 @@ class TestRunAll:
         assert [r.name for r in report.results] == [
             "so4_form_constancy", "form_equivalence"]
 
+    def test_crash_is_isolated(self, monkeypatch):
+        def crash(config):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setitem(SUITES, "form_equivalence", crash)
+        report = run_all(suites=["form_equivalence", "so4_constancy"])
+        crashed, ran = report.results
+        assert not report.overall_pass
+        assert (crashed.name, crashed.passed, crashed.max_residual) == (
+            "form_equivalence", False, math.inf)
+        assert crashed.details.startswith("raised ZeroDivisionError: boom (in crash")
+        assert ran.passed
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_all(suites=["nope"])
