@@ -154,14 +154,15 @@ def coeff_a(state: QuantumState, t: int) -> float:
     )
 
 
-def psi_gegenbauer(state: QuantumState, p: float) -> complex:
+def psi_gegenbauer(state: QuantumState, p):
     """Gegenbauer finite expansion of the momentum wave function.
 
     psi = sum_t a_t sin(gamma) cos^{l+2+t}(gamma)
           (C^1_{l+1+t} + i D^1_{l+1+t})(cos gamma), with the real part
     carried by D^1 and the imaginary part by C^1 (see module docstring).
-    p = 0 is the analytic limit sum_t a_t; negative p is the odd-theta
-    (conjugate) extension.
+    p = 0, and any p at which cos(gamma) rounds to 1, is the analytic
+    limit sum_t a_t; negative p is the odd-theta (conjugate) extension.
+    p is a float or a float64 array; the value is complex, of p's shape.
 
     The paper's literal sum, kept as the oracle that the form-equivalence
     suite compares `psi_trig` against.  Its alternating terms cancel as N
@@ -169,23 +170,19 @@ def psi_gegenbauer(state: QuantumState, p: float) -> complex:
     """
     _check_literal_N(state)
     N, l = state.N, state.l
-    if p < 0:
-        return psi_gegenbauer(state, -p).conjugate()
-    if p == 0:
-        return complex(sum(coeff_a(state, t) for t in range(N - l)))
+    a = [coeff_a(state, t) for t in range(N - l)]
     pm = state.scale.momentum
-    x = pm / math.hypot(p, pm)
-    gamma = math.acos(x)
-    if gamma == 0.0:
-        # p small enough that cos(gamma) rounds to 1; analytic limit.
-        return complex(sum(coeff_a(state, t) for t in range(N - l)))
-    sin_g = math.sin(gamma)
-    total = 0.0 + 0.0j
-    for t in range(N - l):
-        n = l + 1 + t
-        combo = sin_g * complex(gegenbauer_D1(n, x), gegenbauer_C(n, 1.0, x))
-        total += coeff_a(state, t) * x ** (l + 2 + t) * combo
-    return total
+    x = pm / np.hypot(p, pm)
+    gamma = np.arccos(x)
+    sin_g = np.sin(gamma)
+    limit = gamma == 0.0
+    # D^1 is singular at x = 1; the limit points take sum_t a_t below.
+    x = np.where(limit, 0.5, x)
+    total = sum(a[n - l - 1] * x ** (n + 1)
+                * (sin_g * (gegenbauer_D1(n, x) + 1j * gegenbauer_C(n, 1.0, x)))
+                for n in range(l + 1, N + 1))
+    total = np.where(limit, complex(sum(a)), total)
+    return np.where(p < 0, total.conjugate(), total)[()]
 
 
 def lombardi_ogilvie_c(N: int, l: int, k: int) -> float:
@@ -203,13 +200,14 @@ def lombardi_ogilvie_c(N: int, l: int, k: int) -> float:
     )
 
 
-def lombardi_ogilvie_alpha(state: QuantumState, p: float) -> complex:
+def lombardi_ogilvie_alpha(state: QuantumState, p):
     """Unnormalized Lombardi-Ogilvie radial momentum function.
 
     alpha = sum_k c^k_{Nl} (i beta_p / (p - i beta_p))^{l+k+2}, with
     beta_p = hbar beta the momentum scale.  The external normalization
     constant is not reproduced; comparisons against this family are
-    proportionality tests.
+    proportionality tests.  p is a float or a float64 array; the value
+    is complex, of p's shape.
 
     The paper's literal sum, kept as the oracle that the
     Lombardi-Ogilvie proportionality suite compares `psi_trig` against;
@@ -219,11 +217,8 @@ def lombardi_ogilvie_alpha(state: QuantumState, p: float) -> complex:
     _check_literal_N(state)
     N, l = state.N, state.l
     bp = state.scale.momentum
-    z = 1j * bp / (p - 1j * bp)
-    total = 0.0 + 0.0j
-    for k in range(N - l):
-        total += lombardi_ogilvie_c(N, l, k) * z ** (l + k + 2)
-    return total
+    z = 1j * bp / (np.asarray(p, dtype=float) - 1j * bp)
+    return sum(lombardi_ogilvie_c(N, l, k) * z ** (l + k + 2) for k in range(N - l))[()]
 
 
 @functools.lru_cache(maxsize=4096)

@@ -1,7 +1,8 @@
 """Special functions evaluated by stable recurrences.
 
 Factorials and binomials, generalized Laguerre polynomials, Gegenbauer
-polynomials, and the order-1 Gegenbauer function of the second kind.
+polynomials, the order-1 Gegenbauer function of the second kind, and the
+spherical Bessel function j_l.
 
 Polynomials are evaluated with three-term recurrences rather than their
 explicit alternating sums, which become unstable at high degree.  All
@@ -87,16 +88,43 @@ def gegenbauer_C(n: int, lam: float, x: float) -> float:
     return cur
 
 
-def gegenbauer_D1(n: int, x: float) -> float:
+def gegenbauer_D1(n: int, x):
     """Order-1 Gegenbauer function of the second kind, D_n^1(x).
 
     Evaluated through the trigonometric identity
     D_n^1(cos theta) = cos((n+1) theta) / sin(theta) with theta = arccos(x).
-    Singular at the interval endpoints, hence |x| < 1 strictly.
+    Singular at the interval endpoints, hence |x| < 1 strictly.  x is a
+    float or a float64 array; the value has x's shape.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    if not -1.0 < x < 1.0:
+    if not np.all((-1.0 < x) & (x < 1.0)):
         raise ValueError(f"D_n^1 requires |x| < 1, got x={x}")
-    theta = math.acos(x)
-    return math.cos((n + 1) * theta) / math.sin(theta)
+    theta = np.arccos(x)
+    return np.cos((n + 1) * theta) / np.sin(theta)
+
+
+def spherical_bessel_j(l: int, x):
+    """Spherical Bessel function j_l(x) for x >= 0, a float or a float64 array.
+
+    Upward recurrence from j_0 and j_1 where x >= l + 1; below that, where it
+    loses digits, the power series of DLMF 10.53.1, which has no zero there.
+    """
+    if l < 0:
+        raise ValueError(f"order must be >= 0, got {l}")
+    x = np.asarray(x, dtype=float)
+    value = np.empty_like(x)
+    series = x < l + 1
+    xs = x[series]
+    term, total, k = np.ones_like(xs), np.ones_like(xs), 0
+    while np.any(np.abs(term) > 1e-17 * total):
+        k += 1
+        term = term * -0.5 * xs * xs / (k * (2 * l + 2 * k + 1))
+        total = total + term
+    value[series] = total * np.prod([xs / (2 * k + 1) for k in range(1, l + 1)], axis=0)
+    xu = x[~series]
+    prev, cur = np.sin(xu) / xu, np.sin(xu) / (xu * xu) - np.cos(xu) / xu
+    for k in range(1, l):
+        prev, cur = cur, (2 * k + 1) / xu * cur - prev
+    value[~series] = cur if l else prev
+    return value[()]

@@ -7,16 +7,15 @@ sign s is -1 for the incoming spherical wave (the defining choice) and
 of single Slater terms through the standard Fourier sine/cosine
 integrals; the numerical path evaluates the oscillatory integral over a
 whole momentum grid at once, by composite Gauss-Legendre panels in the
-dimensionless rho = 2 beta r on a truncated interval.  scipy is imported
-only by `parseval_check`.
+dimensionless rho = 2 beta r on a truncated interval.  `parseval_check`
+takes both norms by finite rules that are exact for Slater expansions:
+Gauss-Laguerre in rho, and the midpoint rule in theta = arctan(p / hbar beta).
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -233,8 +232,8 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p,
     return value[()]
 
 
-def transform_slater_closed(l_plus_t: int, p: float,
-                            scale: PhysicalScale = PhysicalScale()) -> complex:
+def transform_slater_closed(l_plus_t: int, p,
+                            scale: PhysicalScale = PhysicalScale()):
     """Exact transform of a single Slater term, in rho units.
 
     Returns int_0^inf rho^n e^{-rho/2} e^{i b rho} drho with
@@ -244,66 +243,59 @@ def transform_slater_closed(l_plus_t: int, p: float,
         theta = arctan(2 b).
 
     The r-space transform of rho^{l+t} e^{-rho/2} under the outgoing
-    strict convention is this value divided by (2 beta)^2.
+    strict convention is this value divided by (2 beta)^2.  p is a float
+    or a float64 array; the value is complex, of p's shape.
     """
     if l_plus_t < 0:
         raise ValueError(f"power must be >= 0, got {l_plus_t}")
     n = l_plus_t + 1
     b = p / (2.0 * scale.momentum)
-    theta = math.atan2(b, 0.5)
+    theta = np.arctan2(b, 0.5)
     modulus = math.gamma(n + 1) / (0.25 + b * b) ** ((n + 1) / 2.0)
-    return modulus * cmath.exp(1j * (n + 1) * theta)
+    return modulus * np.exp(1j * (n + 1) * theta)
 
 
-def transform_slater_expansion(expansion: SlaterExpansion, p: float,
-                               conv: TransformConvention = OUTGOING_STRICT) -> complex:
-    """Closed-form transform of a full Slater expansion.
+def transform_slater_expansion(expansion: SlaterExpansion, p,
+                               conv: TransformConvention = OUTGOING_STRICT):
+    """Closed-form transform of a full Slater expansion at a float or an array p.
 
     All term powers must be >= 0.  Convention handling: the incoming
     kernel conjugates the outgoing strict value (real coefficients are
     assumed term-wise; complex coefficients are carried through
-    linearly), and the phase prefactor multiplies the result.
+    linearly), and the phase prefactor multiplies the result.  The
+    conjugate of a term at p is the term at -p.
     """
+    if expansion.has_inverse_power:
+        raise ValueError("closed-form path requires nonnegative powers")
     scale = expansion.scale
-    total = 0.0 + 0.0j
-    for m, c in expansion.terms:
-        if m < 0:
-            raise ValueError("closed-form path requires nonnegative powers")
-        base = transform_slater_closed(m, p, scale)
-        if conv.sign < 0:
-            base = base.conjugate()
-        total += c * base
+    total = sum(c * transform_slater_closed(m, conv.sign * p, scale) for m, c in expansion.terms)
     return conv.prefactor * total / (2.0 * scale.beta) ** 2
 
 
-def parseval_check(expansion: SlaterExpansion,
-                   spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[float, float]:
+def parseval_check(expansion: SlaterExpansion) -> tuple[float, float]:
     """Position-space and momentum-space squared norms of an expansion.
 
     position_norm = int_0^inf |f|^2 r^2 dr; momentum_norm is the full-line
     integral of |(H f)(p)|^2 with measure dp / (2 pi hbar).  For an
     expansion normalized in L^2((0, inf), r^2 dr) both are 1.
+
+    Both rules are exact at any scale for powers up to M: Gauss-Laguerre
+    with M + 4 nodes in rho, and the midpoint rule with 2M + 8 nodes in
+    theta = arctan(p / hbar beta), where |H f|^2 dp / d theta is a
+    trigonometric polynomial of degree M + 1 in 2 theta.
     """
+    from numpy.polynomial.laguerre import laggauss
+
     scale = expansion.scale
-    r_hi = spec.max_rho / (2.0 * scale.beta)
-
-    def density_r(r: float) -> float:
-        return abs(expansion(r)) ** 2 * r * r
-
-    from scipy.integrate import IntegrationWarning, quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        position_norm, _ = quad(density_r, 0.0, r_hi, epsabs=1e-13, epsrel=1e-12,
-                                limit=spec.panel_budget)
-
-        def density_p(p: float) -> float:
-            return abs(transform_slater_expansion(expansion, p)) ** 2
-
-        # |H f| is even in p for real coefficients; integrate the half line.
-        half, _ = quad(density_p, 0.0, math.inf, epsabs=1e-13, epsrel=1e-12,
-                       limit=spec.panel_budget)
-    momentum_norm = 2.0 * half / (2.0 * math.pi * scale.hbar)
+    top = max(m for m, _ in expansion.terms)
+    rho, weights = laggauss(top + 4)
+    density = np.abs(expansion.polynomial(rho)) ** 2 * rho * rho
+    position_norm = float(weights @ density) / (2.0 * scale.beta) ** 3
+    count = 2 * top + 8
+    theta = math.pi * ((np.arange(count) + 0.5) / count - 0.5)
+    p = scale.momentum * np.tan(theta)
+    density = np.abs(transform_slater_expansion(expansion, p)) ** 2 / np.cos(theta) ** 2
+    momentum_norm = float(density.sum()) * scale.momentum / (2.0 * count * scale.hbar)
     return position_norm, momentum_norm
 
 

@@ -15,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmomentum.cli import CSV_BLOCK_ROWS, EXIT_OK, main
-from hmomentum.forms import FORM_EVALUATORS, podolsky_pauling_G
+from hmomentum.forms import (
+    FORM_EVALUATORS,
+    LITERAL_MAX_N,
+    lombardi_ogilvie_alpha,
+    podolsky_pauling_G,
+    psi_gegenbauer,
+)
 from hmomentum.hydrogenic import PhysicalScale, QuantumState
 
 REL_TOL = 1e-12
@@ -83,6 +89,27 @@ def test_scalar_in_scalar_out():
 def test_podolsky_pauling_rejects_negative_entry():
     with pytest.raises(ValueError):
         podolsky_pauling_G(QuantumState(3, 1), np.array([0.0, 1.0, -1e-300]))
+
+
+@pytest.mark.parametrize("literal", [psi_gegenbauer, lombardi_ogilvie_alpha])
+def test_literal_oracles_on_arrays(literal):
+    """The literal sums take an array of p too, with the same values as
+    point by point, the p = 0 limit and negative p included."""
+    for hbar_beta in (1e-3, 1.0, 1e3):
+        q = np.array([0.0, 1e-300, -1e-300, 1e-9, -1e-7, 0.3, -0.3, 1.0, -2.5, 40.0, -1e3])
+        p = (q * hbar_beta).reshape(1, -1)
+        for N in range(1, LITERAL_MAX_N + 1):
+            for l in range(N):
+                state = QuantumState(N, l, PhysicalScale(1.0, hbar_beta))
+                values = literal(state, p)
+                points = np.array([[literal(state, float(x)) for x in p[0]]])
+                assert values.shape == p.shape and values.dtype == np.complex128
+                peak = np.max(np.abs(points))
+                assert np.all(np.abs(values - points) <= 1e-15 * peak), (N, l)
+    assert isinstance(literal(QuantumState(3, 1), 0.7), complex)
+    for N, l in [(LITERAL_MAX_N + 1, 0), (LITERAL_MAX_N + 1, LITERAL_MAX_N)]:
+        with pytest.raises(ValueError):
+            literal(QuantumState(N, l), np.array([0.3, 1.0]))
 
 
 def read_table(capsys, *argv):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hmomentum.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from hmomentum.verification import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -170,10 +171,14 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["overall_pass"] is False
 
-    def test_crashing_suite_is_reported(self, capsys):
-        """At hbar beta = 1e4 the <p^2> quadrature raises; the report still
-        comes out, with that suite failed and the others run."""
-        code, out = run_cli(capsys, "verify", "--hbar-beta", "1e4")
+    def test_crashing_suite_is_reported(self, capsys, monkeypatch):
+        """A suite that raises is reported failed; the report still comes
+        out, and the other suites run."""
+        def crash(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(SUITES, "uncertainty", crash)
+        code, out = run_cli(capsys, "verify")
         assert code == 1
         report = json.loads(out)
         assert report["overall_pass"] is False
@@ -182,6 +187,15 @@ class TestVerify:
         assert failed[0]["max_residual"] == math.inf
         assert "RuntimeError" in failed[0]["details"]
         assert len(report["results"]) == 7
+
+    @pytest.mark.parametrize("hbar_beta", ["1e-8", "1e-4", "1e4"])
+    def test_every_suite_passes_off_unit_scale(self, capsys, hbar_beta):
+        """Every suite passes far from hbar beta = 1, with nothing on stderr."""
+        code = main(["verify", "--hbar-beta", hbar_beta])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK, captured.out
+        assert json.loads(captured.out)["overall_pass"] is True
+        assert captured.err == ""
 
     def test_unknown_suite_argparse_exit(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -233,13 +247,15 @@ class TestUsageErrors:
         assert captured.err.startswith("error: ")
 
 
-def test_import_loads_no_scipy():
-    """scipy is imported by the quadratures of `verify` only, not by eval/table."""
+def test_import_loads_no_scipy(tmp_path):
+    """No command loads scipy: not eval, not table, not verify."""
+    report = str(tmp_path / "report.json")
     code = ("import sys, hmomentum.cli\n"
             "assert not any(m.startswith('scipy') for m in sys.modules)\n"
             "hmomentum.cli.main(['eval', 'trig', '3', '1', '--p', '0.5'])\n"
             "hmomentum.cli.main(['table', 'podolsky_pauling', '3', '1', '--pmin', '0',"
             " '--pmax', '2', '--count', '5'])\n"
+            f"assert hmomentum.cli.main(['verify', '--output', {report!r}]) == 0\n"
             "assert not any(m.startswith('scipy') for m in sys.modules)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

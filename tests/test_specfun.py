@@ -3,11 +3,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import eval_gegenbauer, jv, spherical_jn, yv
 
+from hmomentum import specfun
 from hmomentum.specfun import (
     binomial,
     factorial,
@@ -15,6 +17,7 @@ from hmomentum.specfun import (
     gegenbauer_D1,
     laguerre,
 )
+from hmomentum.transform import GL_ORDER, gauss_legendre_panels, panels_needed
 from oracles import (
     ferrers_P_mhalf,
     ferrers_Q_mhalf,
@@ -151,9 +154,17 @@ class TestGegenbauerD1:
         assert abs(gegenbauer_D1(2, 1.0 - 1e-12)) > 1e5
 
     def test_endpoints_rejected(self):
-        for x in (1.0, -1.0, 1.5):
+        for x in (1.0, -1.0, 1.5, np.array([0.0, 0.5, 1.0])):
             with pytest.raises(ValueError):
                 gegenbauer_D1(2, x)
+
+    def test_array_equals_point_by_point(self):
+        x = np.cos(np.linspace(0.0, math.pi, 41)[1:-1]).reshape(3, 13)
+        for n in range(12):
+            values = gegenbauer_D1(n, x)
+            assert values.shape == x.shape
+            np.testing.assert_allclose(values, [[gegenbauer_D1(n, float(v)) for v in row]
+                                                for row in x], rtol=1e-15, atol=1e-15)
 
 
 class TestFerrers:
@@ -219,6 +230,51 @@ class TestSphericalBessel:
                 lhs = spherical_bessel_j(l - 1, x) + spherical_bessel_j(l + 1, x)
                 rhs = (2 * l + 1) * spherical_bessel_j(l, x) / x
                 assert abs(lhs - rhs) <= 1e-11
+
+
+class TestSphericalBesselArray:
+    """specfun's j_l: upward recurrence from x = l + 1, power series below."""
+
+    ABS_TOL = 2e-15
+
+    @staticmethod
+    def hankel_suite_arguments():
+        """The node-by-momentum array of the pp_vs_hankel suite."""
+        b = np.linspace(0.2, 5.0, 12) / 2.0
+        centers, offsets, _ = gauss_legendre_panels(
+            0.0, 250.0, int(panels_needed(b[-1], 250.0)), GL_ORDER)
+        return np.outer((centers[:, None] + offsets).ravel(), b)
+
+    def test_against_scipy(self):
+        suite = self.hankel_suite_arguments()
+        for l in range(11):
+            for x in (np.linspace(0.0, l + 3.0, 301), suite):
+                values = specfun.spherical_bessel_j(l, x)
+                assert values.shape == x.shape
+                assert np.max(np.abs(values - spherical_jn(l, x))) <= self.ABS_TOL, l
+
+    def test_against_recurrence_oracle(self):
+        for l in range(11):
+            for x in [0.0] + [f * l for f in (0.25, 0.5, 0.75, 0.95)] + [l + 1.0, 30.0]:
+                assert abs(specfun.spherical_bessel_j(l, x)
+                           - spherical_bessel_j(l, x)) <= self.ABS_TOL, (l, x)
+
+    def test_against_mpmath(self):
+        for l in range(11):
+            for x in np.linspace(0.0, l + 4.0, 61)[1:]:
+                with mpmath.workdps(40):
+                    ref = float(mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(x)))
+                                * mpmath.besselj(l + 0.5, x))
+                assert abs(specfun.spherical_bessel_j(l, x) - ref) <= 1e-15, (l, x)
+
+    def test_float_in_float_out(self):
+        assert specfun.spherical_bessel_j(0, 0.0) == 1.0
+        assert specfun.spherical_bessel_j(3, 0.0) == 0.0
+        assert np.ndim(specfun.spherical_bessel_j(2, 5.0)) == 0
+
+    def test_negative_order(self):
+        with pytest.raises(ValueError):
+            specfun.spherical_bessel_j(-1, 1.0)
 
 
 class TestSphericalNeumann:
