@@ -105,26 +105,47 @@ def gegenbauer_D1(n: int, x):
 
 
 def spherical_bessel_j(l: int, x):
-    """Spherical Bessel function j_l(x) for x >= 0, a float or a float64 array.
-
-    Upward recurrence from j_0 and j_1 where x >= l + 1; below that, where it
-    loses digits, the power series of DLMF 10.53.1, which has no zero there.
-    """
+    """Spherical Bessel function j_l(x) for x >= 0, a float or a float64 array:
+    the last order of `spherical_bessel_j_orders`."""
     if l < 0:
         raise ValueError(f"order must be >= 0, got {l}")
+    return spherical_bessel_j_orders(l, x)[l][()]
+
+
+def spherical_bessel_j_orders(max_l: int, x) -> np.ndarray:
+    """j_0(x), ..., j_{max_l}(x) for x >= 0, a float or a float64 array,
+    stacked along a new first axis.
+
+    One upward recurrence from j_0 and j_1, on one sin and one cos of x,
+    gives order l where x >= l + 1; below that, where it loses digits,
+    order l takes the power series of DLMF 10.53.1, which has no zero there.
+    """
+    if max_l < 0:
+        raise ValueError(f"order must be >= 0, got {max_l}")
     x = np.asarray(x, dtype=float)
-    value = np.empty_like(x)
-    series = x < l + 1
-    xs = x[series]
-    term, total, k = np.ones_like(xs), np.ones_like(xs), 0
-    while np.any(np.abs(term) > 1e-17 * total):
-        k += 1
-        term = term * -0.5 * xs * xs / (k * (2 * l + 2 * k + 1))
-        total = total + term
-    value[series] = total * np.prod([xs / (2 * k + 1) for k in range(1, l + 1)], axis=0)
-    xu = x[~series]
-    prev, cur = np.sin(xu) / xu, np.sin(xu) / (xu * xu) - np.cos(xu) / xu
-    for k in range(1, l):
-        prev, cur = cur, (2 * k + 1) / xu * cur - prev
-    value[~series] = cur if l else prev
-    return value[()]
+    values = np.empty((max_l + 1,) + x.shape)
+    flat, xf = values.reshape(max_l + 1, -1), x.ravel()
+    for l in range(max_l + 1):
+        series = xf < l + 1
+        xs = xf[series]
+        term, total, k = np.ones_like(xs), np.ones_like(xs), 0
+        while np.any(np.abs(term) > 1e-17 * total):
+            k += 1
+            term = term * -0.5 * xs * xs / (k * (2 * l + 2 * k + 1))
+            total = total + term
+        flat[l, series] = total * np.prod([xs / (2 * k + 1) for k in range(1, l + 1)], axis=0)
+    upward = ~(xf < 1)
+    xu = xf[upward]
+    prev = np.sin(xu)
+    cur = prev / (xu * xu) - np.cos(xu) / xu
+    prev /= xu
+    flat[0, upward] = prev
+    for l in range(1, max_l + 1):
+        if l > 1:
+            prev, cur = cur, (2 * l - 1) / xu * cur - prev
+        # Each order needs only the x at or above its series region.
+        keep = ~(xu < l + 1)
+        upward[upward] = keep
+        xu, prev, cur = xu[keep], prev[keep], cur[keep]
+        flat[l, upward] = cur
+    return values

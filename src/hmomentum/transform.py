@@ -27,14 +27,15 @@ from .hydrogenic import PhysicalScale, SlaterExpansion
 class ConvergenceError(RuntimeError):
     """Quadrature failed to reach the requested tolerance.
 
-    Carries the best estimate and the error bound reported by the
-    integrator.
+    Carries the best estimate, the error bound reported by the
+    integrator and the tolerance it was held to, all of one shape.
     """
 
-    def __init__(self, message: str, estimate: complex, error_bound: float):
+    def __init__(self, message: str, estimate, error_bound, tolerance):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+        self.tolerance = tolerance
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,12 @@ ESTIMATE_ORDER = 10
 # needs 39789 panels.
 PANEL_PHASE = math.pi
 MIN_PANELS = 64
-# Nodes and momenta per block of the e^{i b rho} sums, which bound their
-# arrays to 4096 * 16 complex numbers.
-BLOCK_NODES = 4096
-B_CHUNK = 16
+# (row, b, panel) products per block of b in the e^{i b rho} sums.
+BLOCK_PRODUCTS = 1 << 16
+# f must decay at least as e^{-rho/2}, so past the cut at max_rho the
+# integral is bounded by the largest |f rho| on the last panel times this
+# e-folding length in rho.
+TAIL_LENGTH = 2.0
 
 
 def gauss_legendre_panels(lo: float, hi: float, panels: int,
@@ -135,33 +138,47 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_laguerre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.laguerre import laggauss
+
+    x, w = laggauss(count)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def panels_needed(b, length: float):
     """Panels of the composite rule for cos/sin(b rho) over `length` in rho:
     one per PANEL_PHASE of phase, and at least MIN_PANELS."""
     return np.maximum(MIN_PANELS, np.ceil(np.abs(b) * length / PANEL_PHASE)).astype(np.int64)
 
 
-def _fourier_sums(weighted: np.ndarray, centers: np.ndarray, offsets: np.ndarray,
-                  b: np.ndarray) -> np.ndarray:
-    """sum_{j,k} weighted[j, k] e^{i b rho_jk}, rho_jk = centers_j + offsets_k,
-    for every b.
+def _fourier_sums(g: np.ndarray, centers: np.ndarray, offsets: np.ndarray,
+                  weights: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_{k,j} weights_k g[s, k, j] e^{i b rho_kj}, rho_kj = offsets_k + centers_j,
+    for every row s of g, of shape (rows, offsets, centers), and every b.
 
-    Evaluated as sum_j e^{i b c_j} sum_k weighted[j, k] e^{i b d_k}, with one
-    complex exponential per panel and b rather than one per node and b;
-    BLOCK_NODES nodes and B_CHUNK values of b at a time.  Every sum runs
-    along a contiguous axis in an order set by the panels alone, so the
-    value at one b does not depend on the other b of the call.
+    Evaluated as sum_j e^{i b c_j} sum_k weights_k e^{i b d_k} g[s, k, j]:
+    the inner sums are one real matrix product [cos; sin](b d_k) w_k @ g[s]
+    of the same shape for every (s, b) (one product over all b at once
+    would round differently with the number of b), and the outer sum runs
+    along the contiguous panel axis; BLOCK_PRODUCTS (s, b, panel) products
+    at a time.
+    So the value for one row and one b does not depend on the other rows
+    or the other b of the call.  Returns complex sums of shape (rows, b).
     """
-    total = np.empty(b.size, dtype=complex)
-    step = max(1, BLOCK_NODES // offsets.size)
-    for first in range(0, b.size, B_CHUNK):
-        bs = b[first:first + B_CHUNK, None]
-        inner = np.exp(1j * bs * offsets)[:, None, :]
-        acc = np.zeros(bs.shape[0], dtype=complex)
-        for start in range(0, centers.size, step):
-            panel_sums = (weighted[start:start + step] * inner).sum(axis=2)
-            acc += (np.exp(1j * bs * centers[start:start + step]) * panel_sums).sum(axis=1)
-        total[first:first + B_CHUNK] = acc
+    rows, _, panels = g.shape
+    total = np.empty((rows, b.size), dtype=complex)
+    g = g[:, None]
+    step = max(1, BLOCK_PRODUCTS // max(1, rows * panels))
+    for first in range(0, b.size, step):
+        bs = b[first:first + step, None]
+        inner = np.stack([np.cos(bs * offsets), np.sin(bs * offsets)], axis=1) * weights
+        panel_sums = inner @ g
+        cos_c, sin_c = np.cos(bs * centers), np.sin(bs * centers)
+        re, im = panel_sums[:, :, 0], panel_sums[:, :, 1]
+        total.real[:, first:first + step] = (re * cos_c - im * sin_c).sum(axis=-1)
+        total.imag[:, first:first + step] = (re * sin_c + im * cos_c).sum(axis=-1)
     return total
 
 
@@ -170,14 +187,17 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p,
                       spec: QuadratureSpec = DEFAULT_QUADRATURE,
                       scale: PhysicalScale = PhysicalScale(),
                       support: tuple[float, float] | None = None):
-    """Quadrature estimate of (H f)(p) for a real radial function f.
+    """Quadrature estimate of (H f)(p) for a real radial function f, or for
+    a batch of them.
 
-    f takes a float64 array of r and returns its real values, of the same
-    shape.  f must decay at least exponentially or have compact support
-    (pass `support` to restrict the integration interval).  p is a float
-    or a float64 array; the value is complex, of p's shape.  Negative p
-    is allowed; for real f the result at -p is the conjugate of the
-    strict result at p.
+    f takes a float64 array of r and returns its real values, of shape
+    batch + r.shape: batch = () for one function, or the leading axes of a
+    stack of functions evaluated on the same r.  Each function must decay
+    at least as e^{-rho/2} or have compact support (pass `support` to
+    restrict the integration interval).  p is a float or a float64 array;
+    the value is complex, of shape batch + p.shape.  Negative p is
+    allowed; for real f the result at -p is the conjugate of the strict
+    result at p.
 
     The integral is taken in rho = 2 beta r, as (2 beta)^{-2} times
     int f(rho / 2 beta) rho e^{i s b rho} d rho with b = |p| / (2 hbar beta),
@@ -185,14 +205,21 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p,
     of a composite Gauss-Legendre rule of GL_ORDER nodes on equal panels,
     and of ESTIMATE_ORDER nodes on the same panels; the panel count is
     `panels_needed` at the largest |b|, capped at `spec.panel_budget`.
+    The node layout and the e^{i b rho} factors are shared by the whole
+    batch.  On a given layout, the value and error bound of one function
+    at one p depend on neither the other functions nor the other p of
+    the call.
+
     The error bound at each p is the difference of the two orders, so a
-    capped, under-resolved layout shows in it.
+    capped, under-resolved layout shows in it.  Without a support it adds
+    the bound TAIL_LENGTH * max |f rho| on the last panel on the part of
+    the integral cut off at max_rho.
 
     Raises:
         ValueError: for a bad support or a non-finite p.
-        ConvergenceError: if at any p the error bound exceeds
-            max(abs_tol, rel_tol * |result|).  It carries the estimates
-            and error bounds at every p.
+        ConvergenceError: if for any function at any p the error bound
+            exceeds max(abs_tol, rel_tol * |result|).  It carries the
+            estimates, error bounds and tolerances, of shape batch + p.shape.
     """
     p = np.asarray(p, dtype=float)
     if not np.isfinite(p).all():
@@ -210,24 +237,33 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p,
     panels = int(min(needed.max(initial=MIN_PANELS), spec.panel_budget))
     rules = [gauss_legendre_panels(rho_lo, rho_hi, panels, order)
              for order in (GL_ORDER, ESTIMATE_ORDER)]
-    rho = np.concatenate([(c[:, None] + d).ravel() for c, d, _ in rules])
-    g = f(rho / two_beta) * rho / two_beta ** 2
-    value, estimate = (
-        _fourier_sums(part.reshape(panels, -1) * w, c, d, b)
-        for part, (c, d, w) in zip(np.split(g, [panels * GL_ORDER]), rules))
-    err = np.abs(value - estimate)
-    bad = err > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
-    value = value[index].reshape(p.shape)
+    # Node k of panel j at [k, j], so each order's values reshape to
+    # (rows, order, panels) with the panel axis contiguous.
+    rho = np.concatenate([(d[:, None] + c).ravel() for c, d, _ in rules])
+    g = np.asarray(f(rho / two_beta)) * rho
+    g /= two_beta ** 2
+    batch = g.shape[:-1]
+    g = g.reshape(-1, GL_ORDER + ESTIMATE_ORDER, panels)
+    value, estimate = (_fourier_sums(part, c, d, w, b) for part, (c, d, w)
+                       in zip(np.split(g, [GL_ORDER], axis=1), rules))
+    tail = (0.0 if support is not None
+            else TAIL_LENGTH * np.abs(g[:, :, -1]).max(axis=1, keepdims=True))
+    err = np.abs(value - estimate) + tail
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
+    bad = err > tol
+    shape = batch + p.shape
+    value = value[:, index].reshape(shape)
     if conv.sign < 0:
         value = value.conjugate()
     value = conv.prefactor * np.where(p >= 0, value, value.conjugate())
     if bad.any():
         raise ConvergenceError(
             f"oscillatory quadrature error bound up to {err[bad].max():.3e} exceeds "
-            f"tolerance at {bad.sum()} of {b.size} |p|, the largest "
-            f"{2.0 * scale.momentum * b[bad].max():g}; {panels} panels of "
-            f"{needed.max()} needed (panel_budget {spec.panel_budget})",
-            value[()], err[index].reshape(p.shape)[()],
+            f"tolerance at {bad.sum()} of {bad.size} (function, |p|), the largest |p| "
+            f"{2.0 * scale.momentum * b[bad.any(axis=0)].max():g}; {panels} panels of "
+            f"{needed.max()} needed (panel_budget {spec.panel_budget}); tail bound "
+            f"{np.max(tail):.3e} past rho = {rho_hi:g}",
+            value[()], err[:, index].reshape(shape)[()], tol[:, index].reshape(shape)[()],
         )
     return value[()]
 
@@ -284,11 +320,9 @@ def parseval_check(expansion: SlaterExpansion) -> tuple[float, float]:
     theta = arctan(p / hbar beta), where |H f|^2 dp / d theta is a
     trigonometric polynomial of degree M + 1 in 2 theta.
     """
-    from numpy.polynomial.laguerre import laggauss
-
     scale = expansion.scale
     top = max(m for m, _ in expansion.terms)
-    rho, weights = laggauss(top + 4)
+    rho, weights = _gauss_laguerre(top + 4)
     density = np.abs(expansion.polynomial(rho)) ** 2 * rho * rho
     position_norm = float(weights @ density) / (2.0 * scale.beta) ** 3
     count = 2 * top + 8
@@ -310,8 +344,9 @@ def diagonalization_residual(f: Callable[[np.ndarray], np.ndarray],
 
     f must be smooth with compact support inside (0, inf), vanishing at
     both endpoints; df is its analytic derivative.  Both take a float or
-    a float64 array of r; each is transformed over the grid in one call.  Under the outgoing
-    kernel the diagonal eigenvalue flips sign, which is accounted for.
+    a float64 array of r; p_r f and f are transformed over the grid in one
+    call.  Under the outgoing kernel the diagonal eigenvalue flips sign,
+    which is accounted for.
     """
     lo, hi = support
     if lo <= 0:
@@ -319,14 +354,14 @@ def diagonalization_residual(f: Callable[[np.ndarray], np.ndarray],
     if abs(f(lo)) > 1e-13 or abs(f(hi)) > 1e-13:
         raise ValueError("test function must vanish at its support endpoints")
 
-    def pf(r):
+    def pf_and_f(r):
         # The real content of p_r f = -i hbar (f' + f/r); the -i hbar is
         # applied after the (linear) transform.
-        return df(r) + f(r) / r
+        value = f(r)
+        return np.stack([df(r) + value / r, value])
 
     p_grid = np.asarray(p_grid, dtype=float)
-    lhs = -1j * scale.hbar * transform_numeric(pf, p_grid, conv, spec, scale,
-                                               support=support)
-    rhs = conv.sign * (-1) * p_grid * transform_numeric(f, p_grid, conv, spec, scale,
-                                                         support=support)
+    h_pf, h_f = transform_numeric(pf_and_f, p_grid, conv, spec, scale, support=support)
+    lhs = -1j * scale.hbar * h_pf
+    rhs = conv.sign * (-1) * p_grid * h_f
     return float(np.max(np.abs(lhs - rhs), initial=0.0))

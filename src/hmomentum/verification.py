@@ -30,7 +30,7 @@ from .hydrogenic import (
     radial_wavefunction,
     slater_expansion,
 )
-from .specfun import spherical_bessel_j
+from .specfun import spherical_bessel_j_orders
 from .transform import (
     OUTGOING_STRICT,
     DEFAULT_QUADRATURE,
@@ -165,6 +165,10 @@ def _phase_aligned_residual(values_a, values_b, ref_a, ref_b) -> float:
     return float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
 
 
+def _where(state: QuantumState, p: float) -> str:
+    return f"(N={state.N},l={state.l},p={p:.6g})"
+
+
 def verify_form_equivalence(max_N: int = 8, grid=None,
                             config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """psi_trig (the 2F1 recurrence) vs the literal Gegenbauer sum, phase-aligned."""
@@ -196,31 +200,33 @@ def verify_quadrature(max_N: int = 4, grid=None,
     """Numerical transform of R_{Nl} against the trigonometric closed form.
 
     Run under the outgoing strict convention, which reproduces the
-    closed form with no extra phase factor.
+    closed form with no extra phase factor.  Every state is transformed
+    in one call, over the same nodes.
     """
     scale = config.scale
     if grid is None:
-        pos = np.concatenate([np.logspace(-2, math.log10(20.0), 13)]) * scale.momentum
+        pos = np.logspace(-2, math.log10(20.0), 13) * scale.momentum
         grid = np.concatenate([-pos[::-1], [0.0], pos])
     grid = np.asarray(grid, dtype=float)
-    worst = 0.0
-    failures = []
     states = _states(max_N, scale)
-    for state in states:
-        try:
-            numeric = transform_numeric(
-                lambda r: radial_wavefunction(state, r), grid,
-                OUTGOING_STRICT, config.quad_spec, scale)
-        except ConvergenceError as exc:
-            failures.append(f"(N={state.N},l={state.l}): {exc}")
-            continue
-        worst = max(worst, float(np.max(np.abs(numeric - psi_trig(state, grid)))))
-    details = "; ".join(failures) if failures else ""
-    residual = worst if not failures else math.inf
+    covered = [(s.N, s.l) for s in states]
+    grid_name = f"{grid.size}-point mirrored grid up to 20 hbar beta"
+    tolerance = 1e-7 * config.tol_scale
+    try:
+        numeric = transform_numeric(
+            lambda r: np.stack([radial_wavefunction(s, r) for s in states]), grid,
+            OUTGOING_STRICT, config.quad_spec, scale)
+    except ConvergenceError as exc:
+        failed = np.any(exc.error_bound > exc.tolerance, axis=-1)
+        names = ", ".join(f"(N={s.N},l={s.l})" for s, bad in zip(states, failed) if bad)
+        return CheckResult.from_residual(
+            "quadrature_vs_closed_form", covered, grid_name, math.inf, tolerance,
+            f"{names}: {exc}")
+    error = np.abs(numeric - np.stack([psi_trig(s, grid) for s in states]))
+    row, col = np.unravel_index(np.argmax(error), error.shape)
     return CheckResult.from_residual(
-        "quadrature_vs_closed_form", [(s.N, s.l) for s in states],
-        f"{grid.size}-point mirrored grid up to 20 hbar beta", residual,
-        1e-7 * config.tol_scale, details)
+        "quadrature_vs_closed_form", covered, grid_name, error[row, col], tolerance,
+        f"worst at {_where(states[row], grid[col])}")
 
 
 def verify_lo_proportionality(max_N: int = 6, grid=None,
@@ -273,17 +279,19 @@ def verify_pp_vs_hankel(max_N: int = 4, config: VerifyConfig = DEFAULT_CONFIG) -
     rho = (centers[:, None] + offsets).ravel()
     r = rho / (2.0 * scale.beta)
     weights = np.tile(weights, centers.size) * r * r / (2.0 * scale.beta)
-    bessel = {l: spherical_bessel_j(l, np.outer(rho, b)) for l in range(max_N)}
-    worst = 0.0
+    bessel = spherical_bessel_j_orders(max_N - 1, np.outer(rho, b))
     states = _states(max_N, scale)
-    for state in states:
-        numeric = (radial_wavefunction(state, r) * weights) @ bessel[state.l]
-        ratios = podolsky_pauling_G(state, grid) / numeric
-        worst = max(worst, float(np.std(ratios) / abs(ratios.mean())))
+    radial = np.stack([radial_wavefunction(s, r) for s in states]) * weights
+    numeric = np.stack([row @ bessel[s.l] for row, s in zip(radial, states)])
+    ratios = np.stack([podolsky_pauling_G(s, grid) for s in states]) / numeric
+    mean = ratios.mean(axis=1, keepdims=True)
+    spread = np.std(ratios, axis=1) / np.abs(mean[:, 0])
+    row = int(np.argmax(spread))
+    col = int(np.argmax(np.abs(ratios[row] - mean[row])))
     return CheckResult.from_residual(
         "podolsky_pauling_vs_hankel", [(s.N, s.l) for s in states],
-        "12-point linear grid, p/(hbar beta) in [0.2, 5]", worst,
-        1e-7 * config.tol_scale)
+        "12-point linear grid, p/(hbar beta) in [0.2, 5]", spread[row],
+        1e-7 * config.tol_scale, f"worst at {_where(states[row], grid[col])}")
 
 
 # Compactly supported bump tests for the diagonalization identity; each

@@ -51,31 +51,43 @@ def ferrers_Q_mhalf(nu: float, x: float) -> float:
     return pref * (1.0 - x * x) ** 0.25 * gegenbauer_D1(n, x)
 
 
+def _spherical_bessel_series(l: int, x: float) -> float:
+    """j_l(x) = x^l / (2l+1)!! sum_k (-x^2/2)^k / (k! (2l+3)(2l+5)...(2l+2k+1))."""
+    term = total = 1.0
+    k = 0
+    while abs(term) > 1e-17 * abs(total):
+        k += 1
+        term *= -0.5 * x * x / (k * (2 * l + 2 * k + 1))
+        total += term
+    for k in range(1, l + 1):
+        total *= x / (2 * k + 1)
+    return total
+
+
 def spherical_bessel_j(l: int, x: float) -> float:
     """Spherical Bessel function j_l(x).
 
-    Upward recurrence for x >= l; downward (Miller) recurrence for x < l,
-    where the upward direction is unstable.  j_0(0) = 1 by continuity.
+    The power series for x < 1; otherwise upward recurrence for x >= l and
+    downward (Miller) recurrence for x < l, where the upward direction is
+    unstable.  j_0(0) = 1 by continuity.
     """
     if l < 0:
         raise ValueError(f"order must be >= 0, got {l}")
     x = float(x)
-    if x == 0.0:
-        return 1.0 if l == 0 else 0.0
+    if x < 1.0:
+        return _spherical_bessel_series(l, x)
     j0 = math.sin(x) / x
-    if l == 0:
-        return j0
     j1 = math.sin(x) / (x * x) - math.cos(x) / x
-    if l == 1:
-        return j1
-    if abs(x) >= l:
+    if l <= 1:
+        return (j0, j1)[l]
+    if x >= l:
         prev, cur = j0, j1
         for k in range(1, l):
             prev, cur = cur, (2 * k + 1) / x * cur - prev
         return cur
     # Miller's algorithm: recurse downward from well above l, then
-    # normalize with the known j_0.
-    top = l + int(abs(x)) + 25
+    # normalize by whichever of j_0 and j_1 is larger, away from its zeros.
+    top = l + int(x) + 25
     jp1 = 0.0
     jc = 1e-30
     out = 0.0
@@ -88,7 +100,7 @@ def spherical_bessel_j(l: int, x: float) -> float:
             jc *= 1e-250
             jp1 *= 1e-250
             out *= 1e-250
-    return out * (j0 / jc)
+    return out * (j0 / jc if abs(j0) >= abs(j1) else j1 / jp1)
 
 
 def spherical_neumann_n0(x: float) -> float:

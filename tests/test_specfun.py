@@ -204,6 +204,12 @@ class TestFerrers:
                                    rel=1e-9)
 
 
+def mpmath_spherical_j(l, x):
+    """j_l(x) = sqrt(pi / 2x) J_{l+1/2}(x) at 40 digits, for x > 0."""
+    with mpmath.workdps(40):
+        return float(mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(x))) * mpmath.besselj(l + 0.5, x))
+
+
 class TestSphericalBessel:
     def test_limit_at_origin(self):
         assert spherical_bessel_j(0, 0.0) == 1.0
@@ -223,6 +229,13 @@ class TestSphericalBessel:
                 ref = float(spherical_jn(l, x))
                 assert spherical_bessel_j(l, x) == pytest.approx(
                     ref, rel=1e-10, abs=1e-14)
+
+    def test_against_mpmath(self):
+        """The oracle near the zeros of j_0 (Miller normalization) and at
+        small x (where sin x / x^2 - cos x / x cancels)."""
+        for l in range(13):
+            for x in [1e-3, 0.05, 0.5] + list(np.linspace(0.0, l + 4.0, 121)[1:]):
+                assert abs(spherical_bessel_j(l, x) - mpmath_spherical_j(l, x)) <= 1e-15, (l, x)
 
     def test_three_term_recurrence(self):
         for l in range(1, 10):
@@ -262,10 +275,18 @@ class TestSphericalBesselArray:
     def test_against_mpmath(self):
         for l in range(11):
             for x in np.linspace(0.0, l + 4.0, 61)[1:]:
-                with mpmath.workdps(40):
-                    ref = float(mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(x)))
-                                * mpmath.besselj(l + 0.5, x))
-                assert abs(specfun.spherical_bessel_j(l, x) - ref) <= 1e-15, (l, x)
+                error = abs(specfun.spherical_bessel_j(l, x) - mpmath_spherical_j(l, x))
+                assert error <= 1e-15, (l, x)
+
+    def test_orders_are_the_single_orders(self):
+        """One recurrence for j_0 ... j_L gives each order bit for bit."""
+        for x in (self.hankel_suite_arguments(), np.linspace(0.0, 14.0, 281), 0.5, 7.0):
+            orders = specfun.spherical_bessel_j_orders(10, x)
+            assert orders.shape == (11,) + np.shape(x)
+            for l in range(11):
+                assert np.array_equal(orders[l], specfun.spherical_bessel_j(l, x)), l
+        with pytest.raises(ValueError):
+            specfun.spherical_bessel_j_orders(-1, 1.0)
 
     def test_float_in_float_out(self):
         assert specfun.spherical_bessel_j(0, 0.0) == 1.0

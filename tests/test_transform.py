@@ -22,6 +22,7 @@ from hmomentum.transform import (
     ConvergenceError,
     QuadratureSpec,
     TransformConvention,
+    _gauss_laguerre,
     diagonalization_residual,
     parseval_check,
     transform_numeric,
@@ -195,6 +196,49 @@ class TestArrayTransform:
         assert err.value.estimate.shape == p.shape
         assert err.value.error_bound[1] > QuadratureSpec().abs_tol
 
+    @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
+    def test_batch_rows_equal_single_calls(self, hbar_beta):
+        """A stack of functions shares the nodes and the e^{i b rho} factors;
+        each row equals its own call, and the batch axes lead the result."""
+        scale = PhysicalScale(1.0, hbar_beta)
+        states = [QuantumState(N, l, scale) for N, l in [(1, 0), (3, 1), (6, 5), (8, 2)]]
+        q = np.array([[-20.0, -0.7, -1e-3, 0.0], [0.0, 1e-3, 3.3, 20.0]])
+        batch = transform_numeric(
+            lambda r: np.stack([radial_wavefunction(s, r) for s in states]).reshape(2, 2, -1),
+            q * hbar_beta, OUTGOING_STRICT, scale=scale)
+        assert batch.shape == (2, 2) + q.shape
+        for state, rows in zip(states, batch.reshape(len(states), *q.shape)):
+            single = transform_numeric(lambda r: radial_wavefunction(state, r), q * hbar_beta,
+                                       OUTGOING_STRICT, scale=scale)
+            assert np.max(np.abs(rows - single)) <= 1e-15, (state.N, state.l)
+
+    def test_batch_convergence_error_per_row(self):
+        states = [QuantumState(1, 0), QuantumState(60, 0)]
+        p = np.array([0.0, 0.3, 1.0])
+        with pytest.raises(ConvergenceError) as err:
+            transform_numeric(lambda r: np.stack([radial_wavefunction(s, r) for s in states]),
+                              p, OUTGOING_STRICT)
+        exc = err.value
+        assert exc.estimate.shape == exc.error_bound.shape == exc.tolerance.shape == (2, 3)
+        assert np.all(exc.error_bound[0] <= exc.tolerance[0])
+        assert np.all(exc.error_bound[1] > exc.tolerance[1])
+        assert "past rho = 250" in str(exc)
+
+    @pytest.mark.parametrize("N", [60, 80])
+    def test_truncation_raises_or_is_correct(self, N):
+        """R_{N0} reaches past max_rho = 250 for large N; the tail bound of the
+        last panel must show it rather than return a truncated value."""
+        state = QuantumState(N, 0)
+        p = np.array([0.0, 0.3, 1.0, 30.0])
+        try:
+            numeric = transform_numeric(lambda r: radial_wavefunction(state, r), p,
+                                        OUTGOING_STRICT)
+        except ConvergenceError as err:
+            assert np.any(err.error_bound > err.tolerance)
+        else:
+            exact = psi_trig(state, p)
+            assert np.max(np.abs(numeric - exact)) <= 1e-9 * np.max(np.abs(exact))
+
     def test_non_finite_p_rejected(self):
         for bad in (math.inf, math.nan, np.array([0.0, -math.inf])):
             with pytest.raises(ValueError):
@@ -233,6 +277,11 @@ class TestParseval:
         pos, mom = parseval_check(expansion)
         assert pos == pytest.approx(1.0, abs=1e-8)
         assert mom == pytest.approx(1.0, abs=1e-7)
+
+    def test_laguerre_rule_cached_read_only(self):
+        x, w = _gauss_laguerre(7)
+        assert _gauss_laguerre(7)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
 
     def test_scaling_quadratic(self):
         expansion = slater_expansion(QuantumState(1, 0), normalized=True)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmomentum.hydrogenic import PhysicalScale, QuantumState, expectation_p2, slater_expansion
-from hmomentum.transform import ConvergenceError, parseval_check
+from hmomentum.transform import ConvergenceError, QuadratureSpec, parseval_check
 from hmomentum.verification import (
     SUITES,
     CheckResult,
@@ -21,6 +22,7 @@ from hmomentum.verification import (
     verify_lo_proportionality,
     verify_parseval_and_diagonalization,
     verify_pp_vs_hankel,
+    verify_quadrature,
     verify_so4_constancy,
     verify_uncertainty,
 )
@@ -74,6 +76,33 @@ class TestFastSuites:
         assert verify_parseval_and_diagonalization(config=config).passed
         assert verify_uncertainty(config=config).passed
         assert verify_pp_vs_hankel(config=config).passed
+
+
+class TestWorstPoint:
+    """The transform suites name the state and momentum of their worst residual."""
+
+    @staticmethod
+    def worst_state(details):
+        match = re.fullmatch(r"worst at \(N=(\d+),l=(\d+),p=(\S+)\)", details)
+        assert match, details
+        return int(match[1]), int(match[2]), float(match[3])
+
+    def test_quadrature(self):
+        N, l, p = self.worst_state(verify_quadrature().details)
+        assert 1 <= N <= 4 and 0 <= l < N and abs(p) <= 20.0
+
+    def test_pp_vs_hankel(self):
+        N, l, p = self.worst_state(verify_pp_vs_hankel().details)
+        assert 1 <= N <= 4 and 0 <= l < N and 0.2 <= p <= 5.0
+
+    def test_quadrature_names_failing_states(self):
+        """Cut at rho = 60, the tail of R_{1,0} is within tolerance and the
+        tails of every state with N >= 2 are not."""
+        config = VerifyConfig(quad_spec=QuadratureSpec(max_rho=60.0))
+        res = verify_quadrature(config=config)
+        assert not res.passed and res.max_residual == math.inf
+        assert "(N=1,l=0)" not in res.details
+        assert all(f"(N={N},l={l})" in res.details for N in range(2, 5) for l in range(N))
 
 
 class TestDefaultGrid:
