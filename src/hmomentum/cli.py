@@ -6,10 +6,11 @@ Subcommands:
   plot    unnormalized PP/LO densities over a grid, CSV with header p,density
   verify  run the verification suites, JSON report
 
-Exit codes: 0 success/pass, 1 verification failure, 2 usage error,
-3 I/O error.  All floating values are emitted with 17 significant
-digits and a dot decimal separator.  `table` and `plot` evaluate their
-whole grid in one call of the array-valued forms.
+Exit codes: 0 success/pass, 1 verification failure, 2 usage error (a
+grid too large to allocate included), 3 I/O error.  All floating values
+are emitted with 17 significant digits and a dot decimal separator.
+`table` and `plot` evaluate their whole grid in one call of the
+array-valued forms.
 """
 
 from __future__ import annotations
@@ -157,7 +158,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser: built on the first call in a process, the same
+    instance on every later call.  Sharing it is safe, because each
+    `parse_args` fills a fresh Namespace and argparse looks up sys.stdout
+    and sys.stderr only when it prints."""
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = argparse.ArgumentParser(
         prog="hmomentum",
         description="Hydrogen radial wave functions in the momentum representation")
@@ -201,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--output", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
+    _parser = parser
     return parser
 
 
@@ -209,7 +221,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

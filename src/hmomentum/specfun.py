@@ -2,7 +2,7 @@
 
 Factorials and binomials, generalized Laguerre polynomials, Gegenbauer
 polynomials, the order-1 Gegenbauer function of the second kind, and the
-spherical Bessel function j_l.
+spherical Bessel functions j_0, ..., j_L.
 
 Polynomials are evaluated with three-term recurrences rather than their
 explicit alternating sums, which become unstable at high degree.  All
@@ -102,14 +102,6 @@ def gegenbauer_D1(n: int, x):
         raise ValueError(f"D_n^1 requires |x| < 1, got x={x}")
     theta = np.arccos(x)
     return np.cos((n + 1) * theta) / np.sin(theta)
-
-
-def spherical_bessel_j(l: int, x):
-    """Spherical Bessel function j_l(x) for x >= 0, a float or a float64 array:
-    the last order of `spherical_bessel_j_orders`."""
-    if l < 0:
-        raise ValueError(f"order must be >= 0, got {l}")
-    return spherical_bessel_j_orders(l, x)[l][()]
 
 
 def spherical_bessel_j_orders(max_l: int, x) -> np.ndarray:

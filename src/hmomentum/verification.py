@@ -267,7 +267,7 @@ def verify_pp_vs_hankel(max_N: int = 4, config: VerifyConfig = DEFAULT_CONFIG) -
     Proportionality (constancy of the ratio in p) between G_{Nl}(p) and
     int_0^inf j_l(p r / hbar) R_{Nl}(r) r^2 dr, the latter over the whole
     grid at once by the numerical transform's Gauss-Legendre panels in rho,
-    with j_l from `specfun.spherical_bessel_j`.
+    with every j_l from one `specfun.spherical_bessel_j_orders` recurrence.
     """
     scale = config.scale
     grid = np.linspace(0.2, 5.0, 12) * scale.momentum

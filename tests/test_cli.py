@@ -1,5 +1,8 @@
 """CLI behavior: record formats, exit codes, file output."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from hmomentum import cli
 from hmomentum.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from hmomentum.verification import SUITES
 
@@ -239,12 +243,102 @@ class TestUsageErrors:
         ["verify", "--suite", "so4_constancy", "--tol-scale", "inf"],
         ["plot", "PP", "2", "--count", "0"],
         ["plot", "LO", "2", "--count", "1"],
+        # grids of 7.1 PiB: numpy refuses the allocation at once
+        ["table", "trig", "2", "0", "--pmin", "0", "--pmax", "1",
+         "--count", "1000000000000000"],
+        ["plot", "LO", "2", "--count", "1000000000000000"],
     ], ids=" ".join)
     def test_exit_2(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class TestOneParser:
+    """`main` builds its parser once per process, and every call behaves
+    as it would with a freshly built one."""
+
+    ARGVS = [
+        ["eval", "trig", "3", "1", "--p", "0.7", "--hbar-beta", "2"],
+        ["verify", "--suite", "bogus"],
+        ["eval", "podolsky_pauling", "3", "1", "--p", "0.7"],
+        ["-h"],
+        ["table", "lombardi_ogilvie", "2", "0", "--pmin", "-1", "--pmax", "1", "--count", "5"],
+        ["eval", "trig", "0", "0", "--p", "1"],
+        ["plot", "PP", "2", "--count", "4"],
+        ["verify", "--suite", "so4_constancy"],
+        ["verify"],
+    ]
+
+    @staticmethod
+    def outcome(argv):
+        """Exit code, stdout (a verify report without its timestamp) and
+        stderr of main(argv), each stream a new object set after the
+        parser was built."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = f"SystemExit({exc.code})"
+        text = out.getvalue()
+        if argv[0] == "verify" and code in (EXIT_OK, 1):
+            text = json.loads(text)
+            del text["timestamp"]
+        return code, text, err.getvalue()
+
+    def test_calls_match_a_fresh_parser(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        monkeypatch.setattr(cli, "_parser", None)
+        shared = [self.outcome(argv) for argv in self.ARGVS]
+        assert built.count("hmomentum") == 1
+        fresh = []
+        for argv in self.ARGVS:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(self.outcome(argv))
+        assert built.count("hmomentum") == 1 + len(self.ARGVS)
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [
+            EXIT_OK, "SystemExit(2)", EXIT_OK, "SystemExit(0)", EXIT_OK, EXIT_USAGE,
+            EXIT_OK, EXIT_OK, EXIT_OK]
+        assert "invalid choice: 'bogus'" in shared[1][2]
+        assert shared[3][1].startswith("usage: hmomentum")
+        assert shared[5][2].startswith("error: ")
+        # --suite's list does not carry over: the last call runs every suite.
+        assert len(shared[7][1]["results"]) == 1
+        assert len(shared[8][1]["results"]) == 7
+
+    def test_import_builds_no_parser(self):
+        run_python("import argparse\n"
+                   "built = []\n"
+                   "init = argparse.ArgumentParser.__init__\n"
+                   "def counting(self, *args, **kwargs):\n"
+                   "    built.append(kwargs.get('prog'))\n"
+                   "    init(self, *args, **kwargs)\n"
+                   "argparse.ArgumentParser.__init__ = counting\n"
+                   "import hmomentum.cli\n"
+                   "assert built == [], built\n"
+                   "hmomentum.cli.main(['eval', 'trig', '1', '0', '--p', '0'])\n"
+                   "hmomentum.cli.main(['eval', 'trig', '1', '0', '--p', '1'])\n"
+                   "assert built.count('hmomentum') == 1, built\n")
+
+
+def run_python(code: str) -> None:
+    """Run `code` in a new interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -257,9 +351,4 @@ def test_import_loads_no_scipy(tmp_path):
             " '--pmax', '2', '--count', '5'])\n"
             f"assert hmomentum.cli.main(['verify', '--output', {report!r}]) == 0\n"
             "assert not any(m.startswith('scipy') for m in sys.modules)\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
+    run_python(code)

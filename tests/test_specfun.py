@@ -262,20 +262,21 @@ class TestSphericalBesselArray:
         suite = self.hankel_suite_arguments()
         for l in range(11):
             for x in (np.linspace(0.0, l + 3.0, 301), suite):
-                values = specfun.spherical_bessel_j(l, x)
+                values = specfun.spherical_bessel_j_orders(l, x)[l]
                 assert values.shape == x.shape
                 assert np.max(np.abs(values - spherical_jn(l, x))) <= self.ABS_TOL, l
 
     def test_against_recurrence_oracle(self):
         for l in range(11):
             for x in [0.0] + [f * l for f in (0.25, 0.5, 0.75, 0.95)] + [l + 1.0, 30.0]:
-                assert abs(specfun.spherical_bessel_j(l, x)
+                assert abs(specfun.spherical_bessel_j_orders(l, x)[l]
                            - spherical_bessel_j(l, x)) <= self.ABS_TOL, (l, x)
 
     def test_against_mpmath(self):
         for l in range(11):
             for x in np.linspace(0.0, l + 4.0, 61)[1:]:
-                error = abs(specfun.spherical_bessel_j(l, x) - mpmath_spherical_j(l, x))
+                error = abs(specfun.spherical_bessel_j_orders(l, x)[l]
+                            - mpmath_spherical_j(l, x))
                 assert error <= 1e-15, (l, x)
 
     def test_orders_are_the_single_orders(self):
@@ -284,18 +285,18 @@ class TestSphericalBesselArray:
             orders = specfun.spherical_bessel_j_orders(10, x)
             assert orders.shape == (11,) + np.shape(x)
             for l in range(11):
-                assert np.array_equal(orders[l], specfun.spherical_bessel_j(l, x)), l
+                assert np.array_equal(orders[l], specfun.spherical_bessel_j_orders(l, x)[l]), l
         with pytest.raises(ValueError):
             specfun.spherical_bessel_j_orders(-1, 1.0)
 
     def test_float_in_float_out(self):
-        assert specfun.spherical_bessel_j(0, 0.0) == 1.0
-        assert specfun.spherical_bessel_j(3, 0.0) == 0.0
-        assert np.ndim(specfun.spherical_bessel_j(2, 5.0)) == 0
+        assert specfun.spherical_bessel_j_orders(0, 0.0)[0] == 1.0
+        assert specfun.spherical_bessel_j_orders(3, 0.0)[3] == 0.0
+        assert np.ndim(specfun.spherical_bessel_j_orders(2, 5.0)[2]) == 0
 
     def test_negative_order(self):
         with pytest.raises(ValueError):
-            specfun.spherical_bessel_j(-1, 1.0)
+            specfun.spherical_bessel_j_orders(-1, 1.0)
 
 
 class TestSphericalNeumann:
