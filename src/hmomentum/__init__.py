@@ -1,10 +1,10 @@
 """Hydrogen-atom radial wave functions in the radial momentum representation.
 
-Three independent routes to the momentum-space radial functions (finite
-Gegenbauer expansion, finite trigonometric expansion, and direct
-quadrature of the spherical-wave transform), the historical
-Podolsky-Pauling and Lombardi-Ogilvie families, and a verification suite
-cross-checking every equivalence among them.
+The momentum-space radial functions in closed form (one recurrence kernel
+for the trigonometric, Gegenbauer and script-D expansions and the
+Lombardi-Ogilvie family) and by direct quadrature of the spherical-wave
+transform, the Podolsky-Pauling family, and a verification suite
+cross-checking them, unitarity included.
 """
 
 from .forms import (
@@ -13,28 +13,24 @@ from .forms import (
     lombardi_ogilvie_alpha,
     lombardi_ogilvie_c,
     podolsky_pauling_G,
-    podolsky_pauling_chi,
     psi_gegenbauer,
     psi_trig,
 )
 from .hydrogenic import (
     PhysicalScale,
     QuantumState,
-    SlaterExpansion,
     expectation_p2,
     expectation_r2,
     normalization_constant,
     radial_wavefunction,
-    slater_expansion,
 )
 from .transform import (
     ConvergenceError,
     QuadratureSpec,
     TransformConvention,
     diagonalization_residual,
-    parseval_check,
+    gram_matrices,
     transform_numeric,
-    transform_slater_closed,
 )
 from .verification import (
     CheckResult,

@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--p", type=float, required=True)
     p_eval.add_argument("--output", default=None)
     _add_scale_flags(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
 
     p_table = sub.add_parser("table", help="tabulate a form over a grid")
     p_table.add_argument("form", choices=sorted(FORM_EVALUATORS))
@@ -192,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--count", type=int, default=101)
     p_table.add_argument("--output", default=None)
     _add_scale_flags(p_table)
-    p_table.set_defaults(func=cmd_table)
 
     p_plot = sub.add_parser("plot", help="emit PP/LO density data")
     p_plot.add_argument("form", choices=["PP", "LO"])
@@ -201,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--count", type=int, default=201)
     p_plot.add_argument("--output", default=None)
     _add_scale_flags(p_plot)
-    p_plot.set_defaults(func=cmd_plot)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--suite", action="append", choices=sorted(SUITES),
@@ -210,17 +207,19 @@ def build_parser() -> argparse.ArgumentParser:
                           help="multiply every tolerance (values > 1 loosen)")
     p_verify.add_argument("--hbar-beta", type=float, default=1.0)
     p_verify.add_argument("--output", default=None)
-    p_verify.set_defaults(func=cmd_verify)
 
     _parser = parser
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up on every call, not stored in the shared parser, so that a
+    # cmd_* replaced after the first call (by a tracer, say) is the one run.
+    commands = {"eval": cmd_eval, "table": cmd_table, "plot": cmd_plot,
+                "verify": cmd_verify}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (UsageError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

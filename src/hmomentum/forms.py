@@ -6,8 +6,7 @@ Lombardi-Ogilvie family are one polynomial in w = hbar beta /
 `_lombardi_ogilvie_kernel`).  The paper's literal sums, `psi_gegenbauer`
 and `lombardi_ogilvie_alpha`, are kept only as the independent oracles
 the verification suites compare the kernel against.  Also here: the
-Podolsky-Pauling family in both the p and chi parametrizations, and the
-maximal-l distribution shapes.
+Podolsky-Pauling family and the maximal-l distribution shapes.
 
 Phase convention: the assembled Gegenbauer-route product
 sin(gamma) * (C^1 + i D^1) is evaluated as e^{i (n+1) gamma}, which is
@@ -223,10 +222,8 @@ def lombardi_ogilvie_alpha(state: QuantumState, p):
 
 @functools.lru_cache(maxsize=4096)
 def _pp_log_prefactor(N: int, l: int, momentum: float) -> float:
-    """log of (2 hbar beta)^{5/2} (hbar beta)^{-4} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)).
-
-    The prefactor shared by both Podolsky-Pauling parametrizations.
-    """
+    """log of (2 hbar beta)^{5/2} (hbar beta)^{-4} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)),
+    the prefactor of the Podolsky-Pauling function."""
     return (0.5 * (_log_ratio(32 * 4 ** l * factorial(l) ** 2 * factorial(N - l - 1) * N,
                               factorial(N + l)) - math.log(math.pi))
             - 1.5 * math.log(momentum))
@@ -271,27 +268,6 @@ def podolsky_pauling_G(state: QuantumState, p):
         * c2 * c2
         * (2.0 * q * c2) ** l
         * gegenbauer_C(N - l - 1, l + 1, 2.0 * c2 - 1.0)
-    )
-
-
-def ultraspherical_S(N: int, l: int, chi: float) -> float:
-    """Polar-angle factor S_{(N-1) l}(chi) = sin^l(chi) C^{l+1}_{N-l-1}(cos chi)."""
-    return math.sin(chi) ** l * gegenbauer_C(N - l - 1, l + 1, math.cos(chi))
-
-
-def podolsky_pauling_chi(state: QuantumState, chi: float) -> float:
-    """Podolsky-Pauling function in the chi parametrization, chi in [0, pi].
-
-    Equals G_{Nl} at p(chi) = hbar beta tan(chi/2):
-    e^{log pref} cos^4(chi/2) S_{(N-1) l}(chi), with the prefactor of
-    `podolsky_pauling_G`.
-    """
-    if not 0.0 <= chi <= math.pi:
-        raise ValueError(f"chi must lie in [0, pi], got {chi}")
-    return (
-        math.exp(_pp_log_prefactor(state.N, state.l, state.scale.momentum))
-        * math.cos(chi / 2.0) ** 4
-        * ultraspherical_S(state.N, state.l, chi)
     )
 
 

@@ -1,7 +1,7 @@
 """Position-space hydrogenic radial states and their analytic machinery.
 
-Radial wave functions R_{Nl}, their Slater-term expansions, and the
-exact <r^2>, <p^2> expectation values used by the uncertainty check.
+Radial wave functions R_{Nl} and the exact <r^2>, <p^2> expectation
+values used by the uncertainty check.
 
 Scaled units (hbar = 1, beta = 1) are the default; a physical-mode scale
 can be built from Z, the reduced mass and the fine-structure constant.
@@ -10,11 +10,12 @@ can be built from Z, the reduced mass and the fine-structure constant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import binomial, factorial, laguerre
+from .specfun import factorial, laguerre
 
 
 @dataclass(frozen=True)
@@ -66,61 +67,25 @@ class QuantumState:
             )
 
 
-@dataclass(frozen=True)
-class SlaterExpansion:
-    """Finite sum of Slater-type terms c * rho^m * exp(-rho/2), rho = 2 beta r.
-
-    Powers may drop to -1 (the radial momentum operator applied to an
-    m = 0 term gives one); such terms remain integrable against r^2 dr and
-    are flagged by `has_inverse_power`.
-    """
-
-    l: int
-    terms: tuple  # of (power: int, coefficient: complex)
-    scale: PhysicalScale = field(default_factory=PhysicalScale)
-
-    @property
-    def has_inverse_power(self) -> bool:
-        return any(m < 0 for m, _ in self.terms)
-
-    def polynomial(self, rho):
-        """Sum of c rho^m, without e^{-rho/2}, at a float or an array of rho."""
-        return sum(c * rho ** m for m, c in self.terms)
-
-    def __call__(self, r: float) -> complex:
-        rho = 2.0 * self.scale.beta * r
-        return self.polynomial(rho) * math.exp(-rho / 2.0)
-
-    def scaled(self, factor: complex) -> "SlaterExpansion":
-        return SlaterExpansion(
-            self.l, tuple((m, factor * c) for m, c in self.terms), self.scale
-        )
-
-
 def normalization_constant(state: QuantumState) -> float:
-    """Normalization N_{Nl} = (2 beta)^{3/2} sqrt((N-l-1)! / (2N (N+l)!))."""
-    N, l = state.N, state.l
-    beta = state.scale.beta
-    return (2.0 * beta) ** 1.5 * math.sqrt(
-        factorial(N - l - 1) / (2.0 * N * factorial(N + l))
-    )
+    """Normalization N_{Nl} = (2 beta)^{3/2} sqrt((N-l-1)! / (2N (N+l)!)).
 
-
-def slater_expansion(state: QuantumState, normalized: bool = False) -> SlaterExpansion:
-    """Slater-term expansion of R_{Nl} / N_{Nl} (or of R_{Nl} if normalized).
-
-    Term t in 0..N-l-1 carries power l+t and coefficient
-    (-1)^t binom(N+l, N-l-1-t) / t!, i.e. the Laguerre sum written out.
+    Raises ValueError where N_{Nl} is not a normal double (at beta = 1,
+    for l = N - 1 from N = 151 on) or (2 beta)^{3/2} overflows.
     """
     N, l = state.N, state.l
-    terms = []
-    for t in range(N - l):
-        coeff = (-1) ** t * binomial(N + l, N - l - 1 - t) / factorial(t)
-        terms.append((l + t, complex(coeff)))
-    expansion = SlaterExpansion(l, tuple(terms), state.scale)
-    if normalized:
-        expansion = expansion.scaled(normalization_constant(state))
-    return expansion
+    num, den = factorial(N - l - 1), 2 * N * factorial(N + l)
+    # int / int is correctly rounded; scaled by 4^k it lies in [1/4, 4),
+    # and 2^-k applies in one last step.
+    k = (den.bit_length() - num.bit_length()) // 2
+    try:
+        value = math.ldexp((2.0 * state.scale.beta) ** 1.5 * math.sqrt((num << 2 * k) / den), -k)
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError(f"N_{{Nl}} of (N={N}, l={l}) at beta={state.scale.beta:g} "
+                         f"is not a normal double")
+    return value
 
 
 def radial_wavefunction(state: QuantumState, r):
@@ -128,29 +93,25 @@ def radial_wavefunction(state: QuantumState, r):
 
     Normalized so that the integral of R^2 r^2 dr over (0, inf) is 1.
     r is a float or a float64 array; the value is real, of r's shape.
+    N_{Nl} and rho^l leave the double range at large l where R does not
+    (N_{150,149} is 1.6e-307, and rho^149 overflows from rho = 117), so
+    the powers of 2 of both apply in one last step.
     """
     if np.min(r) < 0:
         raise ValueError(f"r must be >= 0, got {np.min(r)}")
     N, l = state.N, state.l
     rho = 2.0 * state.scale.beta * r
-    return (
-        normalization_constant(state)
-        * np.exp(-rho / 2.0)
-        * rho ** l
-        * laguerre(N - l - 1, 2 * l + 1, rho)
-    )
+    norm, norm_exponent = math.frexp(normalization_constant(state))
+    rho_mantissa, rho_exponent = np.frexp(rho)
+    return np.ldexp(
+        norm * rho_mantissa ** l * np.exp(-rho / 2.0) * laguerre(N - l - 1, 2 * l + 1, rho),
+        norm_exponent + l * rho_exponent)
 
 
 def expectation_r2(state: QuantumState) -> float:
-    """<r^2> from the Slater expansion via Gamma integrals (exact)."""
-    expansion = slater_expansion(state)
-    norm = normalization_constant(state)
-    beta = state.scale.beta
-    total = 0.0
-    for m, cm in expansion.terms:
-        for s, cs in expansion.terms:
-            total += (cm * cs).real * math.gamma(m + s + 5)
-    return norm ** 2 / (2.0 * beta) ** 5 * total
+    """<r^2> = (5 N^2 + 1 - 3 l (l+1)) / (2 beta^2), in closed form."""
+    N, l = state.N, state.l
+    return (5 * N * N + 1 - 3 * l * (l + 1)) / (2.0 * state.scale.beta ** 2)
 
 
 def expectation_p2(state: QuantumState) -> float:

@@ -15,27 +15,15 @@ import math
 
 import numpy as np
 
-# math.factorial overflows float conversion past 170!.
-FLOAT_FACTORIAL_MAX = 170
-
-
-def factorial(n: int, exact: bool = True):
-    """n! as an exact integer, or as a float for n <= 170.
+def factorial(n: int) -> int:
+    """n! as an exact integer.
 
     Raises:
         ValueError: if n is negative or not integral.
-        OverflowError: in floating mode for n > 170.
     """
     if n != int(n) or n < 0:
         raise ValueError(f"factorial requires a nonnegative integer, got {n!r}")
-    n = int(n)
-    if exact:
-        return math.factorial(n)
-    if n > FLOAT_FACTORIAL_MAX:
-        raise OverflowError(
-            f"{n}! overflows double precision (limit {FLOAT_FACTORIAL_MAX})"
-        )
-    return float(math.factorial(n))
+    return math.factorial(int(n))
 
 
 def binomial(a: int, b: int) -> int:

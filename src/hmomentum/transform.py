@@ -1,15 +1,15 @@
-"""The spherical-wave integral transform and its numerical/closed paths.
+"""The spherical-wave integral transform, its numerical path and checks.
 
 The transform maps a radial function phi on (0, inf) to
 (H phi)(p) = int_0^inf phi(r) e^{s i p r / hbar} r dr, where the kernel
 sign s is -1 for the incoming spherical wave (the defining choice) and
-+1 for the outgoing one.  The closed-form path evaluates the transform
-of single Slater terms through the standard Fourier sine/cosine
-integrals; the numerical path evaluates the oscillatory integral over a
-whole momentum grid at once, by composite Gauss-Legendre panels in the
-dimensionless rho = 2 beta r on a truncated interval.  `parseval_check`
-takes both norms by finite rules that are exact for Slater expansions:
-Gauss-Laguerre in rho, and the midpoint rule in theta = arctan(p / hbar beta).
++1 for the outgoing one.  The numerical path evaluates the oscillatory
+integral over a whole momentum grid at once, by composite Gauss-Legendre
+panels in the dimensionless rho = 2 beta r on a truncated interval.
+`gram_matrices` checks unitarity on the closed form `psi_trig`: its
+momentum Gram matrix against the position one of `radial_wavefunction`,
+by finite rules exact for both, the midpoint rule in
+theta = arctan(p / hbar beta) and Gauss-Laguerre in rho.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .hydrogenic import PhysicalScale, SlaterExpansion
+from .forms import psi_trig
+from .hydrogenic import PhysicalScale, radial_wavefunction
 
 
 class ConvergenceError(RuntimeError):
@@ -138,11 +139,25 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+# numpy's Gauss-Laguerre rule has finite, positive weights up to this
+# count; past it some are inf or NaN, with RuntimeWarnings.
+LAGUERRE_MAX_COUNT = 186
+
+
 @functools.lru_cache(maxsize=32)
 def _gauss_laguerre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x of numpy's `count`-node Gauss-Laguerre rule and its weights
+    times e^x, for int_0^inf g(x) dx of a g that decays as e^{-x}.
+
+    Raises ValueError for count > LAGUERRE_MAX_COUNT.
+    """
+    if count > LAGUERRE_MAX_COUNT:
+        raise ValueError(f"Gauss-Laguerre rule with {count} nodes has non-finite "
+                         f"weights (limit {LAGUERRE_MAX_COUNT})")
     from numpy.polynomial.laguerre import laggauss
 
     x, w = laggauss(count)
+    w = np.exp(np.log(w) + x)  # e^x alone overflows from x = 710 on
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -268,69 +283,37 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p,
     return value[()]
 
 
-def transform_slater_closed(l_plus_t: int, p,
-                            scale: PhysicalScale = PhysicalScale()):
-    """Exact transform of a single Slater term, in rho units.
+def gram_matrices(states) -> tuple[np.ndarray, np.ndarray]:
+    """Momentum and position Gram matrices of hydrogenic states of one scale.
 
-    Returns int_0^inf rho^n e^{-rho/2} e^{i b rho} drho with
-    n = l_plus_t + 1 and b = p / (2 hbar beta):
+    momentum[i, j] is the full-line integral of psi_i conj(psi_j) dp / (2 pi hbar),
+    psi = `psi_trig`; position[i, j] is int_0^inf R_i R_j r^2 dr, R =
+    `radial_wavefunction`.  psi is the transform of R, which is unitary,
+    so the two are equal.  Both rules are exact at any scale, one node set
+    for all states up to N_max = max N: at p = hbar beta tan(theta), psi_i
+    conj(psi_j) dp / d theta is a trigonometric polynomial of degree N_max
+    in 2 theta (psi is one in w = cos(theta) e^{i theta} of powers l+2 ..
+    N+1), taken by the midpoint rule with 2 N_max + 8 nodes in theta; and
+    R_i R_j r^2 is e^{-rho} times a polynomial of degree 2 N_max in rho,
+    taken by Gauss-Laguerre with N_max + 4 nodes.
 
-        Gamma(n+1) e^{i (n+1) theta} / (1/4 + b^2)^{(n+1)/2},
-        theta = arctan(2 b).
-
-    The r-space transform of rho^{l+t} e^{-rho/2} under the outgoing
-    strict convention is this value divided by (2 beta)^2.  p is a float
-    or a float64 array; the value is complex, of p's shape.
+    Raises ValueError for states of more than one scale, or for
+    N_max + 4 > LAGUERRE_MAX_COUNT.
     """
-    if l_plus_t < 0:
-        raise ValueError(f"power must be >= 0, got {l_plus_t}")
-    n = l_plus_t + 1
-    b = p / (2.0 * scale.momentum)
-    theta = np.arctan2(b, 0.5)
-    modulus = math.gamma(n + 1) / (0.25 + b * b) ** ((n + 1) / 2.0)
-    return modulus * np.exp(1j * (n + 1) * theta)
-
-
-def transform_slater_expansion(expansion: SlaterExpansion, p,
-                               conv: TransformConvention = OUTGOING_STRICT):
-    """Closed-form transform of a full Slater expansion at a float or an array p.
-
-    All term powers must be >= 0.  Convention handling: the incoming
-    kernel conjugates the outgoing strict value (real coefficients are
-    assumed term-wise; complex coefficients are carried through
-    linearly), and the phase prefactor multiplies the result.  The
-    conjugate of a term at p is the term at -p.
-    """
-    if expansion.has_inverse_power:
-        raise ValueError("closed-form path requires nonnegative powers")
-    scale = expansion.scale
-    total = sum(c * transform_slater_closed(m, conv.sign * p, scale) for m, c in expansion.terms)
-    return conv.prefactor * total / (2.0 * scale.beta) ** 2
-
-
-def parseval_check(expansion: SlaterExpansion) -> tuple[float, float]:
-    """Position-space and momentum-space squared norms of an expansion.
-
-    position_norm = int_0^inf |f|^2 r^2 dr; momentum_norm is the full-line
-    integral of |(H f)(p)|^2 with measure dp / (2 pi hbar).  For an
-    expansion normalized in L^2((0, inf), r^2 dr) both are 1.
-
-    Both rules are exact at any scale for powers up to M: Gauss-Laguerre
-    with M + 4 nodes in rho, and the midpoint rule with 2M + 8 nodes in
-    theta = arctan(p / hbar beta), where |H f|^2 dp / d theta is a
-    trigonometric polynomial of degree M + 1 in 2 theta.
-    """
-    scale = expansion.scale
-    top = max(m for m, _ in expansion.terms)
+    scale = states[0].scale
+    if any(s.scale != scale for s in states):
+        raise ValueError("Gram matrices need states of one scale")
+    top = max(s.N for s in states)
     rho, weights = _gauss_laguerre(top + 4)
-    density = np.abs(expansion.polynomial(rho)) ** 2 * rho * rho
-    position_norm = float(weights @ density) / (2.0 * scale.beta) ** 3
+    r = rho / (2.0 * scale.beta)
+    radial = np.stack([radial_wavefunction(s, r) for s in states]) * r
+    position = (radial * weights) @ radial.T / (2.0 * scale.beta)
     count = 2 * top + 8
     theta = math.pi * ((np.arange(count) + 0.5) / count - 0.5)
     p = scale.momentum * np.tan(theta)
-    density = np.abs(transform_slater_expansion(expansion, p)) ** 2 / np.cos(theta) ** 2
-    momentum_norm = float(density.sum()) * scale.momentum / (2.0 * count * scale.hbar)
-    return position_norm, momentum_norm
+    psi = np.stack([psi_trig(s, p) for s in states]) / np.cos(theta)
+    momentum = (psi.real @ psi.real.T + psi.imag @ psi.imag.T) * (scale.beta / (2.0 * count))
+    return momentum, position
 
 
 def diagonalization_residual(f: Callable[[np.ndarray], np.ndarray],

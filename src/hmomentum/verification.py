@@ -7,6 +7,7 @@ configuration (no randomness anywhere).
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import json
 import math
@@ -28,7 +29,6 @@ from .hydrogenic import (
     expectation_p2,
     expectation_r2,
     radial_wavefunction,
-    slater_expansion,
 )
 from .specfun import spherical_bessel_j_orders
 from .transform import (
@@ -39,8 +39,8 @@ from .transform import (
     QuadratureSpec,
     diagonalization_residual,
     gauss_legendre_panels,
+    gram_matrices,
     panels_needed,
-    parseval_check,
     transform_numeric,
 )
 
@@ -131,12 +131,7 @@ class VerifyConfig:
             "hbar": self.scale.hbar,
             "beta": self.scale.beta,
             "tol_scale": self.tol_scale,
-            "quadrature": {
-                "rel_tol": self.quad_spec.rel_tol,
-                "abs_tol": self.quad_spec.abs_tol,
-                "max_rho": self.quad_spec.max_rho,
-                "panel_budget": self.quad_spec.panel_budget,
-            },
+            "quadrature": dataclasses.asdict(self.quad_spec),
         }
 
 
@@ -312,15 +307,20 @@ DIAGONALIZATION_TESTS = (_bump(1.0, 2.0), _bump(0.5, 2.5), _bump(2.0, 4.0))
 
 def verify_parseval_and_diagonalization(max_N: int = 5,
                                         config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
-    """Unitarity (Parseval, measure dp/(2 pi hbar)) plus Eq.-diagonal identity."""
+    """Unitarity (measure dp/(2 pi hbar)) plus Eq.-diagonal identity.
+
+    Unitarity is checked as equal momentum and position Gram matrices
+    (`gram_matrices`) of the states with N <= max_N, entry by entry for
+    each pair of states of one l.
+    """
     scale = config.scale
-    worst = 0.0
-    details = []
     states = _states(max_N, scale)
-    for state in states:
-        expansion = slater_expansion(state, normalized=True)
-        pos, mom = parseval_check(expansion)
-        worst = max(worst, abs(mom - pos), abs(mom - 1.0))
+    momentum, position = gram_matrices(states)
+    l = np.array([s.l for s in states])
+    error = np.where(l[:, None] == l, np.abs(momentum - position), 0.0)
+    i, j = np.unravel_index(np.argmax(error), error.shape)
+    worst = error[i, j]
+    details = [f"Gram worst at (N={states[i].N},N'={states[j].N},l={l[i]}): {worst:.3e}"]
     p_grid = np.linspace(-10.0, 10.0, 21) * scale.momentum
     for i, (f, df, support) in enumerate(DIAGONALIZATION_TESTS):
         res = diagonalization_residual(f, df, support, p_grid,
@@ -329,7 +329,7 @@ def verify_parseval_and_diagonalization(max_N: int = 5,
         worst = max(worst, res)
     return CheckResult.from_residual(
         "parseval_and_diagonalization", [(s.N, s.l) for s in states],
-        "Parseval N <= %d; 21-point p grid in [-10, 10] hbar beta" % max_N,
+        "Gram matrices per l, N <= %d; 21-point p grid in [-10, 10] hbar beta" % max_N,
         worst, 1e-7 * config.tol_scale, details="; ".join(details))
 
 

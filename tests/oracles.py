@@ -2,15 +2,20 @@
 
 The order -1/2 Ferrers functions (a third assembly of the momentum wave
 function), the spherical Bessel function j_l by recurrence and the
-spherical Neumann function n_0, and the radial momentum operator applied
-term-wise to a Slater expansion (the p_r check of the Schroedinger
-equation).
+spherical Neumann function n_0, and the Slater-term route: R_{Nl} as a
+finite sum of rho^m e^{-rho/2} terms, its exact term-wise transform, and
+the radial momentum operator applied term-wise (the p_r check of the
+Schroedinger equation).
 """
 
 import math
+from dataclasses import dataclass, field
 
-from hmomentum.hydrogenic import SlaterExpansion
+import numpy as np
+
+from hmomentum.hydrogenic import PhysicalScale, QuantumState, normalization_constant
 from hmomentum.specfun import gegenbauer_C, gegenbauer_D1
+from hmomentum.transform import OUTGOING_STRICT, TransformConvention
 
 
 def _check_half_integer_degree(nu: float) -> int:
@@ -110,13 +115,68 @@ def spherical_neumann_n0(x: float) -> float:
     return -math.cos(x) / x
 
 
+@dataclass(frozen=True)
+class SlaterExpansion:
+    """Finite sum of Slater-type terms c rho^m e^{-rho/2}, rho = 2 beta r, as
+    (power m, coefficient c) pairs; m = -1 comes from p_r of an m = 0 term."""
+
+    terms: tuple
+    scale: PhysicalScale = field(default_factory=PhysicalScale)
+
+    def __call__(self, r: float) -> complex:
+        rho = 2.0 * self.scale.beta * r
+        return sum(c * rho ** m for m, c in self.terms) * math.exp(-rho / 2.0)
+
+
+def slater_expansion(state: QuantumState) -> SlaterExpansion:
+    """R_{Nl} as a Slater expansion: the Laguerre sum written out.
+
+    Term t in 0..N-l-1 carries power l+t and coefficient
+    N_{Nl} (-1)^t binom(N+l, N-l-1-t) / t!.
+    """
+    N, l = state.N, state.l
+    norm = normalization_constant(state)
+    return SlaterExpansion(tuple(
+        (l + t, complex((-1) ** t * math.comb(N + l, N - l - 1 - t) / math.factorial(t)) * norm)
+        for t in range(N - l)), state.scale)
+
+
+def transform_slater_closed(l_plus_t: int, p, scale: PhysicalScale = PhysicalScale()):
+    """Exact transform of a single Slater term, in rho units:
+    int_0^inf rho^n e^{-rho/2} e^{i b rho} drho = Gamma(n+1) e^{i (n+1) theta}
+    / (1/4 + b^2)^{(n+1)/2}, n = l_plus_t + 1, b = p / (2 hbar beta),
+    theta = arctan(2 b).  Divided by (2 beta)^2, it is the outgoing strict
+    transform of rho^{l+t} e^{-rho/2} in r.  p is a float or an array.
+    """
+    if l_plus_t < 0:
+        raise ValueError(f"power must be >= 0, got {l_plus_t}")
+    n = l_plus_t + 1
+    b = p / (2.0 * scale.momentum)
+    theta = np.arctan2(b, 0.5)
+    modulus = math.gamma(n + 1) / (0.25 + b * b) ** ((n + 1) / 2.0)
+    return modulus * np.exp(1j * (n + 1) * theta)
+
+
+def transform_slater_expansion(expansion: SlaterExpansion, p,
+                               conv: TransformConvention = OUTGOING_STRICT):
+    """Exact transform of a Slater expansion with powers >= 0, term by term.
+
+    The incoming kernel gives the outgoing strict value at -p (its
+    conjugate, for real coefficients); the phase prefactor multiplies
+    the result.
+    """
+    scale = expansion.scale
+    total = sum(c * transform_slater_closed(m, conv.sign * p, scale) for m, c in expansion.terms)
+    return conv.prefactor * total / (2.0 * scale.beta) ** 2
+
+
 def apply_radial_momentum(expansion: SlaterExpansion) -> SlaterExpansion:
     """Apply p_r = -i hbar (1/r) d/dr (r .) term-wise, exactly.
 
     Each rho^m e^{-rho/2} maps to
     -i hbar 2 beta [ (m+1) rho^{m-1} - rho^m / 2 ] e^{-rho/2}.
     A term with m = 0 produces a rho^{-1} piece (integrable against
-    r^2 dr); see `SlaterExpansion.has_inverse_power`.
+    r^2 dr).
     """
     hbar = expansion.scale.hbar
     beta = expansion.scale.beta
@@ -127,4 +187,4 @@ def apply_radial_momentum(expansion: SlaterExpansion) -> SlaterExpansion:
             acc[m - 1] = acc.get(m - 1, 0.0 + 0.0j) + down
         acc[m] = acc.get(m, 0.0 + 0.0j) + 1j * hbar * beta * c
     terms = tuple(sorted((m, c) for m, c in acc.items() if c != 0))
-    return SlaterExpansion(expansion.l, terms, expansion.scale)
+    return SlaterExpansion(terms, expansion.scale)

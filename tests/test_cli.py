@@ -316,6 +316,23 @@ class TestOneParser:
         assert len(shared[7][1]["results"]) == 1
         assert len(shared[8][1]["results"]) == 7
 
+    def test_command_looked_up_at_call_time(self, monkeypatch):
+        """A cmd_* replaced after the parser exists is the one that runs,
+        as a tracer that wraps it needs."""
+        argv = ["eval", "trig", "3", "1", "--p", "0.7"]
+        before = self.outcome(argv)
+        assert cli._parser is not None
+        calls = []
+        original = cli.cmd_eval
+
+        def counting(args):
+            calls.append(args.form)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_eval", counting)
+        assert self.outcome(argv) == before
+        assert calls == ["trig"]
+
     def test_import_builds_no_parser(self):
         run_python("import argparse\n"
                    "built = []\n"

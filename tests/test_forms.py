@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import eval_gegenbauer
 
 from hmomentum.forms import (
     FORM_EVALUATORS,
@@ -15,20 +16,17 @@ from hmomentum.forms import (
     lombardi_ogilvie_alpha,
     lombardi_ogilvie_c,
     podolsky_pauling_G,
-    podolsky_pauling_chi,
     psi_gegenbauer,
     psi_trig,
-    ultraspherical_S,
 )
 from hmomentum.hydrogenic import (
     PhysicalScale,
     QuantumState,
     normalization_constant,
-    slater_expansion,
 )
 from hmomentum.specfun import binomial
-from hmomentum.transform import OUTGOING_STRICT, transform_slater_expansion
-from oracles import ferrers_P_mhalf, ferrers_Q_mhalf
+from hmomentum.transform import OUTGOING_STRICT
+from oracles import ferrers_P_mhalf, ferrers_Q_mhalf, slater_expansion, transform_slater_expansion
 
 
 class TestCoefficients:
@@ -93,7 +91,7 @@ class TestPsiTrig:
     def test_equals_strict_transform(self):
         """psi_trig is the outgoing strict transform of R_{Nl}, verbatim."""
         for N, l in [(1, 0), (2, 0), (3, 1), (5, 2)]:
-            expansion = slater_expansion(QuantumState(N, l), normalized=True)
+            expansion = slater_expansion(QuantumState(N, l))
             for p in (0.0, 0.6, 2.5, -1.2):
                 closed = transform_slater_expansion(expansion, p, OUTGOING_STRICT)
                 assert psi_trig(QuantumState(N, l), p) == pytest.approx(
@@ -222,28 +220,25 @@ class TestPodolskyPauling:
                 assert values[0] != 0.0 and list(values[1:]) == [0.0, 0.0, 0.0]
 
     def test_chi_route_equals_p_route(self):
-        for N, l in [(1, 0), (2, 1), (3, 0), (4, 2)]:
-            state = QuantumState(N, l)
-            for chi in (0.3, 1.0, math.pi / 2.0, 2.4):
-                p = math.tan(chi / 2.0)
-                assert podolsky_pauling_chi(state, chi) == pytest.approx(
-                    podolsky_pauling_G(state, p), rel=1e-11)
-
-    def test_chi_domain(self):
-        with pytest.raises(ValueError):
-            podolsky_pauling_chi(QuantumState(1, 0), -0.1)
-        with pytest.raises(ValueError):
-            podolsky_pauling_chi(QuantumState(1, 0), math.pi + 0.1)
+        """At p = hbar beta tan(chi/2), G is
+        pref cos^4(chi/2) sin^l(chi) C^{l+1}_{N-l-1}(cos chi), with
+        pref = (2 hbar beta)^{5/2} (hbar beta)^{-4} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!))."""
+        for hbar_beta in (0.5, 1.0, 3.0):
+            for N, l in [(1, 0), (2, 1), (3, 0), (4, 2)]:
+                state = QuantumState(N, l, PhysicalScale(beta=hbar_beta))
+                pref = ((2.0 * hbar_beta) ** 2.5 / hbar_beta ** 4 * 2 ** l * math.factorial(l)
+                        * math.sqrt(math.factorial(N - l - 1) * N
+                                    / (math.pi * math.factorial(N + l))))
+                for chi in (0.3, 1.0, math.pi / 2.0, 2.4):
+                    chi_route = (pref * math.cos(chi / 2.0) ** 4 * math.sin(chi) ** l
+                                 * eval_gegenbauer(N - l - 1, l + 1, math.cos(chi)))
+                    assert podolsky_pauling_G(state, hbar_beta * math.tan(chi / 2.0)) == \
+                        pytest.approx(chi_route, rel=1e-11)
 
     def test_chi_endpoint(self):
-        # cos^4(chi/2) kills the value at chi = pi for the nodeless 1s
-        assert podolsky_pauling_chi(QuantumState(1, 0), math.pi) == pytest.approx(
+        # cos^4(chi/2) kills the value at chi = pi (p = inf) for the nodeless 1s
+        assert podolsky_pauling_G(QuantumState(1, 0), math.tan(math.pi / 2.0)) == pytest.approx(
             0.0, abs=1e-12)
-
-    def test_ultraspherical_S(self):
-        assert ultraspherical_S(1, 0, 1.1) == pytest.approx(1.0)
-        for chi in (0.4, 1.3, 2.8):
-            assert ultraspherical_S(2, 1, chi) == pytest.approx(math.sin(chi))
 
 
 class TestDistributions:

@@ -2,21 +2,21 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
 from scipy.integrate import quad
 
 from hmomentum.hydrogenic import (
     PhysicalScale,
     QuantumState,
-    SlaterExpansion,
     expectation_p2,
     expectation_r2,
     normalization_constant,
     radial_wavefunction,
-    slater_expansion,
 )
-from oracles import apply_radial_momentum
+from oracles import SlaterExpansion, apply_radial_momentum, slater_expansion
 
 
 class TestPhysicalScale:
@@ -89,6 +89,45 @@ class TestNormalization:
         b = normalization_constant(QuantumState(3, 1))
         assert a == pytest.approx(b * 0.5 ** 1.5)
 
+    @staticmethod
+    def mp_radial(N, l, r):
+        """R_{Nl}(r) at beta = 1 in 40-digit mpmath."""
+        with mpmath.workdps(40):
+            rho = 2 * mpmath.mpf(r)
+            norm = mpmath.mpf(2) ** 1.5 * mpmath.sqrt(
+                mpmath.factorial(N - l - 1) / (2 * N * mpmath.factorial(N + l)))
+            return norm * mpmath.exp(-rho / 2) * rho ** l * mpmath.laguerre(N - l - 1, 2 * l + 1, rho)
+
+    @pytest.mark.parametrize("N,l", [(171, 0), (200, 3), (150, 149)])
+    def test_large_N_plus_l(self, N, l):
+        """(N+l)! past the double range: the factorial ratio stays exact."""
+        state = QuantumState(N, l)
+        with mpmath.workdps(40):
+            exact = mpmath.mpf(2) ** 1.5 * mpmath.sqrt(
+                mpmath.factorial(N - l - 1) / (2 * N * mpmath.factorial(N + l)))
+        assert normalization_constant(state) == pytest.approx(float(exact), rel=1e-15)
+        for r in (0.5, 1.0, 7.3, 50.0, 150.0):
+            exact = float(self.mp_radial(N, l, r))
+            assert radial_wavefunction(state, r) == pytest.approx(exact, rel=1e-13), r
+
+    def test_correct_or_value_error(self):
+        """N_{100,80} is about 1.6e-157, a normal double: either the value
+        is right or the state is refused by name."""
+        state = QuantumState(100, 80)
+        try:
+            values = [radial_wavefunction(state, r) for r in (1.0, 50.0)]
+        except ValueError as exc:
+            assert "(N=100, l=80)" in str(exc)
+        else:
+            for r, value in zip((1.0, 50.0), values):
+                assert value == pytest.approx(float(self.mp_radial(100, 80, r)), rel=1e-13)
+
+    @pytest.mark.parametrize("N,l,beta", [(151, 150, 1.0), (300, 200, 1.0), (3, 1, 1e250),
+                                          (3, 1, 1e-250)])
+    def test_not_normal_raises(self, N, l, beta):
+        with pytest.raises(ValueError, match=rf"\(N={N}, l={l}\)"):
+            normalization_constant(QuantumState(N, l, PhysicalScale(beta=beta)))
+
     @pytest.mark.parametrize("N,l", [(1, 0), (2, 0), (2, 1), (3, 1), (5, 3)])
     def test_unit_norm_by_quadrature(self, N, l):
         state = QuantumState(N, l)
@@ -98,19 +137,22 @@ class TestNormalization:
 
 
 class TestSlaterExpansion:
+    """The Slater-term oracle of tests/oracles.py."""
+
     def test_ground_state_single_term(self):
+        # R_10 = N_10 e^{-rho/2}, N_10 = 2
         exp10 = slater_expansion(QuantumState(1, 0))
-        assert exp10.terms == ((0, (1 + 0j)),)
-        assert not exp10.has_inverse_power
+        assert exp10.terms == ((0, normalization_constant(QuantumState(1, 0)) + 0j),)
 
     def test_2s_coefficients(self):
         # R_20 / N_20 = (2 - rho) e^{-rho/2}: powers {0: 2, 1: -1}
+        norm = normalization_constant(QuantumState(2, 0))
         exp20 = slater_expansion(QuantumState(2, 0))
-        assert dict(exp20.terms) == {0: 2 + 0j, 1: -1 + 0j}
+        assert dict(exp20.terms) == {0: 2 * norm + 0j, 1: -norm + 0j}
 
     def test_2p_single_term(self):
         exp21 = slater_expansion(QuantumState(2, 1))
-        assert exp21.terms == ((1, (1 + 0j)),)
+        assert exp21.terms == ((1, normalization_constant(QuantumState(2, 1)) + 0j),)
 
     def test_sign_alternation(self):
         for N, l in [(4, 0), (5, 1), (6, 2)]:
@@ -122,17 +164,12 @@ class TestSlaterExpansion:
     def test_matches_wavefunction(self, N):
         for l in range(N):
             state = QuantumState(N, l)
-            expansion = slater_expansion(state, normalized=True)
+            expansion = slater_expansion(state)
             for r in (0.05, 0.7, 2.0, 6.0, 15.0):
                 ref = radial_wavefunction(state, r)
                 got = expansion(r)
                 assert got.imag == 0.0
                 assert got.real == pytest.approx(ref, rel=1e-12, abs=1e-12)
-
-    def test_scaled_is_linear(self):
-        expansion = slater_expansion(QuantumState(3, 1))
-        doubled = expansion.scaled(2.0)
-        assert doubled(1.3) == pytest.approx(2.0 * expansion(1.3))
 
 
 class TestOrthonormality:
@@ -157,6 +194,19 @@ class TestOrthonormality:
                     assert abs(off) <= 1e-9 * diag_n
 
 
+def gauss_laguerre_rule(count):
+    """numpy's Gauss-Laguerre nodes x, and the weights times e^x recomputed
+    from them as x / ((count + 1) L_{count+1}(x) e^{-x/2})^2 by the
+    recurrence on L_k(x) e^{-x/2}.  numpy's own weights lose digits as the
+    count grows: 1e-12 relative on <r^2> at N = 150, against 1e-14 here."""
+    x = laggauss(count)[0]
+    prev = np.exp(-x / 2.0)
+    cur = (1.0 - x) * prev
+    for k in range(1, count + 1):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+    return x, x / ((count + 1) * cur) ** 2
+
+
 def _fd_derivative(func, r, h=1e-4):
     """Five-point central difference."""
     return (-func(r + 2 * h) + 8 * func(r + h)
@@ -165,15 +215,14 @@ def _fd_derivative(func, r, h=1e-4):
 
 class TestRadialMomentum:
     def test_ground_state_image(self):
-        # p_r e^{-rho/2} = -i hbar 2 beta [rho^{-1} - 1/2] e^{-rho/2}
+        # p_r e^{-rho/2} = -i hbar 2 beta [rho^{-1} - 1/2] e^{-rho/2}, times N_10 = 2
         out = apply_radial_momentum(slater_expansion(QuantumState(1, 0)))
-        assert dict(out.terms) == {-1: -2j, 0: 1j}
-        assert out.has_inverse_power
+        assert dict(out.terms) == pytest.approx({-1: -4j, 0: 2j}, rel=1e-15)
 
     def test_finite_difference_oracle(self):
         for N, l in [(1, 0), (2, 0), (3, 2), (4, 1)]:
             state = QuantumState(N, l)
-            expansion = slater_expansion(state, normalized=True)
+            expansion = slater_expansion(state)
             image = apply_radial_momentum(expansion)
             for r in (0.3, 1.0, 2.7, 6.0):
                 deriv = _fd_derivative(lambda s: expansion(s).real, r)
@@ -181,9 +230,13 @@ class TestRadialMomentum:
                 assert image(r) == pytest.approx(expect, abs=1e-8)
 
     def test_linearity(self):
+        def scaled(expansion, factor):
+            return SlaterExpansion(tuple((m, factor * c) for m, c in expansion.terms),
+                                   expansion.scale)
+
         base = slater_expansion(QuantumState(3, 0))
-        scaled_then_applied = apply_radial_momentum(base.scaled(2.5j))
-        applied_then_scaled = apply_radial_momentum(base).scaled(2.5j)
+        scaled_then_applied = apply_radial_momentum(scaled(base, 2.5j))
+        applied_then_scaled = scaled(apply_radial_momentum(base), 2.5j)
         assert dict(scaled_then_applied.terms) == pytest.approx(
             dict(applied_then_scaled.terms))
 
@@ -196,7 +249,7 @@ class TestRadialMomentum:
         """
         for l in range(N):
             state = QuantumState(N, l)
-            expansion = slater_expansion(state, normalized=True)
+            expansion = slater_expansion(state)
             p2_image = apply_radial_momentum(apply_radial_momentum(expansion))
             grid = np.linspace(0.1, 20.0, 80)
             scale_ref = max(abs(expansion(r)) for r in grid)
@@ -212,13 +265,17 @@ class TestMoments:
     def test_r2_ground_state(self):
         assert expectation_r2(QuantumState(1, 0)) == pytest.approx(3.0, rel=1e-13)
 
-    @pytest.mark.parametrize("N", range(1, 6))
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 12, 30, 90, 150])
     def test_r2_closed_formula(self, N):
-        # <r^2> = (5 N^2 + 1 - 3 l (l+1)) / (2 beta^2) at fixed beta
-        for l in range(N):
-            expect = (5 * N * N + 1 - 3 * l * (l + 1)) / 2.0
-            assert expectation_r2(QuantumState(N, l)) == pytest.approx(
-                expect, rel=1e-12)
+        """The closed form against int R^2 r^4 dr by Gauss-Laguerre, exact for
+        the polynomial of degree 2N + 2 times e^{-rho} with N + 4 nodes."""
+        rho, weights = gauss_laguerre_rule(N + 4)
+        for beta in (0.5, 1.0):
+            r = rho / (2.0 * beta)
+            for l in range(N):
+                state = QuantumState(N, l, PhysicalScale(beta=beta))
+                integral = weights @ (radial_wavefunction(state, r) ** 2 * r ** 4) / (2.0 * beta)
+                assert expectation_r2(state) == pytest.approx(integral, rel=1e-12, abs=0.0)
 
     def test_r2_beta_scaling(self):
         a = expectation_r2(QuantumState(2, 1, PhysicalScale(beta=2.0)))

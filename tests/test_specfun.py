@@ -48,14 +48,6 @@ class TestFactorial:
             acc *= k
         assert factorial(20) == acc == 2432902008176640000
 
-    def test_float_mode(self):
-        assert factorial(10, exact=False) == pytest.approx(3628800.0)
-
-    def test_float_overflow_bound(self):
-        factorial(170, exact=False)
-        with pytest.raises(OverflowError):
-            factorial(171, exact=False)
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             factorial(-1)

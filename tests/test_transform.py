@@ -1,4 +1,4 @@
-"""Spherical-wave transform: conventions, closed forms, Parseval, diagonal."""
+"""Spherical-wave transform: conventions, closed forms, unitarity, diagonal."""
 
 import cmath
 import math
@@ -7,15 +7,11 @@ import numpy as np
 import pytest
 
 from hmomentum.forms import psi_trig
-from hmomentum.hydrogenic import (
-    PhysicalScale,
-    QuantumState,
-    radial_wavefunction,
-    slater_expansion,
-)
+from hmomentum.hydrogenic import PhysicalScale, QuantumState, radial_wavefunction
 from hmomentum.transform import (
     DEFAULT_CONVENTION,
     INCOMING_STRICT,
+    LAGUERRE_MAX_COUNT,
     MIN_PANELS,
     OUTGOING_STRICT,
     PANEL_PHASE,
@@ -24,8 +20,12 @@ from hmomentum.transform import (
     TransformConvention,
     _gauss_laguerre,
     diagonalization_residual,
-    parseval_check,
+    gram_matrices,
     transform_numeric,
+)
+from oracles import (
+    SlaterExpansion,
+    slater_expansion,
     transform_slater_closed,
     transform_slater_expansion,
 )
@@ -66,6 +66,8 @@ class TestQuadratureSpec:
 
 
 class TestClosedForm:
+    """The exact Slater-term transform of tests/oracles.py."""
+
     def test_static_values(self):
         # n=1, b=0: Gamma(2)/ (1/4) = 4, real
         assert transform_slater_closed(0, 0.0) == pytest.approx(4.0 + 0.0j)
@@ -248,7 +250,7 @@ class TestArrayTransform:
 class TestExpansionTransform:
     def test_ground_state_closed(self):
         state = QuantumState(1, 0)
-        expansion = slater_expansion(state, normalized=True)
+        expansion = slater_expansion(state)
         # 2 / (1 - i p)^2 under the outgoing strict convention
         for p in (0.0, 0.5, 2.0):
             expect = 2.0 / (1.0 - 1j * p) ** 2
@@ -256,38 +258,76 @@ class TestExpansionTransform:
             assert got == pytest.approx(expect, rel=1e-13)
 
     def test_incoming_is_conjugate(self):
-        expansion = slater_expansion(QuantumState(3, 1), normalized=True)
+        expansion = slater_expansion(QuantumState(3, 1))
         p = 1.3
         out = transform_slater_expansion(expansion, p, OUTGOING_STRICT)
         inc = transform_slater_expansion(expansion, p, INCOMING_STRICT)
         assert inc == pytest.approx(out.conjugate(), rel=1e-14)
 
     def test_inverse_power_rejected(self):
-        from hmomentum.hydrogenic import SlaterExpansion
-
-        bad = SlaterExpansion(0, ((-1, 1.0 + 0j),))
+        bad = SlaterExpansion(((-1, 1.0 + 0j),))
         with pytest.raises(ValueError):
             transform_slater_expansion(bad, 1.0)
 
 
 class TestParseval:
+    """Unitarity as equal momentum and position Gram matrices."""
+
     @pytest.mark.parametrize("N,l", [(1, 0), (2, 0), (2, 1), (4, 2), (5, 0)])
     def test_normalized_states(self, N, l):
-        expansion = slater_expansion(QuantumState(N, l), normalized=True)
-        pos, mom = parseval_check(expansion)
-        assert pos == pytest.approx(1.0, abs=1e-8)
-        assert mom == pytest.approx(1.0, abs=1e-7)
+        momentum, position = gram_matrices([QuantumState(N, l)])
+        assert momentum.shape == position.shape == (1, 1)
+        assert abs(position[0, 0] - 1.0) <= 1e-13
+        assert abs(momentum[0, 0] - 1.0) <= 1e-13
 
     def test_laguerre_rule_cached_read_only(self):
         x, w = _gauss_laguerre(7)
         assert _gauss_laguerre(7)[0] is x
         assert not x.flags.writeable and not w.flags.writeable
 
-    def test_scaling_quadratic(self):
-        expansion = slater_expansion(QuantumState(1, 0), normalized=True)
-        pos, mom = parseval_check(expansion.scaled(3.0))
-        assert pos == pytest.approx(9.0, abs=1e-7)
-        assert mom == pytest.approx(9.0, abs=1e-6)
+    def test_laguerre_count_limit(self):
+        """numpy's weights are finite and positive up to LAGUERRE_MAX_COUNT
+        nodes and not past it; the rule refuses larger counts."""
+        from numpy.polynomial.laguerre import laggauss
+
+        w = laggauss(LAGUERRE_MAX_COUNT)[1]
+        assert np.all(np.isfinite(w) & (w > 0))
+        with np.errstate(all="ignore"):
+            w = laggauss(LAGUERRE_MAX_COUNT + 1)[1]
+        assert not np.all(np.isfinite(w) & (w > 0))
+        w = _gauss_laguerre(LAGUERRE_MAX_COUNT)[1]
+        assert np.all(np.isfinite(w) & (w > 0))
+        with pytest.raises(ValueError, match="186"):
+            _gauss_laguerre(LAGUERRE_MAX_COUNT + 1)
+
+    def test_gram_raises_past_laguerre_limit(self):
+        """N_max + 4 nodes past the limit: a ValueError, not NaN."""
+        top = LAGUERRE_MAX_COUNT - 3
+        with pytest.raises(ValueError):
+            gram_matrices([QuantumState(top, 0), QuantumState(top - 1, 0)])
+        with pytest.raises(ValueError):
+            gram_matrices([QuantumState(184, 0)])
+
+    def test_gram_off_diagonal(self):
+        """At one beta the states are not orthogonal under r^2 dr, so the
+        off-diagonal entries are a check too: with R_10 = 2 e^{-rho/2} and
+        R_20 = (2 - rho) e^{-rho/2}, <R_10|R_20> = int (2 - rho) rho^2 e^{-rho} / 4 = -1/2."""
+        momentum, position = gram_matrices([QuantumState(1, 0), QuantumState(2, 0)])
+        assert position[0, 1] == pytest.approx(-0.5, rel=1e-14)
+        assert np.max(np.abs(momentum - position)) <= 1e-14
+
+    def test_mixed_scales_rejected(self):
+        with pytest.raises(ValueError):
+            gram_matrices([QuantumState(1, 0), QuantumState(2, 0, PhysicalScale(beta=2.0))])
+
+    @pytest.mark.parametrize("hbar_beta", [1e-6, 1.0, 1e4])
+    @pytest.mark.parametrize("l", [0, 10])
+    def test_large_N(self, l, hbar_beta):
+        """Every state with N <= 100 of one l, at scales far from 1."""
+        states = [QuantumState(N, l, PhysicalScale(1.0, hbar_beta)) for N in range(l + 1, 101)]
+        momentum, position = gram_matrices(states)
+        assert np.max(np.abs(momentum - position)) <= 1e-12
+        assert np.max(np.abs(np.diag(position) - 1.0)) <= 1e-12
 
 
 class TestDiagonalization:

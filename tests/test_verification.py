@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmomentum.hydrogenic import PhysicalScale, QuantumState, expectation_p2, slater_expansion
-from hmomentum.transform import ConvergenceError, QuadratureSpec, parseval_check
+from hmomentum import transform, verification
+from hmomentum.forms import psi_trig
+from hmomentum.hydrogenic import PhysicalScale, QuantumState, expectation_p2
+from hmomentum.transform import ConvergenceError, QuadratureSpec, gram_matrices
 from hmomentum.verification import (
     SUITES,
     CheckResult,
@@ -105,6 +107,62 @@ class TestWorstPoint:
         assert all(f"(N={N},l={l})" in res.details for N in range(2, 5) for l in range(N))
 
 
+class TestUnitarity:
+    """parseval_diagonalization compares the same-l Gram matrices of
+    psi_trig and radial_wavefunction."""
+
+    def test_covers_every_state_and_names_the_worst(self):
+        res = verify_parseval_and_diagonalization()
+        assert res.passed
+        assert res.states_covered == tuple((N, l) for N in range(1, 6) for l in range(N))
+        match = re.match(r"Gram worst at \(N=(\d+),N'=(\d+),l=(\d+)\): (\S+); ", res.details)
+        assert match, res.details
+        N, N2, l = int(match[1]), int(match[2]), int(match[3])
+        assert l < N <= 5 and l < N2 <= 5
+        assert float(match[4]) <= 1e-13
+
+    def test_perturbed_momentum_row_fails(self, monkeypatch):
+        """One state's psi_trig off by a factor 1 + 1e-6 shows in its row."""
+        def perturbed(state, p):
+            value = psi_trig(state, p)
+            return value * (1.0 + 1e-6) if (state.N, state.l) == (4, 1) else value
+
+        monkeypatch.setattr(transform, "psi_trig", perturbed)
+        res = verify_parseval_and_diagonalization()
+        assert not res.passed and res.max_residual > 1e-7
+        assert res.details.startswith("Gram worst at (N=4,N'=4,l=1)")
+
+
+class TestReportContract:
+    """bench/run.py reads these suite keys, report names and verify_* names:
+    a change to any of them makes every benchmarked verify malformed."""
+
+    CONTRACT = {
+        "form_equivalence": ("form_equivalence", "verify_form_equivalence"),
+        "quadrature": ("quadrature_vs_closed_form", "verify_quadrature"),
+        "lo_proportionality": ("lombardi_ogilvie_proportionality", "verify_lo_proportionality"),
+        "pp_vs_hankel": ("podolsky_pauling_vs_hankel", "verify_pp_vs_hankel"),
+        "parseval_diagonalization": ("parseval_and_diagonalization",
+                                     "verify_parseval_and_diagonalization"),
+        "uncertainty": ("uncertainty_bound", "verify_uncertainty"),
+        "so4_constancy": ("so4_form_constancy", "verify_so4_constancy"),
+    }
+
+    def test_keys_names_and_functions(self, monkeypatch):
+        assert list(SUITES) == list(self.CONTRACT)
+        for key, (name, function) in self.CONTRACT.items():
+            calls = []
+            original = getattr(verification, function)
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(verification, function, counting)
+            [result] = run_all(suites=[key]).results
+            assert (result.name, len(calls)) == (name, 1), key
+
+
 class TestDefaultGrid:
     def test_shape_and_zero(self):
         grid = default_grid(count=10)
@@ -180,22 +238,21 @@ def log_uniform(lo, hi):
 
 
 class TestScales:
-    """The finite rules of Parseval, <p^2> and the Hankel check are exact
-    at every scale, so the suites pass far from hbar beta = 1."""
+    """The finite rules of the Gram matrices, <p^2> and the Hankel check are
+    exact at every scale, so the suites pass far from hbar beta = 1."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(log_uniform(1e-8, 1e4), log_uniform(1e-3, 1e3))
     def test_exact_rules(self, hbar_beta, hbar):
         scale = PhysicalScale(hbar, hbar_beta / hbar)
+        for l in range(12):
+            momentum, position = gram_matrices(
+                [QuantumState(N, l, scale) for N in range(l + 1, 13)])
+            assert np.max(np.abs(momentum - position)) <= 1e-13, l
+            assert np.max(np.abs(np.diag(position) - 1.0)) <= 1e-13, l
         for N in range(1, 13):
-            # The alternating Slater sum rounds to 6.5e-13 at N = 10 and
-            # to 8.8e-12 at N = 12; in exact arithmetic both rules give 1.
-            tol = 1e-12 if N <= 10 else 1e-11
             for l in range(N):
-                state = QuantumState(N, l, scale)
-                pos, mom = parseval_check(slater_expansion(state, normalized=True))
-                assert abs(pos - 1.0) <= tol and abs(mom - 1.0) <= tol, (N, l, pos, mom)
-                p2 = expectation_p2(state)
+                p2 = expectation_p2(QuantumState(N, l, scale))
                 assert abs(p2 / scale.momentum ** 2 - 1.0) <= 1e-13, (N, l, p2)
         config = VerifyConfig(scale=scale)
         assert verify_uncertainty(config=config).passed
