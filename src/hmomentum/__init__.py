@@ -4,18 +4,11 @@ The momentum-space radial functions in closed form (one recurrence kernel
 for the trigonometric, Gegenbauer and script-D expansions and the
 Lombardi-Ogilvie family) and by direct quadrature of the spherical-wave
 transform, the Podolsky-Pauling family, and a verification suite
-cross-checking them, unitarity included.
+cross-checking them, against the paper's literal sums in exact
+arithmetic among others, unitarity included.
 """
 
-from .forms import (
-    coeff_a,
-    distribution_max_l,
-    lombardi_ogilvie_alpha,
-    lombardi_ogilvie_c,
-    podolsky_pauling_G,
-    psi_gegenbauer,
-    psi_trig,
-)
+from .forms import distribution_max_l, podolsky_pauling_G, psi_trig
 from .hydrogenic import (
     PhysicalScale,
     QuantumState,

@@ -3,16 +3,15 @@
 The trigonometric, Gegenbauer and script-D expansions and the
 Lombardi-Ogilvie family are one polynomial in w = hbar beta /
 (hbar beta - i p), evaluated by one recurrence kernel (`psi_trig`,
-`_lombardi_ogilvie_kernel`).  The paper's literal sums, `psi_gegenbauer`
-and `lombardi_ogilvie_alpha`, are kept only as the independent oracles
-the verification suites compare the kernel against.  Also here: the
-Podolsky-Pauling family and the maximal-l distribution shapes.
+`_lombardi_ogilvie_kernel`).  The verification suites compare the kernel
+against the paper's literal sums, evaluated exactly in integers
+(`verification.exact_gegenbauer`, `verification.exact_lombardi_ogilvie`).
+Also here: the Podolsky-Pauling family and the maximal-l distribution
+shapes.
 
-Phase convention: the assembled Gegenbauer-route product
-sin(gamma) * (C^1 + i D^1) is evaluated as e^{i (n+1) gamma}, which is
-regular at gamma = 0 and makes the Gegenbauer and trigonometric routes
-agree exactly (the literal combination is the conjugate-phase twin; wave
-functions are defined up to such a convention).
+Phase convention: the Gegenbauer route takes sin(gamma) (D^1 + i C^1) =
+e^{i (n+1) gamma}, regular at gamma = 0, so that it equals the trigonometric
+route term by term (sin(gamma) (C^1 + i D^1) is i times its conjugate).
 """
 
 from __future__ import annotations
@@ -22,12 +21,8 @@ import math
 
 import numpy as np
 
-from .hydrogenic import (
-    PhysicalScale,
-    QuantumState,
-    normalization_constant,
-)
-from .specfun import binomial, factorial, gegenbauer_C, gegenbauer_D1
+from .hydrogenic import PhysicalScale, QuantumState
+from .specfun import factorial, gegenbauer_C
 
 
 _LOG2 = math.log(2.0)
@@ -94,7 +89,8 @@ def psi_trig(state: QuantumState, p):
     p is a float or a float64 array; the value is complex, of p's shape.
 
     psi = sum_t b_t e^{i k theta} cos^k(theta), k = l+t+2,
-    theta = arctan(p / hbar beta), with b_t = a_t (`coeff_a`).  Since
+    theta = arctan(p / hbar beta), with b_t = a_t the Gegenbauer-expansion
+    coefficients (`verification.gegenbauer_coefficients`).  Since
     e^{i theta} cos(theta) = w, the sum is b_0 w^{l+2} 2F1(-n, l+2; 2l+2; 2w)
     and is evaluated so, with log b_0 from exact integers.  The Gegenbauer and
     script-D expansions are the same function, term by term, because
@@ -107,7 +103,7 @@ def psi_trig(state: QuantumState, p):
 
 
 def _lombardi_ogilvie_kernel(state: QuantumState, p):
-    """`lombardi_ogilvie_alpha` as (-1)^l c_0 conj(w)^{l+2} 2F1(-n, l+2; 2l+2; 2 conj(w)).
+    """Lombardi-Ogilvie alpha as (-1)^l c_0 conj(w)^{l+2} 2F1(-n, l+2; 2l+2; 2 conj(w)).
 
     Its z = i hbar beta / (p - i hbar beta) is -conj(w), and
     c_k = (-1)^k c_0 (-n)_k (l+2)_k 2^k / ((2l+2)_k k!) with
@@ -116,108 +112,6 @@ def _lombardi_ogilvie_kernel(state: QuantumState, p):
     N, l = state.N, state.l
     value = _hypergeometric_kernel(N, l, -p / state.scale.momentum, _log_c0(l))
     return -value if l % 2 else value
-
-
-# The largest N at which the literal sums `psi_gegenbauer` and
-# `lombardi_ogilvie_alpha` stay within 1e-11 of the state's peak |value|,
-# for every l and hbar beta in {1e-3, 1, 1e3}, against the exact-arithmetic
-# oracle of tests/test_kernel.py; at N = 12 both pass 1.1e-11, and the
-# cancellation between their alternating terms grows about 3x per N.
-LITERAL_MAX_N = 11
-
-
-def _check_literal_N(state: QuantumState) -> None:
-    if state.N > LITERAL_MAX_N:
-        raise ValueError(f"the literal sum is accurate only for N <= {LITERAL_MAX_N}, "
-                         f"got N={state.N}")
-
-
-def coeff_a(state: QuantumState, t: int) -> float:
-    """Gegenbauer-expansion coefficient a^{(N)}_{l t}.
-
-    a = N_{Nl} 2^{l+t+2} (-1)^t binom(N+l, N-l-1-t) Gamma(l+t+2)
-        / (t! (2 beta)^2).
-    The trigonometric coefficient b^{(t)}_{Nl} is the same number.
-    """
-    N, l = state.N, state.l
-    if not 0 <= t <= N - l - 1:
-        raise IndexError(f"term index t={t} out of range for (N={N}, l={l})")
-    beta = state.scale.beta
-    return (
-        normalization_constant(state)
-        * 2.0 ** (l + t + 2)
-        * (-1) ** t
-        * binomial(N + l, N - l - 1 - t)
-        * math.gamma(l + t + 2)
-        / (factorial(t) * (2.0 * beta) ** 2)
-    )
-
-
-def psi_gegenbauer(state: QuantumState, p):
-    """Gegenbauer finite expansion of the momentum wave function.
-
-    psi = sum_t a_t sin(gamma) cos^{l+2+t}(gamma)
-          (C^1_{l+1+t} + i D^1_{l+1+t})(cos gamma), with the real part
-    carried by D^1 and the imaginary part by C^1 (see module docstring).
-    p = 0, and any p at which cos(gamma) rounds to 1, is the analytic
-    limit sum_t a_t; negative p is the odd-theta (conjugate) extension.
-    p is a float or a float64 array; the value is complex, of p's shape.
-
-    The paper's literal sum, kept as the oracle that the form-equivalence
-    suite compares `psi_trig` against.  Its alternating terms cancel as N
-    grows, so it raises ValueError for N > LITERAL_MAX_N.
-    """
-    _check_literal_N(state)
-    N, l = state.N, state.l
-    a = [coeff_a(state, t) for t in range(N - l)]
-    pm = state.scale.momentum
-    x = pm / np.hypot(p, pm)
-    gamma = np.arccos(x)
-    sin_g = np.sin(gamma)
-    limit = gamma == 0.0
-    # D^1 is singular at x = 1; the limit points take sum_t a_t below.
-    x = np.where(limit, 0.5, x)
-    total = sum(a[n - l - 1] * x ** (n + 1)
-                * (sin_g * (gegenbauer_D1(n, x) + 1j * gegenbauer_C(n, 1.0, x)))
-                for n in range(l + 1, N + 1))
-    total = np.where(limit, complex(sum(a)), total)
-    return np.where(p < 0, total.conjugate(), total)[()]
-
-
-def lombardi_ogilvie_c(N: int, l: int, k: int) -> float:
-    """Lombardi-Ogilvie coefficient c^k_{Nl}.
-
-    c = 2^k (N-l-1)! (l+k+1)! / (k! (N-l-k-1)! (2l+k+1)!).
-    """
-    if not 0 <= k <= N - l - 1:
-        raise IndexError(f"k={k} out of range for (N={N}, l={l})")
-    return (
-        2.0 ** k
-        * factorial(N - l - 1)
-        * factorial(l + k + 1)
-        / (factorial(k) * factorial(N - l - k - 1) * factorial(2 * l + k + 1))
-    )
-
-
-def lombardi_ogilvie_alpha(state: QuantumState, p):
-    """Unnormalized Lombardi-Ogilvie radial momentum function.
-
-    alpha = sum_k c^k_{Nl} (i beta_p / (p - i beta_p))^{l+k+2}, with
-    beta_p = hbar beta the momentum scale.  The external normalization
-    constant is not reproduced; comparisons against this family are
-    proportionality tests.  p is a float or a float64 array; the value
-    is complex, of p's shape.
-
-    The paper's literal sum, kept as the oracle that the
-    Lombardi-Ogilvie proportionality suite compares `psi_trig` against;
-    it raises ValueError for N > LITERAL_MAX_N.  The CLI evaluates this
-    family with the kernel.
-    """
-    _check_literal_N(state)
-    N, l = state.N, state.l
-    bp = state.scale.momentum
-    z = 1j * bp / (np.asarray(p, dtype=float) - 1j * bp)
-    return sum(lombardi_ogilvie_c(N, l, k) * z ** (l + k + 2) for k in range(N - l))[()]
 
 
 @functools.lru_cache(maxsize=4096)

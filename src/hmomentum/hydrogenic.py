@@ -95,7 +95,8 @@ def radial_wavefunction(state: QuantumState, r):
     r is a float or a float64 array; the value is real, of r's shape.
     N_{Nl} and rho^l leave the double range at large l where R does not
     (N_{150,149} is 1.6e-307, and rho^149 overflows from rho = 117), so
-    the powers of 2 of both apply in one last step.
+    the powers of 2 of both apply in one last step.  R is 0 wherever
+    e^{-rho/2} is, r = inf included, although L may overflow there.
     """
     if np.min(r) < 0:
         raise ValueError(f"r must be >= 0, got {np.min(r)}")
@@ -103,9 +104,12 @@ def radial_wavefunction(state: QuantumState, r):
     rho = 2.0 * state.scale.beta * r
     norm, norm_exponent = math.frexp(normalization_constant(state))
     rho_mantissa, rho_exponent = np.frexp(rho)
-    return np.ldexp(
-        norm * rho_mantissa ** l * np.exp(-rho / 2.0) * laguerre(N - l - 1, 2 * l + 1, rho),
-        norm_exponent + l * rho_exponent)
+    decay = np.exp(-rho / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where decay is 0
+        value = np.ldexp(
+            norm * rho_mantissa ** l * decay * laguerre(N - l - 1, 2 * l + 1, rho),
+            norm_exponent + l * rho_exponent)
+    return np.where(decay == 0.0, 0.0, value)[()]
 
 
 def expectation_r2(state: QuantumState) -> float:

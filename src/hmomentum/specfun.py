@@ -1,8 +1,7 @@
 """Special functions evaluated by stable recurrences.
 
-Factorials and binomials, generalized Laguerre polynomials, Gegenbauer
-polynomials, the order-1 Gegenbauer function of the second kind, and the
-spherical Bessel functions j_0, ..., j_L.
+Factorials, generalized Laguerre polynomials, Gegenbauer polynomials and
+the spherical Bessel functions j_0, ..., j_L.
 
 Polynomials are evaluated with three-term recurrences rather than their
 explicit alternating sums, which become unstable at high degree.  All
@@ -24,18 +23,6 @@ def factorial(n: int) -> int:
     if n != int(n) or n < 0:
         raise ValueError(f"factorial requires a nonnegative integer, got {n!r}")
     return math.factorial(int(n))
-
-
-def binomial(a: int, b: int) -> int:
-    """Binomial coefficient C(a, b); zero for b < 0 or b > a."""
-    if a != int(a) or a < 0:
-        raise ValueError(f"binomial requires a >= 0, got a={a!r}")
-    if b != int(b):
-        raise ValueError(f"binomial requires integer b, got b={b!r}")
-    a, b = int(a), int(b)
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 def laguerre(n: int, alpha: int, x):
@@ -74,22 +61,6 @@ def gegenbauer_C(n: int, lam: float, x: float) -> float:
     for k in range(2, n + 1):
         prev, cur = cur, (2.0 * (k + lam - 1) * x * cur - (k + 2 * lam - 2) * prev) / k
     return cur
-
-
-def gegenbauer_D1(n: int, x):
-    """Order-1 Gegenbauer function of the second kind, D_n^1(x).
-
-    Evaluated through the trigonometric identity
-    D_n^1(cos theta) = cos((n+1) theta) / sin(theta) with theta = arccos(x).
-    Singular at the interval endpoints, hence |x| < 1 strictly.  x is a
-    float or a float64 array; the value has x's shape.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    if not np.all((-1.0 < x) & (x < 1.0)):
-        raise ValueError(f"D_n^1 requires |x| < 1, got x={x}")
-    theta = np.arccos(x)
-    return np.cos((n + 1) * theta) / np.sin(theta)
 
 
 def spherical_bessel_j_orders(max_l: int, x) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Each suite returns a CheckResult; run_all bundles them into a
 VerificationReport.  Everything is deterministic for a fixed
-configuration (no randomness anywhere).
+configuration (no randomness anywhere).  The form suites compare the
+kernel with the paper's literal sums, summed exactly in integers at
+Pythagorean momenta, so cancellation limits no N.
 """
 
 from __future__ import annotations
@@ -17,17 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import (
-    lombardi_ogilvie_alpha,
-    podolsky_pauling_G,
-    psi_gegenbauer,
-    psi_trig,
-)
+from .forms import podolsky_pauling_G, psi_trig
 from .hydrogenic import (
     PhysicalScale,
     QuantumState,
     expectation_p2,
     expectation_r2,
+    normalization_constant,
     radial_wavefunction,
 )
 from .specfun import spherical_bessel_j_orders
@@ -154,40 +152,127 @@ def _states(max_N: int, scale: PhysicalScale):
             for l in range(N)]
 
 
-def _phase_aligned_residual(values_a, values_b, ref_a, ref_b) -> float:
-    a = np.asarray(values_a) / ref_a
-    b = np.asarray(values_b) / ref_b
-    return float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
-
-
 def _where(state: QuantumState, p: float) -> str:
     return f"(N={state.N},l={state.l},p={p:.6g})"
 
 
-def verify_form_equivalence(max_N: int = 8, grid=None,
+# At q = p / hbar beta = 2mk / (m^2 - k^2), cos(gamma) = X/h and sin(gamma) = S/h,
+# with X = m^2 - k^2, S = 2mk and h = m^2 + k^2, are rational, and so are C^1_n
+# and sin(gamma) D^1_n.  (1, 0) is p = 0; the others spread q over [1e-3, 1e3].
+PYTHAGOREAN_PAIRS = ((1, 0), (2000, 1), (632, 1), (200, 1), (63, 1), (20, 1), (13, 2),
+                     (12, 5), (15, 11), (11, 10), (32, 31), (101, 100), (317, 316),
+                     (1001, 1000))
+
+# The states past its max_N that form_equivalence checks as well.
+LARGE_N_STATES = ((40, 0), (60, 10))
+
+
+def pythagorean_momenta(scale: PhysicalScale) -> np.ndarray:
+    """The momenta of PYTHAGOREAN_PAIRS, then their negatives (p = 0 once)."""
+    q = np.array([2 * m * k / (m * m - k * k) for m, k in PYTHAGOREAN_PAIRS])
+    return np.concatenate([q, -q[1:]]) * scale.momentum
+
+
+def _gegenbauer_terms(X: int, S: int, count: int) -> list:
+    """X^{n+1} h^{n+1} sin(gamma) (D^1_n + i C^1_n)(cos gamma), n < count, as
+    (re, im) integers.  h^{n+1} sin(gamma) D^1_n = h^{n+1} cos((n+1) gamma) and
+    h^{n+1} sin(gamma) C^1_n both follow the Chebyshev recurrence (DLMF 18.9.1)
+    c_{n+1} = 2 X c_n - h^2 c_{n-1}, from (c_{-1}, c_0) = (1, X) and (0, S)."""
+    h2, terms = X * X + S * S, []
+    d_prev, d, c_prev, c, power = 1, X, 0, S, X
+    for _ in range(count):
+        terms.append((power * d, power * c))
+        d_prev, d = d, 2 * X * d - h2 * d_prev
+        c_prev, c = c, 2 * X * c - h2 * c_prev
+        power *= X
+    return terms
+
+
+def _lombardi_ogilvie_terms(X: int, S: int, count: int) -> list:
+    """Z^{n+1}, n < count, as (re, im) integers, where Z = -X^2 + i X S is h^2 z,
+    z = i hbar beta / (p - i hbar beta)."""
+    terms = [(-X * X, X * S)]
+    for _ in range(count - 1):
+        re, im = terms[-1]
+        terms.append((-X * (X * re + S * im), X * (S * re - X * im)))
+    return terms
+
+
+def gegenbauer_coefficients(N: int, l: int) -> tuple:
+    """The integers a_t (2 beta)^2 / N_{Nl} = (-1)^t 2^{l+t+2} C(N+l, N-l-1-t)
+    (l+t+1)! / t!, t = 0..N-l-1, of the paper's Gegenbauer expansion, and 1."""
+    return [(-1) ** t * 2 ** (l + t + 2) * math.comb(N + l, N - l - 1 - t)
+            * (math.factorial(l + t + 1) // math.factorial(t)) for t in range(N - l)], 1
+
+
+def lombardi_ogilvie_coefficients(N: int, l: int) -> tuple:
+    """The integers (N+l)! c_k, k = 0..N-l-1, of the Lombardi-Ogilvie sum,
+    c_k = 2^k (N-l-1)! (l+k+1)! / (k! (N-l-k-1)! (2l+k+1)!), and (N+l)!."""
+    return [2 ** k * math.comb(N - l - 1, k) * math.factorial(l + k + 1)
+            * (math.factorial(N + l) // math.factorial(2 * l + k + 1))
+            for k in range(N - l)], math.factorial(N + l)
+
+
+def _exact_sums(states, terms, coefficients) -> np.ndarray:
+    """sum_{n=l+1}^{N} C_{n-l-1} T_n / (D h^{2(n+1)}) per state (rows) at
+    `pythagorean_momenta` (columns), with C, D = coefficients(N, l) and the
+    sequence T = terms(X, S, count) of each pair made once for all states.
+    One integer Horner rule in h^2 and one int / int division per part give
+    the exact sum correctly rounded; at -p it is the conjugate."""
+    count = max(s.N for s in states) + 1
+    pairs = [(m * m - k * k, 2 * m * k) for m, k in PYTHAGOREAN_PAIRS]
+    pairs = [(X * X + S * S, terms(X, S, count)) for X, S in pairs]
+    values = np.empty((len(states), len(pairs)), dtype=complex)
+    for row, state in enumerate(states):
+        N, l = state.N, state.l
+        coeffs, divisor = coefficients(N, l)
+        for col, (h2, sequence) in enumerate(pairs):
+            re = im = 0
+            for c, (a, b) in zip(coeffs, sequence[l + 1:N + 1]):
+                re, im = re * h2 + c * a, im * h2 + c * b
+            den = divisor * h2 ** (N + 1)
+            values[row, col] = complex(re / den, im / den)
+    return np.concatenate([values, values[:, 1:].conj()], axis=1)
+
+
+def exact_gegenbauer(states) -> np.ndarray:
+    """The paper's literal Gegenbauer sum, per state (rows) at
+    `pythagorean_momenta` (columns): sum_t a_t sin(gamma) cos^{n+1}(gamma)
+    (D^1_n + i C^1_n)(cos gamma), n = l+1+t, with the phase convention of
+    `psi_trig`.  The exact sum is rounded, then scaled by N_{Nl} / (2 beta)^2."""
+    values = _exact_sums(states, _gegenbauer_terms, gegenbauer_coefficients)
+    return values * np.array([[normalization_constant(s) / (2.0 * s.scale.beta) ** 2]
+                              for s in states])
+
+
+def exact_lombardi_ogilvie(states) -> np.ndarray:
+    """The paper's unnormalized Lombardi-Ogilvie sum
+    alpha = sum_k c_k (i hbar beta / (p - i hbar beta))^{l+k+2}, exactly
+    rounded, per state (rows) at `pythagorean_momenta` (columns)."""
+    return _exact_sums(states, _lombardi_ogilvie_terms, lombardi_ogilvie_coefficients)
+
+
+def verify_form_equivalence(max_N: int = 8,
                             config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
-    """psi_trig (the 2F1 recurrence) vs the literal Gegenbauer sum, phase-aligned."""
-    if max_N > 8:
-        raise ValueError("form-equivalence suite specified for max_N <= 8")
+    """psi_trig (the 2F1 recurrence) against the paper's literal Gegenbauer
+    sum, in exact arithmetic (`exact_gegenbauer`).
+
+    It covers every state with N <= max_N and LARGE_N_STATES.  A state's
+    residual is its largest |psi_trig - exact| over its largest |exact|.
+    """
     scale = config.scale
-    if grid is None:
-        grid = default_grid(scale, mirrored=True)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty grid")
-    # The last point, p = hbar beta, is the phase reference.
-    p = np.append(grid, scale.momentum)
-    worst = 0.0
     states = _states(max_N, scale)
-    for state in states:
-        trig = psi_trig(state, p)
-        geg = psi_gegenbauer(state, p)
-        assert abs(trig[-1]) > 0 and abs(geg[-1]) > 0
-        worst = max(worst, _phase_aligned_residual(trig[:-1], geg[:-1], trig[-1], geg[-1]))
+    states += [QuantumState(N, l, scale) for N, l in LARGE_N_STATES if N > max_N]
+    p = pythagorean_momenta(scale)
+    exact = exact_gegenbauer(states)
+    error = np.abs(np.stack([psi_trig(s, p) for s in states]) - exact)
+    error /= np.max(np.abs(exact), axis=1, keepdims=True)
+    row, col = np.unravel_index(np.argmax(error), error.shape)
     return CheckResult.from_residual(
         "form_equivalence", [(s.N, s.l) for s in states],
-        f"{grid.size}-point mirrored log grid", worst,
-        1e-11 * config.tol_scale)
+        f"{p.size} Pythagorean momenta, |p|/(hbar beta) in [1e-3, 1e3] and 0",
+        error[row, col], 1e-11 * config.tol_scale,
+        f"worst at {_where(states[row], p[col])}")
 
 
 def verify_quadrature(max_N: int = 4, grid=None,
@@ -224,36 +309,33 @@ def verify_quadrature(max_N: int = 4, grid=None,
         f"worst at {_where(states[row], grid[col])}")
 
 
-def verify_lo_proportionality(max_N: int = 6, grid=None,
+def verify_lo_proportionality(max_N: int = 6,
                               config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """Constancy in p of psi_trig / conj(alpha_LO), per state.
 
-    psi_trig runs the 2F1 recurrence; alpha_LO is the paper's literal c_k sum.
+    psi_trig runs the 2F1 recurrence; alpha_LO is the paper's literal c_k
+    sum in exact arithmetic (`exact_lombardi_ogilvie`).
 
     The Lombardi-Ogilvie closed form matches the incoming-kernel
     convention while the trigonometric expansion matches the outgoing
     one, so the convention-matched ratio pairs psi_trig(p) with
     conj(alpha(p)) (equivalently alpha(-p)).  Measured constants are
-    logged per state.
+    logged per state, after the worst (N, l, p).
     """
     scale = config.scale
-    if grid is None:
-        grid = default_grid(scale, mirrored=True)
-    grid = np.asarray(grid, dtype=float)
-    worst = 0.0
-    constants = []
     states = _states(max_N, scale)
-    for state in states:
-        alpha = lombardi_ogilvie_alpha(state, grid)
-        kept = np.abs(alpha) >= 1e-13
-        ratios = psi_trig(state, grid[kept]) / alpha[kept].conjugate()
-        mean = ratios.mean()
-        worst = max(worst, float(np.std(ratios) / abs(mean)))
-        constants.append(f"(N={state.N},l={state.l}): {mean:.6g}")
+    p = pythagorean_momenta(scale)
+    ratios = np.stack([psi_trig(s, p) for s in states]) / exact_lombardi_ogilvie(states).conj()
+    mean = ratios.mean(axis=1, keepdims=True)
+    spread = np.std(ratios, axis=1) / np.abs(mean[:, 0])
+    row = int(np.argmax(spread))
+    col = int(np.argmax(np.abs(ratios[row] - mean[row])))
+    details = [f"worst at {_where(states[row], p[col])}"]
+    details += [f"(N={s.N},l={s.l}): {c:.6g}" for s, c in zip(states, mean[:, 0])]
     return CheckResult.from_residual(
         "lombardi_ogilvie_proportionality", [(s.N, s.l) for s in states],
-        f"{grid.size}-point mirrored log grid", worst,
-        1e-9 * config.tol_scale, details="; ".join(constants))
+        f"{p.size} Pythagorean momenta, |p|/(hbar beta) in [1e-3, 1e3] and 0",
+        spread[row], 1e-9 * config.tol_scale, details="; ".join(details))
 
 
 def verify_pp_vs_hankel(max_N: int = 4, config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:

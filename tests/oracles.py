@@ -1,11 +1,11 @@
 """Independent reference routes used only by the tests.
 
 The order -1/2 Ferrers functions (a third assembly of the momentum wave
-function), the spherical Bessel function j_l by recurrence and the
-spherical Neumann function n_0, and the Slater-term route: R_{Nl} as a
-finite sum of rho^m e^{-rho/2} terms, its exact term-wise transform, and
-the radial momentum operator applied term-wise (the p_r check of the
-Schroedinger equation).
+function) and the D^1 they take, the spherical Bessel function j_l by
+recurrence and the spherical Neumann function n_0, and the Slater-term
+route: R_{Nl} as a finite sum of rho^m e^{-rho/2} terms, its exact
+term-wise transform, and the radial momentum operator applied term-wise
+(the p_r check of the Schroedinger equation).
 """
 
 import math
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hmomentum.hydrogenic import PhysicalScale, QuantumState, normalization_constant
-from hmomentum.specfun import gegenbauer_C, gegenbauer_D1
+from hmomentum.specfun import gegenbauer_C
 from hmomentum.transform import OUTGOING_STRICT, TransformConvention
 
 
@@ -27,6 +27,13 @@ def _check_half_integer_degree(nu: float) -> int:
             f"nonnegative integer, got nu={nu}"
         )
     return int(round(n))
+
+
+def gegenbauer_D1(n: int, x):
+    """D_n^1(cos theta) = cos((n+1) theta) / sin(theta), |x| < 1, x a float or an array."""
+    if not np.all((-1.0 < x) & (x < 1.0)):
+        raise ValueError(f"D_n^1 requires |x| < 1, got x={x}")
+    return np.cos((n + 1) * np.arccos(x)) / np.sqrt(1.0 - x * x)
 
 
 def ferrers_P_mhalf(nu: float, x: float) -> float:

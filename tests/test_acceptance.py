@@ -18,7 +18,7 @@ from hmomentum.forms import (
     psi_trig,
 )
 from hmomentum.hydrogenic import QuantumState, expectation_p2, expectation_r2
-from hmomentum.specfun import gegenbauer_C, gegenbauer_D1, laguerre
+from hmomentum.specfun import gegenbauer_C, laguerre
 from hmomentum.transform import gram_matrices
 from hmomentum.verification import (
     verify_form_equivalence,
@@ -28,6 +28,7 @@ from hmomentum.verification import (
     verify_quadrature,
     verify_so4_constancy,
 )
+from oracles import gegenbauer_D1
 
 
 def report(number, name, figure, tolerance, passed):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,12 +12,8 @@ from scipy.special import eval_gegenbauer
 
 from hmomentum.forms import (
     FORM_EVALUATORS,
-    coeff_a,
     distribution_max_l,
-    lombardi_ogilvie_alpha,
-    lombardi_ogilvie_c,
     podolsky_pauling_G,
-    psi_gegenbauer,
     psi_trig,
 )
 from hmomentum.hydrogenic import (
@@ -24,14 +21,39 @@ from hmomentum.hydrogenic import (
     QuantumState,
     normalization_constant,
 )
-from hmomentum.specfun import binomial
+from hmomentum.specfun import gegenbauer_C
 from hmomentum.transform import OUTGOING_STRICT
-from oracles import ferrers_P_mhalf, ferrers_Q_mhalf, slater_expansion, transform_slater_expansion
+from hmomentum.verification import (
+    PYTHAGOREAN_PAIRS,
+    _gegenbauer_terms,
+    exact_gegenbauer,
+    exact_lombardi_ogilvie,
+    gegenbauer_coefficients,
+    lombardi_ogilvie_coefficients,
+    pythagorean_momenta,
+)
+from oracles import (
+    ferrers_P_mhalf,
+    ferrers_Q_mhalf,
+    gegenbauer_D1,
+    slater_expansion,
+    transform_slater_expansion,
+)
+
+# The momenta of the exact literal sums at hbar beta = 1, as q = p / hbar beta.
+Q = pythagorean_momenta(PhysicalScale())
+
+
+def coeff_a(state, t):
+    """Gegenbauer-expansion coefficient a_t, from the integers of the exact sum."""
+    integers, _ = gegenbauer_coefficients(state.N, state.l)
+    return integers[t] * normalization_constant(state) / (2.0 * state.scale.beta) ** 2
 
 
 class TestCoefficients:
     def test_ground_state(self):
         # N_{10} 2^2 binom(1,0) Gamma(2) / 4 = 2
+        assert gegenbauer_coefficients(1, 0) == ([4], 1)
         assert coeff_a(QuantumState(1, 0), 0) == pytest.approx(2.0)
 
     def test_2p(self):
@@ -57,10 +79,9 @@ class TestCoefficients:
             assert coeff_a(state, t) * (-1) ** t > 0
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            coeff_a(QuantumState(2, 1), 1)
-        with pytest.raises(IndexError):
-            coeff_a(QuantumState(3, 0), -1)
+        """The sum runs over t = 0..N-l-1 only."""
+        assert len(gegenbauer_coefficients(2, 1)[0]) == 1
+        assert len(gegenbauer_coefficients(3, 0)[0]) == 3
 
 
 class TestPsiTrig:
@@ -99,31 +120,36 @@ class TestPsiTrig:
 
 
 class TestPsiGegenbauer:
+    """psi_trig against the paper's literal Gegenbauer sum, summed exactly
+    at the Pythagorean momenta (`verification.exact_gegenbauer`)."""
+
     @pytest.mark.parametrize("N", range(1, 9))
     def test_matches_trig(self, N):
-        grid = np.concatenate([[0.0], np.logspace(-3, 3, 25)])
-        grid = np.concatenate([-grid[1:][::-1], grid])
-        for l in range(N):
-            state = QuantumState(N, l)
-            for p in grid:
-                a = psi_gegenbauer(state, p)
-                b = psi_trig(state, p)
-                assert a == pytest.approx(b, abs=1e-11 * (1.0 + abs(b)))
+        for hbar_beta in (1e-3, 1.0, 1e3):
+            scale = PhysicalScale(1.0, hbar_beta)
+            states = [QuantumState(N, l, scale) for l in range(N)]
+            p = pythagorean_momenta(scale)
+            for state, exact in zip(states, exact_gegenbauer(states)):
+                peak = np.max(np.abs(exact))
+                assert np.max(np.abs(psi_trig(state, p) - exact)) <= 1e-13 * peak
 
     def test_p_zero_is_analytic_limit(self):
+        """At p = 0 (the pair (1, 0)) the sum is sum_t a_t, and psi_trig
+        near 0 tends to it."""
         state = QuantumState(3, 1)
-        at_zero = psi_gegenbauer(state, 0.0)
-        near_zero = psi_gegenbauer(state, 1e-8)
-        assert near_zero == pytest.approx(at_zero, abs=1e-6)
+        assert PYTHAGOREAN_PAIRS[0] == (1, 0) and Q[0] == 0.0
+        at_zero = exact_gegenbauer([state])[0, 0]
+        assert at_zero == pytest.approx(sum(coeff_a(state, t) for t in range(2)), rel=1e-15)
+        assert psi_trig(state, 1e-8) == pytest.approx(at_zero, abs=1e-6)
 
     def test_term_phase_identity(self):
         """sin(gamma) [D^1 + i C^1](cos gamma) = e^{i (n+1) gamma}.
 
         The per-term content of the expansion: the real part comes from
-        the D-function, the imaginary part from the C-polynomial.
+        the D-function, the imaginary part from the C-polynomial.  The
+        exact sums take X^{n+1} h^{n+1} times it, in integers, at
+        cos(gamma) = X/h.
         """
-        from hmomentum.specfun import gegenbauer_C, gegenbauer_D1
-
         for n in range(6):
             for gamma in (0.2, 0.8, 1.4):
                 x = math.cos(gamma)
@@ -131,60 +157,64 @@ class TestPsiGegenbauer:
                     gegenbauer_D1(n, x), gegenbauer_C(n, 1.0, x))
                 assert combo == pytest.approx(
                     cmath.exp(1j * (n + 1) * gamma), abs=1e-13)
+        for m, k in PYTHAGOREAN_PAIRS[1:]:
+            X, S, h = m * m - k * k, 2 * m * k, m * m + k * k
+            gamma = math.atan2(S, X)
+            for n, (re, im) in enumerate(_gegenbauer_terms(X, S, 12)):
+                combo = complex(Fraction(re, (X * h) ** (n + 1)), Fraction(im, (X * h) ** (n + 1)))
+                assert combo.real == pytest.approx(math.cos((n + 1) * gamma), abs=1e-13)
+                assert combo.imag == pytest.approx(
+                    math.sin(gamma) * gegenbauer_C(n, 1.0, X / h), abs=1e-13)
 
     def test_script_D_identical(self):
-        """The CLI's script-D route against the literal Gegenbauer sum.
+        """The CLI's Gegenbauer and script-D routes against the literal sum.
 
         Script-D is (D^1 + i C^1)/2 under the package's phase convention.
         """
-        for N, l in [(1, 0), (2, 0), (4, 3), (6, 1)]:
-            state = QuantumState(N, l)
-            for p in (0.0, 0.5, -2.0, 9.0):
-                assert FORM_EVALUATORS["script_D"](state, p) == pytest.approx(
-                    psi_gegenbauer(state, p), rel=1e-12, abs=1e-13)
+        states = [QuantumState(N, l) for N, l in [(1, 0), (2, 0), (4, 3), (6, 1)]]
+        for state, exact in zip(states, exact_gegenbauer(states)):
+            for form in ("gegenbauer", "script_D"):
+                np.testing.assert_allclose(FORM_EVALUATORS[form](state, Q), exact,
+                                           rtol=1e-12, atol=1e-13)
 
 
 class TestLombardiOgilvie:
-    def test_c_ground_state(self):
-        assert lombardi_ogilvie_c(1, 0, 0) == pytest.approx(1.0)
+    """psi_trig against the literal Lombardi-Ogilvie sum, summed exactly at
+    the Pythagorean momenta (`verification.exact_lombardi_ogilvie`)."""
 
-    def test_c_2s(self):
-        assert lombardi_ogilvie_c(2, 0, 0) == pytest.approx(1.0)
-        # 2^1 1! 2! / (1! 0! 2!) = 2
-        assert lombardi_ogilvie_c(2, 0, 1) == pytest.approx(2.0)
+    def test_c_ground_state(self):
+        assert lombardi_ogilvie_coefficients(1, 0) == ([1], 1)
 
     def test_c_out_of_range(self):
-        with pytest.raises(IndexError):
-            lombardi_ogilvie_c(2, 1, 1)
+        """The sum runs over k = 0..N-l-1 only."""
+        assert len(lombardi_ogilvie_coefficients(2, 1)[0]) == 1
+        assert len(lombardi_ogilvie_coefficients(4, 1)[0]) == 3
+
+    def test_c_2s(self):
+        # (N+l)! c_k = 2! (1, 2): c_1 = 2^1 1! 2! / (1! 0! 2!) = 2
+        assert lombardi_ogilvie_coefficients(2, 0) == ([2, 4], 2)
 
     def test_ground_state_value(self):
-        # alpha = i / (p - i) ^2 * ... : at p = hbar beta = 1,
-        # z = i/(1-i), z^2 = i/2 / (-i) ... direct: (i/(1-i))^2 = -1/(2) * ... compute
-        expect = (1j / (1.0 - 1j)) ** 2
-        assert lombardi_ogilvie_alpha(QuantumState(1, 0), 1.0) == pytest.approx(expect)
-        assert expect == pytest.approx(-0.5j)
+        """alpha_{10} = z^2, z = i / (q - i); at p = 0, z = -1."""
+        alpha = exact_lombardi_ogilvie([QuantumState(1, 0)])[0]
+        np.testing.assert_allclose(alpha, (1j / (Q - 1j)) ** 2, rtol=1e-15)
+        assert alpha[0] == 1.0
 
     def test_ground_state_density(self):
-        state = QuantumState(1, 0)
-        for p in (0.0, 0.5, 2.0):
-            expect = 1.0 / (1.0 + p * p) ** 2
-            assert abs(lombardi_ogilvie_alpha(state, p)) ** 2 == pytest.approx(
-                expect, rel=1e-13)
+        alpha = exact_lombardi_ogilvie([QuantumState(1, 0)])[0]
+        np.testing.assert_allclose(np.abs(alpha) ** 2, 1.0 / (1.0 + Q * Q) ** 2, rtol=1e-13)
 
     @pytest.mark.parametrize("N,l", [(1, 0), (2, 0), (3, 1), (4, 3), (6, 2)])
     def test_proportional_to_trig_conjugate(self, N, l):
         """psi_trig(p) / conj(alpha(p)) is a p-independent constant."""
         state = QuantumState(N, l)
-        ratios = [psi_trig(state, p) / lombardi_ogilvie_alpha(state, p).conjugate()
-                  for p in (0.1, 0.9, 3.0, -1.7)]
-        for r in ratios[1:]:
-            assert r == pytest.approx(ratios[0], rel=1e-11)
+        ratios = psi_trig(state, Q) / exact_lombardi_ogilvie([state])[0].conjugate()
+        np.testing.assert_allclose(ratios, ratios[0], rtol=1e-11)
 
     def test_unconjugated_ratio_not_constant(self):
         state = QuantumState(2, 0)
-        r1 = psi_trig(state, 0.5) / lombardi_ogilvie_alpha(state, 0.5)
-        r2 = psi_trig(state, 2.0) / lombardi_ogilvie_alpha(state, 2.0)
-        assert abs(r1 - r2) > 1e-3
+        ratios = psi_trig(state, Q) / exact_lombardi_ogilvie([state])[0]
+        assert np.max(np.abs(ratios - ratios[0])) > 1e-3
 
 
 class TestPodolskyPauling:
@@ -292,13 +322,9 @@ class TestDistributions:
 
     def test_lo_matches_alpha_density(self):
         for N in (2, 4):
-            state = QuantumState(N, N - 1)
-            ref_p = 0.8
-            norm = (abs(lombardi_ogilvie_alpha(state, ref_p)) ** 2
-                    / distribution_max_l("LO", N, ref_p))
-            for p in (0.0, 1.5, 4.0):
-                assert abs(lombardi_ogilvie_alpha(state, p)) ** 2 == pytest.approx(
-                    norm * distribution_max_l("LO", N, p), rel=1e-11)
+            density = np.abs(exact_lombardi_ogilvie([QuantumState(N, N - 1)])[0]) ** 2
+            shape = distribution_max_l("LO", N, Q)
+            np.testing.assert_allclose(density / shape, density[0] / shape[0], rtol=1e-11)
 
     def test_pp_matches_G_density(self):
         for N in (2, 3):
@@ -327,7 +353,7 @@ def psi_ferrers(state, p):
     pref = (p / state.scale.hbar) * math.sqrt(math.pi * pm / p) * norm
     total = 0.0 + 0.0j
     for t in range(N - l):
-        coeff = (-1) ** t * binomial(N + l, N - l - 1 - t) / math.factorial(t)
+        coeff = (-1) ** t * math.comb(N + l, N - l - 1 - t) / math.factorial(t)
         nu = l + 1.5 + t
         radial = (2.0 * x) ** (l + 2.5 + t) * math.gamma(l + 3 + t)
         pair = complex(ferrers_P_mhalf(nu, x),

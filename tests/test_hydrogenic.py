@@ -71,6 +71,19 @@ class TestRadialArrays:
         with pytest.raises(ValueError):
             radial_wavefunction(QuantumState(2, 0), np.array([1.0, -0.5]))
 
+    def test_zero_at_huge_r(self):
+        """e^{-rho/2} is 0 where L_{N-l-1}(rho) overflows: R is 0 there, with
+        no NaN and no warning."""
+        r = np.array([0.5, 1e200, 3.0, math.inf, 40.0])
+        for N, l in [(1, 0), (3, 0), (5, 2), (150, 10)]:
+            state = QuantumState(N, l)
+            assert radial_wavefunction(state, 1e200) == 0.0
+            assert radial_wavefunction(state, math.inf) == 0.0
+            values = radial_wavefunction(state, r)
+            assert list(values[[1, 3]]) == [0.0, 0.0]
+            assert [float(v) for v in values[[0, 2, 4]]] == [
+                radial_wavefunction(state, float(x)) for x in r[[0, 2, 4]]]
+
 
 class TestNormalization:
     def test_ground_state(self):

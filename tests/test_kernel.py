@@ -4,23 +4,25 @@ The oracle of the complex forms sums the paper's literal series with
 exact integer or rational coefficients in mpmath at 2N+40 digits, so the
 cancellation between its alternating terms costs nothing.  It shares no
 algebra with the kernel's hypergeometric recurrence.  Podolsky-Pauling
-is checked against `mpmath.gegenbauer` in the paper's closed form.
+is checked against `mpmath.gegenbauer` in the paper's closed form.  The
+same oracles check the exact integer sums of `verification`.
 """
 
 import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
-from hmomentum.forms import (
-    FORM_EVALUATORS,
-    LITERAL_MAX_N,
-    lombardi_ogilvie_alpha,
-    psi_gegenbauer,
-    psi_trig,
-)
+from hmomentum.forms import FORM_EVALUATORS, psi_trig
 from hmomentum.hydrogenic import PhysicalScale, QuantumState
+from hmomentum.verification import (
+    PYTHAGOREAN_PAIRS,
+    exact_gegenbauer,
+    exact_lombardi_ogilvie,
+    pythagorean_momenta,
+)
 
 REL_TOL = 1e-11
 # (N, l, hbar beta)
@@ -38,6 +40,11 @@ def _exact_sum(coeffs, x, lowest, digits):
         return total * x ** lowest
 
 
+def _mpf(x):
+    """x, a float or a Fraction, as an mpf at the working precision."""
+    return mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpmath.mpf(x)
+
+
 def trig_oracle(N, l, hbar_beta, p):
     """sum_t b_t w^{l+t+2}, w = hbar beta / (hbar beta - i p), exactly."""
     n = N - l - 1
@@ -45,7 +52,7 @@ def trig_oracle(N, l, hbar_beta, p):
                        * math.factorial(l + t + 1), math.factorial(t))
               for t in range(n + 1)]
     with mpmath.workdps(2 * N + 40):
-        w = 1 / (1 - 1j * (mpmath.mpf(p) / hbar_beta))
+        w = 1 / (1 - 1j * (_mpf(p) / hbar_beta))
         pref = mpmath.sqrt(mpmath.mpf(math.factorial(n))
                            / (2 * N * math.factorial(N + l)) / (2 * mpmath.mpf(hbar_beta)))
         return complex(pref * _exact_sum(coeffs, w, l + 2, 2 * N + 40))
@@ -59,7 +66,7 @@ def lo_oracle(N, l, hbar_beta, p):
                        * math.factorial(2 * l + k + 1))
               for k in range(n + 1)]
     with mpmath.workdps(2 * N + 40):
-        z = 1j / (mpmath.mpf(p) / hbar_beta - 1j)
+        z = 1j / (_mpf(p) / hbar_beta - 1j)
         return complex(_exact_sum(coeffs, z, l + 2, 2 * N + 40))
 
 
@@ -124,20 +131,17 @@ def test_unit_norm(N, hbar_beta):
         assert abs(norm - 1.0) <= 1e-12, (l, norm)
 
 
-@pytest.mark.parametrize("literal,oracle", [(psi_gegenbauer, trig_oracle),
-                                            (lombardi_ogilvie_alpha, lo_oracle)])
-def test_literal_sums_to_their_limit(literal, oracle):
-    """The literal sums meet REL_TOL of the peak up to LITERAL_MAX_N and
-    raise ValueError past it, where they no longer would."""
-    N = LITERAL_MAX_N
-    for hbar_beta in (1e-3, 1.0, 1e3):
-        ps = momenta(hbar_beta, 16) + [0.0]
-        for l in range(N):
-            state = QuantumState(N, l, PhysicalScale(1.0, hbar_beta))
-            exact = [oracle(N, l, hbar_beta, p) for p in ps]
-            peak = max(abs(v) for v in exact)
-            for p, ref in zip(ps, exact):
-                assert abs(literal(state, p) - ref) <= REL_TOL * peak, (l, p)
-    for N, l in [(N + 1, 0), (N + 1, N), (200, 0)]:
-        with pytest.raises(ValueError):
-            literal(QuantumState(N, l), 0.3)
+@pytest.mark.parametrize("exact,oracle", [(exact_gegenbauer, trig_oracle),
+                                          (exact_lombardi_ogilvie, lo_oracle)])
+@pytest.mark.parametrize("N,l", [(8, 3), (40, 0), (60, 10), (100, 0)])
+def test_exact_sums(exact, oracle, N, l):
+    """The integer sums of `verification` at its Pythagorean momenta, within
+    1e-15 of the peak of the oracle at the same rational q (and -q)."""
+    state = QuantumState(N, l)
+    q = [Fraction(2 * m * k, m * m - k * k) for m, k in PYTHAGOREAN_PAIRS]
+    q += [-x for x in q[1:]]
+    assert np.array_equal(pythagorean_momenta(state.scale), [float(x) for x in q])
+    reference = [oracle(N, l, 1.0, x) for x in q]
+    peak = max(abs(v) for v in reference)
+    for x, value, ref in zip(q, exact([state])[0], reference):
+        assert abs(value - ref) <= 1e-15 * peak, (x, value, ref)

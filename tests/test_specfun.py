@@ -10,17 +10,12 @@ from scipy.integrate import quad
 from scipy.special import eval_gegenbauer, jv, spherical_jn, yv
 
 from hmomentum import specfun
-from hmomentum.specfun import (
-    binomial,
-    factorial,
-    gegenbauer_C,
-    gegenbauer_D1,
-    laguerre,
-)
+from hmomentum.specfun import factorial, gegenbauer_C, laguerre
 from hmomentum.transform import GL_ORDER, gauss_legendre_panels, panels_needed
 from oracles import (
     ferrers_P_mhalf,
     ferrers_Q_mhalf,
+    gegenbauer_D1,
     spherical_bessel_j,
     spherical_neumann_n0,
 )
@@ -51,21 +46,6 @@ class TestFactorial:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             factorial(-1)
-
-
-class TestBinomial:
-    def test_pascal_row(self):
-        assert binomial(4, 2) == 6
-
-    def test_out_of_range_convention(self):
-        assert binomial(3, -1) == 0
-        assert binomial(3, 4) == 0
-
-    def test_pascal_triangle_oracle(self):
-        row = [1]
-        for _ in range(10):
-            row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-        assert binomial(10, 5) == row[5] == 252
 
 
 class TestLaguerre:
@@ -131,6 +111,8 @@ class TestGegenbauerC:
 
 
 class TestGegenbauerD1:
+    """The D^1 oracle that the Ferrers functions of tests/oracles.py take."""
+
     def test_values_at_zero(self):
         assert gegenbauer_D1(0, 0.0) == pytest.approx(0.0, abs=1e-15)
         assert gegenbauer_D1(1, 0.0) == pytest.approx(-1.0, abs=1e-15)

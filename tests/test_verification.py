@@ -59,13 +59,11 @@ class TestFastSuites:
         assert res.passed
         assert "ground-state product: 3" in res.details
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            verify_form_equivalence(grid=np.array([]))
-
-    def test_max_N_guard(self):
-        with pytest.raises(ValueError):
-            verify_form_equivalence(max_N=9)
+    def test_covers_large_N(self):
+        """Every state with N <= 8, and sampled states from N = 40 on."""
+        covered = verify_form_equivalence().states_covered
+        assert set(covered) >= {(N, l) for N in range(1, 9) for l in range(N)}
+        assert max(N for N, _ in covered) >= 40
 
     def test_tol_scale_tightening_can_fail(self):
         tight = VerifyConfig(tol_scale=1e-14)
@@ -81,13 +79,40 @@ class TestFastSuites:
 
 
 class TestWorstPoint:
-    """The transform suites name the state and momentum of their worst residual."""
+    """The form and transform suites name the state and momentum of their
+    worst residual."""
 
     @staticmethod
     def worst_state(details):
-        match = re.fullmatch(r"worst at \(N=(\d+),l=(\d+),p=(\S+)\)", details)
+        match = re.match(r"worst at \(N=(\d+),l=(\d+),p=([^)]+)\)(;|$)", details)
         assert match, details
         return int(match[1]), int(match[2]), float(match[3])
+
+    def test_form_equivalence(self):
+        res = verify_form_equivalence()
+        N, l, p = self.worst_state(res.details)
+        assert (N, l) in res.states_covered and abs(p) <= 1e3 * 1.001
+
+    def test_lo_proportionality(self):
+        res = verify_lo_proportionality()
+        N, l, p = self.worst_state(res.details)
+        assert 1 <= N <= 6 and 0 <= l < N and abs(p) <= 1e3 * 1.001
+        assert "; (N=1,l=0): " in res.details
+
+    @pytest.mark.parametrize("suite", [verify_form_equivalence, verify_lo_proportionality])
+    def test_perturbed_state_fails(self, monkeypatch, suite):
+        """psi_trig of (5, 2) off by a factor 1 + 1e-9 (1 + |p|/(hbar beta)):
+        both suites fail and name that state.  The factor varies with p
+        because a proportionality test cannot see a constant one."""
+        def perturbed(state, p):
+            value = psi_trig(state, p)
+            return value * (1.0 + 1e-9 * (1.0 + np.abs(p))) if (state.N, state.l) == (5, 2) \
+                else value
+
+        monkeypatch.setattr(verification, "psi_trig", perturbed)
+        res = suite()
+        assert not res.passed
+        assert self.worst_state(res.details)[:2] == (5, 2), res.details
 
     def test_quadrature(self):
         N, l, p = self.worst_state(verify_quadrature().details)
