@@ -3,9 +3,10 @@
 The trigonometric, Gegenbauer and script-D expansions and the
 Lombardi-Ogilvie family are one polynomial in w = hbar beta /
 (hbar beta - i p), evaluated by one recurrence kernel (`psi_trig`,
-`_lombardi_ogilvie_kernel`).  The verification suites compare the kernel
-against the paper's literal sums, evaluated exactly in integers
-(`verification.exact_gegenbauer`, `verification.exact_lombardi_ogilvie`).
+`_lombardi_ogilvie_kernel`; `_kernel_stack` takes many states, one pass
+per l).  The verification suites compare the kernel against the paper's
+literal sums, evaluated exactly in integers (`verification.exact_gegenbauer`,
+`verification.exact_lombardi_ogilvie`).
 Also here: the Podolsky-Pauling family and the maximal-l distribution
 shapes.
 
@@ -53,7 +54,7 @@ def _log_c0(l: int) -> float:
     return _log_ratio(factorial(l + 1), factorial(2 * l + 1))
 
 
-def _hypergeometric_kernel(N: int, l: int, q, log_scale: float):
+def _hypergeometric_kernel(N, l: int, q, log_scale):
     """e^{log_scale} w^{l+2} 2F1(-n, l+2; 2l+2; 2w), w = 1/(1 - i q), n = N-l-1.
 
     q is a float or a float64 array; the result is a complex scalar or an
@@ -64,15 +65,25 @@ def _hypergeometric_kernel(N: int, l: int, q, log_scale: float):
     does not cancel at large n.  The recurrence uses only operators, so
     a float q stays a Python scalar through it.  The scale and w^{l+2} =
     cos^{l+2}(theta) e^{i (l+2) theta}, theta = arctan q, share one
-    exponential, so that neither under- or overflows on its own.
+    exponential, so that neither under- or overflows on its own.  For a list
+    N (log_scale one per N, or one for all), one pass gives them all, stacked.
     """
     b, c = l + 2, 2 * l + 2
+    degrees = [n - l - 1 for n in N] if isinstance(N, list) else [N - l - 1]
     with np.errstate(over="ignore", invalid="ignore"):  # |q| > 1e154 and inf q
         d = 1.0 + q * q
         z = 2.0 / d + 1j * (2.0 * q / d)
-        prev, cur = 0.0, 1.0
-        for m in range(N - l - 1):
-            prev, cur = cur, ((2 * m + c - (b + m) * z) * cur - m * (1.0 - z) * prev) / (c + m)
+        prev, cur, kept, start = 0.0, 1.0, {}, 0
+        for n in sorted(set(degrees)):
+            for m in range(start, n):
+                prev, cur = cur, ((2 * m + c - (b + m) * z) * cur - m * (1.0 - z) * prev) / (c + m)
+            kept[n], start = cur, n
+        cur = kept[degrees[0]]
+        if isinstance(N, list):  # the rung 1.0 fills its whole row
+            cur = np.empty((len(N),) + np.shape(q), dtype=complex)
+            for row, n in enumerate(degrees):
+                cur[row] = kept[n]
+            log_scale = np.reshape(log_scale, (-1,) + (1,) * np.ndim(q))
         log_abs = log_scale - 0.5 * b * np.log1p(q * q)
         regular = log_abs > -np.inf  # False for NaN q, or |q| > 1e154 where w^{l+2} is 0
         # Scale by 2^shift last, in one correctly rounded step, so that values
@@ -95,7 +106,8 @@ def psi_trig(state: QuantumState, p):
     and is evaluated so, with log b_0 from exact integers.  The Gegenbauer and
     script-D expansions are the same function, term by term, because
     sin(gamma) (D^1 + i C^1)(cos gamma) = e^{i (n+1) gamma}.  Defined
-    for any real p; psi(-p) = conj(psi(p)).
+    for any real p; psi(-p) = conj(psi(p)).  Only the kernel's last rung is
+    scaled; `_kernel_stack` gives many states from one pass per l.
     """
     N, l = state.N, state.l
     log_b0 = _log_b0(N, l) - 0.5 * math.log(2.0 * state.scale.beta)
@@ -112,6 +124,25 @@ def _lombardi_ogilvie_kernel(state: QuantumState, p):
     N, l = state.N, state.l
     value = _hypergeometric_kernel(N, l, -p / state.scale.momentum, _log_c0(l))
     return -value if l % 2 else value
+
+
+def _kernel_stack(states, p, lombardi_ogilvie: bool = False) -> np.ndarray:
+    """np.stack([psi_trig(s, p) for s in states]), or of `_lombardi_ogilvie_kernel`,
+    bit for bit at a float64 array p: one kernel pass per (l, scale) up to its
+    largest N, and one scaling of all its rows.  (At a float p, psi_trig
+    multiplies complex scalars, which numpy rounds differently from arrays.)"""
+    values = np.empty((len(states),) + np.shape(p), dtype=complex)
+    for l, scale in {(s.l, s.scale) for s in states}:
+        ladder = [i for i, s in enumerate(states) if (s.l, s.scale) == (l, scale)]
+        N = [states[i].N for i in ladder]
+        if lombardi_ogilvie:
+            rows = _hypergeometric_kernel(N, l, -p / scale.momentum, _log_c0(l))
+            values[ladder] = -rows if l % 2 else rows
+        else:
+            half_log = 0.5 * math.log(2.0 * scale.beta)
+            log_b0 = [_log_b0(n, l) - half_log for n in N]
+            values[ladder] = _hypergeometric_kernel(N, l, p / scale.momentum, log_b0)
+    return values
 
 
 @functools.lru_cache(maxsize=4096)

@@ -98,18 +98,31 @@ def radial_wavefunction(state: QuantumState, r):
     the powers of 2 of both apply in one last step.  R is 0 wherever
     e^{-rho/2} is, r = inf included, although L may overflow there.
     """
+    return _radial_stack([state], r)[0]
+
+
+def _radial_stack(states, r) -> np.ndarray:
+    """np.stack([radial_wavefunction(s, r) for s in states]), bit for bit: one
+    Laguerre recurrence per (l, scale) up to its largest N, all its rows scaled
+    at once, and the functions of rho shared by every l of a scale."""
     if np.min(r) < 0:
         raise ValueError(f"r must be >= 0, got {np.min(r)}")
-    N, l = state.N, state.l
-    rho = 2.0 * state.scale.beta * r
-    norm, norm_exponent = math.frexp(normalization_constant(state))
-    rho_mantissa, rho_exponent = np.frexp(rho)
-    decay = np.exp(-rho / 2.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where decay is 0
-        value = np.ldexp(
-            norm * rho_mantissa ** l * decay * laguerre(N - l - 1, 2 * l + 1, rho),
-            norm_exponent + l * rho_exponent)
-    return np.where(decay == 0.0, 0.0, value)[()]
+    values = np.empty((len(states),) + np.shape(r))
+    for scale in {s.scale for s in states}:
+        rho = 2.0 * scale.beta * r
+        rho_mantissa, rho_exponent = np.frexp(rho)
+        decay = np.exp(-rho / 2.0)
+        for l in {s.l for s in states if s.scale == scale}:
+            ladder = [i for i, s in enumerate(states) if (s.l, s.scale) == (l, scale)]
+            norm = [normalization_constant(states[i]) for i in ladder]
+            norm, norm_exponent = np.frexp(np.reshape(norm, (-1,) + (1,) * np.ndim(r)))
+            with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where decay is 0
+                value = np.ldexp(
+                    norm * rho_mantissa ** l * decay
+                    * laguerre([states[i].N - l - 1 for i in ladder], 2 * l + 1, rho),
+                    norm_exponent + l * rho_exponent)
+            values[ladder] = np.where(decay == 0.0, 0.0, value)
+    return values
 
 
 def expectation_r2(state: QuantumState) -> float:

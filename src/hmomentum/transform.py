@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import psi_trig
-from .hydrogenic import PhysicalScale, radial_wavefunction
+from .forms import _kernel_stack
+from .hydrogenic import PhysicalScale, _radial_stack
 
 
 class ConvergenceError(RuntimeError):
@@ -288,14 +288,14 @@ def gram_matrices(states) -> tuple[np.ndarray, np.ndarray]:
 
     momentum[i, j] is the full-line integral of psi_i conj(psi_j) dp / (2 pi hbar),
     psi = `psi_trig`; position[i, j] is int_0^inf R_i R_j r^2 dr, R =
-    `radial_wavefunction`.  psi is the transform of R, which is unitary,
-    so the two are equal.  Both rules are exact at any scale, one node set
-    for all states up to N_max = max N: at p = hbar beta tan(theta), psi_i
-    conj(psi_j) dp / d theta is a trigonometric polynomial of degree N_max
-    in 2 theta (psi is one in w = cos(theta) e^{i theta} of powers l+2 ..
-    N+1), taken by the midpoint rule with 2 N_max + 8 nodes in theta; and
-    R_i R_j r^2 is e^{-rho} times a polynomial of degree 2 N_max in rho,
-    taken by Gauss-Laguerre with N_max + 4 nodes.
+    `radial_wavefunction`, both evaluated as stacks, one pass per l.  psi is
+    the transform of R, which is unitary, so the two are equal.  Both rules
+    are exact at any scale, one node set for all states up to N_max = max N:
+    at p = hbar beta tan(theta), psi_i conj(psi_j) dp / d theta is a
+    trigonometric polynomial of degree N_max in 2 theta (psi is one in
+    w = cos(theta) e^{i theta} of powers l+2 .. N+1), taken by the midpoint
+    rule with 2 N_max + 8 nodes in theta; and R_i R_j r^2 is e^{-rho} times
+    a polynomial of degree 2 N_max in rho, by Gauss-Laguerre with N_max + 4 nodes.
 
     Raises ValueError for states of more than one scale, or for
     N_max + 4 > LAGUERRE_MAX_COUNT.
@@ -306,12 +306,12 @@ def gram_matrices(states) -> tuple[np.ndarray, np.ndarray]:
     top = max(s.N for s in states)
     rho, weights = _gauss_laguerre(top + 4)
     r = rho / (2.0 * scale.beta)
-    radial = np.stack([radial_wavefunction(s, r) for s in states]) * r
+    radial = _radial_stack(states, r) * r
     position = (radial * weights) @ radial.T / (2.0 * scale.beta)
     count = 2 * top + 8
     theta = math.pi * ((np.arange(count) + 0.5) / count - 0.5)
     p = scale.momentum * np.tan(theta)
-    psi = np.stack([psi_trig(s, p) for s in states]) / np.cos(theta)
+    psi = _kernel_stack(states, p) / np.cos(theta)
     momentum = (psi.real @ psi.real.T + psi.imag @ psi.imag.T) * (scale.beta / (2.0 * count))
     return momentum, position
 

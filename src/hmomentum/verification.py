@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import podolsky_pauling_G, psi_trig
+from .forms import _kernel_stack, podolsky_pauling_G
 from .hydrogenic import (
     PhysicalScale,
     QuantumState,
+    _radial_stack,
     expectation_p2,
     expectation_r2,
     normalization_constant,
-    radial_wavefunction,
 )
 from .specfun import spherical_bessel_j_orders
 from .transform import (
@@ -177,14 +177,16 @@ def _gegenbauer_terms(X: int, S: int, count: int) -> list:
     """X^{n+1} h^{n+1} sin(gamma) (D^1_n + i C^1_n)(cos gamma), n < count, as
     (re, im) integers.  h^{n+1} sin(gamma) D^1_n = h^{n+1} cos((n+1) gamma) and
     h^{n+1} sin(gamma) C^1_n both follow the Chebyshev recurrence (DLMF 18.9.1)
-    c_{n+1} = 2 X c_n - h^2 c_{n-1}, from (c_{-1}, c_0) = (1, X) and (0, S)."""
-    h2, terms = X * X + S * S, []
-    d_prev, d, c_prev, c, power = 1, X, 0, S, X
+    c_{n+1} = 2 X c_n - h^2 c_{n-1}, from (c_{-1}, c_0) = (1, X) and (0, S), so
+    X^{n+1} c_n follows c_{n+1} = 2 X^2 c_n - X^2 h^2 c_{n-1}, from (1, X^2) and
+    (0, X S), with no product of two large integers."""
+    x2, terms = X * X, []
+    two_x2, x2_h2 = 2 * x2, x2 * (x2 + S * S)
+    d_prev, d, c_prev, c = 1, x2, 0, X * S
     for _ in range(count):
-        terms.append((power * d, power * c))
-        d_prev, d = d, 2 * X * d - h2 * d_prev
-        c_prev, c = c, 2 * X * c - h2 * c_prev
-        power *= X
+        terms.append((d, c))
+        d_prev, d = d, two_x2 * d - x2_h2 * d_prev
+        c_prev, c = c, two_x2 * c - x2_h2 * c_prev
     return terms
 
 
@@ -265,7 +267,7 @@ def verify_form_equivalence(max_N: int = 8,
     states += [QuantumState(N, l, scale) for N, l in LARGE_N_STATES if N > max_N]
     p = pythagorean_momenta(scale)
     exact = exact_gegenbauer(states)
-    error = np.abs(np.stack([psi_trig(s, p) for s in states]) - exact)
+    error = np.abs(_kernel_stack(states, p) - exact)
     error /= np.max(np.abs(exact), axis=1, keepdims=True)
     row, col = np.unravel_index(np.argmax(error), error.shape)
     return CheckResult.from_residual(
@@ -275,7 +277,7 @@ def verify_form_equivalence(max_N: int = 8,
         f"worst at {_where(states[row], p[col])}")
 
 
-def verify_quadrature(max_N: int = 4, grid=None,
+def verify_quadrature(max_N: int = 4,
                       config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """Numerical transform of R_{Nl} against the trigonometric closed form.
 
@@ -284,17 +286,15 @@ def verify_quadrature(max_N: int = 4, grid=None,
     in one call, over the same nodes.
     """
     scale = config.scale
-    if grid is None:
-        pos = np.logspace(-2, math.log10(20.0), 13) * scale.momentum
-        grid = np.concatenate([-pos[::-1], [0.0], pos])
-    grid = np.asarray(grid, dtype=float)
+    pos = np.logspace(-2, math.log10(20.0), 13) * scale.momentum
+    grid = np.concatenate([-pos[::-1], [0.0], pos])
     states = _states(max_N, scale)
     covered = [(s.N, s.l) for s in states]
     grid_name = f"{grid.size}-point mirrored grid up to 20 hbar beta"
     tolerance = 1e-7 * config.tol_scale
     try:
         numeric = transform_numeric(
-            lambda r: np.stack([radial_wavefunction(s, r) for s in states]), grid,
+            lambda r: _radial_stack(states, r), grid,
             OUTGOING_STRICT, config.quad_spec, scale)
     except ConvergenceError as exc:
         failed = np.any(exc.error_bound > exc.tolerance, axis=-1)
@@ -302,7 +302,7 @@ def verify_quadrature(max_N: int = 4, grid=None,
         return CheckResult.from_residual(
             "quadrature_vs_closed_form", covered, grid_name, math.inf, tolerance,
             f"{names}: {exc}")
-    error = np.abs(numeric - np.stack([psi_trig(s, grid) for s in states]))
+    error = np.abs(numeric - _kernel_stack(states, grid))
     row, col = np.unravel_index(np.argmax(error), error.shape)
     return CheckResult.from_residual(
         "quadrature_vs_closed_form", covered, grid_name, error[row, col], tolerance,
@@ -311,40 +311,48 @@ def verify_quadrature(max_N: int = 4, grid=None,
 
 def verify_lo_proportionality(max_N: int = 6,
                               config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
-    """Constancy in p of psi_trig / conj(alpha_LO), per state.
+    """Constancy in p of psi_trig / conj(alpha_LO), per state, and the
+    Lombardi-Ogilvie kernel that `table` and `eval` serve equal to alpha_LO.
 
-    psi_trig runs the 2F1 recurrence; alpha_LO is the paper's literal c_k
-    sum in exact arithmetic (`exact_lombardi_ogilvie`).
+    psi_trig and the kernel run the 2F1 recurrence; alpha_LO is the paper's
+    literal c_k sum in exact arithmetic (`exact_lombardi_ogilvie`).
 
     The Lombardi-Ogilvie closed form matches the incoming-kernel
     convention while the trigonometric expansion matches the outgoing
     one, so the convention-matched ratio pairs psi_trig(p) with
-    conj(alpha(p)) (equivalently alpha(-p)).  Measured constants are
-    logged per state, after the worst (N, l, p).
+    conj(alpha(p)) (equivalently alpha(-p)).  A state's residual is the
+    larger of the ratio's spread and max |kernel - alpha_LO| / max |alpha_LO|.
+    Measured constants are logged per state, after the worst (N, l, p).
     """
     scale = config.scale
     states = _states(max_N, scale)
     p = pythagorean_momenta(scale)
-    ratios = np.stack([psi_trig(s, p) for s in states]) / exact_lombardi_ogilvie(states).conj()
+    exact = exact_lombardi_ogilvie(states)
+    ratios = _kernel_stack(states, p) / exact.conj()
     mean = ratios.mean(axis=1, keepdims=True)
     spread = np.std(ratios, axis=1) / np.abs(mean[:, 0])
-    row = int(np.argmax(spread))
-    col = int(np.argmax(np.abs(ratios[row] - mean[row])))
+    error = np.abs(_kernel_stack(states, p, lombardi_ogilvie=True) - exact)
+    error /= np.max(np.abs(exact), axis=1, keepdims=True)
+    residual = np.maximum(spread, error.max(axis=1))
+    row = int(np.argmax(residual))
+    col = int(np.argmax(np.abs(ratios[row] - mean[row]) if spread[row] >= residual[row]
+                        else error[row]))
     details = [f"worst at {_where(states[row], p[col])}"]
     details += [f"(N={s.N},l={s.l}): {c:.6g}" for s, c in zip(states, mean[:, 0])]
     return CheckResult.from_residual(
         "lombardi_ogilvie_proportionality", [(s.N, s.l) for s in states],
         f"{p.size} Pythagorean momenta, |p|/(hbar beta) in [1e-3, 1e3] and 0",
-        spread[row], 1e-9 * config.tol_scale, details="; ".join(details))
+        residual[row], 1e-9 * config.tol_scale, details="; ".join(details))
 
 
 def verify_pp_vs_hankel(max_N: int = 4, config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """Closed-form Podolsky-Pauling vs the j_l Hankel-quadrature oracle.
 
-    Proportionality (constancy of the ratio in p) between G_{Nl}(p) and
-    int_0^inf j_l(p r / hbar) R_{Nl}(r) r^2 dr, the latter over the whole
+    G_{Nl}(p) against (-1)^{N-l-1} sqrt(2/pi) hbar^{-3/2}
+    int_0^inf j_l(p r / hbar) R_{Nl}(r) r^2 dr, the integral over the whole
     grid at once by the numerical transform's Gauss-Legendre panels in rho,
     with every j_l from one `specfun.spherical_bessel_j_orders` recurrence.
+    The residual is the largest |G - oracle| / |G| on the grid.
     """
     scale = config.scale
     grid = np.linspace(0.2, 5.0, 12) * scale.momentum
@@ -358,16 +366,15 @@ def verify_pp_vs_hankel(max_N: int = 4, config: VerifyConfig = DEFAULT_CONFIG) -
     weights = np.tile(weights, centers.size) * r * r / (2.0 * scale.beta)
     bessel = spherical_bessel_j_orders(max_N - 1, np.outer(rho, b))
     states = _states(max_N, scale)
-    radial = np.stack([radial_wavefunction(s, r) for s in states]) * weights
-    numeric = np.stack([row @ bessel[s.l] for row, s in zip(radial, states)])
-    ratios = np.stack([podolsky_pauling_G(s, grid) for s in states]) / numeric
-    mean = ratios.mean(axis=1, keepdims=True)
-    spread = np.std(ratios, axis=1) / np.abs(mean[:, 0])
-    row = int(np.argmax(spread))
-    col = int(np.argmax(np.abs(ratios[row] - mean[row])))
+    radial = _radial_stack(states, r) * weights
+    numeric = np.stack([(-1) ** (s.N - s.l - 1) * (row @ bessel[s.l])
+                        for row, s in zip(radial, states)])
+    G = np.stack([podolsky_pauling_G(s, grid) for s in states])
+    error = np.abs(G - math.sqrt(2.0 / math.pi) * scale.hbar ** -1.5 * numeric) / np.abs(G)
+    row, col = np.unravel_index(np.argmax(error), error.shape)
     return CheckResult.from_residual(
         "podolsky_pauling_vs_hankel", [(s.N, s.l) for s in states],
-        "12-point linear grid, p/(hbar beta) in [0.2, 5]", spread[row],
+        "12-point linear grid, p/(hbar beta) in [0.2, 5]", error[row, col],
         1e-7 * config.tol_scale, f"worst at {_where(states[row], grid[col])}")
 
 
@@ -417,41 +424,34 @@ def verify_parseval_and_diagonalization(max_N: int = 5,
 
 def verify_uncertainty(max_N: int = 5,
                        config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
-    """<r^2><p^2> >= 9 hbar^2 / 4 for every state, D = 3."""
+    """<p^2> = hbar^2 beta^2 at a common beta (the diagonal of Fock's
+    orthogonality), the residual, and <r^2><p^2> >= 9 hbar^2 / 4, D = 3."""
     scale = config.scale
-    bound = 2.25 * scale.hbar ** 2
-    worst = -math.inf
-    details = []
     states = _states(max_N, scale)
-    for state in states:
-        product = expectation_r2(state) * expectation_p2(state)
-        shortfall = bound - product
-        worst = max(worst, shortfall)
-        if state.N == 1:
-            details.append(f"ground-state product: {product:.12g}")
-    return CheckResult.from_residual(
-        "uncertainty_bound", [(s.N, s.l) for s in states],
-        "analytic <r^2>, quadrature <p^2>", max(worst, 0.0),
-        1e-9 * config.tol_scale, details="; ".join(details))
+    p2 = np.array([expectation_p2(s) for s in states])
+    products = p2 * [expectation_r2(s) for s in states]
+    error = np.abs(p2 / scale.momentum ** 2 - 1.0)
+    row = int(np.argmax(error))
+    tolerance = 1e-9 * config.tol_scale
+    return CheckResult(
+        "uncertainty_bound", tuple((s.N, s.l) for s in states),
+        "analytic <r^2>, quadrature <p^2>", float(error[row]), tolerance,
+        bool(error[row] <= tolerance and np.all(products >= 2.25 * scale.hbar ** 2)),
+        f"worst at (N={states[row].N},l={states[row].l}); "
+        f"ground-state product: {products[0]:.12g}")
 
 
-def verify_so4_constancy(max_N: int = 6, grid=None,
+def verify_so4_constancy(max_N: int = 6,
                          config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """|psi_{N,N-1}|^2 (hbar^2 beta^2 + p^2)^{N+1} constant in p."""
     scale = config.scale
-    if grid is None:
-        grid = default_grid(scale, mirrored=True)
-    grid = np.asarray(grid, dtype=float)
-    pm2 = scale.momentum ** 2
-    worst = 0.0
+    grid = default_grid(scale, mirrored=True)
     states = [QuantumState(N, N - 1, scale) for N in range(1, max_N + 1)]
-    for state in states:
-        vals = np.abs(psi_trig(state, grid)) ** 2 * (pm2 + grid * grid) ** (state.N + 1)
-        rel_std = float(vals.std() / vals.mean())
-        worst = max(worst, rel_std)
+    vals = (np.abs(_kernel_stack(states, grid)) ** 2
+            * (scale.momentum ** 2 + grid * grid) ** np.arange(2, max_N + 2)[:, None])
     return CheckResult.from_residual(
         "so4_form_constancy", [(s.N, s.l) for s in states],
-        f"{grid.size}-point mirrored log grid", worst,
+        f"{grid.size}-point mirrored log grid", np.max(vals.std(axis=1) / vals.mean(axis=1)),
         1e-10 * config.tol_scale)
 
 

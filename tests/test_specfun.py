@@ -76,6 +76,18 @@ class TestLaguerre:
             assert [float(v) for v in values.ravel()] == [laguerre(n, 3, float(v))
                                                          for v in x.ravel()]
 
+    def test_degree_list_is_the_single_degrees(self):
+        """A list of degrees, in any order and with repeats, gives each
+        degree's own value bit for bit, stacked."""
+        degrees = [30, 0, 7, 1, 7, 2]
+        for x in (np.array([[0.0, 0.1, 1.0], [10.0, 50.0, 1e6]]), 3.5):
+            values = laguerre(degrees, 5, x)
+            assert values.shape == (len(degrees),) + np.shape(x)
+            for row, n in zip(values, degrees):
+                assert np.array_equal(row, laguerre(n, 5, x)), n
+        with pytest.raises(ValueError):
+            laguerre([3, -1], 0, 1.0)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             laguerre(-1, 0, 1.0)
@@ -262,6 +274,18 @@ class TestSphericalBesselArray:
                 assert np.array_equal(orders[l], specfun.spherical_bessel_j_orders(l, x)[l]), l
         with pytest.raises(ValueError):
             specfun.spherical_bessel_j_orders(-1, 1.0)
+
+    def test_columns_are_the_single_points(self):
+        """Each x of an array gives what the call on that x alone gives, at
+        every order, on both sides of each series region x < l + 1."""
+        edges = np.arange(0.0, 42.0)
+        x = np.concatenate([[0.0, 1e-300, 1e-8, 1e5, np.nan], edges,
+                            np.nextafter(edges, -1.0)[1:], np.linspace(0.0, 60.0, 97)])
+        for max_l in (0, 1, 3, 12, 40):
+            orders = specfun.spherical_bessel_j_orders(max_l, x)
+            for column, point in zip(orders.T, x):
+                assert np.array_equal(column, specfun.spherical_bessel_j_orders(max_l, point),
+                                      equal_nan=True), (max_l, point)
 
     def test_float_in_float_out(self):
         assert specfun.spherical_bessel_j_orders(0, 0.0)[0] == 1.0

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmomentum import transform, verification
-from hmomentum.forms import psi_trig
+from hmomentum import forms, transform, verification
+from hmomentum.forms import _kernel_stack, podolsky_pauling_G
 from hmomentum.hydrogenic import PhysicalScale, QuantumState, expectation_p2
 from hmomentum.transform import ConvergenceError, QuadratureSpec, gram_matrices
 from hmomentum.verification import (
@@ -28,6 +28,28 @@ from hmomentum.verification import (
     verify_so4_constancy,
     verify_uncertainty,
 )
+
+
+def perturbed_rows(state, factor, **call):
+    """`forms._kernel_stack` with the row of `state` (N, l) times factor(p), in
+    its calls with the keyword arguments `call`."""
+    def perturbed(states, p, **kwargs):
+        values = _kernel_stack(states, p, **kwargs)
+        for row, s in enumerate(states):
+            if (s.N, s.l) == state and kwargs == call:
+                values[row] *= factor(p)
+        return values
+
+    return perturbed
+
+
+def perturbed_G(state, factor):
+    """podolsky_pauling_G with the function of `state` (N, l) times factor."""
+    def perturbed(s, p):
+        value = podolsky_pauling_G(s, p)
+        return value * factor if (s.N, s.l) == state else value
+
+    return perturbed
 
 
 class TestCheckResult:
@@ -104,15 +126,36 @@ class TestWorstPoint:
         """psi_trig of (5, 2) off by a factor 1 + 1e-9 (1 + |p|/(hbar beta)):
         both suites fail and name that state.  The factor varies with p
         because a proportionality test cannot see a constant one."""
-        def perturbed(state, p):
-            value = psi_trig(state, p)
-            return value * (1.0 + 1e-9 * (1.0 + np.abs(p))) if (state.N, state.l) == (5, 2) \
-                else value
-
-        monkeypatch.setattr(verification, "psi_trig", perturbed)
+        perturbed = perturbed_rows((5, 2), lambda p: 1.0 + 1e-9 * (1.0 + np.abs(p)))
+        monkeypatch.setattr(verification, "_kernel_stack", perturbed)
         res = suite()
         assert not res.passed
         assert self.worst_state(res.details)[:2] == (5, 2), res.details
+
+    def test_lo_kernel_perturbed_fails(self, monkeypatch):
+        """The Lombardi-Ogilvie kernel that table and eval serve, off by a
+        constant 1 + 1e-8 at (5, 2): the ratio's spread cannot see it, the
+        comparison with the exact alpha does."""
+        perturbed = perturbed_rows((5, 2), lambda p: 1.0 + 1e-8, lombardi_ogilvie=True)
+        monkeypatch.setattr(verification, "_kernel_stack", perturbed)
+        res = verify_lo_proportionality()
+        assert not res.passed and res.max_residual > 1e-9
+        assert self.worst_state(res.details)[:2] == (5, 2), res.details
+
+    def test_pp_scaled_G_fails(self, monkeypatch):
+        """G of (3, 1) scaled by 1 + 1e-6: a constant factor, which a ratio's
+        constancy cannot see, fails the equality and names the state."""
+        perturbed = perturbed_G((3, 1), 1.0 + 1e-6)
+        monkeypatch.setattr(verification, "podolsky_pauling_G", perturbed)
+        res = verify_pp_vs_hankel()
+        assert not res.passed and res.max_residual > 1e-7
+        assert self.worst_state(res.details)[:2] == (3, 1), res.details
+
+    @pytest.mark.parametrize("hbar, beta", [(1.0, 1.0), (1e-3, 7.0), (2.5, 0.4)])
+    def test_pp_equality_at_hbar(self, hbar, beta):
+        """The sign, sqrt(2/pi) and hbar^{-3/2} hold far from hbar = 1."""
+        res = verify_pp_vs_hankel(config=VerifyConfig(scale=PhysicalScale(hbar, beta)))
+        assert res.passed and res.max_residual <= 1e-12
 
     def test_quadrature(self):
         N, l, p = self.worst_state(verify_quadrature().details)
@@ -132,6 +175,36 @@ class TestWorstPoint:
         assert all(f"(N={N},l={l})" in res.details for N in range(2, 5) for l in range(N))
 
 
+class TestUncertainty:
+    """<p^2> = (hbar beta)^2 for every state, and the 9 hbar^2 / 4 bound."""
+
+    @staticmethod
+    def worst_state(details):
+        match = re.match(r"worst at \(N=(\d+),l=(\d+)\); ground-state product: ", details)
+        assert match, details
+        return int(match[1]), int(match[2])
+
+    @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e4])
+    def test_residual_at_rounding(self, hbar_beta):
+        res = verify_uncertainty(config=VerifyConfig(scale=PhysicalScale(1.0, hbar_beta)))
+        assert res.passed and 0.0 <= res.max_residual <= 1e-14
+        N, l = self.worst_state(res.details)
+        assert (N, l) in res.states_covered
+
+    def test_perturbed_G_fails(self, monkeypatch):
+        """G of (3, 1) scaled by 1 + 1e-9 moves its <p^2> by 2e-9."""
+        monkeypatch.setattr(forms, "podolsky_pauling_G", perturbed_G((3, 1), 1.0 + 1e-9))
+        res = verify_uncertainty()
+        assert not res.passed and res.max_residual > 1e-9
+        assert self.worst_state(res.details) == (3, 1)
+
+    def test_bound_is_a_condition(self, monkeypatch):
+        """A product below 9 hbar^2 / 4 fails the suite with <p^2> exact."""
+        monkeypatch.setattr(verification, "expectation_r2", lambda state: 1.0)
+        res = verify_uncertainty()
+        assert not res.passed and res.max_residual <= 1e-14
+
+
 class TestUnitarity:
     """parseval_diagonalization compares the same-l Gram matrices of
     psi_trig and radial_wavefunction."""
@@ -148,11 +221,8 @@ class TestUnitarity:
 
     def test_perturbed_momentum_row_fails(self, monkeypatch):
         """One state's psi_trig off by a factor 1 + 1e-6 shows in its row."""
-        def perturbed(state, p):
-            value = psi_trig(state, p)
-            return value * (1.0 + 1e-6) if (state.N, state.l) == (4, 1) else value
-
-        monkeypatch.setattr(transform, "psi_trig", perturbed)
+        monkeypatch.setattr(transform, "_kernel_stack",
+                            perturbed_rows((4, 1), lambda p: 1.0 + 1e-6))
         res = verify_parseval_and_diagonalization()
         assert not res.passed and res.max_residual > 1e-7
         assert res.details.startswith("Gram worst at (N=4,N'=4,l=1)")
