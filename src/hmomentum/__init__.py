@@ -19,8 +19,6 @@ from .hydrogenic import (
 )
 from .transform import (
     ConvergenceError,
-    QuadratureSpec,
-    TransformConvention,
     diagonalization_residual,
     gram_matrices,
     transform_numeric,

@@ -3,9 +3,12 @@
 The transform maps a radial function phi on (0, inf) to
 (H phi)(p) = int_0^inf phi(r) e^{s i p r / hbar} r dr, where the kernel
 sign s is -1 for the incoming spherical wave (the defining choice) and
-+1 for the outgoing one.  The numerical path evaluates the oscillatory
-integral over a whole momentum grid at once, by composite Gauss-Legendre
-panels in the dimensionless rho = 2 beta r on a truncated interval.
++1 for the outgoing one, under which H R_{Nl} is `psi_trig` verbatim.
+The numerical path `transform_numeric` takes s as an argument and
+evaluates the oscillatory integral over a whole momentum grid at once, by
+composite Gauss-Legendre panels in the dimensionless rho = 2 beta r on a
+truncated interval, to the module's REL_TOL, ABS_TOL, MAX_RHO and
+PANEL_BUDGET.
 `gram_matrices` checks unitarity on the closed form `psi_trig`: its
 momentum Gram matrix against the position one of `radial_wavefunction`,
 by finite rules exact for both, the midpoint rule in
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,78 +41,25 @@ class ConvergenceError(RuntimeError):
         self.tolerance = tolerance
 
 
-@dataclass(frozen=True)
-class TransformConvention:
-    """Kernel sign and overall-phase convention of the transform.
-
-    kernel_sign: "incoming" (e^{-ipr}, the defining spherical wave) or
-        "outgoing" (e^{+ipr}, the sign under which the trigonometric
-        momentum expansion is reproduced verbatim).
-    phase_prefactor: "strict_theorem1" keeps the transform as the plain
-        half-line Fourier integral of r*phi(r); "paper_section4" carries
-        the spherical-Hankel kernel's imaginary unit along (an overall
-        factor +/- i).  Conjugation maps one kernel sign to the other,
-        so every equivalence suite is covariant under the choice.
-    """
-
-    kernel_sign: str = "incoming"
-    phase_prefactor: str = "paper_section4"
-
-    def __post_init__(self):
-        if self.kernel_sign not in ("incoming", "outgoing"):
-            raise ValueError(f"unknown kernel_sign {self.kernel_sign!r}")
-        if self.phase_prefactor not in ("paper_section4", "strict_theorem1"):
-            raise ValueError(f"unknown phase_prefactor {self.phase_prefactor!r}")
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.kernel_sign == "incoming" else 1
-
-    @property
-    def prefactor(self) -> complex:
-        if self.phase_prefactor == "strict_theorem1":
-            return 1.0 + 0.0j
-        return -1j * self.sign
-
-
-DEFAULT_CONVENTION = TransformConvention()
-# Convention under which H(R_{Nl}) equals the trigonometric closed form
-# with no extra factor.
-OUTGOING_STRICT = TransformConvention("outgoing", "strict_theorem1")
-INCOMING_STRICT = TransformConvention("incoming", "strict_theorem1")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and truncation for the numerical transform path."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-11
-    max_rho: float = 250.0
-    panel_budget: int = 40000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_rho <= 0 or self.panel_budget < 1:
-            raise ValueError("max_rho and panel_budget must be positive")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-# The numerical transform takes its value from GL_ORDER nodes per panel
-# and its error bound from the difference to ESTIMATE_ORDER nodes on the
-# same panels.
+# The numerical transform holds its error bound at each p within
+# max(ABS_TOL, REL_TOL |value|), and without a support cuts the integral at
+# rho = MAX_RHO.  Its panel count stops at PANEL_BUDGET.
+REL_TOL = 1e-9
+ABS_TOL = 1e-11
+MAX_RHO = 250.0
+PANEL_BUDGET = 40000
+# It takes its value from GL_ORDER nodes per panel and its error bound
+# from the difference to ESTIMATE_ORDER nodes on the same panels.
 GL_ORDER = 16
 ESTIMATE_ORDER = 10
 # A panel spans at most half a period of cos/sin(b rho), where both orders
-# are exact to rounding.  |p| = 1000 hbar beta over the default max_rho
-# needs 39789 panels.
+# are exact to rounding.  |p| = 1000 hbar beta over MAX_RHO needs
+# 39789 panels.
 PANEL_PHASE = math.pi
 MIN_PANELS = 64
 # (row, b, panel) products per block of b in the e^{i b rho} sums.
 BLOCK_PRODUCTS = 1 << 16
-# f must decay at least as e^{-rho/2}, so past the cut at max_rho the
+# f must decay at least as e^{-rho/2}, so past the cut at MAX_RHO the
 # integral is bounded by the largest |f rho| on the last panel times this
 # e-folding length in rho.
 TAIL_LENGTH = 2.0
@@ -197,13 +146,12 @@ def _fourier_sums(g: np.ndarray, centers: np.ndarray, offsets: np.ndarray,
     return total
 
 
-def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p,
-                      conv: TransformConvention = DEFAULT_CONVENTION,
-                      spec: QuadratureSpec = DEFAULT_QUADRATURE,
+def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p, sign: int,
                       scale: PhysicalScale = PhysicalScale(),
                       support: tuple[float, float] | None = None):
     """Quadrature estimate of (H f)(p) for a real radial function f, or for
-    a batch of them.
+    a batch of them, under the kernel e^{sign i p r / hbar}: sign -1 is the
+    incoming spherical wave and +1 the outgoing one.
 
     f takes a float64 array of r and returns its real values, of shape
     batch + r.shape: batch = () for one function, or the leading axes of a
@@ -211,15 +159,15 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p,
     at least as e^{-rho/2} or have compact support (pass `support` to
     restrict the integration interval).  p is a float or a float64 array;
     the value is complex, of shape batch + p.shape.  Negative p is
-    allowed; for real f the result at -p is the conjugate of the strict
-    result at p.
+    allowed; for real f the result at -p is the conjugate of the result
+    at p, and so is the result under the other sign.
 
     The integral is taken in rho = 2 beta r, as (2 beta)^{-2} times
-    int f(rho / 2 beta) rho e^{i s b rho} d rho with b = |p| / (2 hbar beta),
-    over [0, max_rho] (or the support).  f is called once, on the nodes
+    int f(rho / 2 beta) rho e^{sign i b rho} d rho, b = p / (2 hbar beta),
+    over [0, MAX_RHO] (or the support).  f is called once, on the nodes
     of a composite Gauss-Legendre rule of GL_ORDER nodes on equal panels,
     and of ESTIMATE_ORDER nodes on the same panels; the panel count is
-    `panels_needed` at the largest |b|, capped at `spec.panel_budget`.
+    `panels_needed` at the largest |b|, capped at PANEL_BUDGET.
     The node layout and the e^{i b rho} factors are shared by the whole
     batch.  On a given layout, the value and error bound of one function
     at one p depend on neither the other functions nor the other p of
@@ -228,14 +176,17 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p,
     The error bound at each p is the difference of the two orders, so a
     capped, under-resolved layout shows in it.  Without a support it adds
     the bound TAIL_LENGTH * max |f rho| on the last panel on the part of
-    the integral cut off at max_rho.
+    the integral cut off at MAX_RHO.
 
     Raises:
-        ValueError: for a bad support or a non-finite p.
+        ValueError: for a sign other than -1 and +1, a bad support or a
+            non-finite p.
         ConvergenceError: if for any function at any p the error bound
-            exceeds max(abs_tol, rel_tol * |result|).  It carries the
+            exceeds max(ABS_TOL, REL_TOL * |result|).  It carries the
             estimates, error bounds and tolerances, of shape batch + p.shape.
     """
+    if sign not in (-1, 1):
+        raise ValueError(f"kernel sign must be -1 (incoming) or +1 (outgoing), got {sign!r}")
     p = np.asarray(p, dtype=float)
     if not np.isfinite(p).all():
         raise ValueError("transform_numeric requires finite p")
@@ -246,10 +197,10 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p,
             raise ValueError(f"bad support interval {support!r}")
         rho_lo, rho_hi = two_beta * lo, two_beta * hi
     else:
-        rho_lo, rho_hi = 0.0, spec.max_rho
+        rho_lo, rho_hi = 0.0, MAX_RHO
     b, index = np.unique(np.abs(p).ravel() / (2.0 * scale.momentum), return_inverse=True)
     needed = panels_needed(b, rho_hi - rho_lo)
-    panels = int(min(needed.max(initial=MIN_PANELS), spec.panel_budget))
+    panels = int(min(needed.max(initial=MIN_PANELS), PANEL_BUDGET))
     rules = [gauss_legendre_panels(rho_lo, rho_hi, panels, order)
              for order in (GL_ORDER, ESTIMATE_ORDER)]
     # Node k of panel j at [k, j], so each order's values reshape to
@@ -264,19 +215,18 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p,
     tail = (0.0 if support is not None
             else TAIL_LENGTH * np.abs(g[:, :, -1]).max(axis=1, keepdims=True))
     err = np.abs(value - estimate) + tail
-    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
+    tol = np.maximum(ABS_TOL, REL_TOL * np.abs(value))
     bad = err > tol
     shape = batch + p.shape
+    # value is the integral at |p| under the outgoing kernel.
     value = value[:, index].reshape(shape)
-    if conv.sign < 0:
-        value = value.conjugate()
-    value = conv.prefactor * np.where(p >= 0, value, value.conjugate())
+    value = np.where(sign * p >= 0, value, value.conjugate())
     if bad.any():
         raise ConvergenceError(
             f"oscillatory quadrature error bound up to {err[bad].max():.3e} exceeds "
             f"tolerance at {bad.sum()} of {bad.size} (function, |p|), the largest |p| "
             f"{2.0 * scale.momentum * b[bad.any(axis=0)].max():g}; {panels} panels of "
-            f"{needed.max()} needed (panel_budget {spec.panel_budget}); tail bound "
+            f"{needed.max()} needed (panel_budget {PANEL_BUDGET}); tail bound "
             f"{np.max(tail):.3e} past rho = {rho_hi:g}",
             value[()], err[:, index].reshape(shape)[()], tol[:, index].reshape(shape)[()],
         )
@@ -320,16 +270,14 @@ def diagonalization_residual(f: Callable[[np.ndarray], np.ndarray],
                              df: Callable[[np.ndarray], np.ndarray],
                              support: tuple[float, float],
                              p_grid,
-                             conv: TransformConvention = INCOMING_STRICT,
-                             spec: QuadratureSpec = DEFAULT_QUADRATURE,
                              scale: PhysicalScale = PhysicalScale()) -> float:
-    """Max |H(p_r f)(p) - p (H f)(p)| over a momentum grid.
+    """Max |H(p_r f)(p) - p (H f)(p)| over a momentum grid, H under the
+    incoming kernel.
 
     f must be smooth with compact support inside (0, inf), vanishing at
     both endpoints; df is its analytic derivative.  Both take a float or
     a float64 array of r; p_r f and f are transformed over the grid in one
-    call.  Under the outgoing kernel the diagonal eigenvalue flips sign,
-    which is accounted for.
+    call.
     """
     lo, hi = support
     if lo <= 0:
@@ -344,7 +292,5 @@ def diagonalization_residual(f: Callable[[np.ndarray], np.ndarray],
         return np.stack([df(r) + value / r, value])
 
     p_grid = np.asarray(p_grid, dtype=float)
-    h_pf, h_f = transform_numeric(pf_and_f, p_grid, conv, spec, scale, support=support)
-    lhs = -1j * scale.hbar * h_pf
-    rhs = conv.sign * (-1) * p_grid * h_f
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    h_pf, h_f = transform_numeric(pf_and_f, p_grid, -1, scale, support=support)
+    return float(np.max(np.abs(-1j * scale.hbar * h_pf - p_grid * h_f), initial=0.0))

@@ -4,12 +4,13 @@ Each suite returns a CheckResult; run_all bundles them into a
 VerificationReport.  Everything is deterministic for a fixed
 configuration (no randomness anywhere).  The form suites compare the
 kernel with the paper's literal sums, summed exactly in integers at
-Pythagorean momenta, so cancellation limits no N.
+Pythagorean momenta, so cancellation limits no N.  The report's config
+records the scale, the tolerance factor and the numerical transform's
+REL_TOL, ABS_TOL, MAX_RHO and PANEL_BUDGET.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
 import json
 import math
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import _kernel_stack, podolsky_pauling_G
+from .forms import _kernel_stack, distribution_max_l, podolsky_pauling_G
 from .hydrogenic import (
     PhysicalScale,
     QuantumState,
@@ -30,11 +31,12 @@ from .hydrogenic import (
 )
 from .specfun import spherical_bessel_j_orders
 from .transform import (
-    OUTGOING_STRICT,
-    DEFAULT_QUADRATURE,
+    ABS_TOL,
     GL_ORDER,
+    MAX_RHO,
+    PANEL_BUDGET,
+    REL_TOL,
     ConvergenceError,
-    QuadratureSpec,
     diagonalization_residual,
     gauss_legendre_panels,
     gram_matrices,
@@ -71,12 +73,6 @@ class CheckResult:
             "details": self.details,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckResult":
-        return cls(d["name"], tuple(tuple(s) for s in d["states_covered"]),
-                   d["grid"], d["max_residual"], d["tolerance"], d["passed"],
-                   d.get("details", ""))
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -84,15 +80,6 @@ class VerificationReport:
     config: dict
     timestamp: str
     overall_pass: bool
-
-    @classmethod
-    def assemble(cls, results, config) -> "VerificationReport":
-        return cls(
-            results=tuple(results),
-            config=dict(config),
-            timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            overall_pass=all(r.passed for r in results),
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -102,18 +89,8 @@ class VerificationReport:
             "results": [r.to_dict() for r in self.results],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        d = json.loads(text)
-        return cls(
-            results=tuple(CheckResult.from_dict(r) for r in d["results"]),
-            config=d["config"],
-            timestamp=d["timestamp"],
-            overall_pass=d["overall_pass"],
-        )
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass(frozen=True)
@@ -122,29 +99,18 @@ class VerifyConfig:
 
     scale: PhysicalScale = field(default_factory=PhysicalScale)
     tol_scale: float = 1.0
-    quad_spec: QuadratureSpec = DEFAULT_QUADRATURE
 
     def describe(self) -> dict:
         return {
             "hbar": self.scale.hbar,
             "beta": self.scale.beta,
             "tol_scale": self.tol_scale,
-            "quadrature": dataclasses.asdict(self.quad_spec),
+            "quadrature": {"rel_tol": REL_TOL, "abs_tol": ABS_TOL, "max_rho": MAX_RHO,
+                           "panel_budget": PANEL_BUDGET},
         }
 
 
 DEFAULT_CONFIG = VerifyConfig()
-
-
-def default_grid(scale: PhysicalScale = PhysicalScale(), count: int = 60,
-                 mirrored: bool = False) -> np.ndarray:
-    """p = 0 plus `count` log-spaced points of p/(hbar beta) in [1e-3, 1e3]."""
-    if count < 1:
-        raise ValueError("grid needs at least one point")
-    pos = np.logspace(-3.0, 3.0, count) * scale.momentum
-    if mirrored:
-        return np.concatenate([-pos[::-1], [0.0], pos])
-    return np.concatenate([[0.0], pos])
 
 
 def _states(max_N: int, scale: PhysicalScale):
@@ -281,9 +247,9 @@ def verify_quadrature(max_N: int = 4,
                       config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """Numerical transform of R_{Nl} against the trigonometric closed form.
 
-    Run under the outgoing strict convention, which reproduces the
-    closed form with no extra phase factor.  Every state is transformed
-    in one call, over the same nodes.
+    Run under the outgoing kernel (sign +1), which reproduces the closed
+    form with no extra phase factor.  Every state is transformed in one
+    call, over the same nodes.
     """
     scale = config.scale
     pos = np.logspace(-2, math.log10(20.0), 13) * scale.momentum
@@ -293,9 +259,7 @@ def verify_quadrature(max_N: int = 4,
     grid_name = f"{grid.size}-point mirrored grid up to 20 hbar beta"
     tolerance = 1e-7 * config.tol_scale
     try:
-        numeric = transform_numeric(
-            lambda r: _radial_stack(states, r), grid,
-            OUTGOING_STRICT, config.quad_spec, scale)
+        numeric = transform_numeric(lambda r: _radial_stack(states, r), grid, 1, scale)
     except ConvergenceError as exc:
         failed = np.any(exc.error_bound > exc.tolerance, axis=-1)
         names = ", ".join(f"(N={s.N},l={s.l})" for s, bad in zip(states, failed) if bad)
@@ -311,8 +275,9 @@ def verify_quadrature(max_N: int = 4,
 
 def verify_lo_proportionality(max_N: int = 6,
                               config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
-    """Constancy in p of psi_trig / conj(alpha_LO), per state, and the
-    Lombardi-Ogilvie kernel that `table` and `eval` serve equal to alpha_LO.
+    """psi_trig / conj(alpha_LO) constant in p and equal to (-1)^l a_0 / c_0,
+    per state, and the Lombardi-Ogilvie kernel that `table` and `eval` serve
+    equal to alpha_LO.
 
     psi_trig and the kernel run the 2F1 recurrence; alpha_LO is the paper's
     literal c_k sum in exact arithmetic (`exact_lombardi_ogilvie`).
@@ -320,24 +285,33 @@ def verify_lo_proportionality(max_N: int = 6,
     The Lombardi-Ogilvie closed form matches the incoming-kernel
     convention while the trigonometric expansion matches the outgoing
     one, so the convention-matched ratio pairs psi_trig(p) with
-    conj(alpha(p)) (equivalently alpha(-p)).  A state's residual is the
-    larger of the ratio's spread and max |kernel - alpha_LO| / max |alpha_LO|.
-    Measured constants are logged per state, after the worst (N, l, p).
+    conj(alpha(p)) (equivalently alpha(-p)).  Its constant is the ratio of
+    the first coefficients, a_0 = `gegenbauer_coefficients`[0] N_{Nl} / (2 beta)^2
+    and c_0 = `lombardi_ogilvie_coefficients`[0] / (N+l)!, taken from the
+    exact integers, and the sign (-1)^{l+2} of z^{l+2} = (-conj(w))^{l+2}.
+    A state's residual is the largest of the ratio's spread, |mean ratio /
+    constant - 1| and max |kernel - alpha_LO| / max |alpha_LO|.  The worst
+    (N, l, p) is where its largest term is largest (for the constant, the
+    ratio furthest from it); the mean ratios are logged per state after it.
     """
     scale = config.scale
     states = _states(max_N, scale)
     p = pythagorean_momenta(scale)
     exact = exact_lombardi_ogilvie(states)
+    expected = np.array([(-1) ** s.l * normalization_constant(s) / (2.0 * scale.beta) ** 2
+                         * (gegenbauer_coefficients(s.N, s.l)[0][0] * math.factorial(s.N + s.l)
+                            / lombardi_ogilvie_coefficients(s.N, s.l)[0][0]) for s in states])
     ratios = _kernel_stack(states, p) / exact.conj()
     mean = ratios.mean(axis=1, keepdims=True)
-    spread = np.std(ratios, axis=1) / np.abs(mean[:, 0])
     error = np.abs(_kernel_stack(states, p, lombardi_ogilvie=True) - exact)
     error /= np.max(np.abs(exact), axis=1, keepdims=True)
-    residual = np.maximum(spread, error.max(axis=1))
+    terms = np.stack([np.std(ratios, axis=1) / np.abs(mean[:, 0]),
+                      np.abs(mean[:, 0] / expected - 1.0), error.max(axis=1)])
+    residual = terms.max(axis=0)
     row = int(np.argmax(residual))
-    col = int(np.argmax(np.abs(ratios[row] - mean[row]) if spread[row] >= residual[row]
-                        else error[row]))
-    details = [f"worst at {_where(states[row], p[col])}"]
+    worst = (np.abs(ratios[row] - mean[row]), np.abs(ratios[row] - expected[row]),
+             error[row])[int(np.argmax(terms[:, row]))]
+    details = [f"worst at {_where(states[row], p[int(np.argmax(worst))])}"]
     details += [f"(N={s.N},l={s.l}): {c:.6g}" for s, c in zip(states, mean[:, 0])]
     return CheckResult.from_residual(
         "lombardi_ogilvie_proportionality", [(s.N, s.l) for s in states],
@@ -358,9 +332,8 @@ def verify_pp_vs_hankel(max_N: int = 4, config: VerifyConfig = DEFAULT_CONFIG) -
     grid = np.linspace(0.2, 5.0, 12) * scale.momentum
     # In rho = 2 beta r: j_l(p r / hbar) = j_l(b rho), b = p / (2 hbar beta).
     b = grid / (2.0 * scale.momentum)
-    max_rho = config.quad_spec.max_rho
     centers, offsets, weights = gauss_legendre_panels(
-        0.0, max_rho, int(panels_needed(b[-1], max_rho)), GL_ORDER)
+        0.0, MAX_RHO, int(panels_needed(b[-1], MAX_RHO)), GL_ORDER)
     rho = (centers[:, None] + offsets).ravel()
     r = rho / (2.0 * scale.beta)
     weights = np.tile(weights, centers.size) * r * r / (2.0 * scale.beta)
@@ -412,8 +385,7 @@ def verify_parseval_and_diagonalization(max_N: int = 5,
     details = [f"Gram worst at (N={states[i].N},N'={states[j].N},l={l[i]}): {worst:.3e}"]
     p_grid = np.linspace(-10.0, 10.0, 21) * scale.momentum
     for i, (f, df, support) in enumerate(DIAGONALIZATION_TESTS):
-        res = diagonalization_residual(f, df, support, p_grid,
-                                       spec=config.quad_spec, scale=scale)
+        res = diagonalization_residual(f, df, support, p_grid, scale)
         details.append(f"bump{i} on {support}: {res:.3e}")
         worst = max(worst, res)
     return CheckResult.from_residual(
@@ -443,16 +415,27 @@ def verify_uncertainty(max_N: int = 5,
 
 def verify_so4_constancy(max_N: int = 6,
                          config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
-    """|psi_{N,N-1}|^2 (hbar^2 beta^2 + p^2)^{N+1} constant in p."""
+    """The maximal-l density shapes of `distribution_max_l` are those of the
+    states: |psi_{N,N-1}|^2 / LO and |G_{N,N-1}|^2 / PP are constant in p.
+
+    LO is taken on p = 0 and 60 log-spaced |p|/(hbar beta) in [1e-3, 1e3] of
+    either sign, PP on the p > 0 half, where it is not 0/0.  A state's
+    residual is the larger relative spread (std / mean) of its two ratios.
+    """
     scale = config.scale
-    grid = default_grid(scale, mirrored=True)
+    pos = np.logspace(-3.0, 3.0, 60) * scale.momentum
+    grid = np.concatenate([-pos[::-1], [0.0], pos])
     states = [QuantumState(N, N - 1, scale) for N in range(1, max_N + 1)]
-    vals = (np.abs(_kernel_stack(states, grid)) ** 2
-            * (scale.momentum ** 2 + grid * grid) ** np.arange(2, max_N + 2)[:, None])
+    lo = np.abs(_kernel_stack(states, grid)) ** 2 / np.stack(
+        [distribution_max_l("LO", s.N, grid, scale) for s in states])
+    pp = np.stack([podolsky_pauling_G(s, pos) ** 2 / distribution_max_l("PP", s.N, pos, scale)
+                   for s in states])
+    spread = np.maximum(lo.std(axis=1) / lo.mean(axis=1), pp.std(axis=1) / pp.mean(axis=1))
+    row = int(np.argmax(spread))
     return CheckResult.from_residual(
         "so4_form_constancy", [(s.N, s.l) for s in states],
-        f"{grid.size}-point mirrored log grid", np.max(vals.std(axis=1) / vals.mean(axis=1)),
-        1e-10 * config.tol_scale)
+        f"{grid.size}-point mirrored log grid (PP on its p > 0 half)", spread[row],
+        1e-10 * config.tol_scale, f"worst at (N={states[row].N},l={states[row].l})")
 
 
 SUITES = {
@@ -490,5 +473,7 @@ def run_all(config: VerifyConfig = DEFAULT_CONFIG,
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    results = [_run_suite(name, config) for name in names]
-    return VerificationReport.assemble(results, config.describe())
+    results = tuple(_run_suite(name, config) for name in names)
+    return VerificationReport(results, config.describe(),
+                              datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                              all(r.passed for r in results))

@@ -15,7 +15,6 @@ import numpy as np
 
 from hmomentum.hydrogenic import PhysicalScale, QuantumState, normalization_constant
 from hmomentum.specfun import gegenbauer_C
-from hmomentum.transform import OUTGOING_STRICT, TransformConvention
 
 
 def _check_half_integer_degree(nu: float) -> int:
@@ -152,7 +151,7 @@ def transform_slater_closed(l_plus_t: int, p, scale: PhysicalScale = PhysicalSca
     """Exact transform of a single Slater term, in rho units:
     int_0^inf rho^n e^{-rho/2} e^{i b rho} drho = Gamma(n+1) e^{i (n+1) theta}
     / (1/4 + b^2)^{(n+1)/2}, n = l_plus_t + 1, b = p / (2 hbar beta),
-    theta = arctan(2 b).  Divided by (2 beta)^2, it is the outgoing strict
+    theta = arctan(2 b).  Divided by (2 beta)^2, it is the outgoing
     transform of rho^{l+t} e^{-rho/2} in r.  p is a float or an array.
     """
     if l_plus_t < 0:
@@ -164,17 +163,16 @@ def transform_slater_closed(l_plus_t: int, p, scale: PhysicalScale = PhysicalSca
     return modulus * np.exp(1j * (n + 1) * theta)
 
 
-def transform_slater_expansion(expansion: SlaterExpansion, p,
-                               conv: TransformConvention = OUTGOING_STRICT):
-    """Exact transform of a Slater expansion with powers >= 0, term by term.
+def transform_slater_expansion(expansion: SlaterExpansion, p, sign: int = 1):
+    """Exact transform of a Slater expansion with powers >= 0, term by term,
+    under the kernel sign +1 (outgoing) or -1 (incoming).
 
-    The incoming kernel gives the outgoing strict value at -p (its
-    conjugate, for real coefficients); the phase prefactor multiplies
-    the result.
+    The incoming kernel gives the outgoing value at -p (its conjugate, for
+    real coefficients).
     """
     scale = expansion.scale
-    total = sum(c * transform_slater_closed(m, conv.sign * p, scale) for m, c in expansion.terms)
-    return conv.prefactor * total / (2.0 * scale.beta) ** 2
+    total = sum(c * transform_slater_closed(m, sign * p, scale) for m, c in expansion.terms)
+    return total / (2.0 * scale.beta) ** 2
 
 
 def apply_radial_momentum(expansion: SlaterExpansion) -> SlaterExpansion:

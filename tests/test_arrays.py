@@ -18,7 +18,7 @@ from hmomentum.cli import CSV_BLOCK_ROWS, EXIT_OK, main
 from hmomentum.forms import FORM_EVALUATORS, podolsky_pauling_G
 from hmomentum.hydrogenic import PhysicalScale, QuantumState
 
-REL_TOL = 1e-12
+REL_TOL = 1e-14
 SMALLEST_NORMAL = 2.2250738585072014e-308
 
 

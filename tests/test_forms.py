@@ -22,7 +22,6 @@ from hmomentum.hydrogenic import (
     normalization_constant,
 )
 from hmomentum.specfun import gegenbauer_C
-from hmomentum.transform import OUTGOING_STRICT
 from hmomentum.verification import (
     PYTHAGOREAN_PAIRS,
     _gegenbauer_terms,
@@ -110,11 +109,11 @@ class TestPsiTrig:
         assert tail[2] < 1e-4
 
     def test_equals_strict_transform(self):
-        """psi_trig is the outgoing strict transform of R_{Nl}, verbatim."""
+        """psi_trig is the outgoing transform of R_{Nl}, verbatim."""
         for N, l in [(1, 0), (2, 0), (3, 1), (5, 2)]:
             expansion = slater_expansion(QuantumState(N, l))
             for p in (0.0, 0.6, 2.5, -1.2):
-                closed = transform_slater_expansion(expansion, p, OUTGOING_STRICT)
+                closed = transform_slater_expansion(expansion, p, 1)
                 assert psi_trig(QuantumState(N, l), p) == pytest.approx(
                     closed, rel=1e-12, abs=1e-13)
 

@@ -1,4 +1,4 @@
-"""Spherical-wave transform: conventions, closed forms, unitarity, diagonal."""
+"""Spherical-wave transform: kernel signs, closed forms, unitarity, diagonal."""
 
 import cmath
 import math
@@ -6,18 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from hmomentum import transform
 from hmomentum.forms import psi_trig
 from hmomentum.hydrogenic import PhysicalScale, QuantumState, radial_wavefunction
 from hmomentum.transform import (
-    DEFAULT_CONVENTION,
-    INCOMING_STRICT,
+    ABS_TOL,
     LAGUERRE_MAX_COUNT,
+    MAX_RHO,
     MIN_PANELS,
-    OUTGOING_STRICT,
+    PANEL_BUDGET,
     PANEL_PHASE,
+    REL_TOL,
     ConvergenceError,
-    QuadratureSpec,
-    TransformConvention,
     _gauss_laguerre,
     diagonalization_residual,
     gram_matrices,
@@ -32,37 +32,31 @@ from oracles import (
 
 
 class TestConvention:
+    """The kernel sign is the transform's only convention."""
+
     def test_defaults(self):
-        assert DEFAULT_CONVENTION.kernel_sign == "incoming"
-        assert DEFAULT_CONVENTION.sign == -1
-        assert DEFAULT_CONVENTION.prefactor == 1j
+        """Sign -1 is the defining incoming kernel e^{-ipr/hbar}:
+        int_0^inf e^{-r} e^{-ipr} r dr = 1 / (1 + ip)^2."""
+        for p in (0.0, 0.9, -2.5):
+            assert transform_numeric(lambda r: np.exp(-r), p, -1) == pytest.approx(
+                1.0 / (1.0 + 1j * p) ** 2, abs=1e-12)
 
     def test_strict_prefactors(self):
-        assert OUTGOING_STRICT.sign == 1
-        assert OUTGOING_STRICT.prefactor == 1.0
-        assert INCOMING_STRICT.prefactor == 1.0
-
-    def test_outgoing_paper_prefactor(self):
-        conv = TransformConvention("outgoing", "paper_section4")
-        assert conv.prefactor == -1j
+        """Sign +1 is the outgoing kernel, with no factor besides it:
+        int_0^inf e^{-r} e^{ipr} r dr = 1 / (1 - ip)^2."""
+        for p in (0.0, 0.9, -2.5):
+            assert transform_numeric(lambda r: np.exp(-r), p, 1) == pytest.approx(
+                1.0 / (1.0 - 1j * p) ** 2, abs=1e-12)
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            TransformConvention("sideways", "strict_theorem1")
-        with pytest.raises(ValueError):
-            TransformConvention("incoming", "bogus")
+        for sign in (0, 2, -2):
+            with pytest.raises(ValueError, match="sign"):
+                transform_numeric(lambda r: np.exp(-r), 1.0, sign)
 
 
 class TestQuadratureSpec:
     def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.rel_tol == 1e-9 and spec.max_rho == 250.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(panel_budget=0)
+        assert (REL_TOL, ABS_TOL, MAX_RHO, PANEL_BUDGET) == (1e-9, 1e-11, 250.0, 40000)
 
 
 class TestClosedForm:
@@ -90,62 +84,59 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("power", [0, 1, 2, 5, 10])
     @pytest.mark.parametrize("p", [0.0, 0.1, 1.0, 5.0, 20.0])
-    def test_against_numeric(self, power, p):
+    def test_against_numeric(self, monkeypatch, power, p):
         scale = PhysicalScale()
         f = lambda r: (2.0 * r) ** power * np.exp(-r)  # rho^m e^{-rho/2}, beta=1
         # The un-cancelled integrand reaches ~2^power Gamma(power+2), which
-        # sets the achievable absolute accuracy; budget the spec accordingly.
-        floor = 1e-13 * 2.0 ** power * math.gamma(power + 2)
-        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=max(1e-11, floor),
-                              panel_budget=500)
-        numeric = transform_numeric(f, p, OUTGOING_STRICT, spec)
+        # sets the achievable absolute accuracy; budget the tolerances accordingly.
+        abs_tol = max(1e-11, 1e-13 * 2.0 ** power * math.gamma(power + 2))
+        monkeypatch.setattr(transform, "REL_TOL", 1e-10)
+        monkeypatch.setattr(transform, "ABS_TOL", abs_tol)
+        monkeypatch.setattr(transform, "PANEL_BUDGET", 500)
+        numeric = transform_numeric(f, p, 1)
         closed = transform_slater_closed(power, p, scale) / (2.0 * scale.beta) ** 2
-        assert numeric == pytest.approx(closed, abs=1e-9 + 2.0 * spec.abs_tol)
+        assert numeric == pytest.approx(closed, abs=1e-9 + 2.0 * abs_tol)
 
 
 class TestTransformNumeric:
     def test_ground_state_at_zero(self):
-        # int_0^inf e^{-r} r dr = 1; times prefactor 1 under strict
-        val = transform_numeric(lambda r: np.exp(-r), 0.0, INCOMING_STRICT)
+        # int_0^inf e^{-r} r dr = 1
+        val = transform_numeric(lambda r: np.exp(-r), 0.0, -1)
         assert val == pytest.approx(1.0 + 0.0j, abs=1e-11)
 
     def test_kernel_sign_conjugation(self):
         f = lambda r: r * np.exp(-r)
         p = 1.7
-        out = transform_numeric(f, p, OUTGOING_STRICT)
-        inc = transform_numeric(f, p, INCOMING_STRICT)
+        out = transform_numeric(f, p, 1)
+        inc = transform_numeric(f, p, -1)
         assert inc == pytest.approx(out.conjugate(), abs=1e-12)
 
     def test_conjugate_symmetry_in_p(self):
         f = lambda r: r * np.exp(-r / 2)
         for p in (0.4, 1.0, 3.3):
-            plus = transform_numeric(f, p, INCOMING_STRICT)
-            minus = transform_numeric(f, -p, INCOMING_STRICT)
+            plus = transform_numeric(f, p, -1)
+            minus = transform_numeric(f, -p, -1)
             assert minus == pytest.approx(plus.conjugate(), abs=1e-12)
-
-    def test_paper_prefactor_is_overall_i(self):
-        f = lambda r: np.exp(-r)
-        strict = transform_numeric(f, 0.9, INCOMING_STRICT)
-        paper = transform_numeric(f, 0.9, DEFAULT_CONVENTION)
-        assert paper == pytest.approx(1j * strict, abs=1e-12)
 
     def test_compact_support(self):
         f = lambda r: np.where((1.0 < r) & (r < 2.0), (r - 1.0) * (2.0 - r), 0.0)
-        val = transform_numeric(f, 0.0, INCOMING_STRICT, support=(1.0, 2.0))
+        val = transform_numeric(f, 0.0, -1, support=(1.0, 2.0))
         # int_1^2 (r-1)(2-r) r dr = 1/4 by expansion
         assert val.real == pytest.approx(0.25, abs=1e-11)
 
     def test_bad_support_rejected(self):
         with pytest.raises(ValueError):
-            transform_numeric(lambda r: 0.0, 1.0, support=(-1.0, 2.0))
+            transform_numeric(lambda r: 0.0, 1.0, -1, support=(-1.0, 2.0))
         with pytest.raises(ValueError):
-            transform_numeric(lambda r: 0.0, 1.0, support=(2.0, 2.0))
+            transform_numeric(lambda r: 0.0, 1.0, -1, support=(2.0, 2.0))
 
-    def test_convergence_error(self):
-        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, panel_budget=1)
+    def test_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(transform, "REL_TOL", 1e-14)
+        monkeypatch.setattr(transform, "ABS_TOL", 1e-16)
+        monkeypatch.setattr(transform, "PANEL_BUDGET", 1)
         f = lambda r: np.exp(-r) * np.cos(7.0 * r)
         with pytest.raises(ConvergenceError) as err:
-            transform_numeric(f, 5.0, INCOMING_STRICT, spec)
+            transform_numeric(f, 5.0, -1)
         assert err.value.error_bound > 0
         assert isinstance(err.value.estimate, complex)
 
@@ -153,23 +144,23 @@ class TestTransformNumeric:
 class TestArrayTransform:
     """transform_numeric over an array of p, in one call of f."""
 
-    @pytest.mark.parametrize("conv", [OUTGOING_STRICT, INCOMING_STRICT, DEFAULT_CONVENTION])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["conv0", "conv1"])
     @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
-    def test_equals_point_by_point(self, conv, hbar_beta):
+    def test_equals_point_by_point(self, sign, hbar_beta):
         """Both calls lay out the MIN_PANELS floor here (|b| max_rho <= 64 pi),
         so they sum the same nodes; across layouts the values agree to the
         rounding of the integrand at the nodes, which test_matches_psi_trig
         bounds."""
         scale = PhysicalScale(1.0, hbar_beta)
         q = np.array([[-1.5, -0.7, -1e-3, 0.0], [0.0, 1e-3, 0.7, 0.7]])
-        assert 0.5 * 1.5 * QuadratureSpec().max_rho <= MIN_PANELS * PANEL_PHASE
+        assert 0.5 * 1.5 * MAX_RHO <= MIN_PANELS * PANEL_PHASE
         for N, l in [(1, 0), (3, 1), (6, 5), (8, 2)]:
             state = QuantumState(N, l, scale)
             f = lambda r: radial_wavefunction(state, r)
-            values = transform_numeric(f, q * hbar_beta, conv, scale=scale)
+            values = transform_numeric(f, q * hbar_beta, sign, scale=scale)
             assert values.shape == q.shape
             for p, value in zip((q * hbar_beta).ravel(), values.ravel()):
-                assert abs(value - transform_numeric(f, p, conv, scale=scale)) <= 1e-15
+                assert abs(value - transform_numeric(f, p, sign, scale=scale)) <= 1e-15
 
     @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
     def test_matches_psi_trig(self, hbar_beta):
@@ -178,25 +169,25 @@ class TestArrayTransform:
         p = np.concatenate([-q[:0:-1], q]) * hbar_beta
         for N, l in [(1, 0), (2, 1), (3, 0), (4, 3), (5, 2), (8, 2), (8, 7)]:
             state = QuantumState(N, l, scale)
-            numeric = transform_numeric(lambda r: radial_wavefunction(state, r), p,
-                                        OUTGOING_STRICT, scale=scale)
+            numeric = transform_numeric(lambda r: radial_wavefunction(state, r), p, 1, scale)
             assert np.max(np.abs(numeric - psi_trig(state, p))) <= 1e-12, (N, l)
 
     def test_shapes(self):
-        value = transform_numeric(lambda r: np.exp(-r), 0.5, INCOMING_STRICT)
+        value = transform_numeric(lambda r: np.exp(-r), 0.5, -1)
         assert isinstance(value, complex) and np.ndim(value) == 0
-        assert transform_numeric(lambda r: np.exp(-r), np.array([])).shape == (0,)
+        assert transform_numeric(lambda r: np.exp(-r), np.array([]), -1).shape == (0,)
 
-    def test_panel_budget_exceeded(self):
+    def test_panel_budget_exceeded(self, monkeypatch):
         """|p| = 1000 hbar beta needs about 40000 panels; 400 do not resolve it."""
         f = lambda r: radial_wavefunction(QuantumState(2, 1), r)
         p = np.array([0.5, 1000.0])
-        transform_numeric(f, p, OUTGOING_STRICT)
+        transform_numeric(f, p, 1)
+        monkeypatch.setattr(transform, "PANEL_BUDGET", 400)
         with pytest.raises(ConvergenceError) as err:
-            transform_numeric(f, p, OUTGOING_STRICT, QuadratureSpec(panel_budget=400))
+            transform_numeric(f, p, 1)
         assert "panel_budget 400" in str(err.value)
         assert err.value.estimate.shape == p.shape
-        assert err.value.error_bound[1] > QuadratureSpec().abs_tol
+        assert err.value.error_bound[1] > ABS_TOL
 
     @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
     def test_batch_rows_equal_single_calls(self, hbar_beta):
@@ -207,11 +198,11 @@ class TestArrayTransform:
         q = np.array([[-20.0, -0.7, -1e-3, 0.0], [0.0, 1e-3, 3.3, 20.0]])
         batch = transform_numeric(
             lambda r: np.stack([radial_wavefunction(s, r) for s in states]).reshape(2, 2, -1),
-            q * hbar_beta, OUTGOING_STRICT, scale=scale)
+            q * hbar_beta, 1, scale)
         assert batch.shape == (2, 2) + q.shape
         for state, rows in zip(states, batch.reshape(len(states), *q.shape)):
             single = transform_numeric(lambda r: radial_wavefunction(state, r), q * hbar_beta,
-                                       OUTGOING_STRICT, scale=scale)
+                                       1, scale)
             assert np.max(np.abs(rows - single)) <= 1e-15, (state.N, state.l)
 
     def test_batch_convergence_error_per_row(self):
@@ -219,7 +210,7 @@ class TestArrayTransform:
         p = np.array([0.0, 0.3, 1.0])
         with pytest.raises(ConvergenceError) as err:
             transform_numeric(lambda r: np.stack([radial_wavefunction(s, r) for s in states]),
-                              p, OUTGOING_STRICT)
+                              p, 1)
         exc = err.value
         assert exc.estimate.shape == exc.error_bound.shape == exc.tolerance.shape == (2, 3)
         assert np.all(exc.error_bound[0] <= exc.tolerance[0])
@@ -233,8 +224,7 @@ class TestArrayTransform:
         state = QuantumState(N, 0)
         p = np.array([0.0, 0.3, 1.0, 30.0])
         try:
-            numeric = transform_numeric(lambda r: radial_wavefunction(state, r), p,
-                                        OUTGOING_STRICT)
+            numeric = transform_numeric(lambda r: radial_wavefunction(state, r), p, 1)
         except ConvergenceError as err:
             assert np.any(err.error_bound > err.tolerance)
         else:
@@ -244,14 +234,14 @@ class TestArrayTransform:
     def test_non_finite_p_rejected(self):
         for bad in (math.inf, math.nan, np.array([0.0, -math.inf])):
             with pytest.raises(ValueError):
-                transform_numeric(lambda r: np.exp(-r), bad)
+                transform_numeric(lambda r: np.exp(-r), bad, -1)
 
 
 class TestExpansionTransform:
     def test_ground_state_closed(self):
         state = QuantumState(1, 0)
         expansion = slater_expansion(state)
-        # 2 / (1 - i p)^2 under the outgoing strict convention
+        # 2 / (1 - i p)^2 under the outgoing kernel
         for p in (0.0, 0.5, 2.0):
             expect = 2.0 / (1.0 - 1j * p) ** 2
             got = transform_slater_expansion(expansion, p)
@@ -260,8 +250,8 @@ class TestExpansionTransform:
     def test_incoming_is_conjugate(self):
         expansion = slater_expansion(QuantumState(3, 1))
         p = 1.3
-        out = transform_slater_expansion(expansion, p, OUTGOING_STRICT)
-        inc = transform_slater_expansion(expansion, p, INCOMING_STRICT)
+        out = transform_slater_expansion(expansion, p, 1)
+        inc = transform_slater_expansion(expansion, p, -1)
         assert inc == pytest.approx(out.conjugate(), rel=1e-14)
 
     def test_inverse_power_rejected(self):
@@ -343,12 +333,6 @@ class TestDiagonalization:
         f, df = self._bump()
         grid = np.linspace(-8.0, 8.0, 9)
         res = diagonalization_residual(f, df, (1.0, 2.0), grid)
-        assert res <= 1e-8
-
-    def test_outgoing_eigenvalue_flips(self):
-        f, df = self._bump()
-        grid = np.linspace(-5.0, 5.0, 5)
-        res = diagonalization_residual(f, df, (1.0, 2.0), grid, conv=OUTGOING_STRICT)
         assert res <= 1e-8
 
     def test_support_must_avoid_origin(self):

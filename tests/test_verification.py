@@ -10,15 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmomentum import forms, transform, verification
-from hmomentum.forms import _kernel_stack, podolsky_pauling_G
+from hmomentum.forms import _kernel_stack, distribution_max_l, podolsky_pauling_G
 from hmomentum.hydrogenic import PhysicalScale, QuantumState, expectation_p2
-from hmomentum.transform import ConvergenceError, QuadratureSpec, gram_matrices
+from hmomentum.transform import ConvergenceError, gram_matrices
 from hmomentum.verification import (
     SUITES,
     CheckResult,
-    VerificationReport,
     VerifyConfig,
-    default_grid,
     run_all,
     verify_form_equivalence,
     verify_lo_proportionality,
@@ -61,7 +59,9 @@ class TestCheckResult:
 
     def test_dict_round_trip(self):
         res = CheckResult.from_residual("x", [(2, 1)], "g", 0.5, 1.0, "note")
-        assert CheckResult.from_dict(res.to_dict()) == res
+        d = res.to_dict()
+        assert json.loads(json.dumps(d)) == d
+        assert d["states_covered"] == [[2, 1]] and d["details"] == "note"
 
 
 class TestFastSuites:
@@ -132,6 +132,15 @@ class TestWorstPoint:
         assert not res.passed
         assert self.worst_state(res.details)[:2] == (5, 2), res.details
 
+    def test_lo_constant_fails(self, monkeypatch):
+        """psi_trig of (5, 2) off by a constant 1 + 1e-8: the ratio's spread
+        cannot see it, its constant against (-1)^l a_0 / c_0 does."""
+        monkeypatch.setattr(verification, "_kernel_stack",
+                            perturbed_rows((5, 2), lambda p: 1.0 + 1e-8))
+        res = verify_lo_proportionality()
+        assert not res.passed and res.max_residual > 1e-9
+        assert self.worst_state(res.details)[:2] == (5, 2), res.details
+
     def test_lo_kernel_perturbed_fails(self, monkeypatch):
         """The Lombardi-Ogilvie kernel that table and eval serve, off by a
         constant 1 + 1e-8 at (5, 2): the ratio's spread cannot see it, the
@@ -165,11 +174,11 @@ class TestWorstPoint:
         N, l, p = self.worst_state(verify_pp_vs_hankel().details)
         assert 1 <= N <= 4 and 0 <= l < N and 0.2 <= p <= 5.0
 
-    def test_quadrature_names_failing_states(self):
+    def test_quadrature_names_failing_states(self, monkeypatch):
         """Cut at rho = 60, the tail of R_{1,0} is within tolerance and the
         tails of every state with N >= 2 are not."""
-        config = VerifyConfig(quad_spec=QuadratureSpec(max_rho=60.0))
-        res = verify_quadrature(config=config)
+        monkeypatch.setattr(transform, "MAX_RHO", 60.0)
+        res = verify_quadrature()
         assert not res.passed and res.max_residual == math.inf
         assert "(N=1,l=0)" not in res.details
         assert all(f"(N={N},l={l})" in res.details for N in range(2, 5) for l in range(N))
@@ -203,6 +212,38 @@ class TestUncertainty:
         monkeypatch.setattr(verification, "expectation_r2", lambda state: 1.0)
         res = verify_uncertainty()
         assert not res.passed and res.max_residual <= 1e-14
+
+
+class TestSO4Constancy:
+    """so4_constancy holds the shapes of `distribution_max_l` to the states'
+    densities and names its worst state."""
+
+    @staticmethod
+    def worst_state(details):
+        match = re.fullmatch(r"worst at \(N=(\d+),l=(\d+)\)", details)
+        assert match, details
+        return int(match[1]), int(match[2])
+
+    @pytest.mark.parametrize("hbar_beta", [1e-8, 1e-3, 1.0, 3.0, 1e4])
+    def test_residual_at_rounding(self, hbar_beta):
+        res = verify_so4_constancy(config=VerifyConfig(scale=PhysicalScale(1.0, hbar_beta)))
+        assert res.passed and res.max_residual <= 1e-14
+        assert self.worst_state(res.details) in res.states_covered
+
+    @pytest.mark.parametrize("form", ["LO", "PP"])
+    def test_perturbed_shape_fails(self, monkeypatch, form):
+        """The shape of N = 4 off by 1 + 1e-9 (1 + |p|/(hbar beta)); a constant
+        factor would not show in a constancy check."""
+        def perturbed(shape, N, p, scale=PhysicalScale()):
+            value = distribution_max_l(shape, N, p, scale)
+            if (shape, N) == (form, 4):
+                value = value * (1.0 + 1e-9 * (1.0 + np.abs(p) / scale.momentum))
+            return value
+
+        monkeypatch.setattr(verification, "distribution_max_l", perturbed)
+        res = verify_so4_constancy()
+        assert not res.passed and res.max_residual > 1e-10
+        assert self.worst_state(res.details) == (4, 3)
 
 
 class TestUnitarity:
@@ -258,22 +299,6 @@ class TestReportContract:
             assert (result.name, len(calls)) == (name, 1), key
 
 
-class TestDefaultGrid:
-    def test_shape_and_zero(self):
-        grid = default_grid(count=10)
-        assert grid.size == 11
-        assert grid[0] == 0.0
-
-    def test_mirrored_is_odd(self):
-        grid = default_grid(count=10, mirrored=True)
-        assert grid.size == 21
-        assert np.allclose(grid, -grid[::-1])
-
-    def test_count_guard(self):
-        with pytest.raises(ValueError):
-            default_grid(count=0)
-
-
 class TestRunAll:
     def test_all_suites_pass(self):
         report = run_all()
@@ -316,9 +341,7 @@ class TestRunAll:
         text = report.to_json()
         parsed = json.loads(text)
         assert parsed["overall_pass"] is True
-        back = VerificationReport.from_json(text)
-        assert back.results == report.results
-        assert back.config == report.config
+        assert parsed == report.to_dict()
 
     def test_config_recorded(self):
         config = VerifyConfig(scale=PhysicalScale(beta=2.0), tol_scale=3.0)
