@@ -6,9 +6,10 @@ sign s is -1 for the incoming spherical wave (the defining choice) and
 +1 for the outgoing one, under which H R_{Nl} is `psi_trig` verbatim.
 The numerical path `transform_numeric` takes s as an argument and
 evaluates the oscillatory integral over a whole momentum grid at once, by
-composite Gauss-Legendre panels in the dimensionless rho = 2 beta r on a
-truncated interval, to the module's REL_TOL, ABS_TOL, MAX_RHO and
-PANEL_BUDGET.
+composite Gauss-Legendre panels in the dimensionless rho = 2 beta r, to
+the module's REL_TOL, ABS_TOL and PANEL_BUDGET.  It cuts the interval
+where a coarse probe finds the integrand's tail below the rounding of the
+integral (`tail_cut`), at MAX_RHO at the latest.
 `gram_matrices` checks unitarity on the closed form `psi_trig`: its
 momentum Gram matrix against the position one of `radial_wavefunction`,
 by finite rules exact for both, the midpoint rule in
@@ -43,26 +44,33 @@ class ConvergenceError(RuntimeError):
 
 # The numerical transform holds its error bound at each p within
 # max(ABS_TOL, REL_TOL |value|), and without a support cuts the integral at
-# rho = MAX_RHO.  Its panel count stops at PANEL_BUDGET.
+# `tail_cut`, which searches rho up to MAX_RHO: R_{N0} reaches its cut at
+# rho = 1036 for N = 200.  Its panel count stops at PANEL_BUDGET.
 REL_TOL = 1e-9
 ABS_TOL = 1e-11
-MAX_RHO = 250.0
+MAX_RHO = 2000.0
 PANEL_BUDGET = 40000
 # It takes its value from GL_ORDER nodes per panel and its error bound
 # from the difference to ESTIMATE_ORDER nodes on the same panels.
 GL_ORDER = 16
 ESTIMATE_ORDER = 10
 # A panel spans at most half a period of cos/sin(b rho), where both orders
-# are exact to rounding.  |p| = 1000 hbar beta over MAX_RHO needs
-# 39789 panels.
+# are exact to rounding.  |p| = 1000 hbar beta over a cut at rho = 250
+# needs 39789 panels.
 PANEL_PHASE = math.pi
 MIN_PANELS = 64
 # (row, b, panel) products per block of b in the e^{i b rho} sums.
 BLOCK_PRODUCTS = 1 << 16
-# f must decay at least as e^{-rho/2}, so past the cut at MAX_RHO the
-# integral is bounded by the largest |f rho| on the last panel times this
-# e-folding length in rho.
+# f must decay at least as e^{-rho/2}, so past the cut the integral is
+# bounded by the largest |f rho| on the last panel times this e-folding
+# length in rho.
 TAIL_LENGTH = 2.0
+# `tail_cut` probes the integrand every PROBE_STEP in rho.  A tail below
+# TAIL_FLOOR of the largest probed |integrand| is below the rounding of
+# the integral: with only an absolute floor the quadrature residual of
+# verify rose from 2e-15 to 1e-12, and its relative Hankel check failed.
+PROBE_STEP = 4.0
+TAIL_FLOOR = 1e-17
 
 
 def gauss_legendre_panels(lo: float, hi: float, panels: int,
@@ -117,32 +125,70 @@ def panels_needed(b, length: float):
     return np.maximum(MIN_PANELS, np.ceil(np.abs(b) * length / PANEL_PHASE)).astype(np.int64)
 
 
-def _fourier_sums(g: np.ndarray, centers: np.ndarray, offsets: np.ndarray,
-                  weights: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_{k,j} weights_k g[s, k, j] e^{i b rho_kj}, rho_kj = offsets_k + centers_j,
-    for every row s of g, of shape (rows, offsets, centers), and every b.
+def tail_cut(integrand: Callable[[np.ndarray], np.ndarray], floor: float = math.inf) -> float:
+    """Where to cut int_0^inf integrand(rho) d rho, in rho, for an integrand
+    that decays at least as e^{-rho/2}, or a stack of them (batch + rho.shape).
 
-    Evaluated as sum_j e^{i b c_j} sum_k weights_k e^{i b d_k} g[s, k, j]:
-    the inner sums are one real matrix product [cos; sin](b d_k) w_k @ g[s]
-    of the same shape for every (s, b) (one product over all b at once
-    would round differently with the number of b), and the outer sum runs
-    along the contiguous panel axis; BLOCK_PRODUCTS (s, b, panel) products
-    at a time.
+    integrand is called once, on the probe points rho = PROBE_STEP,
+    2 PROBE_STEP, ... up to MAX_RHO.  The cut is one PROBE_STEP past the
+    last probe point where the tail bound TAIL_LENGTH |integrand| of any
+    function exceeds min(floor, TAIL_FLOOR times its largest probed
+    |integrand|), and at most MAX_RHO; a non-finite value counts as above
+    it.  Taking the last such point, not the first small one, keeps a zero
+    between probe points from ending the interval early.
+    """
+    rho = PROBE_STEP * np.arange(1, int(MAX_RHO / PROBE_STEP) + 1)
+    g = np.abs(np.asarray(integrand(rho), dtype=float)).reshape(-1, rho.size)
+    top = np.where(np.isfinite(g), g, 0.0).max(axis=1, keepdims=True)
+    large = ~(TAIL_LENGTH * g <= np.minimum(floor, TAIL_FLOOR * top))
+    last = np.flatnonzero(large.any(axis=0))
+    return float(min(MAX_RHO, rho[last[-1]] + PROBE_STEP)) if last.size else PROBE_STEP
+
+
+def _fourier_sums(g: np.ndarray, first: float, step: float, offsets: np.ndarray,
+                  weights: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_{k,j} weights_k g[s, k, j] e^{i b rho_kj}, rho_kj = offsets_k + first + j step,
+    for every row s of g, of shape (rows, offsets, panels), and every b.
+
+    Evaluated as sum_j e^{i b c_j} sum_k weights_k e^{i b d_k} g[s, k, j],
+    c_j = first + j step: the inner sums are one real matrix product
+    [cos; sin](b d_k) w_k @ g[s] of the same shape for every (s, b) (one
+    product over all b at once would round differently with the number of
+    b), and the outer sum runs along the contiguous panel axis, by numpy's
+    pairwise sum (a matrix product's running sum put ten times the error
+    on the value at |p| = 1000 hbar beta); BLOCK_PRODUCTS (s, b, panel)
+    products at a time.
     So the value for one row and one b does not depend on the other rows
     or the other b of the call.  Returns complex sums of shape (rows, b).
+
+    The phase b c_j reaches b times the interval.  A rounded c_j, or b c_j,
+    is off by up to its ulp from one panel to the next, and those errors do
+    not cancel in the sum: at |p| = 1000 hbar beta they put an error of up
+    to 1e-13 on the transform of R_{43}, whose value is 2.7e-15.  So j b step
+    is taken exactly, as j times b step rounded to 52 - bits(panels) bits,
+    and the small rest of the phase apart.
     """
     rows, _, panels = g.shape
     total = np.empty((rows, b.size), dtype=complex)
     g = g[:, None]
-    step = max(1, BLOCK_PRODUCTS // max(1, rows * panels))
-    for first in range(0, b.size, step):
-        bs = b[first:first + step, None]
+    j = np.arange(panels)
+    theta = b * step
+    mantissa, exponent = np.frexp(theta)
+    bits = 52 - panels.bit_length()
+    theta_hi = np.ldexp(np.round(np.ldexp(mantissa, bits)), exponent - bits)
+    block = max(1, BLOCK_PRODUCTS // max(1, rows * panels))
+    for start in range(0, b.size, block):
+        part = slice(start, start + block)
+        bs = b[part, None]
         inner = np.stack([np.cos(bs * offsets), np.sin(bs * offsets)], axis=1) * weights
         panel_sums = inner @ g
-        cos_c, sin_c = np.cos(bs * centers), np.sin(bs * centers)
+        exact = j * theta_hi[part, None]
+        rest = j * (theta - theta_hi)[part, None] + bs * first
+        cos_e, sin_e, cos_r, sin_r = np.cos(exact), np.sin(exact), np.cos(rest), np.sin(rest)
+        cos_c, sin_c = cos_e * cos_r - sin_e * sin_r, sin_e * cos_r + cos_e * sin_r
         re, im = panel_sums[:, :, 0], panel_sums[:, :, 1]
-        total.real[:, first:first + step] = (re * cos_c - im * sin_c).sum(axis=-1)
-        total.imag[:, first:first + step] = (re * sin_c + im * cos_c).sum(axis=-1)
+        total.real[:, part] = (re * cos_c - im * sin_c).sum(axis=-1)
+        total.imag[:, part] = (re * sin_c + im * cos_c).sum(axis=-1)
     return total
 
 
@@ -164,27 +210,38 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p, sign: int,
 
     The integral is taken in rho = 2 beta r, as (2 beta)^{-2} times
     int f(rho / 2 beta) rho e^{sign i b rho} d rho, b = p / (2 hbar beta),
-    over [0, MAX_RHO] (or the support).  f is called once, on the nodes
-    of a composite Gauss-Legendre rule of GL_ORDER nodes on equal panels,
-    and of ESTIMATE_ORDER nodes on the same panels; the panel count is
+    over the support, or else over [0, cut], the cut `tail_cut` of
+    f rho / (2 beta)^2 with the floor ABS_TOL / 4: f is called once on its
+    probe points, and the cut is where the tail of every function of the
+    batch is below both ABS_TOL / 4 and the rounding of its integral, at
+    MAX_RHO at the latest.  Then f is called once more, on the nodes of a
+    composite Gauss-Legendre rule of GL_ORDER nodes on equal panels, and
+    of ESTIMATE_ORDER nodes on the same panels; the panel count is
     `panels_needed` at the largest |b|, capped at PANEL_BUDGET.
     The node layout and the e^{i b rho} factors are shared by the whole
     batch.  On a given layout, the value and error bound of one function
     at one p depend on neither the other functions nor the other p of
-    the call.
+    the call; the cut, and so the layout, follows the batch's longest tail.
 
     The error bound at each p is the difference of the two orders, so a
     capped, under-resolved layout shows in it.  Without a support it adds
     the bound TAIL_LENGTH * max |f rho| on the last panel on the part of
-    the integral cut off at MAX_RHO.
+    the integral past the cut.
 
     Raises:
         ValueError: for a sign other than -1 and +1, a bad support or a
             non-finite p.
         ConvergenceError: if for any function at any p the error bound
-            exceeds max(ABS_TOL, REL_TOL * |result|).  It carries the
-            estimates, error bounds and tolerances, of shape batch + p.shape.
+            exceeds max(ABS_TOL, REL_TOL * |result|) or is not finite.  It
+            carries the estimates, error bounds and tolerances, of shape
+            batch + p.shape.
     """
+    return _transform_numeric(f, p, sign, scale, support)[0]
+
+
+def _transform_numeric(f, p, sign, scale, support):
+    """`transform_numeric`'s value, and the end of its interval in rho and
+    its panel count."""
     if sign not in (-1, 1):
         raise ValueError(f"kernel sign must be -1 (incoming) or +1 (outgoing), got {sign!r}")
     p = np.asarray(p, dtype=float)
@@ -197,7 +254,9 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p, sign: int,
             raise ValueError(f"bad support interval {support!r}")
         rho_lo, rho_hi = two_beta * lo, two_beta * hi
     else:
-        rho_lo, rho_hi = 0.0, MAX_RHO
+        rho_lo = 0.0
+        rho_hi = tail_cut(lambda rho: np.asarray(f(rho / two_beta)) * rho / two_beta ** 2,
+                          ABS_TOL / 4)
     b, index = np.unique(np.abs(p).ravel() / (2.0 * scale.momentum), return_inverse=True)
     needed = panels_needed(b, rho_hi - rho_lo)
     panels = int(min(needed.max(initial=MIN_PANELS), PANEL_BUDGET))
@@ -210,13 +269,14 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p, sign: int,
     g /= two_beta ** 2
     batch = g.shape[:-1]
     g = g.reshape(-1, GL_ORDER + ESTIMATE_ORDER, panels)
-    value, estimate = (_fourier_sums(part, c, d, w, b) for part, (c, d, w)
+    step = (rho_hi - rho_lo) / panels
+    value, estimate = (_fourier_sums(part, c[0], step, d, w, b) for part, (c, d, w)
                        in zip(np.split(g, [GL_ORDER], axis=1), rules))
     tail = (0.0 if support is not None
             else TAIL_LENGTH * np.abs(g[:, :, -1]).max(axis=1, keepdims=True))
     err = np.abs(value - estimate) + tail
     tol = np.maximum(ABS_TOL, REL_TOL * np.abs(value))
-    bad = err > tol
+    bad = ~(err <= tol)  # a non-finite f fails, too
     shape = batch + p.shape
     # value is the integral at |p| under the outgoing kernel.
     value = value[:, index].reshape(shape)
@@ -230,7 +290,7 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p, sign: int,
             f"{np.max(tail):.3e} past rho = {rho_hi:g}",
             value[()], err[:, index].reshape(shape)[()], tol[:, index].reshape(shape)[()],
         )
-    return value[()]
+    return value[()], rho_hi, panels
 
 
 def gram_matrices(states) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,8 @@ configuration (no randomness anywhere).  The form suites compare the
 kernel with the paper's literal sums, summed exactly in integers at
 Pythagorean momenta, so cancellation limits no N.  The report's config
 records the scale, the tolerance factor and the numerical transform's
-REL_TOL, ABS_TOL, MAX_RHO and PANEL_BUDGET.
+REL_TOL, ABS_TOL, PANEL_BUDGET and MAX_RHO, the limit of its search for
+the cut; the quadrature and Hankel suites report the cut they used.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ from .transform import (
     PANEL_BUDGET,
     REL_TOL,
     ConvergenceError,
+    _transform_numeric,
     diagonalization_residual,
     gauss_legendre_panels,
     gram_matrices,
     panels_needed,
-    transform_numeric,
+    tail_cut,
 )
 
 
@@ -249,7 +251,8 @@ def verify_quadrature(max_N: int = 4,
 
     Run under the outgoing kernel (sign +1), which reproduces the closed
     form with no extra phase factor.  Every state is transformed in one
-    call, over the same nodes.
+    call, over the same nodes, and `details` reports the cut in rho that
+    the transform took from the states' tails and its panel count.
     """
     scale = config.scale
     pos = np.logspace(-2, math.log10(20.0), 13) * scale.momentum
@@ -259,7 +262,8 @@ def verify_quadrature(max_N: int = 4,
     grid_name = f"{grid.size}-point mirrored grid up to 20 hbar beta"
     tolerance = 1e-7 * config.tol_scale
     try:
-        numeric = transform_numeric(lambda r: _radial_stack(states, r), grid, 1, scale)
+        numeric, cut, panels = _transform_numeric(
+            lambda r: _radial_stack(states, r), grid, 1, scale, None)
     except ConvergenceError as exc:
         failed = np.any(exc.error_bound > exc.tolerance, axis=-1)
         names = ", ".join(f"(N={s.N},l={s.l})" for s, bad in zip(states, failed) if bad)
@@ -270,7 +274,7 @@ def verify_quadrature(max_N: int = 4,
     row, col = np.unravel_index(np.argmax(error), error.shape)
     return CheckResult.from_residual(
         "quadrature_vs_closed_form", covered, grid_name, error[row, col], tolerance,
-        f"worst at {_where(states[row], grid[col])}")
+        f"worst at {_where(states[row], grid[col])}; cut rho={cut:g}, panels={panels}")
 
 
 def verify_lo_proportionality(max_N: int = 6,
@@ -326,19 +330,23 @@ def verify_pp_vs_hankel(max_N: int = 4, config: VerifyConfig = DEFAULT_CONFIG) -
     int_0^inf j_l(p r / hbar) R_{Nl}(r) r^2 dr, the integral over the whole
     grid at once by the numerical transform's Gauss-Legendre panels in rho,
     with every j_l from one `specfun.spherical_bessel_j_orders` recurrence.
+    The interval ends at `tail_cut` of |R rho^2|, which bounds the
+    integrand since |j_l| <= 1; `details` reports it and the panel count.
     The residual is the largest |G - oracle| / |G| on the grid.
     """
     scale = config.scale
+    two_beta = 2.0 * scale.beta
     grid = np.linspace(0.2, 5.0, 12) * scale.momentum
+    states = _states(max_N, scale)
     # In rho = 2 beta r: j_l(p r / hbar) = j_l(b rho), b = p / (2 hbar beta).
     b = grid / (2.0 * scale.momentum)
-    centers, offsets, weights = gauss_legendre_panels(
-        0.0, MAX_RHO, int(panels_needed(b[-1], MAX_RHO)), GL_ORDER)
+    cut = tail_cut(lambda rho: _radial_stack(states, rho / two_beta) * rho * rho)
+    panels = int(panels_needed(b[-1], cut))
+    centers, offsets, weights = gauss_legendre_panels(0.0, cut, panels, GL_ORDER)
     rho = (centers[:, None] + offsets).ravel()
-    r = rho / (2.0 * scale.beta)
-    weights = np.tile(weights, centers.size) * r * r / (2.0 * scale.beta)
+    r = rho / two_beta
+    weights = np.tile(weights, centers.size) * r * r / two_beta
     bessel = spherical_bessel_j_orders(max_N - 1, np.outer(rho, b))
-    states = _states(max_N, scale)
     radial = _radial_stack(states, r) * weights
     numeric = np.stack([(-1) ** (s.N - s.l - 1) * (row @ bessel[s.l])
                         for row, s in zip(radial, states)])
@@ -348,7 +356,8 @@ def verify_pp_vs_hankel(max_N: int = 4, config: VerifyConfig = DEFAULT_CONFIG) -
     return CheckResult.from_residual(
         "podolsky_pauling_vs_hankel", [(s.N, s.l) for s in states],
         "12-point linear grid, p/(hbar beta) in [0.2, 5]", error[row, col],
-        1e-7 * config.tol_scale, f"worst at {_where(states[row], grid[col])}")
+        1e-7 * config.tol_scale,
+        f"worst at {_where(states[row], grid[col])}; cut rho={cut:g}, panels={panels}")
 
 
 # Compactly supported bump tests for the diagonalization identity; each
@@ -416,11 +425,15 @@ def verify_uncertainty(max_N: int = 5,
 def verify_so4_constancy(max_N: int = 6,
                          config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """The maximal-l density shapes of `distribution_max_l` are those of the
-    states: |psi_{N,N-1}|^2 / LO and |G_{N,N-1}|^2 / PP are constant in p.
+    states: |psi_{N,N-1}|^2 / LO and |G_{N,N-1}|^2 / PP are constant in p,
+    and equal to their closed forms a_0^2 (hbar beta)^{2(N+1)}, with a_0 =
+    `gegenbauer_coefficients`(N, N-1)[0][0] N_{N,N-1} / (2 beta)^2, and
+    32 (hbar beta)^5 N ((N-1)!)^2 / (pi (2N-1)!).
 
     LO is taken on p = 0 and 60 log-spaced |p|/(hbar beta) in [1e-3, 1e3] of
     either sign, PP on the p > 0 half, where it is not 0/0.  A state's
-    residual is the larger relative spread (std / mean) of its two ratios.
+    residual is the largest of its two ratios' relative spreads (std / mean)
+    and |mean / closed form - 1|.
     """
     scale = config.scale
     pos = np.logspace(-3.0, 3.0, 60) * scale.momentum
@@ -430,11 +443,18 @@ def verify_so4_constancy(max_N: int = 6,
         [distribution_max_l("LO", s.N, grid, scale) for s in states])
     pp = np.stack([podolsky_pauling_G(s, pos) ** 2 / distribution_max_l("PP", s.N, pos, scale)
                    for s in states])
-    spread = np.maximum(lo.std(axis=1) / lo.mean(axis=1), pp.std(axis=1) / pp.mean(axis=1))
-    row = int(np.argmax(spread))
+    lo_constant = np.array([
+        (gegenbauer_coefficients(s.N, s.l)[0][0] * normalization_constant(s)
+         / (2.0 * scale.beta) ** 2 * scale.momentum ** (s.N + 1)) ** 2 for s in states])
+    pp_constant = np.array([32.0 * scale.momentum ** 5 / math.pi * (
+        s.N * math.factorial(s.N - 1) ** 2 / math.factorial(2 * s.N - 1)) for s in states])
+    residual = np.max([lo.std(axis=1) / lo.mean(axis=1), pp.std(axis=1) / pp.mean(axis=1),
+                       np.abs(lo.mean(axis=1) / lo_constant - 1.0),
+                       np.abs(pp.mean(axis=1) / pp_constant - 1.0)], axis=0)
+    row = int(np.argmax(residual))
     return CheckResult.from_residual(
         "so4_form_constancy", [(s.N, s.l) for s in states],
-        f"{grid.size}-point mirrored log grid (PP on its p > 0 half)", spread[row],
+        f"{grid.size}-point mirrored log grid (PP on its p > 0 half)", residual[row],
         1e-10 * config.tol_scale, f"worst at (N={states[row].N},l={states[row].l})")
 
 

@@ -16,11 +16,13 @@ from hmomentum.transform import (
     MIN_PANELS,
     PANEL_BUDGET,
     PANEL_PHASE,
+    PROBE_STEP,
     REL_TOL,
     ConvergenceError,
     _gauss_laguerre,
     diagonalization_residual,
     gram_matrices,
+    tail_cut,
     transform_numeric,
 )
 from oracles import (
@@ -56,7 +58,43 @@ class TestConvention:
 
 class TestQuadratureSpec:
     def test_defaults(self):
-        assert (REL_TOL, ABS_TOL, MAX_RHO, PANEL_BUDGET) == (1e-9, 1e-11, 250.0, 40000)
+        assert (REL_TOL, ABS_TOL, MAX_RHO, PANEL_BUDGET) == (1e-9, 1e-11, 2000.0, 40000)
+
+
+class TestTailCut:
+    """The cut in rho comes from a probe of the integrand's tail."""
+
+    @staticmethod
+    def slater(rho):
+        return rho ** 4 * np.exp(-rho / 2.0)
+
+    def test_cut_follows_the_tail(self):
+        """rho^4 e^{-rho/2} peaks at 75 (rho = 8) and falls below 1e-17 of
+        that, over TAIL_LENGTH, between rho = 108 and 112."""
+        assert tail_cut(self.slater) == 112.0
+
+    def test_zero_between_probes_does_not_end_it(self):
+        """(rho - 8) rho^3 e^{-rho/2} is 0 at the probe point rho = 8 and
+        has the tail of rho^4 e^{-rho/2}."""
+        assert tail_cut(lambda rho: (rho - 8.0) * self.slater(rho) / rho) == 112.0
+
+    def test_stack_takes_the_longest_tail(self):
+        assert tail_cut(lambda rho: np.stack([np.exp(-rho / 2.0), self.slater(rho)])) == 112.0
+        assert tail_cut(lambda rho: np.exp(-rho / 2.0)) < 112.0
+
+    def test_floor(self):
+        """A tail below the relative floor may still be above an absolute one."""
+        large = lambda rho: 1e12 * self.slater(rho)
+        assert tail_cut(large) == 112.0
+        assert tail_cut(large, 1e-12) > 112.0
+
+    def test_limit(self, monkeypatch):
+        assert tail_cut(lambda rho: np.exp(-rho / 1000.0)) == MAX_RHO
+        monkeypatch.setattr(transform, "MAX_RHO", 250.0)
+        assert tail_cut(lambda rho: np.exp(-rho / 1000.0)) == 250.0
+
+    def test_zero_integrand(self):
+        assert tail_cut(lambda rho: 0.0 * rho) == PROBE_STEP
 
 
 class TestClosedForm:
@@ -147,17 +185,17 @@ class TestArrayTransform:
     @pytest.mark.parametrize("sign", [1, -1], ids=["conv0", "conv1"])
     @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
     def test_equals_point_by_point(self, sign, hbar_beta):
-        """Both calls lay out the MIN_PANELS floor here (|b| max_rho <= 64 pi),
-        so they sum the same nodes; across layouts the values agree to the
-        rounding of the integrand at the nodes, which test_matches_psi_trig
-        bounds."""
+        """Both calls take the same cut from f and lay out the MIN_PANELS
+        floor here (|b| cut <= 64 pi), so they sum the same nodes; across
+        layouts the values agree to the rounding of the integrand at the
+        nodes, which test_matches_psi_trig bounds."""
         scale = PhysicalScale(1.0, hbar_beta)
         q = np.array([[-1.5, -0.7, -1e-3, 0.0], [0.0, 1e-3, 0.7, 0.7]])
-        assert 0.5 * 1.5 * MAX_RHO <= MIN_PANELS * PANEL_PHASE
         for N, l in [(1, 0), (3, 1), (6, 5), (8, 2)]:
             state = QuantumState(N, l, scale)
             f = lambda r: radial_wavefunction(state, r)
-            values = transform_numeric(f, q * hbar_beta, sign, scale=scale)
+            values, cut, _ = transform._transform_numeric(f, q * hbar_beta, sign, scale, None)
+            assert 0.5 * 1.5 * cut <= MIN_PANELS * PANEL_PHASE
             assert values.shape == q.shape
             for p, value in zip((q * hbar_beta).ravel(), values.ravel()):
                 assert abs(value - transform_numeric(f, p, sign, scale=scale)) <= 1e-15
@@ -171,6 +209,19 @@ class TestArrayTransform:
             state = QuantumState(N, l, scale)
             numeric = transform_numeric(lambda r: radial_wavefunction(state, r), p, 1, scale)
             assert np.max(np.abs(numeric - psi_trig(state, p))) <= 1e-12, (N, l)
+
+    @pytest.mark.parametrize("cut", [100.0, 112.0, 116.0, 120.0, 250.0])
+    def test_phase_at_large_p(self, cut):
+        """At |p| = 1000 hbar beta the phase b rho of the outer sums reaches
+        b times the cut; taken from rounded panel centers, it was off by
+        their ulp from panel to panel, and the value by up to 1e-13
+        depending on the layout.  Over fixed intervals in rho the value of
+        R_{43} is right to 1e-15, below the value itself (2.7e-15)."""
+        state = QuantumState(4, 3)
+        p = np.array([-1000.0, 1000.0])
+        numeric = transform_numeric(lambda r: radial_wavefunction(state, r), p, 1,
+                                    support=(0.0, cut / 2.0))
+        assert np.max(np.abs(numeric - psi_trig(state, p))) <= 1e-15
 
     def test_shapes(self):
         value = transform_numeric(lambda r: np.exp(-r), 0.5, -1)
@@ -192,7 +243,10 @@ class TestArrayTransform:
     @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
     def test_batch_rows_equal_single_calls(self, hbar_beta):
         """A stack of functions shares the nodes and the e^{i b rho} factors;
-        each row equals its own call, and the batch axes lead the result."""
+        on one layout each row equals its own call, and the batch axes lead
+        the result.  The batch takes its cut from the longest tail, that of
+        (8, 2), so each row's own call stacks it with (8, 2) to keep that
+        layout."""
         scale = PhysicalScale(1.0, hbar_beta)
         states = [QuantumState(N, l, scale) for N, l in [(1, 0), (3, 1), (6, 5), (8, 2)]]
         q = np.array([[-20.0, -0.7, -1e-3, 0.0], [0.0, 1e-3, 3.3, 20.0]])
@@ -201,11 +255,30 @@ class TestArrayTransform:
             q * hbar_beta, 1, scale)
         assert batch.shape == (2, 2) + q.shape
         for state, rows in zip(states, batch.reshape(len(states), *q.shape)):
-            single = transform_numeric(lambda r: radial_wavefunction(state, r), q * hbar_beta,
-                                       1, scale)
+            single = transform_numeric(
+                lambda r: np.stack([radial_wavefunction(s, r) for s in (state, states[-1])]),
+                q * hbar_beta, 1, scale)[0]
             assert np.max(np.abs(rows - single)) <= 1e-15, (state.N, state.l)
 
-    def test_batch_convergence_error_per_row(self):
+    @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
+    def test_batch_rows_across_layouts(self, hbar_beta):
+        """A row's own call takes its own, shorter cut, and so other nodes
+        and panels than the batch; the two agree to the rounding of the
+        integral, 1e-13 of the row's peak."""
+        scale = PhysicalScale(1.0, hbar_beta)
+        states = [QuantumState(N, l, scale) for N, l in [(1, 0), (3, 1), (6, 5), (8, 2)]]
+        p = np.array([-20.0, -0.7, -1e-3, 0.0, 1e-3, 3.3, 20.0, 1000.0]) * hbar_beta
+        f = lambda r: np.stack([radial_wavefunction(s, r) for s in states])
+        batch, batch_cut, _ = transform._transform_numeric(f, p, 1, scale, None)
+        for state, row in zip(states[:-1], batch):
+            single, cut, _ = transform._transform_numeric(
+                lambda r: radial_wavefunction(state, r), p, 1, scale, None)
+            assert cut < batch_cut, (state.N, state.l)
+            assert np.max(np.abs(row - single)) <= 1e-13 * np.max(np.abs(single))
+
+    def test_batch_convergence_error_per_row(self, monkeypatch):
+        """With the cut's limit at rho = 250, the tail of R_{60,0} is too long."""
+        monkeypatch.setattr(transform, "MAX_RHO", 250.0)
         states = [QuantumState(1, 0), QuantumState(60, 0)]
         p = np.array([0.0, 0.3, 1.0])
         with pytest.raises(ConvergenceError) as err:
@@ -217,19 +290,23 @@ class TestArrayTransform:
         assert np.all(exc.error_bound[1] > exc.tolerance[1])
         assert "past rho = 250" in str(exc)
 
-    @pytest.mark.parametrize("N", [60, 80])
+    @pytest.mark.parametrize("N", [40, 60, 80, 100, 200])
     def test_truncation_raises_or_is_correct(self, N):
-        """R_{N0} reaches past max_rho = 250 for large N; the tail bound of the
-        last panel must show it rather than return a truncated value."""
+        """R_{N0} reaches past rho = 250 from N = 40 on; the cut follows its
+        tail (to rho = 1036 at N = 200), so the value is right, not truncated
+        (test_batch_convergence_error_per_row has the raise at a short limit)."""
         state = QuantumState(N, 0)
         p = np.array([0.0, 0.3, 1.0, 30.0])
-        try:
-            numeric = transform_numeric(lambda r: radial_wavefunction(state, r), p, 1)
-        except ConvergenceError as err:
-            assert np.any(err.error_bound > err.tolerance)
-        else:
-            exact = psi_trig(state, p)
-            assert np.max(np.abs(numeric - exact)) <= 1e-9 * np.max(np.abs(exact))
+        numeric = transform_numeric(lambda r: radial_wavefunction(state, r), p, 1)
+        exact = psi_trig(state, p)
+        assert np.max(np.abs(numeric - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_non_finite_f_raises(self):
+        """A NaN of f fails the error check instead of passing as the value."""
+        f = lambda r: np.where(r > 10.0, np.nan, np.exp(-r))
+        with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError) as err:
+            transform_numeric(f, np.array([0.0, 1.0]), -1)
+        assert "past rho = 2000" in str(err.value)
 
     def test_non_finite_p_rejected(self):
         for bad in (math.inf, math.nan, np.array([0.0, -math.inf])):

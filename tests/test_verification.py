@@ -245,6 +245,27 @@ class TestSO4Constancy:
         assert not res.passed and res.max_residual > 1e-10
         assert self.worst_state(res.details) == (4, 3)
 
+    @pytest.mark.parametrize("form", ["LO", "PP"])
+    def test_constant_factor_in_shape_fails(self, monkeypatch, form):
+        """The shape of N = 4 off by a constant 1 + 1e-9: the ratio's spread
+        cannot see it, its closed-form constant does."""
+        def perturbed(shape, N, p, scale=PhysicalScale()):
+            value = distribution_max_l(shape, N, p, scale)
+            return value * (1.0 + 1e-9) if (shape, N) == (form, 4) else value
+
+        monkeypatch.setattr(verification, "distribution_max_l", perturbed)
+        res = verify_so4_constancy()
+        assert not res.passed and res.max_residual > 1e-10
+        assert self.worst_state(res.details) == (4, 3)
+
+    def test_constant_factor_in_G_fails(self, monkeypatch):
+        """G of (5, 4) off by a constant 1 + 1e-9 moves |G|^2 / PP off its
+        closed form by 2e-9."""
+        monkeypatch.setattr(verification, "podolsky_pauling_G", perturbed_G((5, 4), 1.0 + 1e-9))
+        res = verify_so4_constancy()
+        assert not res.passed and res.max_residual > 1e-9
+        assert self.worst_state(res.details) == (5, 4)
+
 
 class TestUnitarity:
     """parseval_diagonalization compares the same-l Gram matrices of
