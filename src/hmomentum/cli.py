@@ -53,27 +53,21 @@ def _usage_checked(function, *args, **kwargs):
         raise UsageError(str(exc)) from exc
 
 
-def _scale_from_args(args, N: int) -> PhysicalScale:
-    if getattr(args, "physical", False):
-        return _usage_checked(PhysicalScale.from_physical, args.Z, args.mu,
-                              args.alpha_fs, N, hbar=args.hbar, c=args.c)
-    return _usage_checked(PhysicalScale, hbar=1.0, beta=args.hbar_beta)
+def _scale_from_args(args) -> PhysicalScale:
+    if not 0 < args.hbar < math.inf:
+        raise UsageError(f"--hbar must be positive and finite, got {args.hbar}")
+    return _usage_checked(PhysicalScale, hbar=args.hbar, beta=args.hbar_beta / args.hbar)
 
 
 def _add_scale_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hbar-beta", type=float, default=1.0,
-                        help="momentum scale hbar*beta in scaled mode (default 1)")
-    parser.add_argument("--physical", action="store_true",
-                        help="derive beta from Z, mu, alpha-fs and N")
-    parser.add_argument("--Z", type=int, default=1)
-    parser.add_argument("--mu", type=float, default=1.0)
-    parser.add_argument("--alpha-fs", type=float, default=1.0 / 137.035999)
-    parser.add_argument("--hbar", type=float, default=1.0)
-    parser.add_argument("--c", type=float, default=1.0)
+                        help="momentum scale hbar*beta (default 1)")
+    parser.add_argument("--hbar", type=float, default=1.0,
+                        help="action unit hbar (default 1)")
 
 
 def _state_from_args(args) -> QuantumState:
-    return _usage_checked(QuantumState, args.N, args.l, _scale_from_args(args, args.N))
+    return _usage_checked(QuantumState, args.N, args.l, _scale_from_args(args))
 
 
 def _write_lines(path, chunks) -> None:
@@ -134,11 +128,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    if args.N < 1:
-        raise UsageError("N must be >= 1")
     if args.count < 2:
         raise UsageError("grid needs --count >= 2")
-    scale = _scale_from_args(args, args.N)
+    scale = _scale_from_args(args)
     pmax = args.pmax if args.pmax is not None else 5.0 * scale.momentum
     _require_finite(pmax=pmax)
     pmin = 0.0 if args.form == "PP" else -pmax
@@ -151,7 +143,7 @@ def cmd_plot(args) -> int:
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
         raise UsageError(f"--tol-scale must be positive and finite, got {args.tol_scale}")
-    config = VerifyConfig(scale=_scale_from_args(args, 1), tol_scale=args.tol_scale)
+    config = VerifyConfig(scale=_scale_from_args(args), tol_scale=args.tol_scale)
     suites = args.suite if args.suite else None
     report = run_all(config, suites)
     _write_lines(args.output, [report.to_json() + "\n"])
@@ -207,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="multiply every tolerance (values > 1 loosen)")
     p_verify.add_argument("--hbar-beta", type=float, default=1.0)
     p_verify.add_argument("--output", default=None)
+    p_verify.set_defaults(hbar=1.0)
 
     _parser = parser
     return parser

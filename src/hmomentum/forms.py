@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .hydrogenic import PhysicalScale, QuantumState
-from .specfun import factorial, gegenbauer_C
+from .specfun import gegenbauer_C
 
 
 _LOG2 = math.log(2.0)
@@ -44,14 +44,15 @@ def _log_ratio(num: int, den: int) -> float:
 @functools.lru_cache(maxsize=4096)
 def _log_b0(N: int, l: int) -> float:
     """log(b_0 sqrt(2 beta)), b_0 = a_0 the first expansion coefficient."""
-    return 0.5 * _log_ratio(factorial(N + l) * 4 ** (l + 2) * factorial(l + 1) ** 2,
-                            factorial(N - l - 1) * 2 * N * factorial(2 * l + 1) ** 2)
+    return 0.5 * _log_ratio(
+        math.factorial(N + l) * 4 ** (l + 2) * math.factorial(l + 1) ** 2,
+        math.factorial(N - l - 1) * 2 * N * math.factorial(2 * l + 1) ** 2)
 
 
 @functools.lru_cache(maxsize=4096)
 def _log_c0(l: int) -> float:
     """log c_0 = log((l+1)! / (2l+1)!), the first Lombardi-Ogilvie coefficient."""
-    return _log_ratio(factorial(l + 1), factorial(2 * l + 1))
+    return _log_ratio(math.factorial(l + 1), math.factorial(2 * l + 1))
 
 
 def _hypergeometric_kernel(N, l: int, q, log_scale):
@@ -146,12 +147,12 @@ def _kernel_stack(states, p, lombardi_ogilvie: bool = False) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4096)
-def _pp_log_prefactor(N: int, l: int, momentum: float) -> float:
-    """log of (2 hbar beta)^{5/2} (hbar beta)^{-4} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)),
-    the prefactor of the Podolsky-Pauling function."""
-    return (0.5 * (_log_ratio(32 * 4 ** l * factorial(l) ** 2 * factorial(N - l - 1) * N,
-                              factorial(N + l)) - math.log(math.pi))
-            - 1.5 * math.log(momentum))
+def _pp_log_prefactor(N: int, l: int) -> float:
+    """log of 2^{5/2} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)), the prefactor of the
+    Podolsky-Pauling function but for its (hbar beta)^{-3/2}."""
+    return 0.5 * (_log_ratio(
+        32 * 4 ** l * math.factorial(l) ** 2 * math.factorial(N - l - 1) * N,
+        math.factorial(N + l)) - math.log(math.pi))
 
 
 # At q = p / hbar beta >= Q_CAP the Podolsky-Pauling function and density
@@ -178,7 +179,8 @@ def podolsky_pauling_G(state: QuantumState, p):
         (4 hbar beta p)^l / (hbar^2 beta^2 + p^2)^{l+2}
         C^{l+1}_{N-l-1}((hbar^2 beta^2 - p^2) / (hbar^2 beta^2 + p^2)),
     evaluated in q = p / hbar beta as
-    e^{log pref} (1+q^2)^{-2} (2q/(1+q^2))^l C^{l+1}_{N-l-1}((1-q^2)/(1+q^2)).
+    e^{log pref} (hbar beta)^{-3/2} (1+q^2)^{-2} (2q/(1+q^2))^l
+    C^{l+1}_{N-l-1}((1-q^2)/(1+q^2)).
 
     Normalized so that int_0^inf G^2 p^2 dp = 1.  p is a float or a
     float64 array; G is 0 from q = Q_CAP on, p = inf included.
@@ -188,8 +190,10 @@ def podolsky_pauling_G(state: QuantumState, p):
     N, l = state.N, state.l
     q = _capped(p / state.scale.momentum)
     c2 = 1.0 / (1.0 + q * q)
+    # (hbar beta)^{-3/2} stays out of the exponential, whose rounding grows
+    # with the size of its argument.
     return (
-        math.exp(_pp_log_prefactor(N, l, state.scale.momentum))
+        math.exp(_pp_log_prefactor(N, l)) * state.scale.momentum ** -1.5
         * c2 * c2
         * (2.0 * q * c2) ** l
         * gegenbauer_C(N - l - 1, l + 1, 2.0 * c2 - 1.0)

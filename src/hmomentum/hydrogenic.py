@@ -3,8 +3,7 @@
 Radial wave functions R_{Nl} and the exact <r^2>, <p^2> expectation
 values used by the uncertainty check.
 
-Scaled units (hbar = 1, beta = 1) are the default; a physical-mode scale
-can be built from Z, the reduced mass and the fine-structure constant.
+Scaled units (hbar = 1, beta = 1) are the default.
 """
 
 from __future__ import annotations
@@ -15,16 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import factorial, laguerre
+from .specfun import laguerre
 
 
 @dataclass(frozen=True)
 class PhysicalScale:
     """Physical scale of a hydrogenic state: action unit and inverse length.
 
-    The momentum scale of the state is hbar * beta.  In physical mode
-    beta = Z mu c alpha / (N hbar), which makes beta depend on N; the
-    default scaled mode fixes hbar = beta = 1 for every state.
+    The momentum scale of the state is hbar * beta; for hydrogen it is
+    Z mu c alpha / N.  The default fixes hbar = beta = 1.
     """
 
     hbar: float = 1.0
@@ -34,14 +32,6 @@ class PhysicalScale:
         if not (0 < self.hbar < math.inf and 0 < self.beta < math.inf):
             raise ValueError(f"hbar and beta must be positive and finite, "
                              f"got hbar={self.hbar}, beta={self.beta}")
-
-    @classmethod
-    def from_physical(cls, Z: int, mu: float, alpha_fs: float, N: int,
-                      hbar: float = 1.0, c: float = 1.0) -> "PhysicalScale":
-        """Build the N-dependent scale beta = Z mu c alpha / (N hbar)."""
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        return cls(hbar=hbar, beta=Z * mu * c * alpha_fs / (N * hbar))
 
     @property
     def momentum(self) -> float:
@@ -74,7 +64,7 @@ def normalization_constant(state: QuantumState) -> float:
     for l = N - 1 from N = 151 on) or (2 beta)^{3/2} overflows.
     """
     N, l = state.N, state.l
-    num, den = factorial(N - l - 1), 2 * N * factorial(N + l)
+    num, den = math.factorial(N - l - 1), 2 * N * math.factorial(N + l)
     # int / int is correctly rounded; scaled by 4^k it lies in [1/4, 4),
     # and 2^-k applies in one last step.
     k = (den.bit_length() - num.bit_length()) // 2

@@ -1,7 +1,7 @@
 """Special functions evaluated by stable recurrences.
 
-Factorials, generalized Laguerre polynomials, Gegenbauer polynomials and
-the spherical Bessel functions j_0, ..., j_L.
+Generalized Laguerre polynomials, Gegenbauer polynomials and the
+spherical Bessel functions j_0, ..., j_L.
 
 Polynomials are evaluated with three-term recurrences rather than their
 explicit alternating sums, which become unstable at high degree.  All
@@ -10,19 +10,7 @@ functions here are pure and thread-safe.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-def factorial(n: int) -> int:
-    """n! as an exact integer.
-
-    Raises:
-        ValueError: if n is negative or not integral.
-    """
-    if n != int(n) or n < 0:
-        raise ValueError(f"factorial requires a nonnegative integer, got {n!r}")
-    return math.factorial(int(n))
 
 
 def laguerre(n, alpha: int, x):

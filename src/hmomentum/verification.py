@@ -131,7 +131,7 @@ PYTHAGOREAN_PAIRS = ((1, 0), (2000, 1), (632, 1), (200, 1), (63, 1), (20, 1), (1
                      (12, 5), (15, 11), (11, 10), (32, 31), (101, 100), (317, 316),
                      (1001, 1000))
 
-# The states past its max_N that form_equivalence checks as well.
+# The states past N = 8 that form_equivalence checks as well.
 LARGE_N_STATES = ((40, 0), (60, 10))
 
 
@@ -222,17 +222,15 @@ def exact_lombardi_ogilvie(states) -> np.ndarray:
     return _exact_sums(states, _lombardi_ogilvie_terms, lombardi_ogilvie_coefficients)
 
 
-def verify_form_equivalence(max_N: int = 8,
-                            config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_form_equivalence(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """psi_trig (the 2F1 recurrence) against the paper's literal Gegenbauer
     sum, in exact arithmetic (`exact_gegenbauer`).
 
-    It covers every state with N <= max_N and LARGE_N_STATES.  A state's
+    It covers every state with N <= 8 and LARGE_N_STATES.  A state's
     residual is its largest |psi_trig - exact| over its largest |exact|.
     """
     scale = config.scale
-    states = _states(max_N, scale)
-    states += [QuantumState(N, l, scale) for N, l in LARGE_N_STATES if N > max_N]
+    states = _states(8, scale) + [QuantumState(N, l, scale) for N, l in LARGE_N_STATES]
     p = pythagorean_momenta(scale)
     exact = exact_gegenbauer(states)
     error = np.abs(_kernel_stack(states, p) - exact)
@@ -245,8 +243,7 @@ def verify_form_equivalence(max_N: int = 8,
         f"worst at {_where(states[row], p[col])}")
 
 
-def verify_quadrature(max_N: int = 4,
-                      config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_quadrature(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """Numerical transform of R_{Nl} against the trigonometric closed form.
 
     Run under the outgoing kernel (sign +1), which reproduces the closed
@@ -257,7 +254,7 @@ def verify_quadrature(max_N: int = 4,
     scale = config.scale
     pos = np.logspace(-2, math.log10(20.0), 13) * scale.momentum
     grid = np.concatenate([-pos[::-1], [0.0], pos])
-    states = _states(max_N, scale)
+    states = _states(4, scale)
     covered = [(s.N, s.l) for s in states]
     grid_name = f"{grid.size}-point mirrored grid up to 20 hbar beta"
     tolerance = 1e-7 * config.tol_scale
@@ -277,8 +274,7 @@ def verify_quadrature(max_N: int = 4,
         f"worst at {_where(states[row], grid[col])}; cut rho={cut:g}, panels={panels}")
 
 
-def verify_lo_proportionality(max_N: int = 6,
-                              config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_lo_proportionality(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """psi_trig / conj(alpha_LO) constant in p and equal to (-1)^l a_0 / c_0,
     per state, and the Lombardi-Ogilvie kernel that `table` and `eval` serve
     equal to alpha_LO.
@@ -299,7 +295,7 @@ def verify_lo_proportionality(max_N: int = 6,
     ratio furthest from it); the mean ratios are logged per state after it.
     """
     scale = config.scale
-    states = _states(max_N, scale)
+    states = _states(6, scale)
     p = pythagorean_momenta(scale)
     exact = exact_lombardi_ogilvie(states)
     expected = np.array([(-1) ** s.l * normalization_constant(s) / (2.0 * scale.beta) ** 2
@@ -323,7 +319,7 @@ def verify_lo_proportionality(max_N: int = 6,
         residual[row], 1e-9 * config.tol_scale, details="; ".join(details))
 
 
-def verify_pp_vs_hankel(max_N: int = 4, config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_pp_vs_hankel(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """Closed-form Podolsky-Pauling vs the j_l Hankel-quadrature oracle.
 
     G_{Nl}(p) against (-1)^{N-l-1} sqrt(2/pi) hbar^{-3/2}
@@ -337,7 +333,7 @@ def verify_pp_vs_hankel(max_N: int = 4, config: VerifyConfig = DEFAULT_CONFIG) -
     scale = config.scale
     two_beta = 2.0 * scale.beta
     grid = np.linspace(0.2, 5.0, 12) * scale.momentum
-    states = _states(max_N, scale)
+    states = _states(4, scale)
     # In rho = 2 beta r: j_l(p r / hbar) = j_l(b rho), b = p / (2 hbar beta).
     b = grid / (2.0 * scale.momentum)
     cut = tail_cut(lambda rho: _radial_stack(states, rho / two_beta) * rho * rho)
@@ -346,7 +342,7 @@ def verify_pp_vs_hankel(max_N: int = 4, config: VerifyConfig = DEFAULT_CONFIG) -
     rho = (centers[:, None] + offsets).ravel()
     r = rho / two_beta
     weights = np.tile(weights, centers.size) * r * r / two_beta
-    bessel = spherical_bessel_j_orders(max_N - 1, np.outer(rho, b))
+    bessel = spherical_bessel_j_orders(max(s.l for s in states), np.outer(rho, b))
     radial = _radial_stack(states, r) * weights
     numeric = np.stack([(-1) ** (s.N - s.l - 1) * (row @ bessel[s.l])
                         for row, s in zip(radial, states)])
@@ -376,16 +372,15 @@ def _bump(a, b):
 DIAGONALIZATION_TESTS = (_bump(1.0, 2.0), _bump(0.5, 2.5), _bump(2.0, 4.0))
 
 
-def verify_parseval_and_diagonalization(max_N: int = 5,
-                                        config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_parseval_and_diagonalization(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """Unitarity (measure dp/(2 pi hbar)) plus Eq.-diagonal identity.
 
     Unitarity is checked as equal momentum and position Gram matrices
-    (`gram_matrices`) of the states with N <= max_N, entry by entry for
+    (`gram_matrices`) of the states with N <= 5, entry by entry for
     each pair of states of one l.
     """
     scale = config.scale
-    states = _states(max_N, scale)
+    states = _states(5, scale)
     momentum, position = gram_matrices(states)
     l = np.array([s.l for s in states])
     error = np.where(l[:, None] == l, np.abs(momentum - position), 0.0)
@@ -399,16 +394,15 @@ def verify_parseval_and_diagonalization(max_N: int = 5,
         worst = max(worst, res)
     return CheckResult.from_residual(
         "parseval_and_diagonalization", [(s.N, s.l) for s in states],
-        "Gram matrices per l, N <= %d; 21-point p grid in [-10, 10] hbar beta" % max_N,
+        "Gram matrices per l, N <= 5; 21-point p grid in [-10, 10] hbar beta",
         worst, 1e-7 * config.tol_scale, details="; ".join(details))
 
 
-def verify_uncertainty(max_N: int = 5,
-                       config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_uncertainty(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """<p^2> = hbar^2 beta^2 at a common beta (the diagonal of Fock's
     orthogonality), the residual, and <r^2><p^2> >= 9 hbar^2 / 4, D = 3."""
     scale = config.scale
-    states = _states(max_N, scale)
+    states = _states(5, scale)
     p2 = np.array([expectation_p2(s) for s in states])
     products = p2 * [expectation_r2(s) for s in states]
     error = np.abs(p2 / scale.momentum ** 2 - 1.0)
@@ -422,8 +416,7 @@ def verify_uncertainty(max_N: int = 5,
         f"ground-state product: {products[0]:.12g}")
 
 
-def verify_so4_constancy(max_N: int = 6,
-                         config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_so4_constancy(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     """The maximal-l density shapes of `distribution_max_l` are those of the
     states: |psi_{N,N-1}|^2 / LO and |G_{N,N-1}|^2 / PP are constant in p,
     and equal to their closed forms a_0^2 (hbar beta)^{2(N+1)}, with a_0 =
@@ -438,7 +431,7 @@ def verify_so4_constancy(max_N: int = 6,
     scale = config.scale
     pos = np.logspace(-3.0, 3.0, 60) * scale.momentum
     grid = np.concatenate([-pos[::-1], [0.0], pos])
-    states = [QuantumState(N, N - 1, scale) for N in range(1, max_N + 1)]
+    states = [QuantumState(N, N - 1, scale) for N in range(1, 7)]
     lo = np.abs(_kernel_stack(states, grid)) ** 2 / np.stack(
         [distribution_max_l("LO", s.N, grid, scale) for s in states])
     pp = np.stack([podolsky_pauling_G(s, pos) ** 2 / distribution_max_l("PP", s.N, pos, scale)

@@ -40,21 +40,21 @@ def report(number, name, figure, tolerance, passed):
 
 def test_criterion_01_form_equivalence():
     """Gegenbauer expansion == trigonometric expansion, N <= 8, 1e-11."""
-    res = verify_form_equivalence(max_N=8)
+    res = verify_form_equivalence()
     report(1, "form equivalence", res.max_residual, 1e-11,
            res.max_residual <= 1e-11)
 
 
 def test_criterion_02_transform_consistency():
     """Quadrature transform of R_{Nl} vs closed form, N <= 4, 1e-7."""
-    res = verify_quadrature(max_N=4)
+    res = verify_quadrature()
     report(2, "transform consistency", res.max_residual, 1e-7,
            res.max_residual <= 1e-7)
 
 
 def test_criterion_03_diagonalization():
     """H(p_r f) = p H(f) on p in [-10, 10] for three bump functions, 1e-7."""
-    res = verify_parseval_and_diagonalization(max_N=1)
+    res = verify_parseval_and_diagonalization()
     worst = max(float(part.split(": ")[1]) for part in res.details.split("; ")
                 if part.startswith("bump"))
     report(3, "diagonalization identity", worst, 1e-7, worst <= 1e-7)
@@ -77,7 +77,7 @@ def test_criterion_04_parseval():
 
 def test_criterion_05_lombardi_ogilvie():
     """psi_trig / alpha_LO constant in p, rel std <= 1e-9, N <= 6."""
-    res = verify_lo_proportionality(max_N=6)
+    res = verify_lo_proportionality()
     assert res.details  # measured constants are logged per state
     report(5, "Lombardi-Ogilvie equivalence", res.max_residual, 1e-9,
            res.max_residual <= 1e-9)
@@ -85,7 +85,7 @@ def test_criterion_05_lombardi_ogilvie():
 
 def test_criterion_06_podolsky_pauling():
     """PP closed form vs j_l Hankel quadrature, norm, and tail slope."""
-    res = verify_pp_vs_hankel(max_N=4)
+    res = verify_pp_vs_hankel()
     prop_ok = res.max_residual <= 1e-7
 
     norm_worst = 0.0
@@ -190,6 +190,6 @@ def test_criterion_09_special_function_identities():
 
 def test_criterion_10_so4_constancy():
     """|psi_{N,N-1}|^2 (1 + p^2)^{N+1} constant, rel std <= 1e-10, N <= 6."""
-    res = verify_so4_constancy(max_N=6)
+    res = verify_so4_constancy()
     report(10, "SO(4) constancy", res.max_residual, 1e-10,
            res.max_residual <= 1e-10)

@@ -74,6 +74,31 @@ class TestEval:
         abs2 = float(out.strip().split(",")[3])
         assert abs2 == pytest.approx(0.5, rel=1e-12)
 
+    def test_hbar_flag(self, capsys):
+        """At fixed hbar beta, psi_trig goes as beta^{-1/2}: hbar = 2 halves
+        beta, which multiplies the record by sqrt(2)."""
+        argv = ("eval", "trig", "5", "2", "--p", "0.7", "--hbar-beta", "3")
+        _, out_1 = run_cli(capsys, *argv)
+        _, out_2 = run_cli(capsys, *argv, "--hbar", "2")
+        _, re_1, im_1, _ = (float(x) for x in out_1.split(","))
+        _, re_2, im_2, _ = (float(x) for x in out_2.split(","))
+        expected = math.sqrt(2.0) * complex(re_1, im_1)
+        assert abs(complex(re_2, im_2) - expected) <= 1e-15 * abs(expected)
+
+    @pytest.mark.parametrize("form", ["lombardi_ogilvie", "podolsky_pauling"])
+    def test_hbar_beta_alone(self, capsys, form):
+        """Forms that depend on hbar beta alone print the same bytes at any hbar."""
+        argv = ("eval", form, "5", "2", "--p", "0.7", "--hbar-beta", "3")
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--hbar", "2")
+
+    @pytest.mark.parametrize("flags", [["--physical"], ["--Z", "2"], ["--mu", "2"],
+                                       ["--alpha-fs", "0.1"], ["--c", "2"]], ids=" ".join)
+    def test_no_physical_mode(self, capsys, flags):
+        """The scale is hbar and hbar beta; there are no physical-mode flags."""
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "trig", "3", "1", "--p", "0.7", *flags])
+        assert err.value.code == 2
+
     def test_invalid_state_usage_error(self, capsys):
         code, _ = run_cli(capsys, "eval", "trig", "0", "0", "--p", "1.0")
         assert code == EXIT_USAGE
@@ -234,6 +259,10 @@ class TestUsageErrors:
         ["plot", "LO", "2", "--hbar-beta", "inf"],
         ["plot", "LO", "2", "--hbar-beta", "0"],
         ["verify", "--suite", "so4_constancy", "--hbar-beta", "nan"],
+        *[argv + ["--hbar", hbar] for argv in (
+            ["eval", "trig", "3", "1", "--p", "1"],
+            ["table", "trig", "3", "1", "--pmin", "0", "--pmax", "1"],
+            ["plot", "LO", "2"]) for hbar in ("0", "-1", "nan", "inf")],
         # the remaining flag checks
         ["verify", "--suite", "so4_constancy", "--hbar-beta", "0"],
         ["verify", "--suite", "so4_constancy", "--hbar-beta", "-1"],

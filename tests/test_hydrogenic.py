@@ -31,14 +31,6 @@ class TestPhysicalScale:
         with pytest.raises(ValueError):
             PhysicalScale(beta=-1.0)
 
-    def test_from_physical(self):
-        scale = PhysicalScale.from_physical(Z=2, mu=3.0, alpha_fs=0.5, N=4)
-        assert scale.beta == pytest.approx(2 * 3.0 * 0.5 / 4)
-
-    def test_from_physical_invalid_N(self):
-        with pytest.raises(ValueError):
-            PhysicalScale.from_physical(1, 1.0, 0.01, 0)
-
 
 class TestQuantumState:
     def test_valid_range(self):

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import eval_gegenbauer, jv, spherical_jn, yv
 
 from hmomentum import specfun
-from hmomentum.specfun import factorial, gegenbauer_C, laguerre
+from hmomentum.specfun import gegenbauer_C, laguerre
 from hmomentum.transform import GL_ORDER, gauss_legendre_panels, panels_needed
 from oracles import (
     ferrers_P_mhalf,
@@ -28,24 +28,6 @@ def laguerre_sum_exact(n, alpha, x):
     for t in range(n + 1):
         total += (-1) ** t * math.comb(n + alpha, n - t) * xf ** t / math.factorial(t)
     return float(total)
-
-
-class TestFactorial:
-    def test_empty_product(self):
-        assert factorial(0) == 1
-
-    def test_small(self):
-        assert factorial(5) == 120
-
-    def test_iterated_multiplication_oracle(self):
-        acc = 1
-        for k in range(1, 21):
-            acc *= k
-        assert factorial(20) == acc == 2432902008176640000
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            factorial(-1)
 
 
 class TestLaguerre:

@@ -200,6 +200,13 @@ class TestUncertainty:
         N, l = self.worst_state(res.details)
         assert (N, l) in res.states_covered
 
+    @pytest.mark.parametrize("hbar_beta", [1e-8, 1e4])
+    def test_G_normalization_far_from_unit_scale(self, hbar_beta):
+        """G keeps its normalization to a few ulps at any scale: (hbar beta)^{-3/2}
+        is not taken through the exponential of its prefactor."""
+        res = verify_uncertainty(config=VerifyConfig(scale=PhysicalScale(1.0, hbar_beta)))
+        assert res.passed and res.max_residual <= 3e-15
+
     def test_perturbed_G_fails(self, monkeypatch):
         """G of (3, 1) scaled by 1 + 1e-9 moves its <p^2> by 2e-9."""
         monkeypatch.setattr(forms, "podolsky_pauling_G", perturbed_G((3, 1), 1.0 + 1e-9))
