@@ -23,11 +23,6 @@ from .transform import (
     gram_matrices,
     transform_numeric,
 )
-from .verification import (
-    CheckResult,
-    VerificationReport,
-    VerifyConfig,
-    run_all,
-)
+from .verification import CheckResult, VerificationReport, run_all
 
 __version__ = "0.1.0"

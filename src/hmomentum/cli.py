@@ -4,13 +4,14 @@ Subcommands:
   eval    one momentum form at a single p, printed as a CSV record
   table   a form over a momentum grid, CSV with header p,re,im,abs2
   plot    unnormalized PP/LO densities over a grid, CSV with header p,density
-  verify  run the verification suites, JSON report
+  verify  run the verification suites at --hbar-beta, JSON report
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error (a
-grid too large to allocate included), 3 I/O error.  All floating values
-are emitted with 17 significant digits and a dot decimal separator.
-`table` and `plot` evaluate their whole grid in one call of the
-array-valued forms.
+grid too large to allocate, a value that overflows and a flag that is
+not spelled in full included), 3 I/O error.  All floating values are
+emitted with 17 significant digits and a dot decimal separator, and
+all must be finite.  `table` and `plot` evaluate their whole grid in
+one call of the array-valued forms.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .forms import FORM_EVALUATORS, distribution_max_l
 from .hydrogenic import PhysicalScale, QuantumState
-from .verification import SUITES, VerifyConfig, run_all
+from .verification import SUITES, run_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -46,11 +47,14 @@ def _require_finite(**flags) -> None:
 
 def _usage_checked(function, *args, **kwargs):
     """function(*args, **kwargs), with its ValueError, an argument outside
-    its domain, reported as a usage error."""
+    its domain, and its OverflowError, a result outside double range,
+    reported as a usage error."""
     try:
         return function(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except OverflowError as exc:
+        raise UsageError(f"a value overflows double precision: {exc}") from exc
 
 
 def _scale_from_args(args) -> PhysicalScale:
@@ -81,8 +85,11 @@ def _write_lines(path, chunks) -> None:
 
 def _write_csv(path, header, columns) -> None:
     """Write `header` (unless None), then one row per entry of the
-    equal-length float `columns`, every value with 17 significant digits."""
+    equal-length float `columns`, every value with 17 significant digits;
+    if any value is not finite, raise UsageError before writing anything."""
     rows = np.array(columns).T.reshape(-1, len(columns))
+    if not np.isfinite(rows).all():
+        raise UsageError("a value overflows double precision (inf or nan); nothing written")
     row = ",".join(["%.17g"] * len(columns)) + "\n"
 
     def text():
@@ -99,7 +106,9 @@ def _complex_columns(p, values) -> list:
     """The p,re,im,abs2 columns of complex `values` at momenta `p`."""
     # np.hypot is bit for bit Python's abs(complex); np.abs of a complex is not.
     modulus = np.hypot(values.real, values.imag)
-    return [p, values.real, values.imag, modulus * modulus]
+    # abs2 overflows to inf where |value| > 1.3e154, which _write_csv refuses.
+    with np.errstate(over="ignore"):
+        return [p, values.real, values.imag, modulus * modulus]
 
 
 def cmd_eval(args) -> int:
@@ -135,17 +144,16 @@ def cmd_plot(args) -> int:
     _require_finite(pmax=pmax)
     pmin = 0.0 if args.form == "PP" else -pmax
     grid = np.linspace(pmin, pmax, args.count)
-    _write_csv(args.output, "p,density",
-               [grid, _usage_checked(distribution_max_l, args.form, args.N, grid, scale)])
+    # At a small hbar beta the shapes overflow (PP, a multiple of (hbar beta)^-8,
+    # below about 1e-39), and PP at p = 0 is then 0 * inf; _write_csv refuses both.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        density = _usage_checked(distribution_max_l, args.form, args.N, grid, scale)
+    _write_csv(args.output, "p,density", [grid, density])
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
-        raise UsageError(f"--tol-scale must be positive and finite, got {args.tol_scale}")
-    config = VerifyConfig(scale=_scale_from_args(args), tol_scale=args.tol_scale)
-    suites = args.suite if args.suite else None
-    report = run_all(config, suites)
+    report = run_all(_scale_from_args(args), args.suite)
     _write_lines(args.output, [report.to_json() + "\n"])
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
 
@@ -162,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     if _parser is not None:
         return _parser
     parser = argparse.ArgumentParser(
-        prog="hmomentum",
+        prog="hmomentum", allow_abbrev=False,
         description="Hydrogen radial wave functions in the momentum representation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate one form at a single p")
+    p_eval = sub.add_parser("eval", allow_abbrev=False, help="evaluate one form at a single p")
     p_eval.add_argument("form", choices=sorted(FORM_EVALUATORS))
     p_eval.add_argument("N", type=int)
     p_eval.add_argument("l", type=int)
@@ -174,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--output", default=None)
     _add_scale_flags(p_eval)
 
-    p_table = sub.add_parser("table", help="tabulate a form over a grid")
+    p_table = sub.add_parser("table", allow_abbrev=False, help="tabulate a form over a grid")
     p_table.add_argument("form", choices=sorted(FORM_EVALUATORS))
     p_table.add_argument("N", type=int)
     p_table.add_argument("l", type=int)
@@ -184,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--output", default=None)
     _add_scale_flags(p_table)
 
-    p_plot = sub.add_parser("plot", help="emit PP/LO density data")
+    p_plot = sub.add_parser("plot", allow_abbrev=False, help="emit PP/LO density data")
     p_plot.add_argument("form", choices=["PP", "LO"])
     p_plot.add_argument("N", type=int)
     p_plot.add_argument("--pmax", type=float, default=None)
@@ -192,11 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--output", default=None)
     _add_scale_flags(p_plot)
 
-    p_verify = sub.add_parser("verify", help="run the verification suites")
+    p_verify = sub.add_parser("verify", allow_abbrev=False, help="run the verification suites")
     p_verify.add_argument("--suite", action="append", choices=sorted(SUITES),
                           help="suite to run (repeatable; default all)")
-    p_verify.add_argument("--tol-scale", type=float, default=1.0,
-                          help="multiply every tolerance (values > 1 loosen)")
     p_verify.add_argument("--hbar-beta", type=float, default=1.0)
     p_verify.add_argument("--output", default=None)
     p_verify.set_defaults(hbar=1.0)

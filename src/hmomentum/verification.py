@@ -1,11 +1,12 @@
 """Cross-form, transform, normalization and inequality check suites.
 
-Each suite returns a CheckResult; run_all bundles them into a
-VerificationReport.  Everything is deterministic for a fixed
-configuration (no randomness anywhere).  The form suites compare the
-kernel with the paper's literal sums, summed exactly in integers at
-Pythagorean momenta, so cancellation limits no N.  The report's config
-records the scale, the tolerance factor and the numerical transform's
+Each suite takes a PhysicalScale, its only input, and returns a
+CheckResult with its residual and its tolerance, a constant of the
+suite; run_all bundles them into a VerificationReport.  Everything is
+deterministic for a fixed scale (no randomness anywhere).  The form
+suites compare the kernel with the paper's literal sums, summed exactly
+in integers at Pythagorean momenta, so cancellation limits no N.  The
+report's config records the scale and the numerical transform's
 REL_TOL, ABS_TOL, PANEL_BUDGET and MAX_RHO, the limit of its search for
 the cut; the quadrature and Hankel suites report the cut they used.
 """
@@ -17,7 +18,7 @@ import json
 import math
 import os
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,26 +94,6 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Tunable knobs of the verification run."""
-
-    scale: PhysicalScale = field(default_factory=PhysicalScale)
-    tol_scale: float = 1.0
-
-    def describe(self) -> dict:
-        return {
-            "hbar": self.scale.hbar,
-            "beta": self.scale.beta,
-            "tol_scale": self.tol_scale,
-            "quadrature": {"rel_tol": REL_TOL, "abs_tol": ABS_TOL, "max_rho": MAX_RHO,
-                           "panel_budget": PANEL_BUDGET},
-        }
-
-
-DEFAULT_CONFIG = VerifyConfig()
 
 
 def _states(max_N: int, scale: PhysicalScale):
@@ -222,14 +203,13 @@ def exact_lombardi_ogilvie(states) -> np.ndarray:
     return _exact_sums(states, _lombardi_ogilvie_terms, lombardi_ogilvie_coefficients)
 
 
-def verify_form_equivalence(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_form_equivalence(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """psi_trig (the 2F1 recurrence) against the paper's literal Gegenbauer
     sum, in exact arithmetic (`exact_gegenbauer`).
 
     It covers every state with N <= 8 and LARGE_N_STATES.  A state's
     residual is its largest |psi_trig - exact| over its largest |exact|.
     """
-    scale = config.scale
     states = _states(8, scale) + [QuantumState(N, l, scale) for N, l in LARGE_N_STATES]
     p = pythagorean_momenta(scale)
     exact = exact_gegenbauer(states)
@@ -239,11 +219,11 @@ def verify_form_equivalence(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResul
     return CheckResult.from_residual(
         "form_equivalence", [(s.N, s.l) for s in states],
         f"{p.size} Pythagorean momenta, |p|/(hbar beta) in [1e-3, 1e3] and 0",
-        error[row, col], 1e-11 * config.tol_scale,
+        error[row, col], 1e-11,
         f"worst at {_where(states[row], p[col])}")
 
 
-def verify_quadrature(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """Numerical transform of R_{Nl} against the trigonometric closed form.
 
     Run under the outgoing kernel (sign +1), which reproduces the closed
@@ -251,13 +231,12 @@ def verify_quadrature(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     call, over the same nodes, and `details` reports the cut in rho that
     the transform took from the states' tails and its panel count.
     """
-    scale = config.scale
     pos = np.logspace(-2, math.log10(20.0), 13) * scale.momentum
     grid = np.concatenate([-pos[::-1], [0.0], pos])
     states = _states(4, scale)
     covered = [(s.N, s.l) for s in states]
     grid_name = f"{grid.size}-point mirrored grid up to 20 hbar beta"
-    tolerance = 1e-7 * config.tol_scale
+    tolerance = 1e-7
     try:
         numeric, cut, panels = _transform_numeric(
             lambda r: _radial_stack(states, r), grid, 1, scale, None)
@@ -274,7 +253,7 @@ def verify_quadrature(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
         f"worst at {_where(states[row], grid[col])}; cut rho={cut:g}, panels={panels}")
 
 
-def verify_lo_proportionality(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_lo_proportionality(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """psi_trig / conj(alpha_LO) constant in p and equal to (-1)^l a_0 / c_0,
     per state, and the Lombardi-Ogilvie kernel that `table` and `eval` serve
     equal to alpha_LO.
@@ -294,7 +273,6 @@ def verify_lo_proportionality(config: VerifyConfig = DEFAULT_CONFIG) -> CheckRes
     (N, l, p) is where its largest term is largest (for the constant, the
     ratio furthest from it); the mean ratios are logged per state after it.
     """
-    scale = config.scale
     states = _states(6, scale)
     p = pythagorean_momenta(scale)
     exact = exact_lombardi_ogilvie(states)
@@ -316,10 +294,10 @@ def verify_lo_proportionality(config: VerifyConfig = DEFAULT_CONFIG) -> CheckRes
     return CheckResult.from_residual(
         "lombardi_ogilvie_proportionality", [(s.N, s.l) for s in states],
         f"{p.size} Pythagorean momenta, |p|/(hbar beta) in [1e-3, 1e3] and 0",
-        residual[row], 1e-9 * config.tol_scale, details="; ".join(details))
+        residual[row], 1e-9, details="; ".join(details))
 
 
-def verify_pp_vs_hankel(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_pp_vs_hankel(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """Closed-form Podolsky-Pauling vs the j_l Hankel-quadrature oracle.
 
     G_{Nl}(p) against (-1)^{N-l-1} sqrt(2/pi) hbar^{-3/2}
@@ -330,7 +308,6 @@ def verify_pp_vs_hankel(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     integrand since |j_l| <= 1; `details` reports it and the panel count.
     The residual is the largest |G - oracle| / |G| on the grid.
     """
-    scale = config.scale
     two_beta = 2.0 * scale.beta
     grid = np.linspace(0.2, 5.0, 12) * scale.momentum
     states = _states(4, scale)
@@ -351,8 +328,7 @@ def verify_pp_vs_hankel(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     row, col = np.unravel_index(np.argmax(error), error.shape)
     return CheckResult.from_residual(
         "podolsky_pauling_vs_hankel", [(s.N, s.l) for s in states],
-        "12-point linear grid, p/(hbar beta) in [0.2, 5]", error[row, col],
-        1e-7 * config.tol_scale,
+        "12-point linear grid, p/(hbar beta) in [0.2, 5]", error[row, col], 1e-7,
         f"worst at {_where(states[row], grid[col])}; cut rho={cut:g}, panels={panels}")
 
 
@@ -372,14 +348,13 @@ def _bump(a, b):
 DIAGONALIZATION_TESTS = (_bump(1.0, 2.0), _bump(0.5, 2.5), _bump(2.0, 4.0))
 
 
-def verify_parseval_and_diagonalization(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """Unitarity (measure dp/(2 pi hbar)) plus Eq.-diagonal identity.
 
     Unitarity is checked as equal momentum and position Gram matrices
     (`gram_matrices`) of the states with N <= 5, entry by entry for
     each pair of states of one l.
     """
-    scale = config.scale
     states = _states(5, scale)
     momentum, position = gram_matrices(states)
     l = np.array([s.l for s in states])
@@ -395,19 +370,18 @@ def verify_parseval_and_diagonalization(config: VerifyConfig = DEFAULT_CONFIG) -
     return CheckResult.from_residual(
         "parseval_and_diagonalization", [(s.N, s.l) for s in states],
         "Gram matrices per l, N <= 5; 21-point p grid in [-10, 10] hbar beta",
-        worst, 1e-7 * config.tol_scale, details="; ".join(details))
+        worst, 1e-7, details="; ".join(details))
 
 
-def verify_uncertainty(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_uncertainty(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """<p^2> = hbar^2 beta^2 at a common beta (the diagonal of Fock's
     orthogonality), the residual, and <r^2><p^2> >= 9 hbar^2 / 4, D = 3."""
-    scale = config.scale
     states = _states(5, scale)
     p2 = np.array([expectation_p2(s) for s in states])
     products = p2 * [expectation_r2(s) for s in states]
     error = np.abs(p2 / scale.momentum ** 2 - 1.0)
     row = int(np.argmax(error))
-    tolerance = 1e-9 * config.tol_scale
+    tolerance = 1e-9
     return CheckResult(
         "uncertainty_bound", tuple((s.N, s.l) for s in states),
         "analytic <r^2>, quadrature <p^2>", float(error[row]), tolerance,
@@ -416,7 +390,7 @@ def verify_uncertainty(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
         f"ground-state product: {products[0]:.12g}")
 
 
-def verify_so4_constancy(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
+def verify_so4_constancy(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """The maximal-l density shapes of `distribution_max_l` are those of the
     states: |psi_{N,N-1}|^2 / LO and |G_{N,N-1}|^2 / PP are constant in p,
     and equal to their closed forms a_0^2 (hbar beta)^{2(N+1)}, with a_0 =
@@ -428,7 +402,6 @@ def verify_so4_constancy(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     residual is the largest of its two ratios' relative spreads (std / mean)
     and |mean / closed form - 1|.
     """
-    scale = config.scale
     pos = np.logspace(-3.0, 3.0, 60) * scale.momentum
     grid = np.concatenate([-pos[::-1], [0.0], pos])
     states = [QuantumState(N, N - 1, scale) for N in range(1, 7)]
@@ -448,25 +421,25 @@ def verify_so4_constancy(config: VerifyConfig = DEFAULT_CONFIG) -> CheckResult:
     return CheckResult.from_residual(
         "so4_form_constancy", [(s.N, s.l) for s in states],
         f"{grid.size}-point mirrored log grid (PP on its p > 0 half)", residual[row],
-        1e-10 * config.tol_scale, f"worst at (N={states[row].N},l={states[row].l})")
+        1e-10, f"worst at (N={states[row].N},l={states[row].l})")
 
 
 SUITES = {
-    "form_equivalence": lambda cfg: verify_form_equivalence(config=cfg),
-    "quadrature": lambda cfg: verify_quadrature(config=cfg),
-    "lo_proportionality": lambda cfg: verify_lo_proportionality(config=cfg),
-    "pp_vs_hankel": lambda cfg: verify_pp_vs_hankel(config=cfg),
-    "parseval_diagonalization": lambda cfg: verify_parseval_and_diagonalization(config=cfg),
-    "uncertainty": lambda cfg: verify_uncertainty(config=cfg),
-    "so4_constancy": lambda cfg: verify_so4_constancy(config=cfg),
+    "form_equivalence": lambda scale: verify_form_equivalence(scale),
+    "quadrature": lambda scale: verify_quadrature(scale),
+    "lo_proportionality": lambda scale: verify_lo_proportionality(scale),
+    "pp_vs_hankel": lambda scale: verify_pp_vs_hankel(scale),
+    "parseval_diagonalization": lambda scale: verify_parseval_and_diagonalization(scale),
+    "uncertainty": lambda scale: verify_uncertainty(scale),
+    "so4_constancy": lambda scale: verify_so4_constancy(scale),
 }
 
 
-def _run_suite(name: str, config: VerifyConfig) -> CheckResult:
+def _run_suite(name: str, scale: PhysicalScale) -> CheckResult:
     """The suite's result; if it raises, a failed result named by its SUITES
     key, with an infinite residual and the exception and where it was raised."""
     try:
-        return SUITES[name](config)
+        return SUITES[name](scale)
     except Exception as exc:  # noqa: BLE001 - one suite's crash fails only that suite
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         return CheckResult(
@@ -475,9 +448,9 @@ def _run_suite(name: str, config: VerifyConfig) -> CheckResult:
             f"{os.path.basename(frame.filename)}:{frame.lineno})")
 
 
-def run_all(config: VerifyConfig = DEFAULT_CONFIG,
-            suites=None) -> VerificationReport:
-    """Run the requested suites (all by default) and assemble a report.
+def run_all(scale: PhysicalScale = PhysicalScale(), suites=None) -> VerificationReport:
+    """Run the requested suites (all by default) at `scale` and assemble a
+    report, whose config records the scale and the quadrature constants.
 
     A suite that raises is reported as failed (see `_run_suite`); the
     others still run.
@@ -486,7 +459,10 @@ def run_all(config: VerifyConfig = DEFAULT_CONFIG,
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    results = tuple(_run_suite(name, config) for name in names)
-    return VerificationReport(results, config.describe(),
+    results = tuple(_run_suite(name, scale) for name in names)
+    config = {"hbar": scale.hbar, "beta": scale.beta,
+              "quadrature": {"rel_tol": REL_TOL, "abs_tol": ABS_TOL, "max_rho": MAX_RHO,
+                             "panel_budget": PANEL_BUDGET}}
+    return VerificationReport(results, config,
                               datetime.datetime.now(datetime.timezone.utc).isoformat(),
                               all(r.passed for r in results))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hmomentum import cli
+from hmomentum import cli, forms, verification
 from hmomentum.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from hmomentum.verification import SUITES
 
@@ -188,22 +188,27 @@ class TestVerify:
         assert report["overall_pass"] is True
         assert report["results"][0]["name"] == "so4_form_constancy"
 
-    def test_loosened_tolerance_passes(self, capsys):
-        code, out = run_cli(capsys, "verify", "--suite", "form_equivalence",
-                            "--tol-scale", "10")
-        assert code == EXIT_OK
-        assert json.loads(out)["results"][0]["tolerance"] == pytest.approx(1e-10)
+    def test_impossible_tolerance_fails(self, capsys, monkeypatch):
+        """The kernel off by 1e-9, past form_equivalence's tolerance of
+        1e-11, fails the run."""
+        def perturbed(states, p, **kwargs):
+            return forms._kernel_stack(states, p, **kwargs) * (1.0 + 1e-9)
 
-    def test_impossible_tolerance_fails(self, capsys):
-        code, out = run_cli(capsys, "verify", "--suite", "form_equivalence",
-                            "--tol-scale", "1e-14")
+        monkeypatch.setattr(verification, "_kernel_stack", perturbed)
+        code, out = run_cli(capsys, "verify", "--suite", "form_equivalence")
         assert code == 1
         assert json.loads(out)["overall_pass"] is False
+
+    def test_no_tol_scale(self, capsys):
+        """Each suite's tolerance is a constant; no flag scales it."""
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--tol-scale", "10"])
+        assert err.value.code == 2
 
     def test_crashing_suite_is_reported(self, capsys, monkeypatch):
         """A suite that raises is reported failed; the report still comes
         out, and the other suites run."""
-        def crash(config):
+        def crash(scale):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(SUITES, "uncertainty", crash)
@@ -266,22 +271,33 @@ class TestUsageErrors:
         # the remaining flag checks
         ["verify", "--suite", "so4_constancy", "--hbar-beta", "0"],
         ["verify", "--suite", "so4_constancy", "--hbar-beta", "-1"],
-        ["verify", "--suite", "so4_constancy", "--tol-scale", "0"],
-        ["verify", "--suite", "so4_constancy", "--tol-scale", "-1"],
-        ["verify", "--suite", "so4_constancy", "--tol-scale", "nan"],
-        ["verify", "--suite", "so4_constancy", "--tol-scale", "inf"],
         ["plot", "PP", "2", "--count", "0"],
         ["plot", "LO", "2", "--count", "1"],
         # grids of 7.1 PiB: numpy refuses the allocation at once
         ["table", "trig", "2", "0", "--pmin", "0", "--pmax", "1",
          "--count", "1000000000000000"],
         ["plot", "LO", "2", "--count", "1000000000000000"],
+        # values outside double range: G's (hbar beta)^{-3/2} overflows a float,
+        # its square overflows, and the PP shape's (hbar beta)^{-8} overflows
+        ["eval", "podolsky_pauling", "1", "0", "--p", "0", "--hbar-beta", "1e-210"],
+        ["eval", "podolsky_pauling", "1", "0", "--p", "0", "--hbar-beta", "1e-200"],
+        ["plot", "PP", "2", "--hbar-beta", "1e-200", "--count", "3"],
     ], ids=" ".join)
     def test_exit_2(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        # --hbar would abbreviate --hbar-beta, --c --count
+        ["verify", "--suite", "so4_constancy", "--hbar", "2"],
+        ["table", "trig", "2", "1", "--pmin", "0", "--pmax", "1", "--c", "2"],
+    ], ids=" ".join)
+    def test_flags_spelled_in_full(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 class TestOneParser:

@@ -4,9 +4,15 @@ import pathlib
 import re
 import shlex
 
+import pytest
+
 from hmomentum import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+# A long flag, not the tail of a longer word such as a range "a--b".
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 
 
 def code_blocks(language):
@@ -31,3 +37,27 @@ def test_cli_commands_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert cli.main(argv) == cli.EXIT_OK, argv
         capsys.readouterr()
+
+
+def cli_options(capsys):
+    """Every option of the four subcommands, as their --help lists them,
+    but -h/--help."""
+    options = set()
+    for command in ("eval", "table", "plot", "verify"):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        options |= set(FLAG.findall(capsys.readouterr().out))
+    return options - {"--help"}
+
+
+def readme_flags():
+    """Every --flag the README names, in prose or code, but pip's."""
+    return set(FLAG.findall(README.read_text(encoding="utf-8"))) - {"--no-build-isolation"}
+
+
+def test_readme_names_only_cli_options(capsys):
+    assert readme_flags() <= cli_options(capsys)
+
+
+def test_readme_names_every_cli_option(capsys):
+    assert cli_options(capsys) <= readme_flags()

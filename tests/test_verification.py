@@ -16,7 +16,6 @@ from hmomentum.transform import ConvergenceError, gram_matrices
 from hmomentum.verification import (
     SUITES,
     CheckResult,
-    VerifyConfig,
     run_all,
     verify_form_equivalence,
     verify_lo_proportionality,
@@ -87,17 +86,13 @@ class TestFastSuites:
         assert set(covered) >= {(N, l) for N in range(1, 9) for l in range(N)}
         assert max(N for N, _ in covered) >= 40
 
-    def test_tol_scale_tightening_can_fail(self):
-        tight = VerifyConfig(tol_scale=1e-14)
-        assert not verify_form_equivalence(config=tight).passed
-
     def test_beta_covariance(self):
-        config = VerifyConfig(scale=PhysicalScale(beta=0.5))
-        assert verify_form_equivalence(config=config).passed
-        assert verify_so4_constancy(config=config).passed
-        assert verify_parseval_and_diagonalization(config=config).passed
-        assert verify_uncertainty(config=config).passed
-        assert verify_pp_vs_hankel(config=config).passed
+        scale = PhysicalScale(beta=0.5)
+        assert verify_form_equivalence(scale).passed
+        assert verify_so4_constancy(scale).passed
+        assert verify_parseval_and_diagonalization(scale).passed
+        assert verify_uncertainty(scale).passed
+        assert verify_pp_vs_hankel(scale).passed
 
 
 class TestWorstPoint:
@@ -163,7 +158,7 @@ class TestWorstPoint:
     @pytest.mark.parametrize("hbar, beta", [(1.0, 1.0), (1e-3, 7.0), (2.5, 0.4)])
     def test_pp_equality_at_hbar(self, hbar, beta):
         """The sign, sqrt(2/pi) and hbar^{-3/2} hold far from hbar = 1."""
-        res = verify_pp_vs_hankel(config=VerifyConfig(scale=PhysicalScale(hbar, beta)))
+        res = verify_pp_vs_hankel(PhysicalScale(hbar, beta))
         assert res.passed and res.max_residual <= 1e-12
 
     def test_quadrature(self):
@@ -195,7 +190,7 @@ class TestUncertainty:
 
     @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e4])
     def test_residual_at_rounding(self, hbar_beta):
-        res = verify_uncertainty(config=VerifyConfig(scale=PhysicalScale(1.0, hbar_beta)))
+        res = verify_uncertainty(PhysicalScale(1.0, hbar_beta))
         assert res.passed and 0.0 <= res.max_residual <= 1e-14
         N, l = self.worst_state(res.details)
         assert (N, l) in res.states_covered
@@ -204,7 +199,7 @@ class TestUncertainty:
     def test_G_normalization_far_from_unit_scale(self, hbar_beta):
         """G keeps its normalization to a few ulps at any scale: (hbar beta)^{-3/2}
         is not taken through the exponential of its prefactor."""
-        res = verify_uncertainty(config=VerifyConfig(scale=PhysicalScale(1.0, hbar_beta)))
+        res = verify_uncertainty(PhysicalScale(1.0, hbar_beta))
         assert res.passed and res.max_residual <= 3e-15
 
     def test_perturbed_G_fails(self, monkeypatch):
@@ -233,7 +228,7 @@ class TestSO4Constancy:
 
     @pytest.mark.parametrize("hbar_beta", [1e-8, 1e-3, 1.0, 3.0, 1e4])
     def test_residual_at_rounding(self, hbar_beta):
-        res = verify_so4_constancy(config=VerifyConfig(scale=PhysicalScale(1.0, hbar_beta)))
+        res = verify_so4_constancy(PhysicalScale(1.0, hbar_beta))
         assert res.passed and res.max_residual <= 1e-14
         assert self.worst_state(res.details) in res.states_covered
 
@@ -340,7 +335,7 @@ class TestRunAll:
             "so4_form_constancy", "form_equivalence"]
 
     def test_crash_is_isolated(self, monkeypatch):
-        def crash(config):
+        def crash(scale):
             raise ZeroDivisionError("boom")
 
         monkeypatch.setitem(SUITES, "form_equivalence", crash)
@@ -372,11 +367,10 @@ class TestRunAll:
         assert parsed == report.to_dict()
 
     def test_config_recorded(self):
-        config = VerifyConfig(scale=PhysicalScale(beta=2.0), tol_scale=3.0)
-        report = run_all(config, suites=["form_equivalence"])
+        report = run_all(PhysicalScale(beta=2.0), suites=["form_equivalence"])
+        assert set(report.config) == {"hbar", "beta", "quadrature"}
         assert report.config["beta"] == 2.0
-        assert report.config["tol_scale"] == 3.0
-        assert math.isclose(report.results[0].tolerance, 3e-11)
+        assert report.results[0].tolerance == 1e-11
 
 
 def log_uniform(lo, hi):
@@ -400,19 +394,17 @@ class TestScales:
             for l in range(N):
                 p2 = expectation_p2(QuantumState(N, l, scale))
                 assert abs(p2 / scale.momentum ** 2 - 1.0) <= 1e-13, (N, l, p2)
-        config = VerifyConfig(scale=scale)
-        assert verify_uncertainty(config=config).passed
-        assert verify_pp_vs_hankel(config=config).passed
+        assert verify_uncertainty(scale).passed
+        assert verify_pp_vs_hankel(scale).passed
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(log_uniform(1e-8, 1e4))
     def test_run_all(self, hbar_beta):
-        report = run_all(VerifyConfig(scale=PhysicalScale(1.0, hbar_beta)))
+        report = run_all(PhysicalScale(1.0, hbar_beta))
         assert report.overall_pass, [r.name for r in report.results if not r.passed]
 
     @pytest.mark.xfail(raises=ConvergenceError, strict=True,
                        reason="the bumps' support is fixed in r, so at beta = 1e7 "
                               "their transform needs 3.2e7 panels of a 40000 budget")
     def test_diagonalization_at_large_beta(self):
-        config = VerifyConfig(scale=PhysicalScale(1e-3, 1e7))
-        assert verify_parseval_and_diagonalization(config=config).passed
+        assert verify_parseval_and_diagonalization(PhysicalScale(1e-3, 1e7)).passed
