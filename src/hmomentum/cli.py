@@ -63,11 +63,15 @@ def _scale_from_args(args) -> PhysicalScale:
     return _usage_checked(PhysicalScale, hbar=args.hbar, beta=args.hbar_beta / args.hbar)
 
 
-def _add_scale_flags(parser: argparse.ArgumentParser) -> None:
+def _add_scale_flags(parser: argparse.ArgumentParser, hbar: bool) -> None:
+    """--hbar-beta, and --hbar where the output depends on it (else hbar = 1)."""
     parser.add_argument("--hbar-beta", type=float, default=1.0,
                         help="momentum scale hbar*beta (default 1)")
-    parser.add_argument("--hbar", type=float, default=1.0,
-                        help="action unit hbar (default 1)")
+    if hbar:
+        parser.add_argument("--hbar", type=float, default=1.0,
+                            help="action unit hbar (default 1)")
+    else:
+        parser.set_defaults(hbar=1.0)
 
 
 def _state_from_args(args) -> QuantumState:
@@ -144,10 +148,7 @@ def cmd_plot(args) -> int:
     _require_finite(pmax=pmax)
     pmin = 0.0 if args.form == "PP" else -pmax
     grid = np.linspace(pmin, pmax, args.count)
-    # At a small hbar beta the shapes overflow (PP, a multiple of (hbar beta)^-8,
-    # below about 1e-39), and PP at p = 0 is then 0 * inf; _write_csv refuses both.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        density = _usage_checked(distribution_max_l, args.form, args.N, grid, scale)
+    density = _usage_checked(distribution_max_l, args.form, args.N, grid, scale)
     _write_csv(args.output, "p,density", [grid, density])
     return EXIT_OK
 
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("l", type=int)
     p_eval.add_argument("--p", type=float, required=True)
     p_eval.add_argument("--output", default=None)
-    _add_scale_flags(p_eval)
+    _add_scale_flags(p_eval, hbar=True)
 
     p_table = sub.add_parser("table", allow_abbrev=False, help="tabulate a form over a grid")
     p_table.add_argument("form", choices=sorted(FORM_EVALUATORS))
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--pmax", type=float, required=True)
     p_table.add_argument("--count", type=int, default=101)
     p_table.add_argument("--output", default=None)
-    _add_scale_flags(p_table)
+    _add_scale_flags(p_table, hbar=True)
 
     p_plot = sub.add_parser("plot", allow_abbrev=False, help="emit PP/LO density data")
     p_plot.add_argument("form", choices=["PP", "LO"])
@@ -198,14 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--pmax", type=float, default=None)
     p_plot.add_argument("--count", type=int, default=201)
     p_plot.add_argument("--output", default=None)
-    _add_scale_flags(p_plot)
+    _add_scale_flags(p_plot, hbar=False)
 
     p_verify = sub.add_parser("verify", allow_abbrev=False, help="run the verification suites")
     p_verify.add_argument("--suite", action="append", choices=sorted(SUITES),
                           help="suite to run (repeatable; default all)")
-    p_verify.add_argument("--hbar-beta", type=float, default=1.0)
     p_verify.add_argument("--output", default=None)
-    p_verify.set_defaults(hbar=1.0)
+    _add_scale_flags(p_verify, hbar=False)
 
     _parser = parser
     return parser

@@ -155,8 +155,8 @@ def _pp_log_prefactor(N: int, l: int) -> float:
         math.factorial(N + l)) - math.log(math.pi))
 
 
-# At q = p / hbar beta >= Q_CAP the Podolsky-Pauling function and density
-# are 0 in double precision (given a finite prefactor), and below it 1 + q*q
+# At q = p / hbar beta >= Q_CAP the Podolsky-Pauling function is 0 in
+# double precision (given a finite prefactor), and below it 1 + q*q
 # is still finite; `_capped` lowers larger q, inf included, to Q_CAP.
 Q_CAP = 1e154
 
@@ -200,30 +200,54 @@ def podolsky_pauling_G(state: QuantumState, p):
     )
 
 
+def _power(x: np.ndarray, n: int):
+    """(m, e) with x ** n = m 2^e, m in [1/2, 1] or 0, for x >= 0 and an
+    integer n: the powers of 2 of x are summed apart, and the rest is
+    renormalized every 256 factors, so that no part under- or overflows."""
+    base, e = np.frexp(x)
+    m, e = 1.0, n * e.astype(np.int64)
+    while n:
+        k = max(-256, min(256, n))
+        m, shift = np.frexp(m * base ** k)
+        e, n = e + shift, n - k
+    return m, e
+
+
 def distribution_max_l(form: str, N: int, p,
                        scale: PhysicalScale = PhysicalScale()):
     """Unnormalized maximal-l (l = N-1) momentum density shapes.
 
     "PP": (4 hbar beta p)^{2(N-1)} / (hbar^2 beta^2 + p^2)^{2(N+1)},
-    defined for p >= 0, evaluated in q = p / hbar beta as
-    (4q/(1+q^2))^{2(N-1)} ((1+q^2) hbar^2 beta^2)^{-4}, so that no power
-    overflows before the division; 0 from q = Q_CAP on (exactly so for
-    hbar beta above 1e-113).
-    "LO": 1 / (hbar^2 beta^2 + p^2)^{N+1}, defined for any real p.
-    p is a float or a float64 array.
+    defined for p >= 0.  "LO": 1 / (hbar^2 beta^2 + p^2)^{N+1}, for any
+    real p.  p is a float or a float64 array.  hbar beta and p are scaled
+    into [0, 1] by one power of 2, kept apart with the powers of 2 that
+    `_power` takes out, so only the value itself can leave the double
+    range: it is 0 where it underflows (PP at p = 0 for N >= 2, and at
+    p = inf), and raises ValueError where it overflows.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    pm = scale.momentum
     if form == "PP":
         if _any_negative(p):
             raise ValueError("PP density is defined for p >= 0")
-        q = _capped(p / pm)
-        c2 = 1.0 / (1.0 + q * q)
-        return (4.0 * q * c2) ** (2 * (N - 1)) * (c2 / (pm * pm)) ** 4
-    if form == "LO":
-        return 1.0 / (pm * pm + p * p) ** (N + 1)
-    raise ValueError(f"unknown distribution form {form!r}")
+        power, inverse = 2 * (N - 1), 2 * (N + 1)
+    elif form == "LO":
+        power, inverse = 0, N + 1
+    else:
+        raise ValueError(f"unknown distribution form {form!r}")
+    p = np.abs(np.asarray(p, dtype=float))
+    pm = scale.momentum
+    with np.errstate(over="ignore", invalid="ignore"):  # the value past double range, inf p
+        scale_exp = np.frexp(np.maximum(pm, p))[1].astype(np.int64)
+        a, b = np.ldexp(pm, -scale_exp), np.ldexp(p, -scale_exp)
+        num, num_exp = _power(4.0 * a * b, power)
+        den, den_exp = _power(a * a + b * b, -inverse)
+        value = np.ldexp(num * den, num_exp + den_exp + 2 * (power - inverse) * scale_exp)
+    value = np.where(p == np.inf, 0.0, value)
+    if np.isinf(value).any():
+        raise ValueError(f"{form} density of N={N} overflows double precision "
+                         f"at hbar beta {pm:g}")
+    return value[()]
 
 
 # trig, gegenbauer and script_D are one function (see `psi_trig`).  Every

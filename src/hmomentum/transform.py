@@ -7,13 +7,15 @@ sign s is -1 for the incoming spherical wave (the defining choice) and
 The numerical path `transform_numeric` takes s as an argument and
 evaluates the oscillatory integral over a whole momentum grid at once, by
 composite Gauss-Legendre panels in the dimensionless rho = 2 beta r, to
-the module's REL_TOL, ABS_TOL and PANEL_BUDGET.  It cuts the interval
+the module's REL_TOL, ABS_TOL and PANEL_BUDGET, over [0, cut]: the cut is
 where a coarse probe finds the integrand's tail below the rounding of the
 integral (`tail_cut`), at MAX_RHO at the latest.
 `gram_matrices` checks unitarity on the closed form `psi_trig`: its
 momentum Gram matrix against the position one of `radial_wavefunction`,
 by finite rules exact for both, the midpoint rule in
 theta = arctan(p / hbar beta) and Gauss-Laguerre in rho.
+`diagonalization_residual` checks that H diagonalizes the radial momentum
+operator, H(p_r f) = p H f, on functions of rho that decay as e^{-rho/2}.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ class ConvergenceError(RuntimeError):
 
 
 # The numerical transform holds its error bound at each p within
-# max(ABS_TOL, REL_TOL |value|), and without a support cuts the integral at
-# `tail_cut`, which searches rho up to MAX_RHO: R_{N0} reaches its cut at
-# rho = 1036 for N = 200.  Its panel count stops at PANEL_BUDGET.
+# max(ABS_TOL, REL_TOL |value|), and cuts the integral at `tail_cut`, which
+# searches rho up to MAX_RHO: R_{N0} reaches its cut at rho = 1036 for
+# N = 200.  Its panel count stops at PANEL_BUDGET.
 REL_TOL = 1e-9
 ABS_TOL = 1e-11
 MAX_RHO = 2000.0
@@ -193,8 +195,7 @@ def _fourier_sums(g: np.ndarray, first: float, step: float, offsets: np.ndarray,
 
 
 def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p, sign: int,
-                      scale: PhysicalScale = PhysicalScale(),
-                      support: tuple[float, float] | None = None):
+                      scale: PhysicalScale = PhysicalScale()):
     """Quadrature estimate of (H f)(p) for a real radial function f, or for
     a batch of them, under the kernel e^{sign i p r / hbar}: sign -1 is the
     incoming spherical wave and +1 the outgoing one.
@@ -202,21 +203,20 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p, sign: int,
     f takes a float64 array of r and returns its real values, of shape
     batch + r.shape: batch = () for one function, or the leading axes of a
     stack of functions evaluated on the same r.  Each function must decay
-    at least as e^{-rho/2} or have compact support (pass `support` to
-    restrict the integration interval).  p is a float or a float64 array;
-    the value is complex, of shape batch + p.shape.  Negative p is
-    allowed; for real f the result at -p is the conjugate of the result
-    at p, and so is the result under the other sign.
+    at least as e^{-rho/2}.  p is a float or a float64 array; the value is
+    complex, of shape batch + p.shape.  Negative p is allowed; for real f
+    the result at -p is the conjugate of the result at p, and so is the
+    result under the other sign.
 
     The integral is taken in rho = 2 beta r, as (2 beta)^{-2} times
     int f(rho / 2 beta) rho e^{sign i b rho} d rho, b = p / (2 hbar beta),
-    over the support, or else over [0, cut], the cut `tail_cut` of
-    f rho / (2 beta)^2 with the floor ABS_TOL / 4: f is called once on its
-    probe points, and the cut is where the tail of every function of the
-    batch is below both ABS_TOL / 4 and the rounding of its integral, at
-    MAX_RHO at the latest.  Then f is called once more, on the nodes of a
-    composite Gauss-Legendre rule of GL_ORDER nodes on equal panels, and
-    of ESTIMATE_ORDER nodes on the same panels; the panel count is
+    over [0, cut], the cut `tail_cut` of f rho / (2 beta)^2 with the floor
+    ABS_TOL / 4: f is called once on its probe points, and the cut is
+    where the tail of every function of the batch is below both
+    ABS_TOL / 4 and the rounding of its integral, at MAX_RHO at the
+    latest.  Then f is called once more, on the nodes of a composite
+    Gauss-Legendre rule of GL_ORDER nodes on equal panels, and of
+    ESTIMATE_ORDER nodes on the same panels; the panel count is
     `panels_needed` at the largest |b|, capped at PANEL_BUDGET.
     The node layout and the e^{i b rho} factors are shared by the whole
     batch.  On a given layout, the value and error bound of one function
@@ -224,22 +224,21 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p, sign: int,
     the call; the cut, and so the layout, follows the batch's longest tail.
 
     The error bound at each p is the difference of the two orders, so a
-    capped, under-resolved layout shows in it.  Without a support it adds
-    the bound TAIL_LENGTH * max |f rho| on the last panel on the part of
-    the integral past the cut.
+    capped, under-resolved layout shows in it, plus the bound
+    TAIL_LENGTH * max |f rho| on the last panel on the part of the
+    integral past the cut.
 
     Raises:
-        ValueError: for a sign other than -1 and +1, a bad support or a
-            non-finite p.
+        ValueError: for a sign other than -1 and +1, or a non-finite p.
         ConvergenceError: if for any function at any p the error bound
             exceeds max(ABS_TOL, REL_TOL * |result|) or is not finite.  It
             carries the estimates, error bounds and tolerances, of shape
             batch + p.shape.
     """
-    return _transform_numeric(f, p, sign, scale, support)[0]
+    return _transform_numeric(f, p, sign, scale)[0]
 
 
-def _transform_numeric(f, p, sign, scale, support):
+def _transform_numeric(f, p, sign, scale):
     """`transform_numeric`'s value, and the end of its interval in rho and
     its panel count."""
     if sign not in (-1, 1):
@@ -248,19 +247,12 @@ def _transform_numeric(f, p, sign, scale, support):
     if not np.isfinite(p).all():
         raise ValueError("transform_numeric requires finite p")
     two_beta = 2.0 * scale.beta
-    if support is not None:
-        lo, hi = support
-        if lo < 0 or hi <= lo:
-            raise ValueError(f"bad support interval {support!r}")
-        rho_lo, rho_hi = two_beta * lo, two_beta * hi
-    else:
-        rho_lo = 0.0
-        rho_hi = tail_cut(lambda rho: np.asarray(f(rho / two_beta)) * rho / two_beta ** 2,
-                          ABS_TOL / 4)
+    cut = tail_cut(lambda rho: np.asarray(f(rho / two_beta)) * rho / two_beta ** 2,
+                   ABS_TOL / 4)
     b, index = np.unique(np.abs(p).ravel() / (2.0 * scale.momentum), return_inverse=True)
-    needed = panels_needed(b, rho_hi - rho_lo)
+    needed = panels_needed(b, cut)
     panels = int(min(needed.max(initial=MIN_PANELS), PANEL_BUDGET))
-    rules = [gauss_legendre_panels(rho_lo, rho_hi, panels, order)
+    rules = [gauss_legendre_panels(0.0, cut, panels, order)
              for order in (GL_ORDER, ESTIMATE_ORDER)]
     # Node k of panel j at [k, j], so each order's values reshape to
     # (rows, order, panels) with the panel axis contiguous.
@@ -269,11 +261,9 @@ def _transform_numeric(f, p, sign, scale, support):
     g /= two_beta ** 2
     batch = g.shape[:-1]
     g = g.reshape(-1, GL_ORDER + ESTIMATE_ORDER, panels)
-    step = (rho_hi - rho_lo) / panels
-    value, estimate = (_fourier_sums(part, c[0], step, d, w, b) for part, (c, d, w)
+    value, estimate = (_fourier_sums(part, c[0], cut / panels, d, w, b) for part, (c, d, w)
                        in zip(np.split(g, [GL_ORDER], axis=1), rules))
-    tail = (0.0 if support is not None
-            else TAIL_LENGTH * np.abs(g[:, :, -1]).max(axis=1, keepdims=True))
+    tail = TAIL_LENGTH * np.abs(g[:, :, -1]).max(axis=1, keepdims=True)
     err = np.abs(value - estimate) + tail
     tol = np.maximum(ABS_TOL, REL_TOL * np.abs(value))
     bad = ~(err <= tol)  # a non-finite f fails, too
@@ -287,10 +277,10 @@ def _transform_numeric(f, p, sign, scale, support):
             f"tolerance at {bad.sum()} of {bad.size} (function, |p|), the largest |p| "
             f"{2.0 * scale.momentum * b[bad.any(axis=0)].max():g}; {panels} panels of "
             f"{needed.max()} needed (panel_budget {PANEL_BUDGET}); tail bound "
-            f"{np.max(tail):.3e} past rho = {rho_hi:g}",
+            f"{np.max(tail):.3e} past rho = {cut:g}",
             value[()], err[:, index].reshape(shape)[()], tol[:, index].reshape(shape)[()],
         )
-    return value[()], rho_hi, panels
+    return value[()], cut, panels
 
 
 def gram_matrices(states) -> tuple[np.ndarray, np.ndarray]:
@@ -326,31 +316,29 @@ def gram_matrices(states) -> tuple[np.ndarray, np.ndarray]:
     return momentum, position
 
 
-def diagonalization_residual(f: Callable[[np.ndarray], np.ndarray],
-                             df: Callable[[np.ndarray], np.ndarray],
-                             support: tuple[float, float],
-                             p_grid,
-                             scale: PhysicalScale = PhysicalScale()) -> float:
-    """Max |H(p_r f)(p) - p (H f)(p)| over a momentum grid, H under the
-    incoming kernel.
+def diagonalization_residual(u: Callable[[np.ndarray], np.ndarray],
+                             du: Callable[[np.ndarray], np.ndarray], p_grid,
+                             scale: PhysicalScale = PhysicalScale()):
+    """The relative residual of H(p_r f) = p H f over a momentum grid, H
+    under the incoming kernel, for f(r) = u(rho), rho = 2 beta r.
 
-    f must be smooth with compact support inside (0, inf), vanishing at
-    both endpoints; df is its analytic derivative.  Both take a float or
-    a float64 array of r; p_r f and f are transformed over the grid in one
-    call.
+    u and its derivative du take a float64 array of rho and may return a
+    stack, as `transform_numeric`'s f may; u must vanish at rho = 0 and
+    decay at least as e^{-rho/2}.  p_r f = -2 i hbar beta (u' + u / rho):
+    the rows (2 beta)^2 (u' + u / rho) and (2 beta)^2 u are transformed in
+    one call, and the factor (2 beta)^2 makes their transforms independent
+    of the scale.  Returns max |-2 i hbar beta H[row 0] - p H[row 1]| /
+    max |p H[row 1]| over the grid, one residual per function (a float
+    for one function).
     """
-    lo, hi = support
-    if lo <= 0:
-        raise ValueError("support must be bounded away from r = 0")
-    if abs(f(lo)) > 1e-13 or abs(f(hi)) > 1e-13:
-        raise ValueError("test function must vanish at its support endpoints")
 
-    def pf_and_f(r):
-        # The real content of p_r f = -i hbar (f' + f/r); the -i hbar is
-        # applied after the (linear) transform.
-        value = f(r)
-        return np.stack([df(r) + value / r, value])
+    def rows(r):
+        rho = 2.0 * scale.beta * r
+        value = u(rho)
+        return (2.0 * scale.beta) ** 2 * np.stack([du(rho) + value / rho, value])
 
     p_grid = np.asarray(p_grid, dtype=float)
-    h_pf, h_f = transform_numeric(pf_and_f, p_grid, -1, scale, support=support)
-    return float(np.max(np.abs(-1j * scale.hbar * h_pf - p_grid * h_f), initial=0.0))
+    h_pf, h_f = transform_numeric(rows, p_grid, -1, scale)
+    p_h_f = p_grid * h_f
+    error = np.abs(-2j * scale.momentum * h_pf - p_h_f)
+    return (error.max(axis=-1) / np.abs(p_h_f).max(axis=-1))[()]

@@ -239,7 +239,7 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     tolerance = 1e-7
     try:
         numeric, cut, panels = _transform_numeric(
-            lambda r: _radial_stack(states, r), grid, 1, scale, None)
+            lambda r: _radial_stack(states, r), grid, 1, scale)
     except ConvergenceError as exc:
         failed = np.any(exc.error_bound > exc.tolerance, axis=-1)
         names = ", ".join(f"(N={s.N},l={s.l})" for s, bad in zip(states, failed) if bad)
@@ -332,45 +332,31 @@ def verify_pp_vs_hankel(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
         f"worst at {_where(states[row], grid[col])}; cut rho={cut:g}, panels={panels}")
 
 
-# Compactly supported bump tests for the diagonalization identity; each
-# entry is (f, f', support).  All vanish to first order at the endpoints.
-def _bump(a, b):
-    def f(r):
-        return np.where((a < r) & (r < b), (r - a) ** 2 * (b - r) ** 2, 0.0)
-
-    def df(r):
-        return np.where((a < r) & (r < b),
-                        2.0 * (r - a) * (b - r) ** 2 - 2.0 * (r - a) ** 2 * (b - r), 0.0)
-
-    return f, df, (a, b)
-
-
-DIAGONALIZATION_TESTS = (_bump(1.0, 2.0), _bump(0.5, 2.5), _bump(2.0, 4.0))
-
-
 def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
-    """Unitarity (measure dp/(2 pi hbar)) plus Eq.-diagonal identity.
+    """Unitarity (measure dp/(2 pi hbar)) plus the diagonalization identity.
 
     Unitarity is checked as equal momentum and position Gram matrices
     (`gram_matrices`) of the states with N <= 5, entry by entry for
-    each pair of states of one l.
+    each pair of states of one l.  H(p_r f) = p H f is checked on
+    u_k(rho) = rho^k e^{-rho/2}, k = 1, 2, 3, by `diagonalization_residual`,
+    whose residuals do not depend on the scale.
     """
     states = _states(5, scale)
     momentum, position = gram_matrices(states)
     l = np.array([s.l for s in states])
     error = np.where(l[:, None] == l, np.abs(momentum - position), 0.0)
     i, j = np.unravel_index(np.argmax(error), error.shape)
-    worst = error[i, j]
-    details = [f"Gram worst at (N={states[i].N},N'={states[j].N},l={l[i]}): {worst:.3e}"]
-    p_grid = np.linspace(-10.0, 10.0, 21) * scale.momentum
-    for i, (f, df, support) in enumerate(DIAGONALIZATION_TESTS):
-        res = diagonalization_residual(f, df, support, p_grid, scale)
-        details.append(f"bump{i} on {support}: {res:.3e}")
-        worst = max(worst, res)
+    details = [f"Gram worst at (N={states[i].N},N'={states[j].N},l={l[i]}): {error[i, j]:.3e}"]
+    k = np.arange(1, 4)[:, None]
+    residuals = diagonalization_residual(
+        lambda rho: rho ** k * np.exp(-rho / 2.0),
+        lambda rho: (k - rho / 2.0) * rho ** (k - 1) * np.exp(-rho / 2.0),
+        np.linspace(-10.0, 10.0, 21) * scale.momentum, scale)
+    details += [f"rho^{power} e^(-rho/2): {res:.3e}" for power, res in zip(k[:, 0], residuals)]
     return CheckResult.from_residual(
         "parseval_and_diagonalization", [(s.N, s.l) for s in states],
         "Gram matrices per l, N <= 5; 21-point p grid in [-10, 10] hbar beta",
-        worst, 1e-7, details="; ".join(details))
+        max(error[i, j], residuals.max()), 1e-7, details="; ".join(details))
 
 
 def verify_uncertainty(scale: PhysicalScale = PhysicalScale()) -> CheckResult:

@@ -53,10 +53,10 @@ def test_criterion_02_transform_consistency():
 
 
 def test_criterion_03_diagonalization():
-    """H(p_r f) = p H(f) on p in [-10, 10] for three bump functions, 1e-7."""
+    """H(p_r f) = p H(f) on p in [-10, 10] for rho^k e^{-rho/2}, k = 1, 2, 3, 1e-7."""
     res = verify_parseval_and_diagonalization()
     worst = max(float(part.split(": ")[1]) for part in res.details.split("; ")
-                if part.startswith("bump"))
+                if part.startswith("rho^"))
     report(3, "diagonalization identity", worst, 1e-7, worst <= 1e-7)
 
 

@@ -172,6 +172,13 @@ class TestPlot:
         code, _ = run_cli(capsys, "plot", "PP", "0")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("hbar", ["2", "0", "-1", "nan", "inf"])
+    def test_no_hbar_flag(self, hbar):
+        """Both shapes depend on hbar beta alone, so plot has no --hbar."""
+        with pytest.raises(SystemExit) as err:
+            main(["plot", "LO", "2", "--hbar", hbar])
+        assert err.value.code == 2
+
     def test_io_error(self, capsys):
         code, _ = run_cli(capsys, "plot", "LO", "1",
                           "--output", "/nonexistent-dir/x.csv")
@@ -266,8 +273,8 @@ class TestUsageErrors:
         ["verify", "--suite", "so4_constancy", "--hbar-beta", "nan"],
         *[argv + ["--hbar", hbar] for argv in (
             ["eval", "trig", "3", "1", "--p", "1"],
-            ["table", "trig", "3", "1", "--pmin", "0", "--pmax", "1"],
-            ["plot", "LO", "2"]) for hbar in ("0", "-1", "nan", "inf")],
+            ["table", "trig", "3", "1", "--pmin", "0", "--pmax", "1"])
+          for hbar in ("0", "-1", "nan", "inf")],
         # the remaining flag checks
         ["verify", "--suite", "so4_constancy", "--hbar-beta", "0"],
         ["verify", "--suite", "so4_constancy", "--hbar-beta", "-1"],

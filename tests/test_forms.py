@@ -313,6 +313,41 @@ class TestDistributions:
                 assert np.all(np.abs(got[normal] - ref[normal]) <= 1e-13 * ref[normal])
                 assert np.all(np.isfinite(got))
 
+    @pytest.mark.parametrize("hbar_beta", [1e-300, 1e-40, 1.0, 1e300])
+    def test_far_from_unit_scale(self, hbar_beta):
+        """Against the exact rational value of each shape at each float p: within
+        1e-13 where it is a normal double, 0 or subnormal where it is below, and
+        ValueError where it is above, with no warning; PP is exactly 0 at p = 0
+        for N >= 2."""
+        scale = PhysicalScale(1.0, hbar_beta)
+        pm = Fraction(hbar_beta)
+        for q in (0.0, 1e-30, 1e-10, 1e-3, 1.0, 1e3, 1e10, 1e30):
+            if hbar_beta * q == math.inf:
+                continue
+            p = Fraction(hbar_beta * q)
+            for N in (1, 2, 3, 8):
+                for form, exact in (
+                        ("PP", (4 * pm * p) ** (2 * (N - 1)) / (pm * pm + p * p) ** (2 * (N + 1))),
+                        ("LO", 1 / (pm * pm + p * p) ** (N + 1))):
+                    if exact > Fraction(np.finfo(float).max):
+                        with pytest.raises(ValueError, match="overflows"):
+                            distribution_max_l(form, N, float(p), scale)
+                        continue
+                    got = distribution_max_l(form, N, float(p), scale)
+                    if exact < Fraction(np.finfo(float).tiny):
+                        assert 0.0 <= got <= np.finfo(float).tiny, (form, N, q)
+                    else:
+                        assert abs(Fraction(got) / exact - 1) <= 1e-13, (form, N, q)
+                    if form == "PP" and N >= 2 and p == 0:
+                        assert got == 0.0
+
+    def test_pp_origin_in_an_overflowing_grid(self):
+        """p = 0 is 0, but the value at p = 1e-45 overflows, so the grid raises."""
+        tiny = PhysicalScale(1.0, 1e-40)
+        assert distribution_max_l("PP", 2, np.array([0.0]), tiny).tolist() == [0.0]
+        with pytest.raises(ValueError, match="overflows"):
+            distribution_max_l("PP", 2, np.array([0.0, 1e-45]), tiny)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             distribution_max_l("XX", 1, 0.0)

@@ -156,18 +156,6 @@ class TestTransformNumeric:
             minus = transform_numeric(f, -p, -1)
             assert minus == pytest.approx(plus.conjugate(), abs=1e-12)
 
-    def test_compact_support(self):
-        f = lambda r: np.where((1.0 < r) & (r < 2.0), (r - 1.0) * (2.0 - r), 0.0)
-        val = transform_numeric(f, 0.0, -1, support=(1.0, 2.0))
-        # int_1^2 (r-1)(2-r) r dr = 1/4 by expansion
-        assert val.real == pytest.approx(0.25, abs=1e-11)
-
-    def test_bad_support_rejected(self):
-        with pytest.raises(ValueError):
-            transform_numeric(lambda r: 0.0, 1.0, -1, support=(-1.0, 2.0))
-        with pytest.raises(ValueError):
-            transform_numeric(lambda r: 0.0, 1.0, -1, support=(2.0, 2.0))
-
     def test_convergence_error(self, monkeypatch):
         monkeypatch.setattr(transform, "REL_TOL", 1e-14)
         monkeypatch.setattr(transform, "ABS_TOL", 1e-16)
@@ -194,7 +182,7 @@ class TestArrayTransform:
         for N, l in [(1, 0), (3, 1), (6, 5), (8, 2)]:
             state = QuantumState(N, l, scale)
             f = lambda r: radial_wavefunction(state, r)
-            values, cut, _ = transform._transform_numeric(f, q * hbar_beta, sign, scale, None)
+            values, cut, _ = transform._transform_numeric(f, q * hbar_beta, sign, scale)
             assert 0.5 * 1.5 * cut <= MIN_PANELS * PANEL_PHASE
             assert values.shape == q.shape
             for p, value in zip((q * hbar_beta).ravel(), values.ravel()):
@@ -211,16 +199,18 @@ class TestArrayTransform:
             assert np.max(np.abs(numeric - psi_trig(state, p))) <= 1e-12, (N, l)
 
     @pytest.mark.parametrize("cut", [100.0, 112.0, 116.0, 120.0, 250.0])
-    def test_phase_at_large_p(self, cut):
+    def test_phase_at_large_p(self, monkeypatch, cut):
         """At |p| = 1000 hbar beta the phase b rho of the outer sums reaches
         b times the cut; taken from rounded panel centers, it was off by
         their ulp from panel to panel, and the value by up to 1e-13
         depending on the layout.  Over fixed intervals in rho the value of
         R_{43} is right to 1e-15, below the value itself (2.7e-15)."""
+        monkeypatch.setattr(transform, "tail_cut", lambda integrand, floor: cut)
         state = QuantumState(4, 3)
         p = np.array([-1000.0, 1000.0])
-        numeric = transform_numeric(lambda r: radial_wavefunction(state, r), p, 1,
-                                    support=(0.0, cut / 2.0))
+        numeric, used, _ = transform._transform_numeric(
+            lambda r: radial_wavefunction(state, r), p, 1, PhysicalScale())
+        assert used == cut
         assert np.max(np.abs(numeric - psi_trig(state, p))) <= 1e-15
 
     def test_shapes(self):
@@ -269,10 +259,10 @@ class TestArrayTransform:
         states = [QuantumState(N, l, scale) for N, l in [(1, 0), (3, 1), (6, 5), (8, 2)]]
         p = np.array([-20.0, -0.7, -1e-3, 0.0, 1e-3, 3.3, 20.0, 1000.0]) * hbar_beta
         f = lambda r: np.stack([radial_wavefunction(s, r) for s in states])
-        batch, batch_cut, _ = transform._transform_numeric(f, p, 1, scale, None)
+        batch, batch_cut, _ = transform._transform_numeric(f, p, 1, scale)
         for state, row in zip(states[:-1], batch):
             single, cut, _ = transform._transform_numeric(
-                lambda r: radial_wavefunction(state, r), p, 1, scale, None)
+                lambda r: radial_wavefunction(state, r), p, 1, scale)
             assert cut < batch_cut, (state.N, state.l)
             assert np.max(np.abs(row - single)) <= 1e-13 * np.max(np.abs(single))
 
@@ -397,26 +387,42 @@ class TestParseval:
         assert np.max(np.abs(np.diag(position) - 1.0)) <= 1e-12
 
 
+SLATER_POWERS = np.arange(1, 4)[:, None]
+
+
+def slater_shapes(rho):
+    """u_k(rho) = rho^k e^{-rho/2}, k = 1, 2, 3, stacked."""
+    return rho ** SLATER_POWERS * np.exp(-rho / 2.0)
+
+
 class TestDiagonalization:
     @staticmethod
-    def _bump():
-        f = lambda r: np.where((1.0 < r) & (r < 2.0), (r - 1.0) ** 2 * (2.0 - r) ** 2, 0.0)
-        df = lambda r: np.where((1.0 < r) & (r < 2.0),
-                                2.0 * (r - 1.0) * (2.0 - r) ** 2
-                                - 2.0 * (r - 1.0) ** 2 * (2.0 - r), 0.0)
-        return f, df
+    def _derivative(rho):
+        return (SLATER_POWERS - rho / 2.0) * rho ** (SLATER_POWERS - 1) * np.exp(-rho / 2.0)
 
     def test_incoming_eigenvalue(self):
-        f, df = self._bump()
         grid = np.linspace(-8.0, 8.0, 9)
-        res = diagonalization_residual(f, df, (1.0, 2.0), grid)
-        assert res <= 1e-8
+        res = diagonalization_residual(slater_shapes, self._derivative, grid)
+        assert res.shape == (3,)
+        assert np.all(res <= 1e-8)
 
-    def test_support_must_avoid_origin(self):
-        f, df = self._bump()
-        with pytest.raises(ValueError):
-            diagonalization_residual(f, df, (0.0, 2.0), [1.0])
+    def test_one_function_gives_a_float(self):
+        res = diagonalization_residual(lambda rho: rho * np.exp(-rho / 2.0),
+                                       lambda rho: (1.0 - rho / 2.0) * np.exp(-rho / 2.0),
+                                       np.linspace(-8.0, 8.0, 9))
+        assert isinstance(res, float) and res <= 1e-13
 
-    def test_nonvanishing_endpoint_rejected(self):
-        with pytest.raises(ValueError):
-            diagonalization_residual(lambda r: 1.0, lambda r: 0.0, (1.0, 2.0), [1.0])
+
+class TestSlaterShapes:
+    @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
+    def test_against_closed_form(self, hbar_beta):
+        """transform_numeric of u_k(2 beta r) against the exact Slater-term
+        transform, under both kernels, relative to the largest value."""
+        scale = PhysicalScale(1.0, hbar_beta)
+        p = np.linspace(-20.0, 20.0, 41) * hbar_beta
+        for sign in (1, -1):
+            numeric = transform_numeric(lambda r: slater_shapes(2.0 * scale.beta * r), p,
+                                        sign, scale)
+            closed = np.stack([transform_slater_closed(k, sign * p, scale)
+                               for k in SLATER_POWERS[:, 0]]) / (2.0 * scale.beta) ** 2
+            assert np.max(np.abs(numeric - closed)) <= 1e-14 * np.max(np.abs(closed))

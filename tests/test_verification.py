@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hmomentum import forms, transform, verification
 from hmomentum.forms import _kernel_stack, distribution_max_l, podolsky_pauling_G
 from hmomentum.hydrogenic import PhysicalScale, QuantumState, expectation_p2
-from hmomentum.transform import ConvergenceError, gram_matrices
+from hmomentum.transform import gram_matrices
 from hmomentum.verification import (
     SUITES,
     CheckResult,
@@ -403,8 +403,15 @@ class TestScales:
         report = run_all(PhysicalScale(1.0, hbar_beta))
         assert report.overall_pass, [r.name for r in report.results if not r.passed]
 
-    @pytest.mark.xfail(raises=ConvergenceError, strict=True,
-                       reason="the bumps' support is fixed in r, so at beta = 1e7 "
-                              "their transform needs 3.2e7 panels of a 40000 budget")
     def test_diagonalization_at_large_beta(self):
         assert verify_parseval_and_diagonalization(PhysicalScale(1e-3, 1e7)).passed
+
+    @pytest.mark.parametrize("hbar", [1e-3, 1e3])
+    @pytest.mark.parametrize("hbar_beta", [1e-8, 1e4])
+    def test_diagonalization_at_the_corners(self, hbar, hbar_beta):
+        """The identity's test functions are functions of rho, so their
+        panel count and residuals do not depend on the scale."""
+        res = verify_parseval_and_diagonalization(PhysicalScale(hbar, hbar_beta / hbar))
+        assert res.passed
+        residuals = [float(part.split(": ")[1]) for part in res.details.split("; ")[1:]]
+        assert len(residuals) == 3 and max(residuals) <= 1e-13
