@@ -123,13 +123,23 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _grid_from_args(args) -> np.ndarray:
-    if args.count < 2:
+def _grid(pmin: float, pmax: float, count: int) -> np.ndarray:
+    """np.linspace(pmin, pmax, count), built on the quarters and scaled back
+    in place, so that neither pmax - pmin nor its rounded multiples of the
+    step overflow; bit for bit np.linspace's grid unless a quarter is
+    subnormal."""
+    if count < 2:
         raise UsageError("grid needs --count >= 2")
+    grid = np.linspace(pmin / 4.0, pmax / 4.0, count)
+    grid *= 4.0
+    return grid
+
+
+def _grid_from_args(args) -> np.ndarray:
     _require_finite(pmin=args.pmin, pmax=args.pmax)
     if not args.pmin < args.pmax:
         raise UsageError("grid needs --pmin < --pmax")
-    return np.linspace(args.pmin, args.pmax, args.count)
+    return _grid(args.pmin, args.pmax, args.count)
 
 
 def cmd_table(args) -> int:
@@ -141,13 +151,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    if args.count < 2:
-        raise UsageError("grid needs --count >= 2")
     scale = _scale_from_args(args)
     pmax = args.pmax if args.pmax is not None else 5.0 * scale.momentum
     _require_finite(pmax=pmax)
-    pmin = 0.0 if args.form == "PP" else -pmax
-    grid = np.linspace(pmin, pmax, args.count)
+    grid = _grid(0.0 if args.form == "PP" else -pmax, pmax, args.count)
     density = _usage_checked(distribution_max_l, args.form, args.N, grid, scale)
     _write_csv(args.output, "p,density", [grid, density])
     return EXIT_OK

@@ -1,14 +1,11 @@
 """Cross-form, transform, normalization and inequality check suites.
 
 Each suite takes a PhysicalScale, its only input, and returns a
-CheckResult with its residual and its tolerance, a constant of the
-suite; run_all bundles them into a VerificationReport.  Everything is
-deterministic for a fixed scale (no randomness anywhere).  The form
-suites compare the kernel with the paper's literal sums, summed exactly
-in integers at Pythagorean momenta, so cancellation limits no N.  The
-report's config records the scale and the numerical transform's
-REL_TOL, ABS_TOL, PANEL_BUDGET and MAX_RHO, the limit of its search for
-the cut; the quadrature and Hankel suites report the cut they used.
+deterministic CheckResult with its residual and a constant tolerance;
+run_all bundles them into a VerificationReport, whose config records the
+scale and the numerical transform's constants.  The form suites compare
+the kernel with the paper's literal sums, summed exactly in integers at
+Pythagorean momenta, so cancellation limits no N.
 """
 
 from __future__ import annotations
@@ -101,8 +98,15 @@ def _states(max_N: int, scale: PhysicalScale):
             for l in range(N)]
 
 
-def _where(state: QuantumState, p: float) -> str:
-    return f"(N={state.N},l={state.l},p={p:.6g})"
+def _worst(name, states, grid, error, p, tolerance, note=""):
+    """The result of a suite whose error is given per state (rows) and
+    momentum p (columns): its largest, with its state and p, then `note`,
+    in `details`."""
+    row, col = np.unravel_index(np.argmax(error), error.shape)
+    where = f"worst at (N={states[row].N},l={states[row].l},p={p[col]:.6g})"
+    return CheckResult.from_residual(name, [(s.N, s.l) for s in states], grid,
+                                     error[row, col], tolerance,
+                                     f"{where}; {note}" if note else where)
 
 
 # At q = p / hbar beta = 2mk / (m^2 - k^2), cos(gamma) = X/h and sin(gamma) = S/h,
@@ -111,6 +115,8 @@ def _where(state: QuantumState, p: float) -> str:
 PYTHAGOREAN_PAIRS = ((1, 0), (2000, 1), (632, 1), (200, 1), (63, 1), (20, 1), (13, 2),
                      (12, 5), (15, 11), (11, 10), (32, 31), (101, 100), (317, 316),
                      (1001, 1000))
+PYTHAGOREAN_GRID = (f"{2 * len(PYTHAGOREAN_PAIRS) - 1} Pythagorean momenta, "
+                    "|p|/(hbar beta) in [1e-3, 1e3] and 0")
 
 # The states past N = 8 that form_equivalence checks as well.
 LARGE_N_STATES = ((40, 0), (60, 10))
@@ -186,6 +192,13 @@ def _exact_sums(states, terms, coefficients) -> np.ndarray:
     return np.concatenate([values, values[:, 1:].conj()], axis=1)
 
 
+def _a0(state: QuantumState) -> float:
+    """a_0 = `gegenbauer_coefficients`(N, l)[0][0] N_{Nl} / (2 beta)^2, the
+    first coefficient of the paper's Gegenbauer expansion."""
+    return (gegenbauer_coefficients(state.N, state.l)[0][0] * normalization_constant(state)
+            / (2.0 * state.scale.beta) ** 2)
+
+
 def exact_gegenbauer(states) -> np.ndarray:
     """The paper's literal Gegenbauer sum, per state (rows) at
     `pythagorean_momenta` (columns): sum_t a_t sin(gamma) cos^{n+1}(gamma)
@@ -215,12 +228,7 @@ def verify_form_equivalence(scale: PhysicalScale = PhysicalScale()) -> CheckResu
     exact = exact_gegenbauer(states)
     error = np.abs(_kernel_stack(states, p) - exact)
     error /= np.max(np.abs(exact), axis=1, keepdims=True)
-    row, col = np.unravel_index(np.argmax(error), error.shape)
-    return CheckResult.from_residual(
-        "form_equivalence", [(s.N, s.l) for s in states],
-        f"{p.size} Pythagorean momenta, |p|/(hbar beta) in [1e-3, 1e3] and 0",
-        error[row, col], 1e-11,
-        f"worst at {_where(states[row], p[col])}")
+    return _worst("form_equivalence", states, PYTHAGOREAN_GRID, error, p, 1e-11)
 
 
 def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
@@ -234,7 +242,6 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     pos = np.logspace(-2, math.log10(20.0), 13) * scale.momentum
     grid = np.concatenate([-pos[::-1], [0.0], pos])
     states = _states(4, scale)
-    covered = [(s.N, s.l) for s in states]
     grid_name = f"{grid.size}-point mirrored grid up to 20 hbar beta"
     tolerance = 1e-7
     try:
@@ -244,57 +251,34 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
         failed = np.any(exc.error_bound > exc.tolerance, axis=-1)
         names = ", ".join(f"(N={s.N},l={s.l})" for s, bad in zip(states, failed) if bad)
         return CheckResult.from_residual(
-            "quadrature_vs_closed_form", covered, grid_name, math.inf, tolerance,
-            f"{names}: {exc}")
+            "quadrature_vs_closed_form", [(s.N, s.l) for s in states], grid_name,
+            math.inf, tolerance, f"{names}: {exc}")
     error = np.abs(numeric - _kernel_stack(states, grid))
-    row, col = np.unravel_index(np.argmax(error), error.shape)
-    return CheckResult.from_residual(
-        "quadrature_vs_closed_form", covered, grid_name, error[row, col], tolerance,
-        f"worst at {_where(states[row], grid[col])}; cut rho={cut:g}, panels={panels}")
+    return _worst("quadrature_vs_closed_form", states, grid_name, error, grid, tolerance,
+                  f"cut rho={cut:g}, panels={panels}")
 
 
 def verify_lo_proportionality(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
-    """psi_trig / conj(alpha_LO) constant in p and equal to (-1)^l a_0 / c_0,
-    per state, and the Lombardi-Ogilvie kernel that `table` and `eval` serve
-    equal to alpha_LO.
+    """psi_trig = c conj(alpha_LO), c = (-1)^l a_0 (N+l)! / c_0, and the
+    Lombardi-Ogilvie kernel that `table` and `eval` serve equal to alpha_LO.
 
-    psi_trig and the kernel run the 2F1 recurrence; alpha_LO is the paper's
-    literal c_k sum in exact arithmetic (`exact_lombardi_ogilvie`).
-
-    The Lombardi-Ogilvie closed form matches the incoming-kernel
-    convention while the trigonometric expansion matches the outgoing
-    one, so the convention-matched ratio pairs psi_trig(p) with
-    conj(alpha(p)) (equivalently alpha(-p)).  Its constant is the ratio of
-    the first coefficients, a_0 = `gegenbauer_coefficients`[0] N_{Nl} / (2 beta)^2
-    and c_0 = `lombardi_ogilvie_coefficients`[0] / (N+l)!, taken from the
-    exact integers, and the sign (-1)^{l+2} of z^{l+2} = (-conj(w))^{l+2}.
-    A state's residual is the largest of the ratio's spread, |mean ratio /
-    constant - 1| and max |kernel - alpha_LO| / max |alpha_LO|.  The worst
-    (N, l, p) is where its largest term is largest (for the constant, the
-    ratio furthest from it); the mean ratios are logged per state after it.
+    alpha_LO is the paper's literal c_k sum in exact arithmetic
+    (`exact_lombardi_ogilvie`).  It matches the incoming-kernel convention
+    and psi_trig the outgoing one, hence conj(alpha).  a_0 is `_a0`, (N+l)! c_0
+    is `lombardi_ogilvie_coefficients`[0][0], and (-1)^l is the sign of
+    z^{l+2} = (-conj(w))^{l+2}.  The error at each state and p is the larger
+    of |psi_trig / (c conj(alpha)) - 1| and |kernel - alpha| / max |alpha|.
     """
     states = _states(6, scale)
     p = pythagorean_momenta(scale)
     exact = exact_lombardi_ogilvie(states)
-    expected = np.array([(-1) ** s.l * normalization_constant(s) / (2.0 * scale.beta) ** 2
-                         * (gegenbauer_coefficients(s.N, s.l)[0][0] * math.factorial(s.N + s.l)
-                            / lombardi_ogilvie_coefficients(s.N, s.l)[0][0]) for s in states])
-    ratios = _kernel_stack(states, p) / exact.conj()
-    mean = ratios.mean(axis=1, keepdims=True)
+    c = np.array([[(-1) ** s.l * _a0(s) * (math.factorial(s.N + s.l)
+                                            / lombardi_ogilvie_coefficients(s.N, s.l)[0][0])]
+                  for s in states])
     error = np.abs(_kernel_stack(states, p, lombardi_ogilvie=True) - exact)
     error /= np.max(np.abs(exact), axis=1, keepdims=True)
-    terms = np.stack([np.std(ratios, axis=1) / np.abs(mean[:, 0]),
-                      np.abs(mean[:, 0] / expected - 1.0), error.max(axis=1)])
-    residual = terms.max(axis=0)
-    row = int(np.argmax(residual))
-    worst = (np.abs(ratios[row] - mean[row]), np.abs(ratios[row] - expected[row]),
-             error[row])[int(np.argmax(terms[:, row]))]
-    details = [f"worst at {_where(states[row], p[int(np.argmax(worst))])}"]
-    details += [f"(N={s.N},l={s.l}): {c:.6g}" for s, c in zip(states, mean[:, 0])]
-    return CheckResult.from_residual(
-        "lombardi_ogilvie_proportionality", [(s.N, s.l) for s in states],
-        f"{p.size} Pythagorean momenta, |p|/(hbar beta) in [1e-3, 1e3] and 0",
-        residual[row], 1e-9, details="; ".join(details))
+    error = np.maximum(np.abs(_kernel_stack(states, p) / (c * exact.conj()) - 1.0), error)
+    return _worst("lombardi_ogilvie_proportionality", states, PYTHAGOREAN_GRID, error, p, 1e-9)
 
 
 def verify_pp_vs_hankel(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
@@ -325,11 +309,9 @@ def verify_pp_vs_hankel(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
                         for row, s in zip(radial, states)])
     G = np.stack([podolsky_pauling_G(s, grid) for s in states])
     error = np.abs(G - math.sqrt(2.0 / math.pi) * scale.hbar ** -1.5 * numeric) / np.abs(G)
-    row, col = np.unravel_index(np.argmax(error), error.shape)
-    return CheckResult.from_residual(
-        "podolsky_pauling_vs_hankel", [(s.N, s.l) for s in states],
-        "12-point linear grid, p/(hbar beta) in [0.2, 5]", error[row, col], 1e-7,
-        f"worst at {_where(states[row], grid[col])}; cut rho={cut:g}, panels={panels}")
+    return _worst("podolsky_pauling_vs_hankel", states,
+                  "12-point linear grid, p/(hbar beta) in [0.2, 5]", error, grid, 1e-7,
+                  f"cut rho={cut:g}, panels={panels}")
 
 
 def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
@@ -379,8 +361,7 @@ def verify_uncertainty(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
 def verify_so4_constancy(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """The maximal-l density shapes of `distribution_max_l` are those of the
     states: |psi_{N,N-1}|^2 / LO and |G_{N,N-1}|^2 / PP are constant in p,
-    and equal to their closed forms a_0^2 (hbar beta)^{2(N+1)}, with a_0 =
-    `gegenbauer_coefficients`(N, N-1)[0][0] N_{N,N-1} / (2 beta)^2, and
+    and equal to their closed forms a_0^2 (hbar beta)^{2(N+1)}, a_0 = `_a0`, and
     32 (hbar beta)^5 N ((N-1)!)^2 / (pi (2N-1)!).
 
     LO is taken on p = 0 and 60 log-spaced |p|/(hbar beta) in [1e-3, 1e3] of
@@ -395,9 +376,7 @@ def verify_so4_constancy(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
         [distribution_max_l("LO", s.N, grid, scale) for s in states])
     pp = np.stack([podolsky_pauling_G(s, pos) ** 2 / distribution_max_l("PP", s.N, pos, scale)
                    for s in states])
-    lo_constant = np.array([
-        (gegenbauer_coefficients(s.N, s.l)[0][0] * normalization_constant(s)
-         / (2.0 * scale.beta) ** 2 * scale.momentum ** (s.N + 1)) ** 2 for s in states])
+    lo_constant = np.array([(_a0(s) * scale.momentum ** (s.N + 1)) ** 2 for s in states])
     pp_constant = np.array([32.0 * scale.momentum ** 5 / math.pi * (
         s.N * math.factorial(s.N - 1) ** 2 / math.factorial(2 * s.N - 1)) for s in states])
     residual = np.max([lo.std(axis=1) / lo.mean(axis=1), pp.std(axis=1) / pp.mean(axis=1),

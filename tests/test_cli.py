@@ -10,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmomentum import cli, forms, verification
 from hmomentum.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
@@ -145,6 +148,26 @@ class TestTable:
                           "--pmin", "0", "--pmax", "1", "--count", "1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("p", ["1e308", "1.7976931348623157e308"])
+    def test_grid_at_edge_of_double_range(self, capsys, p):
+        """pmax - pmin above the double range: the grid is still the finite
+        linspace, with no numpy warning."""
+        code, out = run_cli(capsys, "table", "trig", "1", "0",
+                            f"--pmin=-{p}", "--pmax", p, "--count", "3")
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == [-float(p), 0.0, float(p)]
+        assert np.all(np.isfinite(rows))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-300, 300), min_size=2, max_size=2),
+           st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=2), st.integers(2, 300))
+    def test_grid_is_linspace(self, exponents, signs, count):
+        """On ranges inside the double range the grid is np.linspace's, bit
+        for bit."""
+        pmin, pmax = sorted(s * 10.0 ** e for s, e in zip(signs, exponents))
+        assert np.array_equal(cli._grid(pmin, pmax, count), np.linspace(pmin, pmax, count))
+
 
 class TestPlot:
     def test_pp_ground_state_values(self, capsys):
@@ -167,6 +190,13 @@ class TestPlot:
         _, out = run_cli(capsys, "plot", "PP", "2", "--pmax", "2", "--count", "3")
         _, rows = parse_csv(out)
         assert rows[0] == pytest.approx([0.0, 0.0], abs=1e-15)
+
+    @pytest.mark.parametrize("form", ["LO", "PP"])
+    def test_grid_at_edge_of_double_range(self, capsys, form):
+        code, out = run_cli(capsys, "plot", form, "2", "--pmax", "1e308", "--count", "3")
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        _, rows = parse_csv(out)
+        assert rows[-1][0] == 1e308 and np.all(np.isfinite(rows))
 
     def test_invalid_N(self, capsys):
         code, _ = run_cli(capsys, "plot", "PP", "0")

@@ -7,6 +7,7 @@ import shlex
 import pytest
 
 from hmomentum import cli
+from hmomentum.verification import SUITES
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -61,3 +62,10 @@ def test_readme_names_only_cli_options(capsys):
 
 def test_readme_names_every_cli_option(capsys):
     assert cli_options(capsys) <= readme_flags()
+
+
+def test_readme_names_every_suite():
+    """Each `verify --suite` key is documented, so a suite's documentation
+    cannot drop out unnoticed."""
+    text = README.read_text(encoding="utf-8")
+    assert [key for key in SUITES if f"`{key}`" not in text] == []

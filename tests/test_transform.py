@@ -386,6 +386,14 @@ class TestParseval:
         assert np.max(np.abs(momentum - position)) <= 1e-12
         assert np.max(np.abs(np.diag(position) - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("hbar_beta", [1e-6, 1.0, 1e4])
+    def test_laguerre_weights_from_nodes(self, hbar_beta):
+        """The Gauss-Laguerre weights computed from the nodes keep l = 10,
+        N <= 100 to a few ulps; numpy's own weights give 3e-13."""
+        states = [QuantumState(N, 10, PhysicalScale(1.0, hbar_beta)) for N in range(11, 101)]
+        momentum, position = gram_matrices(states)
+        assert np.max(np.abs(momentum - position)) <= 3e-14
+
 
 SLATER_POWERS = np.arange(1, 4)[:, None]
 

@@ -16,6 +16,7 @@ from hmomentum.transform import gram_matrices
 from hmomentum.verification import (
     SUITES,
     CheckResult,
+    pythagorean_momenta,
     run_all,
     verify_form_equivalence,
     verify_lo_proportionality,
@@ -70,7 +71,6 @@ class TestFastSuites:
     def test_lo_proportionality_passes(self):
         res = verify_lo_proportionality()
         assert res.passed
-        assert "(N=1,l=0)" in res.details
 
     def test_so4_passes(self):
         assert verify_so4_constancy().passed
@@ -95,6 +95,20 @@ class TestFastSuites:
         assert verify_pp_vs_hankel(scale).passed
 
 
+def mirrored(pos):
+    return np.concatenate([-pos[::-1], [0.0], pos])
+
+
+# The momentum grid of each suite that names its worst (N, l, p), at the
+# default scale.
+SUITE_GRIDS = {
+    verify_form_equivalence: pythagorean_momenta(PhysicalScale()),
+    verify_quadrature: mirrored(np.logspace(-2, math.log10(20.0), 13)),
+    verify_lo_proportionality: pythagorean_momenta(PhysicalScale()),
+    verify_pp_vs_hankel: np.linspace(0.2, 5.0, 12),
+}
+
+
 class TestWorstPoint:
     """The form and transform suites name the state and momentum of their
     worst residual."""
@@ -105,6 +119,13 @@ class TestWorstPoint:
         assert match, details
         return int(match[1]), int(match[2]), float(match[3])
 
+    @pytest.mark.parametrize("suite", SUITE_GRIDS, ids=lambda suite: suite.__name__)
+    def test_names_a_covered_state_and_grid_point(self, suite):
+        res = suite()
+        N, l, p = self.worst_state(res.details)
+        assert (N, l) in res.states_covered
+        assert f"{p:.6g}" in {f"{q:.6g}" for q in SUITE_GRIDS[suite]}, res.details
+
     def test_form_equivalence(self):
         res = verify_form_equivalence()
         N, l, p = self.worst_state(res.details)
@@ -114,7 +135,6 @@ class TestWorstPoint:
         res = verify_lo_proportionality()
         N, l, p = self.worst_state(res.details)
         assert 1 <= N <= 6 and 0 <= l < N and abs(p) <= 1e3 * 1.001
-        assert "; (N=1,l=0): " in res.details
 
     @pytest.mark.parametrize("suite", [verify_form_equivalence, verify_lo_proportionality])
     def test_perturbed_state_fails(self, monkeypatch, suite):
@@ -135,6 +155,21 @@ class TestWorstPoint:
         res = verify_lo_proportionality()
         assert not res.passed and res.max_residual > 1e-9
         assert self.worst_state(res.details)[:2] == (5, 2), res.details
+
+    def test_lo_tail_factor_fails(self, monkeypatch):
+        """psi_trig of (5, 2) off by 1 + 2e-9 only at |p| >= 100 hbar beta:
+        the equality is relative at each p, so a factor confined to the
+        tail, where psi is small, shows in full."""
+        monkeypatch.setattr(verification, "_kernel_stack",
+                            perturbed_rows((5, 2), lambda p: 1.0 + 2e-9 * (np.abs(p) >= 100.0)))
+        res = verify_lo_proportionality()
+        assert not res.passed and res.max_residual > 1e-9
+        assert self.worst_state(res.details)[:2] == (5, 2), res.details
+
+    @pytest.mark.parametrize("hbar_beta", [1e-8, 1e-3, 1.0, 3.0, 1e4])
+    def test_lo_residual_at_rounding(self, hbar_beta):
+        res = verify_lo_proportionality(PhysicalScale(1.0, hbar_beta))
+        assert res.passed and res.max_residual <= 2e-14
 
     def test_lo_kernel_perturbed_fails(self, monkeypatch):
         """The Lombardi-Ogilvie kernel that table and eval serve, off by a
