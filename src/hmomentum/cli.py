@@ -39,6 +39,9 @@ class UsageError(Exception):
     pass
 
 
+NOT_FINITE = "a value overflows double precision (inf or nan); nothing written"
+
+
 def _require_finite(**flags) -> None:
     for name, value in flags.items():
         if not math.isfinite(value):
@@ -93,7 +96,7 @@ def _write_csv(path, header, columns) -> None:
     if any value is not finite, raise UsageError before writing anything."""
     rows = np.array(columns).T.reshape(-1, len(columns))
     if not np.isfinite(rows).all():
-        raise UsageError("a value overflows double precision (inf or nan); nothing written")
+        raise UsageError(NOT_FINITE)
     row = ",".join(["%.17g"] * len(columns)) + "\n"
 
     def text():
@@ -118,8 +121,15 @@ def _complex_columns(p, values) -> list:
 def cmd_eval(args) -> int:
     _require_finite(p=args.p)
     state = _state_from_args(args)
-    value = _usage_checked(FORM_EVALUATORS[args.form], state, args.p)
-    _write_csv(args.output, None, _complex_columns(args.p, value))
+    value = complex(_usage_checked(FORM_EVALUATORS[args.form], state, args.p))
+    # The one record is formatted from Python floats: abs of a Python complex
+    # is np.hypot bit for bit, as in _complex_columns, and its square is inf,
+    # not an exception, where |value| > 1.3e154.
+    modulus = abs(value)
+    record = (args.p, value.real, value.imag, modulus * modulus)
+    if not all(map(math.isfinite, record)):
+        raise UsageError(NOT_FINITE)
+    _write_lines(args.output, ["%.17g,%.17g,%.17g,%.17g\n" % record])
     return EXIT_OK
 
 

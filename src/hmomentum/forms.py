@@ -17,6 +17,7 @@ route term by term (sin(gamma) (C^1 + i D^1) is i times its conjugate).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -27,32 +28,62 @@ from .specfun import gegenbauer_C
 
 
 _LOG2 = math.log(2.0)
+_SQRT2 = math.sqrt(2.0)
 
 
 def _log_ratio(num: int, den: int) -> float:
-    """log(num / den) for positive integers of any size, to double precision.
+    """log(num / den) for positive integers of any size, to about an ulp.
 
     Unlike a difference of two lgamma values of order N log N, it does
-    not lose the digits that the difference cancels.
+    not lose the digits that the difference cancels.  The quotient, scaled
+    by 2^-shift into [1/sqrt 2, sqrt 2), is correctly rounded.  At shift 0
+    the log is log1p of (num - den) / den, also correctly rounded, so that
+    a ratio near 1 keeps its digits; otherwise |shift log 2| is more than
+    twice |log mantissa|, and their sum cancels at most one bit.
     """
     shift = num.bit_length() - den.bit_length()
     # int / int is correctly rounded; the shift keeps the quotient in (1/2, 2).
     mantissa = num / (den << shift) if shift >= 0 else (num << -shift) / den
-    return math.log(mantissa) + shift * math.log(2.0)
+    if mantissa >= _SQRT2:
+        mantissa, shift = 0.5 * mantissa, shift + 1
+    elif mantissa * _SQRT2 < 1.0:
+        mantissa, shift = 2.0 * mantissa, shift - 1
+    if shift == 0:
+        return math.log1p((num - den) / den)
+    return math.log(mantissa) + shift * _LOG2
+
+
+# The prefactors below are ratios of factorials.  (N+l)!/(N-l-1)! =
+# perm(N+l, 2l+1) and (2l+1)!/(l+1)! = perm(2l+1, l) multiply out only the
+# factors that do not cancel, and the powers of 2 are shifts.
 
 
 @functools.lru_cache(maxsize=4096)
 def _log_b0(N: int, l: int) -> float:
-    """log(b_0 sqrt(2 beta)), b_0 = a_0 the first expansion coefficient."""
-    return 0.5 * _log_ratio(
-        math.factorial(N + l) * 4 ** (l + 2) * math.factorial(l + 1) ** 2,
-        math.factorial(N - l - 1) * 2 * N * math.factorial(2 * l + 1) ** 2)
+    """log(b_0 sqrt(2 beta)), b_0 = a_0 the first expansion coefficient:
+    b_0^2 2 beta = (N+l)! 4^{l+2} (l+1)!^2 / ((N-l-1)! 2N (2l+1)!^2)."""
+    return 0.5 * _log_ratio(math.perm(N + l, 2 * l + 1) << (2 * l + 3),
+                            N * math.perm(2 * l + 1, l) ** 2)
 
 
 @functools.lru_cache(maxsize=4096)
 def _log_c0(l: int) -> float:
     """log c_0 = log((l+1)! / (2l+1)!), the first Lombardi-Ogilvie coefficient."""
-    return _log_ratio(math.factorial(l + 1), math.factorial(2 * l + 1))
+    return _log_ratio(1, math.perm(2 * l + 1, l))
+
+
+def _polynomials(degrees, l: int, q) -> dict:
+    """{n: 2F1(-n, l+2; 2l+2; 2w)} for each n in `degrees`, from one forward
+    pass of the recurrence (see `_hypergeometric_kernel`)."""
+    b, c = l + 2, 2 * l + 2
+    d = 1.0 + q * q
+    z = 2.0 / d + 1j * (2.0 * q / d)
+    prev, cur, kept, start = 0.0, 1.0, {}, 0
+    for n in sorted(set(degrees)):
+        for m in range(start, n):
+            prev, cur = cur, ((2 * m + c - (b + m) * z) * cur - m * (1.0 - z) * prev) / (c + m)
+        kept[n], start = cur, n
+    return kept
 
 
 def _hypergeometric_kernel(N, l: int, q, log_scale):
@@ -64,21 +95,30 @@ def _hypergeometric_kernel(N, l: int, q, log_scale):
     (c+m) F_{m+1} = (2m + c - (b+m) z) F_m - m (1-z) F_{m-1}, with
     b = l+2, c = 2l+2, z = 2w.  Unlike the explicit alternating sum it
     does not cancel at large n.  The recurrence uses only operators, so
-    a float q stays a Python scalar through it.  The scale and w^{l+2} =
-    cos^{l+2}(theta) e^{i (l+2) theta}, theta = arctan q, share one
-    exponential, so that neither under- or overflows on its own.  For a list
-    N (log_scale one per N, or one for all), one pass gives them all, stacked.
+    a float q stays a Python scalar through it, and the tail of one point
+    is `math` and `cmath`.  The scale and w^{l+2} = cos^{l+2}(theta)
+    e^{i (l+2) theta}, theta = arctan q, share one exponential, so that
+    neither under- or overflows on its own; the value is scaled by 2^shift
+    last, in one correctly rounded step, so that values in the subnormal
+    range are still the nearest doubles.  For a list N (log_scale one per N,
+    or one for all), one pass gives them all, stacked.
     """
-    b, c = l + 2, 2 * l + 2
+    b = l + 2
+    if type(q) is float and not isinstance(N, list):
+        cur = _polynomials([N - l - 1], l, q)[N - l - 1]
+        log_abs = log_scale - 0.5 * b * math.log1p(q * q)
+        if not log_abs > -math.inf:  # NaN q, or |q| > 1e154 where w^{l+2} is 0
+            return complex(math.exp(log_abs))
+        shift = math.floor(log_abs / _LOG2)
+        value = cmath.exp((log_abs - shift * _LOG2) + 1j * (b * math.atan(q))) * cur
+        # math.ldexp raises OverflowError past the double range, which the
+        # value cannot reach: |alpha| <= 1, and |psi| <= M (2 beta)^{-1/2},
+        # where M, the peak at l = N-1, grows as N^{1/4} (12 at N = 400, 21 at
+        # N = 4000), so |psi| < 1e163 at any beta >= 5e-324.
+        return math.ldexp(value.real, shift) + 1j * math.ldexp(value.imag, shift)
     degrees = [n - l - 1 for n in N] if isinstance(N, list) else [N - l - 1]
     with np.errstate(over="ignore", invalid="ignore"):  # |q| > 1e154 and inf q
-        d = 1.0 + q * q
-        z = 2.0 / d + 1j * (2.0 * q / d)
-        prev, cur, kept, start = 0.0, 1.0, {}, 0
-        for n in sorted(set(degrees)):
-            for m in range(start, n):
-                prev, cur = cur, ((2 * m + c - (b + m) * z) * cur - m * (1.0 - z) * prev) / (c + m)
-            kept[n], start = cur, n
+        kept = _polynomials(degrees, l, q)
         cur = kept[degrees[0]]
         if isinstance(N, list):  # the rung 1.0 fills its whole row
             cur = np.empty((len(N),) + np.shape(q), dtype=complex)
@@ -86,9 +126,7 @@ def _hypergeometric_kernel(N, l: int, q, log_scale):
                 cur[row] = kept[n]
             log_scale = np.reshape(log_scale, (-1,) + (1,) * np.ndim(q))
         log_abs = log_scale - 0.5 * b * np.log1p(q * q)
-        regular = log_abs > -np.inf  # False for NaN q, or |q| > 1e154 where w^{l+2} is 0
-        # Scale by 2^shift last, in one correctly rounded step, so that values
-        # in the subnormal range are still the nearest doubles.
+        regular = log_abs > -np.inf  # as above
         shift = np.floor(np.where(regular, log_abs, 0.0) / _LOG2).astype(np.int64)
         value = np.exp((log_abs - shift * _LOG2) + 1j * (b * np.arctan(q))) * cur
         value = np.ldexp(value.real, shift) + 1j * np.ldexp(value.imag, shift)
@@ -131,7 +169,7 @@ def _kernel_stack(states, p, lombardi_ogilvie: bool = False) -> np.ndarray:
     """np.stack([psi_trig(s, p) for s in states]), or of `_lombardi_ogilvie_kernel`,
     bit for bit at a float64 array p: one kernel pass per (l, scale) up to its
     largest N, and one scaling of all its rows.  (At a float p, psi_trig
-    multiplies complex scalars, which numpy rounds differently from arrays.)"""
+    runs on Python complex numbers and `cmath`, which round differently.)"""
     values = np.empty((len(states),) + np.shape(p), dtype=complex)
     for l, scale in {(s.l, s.scale) for s in states}:
         ladder = [i for i, s in enumerate(states) if (s.l, s.scale) == (l, scale)]
@@ -146,13 +184,17 @@ def _kernel_stack(states, p, lombardi_ogilvie: bool = False) -> np.ndarray:
     return values
 
 
+# pi to 36 digits, as num / den: inside the ratio, log pi cancels no digits
+# where the prefactor is near 0, as at (N, l) = (23, 21) and (24, 22).
+_PI = (314159265358979323846264338327950288, 10 ** 35)
+
+
 @functools.lru_cache(maxsize=4096)
 def _pp_log_prefactor(N: int, l: int) -> float:
     """log of 2^{5/2} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)), the prefactor of the
     Podolsky-Pauling function but for its (hbar beta)^{-3/2}."""
-    return 0.5 * (_log_ratio(
-        32 * 4 ** l * math.factorial(l) ** 2 * math.factorial(N - l - 1) * N,
-        math.factorial(N + l)) - math.log(math.pi))
+    return 0.5 * _log_ratio((N * math.factorial(l) ** 2 << (2 * l + 5)) * _PI[1],
+                            math.perm(N + l, 2 * l + 1) * _PI[0])
 
 
 # At q = p / hbar beta >= Q_CAP the Podolsky-Pauling function is 0 in

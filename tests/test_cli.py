@@ -46,6 +46,23 @@ class TestEval:
         vals = [float(x) for x in out.strip().split(",")]
         assert vals == pytest.approx([0.0, 2.0, 0.0, 4.0])
 
+    @pytest.mark.parametrize("form,p,record", [
+        ("trig", "0", "0,2.0655911179772892,0,4.2666666666666675"),
+        ("trig", "-0.0", "-0,2.0655911179772892,0,4.2666666666666675"),
+        ("lombardi_ogilvie", "0", "0,-0.13333333333333333,-0,0.017777777777777778"),
+        ("lombardi_ogilvie", "-0.0", "-0,-0.13333333333333333,-0,0.017777777777777778"),
+        ("podolsky_pauling", "0", "0,0,0,0"),
+        ("podolsky_pauling", "-0.0", "-0,-0,0,0"),
+    ])
+    def test_signed_zero_momentum(self, capsys, form, p, record):
+        """(4, 1) at p = 0 and -0, signs of zero included: psi's imaginary
+        part is +0 at both, because x + 1j*y adds +0 to a zero y (an angle
+        built as complex(x, -0.0) would print -0 here), and alpha's is -0 at
+        both, from (-1)^l."""
+        code, out = run_cli(capsys, "eval", form, "4", "1", f"--p={p}")
+        assert code == EXIT_OK
+        assert out == record + "\n"
+
     def test_forms_agree(self, capsys):
         _, out_t = run_cli(capsys, "eval", "trig", "3", "1", "--p", "0.7")
         _, out_g = run_cli(capsys, "eval", "gegenbauer", "3", "1", "--p", "0.7")

@@ -1,10 +1,12 @@
 """Momentum-space families: expansions, LO, PP, distributions, cross-checks."""
 
 import cmath
+import itertools
 import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,6 +14,9 @@ from scipy.special import eval_gegenbauer
 
 from hmomentum.forms import (
     FORM_EVALUATORS,
+    _log_b0,
+    _log_c0,
+    _pp_log_prefactor,
     distribution_max_l,
     podolsky_pauling_G,
     psi_trig,
@@ -81,6 +86,67 @@ class TestCoefficients:
         """The sum runs over t = 0..N-l-1 only."""
         assert len(gegenbauer_coefficients(2, 1)[0]) == 1
         assert len(gegenbauer_coefficients(3, 0)[0]) == 3
+
+
+# Logs in fixed point, as integers in units of 2^-FIXED_BITS (about 72
+# digits), from mpmath at 80 digits: the exact prefactors below are then sums
+# of integers.
+FIXED_BITS = 240
+PREFACTOR_MAX_N = 400
+
+
+def fixed(x) -> int:
+    """An mpf x, rounded to units of 2^-FIXED_BITS."""
+    return int(mpmath.nint(mpmath.ldexp(x, FIXED_BITS)))
+
+
+def ulps(value: float, exact: int) -> float:
+    """|value - exact| in ulps of exact, a number in units of 2^-FIXED_BITS."""
+    # Exact: a float of magnitude above 2^-188 has no bits below 2^-240.
+    error = (int(math.ldexp(value, FIXED_BITS)) - exact) / (1 << FIXED_BITS)
+    return abs(error) / math.ulp(exact / (1 << FIXED_BITS))
+
+
+class TestPrefactors:
+    """log b_0, log c_0 and the Podolsky-Pauling prefactor, each a ratio of
+    factorials, against sums of mpmath logs: within 2 ulp at every
+    l < N <= 400.  (The uncached functions, so that every pair is computed.)"""
+
+    @pytest.fixture(scope="class")
+    def log_factorials(self):
+        with mpmath.workdps(80):
+            logs = [fixed(mpmath.log(n)) for n in range(1, 2 * PREFACTOR_MAX_N + 1)]
+            log2, log_pi = fixed(mpmath.log(2)), fixed(mpmath.log(mpmath.pi))
+        return [0, *itertools.accumulate(logs)], log2, log_pi
+
+    def test_log_b0_and_pp(self, log_factorials):
+        """b_0^2 2 beta = (N+l)! 4^{l+2} (l+1)!^2 / ((N-l-1)! 2N (2l+1)!^2), and
+        the prefactor is 2^{5/2} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!))."""
+        lf, log2, log_pi = log_factorials
+        worst_b0 = worst_pp = 0.0
+        for N in range(1, PREFACTOR_MAX_N + 1):
+            log_N = lf[N] - lf[N - 1]
+            for l in range(N):
+                ratio = lf[N + l] - lf[N - l - 1] - log_N
+                b0 = (ratio + (2 * l + 3) * log2 + 2 * lf[l + 1] - 2 * lf[2 * l + 1]) // 2
+                pp = ((2 * l + 5) * log2 + 2 * lf[l] - ratio - log_pi) // 2
+                worst_b0 = max(worst_b0, ulps(_log_b0.__wrapped__(N, l), b0))
+                worst_pp = max(worst_pp, ulps(_pp_log_prefactor.__wrapped__(N, l), pp))
+        assert worst_b0 <= 2.0 and worst_pp <= 2.0, (worst_b0, worst_pp)
+
+    def test_log_c0(self, log_factorials):
+        """c_0 = (l+1)! / (2l+1)!; log c_0 is exactly 0 at l = 0."""
+        lf = log_factorials[0]
+        worst = max(ulps(_log_c0.__wrapped__(l), lf[l + 1] - lf[2 * l + 1])
+                    for l in range(PREFACTOR_MAX_N))
+        assert worst <= 2.0
+        assert _log_c0.__wrapped__(0) == 0.0
+
+    def test_pp_prefactor_near_zero_present(self):
+        """The range above holds prefactors near 0, where a log pi subtracted
+        from the ratio's log would cancel digits."""
+        assert abs(_pp_log_prefactor.__wrapped__(23, 21)) < 0.01
+        assert abs(_pp_log_prefactor.__wrapped__(24, 22)) < 0.01
 
 
 class TestPsiTrig:

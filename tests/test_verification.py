@@ -139,8 +139,10 @@ class TestWorstPoint:
     @pytest.mark.parametrize("suite", [verify_form_equivalence, verify_lo_proportionality])
     def test_perturbed_state_fails(self, monkeypatch, suite):
         """psi_trig of (5, 2) off by a factor 1 + 1e-9 (1 + |p|/(hbar beta)):
-        both suites fail and name that state.  The factor varies with p
-        because a proportionality test cannot see a constant one."""
+        both suites fail and name that state.  Each holds psi_trig to an
+        exact value at every p, form_equivalence to the exact sum and
+        lo_proportionality to c conj(alpha), so the factor's excess over 1
+        is the error there."""
         perturbed = perturbed_rows((5, 2), lambda p: 1.0 + 1e-9 * (1.0 + np.abs(p)))
         monkeypatch.setattr(verification, "_kernel_stack", perturbed)
         res = suite()
@@ -148,8 +150,9 @@ class TestWorstPoint:
         assert self.worst_state(res.details)[:2] == (5, 2), res.details
 
     def test_lo_constant_fails(self, monkeypatch):
-        """psi_trig of (5, 2) off by a constant 1 + 1e-8: the ratio's spread
-        cannot see it, its constant against (-1)^l a_0 / c_0 does."""
+        """psi_trig of (5, 2) off by a constant 1 + 1e-8: the pointwise
+        equality psi_trig = c conj(alpha), with c = (-1)^l a_0 (N+l)! / c_0
+        from exact integers, is off by 1e-8 at every p."""
         monkeypatch.setattr(verification, "_kernel_stack",
                             perturbed_rows((5, 2), lambda p: 1.0 + 1e-8))
         res = verify_lo_proportionality()
@@ -173,8 +176,8 @@ class TestWorstPoint:
 
     def test_lo_kernel_perturbed_fails(self, monkeypatch):
         """The Lombardi-Ogilvie kernel that table and eval serve, off by a
-        constant 1 + 1e-8 at (5, 2): the ratio's spread cannot see it, the
-        comparison with the exact alpha does."""
+        constant 1 + 1e-8 at (5, 2): its pointwise comparison with the exact
+        alpha, relative to max |alpha|, is off by up to 1e-8."""
         perturbed = perturbed_rows((5, 2), lambda p: 1.0 + 1e-8, lombardi_ogilvie=True)
         monkeypatch.setattr(verification, "_kernel_stack", perturbed)
         res = verify_lo_proportionality()
