@@ -9,14 +9,17 @@ Subcommands:
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error (a
 grid too large to allocate, a value that overflows and a flag that is
 not spelled in full included), 3 I/O error.  All floating values are
-emitted with 17 significant digits and a dot decimal separator, and
-all must be finite.  `table` and `plot` evaluate their whole grid in
-one call of the array-valued forms.
+emitted as '%.17g' formats them, and all must be finite; a usage error
+for a value past double precision names --hbar-beta, and the column and
+p where it has them.  `table` and `plot` evaluate their whole grid in
+one call of the array-valued forms and format their rows with numpy,
+a block at a time (`_format_block`), byte for byte as '%.17g' does.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -31,15 +34,24 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# Rows %-formatted per write: bounds the text held at once for a large table.
+# Rows formatted per write: bounds the text and the formatter's
+# temporaries (about 200 bytes a value) held at once for a large table.
 CSV_BLOCK_ROWS = 4096
+
+COMPLEX_HEADER = "p,re,im,abs2"
 
 
 class UsageError(Exception):
     pass
 
 
-NOT_FINITE = "a value overflows double precision (inf or nan); nothing written"
+def _not_finite(header: str, row, hbar_beta: float) -> UsageError:
+    """The usage error for a `row` of values named by `header`, p first,
+    that holds a value past double precision: it names the first such."""
+    name, value = next((name, value) for name, value in zip(header.split(","), row)
+                       if not math.isfinite(value))
+    return UsageError(f"{name} is {value} at p={row[0]!r}, past double precision at "
+                      f"--hbar-beta {hbar_beta!r}; nothing written")
 
 
 def _require_finite(**flags) -> None:
@@ -50,14 +62,12 @@ def _require_finite(**flags) -> None:
 
 def _usage_checked(function, *args, **kwargs):
     """function(*args, **kwargs), with its ValueError, an argument outside
-    its domain, and its OverflowError, a result outside double range,
-    reported as a usage error."""
+    its domain, reported as a usage error.  (An OverflowError, a result
+    outside double range, is reported by `main`.)"""
     try:
         return function(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    except OverflowError as exc:
-        raise UsageError(f"a value overflows double precision: {exc}") from exc
 
 
 def _scale_from_args(args) -> PhysicalScale:
@@ -90,21 +100,144 @@ def _write_lines(path, chunks) -> None:
             handle.writelines(chunks)
 
 
-def _write_csv(path, header, columns) -> None:
-    """Write `header` (unless None), then one row per entry of the
-    equal-length float `columns`, every value with 17 significant digits;
-    if any value is not finite, raise UsageError before writing anything."""
-    rows = np.array(columns).T.reshape(-1, len(columns))
-    if not np.isfinite(rows).all():
-        raise UsageError(NOT_FINITE)
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+# The formatter's extended type, and the margin, in its eps, of a value
+# that '%' formats (see `_format_block`).  Where long double is double,
+# every value is within the margin, and '%' formats them all.
+_EXTENDED = np.longdouble
+_MARGIN = 2.0
+# Decimal exponents of doubles, subnormals included.
+_MIN_EXP, _MAX_EXP = -324, 308
+
+
+@functools.lru_cache(maxsize=1)
+def _format_tables():
+    """The tables of `_decimal` and `_format_block`, built on the first
+    call so that an import does not pay for them: 10^(16-E) in the
+    extended type, correctly rounded, at index E - _MIN_EXP + 1 (E one past
+    either end included), and the type's eps; the 4 ASCII digits of
+    0..9999 in one uint32 each; the suffixes 'e-324'..'e+308', NUL-padded
+    in one uint64 each, and last 0."""
+    exponents = range(_MIN_EXP - 1, _MAX_EXP + 2)
+    powers = np.array([f"1e{16 - e}" for e in exponents]).astype(_EXTENDED)
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    quads = digits.astype(np.uint8).view(np.uint32).ravel()
+    suffixes = [b"e%+03d" % e for e in range(_MIN_EXP, _MAX_EXP + 1)] + [b""]
+    suffixes = np.array(suffixes, dtype="S8").view(np.uint64)
+    return powers, float(np.finfo(_EXTENDED).eps), quads, suffixes
+
+
+def _decimal(x: np.ndarray):
+    """(D, E, near) for the finite float64 array x: |x| = D 10^(E-16)
+    rounded to 17 digits, 10^16 <= D < 10^17 (D = E = 0 at 0), and where
+    D may be off, so that '%' must format x.
+
+    D = rint(y), y = |x| 10^(16-E), with y taken in the extended type: it
+    is rounded twice, so it lies within eps y of the exact product, and
+    both round to the same D unless y lies within _MARGIN eps y of a
+    rounding boundary m + 1/2, exact ties included.
+    """
+    powers, eps = _format_tables()[:2]
+    magnitude = np.abs(x)
+    zero = magnitude == 0
+    magnitude[zero] = 1.0  # D = E = 0 below
+    e = np.floor(np.log10(magnitude)).astype(np.int64)
+    magnitude = magnitude.astype(_EXTENDED)
+    y = powers[e - (_MIN_EXP - 1)] * magnitude
+    # log10 of a double next to a power of 10 may round to the wrong side.
+    for wrong, step in ((y < 1e16, -1), (y >= 1e17, 1)):
+        if wrong.any():
+            e[wrong] += step
+            y[wrong] = powers[e[wrong] - (_MIN_EXP - 1)] * magnitude[wrong]
+    y += 0.5
+    d = y.astype(np.int64)  # floor(y + 1/2), exact below 2^63
+    y -= d  # frac(y) + 1/2, less 1 above 1/2: exact, and exact as a double
+    near = np.abs(y.astype(float) - 0.5) > 0.5 - _MARGIN * eps * d
+    top = d == 10 ** 17  # y rounded up to the next decade
+    d[top] = 10 ** 16
+    e += top
+    d[zero] = e[zero] = 0
+    return d, e, near
+
+
+def _format_block(block: np.ndarray) -> str:
+    """The rows of the finite float64 array `block` as CSV lines, every
+    value byte for byte as '%.17g' formats it.
+
+    '%' formats the values `_decimal` finds near a rounding boundary, in
+    one call for the block.  The %g rules lay out the others in a slot of
+    bytes: the sign; "0000" and the 17 digits, with the point after digit
+    E (fixed notation, for -4 <= E < 17) or after the first (scientific);
+    the exponent suffix; the separator.  Every byte that %g drops (a
+    leading or trailing zero, the point of a whole number) is NUL, and one
+    pass over the text removes them.  The slots are held one row per byte
+    position, so that every numpy call runs over the whole block.
+    """
+    quads, suffixes = _format_tables()[2:]
+    x = block.reshape(-1)
+    n = len(x)
+    d, e, near = _decimal(x)
+
+    # "0000" and the 17 digits of d, from 4-digit groups, between NUL rows.
+    groups = np.empty((5, n), dtype=np.intp)  # d0, d1-d4, ..., d13-d16
+    for row, unit in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
+        np.floor_divide(d, unit, out=groups[row])
+        d = d - groups[row] * unit
+    groups[4] = d
+    padded = np.zeros((23, n), dtype=np.uint8)
+    padded[1] = ord("0")
+    padded[2:22].reshape(5, 4, n)[:] = (
+        quads[groups].view(np.uint8).reshape(5, n, 4).transpose(0, 2, 1))
+    text = padded[1:22]  # text[4 + j] is digit j
+
+    # The body is the text with the point after text[point]; the bytes
+    # body[first:last + 1] are kept: from the units digit to the last
+    # nonzero digit, or to the units digit where no such digit follows it.
+    fixed = (-4 <= e) & (e < 17)
+    shift = np.where(fixed, e, 0).astype(np.int8)
+    point, first = shift + np.int8(4), np.minimum(shift, 0) + np.int8(4)
+    nonzero = (text[4:] != ord("0")).view(np.uint8)
+    last = np.max(nonzero * np.arange(17, dtype=np.uint8)[:, None], axis=0).astype(np.int8)
+    last += np.int8(4)  # in the text; digit 0 where d = 0
+    last = np.where(last > point, last + np.int8(1), point)
+
+    slots = np.empty((29, n), dtype=np.uint8)
+    slots[0] = np.signbit(x) * np.uint8(ord("-"))
+    body = slots[1:23]
+    before, after = padded[1:], padded[:-1]  # text[i], and text[i - 1]
+    position = np.arange(22, dtype=np.int8)[:, None]
+    np.subtract(before, after, out=body)
+    body *= (position <= point).view(np.uint8)
+    body += after
+    body.reshape(-1)[(point + 1).astype(np.intp) * n + np.arange(n)] = ord(".")
+    body *= ((position >= first) & (position <= last)).view(np.uint8)
+    suffix = suffixes[np.where(fixed, -1, e - _MIN_EXP)]
+    slots[23:28] = suffix.view(np.uint8).reshape(n, 8)[:, :5].T
+    slots[28].reshape(block.shape)[:] = [ord(",")] * (block.shape[1] - 1) + [ord("\n")]
+
+    redo = np.flatnonzero(near)
+    if redo.size:
+        exact = ("%.17g " * redo.size % tuple(x[redo].tolist())).split()
+        slots[:28, redo] = np.array(exact, dtype="S28").view(np.uint8).reshape(-1, 28).T
+    return slots.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _write_csv(path, header: str, columns, hbar_beta: float) -> None:
+    """Write `header`, then one row per entry of the equal-length float
+    `columns`, p first, every value as '%.17g' formats it; if any value is
+    not finite, raise UsageError, naming the first, before writing anything."""
+    bad = [int(np.argmin(finite)) for finite in map(np.isfinite, columns)
+           if not finite.all()]
+    if bad:
+        raise _not_finite(header, [float(column[min(bad)]) for column in columns], hbar_beta)
 
     def text():
-        if header is not None:
-            yield header + "\n"
-        for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[start:start + CSV_BLOCK_ROWS]
-            yield row * len(block) % tuple(block.ravel().tolist())
+        yield header + "\n"
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, len(columns[0]))
+            block = np.empty((stop - start, len(columns)))
+            for i, column in enumerate(columns):
+                block[:, i] = column[start:stop]
+            yield _format_block(block)
 
     _write_lines(path, text())
 
@@ -128,7 +261,7 @@ def cmd_eval(args) -> int:
     modulus = abs(value)
     record = (args.p, value.real, value.imag, modulus * modulus)
     if not all(map(math.isfinite, record)):
-        raise UsageError(NOT_FINITE)
+        raise _not_finite(COMPLEX_HEADER, record, args.hbar_beta)
     _write_lines(args.output, ["%.17g,%.17g,%.17g,%.17g\n" % record])
     return EXIT_OK
 
@@ -156,17 +289,20 @@ def cmd_table(args) -> int:
     state = _state_from_args(args)
     grid = _grid_from_args(args)
     values = _usage_checked(FORM_EVALUATORS[args.form], state, grid)
-    _write_csv(args.output, "p,re,im,abs2", _complex_columns(grid, values))
+    _write_csv(args.output, COMPLEX_HEADER, _complex_columns(grid, values), args.hbar_beta)
     return EXIT_OK
 
 
 def cmd_plot(args) -> int:
     scale = _scale_from_args(args)
     pmax = args.pmax if args.pmax is not None else 5.0 * scale.momentum
+    if args.pmax is None and pmax == math.inf:
+        raise UsageError(f"the default --pmax, 5 --hbar-beta, is past double precision "
+                         f"at --hbar-beta {args.hbar_beta!r}; give --pmax")
     _require_finite(pmax=pmax)
     grid = _grid(0.0 if args.form == "PP" else -pmax, pmax, args.count)
     density = _usage_checked(distribution_max_l, args.form, args.N, grid, scale)
-    _write_csv(args.output, "p,density", [grid, density])
+    _write_csv(args.output, "p,density", [grid, density], args.hbar_beta)
     return EXIT_OK
 
 
@@ -238,6 +374,11 @@ def main(argv=None) -> int:
         return commands[args.command](args)
     except (UsageError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError:
+        # Raised by the forms only where a power of hbar beta leaves double range.
+        print(f"error: a value overflows double precision at --hbar-beta {args.hbar_beta!r}",
+              file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

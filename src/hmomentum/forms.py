@@ -72,6 +72,16 @@ def _log_c0(l: int) -> float:
     return _log_ratio(1, math.perm(2 * l + 1, l))
 
 
+def _ratio(p, momentum: float):
+    """q = p / momentum for a float or an array p, with no numpy warning
+    where it overflows (at a subnormal momentum): q is then +-inf, which
+    every form takes."""
+    if type(p) is float:
+        return p / momentum
+    with np.errstate(over="ignore"):
+        return p / momentum
+
+
 def _polynomials(degrees, l: int, q) -> dict:
     """{n: 2F1(-n, l+2; 2l+2; 2w)} for each n in `degrees`, from one forward
     pass of the recurrence (see `_hypergeometric_kernel`)."""
@@ -150,7 +160,7 @@ def psi_trig(state: QuantumState, p):
     """
     N, l = state.N, state.l
     log_b0 = _log_b0(N, l) - 0.5 * math.log(2.0 * state.scale.beta)
-    return _hypergeometric_kernel(N, l, p / state.scale.momentum, log_b0)
+    return _hypergeometric_kernel(N, l, _ratio(p, state.scale.momentum), log_b0)
 
 
 def _lombardi_ogilvie_kernel(state: QuantumState, p):
@@ -161,7 +171,7 @@ def _lombardi_ogilvie_kernel(state: QuantumState, p):
     c_0 = (l+1)!/(2l+1)!.  conj(w) is w at -p.  p is a float or an array.
     """
     N, l = state.N, state.l
-    value = _hypergeometric_kernel(N, l, -p / state.scale.momentum, _log_c0(l))
+    value = _hypergeometric_kernel(N, l, _ratio(-p, state.scale.momentum), _log_c0(l))
     return -value if l % 2 else value
 
 
@@ -175,12 +185,12 @@ def _kernel_stack(states, p, lombardi_ogilvie: bool = False) -> np.ndarray:
         ladder = [i for i, s in enumerate(states) if (s.l, s.scale) == (l, scale)]
         N = [states[i].N for i in ladder]
         if lombardi_ogilvie:
-            rows = _hypergeometric_kernel(N, l, -p / scale.momentum, _log_c0(l))
+            rows = _hypergeometric_kernel(N, l, _ratio(-p, scale.momentum), _log_c0(l))
             values[ladder] = -rows if l % 2 else rows
         else:
             half_log = 0.5 * math.log(2.0 * scale.beta)
             log_b0 = [_log_b0(n, l) - half_log for n in N]
-            values[ladder] = _hypergeometric_kernel(N, l, p / scale.momentum, log_b0)
+            values[ladder] = _hypergeometric_kernel(N, l, _ratio(p, scale.momentum), log_b0)
     return values
 
 
@@ -230,7 +240,7 @@ def podolsky_pauling_G(state: QuantumState, p):
     if _any_negative(p):
         raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {np.min(p)}")
     N, l = state.N, state.l
-    q = _capped(p / state.scale.momentum)
+    q = _capped(_ratio(p, state.scale.momentum))
     c2 = 1.0 / (1.0 + q * q)
     # (hbar beta)^{-3/2} stays out of the exponential, whose rounding grows
     # with the size of its argument.

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmomentum import cli, forms, verification
-from hmomentum.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from hmomentum.cli import CSV_BLOCK_ROWS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from hmomentum.verification import SUITES
 
 
@@ -186,6 +186,32 @@ class TestTable:
         assert np.array_equal(cli._grid(pmin, pmax, count), np.linspace(pmin, pmax, count))
 
 
+class TestCsvText:
+    @pytest.mark.parametrize("argv", [
+        ["table", "podolsky_pauling", "3", "1", "--pmin", "0", "--pmax", "3e17"],
+        ["table", "trig", "2", "1", "--pmin", "0", "--pmax", "2e18", "--hbar-beta", "1e16"],
+        ["plot", "PP", "3", "--pmax", "2e17", "--hbar-beta", "3e16"],
+        ["plot", "LO", "3", "--pmax", "2e17", "--hbar-beta", "3e16"],
+    ], ids=" ".join)
+    def test_same_bytes_to_file(self, capsys, tmp_path, argv):
+        """table and plot write the same bytes to --output as to stdout, every
+        field as '%.17g' formats it, over several blocks holding zeros,
+        values below 1e-4 and values at or above 1e17."""
+        count = 2 * CSV_BLOCK_ROWS + 5
+        argv = argv + ["--count", str(count)]
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        target = tmp_path / "out.csv"
+        assert run_cli(capsys, *argv, "--output", str(target)) == (EXIT_OK, "")
+        assert target.read_bytes() == out.encode("ascii")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == count
+        assert all(field == "%.17g" % float(field) for row in rows for field in row)
+        magnitude = np.abs(np.array(rows, dtype=float))
+        assert (magnitude == 0).any() and (magnitude >= 1e17).any()
+        assert ((0 < magnitude) & (magnitude < 1e-4)).any()
+
+
 class TestPlot:
     def test_pp_ground_state_values(self, capsys):
         code, out = run_cli(capsys, "plot", "PP", "1", "--pmax", "2", "--count", "3")
@@ -342,6 +368,45 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv,names", [
+        # the default --pmax, 5 hbar beta, overflows
+        (["plot", "LO", "2", "--hbar-beta", "1e308"], []),
+        # |psi(0)|^2 overflows, and so does G(0)^2
+        (["table", "trig", "1", "0", "--pmin", "0", "--pmax", "1", "--hbar-beta", "1e-310"],
+         ["abs2", "p=0.0"]),
+        (["eval", "podolsky_pauling", "1", "0", "--p", "0", "--hbar-beta", "1e-200"],
+         ["abs2", "p=0.0"]),
+        # G's (hbar beta)^{-3/2} overflows before there is a column
+        (["eval", "podolsky_pauling", "1", "0", "--p", "0", "--hbar-beta", "1e-310"], []),
+        (["table", "podolsky_pauling", "2", "1", "--pmin", "0", "--pmax", "1",
+          "--hbar-beta", "1e-310"], []),
+    ], ids=" ".join)
+    def test_overflow_names_the_flag(self, capsys, argv, names):
+        """A value past double precision is a usage error that names
+        --hbar-beta and its value, and the column and p where it has them."""
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for name in [f"--hbar-beta {float(argv[-1])!r}", *names]:
+            assert name in err
+        assert "--pmax must" not in err and "Numerical result" not in err
+
+    @pytest.mark.parametrize("form", sorted(forms.FORM_EVALUATORS))
+    @pytest.mark.parametrize("hbar_beta", ["1e-310", "1e-320"])
+    def test_subnormal_scale(self, capsys, form, hbar_beta):
+        """At a subnormal hbar beta, q = p / hbar beta overflows to inf with
+        no numpy warning: LO, 1 at p = 0 and 0 past it, is printed, and the
+        other forms, whose values overflow at p = 0, exit 2."""
+        code = main(["table", form, "1", "0", "--pmin", "0", "--pmax", "1", "--count", "3",
+                     "--hbar-beta", hbar_beta])
+        captured = capsys.readouterr()
+        if form == "lombardi_ogilvie":
+            assert (code, captured.err) == (EXIT_OK, "")
+            assert captured.out == "p,re,im,abs2\n0,1,0,1\n0.5,0,0,0\n1,0,0,0\n"
+        else:
+            assert code == EXIT_USAGE
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         # --hbar would abbreviate --hbar-beta, --c --count

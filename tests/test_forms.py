@@ -14,6 +14,7 @@ from scipy.special import eval_gegenbauer
 
 from hmomentum.forms import (
     FORM_EVALUATORS,
+    _kernel_stack,
     _log_b0,
     _log_c0,
     _pp_log_prefactor,
@@ -334,6 +335,21 @@ class TestPodolskyPauling:
         # cos^4(chi/2) kills the value at chi = pi (p = inf) for the nodeless 1s
         assert podolsky_pauling_G(QuantumState(1, 0), math.tan(math.pi / 2.0)) == pytest.approx(
             0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("hbar_beta", [1e-310, 1e-320])
+def test_subnormal_scale(hbar_beta):
+    """At a subnormal hbar beta, q = p / hbar beta overflows to inf with no
+    numpy warning (an error under this suite's settings): the kernel forms
+    are finite at p = 0 and 0 past it, and G's (hbar beta)^{-3/2} raises
+    OverflowError."""
+    state = QuantumState(2, 1, PhysicalScale(beta=hbar_beta))
+    p = np.array([0.0, 0.5, 1.0])
+    for values in (psi_trig(state, p), FORM_EVALUATORS["lombardi_ogilvie"](state, p),
+                   *_kernel_stack([state], p), *_kernel_stack([state], p, lombardi_ogilvie=True)):
+        assert np.isfinite(values[0]) and np.all(values[1:] == 0)
+    with pytest.raises(OverflowError):
+        podolsky_pauling_G(state, p)
 
 
 class TestDistributions:
