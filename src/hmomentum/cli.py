@@ -71,9 +71,11 @@ def _usage_checked(function, *args, **kwargs):
 
 
 def _scale_from_args(args) -> PhysicalScale:
-    if not 0 < args.hbar < math.inf:
-        raise UsageError(f"--hbar must be positive and finite, got {args.hbar}")
-    return _usage_checked(PhysicalScale, hbar=args.hbar, beta=args.hbar_beta / args.hbar)
+    beta = args.hbar_beta / args.hbar if args.hbar else math.nan
+    if not all(0 < value < math.inf for value in (args.hbar, args.hbar_beta, beta)):
+        raise UsageError(f"--hbar, --hbar-beta and beta = --hbar-beta / --hbar must be positive "
+                         f"and finite, got --hbar {args.hbar!r} --hbar-beta {args.hbar_beta!r}")
+    return PhysicalScale(hbar=args.hbar, beta=beta)
 
 
 def _add_scale_flags(parser: argparse.ArgumentParser, hbar: bool) -> None:
@@ -301,7 +303,11 @@ def cmd_plot(args) -> int:
                          f"at --hbar-beta {args.hbar_beta!r}; give --pmax")
     _require_finite(pmax=pmax)
     grid = _grid(0.0 if args.form == "PP" else -pmax, pmax, args.count)
-    density = _usage_checked(distribution_max_l, args.form, args.N, grid, scale)
+    try:
+        density = distribution_max_l(args.form, args.N, grid, scale)
+    except ValueError as exc:  # N below 1, or else the shape past double precision
+        raise UsageError(exc if args.N < 1 else f"the {args.form} density of N={args.N} overflows "
+                         f"double precision at --hbar-beta {args.hbar_beta!r}") from exc
     _write_csv(args.output, "p,density", [grid, density], args.hbar_beta)
     return EXIT_OK
 

@@ -23,34 +23,11 @@ import math
 
 import numpy as np
 
-from .hydrogenic import PhysicalScale, QuantumState
+from .hydrogenic import PhysicalScale, QuantumState, sqrt_ratio
 from .specfun import gegenbauer_C
 
 
 _LOG2 = math.log(2.0)
-_SQRT2 = math.sqrt(2.0)
-
-
-def _log_ratio(num: int, den: int) -> float:
-    """log(num / den) for positive integers of any size, to about an ulp.
-
-    Unlike a difference of two lgamma values of order N log N, it does
-    not lose the digits that the difference cancels.  The quotient, scaled
-    by 2^-shift into [1/sqrt 2, sqrt 2), is correctly rounded.  At shift 0
-    the log is log1p of (num - den) / den, also correctly rounded, so that
-    a ratio near 1 keeps its digits; otherwise |shift log 2| is more than
-    twice |log mantissa|, and their sum cancels at most one bit.
-    """
-    shift = num.bit_length() - den.bit_length()
-    # int / int is correctly rounded; the shift keeps the quotient in (1/2, 2).
-    mantissa = num / (den << shift) if shift >= 0 else (num << -shift) / den
-    if mantissa >= _SQRT2:
-        mantissa, shift = 0.5 * mantissa, shift + 1
-    elif mantissa * _SQRT2 < 1.0:
-        mantissa, shift = 2.0 * mantissa, shift - 1
-    if shift == 0:
-        return math.log1p((num - den) / den)
-    return math.log(mantissa) + shift * _LOG2
 
 
 # The prefactors below are ratios of factorials.  (N+l)!/(N-l-1)! =
@@ -59,17 +36,18 @@ def _log_ratio(num: int, den: int) -> float:
 
 
 @functools.lru_cache(maxsize=4096)
-def _log_b0(N: int, l: int) -> float:
-    """log(b_0 sqrt(2 beta)), b_0 = a_0 the first expansion coefficient:
+def _b0(N: int, l: int, beta: float) -> tuple[float, int]:
+    """b_0 = a_0, the first expansion coefficient, as (m, e), beta = num / den exactly:
     b_0^2 2 beta = (N+l)! 4^{l+2} (l+1)!^2 / ((N-l-1)! 2N (2l+1)!^2)."""
-    return 0.5 * _log_ratio(math.perm(N + l, 2 * l + 1) << (2 * l + 3),
-                            N * math.perm(2 * l + 1, l) ** 2)
+    num, den = beta.as_integer_ratio()
+    return sqrt_ratio(math.perm(N + l, 2 * l + 1) * den << (2 * l + 2),
+                      N * math.perm(2 * l + 1, l) ** 2 * num)
 
 
 @functools.lru_cache(maxsize=4096)
-def _log_c0(l: int) -> float:
-    """log c_0 = log((l+1)! / (2l+1)!), the first Lombardi-Ogilvie coefficient."""
-    return _log_ratio(1, math.perm(2 * l + 1, l))
+def _c0(l: int) -> tuple[float, int]:
+    """c_0 = (l+1)! / (2l+1)!, the first Lombardi-Ogilvie coefficient, as (m, e)."""
+    return sqrt_ratio(1, math.perm(2 * l + 1, l) ** 2)
 
 
 def _ratio(p, momentum: float):
@@ -96,8 +74,8 @@ def _polynomials(degrees, l: int, q) -> dict:
     return kept
 
 
-def _hypergeometric_kernel(N, l: int, q, log_scale):
-    """e^{log_scale} w^{l+2} 2F1(-n, l+2; 2l+2; 2w), w = 1/(1 - i q), n = N-l-1.
+def _hypergeometric_kernel(N, l: int, q, m, e):
+    """m 2^e w^{l+2} 2F1(-n, l+2; 2l+2; 2w), w = 1/(1 - i q), n = N-l-1.
 
     q is a float or a float64 array; the result is a complex scalar or an
     array of q's shape.  The polynomial runs Gauss's contiguous relation
@@ -106,26 +84,26 @@ def _hypergeometric_kernel(N, l: int, q, log_scale):
     b = l+2, c = 2l+2, z = 2w.  Unlike the explicit alternating sum it
     does not cancel at large n.  The recurrence uses only operators, so
     a float q stays a Python scalar through it, and the tail of one point
-    is `math` and `cmath`.  The scale and w^{l+2} = cos^{l+2}(theta)
-    e^{i (l+2) theta}, theta = arctan q, share one exponential, so that
-    neither under- or overflows on its own; the value is scaled by 2^shift
-    last, in one correctly rounded step, so that values in the subnormal
-    range are still the nearest doubles.  For a list N (log_scale one per N,
-    or one for all), one pass gives them all, stacked.
+    is `math` and `cmath`.  w^{l+2} = cos^{l+2}(theta) e^{i (l+2) theta},
+    theta = arctan q, is one exponential; its powers of 2 and e scale the
+    value last, in one correctly rounded step, so that no factor under- or
+    overflows on its own and values in the subnormal range are still the
+    nearest doubles.  For a list N (m and e one per N, or one for all), one
+    pass gives them all, stacked.
     """
     b = l + 2
     if type(q) is float and not isinstance(N, list):
         cur = _polynomials([N - l - 1], l, q)[N - l - 1]
-        log_abs = log_scale - 0.5 * b * math.log1p(q * q)
+        log_abs = -0.5 * b * math.log1p(q * q)
         if not log_abs > -math.inf:  # NaN q, or |q| > 1e154 where w^{l+2} is 0
             return complex(math.exp(log_abs))
         shift = math.floor(log_abs / _LOG2)
-        value = cmath.exp((log_abs - shift * _LOG2) + 1j * (b * math.atan(q))) * cur
+        value = cmath.exp((log_abs - shift * _LOG2) + 1j * (b * math.atan(q))) * cur * m
         # math.ldexp raises OverflowError past the double range, which the
         # value cannot reach: |alpha| <= 1, and |psi| <= M (2 beta)^{-1/2},
         # where M, the peak at l = N-1, grows as N^{1/4} (12 at N = 400, 21 at
         # N = 4000), so |psi| < 1e163 at any beta >= 5e-324.
-        return math.ldexp(value.real, shift) + 1j * math.ldexp(value.imag, shift)
+        return math.ldexp(value.real, shift + e) + 1j * math.ldexp(value.imag, shift + e)
     degrees = [n - l - 1 for n in N] if isinstance(N, list) else [N - l - 1]
     with np.errstate(over="ignore", invalid="ignore"):  # |q| > 1e154 and inf q
         kept = _polynomials(degrees, l, q)
@@ -134,12 +112,12 @@ def _hypergeometric_kernel(N, l: int, q, log_scale):
             cur = np.empty((len(N),) + np.shape(q), dtype=complex)
             for row, n in enumerate(degrees):
                 cur[row] = kept[n]
-            log_scale = np.reshape(log_scale, (-1,) + (1,) * np.ndim(q))
-        log_abs = log_scale - 0.5 * b * np.log1p(q * q)
+            m, e = (np.reshape(x, (-1,) + (1,) * np.ndim(q)) for x in (m, e))
+        log_abs = -0.5 * b * np.log1p(q * q)
         regular = log_abs > -np.inf  # as above
         shift = np.floor(np.where(regular, log_abs, 0.0) / _LOG2).astype(np.int64)
-        value = np.exp((log_abs - shift * _LOG2) + 1j * (b * np.arctan(q))) * cur
-        value = np.ldexp(value.real, shift) + 1j * np.ldexp(value.imag, shift)
+        value = np.exp((log_abs - shift * _LOG2) + 1j * (b * np.arctan(q))) * cur * m
+        value = np.ldexp(value.real, shift + e) + 1j * np.ldexp(value.imag, shift + e)
         return np.where(regular, value, np.exp(log_abs))[()]
 
 
@@ -152,15 +130,15 @@ def psi_trig(state: QuantumState, p):
     theta = arctan(p / hbar beta), with b_t = a_t the Gegenbauer-expansion
     coefficients (`verification.gegenbauer_coefficients`).  Since
     e^{i theta} cos(theta) = w, the sum is b_0 w^{l+2} 2F1(-n, l+2; 2l+2; 2w)
-    and is evaluated so, with log b_0 from exact integers.  The Gegenbauer and
+    and is evaluated so, with b_0 correctly rounded (`_b0`).  The Gegenbauer and
     script-D expansions are the same function, term by term, because
     sin(gamma) (D^1 + i C^1)(cos gamma) = e^{i (n+1) gamma}.  Defined
     for any real p; psi(-p) = conj(psi(p)).  Only the kernel's last rung is
     scaled; `_kernel_stack` gives many states from one pass per l.
     """
     N, l = state.N, state.l
-    log_b0 = _log_b0(N, l) - 0.5 * math.log(2.0 * state.scale.beta)
-    return _hypergeometric_kernel(N, l, _ratio(p, state.scale.momentum), log_b0)
+    return _hypergeometric_kernel(N, l, _ratio(p, state.scale.momentum),
+                                  *_b0(N, l, state.scale.beta))
 
 
 def _lombardi_ogilvie_kernel(state: QuantumState, p):
@@ -171,7 +149,7 @@ def _lombardi_ogilvie_kernel(state: QuantumState, p):
     c_0 = (l+1)!/(2l+1)!.  conj(w) is w at -p.  p is a float or an array.
     """
     N, l = state.N, state.l
-    value = _hypergeometric_kernel(N, l, _ratio(-p, state.scale.momentum), _log_c0(l))
+    value = _hypergeometric_kernel(N, l, _ratio(-p, state.scale.momentum), *_c0(l))
     return -value if l % 2 else value
 
 
@@ -185,26 +163,25 @@ def _kernel_stack(states, p, lombardi_ogilvie: bool = False) -> np.ndarray:
         ladder = [i for i, s in enumerate(states) if (s.l, s.scale) == (l, scale)]
         N = [states[i].N for i in ladder]
         if lombardi_ogilvie:
-            rows = _hypergeometric_kernel(N, l, _ratio(-p, scale.momentum), _log_c0(l))
+            rows = _hypergeometric_kernel(N, l, _ratio(-p, scale.momentum), *_c0(l))
             values[ladder] = -rows if l % 2 else rows
         else:
-            half_log = 0.5 * math.log(2.0 * scale.beta)
-            log_b0 = [_log_b0(n, l) - half_log for n in N]
-            values[ladder] = _hypergeometric_kernel(N, l, _ratio(p, scale.momentum), log_b0)
+            b0 = zip(*[_b0(n, l, scale.beta) for n in N])
+            values[ladder] = _hypergeometric_kernel(N, l, _ratio(p, scale.momentum), *b0)
     return values
 
 
-# pi to 36 digits, as num / den: inside the ratio, log pi cancels no digits
-# where the prefactor is near 0, as at (N, l) = (23, 21) and (24, 22).
+# pi to 36 digits, as num / den: the prefactor's ratio is then within 1e-36
+# of the exact one, far inside its rounding.
 _PI = (314159265358979323846264338327950288, 10 ** 35)
 
 
 @functools.lru_cache(maxsize=4096)
-def _pp_log_prefactor(N: int, l: int) -> float:
-    """log of 2^{5/2} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)), the prefactor of the
+def _pp_prefactor(N: int, l: int) -> float:
+    """2^{5/2} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)), the prefactor of the
     Podolsky-Pauling function but for its (hbar beta)^{-3/2}."""
-    return 0.5 * _log_ratio((N * math.factorial(l) ** 2 << (2 * l + 5)) * _PI[1],
-                            math.perm(N + l, 2 * l + 1) * _PI[0])
+    return math.ldexp(*sqrt_ratio((N * math.factorial(l) ** 2 << (2 * l + 5)) * _PI[1],
+                                  math.perm(N + l, 2 * l + 1) * _PI[0]))
 
 
 # At q = p / hbar beta >= Q_CAP the Podolsky-Pauling function is 0 in
@@ -231,7 +208,7 @@ def podolsky_pauling_G(state: QuantumState, p):
         (4 hbar beta p)^l / (hbar^2 beta^2 + p^2)^{l+2}
         C^{l+1}_{N-l-1}((hbar^2 beta^2 - p^2) / (hbar^2 beta^2 + p^2)),
     evaluated in q = p / hbar beta as
-    e^{log pref} (hbar beta)^{-3/2} (1+q^2)^{-2} (2q/(1+q^2))^l
+    `_pp_prefactor` (hbar beta)^{-3/2} (1+q^2)^{-2} (2q/(1+q^2))^l
     C^{l+1}_{N-l-1}((1-q^2)/(1+q^2)).
 
     Normalized so that int_0^inf G^2 p^2 dp = 1.  p is a float or a
@@ -242,10 +219,8 @@ def podolsky_pauling_G(state: QuantumState, p):
     N, l = state.N, state.l
     q = _capped(_ratio(p, state.scale.momentum))
     c2 = 1.0 / (1.0 + q * q)
-    # (hbar beta)^{-3/2} stays out of the exponential, whose rounding grows
-    # with the size of its argument.
     return (
-        math.exp(_pp_log_prefactor(N, l)) * state.scale.momentum ** -1.5
+        _pp_prefactor(N, l) * state.scale.momentum ** -1.5
         * c2 * c2
         * (2.0 * q * c2) ** l
         * gegenbauer_C(N - l - 1, l + 1, 2.0 * c2 - 1.0)

@@ -1,7 +1,7 @@
 """Position-space hydrogenic radial states and their analytic machinery.
 
-Radial wave functions R_{Nl} and the exact <r^2>, <p^2> expectation
-values used by the uncertainty check.
+Radial wave functions R_{Nl}, `sqrt_ratio` for every normalization, and
+the exact <r^2>, <p^2> expectation values of the uncertainty check.
 
 Scaled units (hbar = 1, beta = 1) are the default.
 """
@@ -57,25 +57,37 @@ class QuantumState:
             )
 
 
+def sqrt_ratio(num: int, den: int) -> tuple[float, int]:
+    """(m, e) with m 2^e = sqrt(num / den), m in [1/2, 1) correctly rounded,
+    for positive integers of any size: the integer root r of the quotient
+    scaled by 4^k to at least 2^111 has 56 bits or more, and with its last
+    bit set where a step dropped a remainder (a sticky bit) it rounds as the
+    exact root does."""
+    k = (113 - num.bit_length() + den.bit_length()) // 2
+    q, rem = divmod(num << 2 * k, den) if k >= 0 else divmod(num, den << -2 * k)
+    r = math.isqrt(q)
+    m, e = math.frexp(float(r | (rem > 0 or r * r < q)))
+    return m, e - k
+
+
+def _normalization(state: QuantumState) -> tuple[float, int]:
+    """N_{Nl} as (m, e): N_{Nl}^2 = 4 beta^3 / (N perm(N+l, 2l+1)), beta = num / den exactly."""
+    N, l = state.N, state.l
+    num, den = state.scale.beta.as_integer_ratio()
+    return sqrt_ratio(4 * num ** 3, N * math.perm(N + l, 2 * l + 1) * den ** 3)
+
+
 def normalization_constant(state: QuantumState) -> float:
-    """Normalization N_{Nl} = (2 beta)^{3/2} sqrt((N-l-1)! / (2N (N+l)!)).
+    """Normalization N_{Nl} = (2 beta)^{3/2} sqrt((N-l-1)! / (2N (N+l)!)), correctly rounded.
 
     Raises ValueError where N_{Nl} is not a normal double (at beta = 1,
-    for l = N - 1 from N = 151 on) or (2 beta)^{3/2} overflows.
+    for l = N - 1 from N = 151 on, or at beta far from 1).
     """
-    N, l = state.N, state.l
-    num, den = math.factorial(N - l - 1), 2 * N * math.factorial(N + l)
-    # int / int is correctly rounded; scaled by 4^k it lies in [1/4, 4),
-    # and 2^-k applies in one last step.
-    k = (den.bit_length() - num.bit_length()) // 2
-    try:
-        value = math.ldexp((2.0 * state.scale.beta) ** 1.5 * math.sqrt((num << 2 * k) / den), -k)
-    except OverflowError:
-        value = math.inf
-    if not sys.float_info.min <= value < math.inf:
-        raise ValueError(f"N_{{Nl}} of (N={N}, l={l}) at beta={state.scale.beta:g} "
+    m, e = _normalization(state)
+    if not sys.float_info.min_exp <= e <= sys.float_info.max_exp:
+        raise ValueError(f"N_{{Nl}} of (N={state.N}, l={state.l}) at beta={state.scale.beta:g} "
                          f"is not a normal double")
-    return value
+    return math.ldexp(m, e)
 
 
 def radial_wavefunction(state: QuantumState, r):
@@ -84,7 +96,7 @@ def radial_wavefunction(state: QuantumState, r):
     Normalized so that the integral of R^2 r^2 dr over (0, inf) is 1.
     r is a float or a float64 array; the value is real, of r's shape.
     N_{Nl} and rho^l leave the double range at large l where R does not
-    (N_{150,149} is 1.6e-307, and rho^149 overflows from rho = 117), so
+    (N_{151,150} is 5e-310, and rho^149 overflows from rho = 117), so
     the powers of 2 of both apply in one last step.  R is 0 wherever
     e^{-rho/2} is, r = inf included, although L may overflow there.
     """
@@ -104,13 +116,13 @@ def _radial_stack(states, r) -> np.ndarray:
         decay = np.exp(-rho / 2.0)
         for l in {s.l for s in states if s.scale == scale}:
             ladder = [i for i, s in enumerate(states) if (s.l, s.scale) == (l, scale)]
-            norm = [normalization_constant(states[i]) for i in ladder]
-            norm, norm_exponent = np.frexp(np.reshape(norm, (-1,) + (1,) * np.ndim(r)))
+            norm, norm_exponent = (np.reshape(x, (-1,) + (1,) * np.ndim(r)) for x in
+                                   zip(*[_normalization(states[i]) for i in ladder]))
             with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where decay is 0
                 value = np.ldexp(
                     norm * rho_mantissa ** l * decay
                     * laguerre([states[i].N - l - 1 for i in ladder], 2 * l + 1, rho),
-                    norm_exponent + l * rho_exponent)
+                    norm_exponent.astype(np.int32) + l * rho_exponent)  # int32: ldexp's fast loop
             values[ladder] = np.where(decay == 0.0, 0.0, value)
     return values
 

@@ -372,21 +372,28 @@ def verify_so4_constancy(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     pos = np.logspace(-3.0, 3.0, 60) * scale.momentum
     grid = np.concatenate([-pos[::-1], [0.0], pos])
     states = [QuantumState(N, N - 1, scale) for N in range(1, 7)]
-    lo = np.abs(_kernel_stack(states, grid)) ** 2 / np.stack(
-        [distribution_max_l("LO", s.N, grid, scale) for s in states])
-    pp = np.stack([podolsky_pauling_G(s, pos) ** 2 / distribution_max_l("PP", s.N, pos, scale)
-                   for s in states])
-    lo_constant = np.array([(_a0(s) * scale.momentum ** (s.N + 1)) ** 2 for s in states])
-    pp_constant = np.array([32.0 * scale.momentum ** 5 / math.pi * (
-        s.N * math.factorial(s.N - 1) ** 2 / math.factorial(2 * s.N - 1)) for s in states])
-    residual = np.max([lo.std(axis=1) / lo.mean(axis=1), pp.std(axis=1) / pp.mean(axis=1),
-                       np.abs(lo.mean(axis=1) / lo_constant - 1.0),
-                       np.abs(pp.mean(axis=1) / pp_constant - 1.0)], axis=0)
-    row = int(np.argmax(residual))
+    # Far from hbar beta = 1 these leave double precision: inf or 0, or a raise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            lo = np.abs(_kernel_stack(states, grid)) ** 2 / np.stack(
+                [distribution_max_l("LO", s.N, grid, scale) for s in states])
+            pp = np.stack([podolsky_pauling_G(s, pos) ** 2
+                           / distribution_max_l("PP", s.N, pos, scale) for s in states])
+            lo_constant = np.array([(_a0(s) * scale.momentum ** (s.N + 1)) ** 2 for s in states])
+            pp_constant = np.array([32.0 * scale.momentum ** 5 / math.pi * (
+                s.N * math.factorial(s.N - 1) ** 2 / math.factorial(2 * s.N - 1)) for s in states])
+        except (ValueError, OverflowError):
+            residual, details = math.inf, (f"a density or its constant is past double "
+                                           f"precision at hbar beta {scale.momentum:g}")
+        else:
+            residual = np.max([lo.std(axis=1) / lo.mean(axis=1), pp.std(axis=1) / pp.mean(axis=1),
+                               np.abs(lo.mean(axis=1) / lo_constant - 1.0),
+                               np.abs(pp.mean(axis=1) / pp_constant - 1.0)], axis=0)
+            row = int(np.argmax(residual))
+            residual, details = residual[row], f"worst at (N={states[row].N},l={states[row].l})"
     return CheckResult.from_residual(
         "so4_form_constancy", [(s.N, s.l) for s in states],
-        f"{grid.size}-point mirrored log grid (PP on its p > 0 half)", residual[row],
-        1e-10, f"worst at (N={states[row].N},l={states[row].l})")
+        f"{grid.size}-point mirrored log grid (PP on its p > 0 half)", residual, 1e-10, details)
 
 
 SUITES = {

@@ -279,6 +279,17 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["overall_pass"] is False
 
+    def test_subnormal_scale_fails_cleanly(self, capsys):
+        """At a subnormal hbar beta so4_constancy's values leave double
+        precision: the suite fails with a one-line reason, not a crash or a
+        numpy warning."""
+        code = main(["verify", "--hbar-beta", "1e-310", "--suite", "so4_constancy"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        (result,) = json.loads(captured.out)["results"]
+        assert not result["passed"] and "past double precision" in result["details"]
+        assert "raised" not in result["details"] and "\n" not in result["details"]
+
     def test_no_tol_scale(self, capsys):
         """Each suite's tolerance is a constant; no flag scales it."""
         with pytest.raises(SystemExit) as err:
@@ -381,6 +392,11 @@ class TestUsageErrors:
         (["eval", "podolsky_pauling", "1", "0", "--p", "0", "--hbar-beta", "1e-310"], []),
         (["table", "podolsky_pauling", "2", "1", "--pmin", "0", "--pmax", "1",
           "--hbar-beta", "1e-310"], []),
+        # beta = hbar beta / hbar overflows
+        (["eval", "trig", "1", "0", "--p", "1", "--hbar", "1e-10", "--hbar-beta", "1e308"],
+         ["--hbar 1e-10"]),
+        # the PP shape, (hbar beta)^{-8} at p = hbar beta, overflows
+        (["plot", "PP", "400", "--hbar-beta", "1e-300"], ["N=400"]),
     ], ids=" ".join)
     def test_overflow_names_the_flag(self, capsys, argv, names):
         """A value past double precision is a usage error that names

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -14,10 +15,10 @@ from scipy.special import eval_gegenbauer
 
 from hmomentum.forms import (
     FORM_EVALUATORS,
+    _b0,
+    _c0,
     _kernel_stack,
-    _log_b0,
-    _log_c0,
-    _pp_log_prefactor,
+    _pp_prefactor,
     distribution_max_l,
     podolsky_pauling_G,
     psi_trig,
@@ -25,6 +26,7 @@ from hmomentum.forms import (
 from hmomentum.hydrogenic import (
     PhysicalScale,
     QuantumState,
+    _normalization,
     normalization_constant,
 )
 from hmomentum.specfun import gegenbauer_C
@@ -89,65 +91,92 @@ class TestCoefficients:
         assert len(gegenbauer_coefficients(3, 0)[0]) == 3
 
 
-# Logs in fixed point, as integers in units of 2^-FIXED_BITS (about 72
-# digits), from mpmath at 80 digits: the exact prefactors below are then sums
-# of integers.
-FIXED_BITS = 240
 PREFACTOR_MAX_N = 400
 
 
-def fixed(x) -> int:
-    """An mpf x, rounded to units of 2^-FIXED_BITS."""
-    return int(mpmath.nint(mpmath.ldexp(x, FIXED_BITS)))
-
-
-def ulps(value: float, exact: int) -> float:
-    """|value - exact| in ulps of exact, a number in units of 2^-FIXED_BITS."""
-    # Exact: a float of magnitude above 2^-188 has no bits below 2^-240.
-    error = (int(math.ldexp(value, FIXED_BITS)) - exact) / (1 << FIXED_BITS)
-    return abs(error) / math.ulp(exact / (1 << FIXED_BITS))
+def ulps(value: tuple[float, int], exact) -> float:
+    """|m 2^e - exact| in ulps of m 2^e, m in [1/2, 1), for (m, e) = value
+    and an mpf exact."""
+    m, e = value
+    return float(abs(mpmath.ldexp(exact, 53 - e) - math.ldexp(m, 53)))
 
 
 class TestPrefactors:
-    """log b_0, log c_0 and the Podolsky-Pauling prefactor, each a ratio of
-    factorials, against sums of mpmath logs: within 2 ulp at every
-    l < N <= 400.  (The uncached functions, so that every pair is computed.)"""
+    """b_0 sqrt(2 beta), c_0, the Podolsky-Pauling prefactor and
+    N_{Nl} / (2 beta)^{3/2}, each the square root of a ratio of factorials,
+    against mpmath: correctly rounded, within 0.5 ulp, at every
+    l < N <= 400.  (The uncached functions, at beta = 1/2, where 2 beta = 1,
+    so that every pair is computed.)"""
+
+    HALF = PhysicalScale(beta=0.5)
 
     @pytest.fixture(scope="class")
-    def log_factorials(self):
-        with mpmath.workdps(80):
-            logs = [fixed(mpmath.log(n)) for n in range(1, 2 * PREFACTOR_MAX_N + 1)]
-            log2, log_pi = fixed(mpmath.log(2)), fixed(mpmath.log(mpmath.pi))
-        return [0, *itertools.accumulate(logs)], log2, log_pi
+    def exact(self):
+        """The factorials f and, per (N, l), s = sqrt((N+l)! / ((N-l-1)! N)), in
+        30-digit mpmath, that every prefactor of the sweep is built from."""
+        with mpmath.workdps(30):
+            f = [mpmath.mpf(1), *itertools.accumulate(
+                map(mpmath.mpf, range(1, 2 * PREFACTOR_MAX_N + 1)), lambda a, b: a * b)]
+            s = {(N, l): mpmath.sqrt(f[N + l] / (f[N - l - 1] * N))
+                 for N in range(1, PREFACTOR_MAX_N + 1) for l in range(N)}
+        return f, s
 
-    def test_log_b0_and_pp(self, log_factorials):
-        """b_0^2 2 beta = (N+l)! 4^{l+2} (l+1)!^2 / ((N-l-1)! 2N (2l+1)!^2), and
-        the prefactor is 2^{5/2} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!))."""
-        lf, log2, log_pi = log_factorials
-        worst_b0 = worst_pp = 0.0
-        for N in range(1, PREFACTOR_MAX_N + 1):
-            log_N = lf[N] - lf[N - 1]
-            for l in range(N):
-                ratio = lf[N + l] - lf[N - l - 1] - log_N
-                b0 = (ratio + (2 * l + 3) * log2 + 2 * lf[l + 1] - 2 * lf[2 * l + 1]) // 2
-                pp = ((2 * l + 5) * log2 + 2 * lf[l] - ratio - log_pi) // 2
-                worst_b0 = max(worst_b0, ulps(_log_b0.__wrapped__(N, l), b0))
-                worst_pp = max(worst_pp, ulps(_pp_log_prefactor.__wrapped__(N, l), pp))
-        assert worst_b0 <= 2.0 and worst_pp <= 2.0, (worst_b0, worst_pp)
+    @staticmethod
+    def worst(exact, code, value) -> float:
+        """The largest ulps(code(N, l), value(N, l, s, f)) over l < N <= 400."""
+        f, s = exact
+        with mpmath.workdps(30):
+            return max(ulps(code(N, l), value(N, l, s_Nl, f)) for (N, l), s_Nl in s.items())
 
-    def test_log_c0(self, log_factorials):
-        """c_0 = (l+1)! / (2l+1)!; log c_0 is exactly 0 at l = 0."""
-        lf = log_factorials[0]
-        worst = max(ulps(_log_c0.__wrapped__(l), lf[l + 1] - lf[2 * l + 1])
-                    for l in range(PREFACTOR_MAX_N))
-        assert worst <= 2.0
-        assert _log_c0.__wrapped__(0) == 0.0
+    def test_b0(self, exact):
+        """b_0^2 2 beta = (N+l)! 4^{l+2} (l+1)!^2 / ((N-l-1)! 2N (2l+1)!^2)."""
+        worst = self.worst(exact, lambda N, l: _b0.__wrapped__(N, l, 0.5),
+                           lambda N, l, s, f: mpmath.sqrt(mpmath.ldexp(1, 2 * l + 3))
+                           * s * f[l + 1] / f[2 * l + 1])
+        assert worst <= 0.5, worst
 
-    def test_pp_prefactor_near_zero_present(self):
-        """The range above holds prefactors near 0, where a log pi subtracted
-        from the ratio's log would cancel digits."""
-        assert abs(_pp_log_prefactor.__wrapped__(23, 21)) < 0.01
-        assert abs(_pp_log_prefactor.__wrapped__(24, 22)) < 0.01
+    def test_pp_prefactor(self, exact):
+        """2^{5/2} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)); the range holds
+        prefactors near 1, as at (N, l) = (23, 21) and (24, 22)."""
+        worst = self.worst(exact, lambda N, l: math.frexp(_pp_prefactor.__wrapped__(N, l)),
+                           lambda N, l, s, f: mpmath.sqrt(mpmath.ldexp(2, 2 * l + 4) / mpmath.pi)
+                           * f[l] / s)
+        assert worst <= 0.5, worst
+
+    def test_normalization(self, exact):
+        """N_{Nl} / (2 beta)^{3/2} = sqrt((N-l-1)! / (2N (N+l)!)), at every l,
+        l = N-1 past N = 150 included, where N_{Nl} is not a normal double
+        at beta = 1."""
+        worst = self.worst(exact, lambda N, l: _normalization(QuantumState(N, l, self.HALF)),
+                           lambda N, l, s, f: 1 / (mpmath.sqrt(2) * N * s))
+        assert worst <= 0.5, worst
+
+    def test_c0(self):
+        """c_0 = (l+1)! / (2l+1)!, exactly 1 at l = 0."""
+        with mpmath.workdps(30):
+            worst = max(ulps(_c0.__wrapped__(l), mpmath.factorial(l + 1) / mpmath.factorial(2 * l + 1))
+                        for l in range(PREFACTOR_MAX_N))
+        assert worst <= 0.5, worst
+        assert math.ldexp(*_c0.__wrapped__(0)) == 1.0
+
+    @pytest.mark.parametrize("beta", [1.0, 3.7, 1e-300, 1e300, 5e-324, sys.float_info.max])
+    def test_beta_exact(self, beta):
+        """b_0 and N_{Nl} take the float beta as the exact rational it is: still
+        within 0.5 ulp where (2 beta)^{1/2} or (2 beta)^{3/2} is past the
+        double range."""
+        worst = 0.0
+        with mpmath.workdps(30):
+            two_beta = 2 * mpmath.mpf(beta)
+            for N in range(1, 31):
+                for l in range(N):
+                    state = QuantumState(N, l, PhysicalScale(beta=beta))
+                    ratio = mpmath.factorial(N + l) / (mpmath.factorial(N - l - 1) * 2 * N)
+                    b0 = mpmath.sqrt(ratio * 4 ** (l + 2) / two_beta) * (
+                        mpmath.factorial(l + 1) / mpmath.factorial(2 * l + 1))
+                    norm = mpmath.sqrt(two_beta ** 3 / ratio) / (2 * N)
+                    worst = max(worst, ulps(_b0.__wrapped__(N, l, beta), b0),
+                                ulps(_normalization(state), norm))
+        assert worst <= 0.5, worst
 
 
 class TestPsiTrig:

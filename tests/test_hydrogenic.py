@@ -11,10 +11,12 @@ from scipy.integrate import quad
 from hmomentum.hydrogenic import (
     PhysicalScale,
     QuantumState,
+    _radial_stack,
     expectation_p2,
     expectation_r2,
     normalization_constant,
     radial_wavefunction,
+    sqrt_ratio,
 )
 from oracles import SlaterExpansion, apply_radial_momentum, slater_expansion
 
@@ -77,6 +79,52 @@ class TestRadialArrays:
                 radial_wavefunction(state, float(x)) for x in r[[0, 2, 4]]]
 
 
+class TestSqrtRatio:
+    """sqrt(num / den) as (m, e), m in [1/2, 1) correctly rounded."""
+
+    @staticmethod
+    def ulps(num, den):
+        """|m 2^e - sqrt(num / den)| in ulps of m, against 60-digit mpmath."""
+        m, e = sqrt_ratio(num, den)
+        assert 0.5 <= m < 1.0
+        with mpmath.workdps(60):
+            exact = mpmath.sqrt(mpmath.mpf(num) / den)
+            return float(abs(mpmath.ldexp(exact, 53 - e) - math.ldexp(m, 53)))
+
+    def test_perfect_square_exact(self):
+        assert sqrt_ratio(1, 1) == (0.5, 1)
+        assert sqrt_ratio(49, 4) == (0.875, 2)
+        odd = 2 ** 53 - 1  # 53 bits, the most a double holds
+        assert sqrt_ratio(odd ** 2 << 10000, 1) == (math.ldexp(odd, -53), 5053)
+        assert sqrt_ratio(odd ** 2, 1 << 10000) == (math.ldexp(odd, -53), -4947)
+
+    def test_ties_and_the_sticky_bit(self):
+        """(2^53 + 1) / 2 is halfway between two doubles and rounds to even.
+        r = 2^56 + 8 is halfway too: sqrt(r^2 + 1) and sqrt(r^2 + 1/3) are
+        past it, by the remainder of the root and of the division alone."""
+        assert sqrt_ratio((2 ** 53 + 1) ** 2, 4) == (0.5, 53)
+        assert sqrt_ratio((2 ** 53 + 3) ** 2, 4) == (math.ldexp(2 ** 52 + 2, -53), 53)
+        r = 2 ** 56 + 8
+        assert sqrt_ratio(r * r, 1) == (0.5, 57)
+        assert sqrt_ratio(r * r + 1, 1) == (0.5 + 2.0 ** -53, 57)
+        assert sqrt_ratio(3 * r * r + 1, 3) == (0.5 + 2.0 ** -53, 57)
+
+    def test_num_below_den(self):
+        for num, den in [(1, 3), (2, 3), (1, 2), (1, 10 ** 40), (10 ** 40 - 1, 10 ** 40)]:
+            assert self.ulps(num, den) <= 0.5, (num, den)
+
+    @pytest.mark.parametrize("power", [5000, -5000, 10000, -10000])
+    def test_far_past_the_double_range(self, power):
+        """num / den about 2^power, far past the double range either way:
+        m and e stay apart."""
+        for k in range(1, 40):
+            num, den = 3 ** k * 7 ** 100 + k, 5 ** k * 11 ** 90
+            num, den = (num << power, den) if power > 0 else (num, den << -power)
+            assert self.ulps(num, den) <= 0.5, k
+        assert sqrt_ratio(*((1 << power, 1) if power > 0 else (1, 1 << -power))) == (
+            0.5, power // 2 + 1)
+
+
 class TestNormalization:
     def test_ground_state(self):
         # (2 beta)^{3/2} sqrt(0!/(2*1*1!)) = 2^{3/2}/sqrt(2) = 2 at beta=1
@@ -95,9 +143,9 @@ class TestNormalization:
         assert a == pytest.approx(b * 0.5 ** 1.5)
 
     @staticmethod
-    def mp_radial(N, l, r):
-        """R_{Nl}(r) at beta = 1 in 40-digit mpmath."""
-        with mpmath.workdps(40):
+    def mp_radial(N, l, r, digits=40):
+        """R_{Nl}(r) at beta = 1 in `digits`-digit mpmath."""
+        with mpmath.workdps(digits):
             rho = 2 * mpmath.mpf(r)
             norm = mpmath.mpf(2) ** 1.5 * mpmath.sqrt(
                 mpmath.factorial(N - l - 1) / (2 * N * mpmath.factorial(N + l)))
@@ -126,6 +174,25 @@ class TestNormalization:
         else:
             for r, value in zip((1.0, 50.0), values):
                 assert value == pytest.approx(float(self.mp_radial(100, 80, r)), rel=1e-13)
+
+    # The peak of |R|: at r = l for l = N-1, where rho^l e^{-rho/2} is largest,
+    # and found on a grid of step 0.05 for (300, 200).
+    @pytest.mark.parametrize("N,l,peak", [(151, 150, 150.0), (200, 199, 199.0),
+                                          (300, 200, 79.25)])
+    def test_radial_past_normal_norm(self, N, l, peak):
+        """R where N_{Nl} is below the normal doubles (5e-310 at (151, 150)):
+        within 1e-13 of the peak of a 60-digit R, at 9 points around it."""
+        r = peak * np.linspace(0.8, 1.2, 9)
+        exact = np.array([float(self.mp_radial(N, l, x, digits=60)) for x in r])
+        error = np.max(np.abs(radial_wavefunction(QuantumState(N, l), r) - exact))
+        assert error <= 1e-13 * np.max(np.abs(exact)), error / np.max(np.abs(exact))
+
+    def test_radial_stack_finite(self):
+        """R is finite at every l < N <= 300 at beta = 1."""
+        r = np.array([0.5, 1.0, 7.3, 50.0, 150.0, 400.0])
+        for l in range(300):
+            values = _radial_stack([QuantumState(N, l) for N in range(l + 1, 301)], r)
+            assert np.isfinite(values).all(), l
 
     @pytest.mark.parametrize("N,l,beta", [(151, 150, 1.0), (300, 200, 1.0), (3, 1, 1e250),
                                           (3, 1, 1e-250)])
