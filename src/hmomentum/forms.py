@@ -159,8 +159,10 @@ def _kernel_stack(states, p, lombardi_ogilvie: bool = False) -> np.ndarray:
     largest N, and one scaling of all its rows.  (At a float p, psi_trig
     runs on Python complex numbers and `cmath`, which round differently.)"""
     values = np.empty((len(states),) + np.shape(p), dtype=complex)
-    for l, scale in {(s.l, s.scale) for s in states}:
-        ladder = [i for i, s in enumerate(states) if (s.l, s.scale) == (l, scale)]
+    ladders = {}
+    for i, s in enumerate(states):
+        ladders.setdefault((s.l, s.scale), []).append(i)
+    for (l, scale), ladder in ladders.items():
         N = [states[i].N for i in ladder]
         if lombardi_ogilvie:
             rows = _hypergeometric_kernel(N, l, _ratio(-p, scale.momentum), *_c0(l))

@@ -110,12 +110,14 @@ def _radial_stack(states, r) -> np.ndarray:
     if np.min(r) < 0:
         raise ValueError(f"r must be >= 0, got {np.min(r)}")
     values = np.empty((len(states),) + np.shape(r))
-    for scale in {s.scale for s in states}:
+    ladders = {}
+    for i, s in enumerate(states):
+        ladders.setdefault(s.scale, {}).setdefault(s.l, []).append(i)
+    for scale, by_l in ladders.items():
         rho = 2.0 * scale.beta * r
         rho_mantissa, rho_exponent = np.frexp(rho)
         decay = np.exp(-rho / 2.0)
-        for l in {s.l for s in states if s.scale == scale}:
-            ladder = [i for i, s in enumerate(states) if (s.l, s.scale) == (l, scale)]
+        for l, ladder in by_l.items():
             norm, norm_exponent = (np.reshape(x, (-1,) + (1,) * np.ndim(r)) for x in
                                    zip(*[_normalization(states[i]) for i in ladder]))
             with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where decay is 0

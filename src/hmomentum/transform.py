@@ -11,9 +11,9 @@ the module's REL_TOL, ABS_TOL and PANEL_BUDGET, over [0, cut]: the cut is
 where a coarse probe finds the integrand's tail below the rounding of the
 integral (`tail_cut`), at MAX_RHO at the latest.
 `gram_matrices` checks unitarity on the closed form `psi_trig`: its
-momentum Gram matrix against the position one of `radial_wavefunction`,
-by finite rules exact for both, the midpoint rule in
-theta = arctan(p / hbar beta) and Gauss-Laguerre in rho.
+momentum Gram matrix, by the midpoint rule in theta = arctan(p / hbar beta),
+which is exact for it, against the position one, which is known in closed
+form because the R_{Nl} of one l and one beta are Coulomb Sturmians.
 `diagonalization_residual` checks that H diagonalizes the radial momentum
 operator, H(p_r f) = p H f, on functions of rho that decay as e^{-rho/2}.
 """
@@ -27,8 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .forms import _kernel_stack
-from .hydrogenic import PhysicalScale, _radial_stack
-from .specfun import laguerre
+from .hydrogenic import PhysicalScale
 
 
 class ConvergenceError(RuntimeError):
@@ -95,32 +94,6 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     from numpy.polynomial.legendre import leggauss
 
     x, w = leggauss(order)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-# numpy's laggauss, which gives the nodes, also computes weights, and past
-# this count some of them are inf or NaN, with RuntimeWarnings.
-LAGUERRE_MAX_COUNT = 186
-
-
-@functools.lru_cache(maxsize=32)
-def _gauss_laguerre(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x of numpy's `count`-node Gauss-Laguerre rule and its weights
-    times e^x, for int_0^inf g(x) dx of a g that decays as e^{-x}.
-
-    The weights are computed from the nodes, as
-    x / ((count + 1) L_{count+1}(x) e^{-x/2})^2: numpy's own lose digits as
-    the count grows (3e-13 on a Gram matrix at N = 100, against 1e-13).
-    Raises ValueError for count > LAGUERRE_MAX_COUNT.
-    """
-    if count > LAGUERRE_MAX_COUNT:
-        raise ValueError(f"Gauss-Laguerre rule with {count} nodes has non-finite "
-                         f"weights (limit {LAGUERRE_MAX_COUNT})")
-    from numpy.polynomial.laguerre import laggauss
-
-    x = laggauss(count)[0]
-    w = x / ((count + 1) * laguerre(count + 1, 0, x) * np.exp(-x / 2.0)) ** 2
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -288,31 +261,30 @@ def _transform_numeric(f, p, sign, scale):
 
 
 def gram_matrices(states) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum and position Gram matrices of hydrogenic states of one scale.
+    """Momentum and position Gram matrices of hydrogenic states of one l and one scale.
 
     momentum[i, j] is the full-line integral of psi_i conj(psi_j) dp / (2 pi hbar),
-    psi = `psi_trig`; position[i, j] is int_0^inf R_i R_j r^2 dr, R =
-    `radial_wavefunction`, both evaluated as stacks, one pass per l.  psi is
-    the transform of R, which is unitary, so the two are equal.  Both rules
-    are exact at any scale, one node set for all states up to N_max = max N:
-    at p = hbar beta tan(theta), psi_i conj(psi_j) dp / d theta is a
-    trigonometric polynomial of degree N_max in 2 theta (psi is one in
+    psi = `psi_trig`, and position[i, j] is int_0^inf R_i R_j r^2 dr,
+    R = `radial_wavefunction`: equal, since psi is the unitary transform of R.
+    The momentum side is one stack of psi on one node set, exact at any
+    scale: at p = hbar beta tan(theta), psi_i conj(psi_j) dp / d theta is a
+    trigonometric polynomial of degree N_max = max N in 2 theta (psi is one in
     w = cos(theta) e^{i theta} of powers l+2 .. N+1), taken by the midpoint
-    rule with 2 N_max + 8 nodes in theta; and R_i R_j r^2 is e^{-rho} times
-    a polynomial of degree 2 N_max in rho, by Gauss-Laguerre with N_max + 4 nodes.
+    rule with 2 N_max + 8 nodes.  The position side is in closed form: the
+    R_{Nl} of one l and one beta are Coulomb Sturmians, whose Gram matrix
+    (DLMF 18.9.13 with 18.3) is 1 on the diagonal,
+    -1/2 sqrt((N-l)(N+l+1) / (N(N+1))) between N and N+1, and 0 elsewhere.
 
-    Raises ValueError for states of more than one scale, or for
-    N_max + 4 > LAGUERRE_MAX_COUNT.
+    Raises ValueError for states of more than one l or more than one scale.
     """
-    scale = states[0].scale
-    if any(s.scale != scale for s in states):
-        raise ValueError("Gram matrices need states of one scale")
-    top = max(s.N for s in states)
-    rho, weights = _gauss_laguerre(top + 4)
-    r = rho / (2.0 * scale.beta)
-    radial = _radial_stack(states, r) * r
-    position = (radial * weights) @ radial.T / (2.0 * scale.beta)
-    count = 2 * top + 8
+    l, scale = states[0].l, states[0].scale
+    if any((s.l, s.scale) != (l, scale) for s in states):
+        raise ValueError("Gram matrices need states of one l and one scale")
+    N = np.array([float(s.N) for s in states])
+    low = np.minimum.outer(N, N)
+    position = (N[:, None] == N) - 0.5 * (np.abs(N[:, None] - N) == 1.0) * np.sqrt(
+        (low - l) * (low + l + 1.0) / (low * (low + 1.0)))
+    count = 2 * int(N.max()) + 8
     theta = math.pi * ((np.arange(count) + 0.5) / count - 0.5)
     p = scale.momentum * np.tan(theta)
     psi = _kernel_stack(states, p) / np.cos(theta)

@@ -237,13 +237,14 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     Run under the outgoing kernel (sign +1), which reproduces the closed
     form with no extra phase factor.  Every state is transformed in one
     call, over the same nodes, and `details` reports the cut in rho that
-    the transform took from the states' tails and its panel count.
+    the transform took from the states' tails and its panel count.  Each
+    state's residual is relative to its largest |psi_trig| on the grid.
     """
     pos = np.logspace(-2, math.log10(20.0), 13) * scale.momentum
     grid = np.concatenate([-pos[::-1], [0.0], pos])
     states = _states(4, scale)
     grid_name = f"{grid.size}-point mirrored grid up to 20 hbar beta"
-    tolerance = 1e-7
+    tolerance = 3e-8
     try:
         numeric, cut, panels = _transform_numeric(
             lambda r: _radial_stack(states, r), grid, 1, scale)
@@ -253,7 +254,8 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
         return CheckResult.from_residual(
             "quadrature_vs_closed_form", [(s.N, s.l) for s in states], grid_name,
             math.inf, tolerance, f"{names}: {exc}")
-    error = np.abs(numeric - _kernel_stack(states, grid))
+    closed = _kernel_stack(states, grid)
+    error = np.abs(numeric - closed) / np.max(np.abs(closed), axis=1, keepdims=True)
     return _worst("quadrature_vs_closed_form", states, grid_name, error, grid, tolerance,
                   f"cut rho={cut:g}, panels={panels}")
 
@@ -317,18 +319,20 @@ def verify_pp_vs_hankel(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
 def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """Unitarity (measure dp/(2 pi hbar)) plus the diagonalization identity.
 
-    Unitarity is checked as equal momentum and position Gram matrices
-    (`gram_matrices`) of the states with N <= 5, entry by entry for
-    each pair of states of one l.  H(p_r f) = p H f is checked on
-    u_k(rho) = rho^k e^{-rho/2}, k = 1, 2, 3, by `diagonalization_residual`,
-    whose residuals do not depend on the scale.
+    Unitarity is checked, for each l of the states with N <= 5, as the
+    momentum Gram matrix of psi_trig equal, entry by entry, to the
+    closed-form Gram matrix of the R_{Nl} (`gram_matrices`, one call per l).
+    H(p_r f) = p H f is checked on u_k(rho) = rho^k e^{-rho/2}, k = 1, 2, 3,
+    by `diagonalization_residual`, whose residuals do not depend on the scale.
     """
     states = _states(5, scale)
-    momentum, position = gram_matrices(states)
-    l = np.array([s.l for s in states])
-    error = np.where(l[:, None] == l, np.abs(momentum - position), 0.0)
+    error = np.zeros((len(states), len(states)))
+    for l in range(5):
+        rows = [i for i, s in enumerate(states) if s.l == l]
+        error[np.ix_(rows, rows)] = np.abs(np.subtract(*gram_matrices([states[i] for i in rows])))
     i, j = np.unravel_index(np.argmax(error), error.shape)
-    details = [f"Gram worst at (N={states[i].N},N'={states[j].N},l={l[i]}): {error[i, j]:.3e}"]
+    details = [f"Gram worst at (N={states[i].N},N'={states[j].N},l={states[i].l}): "
+               f"{error[i, j]:.3e}"]
     k = np.arange(1, 4)[:, None]
     residuals = diagonalization_residual(
         lambda rho: rho ** k * np.exp(-rho / 2.0),

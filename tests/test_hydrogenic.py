@@ -18,6 +18,7 @@ from hmomentum.hydrogenic import (
     radial_wavefunction,
     sqrt_ratio,
 )
+from hmomentum.transform import gram_matrices
 from oracles import SlaterExpansion, apply_radial_momentum, slater_expansion
 
 
@@ -264,6 +265,20 @@ class TestOrthonormality:
                         * radial_wavefunction(sm, r) * r,
                         0.0, 200.0, limit=400)[0]
                     assert abs(off) <= 1e-9 * diag_n
+
+    @pytest.mark.parametrize("hbar_beta", [1e-6, 1.0, 1e4])
+    @pytest.mark.parametrize("l", [0, 10])
+    def test_sturmian_gram(self, l, hbar_beta):
+        """int R_{Nl} R_{N'l} r^2 dr, N, N' <= 100, by Gauss-Laguerre (exact
+        for e^{-rho} times a polynomial of degree 2 N_max with N_max + 4
+        nodes), against the closed-form Gram of `gram_matrices`."""
+        scale = PhysicalScale(1.0, hbar_beta)
+        states = [QuantumState(N, l, scale) for N in range(l + 1, 101)]
+        rho, weights = gauss_laguerre_rule(104)
+        r = rho / (2.0 * scale.beta)
+        radial = _radial_stack(states, r) * r
+        position = (radial * weights) @ radial.T / (2.0 * scale.beta)
+        assert np.max(np.abs(position - gram_matrices(states)[1])) <= 1e-12
 
 
 def gauss_laguerre_rule(count):

@@ -11,7 +11,6 @@ from hmomentum.forms import psi_trig
 from hmomentum.hydrogenic import PhysicalScale, QuantumState, radial_wavefunction
 from hmomentum.transform import (
     ABS_TOL,
-    LAGUERRE_MAX_COUNT,
     MAX_RHO,
     MIN_PANELS,
     PANEL_BUDGET,
@@ -19,7 +18,6 @@ from hmomentum.transform import (
     PROBE_STEP,
     REL_TOL,
     ConvergenceError,
-    _gauss_laguerre,
     diagonalization_residual,
     gram_matrices,
     tail_cut,
@@ -337,34 +335,6 @@ class TestParseval:
         assert abs(position[0, 0] - 1.0) <= 1e-13
         assert abs(momentum[0, 0] - 1.0) <= 1e-13
 
-    def test_laguerre_rule_cached_read_only(self):
-        x, w = _gauss_laguerre(7)
-        assert _gauss_laguerre(7)[0] is x
-        assert not x.flags.writeable and not w.flags.writeable
-
-    def test_laguerre_count_limit(self):
-        """numpy's weights are finite and positive up to LAGUERRE_MAX_COUNT
-        nodes and not past it; the rule refuses larger counts."""
-        from numpy.polynomial.laguerre import laggauss
-
-        w = laggauss(LAGUERRE_MAX_COUNT)[1]
-        assert np.all(np.isfinite(w) & (w > 0))
-        with np.errstate(all="ignore"):
-            w = laggauss(LAGUERRE_MAX_COUNT + 1)[1]
-        assert not np.all(np.isfinite(w) & (w > 0))
-        w = _gauss_laguerre(LAGUERRE_MAX_COUNT)[1]
-        assert np.all(np.isfinite(w) & (w > 0))
-        with pytest.raises(ValueError, match="186"):
-            _gauss_laguerre(LAGUERRE_MAX_COUNT + 1)
-
-    def test_gram_raises_past_laguerre_limit(self):
-        """N_max + 4 nodes past the limit: a ValueError, not NaN."""
-        top = LAGUERRE_MAX_COUNT - 3
-        with pytest.raises(ValueError):
-            gram_matrices([QuantumState(top, 0), QuantumState(top - 1, 0)])
-        with pytest.raises(ValueError):
-            gram_matrices([QuantumState(184, 0)])
-
     def test_gram_off_diagonal(self):
         """At one beta the states are not orthogonal under r^2 dr, so the
         off-diagonal entries are a check too: with R_10 = 2 e^{-rho/2} and
@@ -377,6 +347,20 @@ class TestParseval:
         with pytest.raises(ValueError):
             gram_matrices([QuantumState(1, 0), QuantumState(2, 0, PhysicalScale(beta=2.0))])
 
+    def test_mixed_l_rejected(self):
+        """The closed-form position Gram holds for the states of one l."""
+        with pytest.raises(ValueError, match="one l"):
+            gram_matrices([QuantumState(2, 0), QuantumState(2, 1)])
+
+    @pytest.mark.parametrize("l,top", [(0, 300), (50, 300), (150, 300), (0, 500)])
+    def test_hundreds(self, l, top):
+        """The momentum Gram of psi_trig equals the closed-form Sturmian
+        Gram to a few ulps for N in the hundreds."""
+        states = [QuantumState(N, l) for N in range(l + 1, top + 1)]
+        momentum, position = gram_matrices(states)
+        assert momentum.shape == position.shape == (len(states),) * 2
+        assert np.max(np.abs(momentum - position)) <= 2e-14
+
     @pytest.mark.parametrize("hbar_beta", [1e-6, 1.0, 1e4])
     @pytest.mark.parametrize("l", [0, 10])
     def test_large_N(self, l, hbar_beta):
@@ -388,8 +372,8 @@ class TestParseval:
 
     @pytest.mark.parametrize("hbar_beta", [1e-6, 1.0, 1e4])
     def test_laguerre_weights_from_nodes(self, hbar_beta):
-        """The Gauss-Laguerre weights computed from the nodes keep l = 10,
-        N <= 100 to a few ulps; numpy's own weights give 3e-13."""
+        """The momentum Gram of l = 10, N <= 100 is within a few ulps of
+        the closed form at scales far from 1."""
         states = [QuantumState(N, 10, PhysicalScale(1.0, hbar_beta)) for N in range(11, 101)]
         momentum, position = gram_matrices(states)
         assert np.max(np.abs(momentum - position)) <= 3e-14

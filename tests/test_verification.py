@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hmomentum import forms, transform, verification
 from hmomentum.forms import _kernel_stack, distribution_max_l, podolsky_pauling_G
-from hmomentum.hydrogenic import PhysicalScale, QuantumState, expectation_p2
+from hmomentum.hydrogenic import PhysicalScale, QuantumState, _radial_stack, expectation_p2
 from hmomentum.transform import gram_matrices
 from hmomentum.verification import (
     SUITES,
@@ -385,6 +385,16 @@ class TestRunAll:
         assert crashed.details.startswith("raised ZeroDivisionError: boom (in crash")
         assert ran.passed
 
+    def test_perturbed_radial_fails(self, monkeypatch):
+        """R off by a factor 1 + 5e-8 fails quadrature, which holds each
+        state to 3e-8 of its peak; unitarity takes the closed-form position
+        Gram, not R."""
+        monkeypatch.setattr(verification, "_radial_stack",
+                            lambda states, r: _radial_stack(states, r) * (1.0 + 5e-8))
+        report = run_all()
+        assert not report.overall_pass
+        assert [r.name for r in report.results if not r.passed] == ["quadrature_vs_closed_form"]
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_all(suites=["nope"])
@@ -438,6 +448,13 @@ class TestScales:
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(log_uniform(1e-8, 1e4))
     def test_run_all(self, hbar_beta):
+        report = run_all(PhysicalScale(1.0, hbar_beta))
+        assert report.overall_pass, [r.name for r in report.results if not r.passed]
+
+    @pytest.mark.parametrize("hbar_beta", [1e-16, 1e-20])
+    def test_run_all_at_small_scale(self, hbar_beta):
+        """quadrature's residual is relative to each state's peak, which
+        grows as (hbar beta)^{-1/2}, so it passes where psi is large."""
         report = run_all(PhysicalScale(1.0, hbar_beta))
         assert report.overall_pass, [r.name for r in report.results if not r.passed]
 
