@@ -4,9 +4,9 @@ The trigonometric, Gegenbauer and script-D expansions and the
 Lombardi-Ogilvie family are one polynomial in w = hbar beta /
 (hbar beta - i p), evaluated by one recurrence kernel (`psi_trig`,
 `_lombardi_ogilvie_kernel`; `_kernel_stack` takes many states, one pass
-per l).  The verification suites compare the kernel against the paper's
-literal sums, evaluated exactly in integers (`verification.exact_gegenbauer`,
-`verification.exact_lombardi_ogilvie`).
+per scale with a row per l).  The verification suites compare the kernel
+against the paper's literal sums, evaluated exactly in integers
+(`verification.exact_gegenbauer`, `verification.exact_lombardi_ogilvie`).
 Also here: the Podolsky-Pauling family and the maximal-l distribution
 shapes.
 
@@ -60,9 +60,9 @@ def _ratio(p, momentum: float):
         return p / momentum
 
 
-def _polynomials(degrees, l: int, q) -> dict:
-    """{n: 2F1(-n, l+2; 2l+2; 2w)} for each n in `degrees`, from one forward
-    pass of the recurrence (see `_hypergeometric_kernel`)."""
+def _polynomials(degrees, l, q) -> dict:
+    """{n: 2F1(-n, l+2; 2l+2; 2w)} for each n in `degrees`, from one forward pass
+    of the recurrence (see `_hypergeometric_kernel`); l is an int or a column."""
     b, c = l + 2, 2 * l + 2
     d = 1.0 + q * q
     z = 2.0 / d + 1j * (2.0 * q / d)
@@ -74,7 +74,17 @@ def _polynomials(degrees, l: int, q) -> dict:
     return kept
 
 
-def _hypergeometric_kernel(N, l: int, q, m, e):
+def _scaled(b, q, cur, m, e):
+    """m 2^e w^b cur at an array q (see `_hypergeometric_kernel`); b, m, e may be columns."""
+    log_abs = -0.5 * b * np.log1p(q * q)
+    regular = log_abs > -np.inf  # NaN q, or |q| > 1e154 where w^b is 0
+    shift = np.floor(np.where(regular, log_abs, 0.0) / _LOG2).astype(np.int64)
+    value = np.exp((log_abs - shift * _LOG2) + 1j * (b * np.arctan(q))) * cur * m
+    value = np.ldexp(value.real, shift + e) + 1j * np.ldexp(value.imag, shift + e)
+    return np.where(regular, value, np.exp(log_abs))[()]
+
+
+def _hypergeometric_kernel(N: int, l: int, q, m, e):
     """m 2^e w^{l+2} 2F1(-n, l+2; 2l+2; 2w), w = 1/(1 - i q), n = N-l-1.
 
     q is a float or a float64 array; the result is a complex scalar or an
@@ -88,12 +98,11 @@ def _hypergeometric_kernel(N, l: int, q, m, e):
     theta = arctan q, is one exponential; its powers of 2 and e scale the
     value last, in one correctly rounded step, so that no factor under- or
     overflows on its own and values in the subnormal range are still the
-    nearest doubles.  For a list N (m and e one per N, or one for all), one
-    pass gives them all, stacked.
+    nearest doubles.  `_kernel_stack` runs the same steps for many states.
     """
-    b = l + 2
-    if type(q) is float and not isinstance(N, list):
-        cur = _polynomials([N - l - 1], l, q)[N - l - 1]
+    b, n = l + 2, N - l - 1
+    if type(q) is float:
+        cur = _polynomials([n], l, q)[n]
         log_abs = -0.5 * b * math.log1p(q * q)
         if not log_abs > -math.inf:  # NaN q, or |q| > 1e154 where w^{l+2} is 0
             return complex(math.exp(log_abs))
@@ -104,21 +113,8 @@ def _hypergeometric_kernel(N, l: int, q, m, e):
         # where M, the peak at l = N-1, grows as N^{1/4} (12 at N = 400, 21 at
         # N = 4000), so |psi| < 1e163 at any beta >= 5e-324.
         return math.ldexp(value.real, shift + e) + 1j * math.ldexp(value.imag, shift + e)
-    degrees = [n - l - 1 for n in N] if isinstance(N, list) else [N - l - 1]
     with np.errstate(over="ignore", invalid="ignore"):  # |q| > 1e154 and inf q
-        kept = _polynomials(degrees, l, q)
-        cur = kept[degrees[0]]
-        if isinstance(N, list):  # the rung 1.0 fills its whole row
-            cur = np.empty((len(N),) + np.shape(q), dtype=complex)
-            for row, n in enumerate(degrees):
-                cur[row] = kept[n]
-            m, e = (np.reshape(x, (-1,) + (1,) * np.ndim(q)) for x in (m, e))
-        log_abs = -0.5 * b * np.log1p(q * q)
-        regular = log_abs > -np.inf  # as above
-        shift = np.floor(np.where(regular, log_abs, 0.0) / _LOG2).astype(np.int64)
-        value = np.exp((log_abs - shift * _LOG2) + 1j * (b * np.arctan(q))) * cur * m
-        value = np.ldexp(value.real, shift + e) + 1j * np.ldexp(value.imag, shift + e)
-        return np.where(regular, value, np.exp(log_abs))[()]
+        return _scaled(b, q, _polynomials([n], l, q)[n], m, e)
 
 
 def psi_trig(state: QuantumState, p):
@@ -134,7 +130,7 @@ def psi_trig(state: QuantumState, p):
     script-D expansions are the same function, term by term, because
     sin(gamma) (D^1 + i C^1)(cos gamma) = e^{i (n+1) gamma}.  Defined
     for any real p; psi(-p) = conj(psi(p)).  Only the kernel's last rung is
-    scaled; `_kernel_stack` gives many states from one pass per l.
+    scaled; `_kernel_stack` gives many states from one pass per scale.
     """
     N, l = state.N, state.l
     return _hypergeometric_kernel(N, l, _ratio(p, state.scale.momentum),
@@ -155,21 +151,28 @@ def _lombardi_ogilvie_kernel(state: QuantumState, p):
 
 def _kernel_stack(states, p, lombardi_ogilvie: bool = False) -> np.ndarray:
     """np.stack([psi_trig(s, p) for s in states]), or of `_lombardi_ogilvie_kernel`,
-    bit for bit at a float64 array p: one kernel pass per (l, scale) up to its
-    largest N, and one scaling of all its rows.  (At a float p, psi_trig
-    runs on Python complex numbers and `cmath`, which round differently.)"""
+    bit for bit at a float64 array p: per scale, one kernel pass with a row per
+    distinct l up to the largest degree N-l-1, the rung of each state kept at its
+    degree, and one scaling of all the rows.  (At a float p, psi_trig runs on
+    Python complex numbers and `cmath`, which round differently.)"""
     values = np.empty((len(states),) + np.shape(p), dtype=complex)
-    ladders = {}
+    by_scale = {}
     for i, s in enumerate(states):
-        ladders.setdefault((s.l, s.scale), []).append(i)
-    for (l, scale), ladder in ladders.items():
-        N = [states[i].N for i in ladder]
-        if lombardi_ogilvie:
-            rows = _hypergeometric_kernel(N, l, _ratio(-p, scale.momentum), *_c0(l))
-            values[ladder] = -rows if l % 2 else rows
-        else:
-            b0 = zip(*[_b0(n, l, scale.beta) for n in N])
-            values[ladder] = _hypergeometric_kernel(N, l, _ratio(p, scale.momentum), *b0)
+        by_scale.setdefault(s.scale, []).append(i)
+    for scale, rows in by_scale.items():
+        q = _ratio(-p if lombardi_ogilvie else p, scale.momentum)
+        column = (-1,) + (1,) * np.ndim(q)
+        group = [(states[i].N - states[i].l - 1, states[i].l) for i in rows]
+        ls = sorted({l for _, l in group})
+        m, e = zip(*[_c0(l) if lombardi_ogilvie else _b0(n + l + 1, l, scale.beta)
+                     for n, l in group])
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the kernel
+            kept = _polynomials([n for n, _ in group], np.reshape(ls, column), q)
+            cur = np.array([kept[n][ls.index(l)] if n else np.ones(np.shape(q))  # F_0 = 1
+                            for n, l in group], dtype=complex)
+            l = np.reshape([l for _, l in group], column)
+            value = _scaled(l + 2, q, cur, np.reshape(m, column), np.reshape(e, column))
+        values[rows] = np.where(l % 2 == 1, -value, value) if lombardi_ogilvie else value
     return values
 
 

@@ -11,6 +11,7 @@ Pythagorean momenta, so cancellation limits no N.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import math
 import os
@@ -170,18 +171,17 @@ def lombardi_ogilvie_coefficients(N: int, l: int) -> tuple:
             for k in range(N - l)], math.factorial(N + l)
 
 
-def _exact_sums(states, terms, coefficients) -> np.ndarray:
-    """sum_{n=l+1}^{N} C_{n-l-1} T_n / (D h^{2(n+1)}) per state (rows) at
-    `pythagorean_momenta` (columns), with C, D = coefficients(N, l) and the
-    sequence T = terms(X, S, count) of each pair made once for all states.
-    One integer Horner rule in h^2 and one int / int division per part give
-    the exact sum correctly rounded; at -p it is the conjugate."""
-    count = max(s.N for s in states) + 1
+def _exact_sums(keys, terms, coefficients) -> np.ndarray:
+    """sum_{n=l+1}^{N} C_{n-l-1} T_n / (D h^{2(n+1)}) per (N, l) of `keys`
+    (rows) at `pythagorean_momenta` (columns), with C, D = coefficients(N, l)
+    and the sequence T = terms(X, S, count) of each pair made once for all
+    states.  One integer Horner rule in h^2 and one int / int division per
+    part give the exact sum correctly rounded; at -p it is the conjugate."""
+    count = max(N for N, _ in keys) + 1
     pairs = [(m * m - k * k, 2 * m * k) for m, k in PYTHAGOREAN_PAIRS]
     pairs = [(X * X + S * S, terms(X, S, count)) for X, S in pairs]
-    values = np.empty((len(states), len(pairs)), dtype=complex)
-    for row, state in enumerate(states):
-        N, l = state.N, state.l
+    values = np.empty((len(keys), len(pairs)), dtype=complex)
+    for row, (N, l) in enumerate(keys):
         coeffs, divisor = coefficients(N, l)
         for col, (h2, sequence) in enumerate(pairs):
             re = im = 0
@@ -190,6 +190,24 @@ def _exact_sums(states, terms, coefficients) -> np.ndarray:
             den = divisor * h2 ** (N + 1)
             values[row, col] = complex(re / den, im / den)
     return np.concatenate([values, values[:, 1:].conj()], axis=1)
+
+
+# A holder per (terms, coefficients, N, l), kept for the process, that
+# `_exact_rows` fills with the read-only `_exact_sums` row of (N, l).
+_exact_row = functools.lru_cache(maxsize=1024)(lambda terms, coefficients, N, l: [])
+
+
+def _exact_rows(states, terms, coefficients) -> np.ndarray:
+    """The `_exact_sums` rows of `states`, which depend on N and l, not on the
+    scale: each is computed once per process, the call's missing rows in one pass."""
+    holders = {(s.N, s.l): _exact_row(terms, coefficients, s.N, s.l) for s in states}
+    empty = [key for key, holder in holders.items() if not holder]
+    if empty:
+        fresh = _exact_sums(empty, terms, coefficients)
+        fresh.flags.writeable = False
+        for key, row in zip(empty, fresh):
+            holders[key].append(row)
+    return np.stack([holders[s.N, s.l][0] for s in states])
 
 
 def _a0(state: QuantumState) -> float:
@@ -204,7 +222,7 @@ def exact_gegenbauer(states) -> np.ndarray:
     `pythagorean_momenta` (columns): sum_t a_t sin(gamma) cos^{n+1}(gamma)
     (D^1_n + i C^1_n)(cos gamma), n = l+1+t, with the phase convention of
     `psi_trig`.  The exact sum is rounded, then scaled by N_{Nl} / (2 beta)^2."""
-    values = _exact_sums(states, _gegenbauer_terms, gegenbauer_coefficients)
+    values = _exact_rows(states, _gegenbauer_terms, gegenbauer_coefficients)
     return values * np.array([[normalization_constant(s) / (2.0 * s.scale.beta) ** 2]
                               for s in states])
 
@@ -213,7 +231,7 @@ def exact_lombardi_ogilvie(states) -> np.ndarray:
     """The paper's unnormalized Lombardi-Ogilvie sum
     alpha = sum_k c_k (i hbar beta / (p - i hbar beta))^{l+k+2}, exactly
     rounded, per state (rows) at `pythagorean_momenta` (columns)."""
-    return _exact_sums(states, _lombardi_ogilvie_terms, lombardi_ogilvie_coefficients)
+    return _exact_rows(states, _lombardi_ogilvie_terms, lombardi_ogilvie_coefficients)
 
 
 def verify_form_equivalence(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
@@ -364,34 +382,33 @@ def verify_uncertainty(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
 
 def verify_so4_constancy(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """The maximal-l density shapes of `distribution_max_l` are those of the
-    states: |psi_{N,N-1}|^2 / LO and |G_{N,N-1}|^2 / PP are constant in p,
-    and equal to their closed forms a_0^2 (hbar beta)^{2(N+1)}, a_0 = `_a0`, and
-    32 (hbar beta)^5 N ((N-1)!)^2 / (pi (2N-1)!).
+    states: |psi_{N,N-1} / a_0|^2 / LO and |G_{N,N-1}|^2 (hbar beta)^3 / PP,
+    a_0 = `_a0`, with the shapes at unit scale in q = p / (hbar beta), so
+    O(1) at any scale, are constant in q and equal to their closed forms 1
+    and 32 N ((N-1)!)^2 / (pi (2N-1)!).
 
-    LO is taken on p = 0 and 60 log-spaced |p|/(hbar beta) in [1e-3, 1e3] of
-    either sign, PP on the p > 0 half, where it is not 0/0.  A state's
-    residual is the largest of its two ratios' relative spreads (std / mean)
-    and |mean / closed form - 1|.
+    LO is taken on q = 0 and 60 log-spaced |q| in [1e-3, 1e3] of either sign, PP
+    on the q > 0 half, where it is not 0/0.  A state's residual is the largest of
+    its two ratios' relative spreads (std / mean) and |mean / closed form - 1|.
     """
     pos = np.logspace(-3.0, 3.0, 60) * scale.momentum
     grid = np.concatenate([-pos[::-1], [0.0], pos])
     states = [QuantumState(N, N - 1, scale) for N in range(1, 7)]
-    # Far from hbar beta = 1 these leave double precision: inf or 0, or a raise.
+    # Near the ends of the double range of hbar beta these leave it: inf or 0, or a raise.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            lo = np.abs(_kernel_stack(states, grid)) ** 2 / np.stack(
-                [distribution_max_l("LO", s.N, grid, scale) for s in states])
-            pp = np.stack([podolsky_pauling_G(s, pos) ** 2
-                           / distribution_max_l("PP", s.N, pos, scale) for s in states])
-            lo_constant = np.array([(_a0(s) * scale.momentum ** (s.N + 1)) ** 2 for s in states])
-            pp_constant = np.array([32.0 * scale.momentum ** 5 / math.pi * (
+            lo = np.abs(_kernel_stack(states, grid) / [[_a0(s)] for s in states]) ** 2 / np.stack(
+                [distribution_max_l("LO", s.N, grid / scale.momentum) for s in states])
+            pp = np.stack([(podolsky_pauling_G(s, pos) * scale.momentum ** 1.5) ** 2
+                           / distribution_max_l("PP", s.N, pos / scale.momentum) for s in states])
+            pp_constant = np.array([32.0 / math.pi * (
                 s.N * math.factorial(s.N - 1) ** 2 / math.factorial(2 * s.N - 1)) for s in states])
         except (ValueError, OverflowError):
             residual, details = math.inf, (f"a density or its constant is past double "
                                            f"precision at hbar beta {scale.momentum:g}")
         else:
             residual = np.max([lo.std(axis=1) / lo.mean(axis=1), pp.std(axis=1) / pp.mean(axis=1),
-                               np.abs(lo.mean(axis=1) / lo_constant - 1.0),
+                               np.abs(lo.mean(axis=1) - 1.0),
                                np.abs(pp.mean(axis=1) / pp_constant - 1.0)], axis=0)
             row = int(np.argmax(residual))
             residual, details = residual[row], f"worst at (N={states[row].N},l={states[row].l})"

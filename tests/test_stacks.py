@@ -1,5 +1,7 @@
-"""The stack evaluators that `verify` calls: many states at once, one
-recurrence pass per (l, scale), each row bit for bit its state's own call."""
+"""The stack evaluators that `verify` calls: many states at once, each row
+bit for bit its state's own call.  `_kernel_stack` runs one recurrence
+pass per scale, with a row per distinct l; `_radial_stack` one pass per
+(l, scale)."""
 
 import math
 
@@ -48,11 +50,16 @@ def radial_rows_equal(states, r):
 
 @st.composite
 def stacks(draw):
-    """One to three ladders (l, scale), each of a few N up to its N_max <= 200,
-    repeats allowed, rows shuffled; hbar beta log-uniform in [1e-3, 1e3]."""
-    states = []
-    for _ in range(draw(st.integers(1, 3))):
-        scale = PhysicalScale(1.0, 10.0 ** draw(st.floats(-3.0, 3.0)))
+    """One to six ladders (l, scale), each of a few N up to its N_max <= 200,
+    repeats allowed, rows shuffled; hbar beta log-uniform in [1e-3, 1e3].  A
+    ladder may take an earlier ladder's scale, so that ladders of several l,
+    with different top degrees, share one kernel pass."""
+    states, scales = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        reuse = draw(st.integers(0, len(scales)))
+        if reuse == len(scales):
+            scales.append(PhysicalScale(1.0, 10.0 ** draw(st.floats(-3.0, 3.0))))
+        scale = scales[reuse]
         N_max = draw(st.integers(1, 200))
         l = draw(st.integers(0, N_max - 1))
         Ns = draw(st.lists(st.integers(l + 1, N_max), max_size=5)) + [N_max]

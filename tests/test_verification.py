@@ -264,8 +264,11 @@ class TestSO4Constancy:
         assert match, details
         return int(match[1]), int(match[2])
 
-    @pytest.mark.parametrize("hbar_beta", [1e-8, 1e-3, 1.0, 3.0, 1e4])
+    @pytest.mark.parametrize("hbar_beta", [1e-8, 1e-3, 1.0, 3.0, 1e4,
+                                           1e-100, 1e-50, 1e16, 1e25, 1e50, 1e100])
     def test_residual_at_rounding(self, hbar_beta):
+        """The ratios are taken in q = p / (hbar beta), with psi over a_0 and
+        G times (hbar beta)^{3/2}, so no quantity leaves double precision."""
         res = verify_so4_constancy(PhysicalScale(1.0, hbar_beta))
         assert res.passed and res.max_residual <= 1e-14
         assert self.worst_state(res.details) in res.states_covered
@@ -328,6 +331,51 @@ class TestUnitarity:
         res = verify_parseval_and_diagonalization()
         assert not res.passed and res.max_residual > 1e-7
         assert res.details.startswith("Gram worst at (N=4,N'=4,l=1)")
+
+
+class TestExactRows:
+    """The exact sums are kept per (N, l) for the process; the kernel they
+    check is still run on every call."""
+
+    def test_warm_cache_still_fails_a_perturbed_kernel(self, monkeypatch):
+        run_all()
+        perturbed = perturbed_rows((5, 2), lambda p: 1.0 + 1e-9 * (1.0 + np.abs(p)))
+        monkeypatch.setattr(verification, "_kernel_stack", perturbed)
+        for suite in (verify_form_equivalence, verify_lo_proportionality):
+            res = suite()
+            assert not res.passed
+            assert TestWorstPoint.worst_state(res.details)[:2] == (5, 2), res.details
+
+    @pytest.mark.parametrize("kind", [
+        (verification._gegenbauer_terms, verification.gegenbauer_coefficients),
+        (verification._lombardi_ogilvie_terms, verification.lombardi_ogilvie_coefficients)])
+    def test_kept_rows_are_fresh_and_read_only(self, kind):
+        keys = [(40, 0), (60, 10), (200, 0), (3, 1), (200, 0)]
+        fresh = verification._exact_sums(keys, *kind)
+        for _ in range(2):  # computed, then kept
+            rows = verification._exact_rows([QuantumState(N, l) for N, l in keys], *kind)
+            assert np.array_equal(rows, fresh)
+        for (N, l), row in zip(keys, fresh):
+            [kept] = verification._exact_row(*kind, N, l)
+            assert np.array_equal(kept, row), (N, l)
+            with pytest.raises(ValueError):
+                kept[0] = 0.0
+
+    def test_second_scale_computes_no_row(self, monkeypatch):
+        run_all()
+        calls = []
+
+        def counting(keys, *kind):
+            calls.append(len(keys))
+            return exact_sums(keys, *kind)
+
+        exact_sums = verification._exact_sums
+        monkeypatch.setattr(verification, "_exact_sums", counting)
+        report = run_all(PhysicalScale(2.5, 0.3))
+        assert report.overall_pass and calls == []
+        verification._exact_row.cache_clear()
+        assert run_all(PhysicalScale(2.5, 0.3)).overall_pass
+        assert calls == [38, 21]  # one pass for each suite's missing rows
 
 
 class TestReportContract:
@@ -449,6 +497,12 @@ class TestScales:
     @given(log_uniform(1e-8, 1e4))
     def test_run_all(self, hbar_beta):
         report = run_all(PhysicalScale(1.0, hbar_beta))
+        assert report.overall_pass, [r.name for r in report.results if not r.passed]
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(log_uniform(1e-100, 1e100), log_uniform(1e-3, 1e3))
+    def test_run_all_far_from_unit_scale(self, hbar_beta, hbar):
+        report = run_all(PhysicalScale(hbar, hbar_beta / hbar))
         assert report.overall_pass, [r.name for r in report.results if not r.passed]
 
     @pytest.mark.parametrize("hbar_beta", [1e-16, 1e-20])
