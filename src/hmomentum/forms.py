@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .hydrogenic import PhysicalScale, QuantumState, sqrt_ratio
+from .hydrogenic import PhysicalScale, QuantumState, _groups, sqrt_ratio
 from .specfun import gegenbauer_C
 
 
@@ -156,10 +156,7 @@ def _kernel_stack(states, p, lombardi_ogilvie: bool = False) -> np.ndarray:
     degree, and one scaling of all the rows.  (At a float p, psi_trig runs on
     Python complex numbers and `cmath`, which round differently.)"""
     values = np.empty((len(states),) + np.shape(p), dtype=complex)
-    by_scale = {}
-    for i, s in enumerate(states):
-        by_scale.setdefault(s.scale, []).append(i)
-    for scale, rows in by_scale.items():
+    for scale, rows in _groups(s.scale for s in states).items():
         q = _ratio(-p if lombardi_ogilvie else p, scale.momentum)
         column = (-1,) + (1,) * np.ndim(q)
         group = [(states[i].N - states[i].l - 1, states[i].l) for i in rows]
@@ -230,6 +227,27 @@ def podolsky_pauling_G(state: QuantumState, p):
         * (2.0 * q * c2) ** l
         * gegenbauer_C(N - l - 1, l + 1, 2.0 * c2 - 1.0)
     )
+
+
+def _pp_stack(states, p) -> np.ndarray:
+    """np.stack([podolsky_pauling_G(s, p) for s in states]), bit for bit at an array p: per scale,
+    one Gegenbauer pass, lambda = l+1 a column, and (2q/(1+q^2))^l per l, as G takes it."""
+    if _any_negative(p):
+        raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {np.min(p)}")
+    values = np.empty((len(states),) + np.shape(p))
+    for scale, rows in _groups(s.scale for s in states).items():
+        q = _capped(_ratio(p, scale.momentum))
+        c2 = 1.0 / (1.0 + q * q)
+        ladder = [states[i] for i in rows]
+        ls, column = sorted({s.l for s in ladder}), (-1,) + (1,) * np.ndim(q)
+        kept = gegenbauer_C([s.N - s.l - 1 for s in ladder], np.reshape(ls, column) + 1, 2 * c2 - 1)
+        kept[0] = np.ones((len(ls),) + np.shape(q))  # C_0 = 1
+        power = {l: (2.0 * q * c2) ** l for l in ls}
+        prefactor = [_pp_prefactor(s.N, s.l) * scale.momentum ** -1.5 for s in ladder]
+        values[rows] = (np.reshape(prefactor, column) * c2 * c2
+                        * np.array([power[s.l] for s in ladder])
+                        * np.array([kept[s.N - s.l - 1][ls.index(s.l)] for s in ladder]))
+    return values
 
 
 def _power(x: np.ndarray, n: int):

@@ -70,6 +70,14 @@ def sqrt_ratio(num: int, den: int) -> tuple[float, int]:
     return m, e - k
 
 
+def _groups(keys) -> dict:
+    """{key: the indices where it occurs}, in order of first occurrence."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
 def _normalization(state: QuantumState) -> tuple[float, int]:
     """N_{Nl} as (m, e): N_{Nl}^2 = 4 beta^3 / (N perm(N+l, 2l+1)), beta = num / den exactly."""
     N, l = state.N, state.l
@@ -110,14 +118,12 @@ def _radial_stack(states, r) -> np.ndarray:
     if np.min(r) < 0:
         raise ValueError(f"r must be >= 0, got {np.min(r)}")
     values = np.empty((len(states),) + np.shape(r))
-    ladders = {}
-    for i, s in enumerate(states):
-        ladders.setdefault(s.scale, {}).setdefault(s.l, []).append(i)
-    for scale, by_l in ladders.items():
+    for scale, group in _groups(s.scale for s in states).items():
         rho = 2.0 * scale.beta * r
         rho_mantissa, rho_exponent = np.frexp(rho)
         decay = np.exp(-rho / 2.0)
-        for l, ladder in by_l.items():
+        for l, rows in _groups(states[i].l for i in group).items():
+            ladder = [group[i] for i in rows]
             norm, norm_exponent = (np.reshape(x, (-1,) + (1,) * np.ndim(r)) for x in
                                    zip(*[_normalization(states[i]) for i in ladder]))
             with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where decay is 0
@@ -136,17 +142,19 @@ def expectation_r2(state: QuantumState) -> float:
 
 
 def expectation_p2(state: QuantumState) -> float:
-    """<p^2> = int_0^inf p^4 G_{Nl}(p)^2 dp, exact at any scale.
+    """<p^2> = int_0^inf p^4 G_{Nl}(p)^2 dp = (hbar beta)^2 `_p2_stack` of the state alone."""
+    return float(_p2_stack([state])[0]) * state.scale.momentum ** 2
 
-    G is the closed-form Podolsky-Pauling function, the family conjugate to
-    |p| that the r^2/p^2 uncertainty product tests.  At p = hbar beta tan(chi/2)
-    (Fock's stereographic map) the integrand times dp/dchi is a polynomial of
-    degree 2N + 1 in cos(chi), so the chi-midpoint rule with N + 6 nodes is exact.
-    """
-    from .forms import podolsky_pauling_G
 
-    count = state.N + 6
+def _p2_stack(states) -> np.ndarray:
+    """<p^2> / (hbar beta)^2 = int_0^inf q^4 (G_{Nl} (hbar beta)^{3/2})^2 dq, q = p / hbar beta,
+    for states of one scale: O(1) at any scale.  At q = tan(chi/2) (Fock's stereographic map)
+    the integrand times dq/dchi is a polynomial of degree 2N + 1 in cos(chi), so one
+    `_pp_stack` of the closed-form G on the chi-midpoint rule of N_max + 6 nodes is exact."""
+    from .forms import _pp_stack
+
+    scale, count = states[0].scale, max(s.N for s in states) + 6
     half_chi = 0.5 * math.pi * (np.arange(count) + 0.5) / count
-    p = state.scale.momentum * np.tan(half_chi)
-    dp = 0.5 * state.scale.momentum / np.cos(half_chi) ** 2
-    return float(np.sum((p * p * podolsky_pauling_G(state, p)) ** 2 * dp)) * math.pi / count
+    q = np.tan(half_chi)
+    G = _pp_stack(states, scale.momentum * q) * scale.momentum ** 1.5
+    return (q * q * G) ** 2 @ (0.5 / np.cos(half_chi) ** 2) * (math.pi / count)

@@ -35,22 +35,22 @@ def laguerre(n, alpha: int, x):
     return np.array([kept[k] for k in n]) if isinstance(n, list) else kept[n]
 
 
-def gegenbauer_C(n: int, lam: float, x: float) -> float:
-    """Gegenbauer polynomial C_n^lambda(x) by the standard recurrence.
-
-    n C_n = 2(n+lambda-1) x C_{n-1} - (n+2 lambda-2) C_{n-2}.
-    """
-    if n < 0:
-        raise ValueError(f"gegenbauer degree must be >= 0, got {n}")
-    if lam < 1:
-        raise ValueError(f"gegenbauer order must be >= 1, got {lam}")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 2.0 * lam * x
-    for k in range(2, n + 1):
-        prev, cur = cur, (2.0 * (k + lam - 1) * x * cur - (k + 2 * lam - 2) * prev) / k
-    return cur
+def gegenbauer_C(n, lam, x):
+    """Gegenbauer polynomial C_n^lambda(x) by the standard recurrence
+    k C_k = 2(k+lambda-1) x C_{k-1} - (k+2 lambda-2) C_{k-2}, C_0 = 1, C_1 = 2 lambda x,
+    at a float or array x, with lam >= 1 a number or an integer column that
+    broadcasts against x; for a list n, {n: C_n} from one pass."""
+    tops = sorted(set(n)) if isinstance(n, list) else (n,)
+    if tops[0] < 0:
+        raise ValueError(f"gegenbauer degree must be >= 0, got {tops[0]}")
+    if not np.all(lam >= 1) if isinstance(lam, np.ndarray) else lam < 1:
+        raise ValueError(f"gegenbauer order must be >= 1, got {np.min(lam)}")
+    prev, cur, kept, start = 1.0, 2.0 * lam * x, {}, 2
+    for top in tops:
+        for k in range(start, top + 1):
+            prev, cur = cur, (2.0 * (k + lam - 1) * x * cur - (k + 2 * lam - 2) * prev) / k
+        kept[top], start = (cur, top + 1) if top else (1.0, 2)
+    return kept if isinstance(n, list) else kept[n]
 
 
 def spherical_bessel_j_orders(max_l: int, x) -> np.ndarray:
@@ -60,7 +60,8 @@ def spherical_bessel_j_orders(max_l: int, x) -> np.ndarray:
     One upward recurrence from j_0 and j_1, on one sin and one cos of x,
     runs over all x; below x = l + 1, where it loses digits, order l is then
     overwritten by the power series of DLMF 10.53.1, which has no zero
-    there.  Those regions are prefixes of one sorted index array.
+    there.  Those regions are prefixes of one sorted index array, and one
+    loop over the largest sums every order's series to its own region's rounding.
     """
     if max_l < 0:
         raise ValueError(f"order must be >= 0, got {max_l}")
@@ -79,13 +80,14 @@ def spherical_bessel_j_orders(max_l: int, x) -> np.ndarray:
     small = np.flatnonzero(xf < max_l + 1)
     small = small[np.argsort(xf[small])]
     ends = np.searchsorted(xf[small], np.arange(1, max_l + 2))
-    for l in range(max_l + 1):
-        series = small[:ends[l]]
-        xs = xf[series]
-        term, total, k = np.ones_like(xs), np.ones_like(xs), 0
-        while np.any(np.abs(term) > 1e-17 * total):
+    xs, l = xf[small], np.arange(max_l + 1)[:, None]
+    region, k = np.arange(xs.size) < ends[:, None], 0
+    term = total = np.ones((max_l + 1, xs.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # past its region, order l may overflow
+        while np.any(region & (np.abs(term) > 1e-17 * total)):
             k += 1
             term = term * -0.5 * xs * xs / (k * (2 * l + 2 * k + 1))
             total = total + term
-        flat[l, series] = total * np.prod([xs / (2 * k + 1) for k in range(1, l + 1)], axis=0)
+        power = np.cumprod(np.vstack([np.ones_like(xs), xs / (2 * l[1:] + 1)]), axis=0)
+        flat[:, small] = np.where(region, total * power, flat[:, small])  # x^l / (2l+1)!!
     return values

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .forms import _kernel_stack
-from .hydrogenic import PhysicalScale
+from .hydrogenic import PhysicalScale, _groups
 
 
 class ConvergenceError(RuntimeError):
@@ -124,10 +124,10 @@ def tail_cut(integrand: Callable[[np.ndarray], np.ndarray], floor: float = math.
     return float(min(MAX_RHO, rho[last[-1]] + PROBE_STEP)) if last.size else PROBE_STEP
 
 
-def _fourier_sums(g: np.ndarray, first: float, step: float, offsets: np.ndarray,
-                  weights: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _fourier_sums(parts, first: float, step: float, rules, b: np.ndarray) -> list:
     """sum_{k,j} weights_k g[s, k, j] e^{i b rho_kj}, rho_kj = offsets_k + first + j step,
-    for every row s of g, of shape (rows, offsets, panels), and every b.
+    for every row s of g, of shape (rows, offsets, panels), and every b, for
+    each g of `parts` with its (offsets, weights) of `rules` on shared panels.
 
     Evaluated as sum_j e^{i b c_j} sum_k weights_k e^{i b d_k} g[s, k, j],
     c_j = first + j step: the inner sums are one real matrix product
@@ -138,7 +138,7 @@ def _fourier_sums(g: np.ndarray, first: float, step: float, offsets: np.ndarray,
     on the value at |p| = 1000 hbar beta); BLOCK_PRODUCTS (s, b, panel)
     products at a time.
     So the value for one row and one b does not depend on the other rows
-    or the other b of the call.  Returns complex sums of shape (rows, b).
+    or the other b of the call.  Returns complex sums of shape (rows, b) per part.
 
     The phase b c_j reaches b times the interval.  A rounded c_j, or b c_j,
     is off by up to its ulp from one panel to the next, and those errors do
@@ -147,9 +147,8 @@ def _fourier_sums(g: np.ndarray, first: float, step: float, offsets: np.ndarray,
     is taken exactly, as j times b step rounded to 52 - bits(panels) bits,
     and the small rest of the phase apart.
     """
-    rows, _, panels = g.shape
-    total = np.empty((rows, b.size), dtype=complex)
-    g = g[:, None]
+    rows, _, panels = parts[0].shape
+    totals = [np.empty((rows, b.size), dtype=complex) for _ in parts]
     j = np.arange(panels)
     theta = b * step
     mantissa, exponent = np.frexp(theta)
@@ -159,16 +158,17 @@ def _fourier_sums(g: np.ndarray, first: float, step: float, offsets: np.ndarray,
     for start in range(0, b.size, block):
         part = slice(start, start + block)
         bs = b[part, None]
-        inner = np.stack([np.cos(bs * offsets), np.sin(bs * offsets)], axis=1) * weights
-        panel_sums = inner @ g
         exact = j * theta_hi[part, None]
         rest = j * (theta - theta_hi)[part, None] + bs * first
         cos_e, sin_e, cos_r, sin_r = np.cos(exact), np.sin(exact), np.cos(rest), np.sin(rest)
         cos_c, sin_c = cos_e * cos_r - sin_e * sin_r, sin_e * cos_r + cos_e * sin_r
-        re, im = panel_sums[:, :, 0], panel_sums[:, :, 1]
-        total.real[:, part] = (re * cos_c - im * sin_c).sum(axis=-1)
-        total.imag[:, part] = (re * sin_c + im * cos_c).sum(axis=-1)
-    return total
+        for g, (offsets, weights), total in zip(parts, rules, totals):
+            inner = np.stack([np.cos(bs * offsets), np.sin(bs * offsets)], axis=1) * weights
+            re, im = np.moveaxis(inner @ g[:, None], 2, 0)  # the panel sums
+            total.real[:, part] = (re * cos_c - im * sin_c).sum(axis=-1)
+            total.imag[:, part] = (re * sin_c + im * cos_c).sum(axis=-1)
+            del re, im  # free this part's panel sums before the next part's are made
+    return totals
 
 
 def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p, sign: int,
@@ -238,8 +238,8 @@ def _transform_numeric(f, p, sign, scale):
     g /= two_beta ** 2
     batch = g.shape[:-1]
     g = g.reshape(-1, GL_ORDER + ESTIMATE_ORDER, panels)
-    value, estimate = (_fourier_sums(part, c[0], cut / panels, d, w, b) for part, (c, d, w)
-                       in zip(np.split(g, [GL_ORDER], axis=1), rules))
+    value, estimate = _fourier_sums(np.split(g, [GL_ORDER], axis=1), rules[0][0][0],
+                                    cut / panels, [(d, w) for _, d, w in rules], b)
     tail = TAIL_LENGTH * np.abs(g[:, :, -1]).max(axis=1, keepdims=True)
     err = np.abs(value - estimate) + tail
     tol = np.maximum(ABS_TOL, REL_TOL * np.abs(value))
@@ -280,16 +280,26 @@ def gram_matrices(states) -> tuple[np.ndarray, np.ndarray]:
     l, scale = states[0].l, states[0].scale
     if any((s.l, s.scale) != (l, scale) for s in states):
         raise ValueError("Gram matrices need states of one l and one scale")
+    return _gram_blocks(states)[l]
+
+
+def _gram_blocks(states) -> dict:
+    """{l: `gram_matrices` of its states} for states of one scale, from one
+    `_kernel_stack` pass on the nodes for the largest N of them all."""
+    scale = states[0].scale
     N = np.array([float(s.N) for s in states])
-    low = np.minimum.outer(N, N)
-    position = (N[:, None] == N) - 0.5 * (np.abs(N[:, None] - N) == 1.0) * np.sqrt(
-        (low - l) * (low + l + 1.0) / (low * (low + 1.0)))
     count = 2 * int(N.max()) + 8
     theta = math.pi * ((np.arange(count) + 0.5) / count - 0.5)
-    p = scale.momentum * np.tan(theta)
-    psi = _kernel_stack(states, p) / np.cos(theta)
-    momentum = (psi.real @ psi.real.T + psi.imag @ psi.imag.T) * (scale.beta / (2.0 * count))
-    return momentum, position
+    psi = _kernel_stack(states, scale.momentum * np.tan(theta)) / np.cos(theta)
+    blocks = {}
+    for l, rows in _groups(s.l for s in states).items():
+        n, part = N[rows], psi[rows]
+        low = np.minimum.outer(n, n)
+        position = (n[:, None] == n) - 0.5 * (np.abs(n[:, None] - n) == 1.0) * np.sqrt(
+            (low - l) * (low + l + 1.0) / (low * (low + 1.0)))
+        momentum = part.real @ part.real.T + part.imag @ part.imag.T
+        blocks[l] = momentum * (scale.beta / (2.0 * count)), position
+    return blocks
 
 
 def diagonalization_residual(u: Callable[[np.ndarray], np.ndarray],

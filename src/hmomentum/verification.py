@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import _kernel_stack, distribution_max_l, podolsky_pauling_G
+from .forms import _kernel_stack, _pp_stack, distribution_max_l
 from .hydrogenic import (
     PhysicalScale,
     QuantumState,
+    _groups,
+    _p2_stack,
     _radial_stack,
-    expectation_p2,
     expectation_r2,
     normalization_constant,
 )
@@ -37,10 +38,10 @@ from .transform import (
     PANEL_BUDGET,
     REL_TOL,
     ConvergenceError,
+    _gram_blocks,
     _transform_numeric,
     diagonalization_residual,
     gauss_legendre_panels,
-    gram_matrices,
     panels_needed,
     tail_cut,
 )
@@ -301,34 +302,45 @@ def verify_lo_proportionality(scale: PhysicalScale = PhysicalScale()) -> CheckRe
     return _worst("lombardi_ogilvie_proportionality", states, PYTHAGOREAN_GRID, error, p, 1e-9)
 
 
+HANKEL_Q = np.linspace(0.2, 5.0, 12)  # pp_vs_hankel's momenta, p = q hbar beta
+
+
+@functools.lru_cache(maxsize=4)
+def _hankel_rule(max_l: int, cut: float, panels: int) -> tuple:
+    """The nodes rho and weights of the GL_ORDER-node Gauss-Legendre panels of
+    [0, cut], and j_0 .. j_{max_l}(rho q / 2) at q = HANKEL_Q, all read-only."""
+    centers, offsets, weights = gauss_legendre_panels(0.0, cut, panels, GL_ORDER)
+    rho = (centers[:, None] + offsets).ravel()
+    rule = rho, np.tile(weights, panels), spherical_bessel_j_orders(
+        max_l, np.outer(rho, HANKEL_Q / 2.0))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def verify_pp_vs_hankel(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """Closed-form Podolsky-Pauling vs the j_l Hankel-quadrature oracle.
 
-    G_{Nl}(p) against (-1)^{N-l-1} sqrt(2/pi) hbar^{-3/2}
-    int_0^inf j_l(p r / hbar) R_{Nl}(r) r^2 dr, the integral over the whole
-    grid at once by the numerical transform's Gauss-Legendre panels in rho,
-    with every j_l from one `specfun.spherical_bessel_j_orders` recurrence.
-    The interval ends at `tail_cut` of |R rho^2|, which bounds the
-    integrand since |j_l| <= 1; `details` reports it and the panel count.
-    The residual is the largest |G - oracle| / |G| on the grid.
+    G_{Nl}(p) = (-1)^{N-l-1} sqrt(2/pi) hbar^{-3/2} int_0^inf j_l(p r / hbar)
+    R_{Nl}(r) r^2 dr, in rho = 2 beta r and q = p / hbar beta, with both sides
+    O(1): G (hbar beta)^{3/2} = (-1)^{N-l-1} / (2 sqrt(pi)) int_0^inf j_l(q rho / 2)
+    R (2 beta)^{-3/2} rho^2 d rho, by Gauss-Legendre panels up to `tail_cut` of
+    |R rho^2| (|j_l| <= 1), kept per process with the j_l (`_hankel_rule`); `details`
+    reports the cut and panel count.  The residual is the largest |G - oracle| / |G|.
     """
-    two_beta = 2.0 * scale.beta
-    grid = np.linspace(0.2, 5.0, 12) * scale.momentum
+    grid = HANKEL_Q * scale.momentum
     states = _states(4, scale)
-    # In rho = 2 beta r: j_l(p r / hbar) = j_l(b rho), b = p / (2 hbar beta).
-    b = grid / (2.0 * scale.momentum)
-    cut = tail_cut(lambda rho: _radial_stack(states, rho / two_beta) * rho * rho)
-    panels = int(panels_needed(b[-1], cut))
-    centers, offsets, weights = gauss_legendre_panels(0.0, cut, panels, GL_ORDER)
-    rho = (centers[:, None] + offsets).ravel()
-    r = rho / two_beta
-    weights = np.tile(weights, centers.size) * r * r / two_beta
-    bessel = spherical_bessel_j_orders(max(s.l for s in states), np.outer(rho, b))
-    radial = _radial_stack(states, r) * weights
+
+    def radial(rho):  # R (2 beta)^{-3/2}, a function of rho alone
+        return _radial_stack(states, rho / (2.0 * scale.beta)) / (2.0 * scale.beta) ** 1.5
+    cut = tail_cut(lambda rho: radial(rho) * rho * rho)
+    panels = int(panels_needed(HANKEL_Q[-1] / 2.0, cut))
+    rho, weights, bessel = _hankel_rule(max(s.l for s in states), cut, panels)
+    rows = radial(rho) * (weights * rho * rho) * (0.5 / math.sqrt(math.pi))
     numeric = np.stack([(-1) ** (s.N - s.l - 1) * (row @ bessel[s.l])
-                        for row, s in zip(radial, states)])
-    G = np.stack([podolsky_pauling_G(s, grid) for s in states])
-    error = np.abs(G - math.sqrt(2.0 / math.pi) * scale.hbar ** -1.5 * numeric) / np.abs(G)
+                        for row, s in zip(rows, states)])
+    G = _pp_stack(states, grid) * scale.momentum ** 1.5
+    error = np.abs(G - numeric) / np.abs(G)
     return _worst("podolsky_pauling_vs_hankel", states,
                   "12-point linear grid, p/(hbar beta) in [0.2, 5]", error, grid, 1e-7,
                   f"cut rho={cut:g}, panels={panels}")
@@ -339,15 +351,15 @@ def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) 
 
     Unitarity is checked, for each l of the states with N <= 5, as the
     momentum Gram matrix of psi_trig equal, entry by entry, to the
-    closed-form Gram matrix of the R_{Nl} (`gram_matrices`, one call per l).
+    closed-form Gram matrix of the R_{Nl} (`gram_matrices`, all l in one pass).
     H(p_r f) = p H f is checked on u_k(rho) = rho^k e^{-rho/2}, k = 1, 2, 3,
     by `diagonalization_residual`, whose residuals do not depend on the scale.
     """
     states = _states(5, scale)
     error = np.zeros((len(states), len(states)))
-    for l in range(5):
-        rows = [i for i, s in enumerate(states) if s.l == l]
-        error[np.ix_(rows, rows)] = np.abs(np.subtract(*gram_matrices([states[i] for i in rows])))
+    rows = _groups(s.l for s in states)
+    for l, (momentum, position) in _gram_blocks(states).items():
+        error[np.ix_(rows[l], rows[l])] = np.abs(momentum - position)
     i, j = np.unravel_index(np.argmax(error), error.shape)
     details = [f"Gram worst at (N={states[i].N},N'={states[j].N},l={states[i].l}): "
                f"{error[i, j]:.3e}"]
@@ -364,18 +376,18 @@ def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) 
 
 
 def verify_uncertainty(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
-    """<p^2> = hbar^2 beta^2 at a common beta (the diagonal of Fock's
-    orthogonality), the residual, and <r^2><p^2> >= 9 hbar^2 / 4, D = 3."""
+    """<p^2> / (hbar beta)^2 = 1 at a common beta (the diagonal of Fock's orthogonality),
+    the residual, and <r^2><p^2> / hbar^2 = <(beta r)^2> <p^2> / (hbar beta)^2 >= 9/4, D = 3."""
     states = _states(5, scale)
-    p2 = np.array([expectation_p2(s) for s in states])
-    products = p2 * [expectation_r2(s) for s in states]
-    error = np.abs(p2 / scale.momentum ** 2 - 1.0)
+    p2 = _p2_stack(states)
+    products = p2 * [expectation_r2(QuantumState(s.N, s.l)) for s in states]
+    error = np.abs(p2 - 1.0)
     row = int(np.argmax(error))
     tolerance = 1e-9
     return CheckResult(
         "uncertainty_bound", tuple((s.N, s.l) for s in states),
         "analytic <r^2>, quadrature <p^2>", float(error[row]), tolerance,
-        bool(error[row] <= tolerance and np.all(products >= 2.25 * scale.hbar ** 2)),
+        bool(error[row] <= tolerance and np.all(products >= 2.25)),
         f"worst at (N={states[row].N},l={states[row].l}); "
         f"ground-state product: {products[0]:.12g}")
 
@@ -399,8 +411,8 @@ def verify_so4_constancy(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
         try:
             lo = np.abs(_kernel_stack(states, grid) / [[_a0(s)] for s in states]) ** 2 / np.stack(
                 [distribution_max_l("LO", s.N, grid / scale.momentum) for s in states])
-            pp = np.stack([(podolsky_pauling_G(s, pos) * scale.momentum ** 1.5) ** 2
-                           / distribution_max_l("PP", s.N, pos / scale.momentum) for s in states])
+            pp = (_pp_stack(states, pos) * scale.momentum ** 1.5) ** 2 / np.stack(
+                [distribution_max_l("PP", s.N, pos / scale.momentum) for s in states])
             pp_constant = np.array([32.0 / math.pi * (
                 s.N * math.factorial(s.N - 1) ** 2 / math.factorial(2 * s.N - 1)) for s in states])
         except (ValueError, OverflowError):

@@ -1,7 +1,9 @@
 """The stack evaluators that `verify` calls: many states at once, each row
-bit for bit its state's own call.  `_kernel_stack` runs one recurrence
-pass per scale, with a row per distinct l; `_radial_stack` one pass per
-(l, scale)."""
+bit for bit its state's own call.  `_kernel_stack` and `_pp_stack` run one
+recurrence pass per scale, with a row per distinct l; `_radial_stack` one
+pass per (l, scale).  `transform._gram_blocks` gives the Gram matrices of
+every l from one kernel pass, and `hydrogenic._p2_stack` <p^2> of every
+state of a scale from one ladder."""
 
 import math
 
@@ -10,13 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmomentum.forms import _kernel_stack, _lombardi_ogilvie_kernel, psi_trig
+from hmomentum.forms import (
+    Q_CAP,
+    _kernel_stack,
+    _lombardi_ogilvie_kernel,
+    _pp_stack,
+    podolsky_pauling_G,
+    psi_trig,
+)
 from hmomentum.hydrogenic import (
     PhysicalScale,
     QuantumState,
+    _p2_stack,
     _radial_stack,
+    expectation_p2,
     radial_wavefunction,
 )
+from hmomentum.transform import _gram_blocks, gram_matrices
 
 Q_SPECIAL = [0.0, 1e-300, -1e-300, 1e154, -1e154, math.inf, -math.inf, math.nan]
 RHO_SPECIAL = [0.0, 1e-300, 1e200, math.inf]
@@ -77,6 +89,72 @@ def test_rows_are_the_single_calls(case):
     assert_rows_equal(_kernel_stack, psi_trig, states, p)
     assert_rows_equal(lombardi_ogilvie_stack, _lombardi_ogilvie_kernel, states, p)
     radial_rows_equal(states, np.abs(np.array(RHO_SPECIAL + list(q))) / (2.0 * momentum))
+
+
+def ladders(draw, scales):
+    """One to five ladders (l, scale) on up to two of `scales`, each of a few
+    N up to its N_max <= 200, repeats allowed, rows shuffled."""
+    states = []
+    for _ in range(draw(st.integers(1, 5))):
+        scale = scales[draw(st.integers(0, len(scales) - 1))]
+        N_max = draw(st.integers(1, 200))
+        l = draw(st.integers(0, N_max - 1))
+        Ns = draw(st.lists(st.integers(l + 1, N_max), max_size=4)) + [N_max]
+        states += [QuantumState(N, l, scale) for N in Ns]
+    return draw(st.permutations(states))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_pp_rows_are_the_single_calls(data):
+    """`_pp_stack` rows on their int64 view, so signed zeros count, at p = 0,
+    1e-300, Q_CAP hbar beta (where G is 0), inf and random p >= 0."""
+    scales = [PhysicalScale(1.0, 10.0 ** data.draw(st.floats(-3.0, 3.0))) for _ in range(2)]
+    states = ladders(data.draw, scales[:data.draw(st.integers(1, 2))])
+    q = data.draw(st.lists(st.floats(0.0, 1e3), max_size=10))
+    p = np.array([0.0, 1e-300, Q_CAP, math.inf] + q) * states[0].scale.momentum
+    values = _pp_stack(states, p)
+    assert values.shape == (len(states),) + p.shape
+    for row, state in zip(values, states):
+        assert np.array_equal(row.view(np.int64), podolsky_pauling_G(state, p).view(np.int64)), (
+            state.N, state.l)
+
+
+def test_pp_negative_p_rejected():
+    with pytest.raises(ValueError):
+        _pp_stack([QuantumState(2, 0)], np.array([1.0, -1e-3]))
+
+
+@pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 7.0])
+@pytest.mark.parametrize("ladder", [[(N, l) for N in range(1, 6) for l in range(N)],
+                                    [(N, l) for l in (0, 3, 9) for N in range(l + 1, 41)]])
+def test_gram_blocks_are_the_per_l_calls(ladder, hbar_beta):
+    """Every l of these reaches the same largest N, so each block takes the
+    node set of its own `gram_matrices` call and equals it bit for bit."""
+    scale = PhysicalScale(1.0, hbar_beta)
+    states = [QuantumState(N, l, scale) for N, l in ladder]
+    blocks = _gram_blocks(states)
+    assert sorted(blocks) == sorted({l for _, l in ladder})
+    for l, block in blocks.items():
+        single = gram_matrices([s for s in states if s.l == l])
+        assert all(np.array_equal(a, b) for a, b in zip(block, single)), l
+
+
+@pytest.mark.parametrize("hbar_beta", [1e-200, 1e-3, 1.0, 7.0, 1e200])
+def test_p2_stack(hbar_beta):
+    """In a stack of every state with N <= 12, on one rule of 18 nodes, each
+    <p^2> / (hbar beta)^2 is 1 to rounding, even where <p^2> is no double."""
+    scale = PhysicalScale(1.0, hbar_beta)
+    states = [QuantumState(N, l, scale) for N in range(1, 13) for l in range(N)]
+    assert np.max(np.abs(_p2_stack(states) - 1.0)) <= 3e-15
+
+
+@pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 7.0])
+def test_expectation_p2_is_a_stack_of_one(hbar_beta):
+    scale = PhysicalScale(1.0, hbar_beta)
+    for N, l in [(1, 0), (3, 1), (8, 7), (40, 0), (120, 3)]:
+        state = QuantumState(N, l, scale)
+        assert expectation_p2(state) == _p2_stack([state])[0] * hbar_beta ** 2
 
 
 @pytest.mark.parametrize("beta", [1e-3, 1.0, 7.0])

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmomentum import forms, transform, verification
-from hmomentum.forms import _kernel_stack, distribution_max_l, podolsky_pauling_G
+from hmomentum.forms import _kernel_stack, _pp_stack, distribution_max_l
 from hmomentum.hydrogenic import PhysicalScale, QuantumState, _radial_stack, expectation_p2
-from hmomentum.transform import gram_matrices
+from hmomentum.specfun import spherical_bessel_j_orders
+from hmomentum.transform import GL_ORDER, gauss_legendre_panels, gram_matrices
 from hmomentum.verification import (
     SUITES,
     CheckResult,
@@ -41,11 +42,15 @@ def perturbed_rows(state, factor, **call):
     return perturbed
 
 
-def perturbed_G(state, factor):
-    """podolsky_pauling_G with the function of `state` (N, l) times factor."""
-    def perturbed(s, p):
-        value = podolsky_pauling_G(s, p)
-        return value * factor if (s.N, s.l) == state else value
+def perturbed_ladder(state, factor):
+    """`forms._pp_stack` with the row of `state` (N, l), the function
+    podolsky_pauling_G of that state, times factor."""
+    def perturbed(states, p):
+        values = _pp_stack(states, p)
+        for row, s in enumerate(states):
+            if (s.N, s.l) == state:
+                values[row] *= factor
+        return values
 
     return perturbed
 
@@ -187,17 +192,20 @@ class TestWorstPoint:
     def test_pp_scaled_G_fails(self, monkeypatch):
         """G of (3, 1) scaled by 1 + 1e-6: a constant factor, which a ratio's
         constancy cannot see, fails the equality and names the state."""
-        perturbed = perturbed_G((3, 1), 1.0 + 1e-6)
-        monkeypatch.setattr(verification, "podolsky_pauling_G", perturbed)
+        monkeypatch.setattr(verification, "_pp_stack", perturbed_ladder((3, 1), 1.0 + 1e-6))
         res = verify_pp_vs_hankel()
         assert not res.passed and res.max_residual > 1e-7
         assert self.worst_state(res.details)[:2] == (3, 1), res.details
 
-    @pytest.mark.parametrize("hbar, beta", [(1.0, 1.0), (1e-3, 7.0), (2.5, 0.4)])
+    @pytest.mark.parametrize("hbar, beta", [(1.0, 1.0), (1e-3, 7.0), (2.5, 0.4),
+                                            (1.0, 1e-150), (1.0, 1e150), (1e-3, 1e153)])
     def test_pp_equality_at_hbar(self, hbar, beta):
-        """The sign, sqrt(2/pi) and hbar^{-3/2} hold far from hbar = 1."""
+        """The sign, sqrt(2/pi) and hbar^{-3/2} hold far from hbar = 1, and
+        far from hbar beta = 1: G (hbar beta)^{3/2} and R (2 beta)^{-3/2} are
+        O(1), so the residual stays within 10 times its 3.75e-14 at hbar
+        beta = 1, with no numpy warning (the test session makes warnings errors)."""
         res = verify_pp_vs_hankel(PhysicalScale(hbar, beta))
-        assert res.passed and res.max_residual <= 1e-12
+        assert res.passed and res.max_residual <= 3.75e-13
 
     def test_quadrature(self):
         N, l, p = self.worst_state(verify_quadrature().details)
@@ -240,9 +248,17 @@ class TestUncertainty:
         res = verify_uncertainty(PhysicalScale(1.0, hbar_beta))
         assert res.passed and res.max_residual <= 3e-15
 
+    @pytest.mark.parametrize("hbar_beta", [1e-200, 1.0, 1e200])
+    def test_scale_free(self, hbar_beta):
+        """<p^2> / (hbar beta)^2 and <(beta r)^2> <p^2> / (hbar beta)^2 are O(1)
+        sums, so neither divides by beta^2 nor overflows far from unit scale."""
+        res = verify_uncertainty(PhysicalScale(1.0, hbar_beta))
+        assert res.passed and res.max_residual <= 1.2e-15
+        assert "ground-state product: 3" in res.details
+
     def test_perturbed_G_fails(self, monkeypatch):
         """G of (3, 1) scaled by 1 + 1e-9 moves its <p^2> by 2e-9."""
-        monkeypatch.setattr(forms, "podolsky_pauling_G", perturbed_G((3, 1), 1.0 + 1e-9))
+        monkeypatch.setattr(forms, "_pp_stack", perturbed_ladder((3, 1), 1.0 + 1e-9))
         res = verify_uncertainty()
         assert not res.passed and res.max_residual > 1e-9
         assert self.worst_state(res.details) == (3, 1)
@@ -304,7 +320,7 @@ class TestSO4Constancy:
     def test_constant_factor_in_G_fails(self, monkeypatch):
         """G of (5, 4) off by a constant 1 + 1e-9 moves |G|^2 / PP off its
         closed form by 2e-9."""
-        monkeypatch.setattr(verification, "podolsky_pauling_G", perturbed_G((5, 4), 1.0 + 1e-9))
+        monkeypatch.setattr(verification, "_pp_stack", perturbed_ladder((5, 4), 1.0 + 1e-9))
         res = verify_so4_constancy()
         assert not res.passed and res.max_residual > 1e-9
         assert self.worst_state(res.details) == (5, 4)
@@ -376,6 +392,48 @@ class TestExactRows:
         verification._exact_row.cache_clear()
         assert run_all(PhysicalScale(2.5, 0.3)).overall_pass
         assert calls == [38, 21]  # one pass for each suite's missing rows
+
+
+class TestHankelMatrix:
+    """pp_vs_hankel keeps its j_l matrix per process; R and G are still
+    evaluated on every call."""
+
+    def test_warm_cache_still_fails_a_scaled_G(self, monkeypatch):
+        run_all()
+        monkeypatch.setattr(verification, "_pp_stack", perturbed_ladder((3, 1), 1.0 + 1e-6))
+        res = verify_pp_vs_hankel()
+        assert not res.passed and res.max_residual > 1e-7
+        assert TestWorstPoint.worst_state(res.details)[:2] == (3, 1), res.details
+
+    def test_kept_matrix_is_fresh_and_read_only(self):
+        """The kept nodes, weights and j_l equal a fresh rule, bit for bit,
+        and none of them can be written."""
+        cut, panels = re.findall(r"cut rho=(\S+), panels=(\d+)", verify_pp_vs_hankel().details)[0]
+        cut, panels = float(cut), int(panels)
+        kept = verification._hankel_rule(3, cut, panels)
+        centers, offsets, weights = gauss_legendre_panels(0.0, cut, panels, GL_ORDER)
+        rho = (centers[:, None] + offsets).ravel()
+        fresh = (rho, np.tile(weights, panels),
+                 spherical_bessel_j_orders(3, np.outer(rho, np.linspace(0.2, 5.0, 12) / 2.0)))
+        for array, expected in zip(kept, fresh):
+            assert np.array_equal(array, expected)
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0.0
+
+    def test_second_scale_computes_no_matrix(self, monkeypatch):
+        run_all()
+        calls = []
+
+        def counting(max_l, x):
+            calls.append(np.shape(x))
+            return spherical_bessel_j_orders(max_l, x)
+
+        monkeypatch.setattr(verification, "spherical_bessel_j_orders", counting)
+        assert run_all(PhysicalScale(2.5, 0.3)).overall_pass and calls == []
+        assert verify_pp_vs_hankel(PhysicalScale(1.0, 1e-150)).passed and calls == []
+        verification._hankel_rule.cache_clear()
+        assert run_all(PhysicalScale(2.5, 0.3)).overall_pass
+        assert calls == [(1536, 12)]  # 96 panels of 16 nodes, 12 momenta
 
 
 class TestReportContract:
@@ -503,6 +561,13 @@ class TestScales:
     @given(log_uniform(1e-100, 1e100), log_uniform(1e-3, 1e3))
     def test_run_all_far_from_unit_scale(self, hbar_beta, hbar):
         report = run_all(PhysicalScale(hbar, hbar_beta / hbar))
+        assert report.overall_pass, [r.name for r in report.results if not r.passed]
+
+    @pytest.mark.parametrize("hbar_beta", [1e-150, 1e150])
+    def test_run_all_at_1e150(self, hbar_beta):
+        """The --hbar-beta range of `hmomentum verify`, at hbar = 1, that
+        pp_vs_hankel's O(1) numbers open; it failed from about 1e+-125 on."""
+        report = run_all(PhysicalScale(1.0, hbar_beta))
         assert report.overall_pass, [r.name for r in report.results if not r.passed]
 
     @pytest.mark.parametrize("hbar_beta", [1e-16, 1e-20])
