@@ -273,8 +273,8 @@ def _grid(pmin: float, pmax: float, count: int) -> np.ndarray:
     in place, so that neither pmax - pmin nor its rounded multiples of the
     step overflow; bit for bit np.linspace's grid unless a quarter is
     subnormal."""
-    if count < 2:
-        raise UsageError("grid needs --count >= 2")
+    if not 2 <= count <= sys.maxsize // 8:  # at most numpy's largest float64 array
+        raise UsageError(f"grid needs 2 <= --count <= {sys.maxsize // 8}, got {count}")
     grid = np.linspace(pmin / 4.0, pmax / 4.0, count)
     grid *= 4.0
     return grid
@@ -302,6 +302,8 @@ def cmd_plot(args) -> int:
         raise UsageError(f"the default --pmax, 5 --hbar-beta, is past double precision "
                          f"at --hbar-beta {args.hbar_beta!r}; give --pmax")
     _require_finite(pmax=pmax)
+    if not pmax > 0:
+        raise UsageError("grid needs --pmax > 0")
     grid = _grid(0.0 if args.form == "PP" else -pmax, pmax, args.count)
     try:
         density = distribution_max_l(args.form, args.N, grid, scale)

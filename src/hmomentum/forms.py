@@ -2,13 +2,14 @@
 
 The trigonometric, Gegenbauer and script-D expansions and the
 Lombardi-Ogilvie family are one polynomial in w = hbar beta /
-(hbar beta - i p), evaluated by one recurrence kernel (`psi_trig`,
-`_lombardi_ogilvie_kernel`; `_kernel_stack` takes many states, one pass
-per scale with a row per l).  The verification suites compare the kernel
-against the paper's literal sums, evaluated exactly in integers
-(`verification.exact_gegenbauer`, `verification.exact_lombardi_ogilvie`).
-Also here: the Podolsky-Pauling family and the maximal-l distribution
-shapes.
+(hbar beta - i p), and the Podolsky-Pauling family is one Gegenbauer
+ladder.  Each family has one array evaluator, its stack (`_kernel_stack`,
+`_pp_stack`: many states, one pass per scale with a row per l, over p in
+blocks of BLOCK_POINTS); one state at an array p is its stack of one, and
+at a float p it takes Python scalars (`_hypergeometric_kernel`).  The
+verification suites compare the kernel against the paper's literal sums,
+evaluated exactly in integers (`verification.exact_gegenbauer`,
+`verification.exact_lombardi_ogilvie`).  Also here: the maximal-l shapes.
 
 Phase convention: the Gegenbauer route takes sin(gamma) (D^1 + i C^1) =
 e^{i (n+1) gamma}, regular at gamma = 0, so that it equals the trigonometric
@@ -50,14 +51,9 @@ def _c0(l: int) -> tuple[float, int]:
     return sqrt_ratio(1, math.perm(2 * l + 1, l) ** 2)
 
 
-def _ratio(p, momentum: float):
-    """q = p / momentum for a float or an array p, with no numpy warning
-    where it overflows (at a subnormal momentum): q is then +-inf, which
-    every form takes."""
-    if type(p) is float:
-        return p / momentum
-    with np.errstate(over="ignore"):
-        return p / momentum
+# Points per block of the stacks: each recurrence step runs over one
+# block at a time, so that its temporaries stay small for a large grid.
+BLOCK_POINTS = 8192
 
 
 def _polynomials(degrees, l, q) -> dict:
@@ -74,47 +70,47 @@ def _polynomials(degrees, l, q) -> dict:
     return kept
 
 
-def _scaled(b, q, cur, m, e):
-    """m 2^e w^b cur at an array q (see `_hypergeometric_kernel`); b, m, e may be columns."""
-    log_abs = -0.5 * b * np.log1p(q * q)
-    regular = log_abs > -np.inf  # NaN q, or |q| > 1e154 where w^b is 0
-    shift = np.floor(np.where(regular, log_abs, 0.0) / _LOG2).astype(np.int64)
-    value = np.exp((log_abs - shift * _LOG2) + 1j * (b * np.arctan(q))) * cur * m
-    value = np.ldexp(value.real, shift + e) + 1j * np.ldexp(value.imag, shift + e)
-    return np.where(regular, value, np.exp(log_abs))[()]
+def _in_blocks(states, p, dtype, rows) -> np.ndarray:
+    """rows(scale, ladder, q) for the states `ladder` of each scale at q = p / hbar beta,
+    on p flattened, BLOCK_POINTS at a time, stacked as (len(states),) + p.shape.
+    q is +-inf where it overflows (at a subnormal scale), which every form takes."""
+    flat = p.reshape(-1)
+    values = np.empty((len(states), flat.size), dtype=dtype)
+    for scale, index in _groups(s.scale for s in states).items():
+        for start in range(0, flat.size, BLOCK_POINTS):
+            with np.errstate(over="ignore"):
+                q = flat[start:start + BLOCK_POINTS] / scale.momentum
+            values[index, start:start + BLOCK_POINTS] = rows(scale, [states[i] for i in index], q)
+    return values.reshape((len(states),) + p.shape)
 
 
-def _hypergeometric_kernel(N: int, l: int, q, m, e):
-    """m 2^e w^{l+2} 2F1(-n, l+2; 2l+2; 2w), w = 1/(1 - i q), n = N-l-1.
+def _hypergeometric_kernel(N: int, l: int, q: float, m, e) -> complex:
+    """m 2^e w^{l+2} 2F1(-n, l+2; 2l+2; 2w), w = 1/(1 - i q), n = N-l-1, at a float q.
 
-    q is a float or a float64 array; the result is a complex scalar or an
-    array of q's shape.  The polynomial runs Gauss's contiguous relation
-    in the degree (DLMF 15.5.11 with a = -m), forward from F_0 = 1:
+    The polynomial runs Gauss's contiguous relation in the degree
+    (DLMF 15.5.11 with a = -m), forward from F_0 = 1:
     (c+m) F_{m+1} = (2m + c - (b+m) z) F_m - m (1-z) F_{m-1}, with
     b = l+2, c = 2l+2, z = 2w.  Unlike the explicit alternating sum it
     does not cancel at large n.  The recurrence uses only operators, so
-    a float q stays a Python scalar through it, and the tail of one point
-    is `math` and `cmath`.  w^{l+2} = cos^{l+2}(theta) e^{i (l+2) theta},
-    theta = arctan q, is one exponential; its powers of 2 and e scale the
-    value last, in one correctly rounded step, so that no factor under- or
-    overflows on its own and values in the subnormal range are still the
-    nearest doubles.  `_kernel_stack` runs the same steps for many states.
+    q stays a Python scalar through it, and the tail is `math` and `cmath`.
+    w^{l+2} = cos^{l+2}(theta) e^{i (l+2) theta}, theta = arctan q, is one
+    exponential; its powers of 2 and e scale the value last, in one
+    correctly rounded step, so that no factor under- or overflows on its
+    own and values in the subnormal range are still the nearest doubles.
+    `_kernel_stack` runs the same steps on arrays, for many states.
     """
     b, n = l + 2, N - l - 1
-    if type(q) is float:
-        cur = _polynomials([n], l, q)[n]
-        log_abs = -0.5 * b * math.log1p(q * q)
-        if not log_abs > -math.inf:  # NaN q, or |q| > 1e154 where w^{l+2} is 0
-            return complex(math.exp(log_abs))
-        shift = math.floor(log_abs / _LOG2)
-        value = cmath.exp((log_abs - shift * _LOG2) + 1j * (b * math.atan(q))) * cur * m
-        # math.ldexp raises OverflowError past the double range, which the
-        # value cannot reach: |alpha| <= 1, and |psi| <= M (2 beta)^{-1/2},
-        # where M, the peak at l = N-1, grows as N^{1/4} (12 at N = 400, 21 at
-        # N = 4000), so |psi| < 1e163 at any beta >= 5e-324.
-        return math.ldexp(value.real, shift + e) + 1j * math.ldexp(value.imag, shift + e)
-    with np.errstate(over="ignore", invalid="ignore"):  # |q| > 1e154 and inf q
-        return _scaled(b, q, _polynomials([n], l, q)[n], m, e)
+    cur = _polynomials([n], l, q)[n]
+    log_abs = -0.5 * b * math.log1p(q * q)
+    if not log_abs > -math.inf:  # NaN q, or |q| > 1e154 where w^{l+2} is 0
+        return complex(math.exp(log_abs))
+    shift = math.floor(log_abs / _LOG2)
+    value = cmath.exp((log_abs - shift * _LOG2) + 1j * (b * math.atan(q))) * cur * m
+    # math.ldexp raises OverflowError past the double range, which the
+    # value cannot reach: |alpha| <= 1, and |psi| <= M (2 beta)^{-1/2},
+    # where M, the peak at l = N-1, grows as N^{1/4} (12 at N = 400, 21 at
+    # N = 4000), so |psi| < 1e163 at any beta >= 5e-324.
+    return math.ldexp(value.real, shift + e) + 1j * math.ldexp(value.imag, shift + e)
 
 
 def psi_trig(state: QuantumState, p):
@@ -129,12 +125,14 @@ def psi_trig(state: QuantumState, p):
     and is evaluated so, with b_0 correctly rounded (`_b0`).  The Gegenbauer and
     script-D expansions are the same function, term by term, because
     sin(gamma) (D^1 + i C^1)(cos gamma) = e^{i (n+1) gamma}.  Defined
-    for any real p; psi(-p) = conj(psi(p)).  Only the kernel's last rung is
-    scaled; `_kernel_stack` gives many states from one pass per scale.
+    for any real p; psi(-p) = conj(psi(p)).  A float p takes the Python-scalar
+    `_hypergeometric_kernel`, which rounds differently from an array p, the
+    stack of one state `_kernel_stack([state], p)[0]`.
     """
+    if type(p) is not float:
+        return _kernel_stack([state], p)[0]
     N, l = state.N, state.l
-    return _hypergeometric_kernel(N, l, _ratio(p, state.scale.momentum),
-                                  *_b0(N, l, state.scale.beta))
+    return _hypergeometric_kernel(N, l, p / state.scale.momentum, *_b0(N, l, state.scale.beta))
 
 
 def _lombardi_ogilvie_kernel(state: QuantumState, p):
@@ -142,35 +140,42 @@ def _lombardi_ogilvie_kernel(state: QuantumState, p):
 
     Its z = i hbar beta / (p - i hbar beta) is -conj(w), and
     c_k = (-1)^k c_0 (-n)_k (l+2)_k 2^k / ((2l+2)_k k!) with
-    c_0 = (l+1)!/(2l+1)!.  conj(w) is w at -p.  p is a float or an array.
+    c_0 = (l+1)!/(2l+1)!.  conj(w) is w at -p.  p is a float or an array,
+    as for `psi_trig`.
     """
+    if type(p) is not float:
+        return _kernel_stack([state], p, lombardi_ogilvie=True)[0]
     N, l = state.N, state.l
-    value = _hypergeometric_kernel(N, l, _ratio(-p, state.scale.momentum), *_c0(l))
+    value = _hypergeometric_kernel(N, l, -p / state.scale.momentum, *_c0(l))
     return -value if l % 2 else value
 
 
 def _kernel_stack(states, p, lombardi_ogilvie: bool = False) -> np.ndarray:
-    """np.stack([psi_trig(s, p) for s in states]), or of `_lombardi_ogilvie_kernel`,
-    bit for bit at a float64 array p: per scale, one kernel pass with a row per
-    distinct l up to the largest degree N-l-1, the rung of each state kept at its
-    degree, and one scaling of all the rows.  (At a float p, psi_trig runs on
-    Python complex numbers and `cmath`, which round differently.)"""
-    values = np.empty((len(states),) + np.shape(p), dtype=complex)
-    for scale, rows in _groups(s.scale for s in states).items():
-        q = _ratio(-p if lombardi_ogilvie else p, scale.momentum)
-        column = (-1,) + (1,) * np.ndim(q)
-        group = [(states[i].N - states[i].l - 1, states[i].l) for i in rows]
-        ls = sorted({l for _, l in group})
-        m, e = zip(*[_c0(l) if lombardi_ogilvie else _b0(n + l + 1, l, scale.beta)
-                     for n, l in group])
-        with np.errstate(over="ignore", invalid="ignore"):  # as in the kernel
-            kept = _polynomials([n for n, _ in group], np.reshape(ls, column), q)
-            cur = np.array([kept[n][ls.index(l)] if n else np.ones(np.shape(q))  # F_0 = 1
-                            for n, l in group], dtype=complex)
-            l = np.reshape([l for _, l in group], column)
-            value = _scaled(l + 2, q, cur, np.reshape(m, column), np.reshape(e, column))
-        values[rows] = np.where(l % 2 == 1, -value, value) if lombardi_ogilvie else value
-    return values
+    """psi_trig, or `_lombardi_ogilvie_kernel`, of each state at a float64 array p,
+    stacked along a new first axis (`_in_blocks`): per scale, one kernel pass with
+    a row per distinct l up to the largest degree N-l-1, the rung of each state
+    kept at its degree, and one scaling m 2^e w^{l+2} of all the rows, as in
+    `_hypergeometric_kernel`.  Each value depends on its own state and p alone."""
+
+    def rows(scale, ladder, q):
+        ls = sorted({s.l for s in ladder})
+        m, e = zip(*[_c0(s.l) if lombardi_ogilvie else _b0(s.N, s.l, scale.beta)
+                     for s in ladder])
+        l, m, e = (np.reshape(x, (-1, 1)) for x in ([s.l for s in ladder], m, e))
+        with np.errstate(over="ignore", invalid="ignore"):  # |q| > 1e154 and inf q
+            kept = _polynomials([s.N - s.l - 1 for s in ladder], np.reshape(ls, (-1, 1)), q)
+            kept[0] = np.ones((len(ls), q.size))  # F_0 = 1
+            cur = np.array([kept[s.N - s.l - 1][ls.index(s.l)] for s in ladder], dtype=complex)
+            log_abs = -0.5 * (l + 2) * np.log1p(q * q)
+            regular = log_abs > -np.inf  # NaN q, or |q| > 1e154 where w^{l+2} is 0
+            shift = np.floor(np.where(regular, log_abs, 0.0) / _LOG2).astype(np.int64)
+            value = np.exp((log_abs - shift * _LOG2) + 1j * ((l + 2) * np.arctan(q))) * cur * m
+            value = np.ldexp(value.real, shift + e) + 1j * np.ldexp(value.imag, shift + e)
+            value = np.where(regular, value, np.exp(log_abs))
+        return np.where(l % 2 == 1, -value, value) if lombardi_ogilvie else value
+
+    p = np.asarray(p, dtype=float)
+    return _in_blocks(states, -p if lombardi_ogilvie else p, complex, rows)
 
 
 # pi to 36 digits, as num / den: the prefactor's ratio is then within 1e-36
@@ -188,19 +193,8 @@ def _pp_prefactor(N: int, l: int) -> float:
 
 # At q = p / hbar beta >= Q_CAP the Podolsky-Pauling function is 0 in
 # double precision (given a finite prefactor), and below it 1 + q*q
-# is still finite; `_capped` lowers larger q, inf included, to Q_CAP.
+# is still finite; larger q, inf included, is lowered to Q_CAP.
 Q_CAP = 1e154
-
-
-def _capped(q):
-    """q with every value above Q_CAP lowered to Q_CAP, NaN kept; cheap on floats."""
-    return np.minimum(q, Q_CAP) if isinstance(q, np.ndarray) else min(q, Q_CAP)
-
-
-def _any_negative(p) -> bool:
-    """Whether a float, or any entry of an array, is below 0; cheap on floats."""
-    negative = p < 0
-    return bool(negative.any() if isinstance(negative, np.ndarray) else negative)
 
 
 def podolsky_pauling_G(state: QuantumState, p):
@@ -213,41 +207,41 @@ def podolsky_pauling_G(state: QuantumState, p):
     `_pp_prefactor` (hbar beta)^{-3/2} (1+q^2)^{-2} (2q/(1+q^2))^l
     C^{l+1}_{N-l-1}((1-q^2)/(1+q^2)).
 
-    Normalized so that int_0^inf G^2 p^2 dp = 1.  p is a float or a
-    float64 array; G is 0 from q = Q_CAP on, p = inf included.
+    Normalized so that int_0^inf G^2 p^2 dp = 1.  p is a float, taken in
+    Python floats, or a float64 array, the stack of one state
+    `_pp_stack([state], p)[0]`; G is 0 from q = Q_CAP on, p = inf included.
     """
-    if _any_negative(p):
-        raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {np.min(p)}")
+    if type(p) is not float:
+        return _pp_stack([state], p)[0]
+    if p < 0:
+        raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {p}")
     N, l = state.N, state.l
-    q = _capped(_ratio(p, state.scale.momentum))
+    q = min(p / state.scale.momentum, Q_CAP)
     c2 = 1.0 / (1.0 + q * q)
-    return (
-        _pp_prefactor(N, l) * state.scale.momentum ** -1.5
-        * c2 * c2
-        * (2.0 * q * c2) ** l
-        * gegenbauer_C(N - l - 1, l + 1, 2.0 * c2 - 1.0)
-    )
+    return (_pp_prefactor(N, l) * state.scale.momentum ** -1.5 * c2 * c2 * (2.0 * q * c2) ** l
+            * gegenbauer_C(N - l - 1, l + 1, 2.0 * c2 - 1.0))
 
 
 def _pp_stack(states, p) -> np.ndarray:
-    """np.stack([podolsky_pauling_G(s, p) for s in states]), bit for bit at an array p: per scale,
-    one Gegenbauer pass, lambda = l+1 a column, and (2q/(1+q^2))^l per l, as G takes it."""
-    if _any_negative(p):
-        raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {np.min(p)}")
-    values = np.empty((len(states),) + np.shape(p))
-    for scale, rows in _groups(s.scale for s in states).items():
-        q = _capped(_ratio(p, scale.momentum))
+    """podolsky_pauling_G of each state at a float64 array p, stacked along a new
+    first axis (`_in_blocks`): per scale, one Gegenbauer pass, lambda = l+1 a
+    column, and (2q/(1+q^2))^l per l."""
+
+    def rows(scale, ladder, q):
+        ls, q = sorted({s.l for s in ladder}), np.minimum(q, Q_CAP)
         c2 = 1.0 / (1.0 + q * q)
-        ladder = [states[i] for i in rows]
-        ls, column = sorted({s.l for s in ladder}), (-1,) + (1,) * np.ndim(q)
-        kept = gegenbauer_C([s.N - s.l - 1 for s in ladder], np.reshape(ls, column) + 1, 2 * c2 - 1)
-        kept[0] = np.ones((len(ls),) + np.shape(q))  # C_0 = 1
+        kept = gegenbauer_C([s.N - s.l - 1 for s in ladder], np.reshape(ls, (-1, 1)) + 1,
+                            2 * c2 - 1)
+        kept[0] = np.ones((len(ls), q.size))  # C_0 = 1
         power = {l: (2.0 * q * c2) ** l for l in ls}
-        prefactor = [_pp_prefactor(s.N, s.l) * scale.momentum ** -1.5 for s in ladder]
-        values[rows] = (np.reshape(prefactor, column) * c2 * c2
-                        * np.array([power[s.l] for s in ladder])
-                        * np.array([kept[s.N - s.l - 1][ls.index(s.l)] for s in ladder]))
-    return values
+        prefactor = [[_pp_prefactor(s.N, s.l) * scale.momentum ** -1.5] for s in ladder]
+        return (np.array(prefactor) * c2 * c2 * np.array([power[s.l] for s in ladder])
+                * np.array([kept[s.N - s.l - 1][ls.index(s.l)] for s in ladder]))
+
+    p = np.asarray(p, dtype=float)
+    if (p < 0).any():
+        raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {np.min(p)}")
+    return _in_blocks(states, p, float, rows)
 
 
 def _power(x: np.ndarray, n: int):
@@ -277,15 +271,16 @@ def distribution_max_l(form: str, N: int, p,
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    p = np.asarray(p, dtype=float)
     if form == "PP":
-        if _any_negative(p):
+        if (p < 0).any():
             raise ValueError("PP density is defined for p >= 0")
         power, inverse = 2 * (N - 1), 2 * (N + 1)
     elif form == "LO":
         power, inverse = 0, N + 1
     else:
         raise ValueError(f"unknown distribution form {form!r}")
-    p = np.abs(np.asarray(p, dtype=float))
+    p = np.abs(p)
     pm = scale.momentum
     with np.errstate(over="ignore", invalid="ignore"):  # the value past double range, inf p
         scale_exp = np.frexp(np.maximum(pm, p))[1].astype(np.int64)

@@ -310,21 +310,22 @@ def diagonalization_residual(u: Callable[[np.ndarray], np.ndarray],
 
     u and its derivative du take a float64 array of rho and may return a
     stack, as `transform_numeric`'s f may; u must vanish at rho = 0 and
-    decay at least as e^{-rho/2}.  p_r f = -2 i hbar beta (u' + u / rho):
-    the rows (2 beta)^2 (u' + u / rho) and (2 beta)^2 u are transformed in
-    one call, and the factor (2 beta)^2 makes their transforms independent
-    of the scale.  Returns max |-2 i hbar beta H[row 0] - p H[row 1]| /
-    max |p H[row 1]| over the grid, one residual per function (a float
-    for one function).
+    decay at least as e^{-rho/2}.  p_r f = -2 i hbar beta (u' + u / rho).
+    (2 beta)^2 H f at p is the transform of 4 u(2r) at unit scale at
+    q = p / hbar beta, so the residual does not depend on the scale: the
+    rows 4 (u'(2r) + u(2r) / 2r) and 4 u(2r) are transformed in one call at
+    unit scale, where no power of the scale can leave the double range.
+    Returns max |-2 i H[row 0] - q H[row 1]| / max |q H[row 1]| over the
+    grid, one residual per function (a float for one function).
     """
 
     def rows(r):
-        rho = 2.0 * scale.beta * r
+        rho = 2.0 * r
         value = u(rho)
-        return (2.0 * scale.beta) ** 2 * np.stack([du(rho) + value / rho, value])
+        return 4.0 * np.stack([du(rho) + value / rho, value])
 
-    p_grid = np.asarray(p_grid, dtype=float)
-    h_pf, h_f = transform_numeric(rows, p_grid, -1, scale)
-    p_h_f = p_grid * h_f
-    error = np.abs(-2j * scale.momentum * h_pf - p_h_f)
-    return (error.max(axis=-1) / np.abs(p_h_f).max(axis=-1))[()]
+    q = np.asarray(p_grid, dtype=float) / scale.momentum
+    h_pf, h_f = transform_numeric(rows, q, -1)
+    q_h_f = q * h_f
+    error = np.abs(-2j * h_pf - q_h_f)
+    return (error.max(axis=-1) / np.abs(q_h_f).max(axis=-1))[()]

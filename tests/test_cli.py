@@ -313,9 +313,11 @@ class TestVerify:
         assert "RuntimeError" in failed[0]["details"]
         assert len(report["results"]) == 7
 
-    @pytest.mark.parametrize("hbar_beta", ["1e-8", "1e-4", "1e4"])
+    @pytest.mark.parametrize("hbar_beta", ["1e-8", "1e-4", "1e4", "3e153"])
     def test_every_suite_passes_off_unit_scale(self, capsys, hbar_beta):
-        """Every suite passes far from hbar beta = 1, with nothing on stderr."""
+        """Every suite passes far from hbar beta = 1, with nothing on stderr;
+        at 3e153 the diagonalization's (2 beta)^2 overflowed, with numpy
+        warnings, before it was taken at unit scale."""
         code = main(["verify", "--hbar-beta", hbar_beta])
         captured = capsys.readouterr()
         assert code == EXIT_OK, captured.out
@@ -379,6 +381,25 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        # past numpy's largest float64 array: refused before anything is made
+        ["table", "trig", "2", "1", "--pmin", "0", "--pmax", "1", "--count", str(2 ** 63)],
+        ["table", "trig", "2", "1", "--pmin", "0", "--pmax", "1", "--count", str(10 ** 20)],
+        ["plot", "LO", "2", "--count", str(2 ** 63)],
+        # plot's grid is [0, pmax] or [-pmax, pmax]
+        ["plot", "PP", "3", "--pmax", "-1"],
+        ["plot", "LO", "3", "--pmax", "-1"],
+        ["plot", "PP", "3", "--pmax", "0"],
+        ["plot", "LO", "3", "--pmax", "0"],
+    ], ids=" ".join)
+    def test_grid_flag_named(self, capsys, argv):
+        """A grid flag out of range is a usage error that names it."""
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert ("--count" if "--count" in argv else "--pmax") in captured.err
 
     @pytest.mark.parametrize("argv,names", [
         # the default --pmax, 5 hbar beta, overflows

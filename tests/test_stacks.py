@@ -1,9 +1,13 @@
-"""The stack evaluators that `verify` calls: many states at once, each row
-bit for bit its state's own call.  `_kernel_stack` and `_pp_stack` run one
-recurrence pass per scale, with a row per distinct l; `_radial_stack` one
-pass per (l, scale).  `transform._gram_blocks` gives the Gram matrices of
-every l from one kernel pass, and `hydrogenic._p2_stack` <p^2> of every
-state of a scale from one ladder."""
+"""The stack evaluators: many states at once, and each family's one array
+implementation.  `psi_trig`, `_lombardi_ogilvie_kernel`, `podolsky_pauling_G`
+and `radial_wavefunction` on an array are the stack of their one state, so
+each row is bit for bit its state's own call.  `_kernel_stack` and
+`_pp_stack` run one recurrence pass per scale, with a row per distinct l,
+over p in blocks of BLOCK_POINTS, and each value is the one the stack gives
+at its point alone; `_radial_stack` runs one pass per (l, scale).
+`transform._gram_blocks` gives the Gram matrices of every l from one kernel
+pass, and `hydrogenic._p2_stack` <p^2> of every state of a scale from one
+ladder."""
 
 import math
 
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmomentum.forms import (
+    BLOCK_POINTS,
     Q_CAP,
     _kernel_stack,
     _lombardi_ogilvie_kernel,
@@ -32,6 +37,11 @@ from hmomentum.transform import _gram_blocks, gram_matrices
 
 Q_SPECIAL = [0.0, 1e-300, -1e-300, 1e154, -1e154, math.inf, -math.inf, math.nan]
 RHO_SPECIAL = [0.0, 1e-300, 1e200, math.inf]
+
+
+def bits(values):
+    """The int64 view of float or complex values, so that signed zeros and NaN payloads count."""
+    return np.ascontiguousarray(values).view(np.int64)
 
 
 def lombardi_ogilvie_stack(states, p):
@@ -118,6 +128,34 @@ def test_pp_rows_are_the_single_calls(data):
     for row, state in zip(values, states):
         assert np.array_equal(row.view(np.int64), podolsky_pauling_G(state, p).view(np.int64)), (
             state.N, state.l)
+
+
+def test_blocks_are_the_points_alone():
+    """On 2 BLOCK_POINTS + 3 points, so that the last block is short, each
+    stack on states of two scales equals, on the int64 view, that stack on
+    the points shifted by 3 (every point elsewhere in its block) and, at
+    every point within 8 of a block edge and every 64th point, that stack on
+    the point's own one-element array (on all 16387 points that loop takes
+    about 50 s on one core of a 2-vCPU VM).  The public single-state calls
+    are exactly the stack rows."""
+    scales = [PhysicalScale(1.0, 7.0), PhysicalScale(1e-3, 2.0)]
+    states = [QuantumState(N, l, scale) for scale in scales
+              for N, l in [(1, 0), (3, 1), (7, 2), (7, 6), (12, 0)]]
+    size = 2 * BLOCK_POINTS + 3
+    q = np.concatenate([Q_SPECIAL, np.random.default_rng(7).uniform(-1e3, 1e3, size - 8)])
+    p = q * scales[0].momentum
+    edges = np.arange(0, size + 1, BLOCK_POINTS)[:, None] + np.arange(-8, 8)
+    alone = np.union1d(edges[(edges >= 0) & (edges < size)], np.arange(0, size, 64))
+    for stack, single, x in [(_kernel_stack, psi_trig, p),
+                             (lombardi_ogilvie_stack, _lombardi_ogilvie_kernel, p),
+                             (_pp_stack, podolsky_pauling_G, np.abs(p))]:
+        values = stack(states, x)
+        shifted = np.roll(stack(states, np.roll(x, 3)), -3, axis=1)
+        assert np.array_equal(bits(values), bits(shifted))
+        for i in alone:
+            assert np.array_equal(bits(values[:, i]), bits(stack(states, x[i:i + 1])[:, 0])), i
+        for row, state in zip(values, states):
+            assert np.array_equal(bits(row), bits(single(state, x))), (state.N, state.l)
 
 
 def test_pp_negative_p_rejected():

@@ -563,11 +563,14 @@ class TestScales:
         report = run_all(PhysicalScale(hbar, hbar_beta / hbar))
         assert report.overall_pass, [r.name for r in report.results if not r.passed]
 
-    @pytest.mark.parametrize("hbar_beta", [1e-150, 1e150])
-    def test_run_all_at_1e150(self, hbar_beta):
-        """The --hbar-beta range of `hmomentum verify`, at hbar = 1, that
-        pp_vs_hankel's O(1) numbers open; it failed from about 1e+-125 on."""
-        report = run_all(PhysicalScale(1.0, hbar_beta))
+    @pytest.mark.parametrize("hbar,beta", [(1.0, 1e-150), (1.0, 1e150), (1e-3, 1e153)],
+                             ids=["1e-150", "1e+150", "1e-3-1e+153"])
+    def test_run_all_at_1e150(self, hbar, beta):
+        """The --hbar-beta range of `hmomentum verify` that pp_vs_hankel's
+        O(1) numbers open (it failed from about 1e+-125 on), and at
+        beta = 1e153, where the diagonalization's (2 beta)^2 overflowed
+        before it was taken at unit scale."""
+        report = run_all(PhysicalScale(hbar, beta))
         assert report.overall_pass, [r.name for r in report.results if not r.passed]
 
     @pytest.mark.parametrize("hbar_beta", [1e-16, 1e-20])
