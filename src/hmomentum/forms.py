@@ -1,15 +1,15 @@
 """Closed-form momentum-space families and their changes of variables.
 
 The trigonometric, Gegenbauer and script-D expansions and the
-Lombardi-Ogilvie family are one polynomial in w = hbar beta /
-(hbar beta - i p), and the Podolsky-Pauling family is one Gegenbauer
-ladder.  Each family has one array evaluator, its stack (`_kernel_stack`,
-`_pp_stack`: many states, one pass per scale with a row per l, over p in
-blocks of BLOCK_POINTS); one state at an array p is its stack of one, and
-at a float p it takes Python scalars (`_hypergeometric_kernel`).  The
-verification suites compare the kernel against the paper's literal sums,
-evaluated exactly in integers (`verification.exact_gegenbauer`,
-`verification.exact_lombardi_ogilvie`).  Also here: the maximal-l shapes.
+Lombardi-Ogilvie family are one polynomial in w = 1 / (1 - i q), q = p / hbar
+beta, and the Podolsky-Pauling family is one Gegenbauer ladder in q.  Each
+family has one array evaluator, its stack (`_kernel_stack`, `_pp_stack`: many
+states of any scales at q, one pass with a row per l, in blocks of BLOCK_POINTS).
+One state at an array p is its stack of one at q = p / hbar beta, and at a
+float p it takes Python scalars (`_hypergeometric_kernel`).  The verification
+suites compare the kernel against the paper's literal sums, evaluated exactly
+in integers (`verification.exact_gegenbauer`, `verification.exact_lombardi_ogilvie`).
+Also here: the maximal-l shapes.
 
 Phase convention: the Gegenbauer route takes sin(gamma) (D^1 + i C^1) =
 e^{i (n+1) gamma}, regular at gamma = 0, so that it equals the trigonometric
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .hydrogenic import PhysicalScale, QuantumState, _groups, sqrt_ratio
+from .hydrogenic import PhysicalScale, QuantumState, sqrt_ratio
 from .specfun import gegenbauer_C
 
 
@@ -70,18 +70,20 @@ def _polynomials(degrees, l, q) -> dict:
     return kept
 
 
-def _in_blocks(states, p, dtype, rows) -> np.ndarray:
-    """rows(scale, ladder, q) for the states `ladder` of each scale at q = p / hbar beta,
-    on p flattened, BLOCK_POINTS at a time, stacked as (len(states),) + p.shape.
-    q is +-inf where it overflows (at a subnormal scale), which every form takes."""
-    flat = p.reshape(-1)
-    values = np.empty((len(states), flat.size), dtype=dtype)
-    for scale, index in _groups(s.scale for s in states).items():
-        for start in range(0, flat.size, BLOCK_POINTS):
-            with np.errstate(over="ignore"):
-                q = flat[start:start + BLOCK_POINTS] / scale.momentum
-            values[index, start:start + BLOCK_POINTS] = rows(scale, [states[i] for i in index], q)
-    return values.reshape((len(states),) + p.shape)
+def _in_blocks(q, rows, count, dtype) -> np.ndarray:
+    """rows(block) of `count` states on q flattened, BLOCK_POINTS at a time,
+    stacked as (count,) + q.shape."""
+    flat = q.reshape(-1)
+    values = np.empty((count, flat.size), dtype=dtype)
+    for start in range(0, flat.size, BLOCK_POINTS):
+        values[:, start:start + BLOCK_POINTS] = rows(flat[start:start + BLOCK_POINTS])
+    return values.reshape((count,) + q.shape)
+
+
+def _q(state: QuantumState, p) -> np.ndarray:
+    """q = p / hbar beta of an array p, +-inf where it overflows, which every form takes."""
+    with np.errstate(over="ignore"):
+        return np.asarray(p, dtype=float) / state.scale.momentum
 
 
 def _hypergeometric_kernel(N: int, l: int, q: float, m, e) -> complex:
@@ -127,10 +129,10 @@ def psi_trig(state: QuantumState, p):
     sin(gamma) (D^1 + i C^1)(cos gamma) = e^{i (n+1) gamma}.  Defined
     for any real p; psi(-p) = conj(psi(p)).  A float p takes the Python-scalar
     `_hypergeometric_kernel`, which rounds differently from an array p, the
-    stack of one state `_kernel_stack([state], p)[0]`.
+    stack of one state `_kernel_stack([state], p / hbar beta)[0]`.
     """
     if type(p) is not float:
-        return _kernel_stack([state], p)[0]
+        return _kernel_stack([state], _q(state, p))[0]
     N, l = state.N, state.l
     return _hypergeometric_kernel(N, l, p / state.scale.momentum, *_b0(N, l, state.scale.beta))
 
@@ -144,28 +146,29 @@ def _lombardi_ogilvie_kernel(state: QuantumState, p):
     as for `psi_trig`.
     """
     if type(p) is not float:
-        return _kernel_stack([state], p, lombardi_ogilvie=True)[0]
+        return _kernel_stack([state], _q(state, p), lombardi_ogilvie=True)[0]
     N, l = state.N, state.l
     value = _hypergeometric_kernel(N, l, -p / state.scale.momentum, *_c0(l))
     return -value if l % 2 else value
 
 
-def _kernel_stack(states, p, lombardi_ogilvie: bool = False) -> np.ndarray:
-    """psi_trig, or `_lombardi_ogilvie_kernel`, of each state at a float64 array p,
-    stacked along a new first axis (`_in_blocks`): per scale, one kernel pass with
-    a row per distinct l up to the largest degree N-l-1, the rung of each state
-    kept at its degree, and one scaling m 2^e w^{l+2} of all the rows, as in
-    `_hypergeometric_kernel`.  Each value depends on its own state and p alone."""
+def _kernel_stack(states, q, lombardi_ogilvie: bool = False) -> np.ndarray:
+    """psi_trig, or `_lombardi_ogilvie_kernel`, of each state at q = p / hbar beta,
+    stacked along a new first axis (`_in_blocks`): one kernel pass with a row per
+    distinct l up to the largest degree N-l-1, the rung of each state kept at its
+    degree, and one scaling m 2^e w^{l+2} of all the rows with each state's (m, e),
+    as in `_hypergeometric_kernel`.  Each value depends on its own state and q alone."""
+    ls = sorted({s.l for s in states})
+    m, e = zip(*[_c0(s.l) if lombardi_ogilvie else _b0(s.N, s.l, s.scale.beta)
+                 for s in states])
+    l, m, e = (np.reshape(x, (-1, 1)) for x in ([s.l for s in states], m, e))
 
-    def rows(scale, ladder, q):
-        ls = sorted({s.l for s in ladder})
-        m, e = zip(*[_c0(s.l) if lombardi_ogilvie else _b0(s.N, s.l, scale.beta)
-                     for s in ladder])
-        l, m, e = (np.reshape(x, (-1, 1)) for x in ([s.l for s in ladder], m, e))
+    def rows(q):
+        q = -q if lombardi_ogilvie else q
         with np.errstate(over="ignore", invalid="ignore"):  # |q| > 1e154 and inf q
-            kept = _polynomials([s.N - s.l - 1 for s in ladder], np.reshape(ls, (-1, 1)), q)
+            kept = _polynomials([s.N - s.l - 1 for s in states], np.reshape(ls, (-1, 1)), q)
             kept[0] = np.ones((len(ls), q.size))  # F_0 = 1
-            cur = np.array([kept[s.N - s.l - 1][ls.index(s.l)] for s in ladder], dtype=complex)
+            cur = np.array([kept[s.N - s.l - 1][ls.index(s.l)] for s in states], dtype=complex)
             log_abs = -0.5 * (l + 2) * np.log1p(q * q)
             regular = log_abs > -np.inf  # NaN q, or |q| > 1e154 where w^{l+2} is 0
             shift = np.floor(np.where(regular, log_abs, 0.0) / _LOG2).astype(np.int64)
@@ -174,8 +177,7 @@ def _kernel_stack(states, p, lombardi_ogilvie: bool = False) -> np.ndarray:
             value = np.where(regular, value, np.exp(log_abs))
         return np.where(l % 2 == 1, -value, value) if lombardi_ogilvie else value
 
-    p = np.asarray(p, dtype=float)
-    return _in_blocks(states, -p if lombardi_ogilvie else p, complex, rows)
+    return _in_blocks(np.asarray(q, dtype=float), rows, len(states), complex)
 
 
 # pi to 36 digits, as num / den: the prefactor's ratio is then within 1e-36
@@ -207,14 +209,14 @@ def podolsky_pauling_G(state: QuantumState, p):
     `_pp_prefactor` (hbar beta)^{-3/2} (1+q^2)^{-2} (2q/(1+q^2))^l
     C^{l+1}_{N-l-1}((1-q^2)/(1+q^2)).
 
-    Normalized so that int_0^inf G^2 p^2 dp = 1.  p is a float, taken in
-    Python floats, or a float64 array, the stack of one state
-    `_pp_stack([state], p)[0]`; G is 0 from q = Q_CAP on, p = inf included.
+    Normalized so that int_0^inf G^2 p^2 dp = 1.  p is a float, taken in Python
+    floats, or a float64 array, the stack of one state `_pp_stack([state], p /
+    hbar beta)[0]`; G is 0 from q = Q_CAP on, p = inf included.
     """
+    if (np.asarray(p) < 0).any():
+        raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {np.min(p)}")
     if type(p) is not float:
-        return _pp_stack([state], p)[0]
-    if p < 0:
-        raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {p}")
+        return _pp_stack([state], _q(state, p))[0]
     N, l = state.N, state.l
     q = min(p / state.scale.momentum, Q_CAP)
     c2 = 1.0 / (1.0 + q * q)
@@ -222,26 +224,27 @@ def podolsky_pauling_G(state: QuantumState, p):
             * gegenbauer_C(N - l - 1, l + 1, 2.0 * c2 - 1.0))
 
 
-def _pp_stack(states, p) -> np.ndarray:
-    """podolsky_pauling_G of each state at a float64 array p, stacked along a new
-    first axis (`_in_blocks`): per scale, one Gegenbauer pass, lambda = l+1 a
-    column, and (2q/(1+q^2))^l per l."""
+def _pp_stack(states, q) -> np.ndarray:
+    """podolsky_pauling_G of each state at q = p / hbar beta >= 0, stacked along a new
+    first axis (`_in_blocks`): one Gegenbauer pass, lambda = l+1 a column,
+    (2q/(1+q^2))^l per l, and each state's `_pp_prefactor` (hbar beta)^{-3/2}."""
+    ls = sorted({s.l for s in states})
+    prefactor = np.array([[_pp_prefactor(s.N, s.l) * s.scale.momentum ** -1.5] for s in states])
 
-    def rows(scale, ladder, q):
-        ls, q = sorted({s.l for s in ladder}), np.minimum(q, Q_CAP)
+    def rows(q):
+        q = np.minimum(q, Q_CAP)
         c2 = 1.0 / (1.0 + q * q)
-        kept = gegenbauer_C([s.N - s.l - 1 for s in ladder], np.reshape(ls, (-1, 1)) + 1,
+        kept = gegenbauer_C([s.N - s.l - 1 for s in states], np.reshape(ls, (-1, 1)) + 1,
                             2 * c2 - 1)
         kept[0] = np.ones((len(ls), q.size))  # C_0 = 1
         power = {l: (2.0 * q * c2) ** l for l in ls}
-        prefactor = [[_pp_prefactor(s.N, s.l) * scale.momentum ** -1.5] for s in ladder]
-        return (np.array(prefactor) * c2 * c2 * np.array([power[s.l] for s in ladder])
-                * np.array([kept[s.N - s.l - 1][ls.index(s.l)] for s in ladder]))
+        return (prefactor * c2 * c2 * np.array([power[s.l] for s in states])
+                * np.array([kept[s.N - s.l - 1][ls.index(s.l)] for s in states]))
 
-    p = np.asarray(p, dtype=float)
-    if (p < 0).any():
-        raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {np.min(p)}")
-    return _in_blocks(states, p, float, rows)
+    q = np.asarray(q, dtype=float)
+    if (q < 0).any():
+        raise ValueError(f"Podolsky-Pauling G requires q >= 0, got {np.min(q)}")
+    return _in_blocks(q, rows, len(states), float)
 
 
 def _power(x: np.ndarray, n: int):

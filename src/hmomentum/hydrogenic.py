@@ -108,30 +108,27 @@ def radial_wavefunction(state: QuantumState, r):
     the powers of 2 of both apply in one last step.  R is 0 wherever
     e^{-rho/2} is, r = inf included, although L may overflow there.
     """
-    return _radial_stack([state], r)[0]
+    return _radial_stack([state], 2.0 * state.scale.beta * r)[0]
 
 
-def _radial_stack(states, r) -> np.ndarray:
-    """np.stack([radial_wavefunction(s, r) for s in states]), bit for bit: one
-    Laguerre recurrence per (l, scale) up to its largest N, all its rows scaled
-    at once, and the functions of rho shared by every l of a scale."""
-    if np.min(r) < 0:
-        raise ValueError(f"r must be >= 0, got {np.min(r)}")
-    values = np.empty((len(states),) + np.shape(r))
-    for scale, group in _groups(s.scale for s in states).items():
-        rho = 2.0 * scale.beta * r
-        rho_mantissa, rho_exponent = np.frexp(rho)
-        decay = np.exp(-rho / 2.0)
-        for l, rows in _groups(states[i].l for i in group).items():
-            ladder = [group[i] for i in rows]
-            norm, norm_exponent = (np.reshape(x, (-1,) + (1,) * np.ndim(r)) for x in
-                                   zip(*[_normalization(states[i]) for i in ladder]))
-            with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where decay is 0
-                value = np.ldexp(
-                    norm * rho_mantissa ** l * decay
-                    * laguerre([states[i].N - l - 1 for i in ladder], 2 * l + 1, rho),
-                    norm_exponent.astype(np.int32) + l * rho_exponent)  # int32: ldexp's fast loop
-            values[ladder] = np.where(decay == 0.0, 0.0, value)
+def _radial_stack(states, rho) -> np.ndarray:
+    """np.stack([radial_wavefunction(s, rho / 2 beta) for s in states]) at rho >= 0,
+    bit for bit: one Laguerre recurrence per l up to its largest N, all its rows
+    scaled at once by their own N_{Nl}, and the functions of rho shared by every l."""
+    if np.min(rho) < 0:
+        raise ValueError(f"rho = 2 beta r must be >= 0, got {np.min(rho)}")
+    values = np.empty((len(states),) + np.shape(rho))
+    rho_mantissa, rho_exponent = np.frexp(rho)
+    decay = np.exp(-rho / 2.0)
+    for l, ladder in _groups(s.l for s in states).items():
+        norm, norm_exponent = (np.reshape(x, (-1,) + (1,) * np.ndim(rho)) for x in
+                               zip(*[_normalization(states[i]) for i in ladder]))
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where decay is 0
+            value = np.ldexp(
+                norm * rho_mantissa ** l * decay
+                * laguerre([states[i].N - l - 1 for i in ladder], 2 * l + 1, rho),
+                norm_exponent.astype(np.int32) + l * rho_exponent)  # int32: ldexp's fast loop
+        values[ladder] = np.where(decay == 0.0, 0.0, value)
     return values
 
 
@@ -147,14 +144,14 @@ def expectation_p2(state: QuantumState) -> float:
 
 
 def _p2_stack(states) -> np.ndarray:
-    """<p^2> / (hbar beta)^2 = int_0^inf q^4 (G_{Nl} (hbar beta)^{3/2})^2 dq, q = p / hbar beta,
-    for states of one scale: O(1) at any scale.  At q = tan(chi/2) (Fock's stereographic map)
-    the integrand times dq/dchi is a polynomial of degree 2N + 1 in cos(chi), so one
-    `_pp_stack` of the closed-form G on the chi-midpoint rule of N_max + 6 nodes is exact."""
+    """<p^2> / (hbar beta)^2 = int_0^inf q^4 (G_{Nl} (hbar beta)^{3/2})^2 dq, q = p / hbar beta:
+    O(1) at any scale.  At q = tan(chi/2) (Fock's stereographic map) the integrand times
+    dq/dchi is a polynomial of degree 2N + 1 in cos(chi), so one `_pp_stack` of the
+    closed-form G on the chi-midpoint rule of N_max + 6 nodes is exact."""
     from .forms import _pp_stack
 
-    scale, count = states[0].scale, max(s.N for s in states) + 6
+    count = max(s.N for s in states) + 6
     half_chi = 0.5 * math.pi * (np.arange(count) + 0.5) / count
     q = np.tan(half_chi)
-    G = _pp_stack(states, scale.momentum * q) * scale.momentum ** 1.5
+    G = _pp_stack(states, q) * [[s.scale.momentum ** 1.5] for s in states]
     return (q * q * G) ** 2 @ (0.5 / np.cos(half_chi) ** 2) * (math.pi / count)

@@ -267,7 +267,7 @@ def gram_matrices(states) -> tuple[np.ndarray, np.ndarray]:
     psi = `psi_trig`, and position[i, j] is int_0^inf R_i R_j r^2 dr,
     R = `radial_wavefunction`: equal, since psi is the unitary transform of R.
     The momentum side is one stack of psi on one node set, exact at any
-    scale: at p = hbar beta tan(theta), psi_i conj(psi_j) dp / d theta is a
+    scale: at q = p / hbar beta = tan(theta), psi_i conj(psi_j) dp / d theta is a
     trigonometric polynomial of degree N_max = max N in 2 theta (psi is one in
     w = cos(theta) e^{i theta} of powers l+2 .. N+1), taken by the midpoint
     rule with 2 N_max + 8 nodes.  The position side is in closed form: the
@@ -290,7 +290,7 @@ def _gram_blocks(states) -> dict:
     N = np.array([float(s.N) for s in states])
     count = 2 * int(N.max()) + 8
     theta = math.pi * ((np.arange(count) + 0.5) / count - 0.5)
-    psi = _kernel_stack(states, scale.momentum * np.tan(theta)) / np.cos(theta)
+    psi = _kernel_stack(states, np.tan(theta)) / np.cos(theta)
     blocks = {}
     for l, rows in _groups(s.l for s in states).items():
         n, part = N[rows], psi[rows]

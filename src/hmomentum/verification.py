@@ -3,9 +3,10 @@
 Each suite takes a PhysicalScale, its only input, and returns a
 deterministic CheckResult with its residual and a constant tolerance;
 run_all bundles them into a VerificationReport, whose config records the
-scale and the numerical transform's constants.  The form suites compare
-the kernel with the paper's literal sums, summed exactly in integers at
-Pythagorean momenta, so cancellation limits no N.
+scale and the numerical transform's constants.  The stacks take unit grids
+in q = p / hbar beta and rho = 2 beta r.  The form suites compare the kernel
+with the paper's literal sums, summed exactly in integers at Pythagorean
+momenta, so cancellation limits no N.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .hydrogenic import (
     _p2_stack,
     _radial_stack,
     expectation_r2,
-    normalization_constant,
+    sqrt_ratio,
 )
 from .specfun import spherical_bessel_j_orders
 from .transform import (
@@ -100,12 +101,12 @@ def _states(max_N: int, scale: PhysicalScale):
             for l in range(N)]
 
 
-def _worst(name, states, grid, error, p, tolerance, note=""):
+def _worst(name, states, grid, error, q, tolerance, note=""):
     """The result of a suite whose error is given per state (rows) and
-    momentum p (columns): its largest, with its state and p, then `note`,
-    in `details`."""
+    q = p / hbar beta (columns): its largest, with its state and q, then
+    `note`, in `details`."""
     row, col = np.unravel_index(np.argmax(error), error.shape)
-    where = f"worst at (N={states[row].N},l={states[row].l},p={p[col]:.6g})"
+    where = f"worst at (N={states[row].N},l={states[row].l},q={q[col]:.6g})"
     return CheckResult.from_residual(name, [(s.N, s.l) for s in states], grid,
                                      error[row, col], tolerance,
                                      f"{where}; {note}" if note else where)
@@ -124,10 +125,10 @@ PYTHAGOREAN_GRID = (f"{2 * len(PYTHAGOREAN_PAIRS) - 1} Pythagorean momenta, "
 LARGE_N_STATES = ((40, 0), (60, 10))
 
 
-def pythagorean_momenta(scale: PhysicalScale) -> np.ndarray:
-    """The momenta of PYTHAGOREAN_PAIRS, then their negatives (p = 0 once)."""
+def pythagorean_momenta() -> np.ndarray:
+    """q = p / hbar beta of PYTHAGOREAN_PAIRS, then their negatives (q = 0 once)."""
     q = np.array([2 * m * k / (m * m - k * k) for m, k in PYTHAGOREAN_PAIRS])
-    return np.concatenate([q, -q[1:]]) * scale.momentum
+    return np.concatenate([q, -q[1:]])
 
 
 def _gegenbauer_terms(X: int, S: int, count: int) -> list:
@@ -193,29 +194,27 @@ def _exact_sums(keys, terms, coefficients) -> np.ndarray:
     return np.concatenate([values, values[:, 1:].conj()], axis=1)
 
 
-# A holder per (terms, coefficients, N, l), kept for the process, that
-# `_exact_rows` fills with the read-only `_exact_sums` row of (N, l).
-_exact_row = functools.lru_cache(maxsize=1024)(lambda terms, coefficients, N, l: [])
+@functools.lru_cache(maxsize=8)
+def _exact_block(keys: tuple, terms, coefficients) -> np.ndarray:
+    """The `_exact_sums` of the (N, l) `keys`, read-only, kept per process: they
+    depend on N and l, not on the scale, and each suite asks for the same keys."""
+    block = _exact_sums(keys, terms, coefficients)
+    block.flags.writeable = False
+    return block
 
 
-def _exact_rows(states, terms, coefficients) -> np.ndarray:
-    """The `_exact_sums` rows of `states`, which depend on N and l, not on the
-    scale: each is computed once per process, the call's missing rows in one pass."""
-    holders = {(s.N, s.l): _exact_row(terms, coefficients, s.N, s.l) for s in states}
-    empty = [key for key, holder in holders.items() if not holder]
-    if empty:
-        fresh = _exact_sums(empty, terms, coefficients)
-        fresh.flags.writeable = False
-        for key, row in zip(empty, fresh):
-            holders[key].append(row)
-    return np.stack([holders[s.N, s.l][0] for s in states])
+def _n_over_4beta2(state: QuantumState) -> float:
+    """N_{Nl} / (2 beta)^2 = sqrt(1 / (4 beta N perm(N+l, 2l+1))), beta = num / den
+    exactly, correctly rounded: O(beta^{-1/2}), a normal double at any beta."""
+    num, den = state.scale.beta.as_integer_ratio()
+    return math.ldexp(*sqrt_ratio(den, 4 * num * state.N
+                                  * math.perm(state.N + state.l, 2 * state.l + 1)))
 
 
 def _a0(state: QuantumState) -> float:
     """a_0 = `gegenbauer_coefficients`(N, l)[0][0] N_{Nl} / (2 beta)^2, the
     first coefficient of the paper's Gegenbauer expansion."""
-    return (gegenbauer_coefficients(state.N, state.l)[0][0] * normalization_constant(state)
-            / (2.0 * state.scale.beta) ** 2)
+    return gegenbauer_coefficients(state.N, state.l)[0][0] * _n_over_4beta2(state)
 
 
 def exact_gegenbauer(states) -> np.ndarray:
@@ -223,16 +222,17 @@ def exact_gegenbauer(states) -> np.ndarray:
     `pythagorean_momenta` (columns): sum_t a_t sin(gamma) cos^{n+1}(gamma)
     (D^1_n + i C^1_n)(cos gamma), n = l+1+t, with the phase convention of
     `psi_trig`.  The exact sum is rounded, then scaled by N_{Nl} / (2 beta)^2."""
-    values = _exact_rows(states, _gegenbauer_terms, gegenbauer_coefficients)
-    return values * np.array([[normalization_constant(s) / (2.0 * s.scale.beta) ** 2]
-                              for s in states])
+    values = _exact_block(tuple((s.N, s.l) for s in states), _gegenbauer_terms,
+                          gegenbauer_coefficients)
+    return values * np.array([[_n_over_4beta2(s)] for s in states])
 
 
 def exact_lombardi_ogilvie(states) -> np.ndarray:
     """The paper's unnormalized Lombardi-Ogilvie sum
     alpha = sum_k c_k (i hbar beta / (p - i hbar beta))^{l+k+2}, exactly
     rounded, per state (rows) at `pythagorean_momenta` (columns)."""
-    return _exact_rows(states, _lombardi_ogilvie_terms, lombardi_ogilvie_coefficients)
+    return _exact_block(tuple((s.N, s.l) for s in states), _lombardi_ogilvie_terms,
+                        lombardi_ogilvie_coefficients)
 
 
 def verify_form_equivalence(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
@@ -243,11 +243,11 @@ def verify_form_equivalence(scale: PhysicalScale = PhysicalScale()) -> CheckResu
     residual is its largest |psi_trig - exact| over its largest |exact|.
     """
     states = _states(8, scale) + [QuantumState(N, l, scale) for N, l in LARGE_N_STATES]
-    p = pythagorean_momenta(scale)
+    q = pythagorean_momenta()
     exact = exact_gegenbauer(states)
-    error = np.abs(_kernel_stack(states, p) - exact)
+    error = np.abs(_kernel_stack(states, q) - exact)
     error /= np.max(np.abs(exact), axis=1, keepdims=True)
-    return _worst("form_equivalence", states, PYTHAGOREAN_GRID, error, p, 1e-11)
+    return _worst("form_equivalence", states, PYTHAGOREAN_GRID, error, q, 1e-11)
 
 
 def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
@@ -259,14 +259,14 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     the transform took from the states' tails and its panel count.  Each
     state's residual is relative to its largest |psi_trig| on the grid.
     """
-    pos = np.logspace(-2, math.log10(20.0), 13) * scale.momentum
-    grid = np.concatenate([-pos[::-1], [0.0], pos])
+    pos = np.logspace(-2, math.log10(20.0), 13)
+    grid = np.concatenate([-pos[::-1], [0.0], pos])  # q
     states = _states(4, scale)
     grid_name = f"{grid.size}-point mirrored grid up to 20 hbar beta"
     tolerance = 3e-8
     try:
         numeric, cut, panels = _transform_numeric(
-            lambda r: _radial_stack(states, r), grid, 1, scale)
+            lambda r: _radial_stack(states, 2.0 * scale.beta * r), grid * scale.momentum, 1, scale)
     except ConvergenceError as exc:
         failed = np.any(exc.error_bound > exc.tolerance, axis=-1)
         names = ", ".join(f"(N={s.N},l={s.l})" for s, bad in zip(states, failed) if bad)
@@ -291,15 +291,15 @@ def verify_lo_proportionality(scale: PhysicalScale = PhysicalScale()) -> CheckRe
     of |psi_trig / (c conj(alpha)) - 1| and |kernel - alpha| / max |alpha|.
     """
     states = _states(6, scale)
-    p = pythagorean_momenta(scale)
+    q = pythagorean_momenta()
     exact = exact_lombardi_ogilvie(states)
     c = np.array([[(-1) ** s.l * _a0(s) * (math.factorial(s.N + s.l)
                                             / lombardi_ogilvie_coefficients(s.N, s.l)[0][0])]
                   for s in states])
-    error = np.abs(_kernel_stack(states, p, lombardi_ogilvie=True) - exact)
+    error = np.abs(_kernel_stack(states, q, lombardi_ogilvie=True) - exact)
     error /= np.max(np.abs(exact), axis=1, keepdims=True)
-    error = np.maximum(np.abs(_kernel_stack(states, p) / (c * exact.conj()) - 1.0), error)
-    return _worst("lombardi_ogilvie_proportionality", states, PYTHAGOREAN_GRID, error, p, 1e-9)
+    error = np.maximum(np.abs(_kernel_stack(states, q) / (c * exact.conj()) - 1.0), error)
+    return _worst("lombardi_ogilvie_proportionality", states, PYTHAGOREAN_GRID, error, q, 1e-9)
 
 
 HANKEL_Q = np.linspace(0.2, 5.0, 12)  # pp_vs_hankel's momenta, p = q hbar beta
@@ -328,21 +328,20 @@ def verify_pp_vs_hankel(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     |R rho^2| (|j_l| <= 1), kept per process with the j_l (`_hankel_rule`); `details`
     reports the cut and panel count.  The residual is the largest |G - oracle| / |G|.
     """
-    grid = HANKEL_Q * scale.momentum
     states = _states(4, scale)
 
     def radial(rho):  # R (2 beta)^{-3/2}, a function of rho alone
-        return _radial_stack(states, rho / (2.0 * scale.beta)) / (2.0 * scale.beta) ** 1.5
+        return _radial_stack(states, rho) / (2.0 * scale.beta) ** 1.5
     cut = tail_cut(lambda rho: radial(rho) * rho * rho)
     panels = int(panels_needed(HANKEL_Q[-1] / 2.0, cut))
     rho, weights, bessel = _hankel_rule(max(s.l for s in states), cut, panels)
     rows = radial(rho) * (weights * rho * rho) * (0.5 / math.sqrt(math.pi))
     numeric = np.stack([(-1) ** (s.N - s.l - 1) * (row @ bessel[s.l])
                         for row, s in zip(rows, states)])
-    G = _pp_stack(states, grid) * scale.momentum ** 1.5
+    G = _pp_stack(states, HANKEL_Q) * scale.momentum ** 1.5
     error = np.abs(G - numeric) / np.abs(G)
     return _worst("podolsky_pauling_vs_hankel", states,
-                  "12-point linear grid, p/(hbar beta) in [0.2, 5]", error, grid, 1e-7,
+                  "12-point linear grid, p/(hbar beta) in [0.2, 5]", error, HANKEL_Q, 1e-7,
                   f"cut rho={cut:g}, panels={panels}")
 
 
@@ -353,7 +352,8 @@ def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) 
     momentum Gram matrix of psi_trig equal, entry by entry, to the
     closed-form Gram matrix of the R_{Nl} (`gram_matrices`, all l in one pass).
     H(p_r f) = p H f is checked on u_k(rho) = rho^k e^{-rho/2}, k = 1, 2, 3,
-    by `diagonalization_residual`, whose residuals do not depend on the scale.
+    by `diagonalization_residual`, whose residuals do not depend on the scale,
+    so it takes them at unit scale.
     """
     states = _states(5, scale)
     error = np.zeros((len(states), len(states)))
@@ -367,7 +367,7 @@ def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) 
     residuals = diagonalization_residual(
         lambda rho: rho ** k * np.exp(-rho / 2.0),
         lambda rho: (k - rho / 2.0) * rho ** (k - 1) * np.exp(-rho / 2.0),
-        np.linspace(-10.0, 10.0, 21) * scale.momentum, scale)
+        np.linspace(-10.0, 10.0, 21))
     details += [f"rho^{power} e^(-rho/2): {res:.3e}" for power, res in zip(k[:, 0], residuals)]
     return CheckResult.from_residual(
         "parseval_and_diagonalization", [(s.N, s.l) for s in states],
@@ -403,16 +403,16 @@ def verify_so4_constancy(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     on the q > 0 half, where it is not 0/0.  A state's residual is the largest of
     its two ratios' relative spreads (std / mean) and |mean / closed form - 1|.
     """
-    pos = np.logspace(-3.0, 3.0, 60) * scale.momentum
-    grid = np.concatenate([-pos[::-1], [0.0], pos])
+    pos = np.logspace(-3.0, 3.0, 60)
+    grid = np.concatenate([-pos[::-1], [0.0], pos])  # q
     states = [QuantumState(N, N - 1, scale) for N in range(1, 7)]
     # Near the ends of the double range of hbar beta these leave it: inf or 0, or a raise.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             lo = np.abs(_kernel_stack(states, grid) / [[_a0(s)] for s in states]) ** 2 / np.stack(
-                [distribution_max_l("LO", s.N, grid / scale.momentum) for s in states])
+                [distribution_max_l("LO", s.N, grid) for s in states])
             pp = (_pp_stack(states, pos) * scale.momentum ** 1.5) ** 2 / np.stack(
-                [distribution_max_l("PP", s.N, pos / scale.momentum) for s in states])
+                [distribution_max_l("PP", s.N, pos) for s in states])
             pp_constant = np.array([32.0 / math.pi * (
                 s.N * math.factorial(s.N - 1) ** 2 / math.factorial(2 * s.N - 1)) for s in states])
         except (ValueError, OverflowError):

@@ -48,7 +48,7 @@ from oracles import (
 )
 
 # The momenta of the exact literal sums at hbar beta = 1, as q = p / hbar beta.
-Q = pythagorean_momenta(PhysicalScale())
+Q = pythagorean_momenta()
 
 
 def coeff_a(state, t):
@@ -223,7 +223,7 @@ class TestPsiGegenbauer:
         for hbar_beta in (1e-3, 1.0, 1e3):
             scale = PhysicalScale(1.0, hbar_beta)
             states = [QuantumState(N, l, scale) for l in range(N)]
-            p = pythagorean_momenta(scale)
+            p = pythagorean_momenta() * hbar_beta
             for state, exact in zip(states, exact_gegenbauer(states)):
                 peak = np.max(np.abs(exact))
                 assert np.max(np.abs(psi_trig(state, p) - exact)) <= 1e-13 * peak
@@ -370,12 +370,13 @@ class TestPodolskyPauling:
 def test_subnormal_scale(hbar_beta):
     """At a subnormal hbar beta, q = p / hbar beta overflows to inf with no
     numpy warning (an error under this suite's settings): the kernel forms
-    are finite at p = 0 and 0 past it, and G's (hbar beta)^{-3/2} raises
-    OverflowError."""
+    are finite at p = 0 and 0 past it, as are their stacks at that q, and
+    G's (hbar beta)^{-3/2} raises OverflowError."""
     state = QuantumState(2, 1, PhysicalScale(beta=hbar_beta))
     p = np.array([0.0, 0.5, 1.0])
+    q = np.array([0.0, math.inf, math.inf])
     for values in (psi_trig(state, p), FORM_EVALUATORS["lombardi_ogilvie"](state, p),
-                   *_kernel_stack([state], p), *_kernel_stack([state], p, lombardi_ogilvie=True)):
+                   *_kernel_stack([state], q), *_kernel_stack([state], q, lombardi_ogilvie=True)):
         assert np.isfinite(values[0]) and np.all(values[1:] == 0)
     with pytest.raises(OverflowError):
         podolsky_pauling_G(state, p)

@@ -192,7 +192,7 @@ class TestNormalization:
         """R is finite at every l < N <= 300 at beta = 1."""
         r = np.array([0.5, 1.0, 7.3, 50.0, 150.0, 400.0])
         for l in range(300):
-            values = _radial_stack([QuantumState(N, l) for N in range(l + 1, 301)], r)
+            values = _radial_stack([QuantumState(N, l) for N in range(l + 1, 301)], 2.0 * r)
             assert np.isfinite(values).all(), l
 
     @pytest.mark.parametrize("N,l,beta", [(151, 150, 1.0), (300, 200, 1.0), (3, 1, 1e250),
@@ -276,7 +276,7 @@ class TestOrthonormality:
         states = [QuantumState(N, l, scale) for N in range(l + 1, 101)]
         rho, weights = gauss_laguerre_rule(104)
         r = rho / (2.0 * scale.beta)
-        radial = _radial_stack(states, r) * r
+        radial = _radial_stack(states, rho) * r
         position = (radial * weights) @ radial.T / (2.0 * scale.beta)
         assert np.max(np.abs(position - gram_matrices(states)[1])) <= 1e-12
 

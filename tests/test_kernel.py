@@ -140,7 +140,7 @@ def test_exact_sums(exact, oracle, N, l):
     state = QuantumState(N, l)
     q = [Fraction(2 * m * k, m * m - k * k) for m, k in PYTHAGOREAN_PAIRS]
     q += [-x for x in q[1:]]
-    assert np.array_equal(pythagorean_momenta(state.scale), [float(x) for x in q])
+    assert np.array_equal(pythagorean_momenta(), [float(x) for x in q])
     reference = [oracle(N, l, 1.0, x) for x in q]
     peak = max(abs(v) for v in reference)
     for x, value, ref in zip(q, exact([state])[0], reference):

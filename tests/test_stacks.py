@@ -1,13 +1,15 @@
 """The stack evaluators: many states at once, and each family's one array
-implementation.  `psi_trig`, `_lombardi_ogilvie_kernel`, `podolsky_pauling_G`
-and `radial_wavefunction` on an array are the stack of their one state, so
-each row is bit for bit its state's own call.  `_kernel_stack` and
-`_pp_stack` run one recurrence pass per scale, with a row per distinct l,
-over p in blocks of BLOCK_POINTS, and each value is the one the stack gives
-at its point alone; `_radial_stack` runs one pass per (l, scale).
+implementation.  `_kernel_stack` and `_pp_stack` take q = p / hbar beta and
+`_radial_stack` takes rho = 2 beta r, so a state's scale enters only through
+its prefactor: a stack over states of several scales is, row by row and bit
+for bit, each state's stack of one at the same q or rho.  `psi_trig`,
+`_lombardi_ogilvie_kernel`, `podolsky_pauling_G` and `radial_wavefunction`
+on an array are the stack of their one state at q = p / hbar beta or
+rho = 2 beta r.  The kernel stacks run one recurrence pass with a row per
+distinct l, over q in blocks of BLOCK_POINTS, and each value is the one the
+stack gives at its point alone; `_radial_stack` runs one pass per l.
 `transform._gram_blocks` gives the Gram matrices of every l from one kernel
-pass, and `hydrogenic._p2_stack` <p^2> of every state of a scale from one
-ladder."""
+pass, and `hydrogenic._p2_stack` <p^2> of every state from one ladder."""
 
 import math
 
@@ -44,38 +46,49 @@ def bits(values):
     return np.ascontiguousarray(values).view(np.int64)
 
 
-def lombardi_ogilvie_stack(states, p):
-    return _kernel_stack(states, p, lombardi_ogilvie=True)
+def lombardi_ogilvie_stack(states, q):
+    return _kernel_stack(states, q, lombardi_ogilvie=True)
 
 
-def assert_rows_equal(stack, single, states, x):
+KERNEL_STACKS = [(_kernel_stack, psi_trig), (lombardi_ogilvie_stack, _lombardi_ogilvie_kernel)]
+
+
+def assert_rows_equal(stack, states, x):
+    """Each row of `stack` over `states` at x is the stack of its state alone
+    at the same x: on the int64 view, but for the sign of a NaN of R, which
+    depends on the other degrees of its Laguerre pass."""
     values = stack(states, x)
     assert values.shape == (len(states),) + x.shape
     for row, state in zip(values, states):
-        assert np.array_equal(row, single(state, x), equal_nan=True), (state.N, state.l)
+        alone = stack([state], x)[0]
+        if stack is _radial_stack:
+            row, alone = (np.where(np.isnan(v), np.nan, v) for v in (row, alone))
+        assert np.array_equal(bits(row), bits(alone)), (state.N, state.l)
 
 
-def radial_rows_equal(states, r):
-    """As assert_rows_equal, for the states whose N_{Nl} is a normal double;
-    the stack of any other state raises as its own call does."""
-    good = []
+def assert_public_calls(states, p, r):
+    """On the int64 view, each public single-state call on the array p (|p|
+    for G) or r is its stack of one at q = p / hbar beta (+-inf where that
+    overflows) or rho = 2 beta r."""
     for state in states:
-        try:
-            radial_wavefunction(state, r)
-            good.append(state)
-        except ValueError:
-            with pytest.raises(ValueError):
-                _radial_stack([state], r)
-    if good:
-        assert_rows_equal(_radial_stack, radial_wavefunction, good, r)
+        with np.errstate(over="ignore"):
+            q = p / state.scale.momentum
+        for stack, single in KERNEL_STACKS:
+            assert np.array_equal(bits(single(state, p)), bits(stack([state], q)[0])), (
+                state.N, state.l)
+        assert np.array_equal(bits(podolsky_pauling_G(state, np.abs(p))),
+                              bits(_pp_stack([state], np.abs(q))[0])), (state.N, state.l)
+        assert np.array_equal(bits(radial_wavefunction(state, r)),
+                              bits(_radial_stack([state], 2.0 * state.scale.beta * r)[0])), (
+            state.N, state.l)
 
 
 @st.composite
 def stacks(draw):
     """One to six ladders (l, scale), each of a few N up to its N_max <= 200,
     repeats allowed, rows shuffled; hbar beta log-uniform in [1e-3, 1e3].  A
-    ladder may take an earlier ladder's scale, so that ladders of several l,
-    with different top degrees, share one kernel pass."""
+    ladder may take an earlier ladder's scale, so that ladders of several l
+    and scales, with different top degrees, share one kernel pass."""
     states, scales = [], []
     for _ in range(draw(st.integers(1, 6))):
         reuse = draw(st.integers(0, len(scales)))
@@ -93,12 +106,16 @@ def stacks(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(stacks())
 def test_rows_are_the_single_calls(case):
+    """Kernel and radial rows are each state's stack of one, and the public
+    calls at p = q hbar beta and r = rho / 2 beta of the first state's scale
+    are their stacks of one."""
     states, q = case
-    momentum = states[0].scale.momentum
-    p = q * momentum
-    assert_rows_equal(_kernel_stack, psi_trig, states, p)
-    assert_rows_equal(lombardi_ogilvie_stack, _lombardi_ogilvie_kernel, states, p)
-    radial_rows_equal(states, np.abs(np.array(RHO_SPECIAL + list(q))) / (2.0 * momentum))
+    for stack, _ in KERNEL_STACKS:
+        assert_rows_equal(stack, states, q)
+    rho = np.abs(np.array(RHO_SPECIAL + list(q)))
+    assert_rows_equal(_radial_stack, states, rho)
+    scale = states[0].scale
+    assert_public_calls(states, q * scale.momentum, rho / (2.0 * scale.beta))
 
 
 def ladders(draw, scales):
@@ -117,17 +134,13 @@ def ladders(draw, scales):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_pp_rows_are_the_single_calls(data):
-    """`_pp_stack` rows on their int64 view, so signed zeros count, at p = 0,
-    1e-300, Q_CAP hbar beta (where G is 0), inf and random p >= 0."""
+    """`_pp_stack` rows on their int64 view, so signed zeros count, at q = 0,
+    1e-300, Q_CAP (where G is 0), inf and random q >= 0, each the state's
+    stack of one."""
     scales = [PhysicalScale(1.0, 10.0 ** data.draw(st.floats(-3.0, 3.0))) for _ in range(2)]
     states = ladders(data.draw, scales[:data.draw(st.integers(1, 2))])
     q = data.draw(st.lists(st.floats(0.0, 1e3), max_size=10))
-    p = np.array([0.0, 1e-300, Q_CAP, math.inf] + q) * states[0].scale.momentum
-    values = _pp_stack(states, p)
-    assert values.shape == (len(states),) + p.shape
-    for row, state in zip(values, states):
-        assert np.array_equal(row.view(np.int64), podolsky_pauling_G(state, p).view(np.int64)), (
-            state.N, state.l)
+    assert_rows_equal(_pp_stack, states, np.array([0.0, 1e-300, Q_CAP, math.inf] + q))
 
 
 def test_blocks_are_the_points_alone():
@@ -137,30 +150,29 @@ def test_blocks_are_the_points_alone():
     every point within 8 of a block edge and every 64th point, that stack on
     the point's own one-element array (on all 16387 points that loop takes
     about 50 s on one core of a 2-vCPU VM).  The public single-state calls
-    are exactly the stack rows."""
+    on p = q hbar beta of either scale are their stacks of one."""
     scales = [PhysicalScale(1.0, 7.0), PhysicalScale(1e-3, 2.0)]
     states = [QuantumState(N, l, scale) for scale in scales
               for N, l in [(1, 0), (3, 1), (7, 2), (7, 6), (12, 0)]]
     size = 2 * BLOCK_POINTS + 3
     q = np.concatenate([Q_SPECIAL, np.random.default_rng(7).uniform(-1e3, 1e3, size - 8)])
-    p = q * scales[0].momentum
     edges = np.arange(0, size + 1, BLOCK_POINTS)[:, None] + np.arange(-8, 8)
     alone = np.union1d(edges[(edges >= 0) & (edges < size)], np.arange(0, size, 64))
-    for stack, single, x in [(_kernel_stack, psi_trig, p),
-                             (lombardi_ogilvie_stack, _lombardi_ogilvie_kernel, p),
-                             (_pp_stack, podolsky_pauling_G, np.abs(p))]:
+    for stack, x in [(_kernel_stack, q), (lombardi_ogilvie_stack, q), (_pp_stack, np.abs(q))]:
         values = stack(states, x)
         shifted = np.roll(stack(states, np.roll(x, 3)), -3, axis=1)
         assert np.array_equal(bits(values), bits(shifted))
         for i in alone:
             assert np.array_equal(bits(values[:, i]), bits(stack(states, x[i:i + 1])[:, 0])), i
-        for row, state in zip(values, states):
-            assert np.array_equal(bits(row), bits(single(state, x))), (state.N, state.l)
+    for scale in scales:
+        assert_public_calls(states, q * scale.momentum, np.abs(q) / (2.0 * scale.beta))
 
 
 def test_pp_negative_p_rejected():
     with pytest.raises(ValueError):
         _pp_stack([QuantumState(2, 0)], np.array([1.0, -1e-3]))
+    with pytest.raises(ValueError, match="requires p >= 0, got -0.007"):
+        podolsky_pauling_G(QuantumState(2, 0, PhysicalScale(1.0, 7.0)), np.array([1.0, -7e-3]))
 
 
 @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 7.0])
@@ -201,11 +213,12 @@ def test_large_states(beta):
     scale = PhysicalScale(1.0, beta)
     states = [QuantumState(N, l, scale) for N, l in
               [(150, 149), (200, 3), (149, 149 - 1), (171, 0), (3, 3 - 1), (120, 3), (1, 0)]]
-    p = np.array(Q_SPECIAL + [3.2e-3, 0.3, 1.0, 40.0]) * scale.momentum
-    assert_rows_equal(_kernel_stack, psi_trig, states, p)
-    assert_rows_equal(lombardi_ogilvie_stack, _lombardi_ogilvie_kernel, states, p)
+    q = np.array(Q_SPECIAL + [3.2e-3, 0.3, 1.0, 40.0])
+    for stack, _ in KERNEL_STACKS:
+        assert_rows_equal(stack, states, q)
     rho = np.array(RHO_SPECIAL + [1e-3, 0.5, 3.0, 117.0, 400.0, 1400.0])
-    radial_rows_equal(states, rho / (2.0 * beta))
+    assert_rows_equal(_radial_stack, states, rho)
+    assert_public_calls(states, q * scale.momentum, rho / (2.0 * beta))
 
 
 def test_negative_r_rejected():

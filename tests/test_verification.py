@@ -30,13 +30,13 @@ from hmomentum.verification import (
 
 
 def perturbed_rows(state, factor, **call):
-    """`forms._kernel_stack` with the row of `state` (N, l) times factor(p), in
+    """`forms._kernel_stack` with the row of `state` (N, l) times factor(q), in
     its calls with the keyword arguments `call`."""
-    def perturbed(states, p, **kwargs):
-        values = _kernel_stack(states, p, **kwargs)
+    def perturbed(states, q, **kwargs):
+        values = _kernel_stack(states, q, **kwargs)
         for row, s in enumerate(states):
             if (s.N, s.l) == state and kwargs == call:
-                values[row] *= factor(p)
+                values[row] *= factor(q)
         return values
 
     return perturbed
@@ -45,8 +45,8 @@ def perturbed_rows(state, factor, **call):
 def perturbed_ladder(state, factor):
     """`forms._pp_stack` with the row of `state` (N, l), the function
     podolsky_pauling_G of that state, times factor."""
-    def perturbed(states, p):
-        values = _pp_stack(states, p)
+    def perturbed(states, q):
+        values = _pp_stack(states, q)
         for row, s in enumerate(states):
             if (s.N, s.l) == state:
                 values[row] *= factor
@@ -104,12 +104,12 @@ def mirrored(pos):
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
-# The momentum grid of each suite that names its worst (N, l, p), at the
+# The grid of q = p / hbar beta of each suite that names its worst (N, l, q), at the
 # default scale.
 SUITE_GRIDS = {
-    verify_form_equivalence: pythagorean_momenta(PhysicalScale()),
+    verify_form_equivalence: pythagorean_momenta(),
     verify_quadrature: mirrored(np.logspace(-2, math.log10(20.0), 13)),
-    verify_lo_proportionality: pythagorean_momenta(PhysicalScale()),
+    verify_lo_proportionality: pythagorean_momenta(),
     verify_pp_vs_hankel: np.linspace(0.2, 5.0, 12),
 }
 
@@ -120,7 +120,7 @@ class TestWorstPoint:
 
     @staticmethod
     def worst_state(details):
-        match = re.match(r"worst at \(N=(\d+),l=(\d+),p=([^)]+)\)(;|$)", details)
+        match = re.match(r"worst at \(N=(\d+),l=(\d+),q=([^)]+)\)(;|$)", details)
         assert match, details
         return int(match[1]), int(match[2]), float(match[3])
 
@@ -366,16 +366,14 @@ class TestExactRows:
         (verification._gegenbauer_terms, verification.gegenbauer_coefficients),
         (verification._lombardi_ogilvie_terms, verification.lombardi_ogilvie_coefficients)])
     def test_kept_rows_are_fresh_and_read_only(self, kind):
-        keys = [(40, 0), (60, 10), (200, 0), (3, 1), (200, 0)]
+        keys = ((40, 0), (60, 10), (200, 0), (3, 1), (200, 0))
         fresh = verification._exact_sums(keys, *kind)
         for _ in range(2):  # computed, then kept
-            rows = verification._exact_rows([QuantumState(N, l) for N, l in keys], *kind)
-            assert np.array_equal(rows, fresh)
-        for (N, l), row in zip(keys, fresh):
-            [kept] = verification._exact_row(*kind, N, l)
-            assert np.array_equal(kept, row), (N, l)
-            with pytest.raises(ValueError):
-                kept[0] = 0.0
+            kept = verification._exact_block(keys, *kind)
+            assert np.array_equal(kept, fresh)
+            for row in kept:
+                with pytest.raises(ValueError):
+                    row[0] = 0.0
 
     def test_second_scale_computes_no_row(self, monkeypatch):
         run_all()
@@ -389,7 +387,7 @@ class TestExactRows:
         monkeypatch.setattr(verification, "_exact_sums", counting)
         report = run_all(PhysicalScale(2.5, 0.3))
         assert report.overall_pass and calls == []
-        verification._exact_row.cache_clear()
+        verification._exact_block.cache_clear()
         assert run_all(PhysicalScale(2.5, 0.3)).overall_pass
         assert calls == [38, 21]  # one pass for each suite's missing rows
 
@@ -496,7 +494,7 @@ class TestRunAll:
         state to 3e-8 of its peak; unitarity takes the closed-form position
         Gram, not R."""
         monkeypatch.setattr(verification, "_radial_stack",
-                            lambda states, r: _radial_stack(states, r) * (1.0 + 5e-8))
+                            lambda states, rho: _radial_stack(states, rho) * (1.0 + 5e-8))
         report = run_all()
         assert not report.overall_pass
         assert [r.name for r in report.results if not r.passed] == ["quadrature_vs_closed_form"]
@@ -592,3 +590,33 @@ class TestScales:
         assert res.passed
         residuals = [float(part.split(": ")[1]) for part in res.details.split("; ")[1:]]
         assert len(residuals) == 3 and max(residuals) <= 1e-13
+
+    @pytest.mark.parametrize("hbar_beta", [5e-324, 1e-300, 1e-200, 1e-175,
+                                           1e175, 1e200, 1e300, 1.7e308])
+    @pytest.mark.parametrize("suite", [verify_form_equivalence, verify_lo_proportionality],
+                             ids=lambda suite: suite.__name__)
+    def test_form_suites_over_the_double_range(self, suite, hbar_beta):
+        """N_{Nl} / (2 beta)^2 is one correctly rounded sqrt_ratio, O(beta^{-1/2}),
+        and the kernel takes q, so the form suites pass at every hbar beta,
+        with no numpy warning (the test session makes warnings errors)."""
+        assert suite(PhysicalScale(1.0, hbar_beta)).passed
+
+    def test_diagonalization_residual_is_scale_free(self, monkeypatch):
+        """The diagonalization rows are transformed on the unit grid q at unit
+        scale, so at 20 seeded scales, hbar beta log-uniform in [1e-300, 1e300]
+        and hbar in [1e-3, 1e3], its residuals are their hbar beta = 1 values
+        bit for bit."""
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(diagonalization_residual(*args, **kwargs))
+            return seen[-1]
+
+        diagonalization_residual = verification.diagonalization_residual
+        monkeypatch.setattr(verification, "diagonalization_residual", recording)
+        verify_parseval_and_diagonalization()
+        rng = np.random.default_rng(26)
+        for hbar_beta, hbar in zip(10.0 ** rng.uniform(-300, 300, 20),
+                                   10.0 ** rng.uniform(-3, 3, 20)):
+            verify_parseval_and_diagonalization(PhysicalScale(hbar, hbar_beta / hbar))
+            assert np.array_equal(seen[-1], seen[0]), (hbar, hbar_beta, seen[-1])
