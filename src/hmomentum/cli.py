@@ -14,6 +14,8 @@ for a value past double precision names --hbar-beta, and the column and
 p where it has them.  `table` and `plot` evaluate their whole grid in
 one call of the array-valued forms and format their rows with numpy,
 a block at a time (`_format_block`), byte for byte as '%.17g' does.
+Each call reads its argv in one argparse pass: where argv[0] names a
+command, that command's own parser reads the rest (`_parse`).
 """
 
 from __future__ import annotations
@@ -321,14 +323,17 @@ def cmd_verify(args) -> int:
 
 
 _parser: argparse.ArgumentParser | None = None
+# Each command's own parser, the `add_parser` objects of `_parser`, by name.
+_command_parsers: dict = {}
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser: built on the first call in a process, the same
-    instance on every later call.  Sharing it is safe, because each
-    `parse_args` fills a fresh Namespace and argparse looks up sys.stdout
-    and sys.stderr only when it prints."""
-    global _parser
+    instance on every later call, with its commands' parsers kept in
+    `_command_parsers`.  Sharing them is safe, because each parse fills a
+    fresh Namespace and argparse looks up sys.stdout and sys.stderr only
+    when it prints."""
+    global _parser, _command_parsers
     if _parser is not None:
         return _parser
     parser = argparse.ArgumentParser(
@@ -368,12 +373,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--output", default=None)
     _add_scale_flags(p_verify, hbar=False)
 
-    _parser = parser
+    _parser, _command_parsers = parser, sub.choices
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), in one argparse pass where argv[0]
+    names a command: its own parser reads argv[1:], and what it leaves is
+    an error of the top-level parser, as argparse's subparser action has it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    command = _command_parsers.get(argv[0]) if argv else None
+    if command is None:  # no command, -h, or an unknown one
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     # Looked up on every call, not stored in the shared parser, so that a
     # cmd_* replaced after the first call (by a tracer, say) is the one run.
     commands = {"eval": cmd_eval, "table": cmd_table, "plot": cmd_plot,

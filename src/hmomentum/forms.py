@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .hydrogenic import PhysicalScale, QuantumState, sqrt_ratio
-from .specfun import gegenbauer_C
+from .specfun import gegenbauer_C, ladder
 
 
 _LOG2 = math.log(2.0)
@@ -56,18 +56,28 @@ def _c0(l: int) -> tuple[float, int]:
 BLOCK_POINTS = 8192
 
 
-def _polynomials(degrees, l, q) -> dict:
-    """{n: 2F1(-n, l+2; 2l+2; 2w)} for each n in `degrees`, from one forward pass
-    of the recurrence (see `_hypergeometric_kernel`); l is an int or a column."""
+def _polynomial_steps(z, one_minus_z, l, prev, cur, start, stop):
+    """(F_{stop-1}, F_stop) from (F_{start-1}, F_start), F_n = 2F1(-n, l+2; 2l+2; z)."""
     b, c = l + 2, 2 * l + 2
+    for m in range(start, stop):
+        prev, cur = cur, ((2 * m + c - (b + m) * z) * cur - m * one_minus_z * prev) / (c + m)
+    return prev, cur
+
+
+def _polynomials(n, l, q):
+    """2F1(-n, l+2; 2l+2; 2w) at q, by the recurrence of `_hypergeometric_kernel`:
+    for an int n and l, at a float q; for a list n and a list l of the same
+    length, the values at each pair (n[i], l[i]) of one `ladder` over q."""
+    if isinstance(n, list):
+        # q as a row, so that (1 - z) F broadcasts over no missing axis: numpy then
+        # takes the same complex product for a block of one row and one point
+        # as for any other, and each value does not depend on the block.
+        q = q.reshape(1, -1)
     d = 1.0 + q * q
     z = 2.0 / d + 1j * (2.0 * q / d)
-    prev, cur, kept, start = 0.0, 1.0, {}, 0
-    for n in sorted(set(degrees)):
-        for m in range(start, n):
-            prev, cur = cur, ((2 * m + c - (b + m) * z) * cur - m * (1.0 - z) * prev) / (c + m)
-        kept[n], start = cur, n
-    return kept
+    if isinstance(n, list):
+        return ladder(n, l, functools.partial(_polynomial_steps, z, 1.0 - z), q.shape[1:])
+    return _polynomial_steps(z, 1.0 - z, l, 0.0, 1.0, 0, n)[1]
 
 
 def _in_blocks(q, rows, count, dtype) -> np.ndarray:
@@ -102,7 +112,7 @@ def _hypergeometric_kernel(N: int, l: int, q: float, m, e) -> complex:
     `_kernel_stack` runs the same steps on arrays, for many states.
     """
     b, n = l + 2, N - l - 1
-    cur = _polynomials([n], l, q)[n]
+    cur = _polynomials(n, l, q)
     log_abs = -0.5 * b * math.log1p(q * q)
     if not log_abs > -math.inf:  # NaN q, or |q| > 1e154 where w^{l+2} is 0
         return complex(math.exp(log_abs))
@@ -155,20 +165,18 @@ def _lombardi_ogilvie_kernel(state: QuantumState, p):
 def _kernel_stack(states, q, lombardi_ogilvie: bool = False) -> np.ndarray:
     """psi_trig, or `_lombardi_ogilvie_kernel`, of each state at q = p / hbar beta,
     stacked along a new first axis (`_in_blocks`): one kernel pass with a row per
-    distinct l up to the largest degree N-l-1, the rung of each state kept at its
-    degree, and one scaling m 2^e w^{l+2} of all the rows with each state's (m, e),
+    distinct l, each row stopped at its largest degree N-l-1, the rung of each state
+    kept at its degree, and one scaling m 2^e w^{l+2} of all the rows with each state's (m, e),
     as in `_hypergeometric_kernel`.  Each value depends on its own state and q alone."""
-    ls = sorted({s.l for s in states})
+    degrees, ls = [s.N - s.l - 1 for s in states], [s.l for s in states]
     m, e = zip(*[_c0(s.l) if lombardi_ogilvie else _b0(s.N, s.l, s.scale.beta)
                  for s in states])
-    l, m, e = (np.reshape(x, (-1, 1)) for x in ([s.l for s in states], m, e))
+    l, m, e = (np.reshape(x, (-1, 1)) for x in (ls, m, e))
 
     def rows(q):
         q = -q if lombardi_ogilvie else q
         with np.errstate(over="ignore", invalid="ignore"):  # |q| > 1e154 and inf q
-            kept = _polynomials([s.N - s.l - 1 for s in states], np.reshape(ls, (-1, 1)), q)
-            kept[0] = np.ones((len(ls), q.size))  # F_0 = 1
-            cur = np.array([kept[s.N - s.l - 1][ls.index(s.l)] for s in states], dtype=complex)
+            cur = _polynomials(degrees, ls, q)
             log_abs = -0.5 * (l + 2) * np.log1p(q * q)
             regular = log_abs > -np.inf  # NaN q, or |q| > 1e154 where w^{l+2} is 0
             shift = np.floor(np.where(regular, log_abs, 0.0) / _LOG2).astype(np.int64)
@@ -226,20 +234,18 @@ def podolsky_pauling_G(state: QuantumState, p):
 
 def _pp_stack(states, q) -> np.ndarray:
     """podolsky_pauling_G of each state at q = p / hbar beta >= 0, stacked along a new
-    first axis (`_in_blocks`): one Gegenbauer pass, lambda = l+1 a column,
-    (2q/(1+q^2))^l per l, and each state's `_pp_prefactor` (hbar beta)^{-3/2}."""
-    ls = sorted({s.l for s in states})
+    first axis (`_in_blocks`): one Gegenbauer pass with a row per lambda = l+1,
+    each row stopped at its largest degree, (2q/(1+q^2))^l per l, and each state's
+    `_pp_prefactor` (hbar beta)^{-3/2}."""
+    degrees, orders = [s.N - s.l - 1 for s in states], [s.l + 1 for s in states]
     prefactor = np.array([[_pp_prefactor(s.N, s.l) * s.scale.momentum ** -1.5] for s in states])
 
     def rows(q):
         q = np.minimum(q, Q_CAP)
         c2 = 1.0 / (1.0 + q * q)
-        kept = gegenbauer_C([s.N - s.l - 1 for s in states], np.reshape(ls, (-1, 1)) + 1,
-                            2 * c2 - 1)
-        kept[0] = np.ones((len(ls), q.size))  # C_0 = 1
-        power = {l: (2.0 * q * c2) ** l for l in ls}
+        power = {l: (2.0 * q * c2) ** l for l in {s.l for s in states}}
         return (prefactor * c2 * c2 * np.array([power[s.l] for s in states])
-                * np.array([kept[s.N - s.l - 1][ls.index(s.l)] for s in states]))
+                * gegenbauer_C(degrees, orders, 2 * c2 - 1))
 
     q = np.asarray(q, dtype=float)
     if (q < 0).any():

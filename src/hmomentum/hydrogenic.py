@@ -145,13 +145,14 @@ def expectation_p2(state: QuantumState) -> float:
 
 def _p2_stack(states) -> np.ndarray:
     """<p^2> / (hbar beta)^2 = int_0^inf q^4 (G_{Nl} (hbar beta)^{3/2})^2 dq, q = p / hbar beta:
-    O(1) at any scale.  At q = tan(chi/2) (Fock's stereographic map) the integrand times
-    dq/dchi is a polynomial of degree 2N + 1 in cos(chi), so one `_pp_stack` of the
-    closed-form G on the chi-midpoint rule of N_max + 6 nodes is exact."""
+    a function of N and l alone, so G (hbar beta)^{3/2} is G at unit scale.  At
+    q = tan(chi/2) (Fock's stereographic map) the integrand times dq/dchi is a
+    polynomial of degree 2N + 1 in cos(chi), so one `_pp_stack` of the closed-form
+    G on the chi-midpoint rule of N_max + 6 nodes is exact."""
     from .forms import _pp_stack
 
     count = max(s.N for s in states) + 6
     half_chi = 0.5 * math.pi * (np.arange(count) + 0.5) / count
     q = np.tan(half_chi)
-    G = _pp_stack(states, q) * [[s.scale.momentum ** 1.5] for s in states]
+    G = _pp_stack([QuantumState(s.N, s.l) for s in states], q)
     return (q * q * G) ** 2 @ (0.5 / np.cos(half_chi) ** 2) * (math.pi / count)

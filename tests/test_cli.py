@@ -279,16 +279,14 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["overall_pass"] is False
 
-    def test_subnormal_scale_fails_cleanly(self, capsys):
-        """At a subnormal hbar beta so4_constancy's values leave double
-        precision: the suite fails with a one-line reason, not a crash or a
-        numpy warning."""
+    def test_subnormal_scale_passes_cleanly(self, capsys):
+        """At a subnormal hbar beta so4_constancy takes G (hbar beta)^{3/2} at
+        unit scale: the suite passes, with no crash or numpy warning."""
         code = main(["verify", "--hbar-beta", "1e-310", "--suite", "so4_constancy"])
         captured = capsys.readouterr()
-        assert (code, captured.err) == (1, "")
+        assert (code, captured.err) == (0, "")
         (result,) = json.loads(captured.out)["results"]
-        assert not result["passed"] and "past double precision" in result["details"]
-        assert "raised" not in result["details"] and "\n" not in result["details"]
+        assert result["passed"] and result["details"].startswith("worst at (N=")
 
     def test_no_tol_scale(self, capsys):
         """Each suite's tolerance is a constant; no flag scales it."""
@@ -547,6 +545,119 @@ class TestOneParser:
                    "hmomentum.cli.main(['eval', 'trig', '1', '0', '--p', '0'])\n"
                    "hmomentum.cli.main(['eval', 'trig', '1', '0', '--p', '1'])\n"
                    "assert built.count('hmomentum') == 1, built\n")
+
+
+class TestDispatch:
+    """Where argv[0] names a command, `main` parses argv[1:] with that
+    command's own parser, in one argparse pass; every argv gives the
+    namespace, exit code and output of build_parser().parse_args(argv)."""
+
+    ARGVS = [
+        ["eval", "trig", "3", "1", "--p", "0.7", "--hbar-beta", "2", "--hbar", "0.5"],
+        ["table", "podolsky_pauling", "4", "2", "--pmin", "0", "--pmax", "3", "--count=7"],
+        ["plot", "LO", "3", "--pmax", "4", "--hbar-beta", "1e-3"],
+        ["verify", "--suite", "uncertainty", "--suite", "so4_constancy", "--output", "r.json"],
+        ["-h"],
+        ["eval", "-h"],
+        [],
+        ["bogus", "trig", "1", "0"],
+        ["eval", "trig", "1", "0", "--p", "1", "--bogus"],
+        ["eval", "trig", "1", "0", "7", "--p", "1"],
+        ["table", "trig", "1", "0", "--pmin", "0", "--pmax", "1", "--c", "3"],
+        ["verify", "--suite", "bogus"],
+        ["eval", "trig", "x", "0", "--p", "1"],
+        ["eval", "nope", "1", "0", "--p", "1"],
+        ["eval", "--p", "1", "--", "trig", "1", "0"],
+        ["eval", "trig", "1", "0", "--p", "1", "--p", "2"],
+        ["plot", "LO", "2", "--", "-3"],
+        ["eval", "trig", "1", "0"],
+    ]
+
+    @staticmethod
+    def captured(call):
+        """(the namespace's items or SystemExit's code, stdout, stderr) of call()."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = list(vars(call()).items())
+            except SystemExit as exc:
+                result = f"SystemExit({exc.code})"
+        return result, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_as_the_full_parse(self, monkeypatch, argv):
+        expected = self.captured(lambda: cli.build_parser().parse_args(argv))
+        handed = []
+        for name in ("cmd_eval", "cmd_table", "cmd_plot", "cmd_verify"):
+            monkeypatch.setattr(cli, name, lambda args: handed.append(args) or EXIT_OK)
+        passes = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            passes.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        got = self.captured(lambda: handed[0] if main(argv) == EXIT_OK else None)
+        assert got == expected
+        assert len(passes) == 1, passes
+        if not isinstance(expected[0], str):
+            assert passes == [f"hmomentum {argv[0]}"]
+
+
+# A value of q = p / hbar beta at which the CLI contract is checked.
+CONTRACT_Q = [0.0, 1e-300, -1e-300, 1e-3, -1e-3, 1.0, -1.0, 1e3, -1e3, 1e200, -1e200,
+              math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def contract_argv(draw):
+    """An eval, table or plot argv over N <= 200, l < N, hbar beta log-uniform in
+    [1e-300, 1e300], hbar in [1e-3, 1e3], p = q hbar beta and --count <= 50."""
+    command = draw(st.sampled_from(["eval", "table", "plot"]))
+    N = draw(st.integers(1, 200))
+    hbar_beta = 10.0 ** draw(st.floats(-300.0, 300.0))
+    hbar = 10.0 ** draw(st.floats(-3.0, 3.0))
+
+    def momentum():
+        return draw(st.sampled_from(CONTRACT_Q)) * hbar_beta
+
+    if command == "plot":
+        argv = ["plot", draw(st.sampled_from(["PP", "LO"])), str(N)]
+        if draw(st.booleans()):
+            argv.append(f"--pmax={momentum()!r}")
+        return argv + [f"--count={draw(st.integers(0, 50))}", f"--hbar-beta={hbar_beta!r}"]
+    argv = [command, draw(st.sampled_from(sorted(forms.FORM_EVALUATORS))), str(N),
+            str(draw(st.integers(0, N - 1)))]
+    if command == "eval":
+        argv.append(f"--p={momentum()!r}")
+    else:
+        pmin, pmax = (q * hbar_beta for q in draw(st.lists(
+            st.sampled_from(CONTRACT_Q), min_size=2, max_size=2, unique=True)))
+        if pmin > pmax:
+            pmin, pmax = pmax, pmin
+        argv += [f"--pmin={pmin!r}", f"--pmax={pmax!r}", f"--count={draw(st.integers(0, 50))}"]
+    return argv + [f"--hbar-beta={hbar_beta!r}", f"--hbar={hbar!r}"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(contract_argv())
+def test_contract(argv):
+    """eval, table and plot exit 0 with only finite values, or exit 2 with one
+    line on stderr that starts with 'error: ': no traceback and no warning
+    (pyproject.toml makes warnings errors)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+        lines = out.getvalue().splitlines()
+        if argv[0] != "eval":
+            assert lines.pop(0) in ("p,re,im,abs2", "p,density")
+        assert lines and all(math.isfinite(float(x)) for line in lines for x in line.split(","))
+    else:
+        assert code == EXIT_USAGE and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def run_python(code: str) -> None:

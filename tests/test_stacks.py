@@ -6,8 +6,9 @@ for bit, each state's stack of one at the same q or rho.  `psi_trig`,
 `_lombardi_ogilvie_kernel`, `podolsky_pauling_G` and `radial_wavefunction`
 on an array are the stack of their one state at q = p / hbar beta or
 rho = 2 beta r.  The kernel stacks run one recurrence pass with a row per
-distinct l, over q in blocks of BLOCK_POINTS, and each value is the one the
-stack gives at its point alone; `_radial_stack` runs one pass per l.
+distinct l, each row stopped at its own largest degree, over q in blocks of
+BLOCK_POINTS, and each value is the one the stack gives at its point alone;
+`_radial_stack` runs one pass per l.
 `transform._gram_blocks` gives the Gram matrices of every l from one kernel
 pass, and `hydrogenic._p2_stack` <p^2> of every state from one ladder."""
 
@@ -166,6 +167,32 @@ def test_blocks_are_the_points_alone():
             assert np.array_equal(bits(values[:, i]), bits(stack(states, x[i:i + 1])[:, 0])), i
     for scale in scales:
         assert_public_calls(states, q * scale.momentum, np.abs(q) / (2.0 * scale.beta))
+
+
+def test_one_state_at_a_point_alone():
+    """A stack of one state at a one-point array is its value in a longer
+    block, on the int64 view: numpy takes the same complex product for a
+    block of one row and one point as for any other."""
+    q = np.concatenate([Q_SPECIAL, np.random.default_rng(11).uniform(-1e3, 1e3, 120)])
+    for N, l in [(12, 0), (40, 3), (200, 5)]:
+        state = QuantumState(N, l, PhysicalScale(1.0, 7.0))
+        for stack, _ in KERNEL_STACKS:
+            values = stack([state], q)[0]
+            for i in range(q.size):
+                assert np.array_equal(bits(values[i:i + 1]), bits(stack([state], q[i:i + 1])[0])), (
+                    N, l, i)
+
+
+def test_pp_shell_stops_each_row_at_its_degree():
+    """The Gegenbauer ladder of a whole N = 400 shell, each row stopped at its own
+    degree N - l - 1, raises no overflow (pyproject.toml makes warnings errors) and is
+    finite; its rows at l = 0, 1, 133, 398 and 399 are their stacks of one."""
+    q = np.concatenate([[0.0], np.logspace(-4.0, 3.0, 57)])
+    states = [QuantumState(400, l) for l in range(400)]
+    values = _pp_stack(states, q)
+    assert np.isfinite(values).all()
+    for l in (0, 1, 133, 398, 399):
+        assert np.array_equal(bits(values[l]), bits(_pp_stack([states[l]], q)[0])), l
 
 
 def test_pp_negative_p_rejected():

@@ -578,6 +578,20 @@ class TestScales:
         report = run_all(PhysicalScale(1.0, hbar_beta))
         assert report.overall_pass, [r.name for r in report.results if not r.passed]
 
+    @pytest.mark.parametrize("hbar_beta", [5e-324, 1e-300, 1e-200, 1e200, 1e300, 1.7e308])
+    def test_unit_scale_suites_over_the_double_range(self, hbar_beta):
+        """so4_constancy, pp_vs_hankel and uncertainty take G (hbar beta)^{3/2}
+        and R (2 beta)^{-3/2} from the stacks at unit scale, so they pass at
+        either end of the double range with no numpy warning (pyproject.toml makes
+        warnings errors), and pp_vs_hankel and uncertainty read their
+        residuals at hbar beta = 1 bit for bit."""
+        names = ["pp_vs_hankel", "uncertainty", "so4_constancy"]
+        report = run_all(PhysicalScale(1.0, hbar_beta), names)
+        assert report.overall_pass, [(r.name, r.details) for r in report.results]
+        unit = run_all(PhysicalScale(), names[:2])
+        assert [r.max_residual for r in report.results[:2]] == [
+            r.max_residual for r in unit.results]
+
     def test_diagonalization_at_large_beta(self):
         assert verify_parseval_and_diagonalization(PhysicalScale(1e-3, 1e7)).passed
 
