@@ -139,8 +139,17 @@ def expectation_r2(state: QuantumState) -> float:
 
 
 def expectation_p2(state: QuantumState) -> float:
-    """<p^2> = int_0^inf p^4 G_{Nl}(p)^2 dp = (hbar beta)^2 `_p2_stack` of the state alone."""
-    return float(_p2_stack([state])[0]) * state.scale.momentum ** 2
+    """<p^2> = int_0^inf p^4 G_{Nl}(p)^2 dp = (hbar beta)^2 `_p2_stack` of the state alone:
+    0.0, the nearest double, below hbar beta = 2.2e-162.  Raises OverflowError naming
+    the state and hbar beta where it is past the largest double, from 1.35e154 on."""
+    try:
+        value = float(_p2_stack([state])[0]) * state.scale.momentum ** 2
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise OverflowError(f"<p^2> of (N={state.N}, l={state.l}) at hbar beta = "
+                            f"{state.scale.momentum:g} is past the largest double")
+    return value
 
 
 def _p2_stack(states) -> np.ndarray:

@@ -4,16 +4,14 @@ The transform maps a radial function phi on (0, inf) to
 (H phi)(p) = int_0^inf phi(r) e^{s i p r / hbar} r dr, where the kernel
 sign s is -1 for the incoming spherical wave (the defining choice) and
 +1 for the outgoing one, under which H R_{Nl} is `psi_trig` verbatim.
-The numerical path `transform_numeric` takes s as an argument and
-evaluates the oscillatory integral over a whole momentum grid at once, by
-composite Gauss-Legendre panels in the dimensionless rho = 2 beta r, to
-the module's REL_TOL, ABS_TOL and PANEL_BUDGET, over [0, cut]: the cut is
-where a coarse probe finds the integrand's tail below the rounding of the
-integral (`tail_cut`), at MAX_RHO at the latest.
+For phi(r) = f(rho), rho = 2 beta r, (2 beta)^2 (H phi)(q hbar beta) is the
+unit integral int_0^inf f(rho) rho e^{s i q rho / 2} d rho at any scale, which
+`transform_numeric` evaluates over a grid of q by Gauss-Legendre panels in
+rho, to REL_TOL, ABS_TOL and PANEL_BUDGET, up to the cut `tail_cut`.
 `gram_matrices` checks unitarity on the closed form `psi_trig`: its
-momentum Gram matrix, by the midpoint rule in theta = arctan(p / hbar beta),
-which is exact for it, against the position one, which is known in closed
-form because the R_{Nl} of one l and one beta are Coulomb Sturmians.
+momentum Gram matrix, by the midpoint rule in theta = arctan(q), which is
+exact for it, against the position one, which is known in closed form
+because the R_{Nl} of one l and one beta are Coulomb Sturmians.
 `diagonalization_residual` checks that H diagonalizes the radial momentum
 operator, H(p_r f) = p H f, on functions of rho that decay as e^{-rho/2}.
 """
@@ -27,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .forms import _kernel_stack
-from .hydrogenic import PhysicalScale, _groups
+from .hydrogenic import QuantumState, _groups
 
 
 class ConvergenceError(RuntimeError):
@@ -44,10 +42,11 @@ class ConvergenceError(RuntimeError):
         self.tolerance = tolerance
 
 
-# The numerical transform holds its error bound at each p within
-# max(ABS_TOL, REL_TOL |value|), and cuts the integral at `tail_cut`, which
-# searches rho up to MAX_RHO: R_{N0} reaches its cut at rho = 1036 for
-# N = 200.  Its panel count stops at PANEL_BUDGET.
+# The numerical transform holds its error bound at each q within
+# max(ABS_TOL, REL_TOL |value|), a bound on the unit integral in rho, and
+# cuts the integral at `tail_cut`, which searches rho up to MAX_RHO: R_{N0}
+# reaches its cut at rho = 1036 for N = 200.  Its panel count stops at
+# PANEL_BUDGET.
 REL_TOL = 1e-9
 ABS_TOL = 1e-11
 MAX_RHO = 2000.0
@@ -57,8 +56,8 @@ PANEL_BUDGET = 40000
 GL_ORDER = 16
 ESTIMATE_ORDER = 10
 # A panel spans at most half a period of cos/sin(b rho), where both orders
-# are exact to rounding.  |p| = 1000 hbar beta over a cut at rho = 250
-# needs 39789 panels.
+# are exact to rounding.  |q| = 1000 over a cut at rho = 250 needs 39789
+# panels.
 PANEL_PHASE = math.pi
 MIN_PANELS = 64
 # (row, b, panel) products per block of b in the e^{i b rho} sums.
@@ -135,15 +134,15 @@ def _fourier_sums(parts, first: float, step: float, rules, b: np.ndarray) -> lis
     product over all b at once would round differently with the number of
     b), and the outer sum runs along the contiguous panel axis, by numpy's
     pairwise sum (a matrix product's running sum put ten times the error
-    on the value at |p| = 1000 hbar beta); BLOCK_PRODUCTS (s, b, panel)
+    on the value at |q| = 1000); BLOCK_PRODUCTS (s, b, panel)
     products at a time.
     So the value for one row and one b does not depend on the other rows
     or the other b of the call.  Returns complex sums of shape (rows, b) per part.
 
     The phase b c_j reaches b times the interval.  A rounded c_j, or b c_j,
     is off by up to its ulp from one panel to the next, and those errors do
-    not cancel in the sum: at |p| = 1000 hbar beta they put an error of up
-    to 1e-13 on the transform of R_{43}, whose value is 2.7e-15.  So j b step
+    not cancel in the sum: at |q| = 1000 they put an error of up to 4e-13
+    on the unit integral of R_{43}, whose value is 1.1e-14.  So j b step
     is taken exactly, as j times b step rounded to 52 - bits(panels) bits,
     and the small rest of the phase apart.
     """
@@ -171,62 +170,55 @@ def _fourier_sums(parts, first: float, step: float, rules, b: np.ndarray) -> lis
     return totals
 
 
-def transform_numeric(f: Callable[[np.ndarray], np.ndarray], p, sign: int,
-                      scale: PhysicalScale = PhysicalScale()):
-    """Quadrature estimate of (H f)(p) for a real radial function f, or for
-    a batch of them, under the kernel e^{sign i p r / hbar}: sign -1 is the
-    incoming spherical wave and +1 the outgoing one.
+def transform_numeric(f: Callable[[np.ndarray], np.ndarray], q, sign: int):
+    """Quadrature estimate of int_0^inf f(rho) rho e^{sign i q rho / 2} d rho, the unit
+    integral of a real function f of rho or of a batch of them, under the
+    incoming (sign -1) or outgoing (+1) kernel: (2 beta)^2 (H phi)(q hbar beta)
+    for phi(r) = f(2 beta r), so 4 `psi_trig` for R_{Nl} at unit scale.
 
-    f takes a float64 array of r and returns its real values, of shape
-    batch + r.shape: batch = () for one function, or the leading axes of a
-    stack of functions evaluated on the same r.  Each function must decay
-    at least as e^{-rho/2}.  p is a float or a float64 array; the value is
-    complex, of shape batch + p.shape.  Negative p is allowed; for real f
-    the result at -p is the conjugate of the result at p, and so is the
+    f takes a float64 array of rho and returns its real values, of shape
+    batch + rho.shape: batch = () for one function, or the leading axes of a
+    stack of functions evaluated on the same rho.  Each function must decay
+    at least as e^{-rho/2}.  q is a float or a float64 array; the value is
+    complex, of shape batch + q.shape.  Negative q is allowed; for real f
+    the result at -q is the conjugate of the result at q, and so is the
     result under the other sign.
 
-    The integral is taken in rho = 2 beta r, as (2 beta)^{-2} times
-    int f(rho / 2 beta) rho e^{sign i b rho} d rho, b = p / (2 hbar beta),
-    over [0, cut], the cut `tail_cut` of f rho / (2 beta)^2 with the floor
-    ABS_TOL / 4: f is called once on its probe points, and the cut is
-    where the tail of every function of the batch is below both
-    ABS_TOL / 4 and the rounding of its integral, at MAX_RHO at the
-    latest.  Then f is called once more, on the nodes of a composite
-    Gauss-Legendre rule of GL_ORDER nodes on equal panels, and of
+    The integral is taken over [0, cut], the `tail_cut` of f rho with the
+    floor ABS_TOL / 4 (one call of f): where the tail of every function of
+    the batch is below ABS_TOL / 4 and the rounding of its integral, at
+    MAX_RHO at the latest.  Then f is called once more, on the nodes of a
+    composite Gauss-Legendre rule of GL_ORDER nodes on equal panels, and of
     ESTIMATE_ORDER nodes on the same panels; the panel count is
-    `panels_needed` at the largest |b|, capped at PANEL_BUDGET.
+    `panels_needed` at the largest |b| = |q| / 2, capped at PANEL_BUDGET.
     The node layout and the e^{i b rho} factors are shared by the whole
     batch.  On a given layout, the value and error bound of one function
-    at one p depend on neither the other functions nor the other p of
+    at one q depend on neither the other functions nor the other q of
     the call; the cut, and so the layout, follows the batch's longest tail.
 
-    The error bound at each p is the difference of the two orders, so a
+    The error bound at each q is the difference of the two orders, so a
     capped, under-resolved layout shows in it, plus the bound
     TAIL_LENGTH * max |f rho| on the last panel on the part of the
     integral past the cut.
 
-    Raises:
-        ValueError: for a sign other than -1 and +1, or a non-finite p.
-        ConvergenceError: if for any function at any p the error bound
-            exceeds max(ABS_TOL, REL_TOL * |result|) or is not finite.  It
-            carries the estimates, error bounds and tolerances, of shape
-            batch + p.shape.
+    Raises ValueError for a sign other than -1 and +1 or a non-finite q, and
+    ConvergenceError if for any function at any q the error bound exceeds
+    max(ABS_TOL, REL_TOL * |result|) or is not finite; it carries the
+    estimates, error bounds and tolerances, of shape batch + q.shape.
     """
-    return _transform_numeric(f, p, sign, scale)[0]
+    return _transform_numeric(f, q, sign)[0]
 
 
-def _transform_numeric(f, p, sign, scale):
+def _transform_numeric(f, q, sign):
     """`transform_numeric`'s value, and the end of its interval in rho and
     its panel count."""
     if sign not in (-1, 1):
         raise ValueError(f"kernel sign must be -1 (incoming) or +1 (outgoing), got {sign!r}")
-    p = np.asarray(p, dtype=float)
-    if not np.isfinite(p).all():
-        raise ValueError("transform_numeric requires finite p")
-    two_beta = 2.0 * scale.beta
-    cut = tail_cut(lambda rho: np.asarray(f(rho / two_beta)) * rho / two_beta ** 2,
-                   ABS_TOL / 4)
-    b, index = np.unique(np.abs(p).ravel() / (2.0 * scale.momentum), return_inverse=True)
+    q = np.asarray(q, dtype=float)
+    if not np.isfinite(q).all():
+        raise ValueError("transform_numeric requires finite q")
+    cut = tail_cut(lambda rho: np.asarray(f(rho)) * rho, ABS_TOL / 4)
+    b, index = np.unique(np.abs(q).ravel() / 2.0, return_inverse=True)
     needed = panels_needed(b, cut)
     panels = int(min(needed.max(initial=MIN_PANELS), PANEL_BUDGET))
     rules = [gauss_legendre_panels(0.0, cut, panels, order)
@@ -234,8 +226,7 @@ def _transform_numeric(f, p, sign, scale):
     # Node k of panel j at [k, j], so each order's values reshape to
     # (rows, order, panels) with the panel axis contiguous.
     rho = np.concatenate([(d[:, None] + c).ravel() for c, d, _ in rules])
-    g = np.asarray(f(rho / two_beta)) * rho
-    g /= two_beta ** 2
+    g = np.asarray(f(rho)) * rho
     batch = g.shape[:-1]
     g = g.reshape(-1, GL_ORDER + ESTIMATE_ORDER, panels)
     value, estimate = _fourier_sums(np.split(g, [GL_ORDER], axis=1), rules[0][0][0],
@@ -244,15 +235,15 @@ def _transform_numeric(f, p, sign, scale):
     err = np.abs(value - estimate) + tail
     tol = np.maximum(ABS_TOL, REL_TOL * np.abs(value))
     bad = ~(err <= tol)  # a non-finite f fails, too
-    shape = batch + p.shape
-    # value is the integral at |p| under the outgoing kernel.
+    shape = batch + q.shape
+    # value is the integral at |q| under the outgoing kernel.
     value = value[:, index].reshape(shape)
-    value = np.where(sign * p >= 0, value, value.conjugate())
+    value = np.where(sign * q >= 0, value, value.conjugate())
     if bad.any():
         raise ConvergenceError(
             f"oscillatory quadrature error bound up to {err[bad].max():.3e} exceeds "
-            f"tolerance at {bad.sum()} of {bad.size} (function, |p|), the largest |p| "
-            f"{2.0 * scale.momentum * b[bad.any(axis=0)].max():g}; {panels} panels of "
+            f"tolerance at {bad.sum()} of {bad.size} (function, |q|), the largest |q| "
+            f"{2.0 * b[bad.any(axis=0)].max():g}; {panels} panels of "
             f"{needed.max()} needed (panel_budget {PANEL_BUDGET}); tail bound "
             f"{np.max(tail):.3e} past rho = {cut:g}",
             value[()], err[:, index].reshape(shape)[()], tol[:, index].reshape(shape)[()],
@@ -266,8 +257,9 @@ def gram_matrices(states) -> tuple[np.ndarray, np.ndarray]:
     momentum[i, j] is the full-line integral of psi_i conj(psi_j) dp / (2 pi hbar),
     psi = `psi_trig`, and position[i, j] is int_0^inf R_i R_j r^2 dr,
     R = `radial_wavefunction`: equal, since psi is the unitary transform of R.
-    The momentum side is one stack of psi on one node set, exact at any
-    scale: at q = p / hbar beta = tan(theta), psi_i conj(psi_j) dp / d theta is a
+    Both are the same at every scale, so the momentum side is one stack of psi
+    at unit scale on one node set, exact:
+    at q = p / hbar beta = tan(theta), psi_i conj(psi_j) dp / d theta is a
     trigonometric polynomial of degree N_max = max N in 2 theta (psi is one in
     w = cos(theta) e^{i theta} of powers l+2 .. N+1), taken by the midpoint
     rule with 2 N_max + 8 nodes.  The position side is in closed form: the
@@ -285,12 +277,11 @@ def gram_matrices(states) -> tuple[np.ndarray, np.ndarray]:
 
 def _gram_blocks(states) -> dict:
     """{l: `gram_matrices` of its states} for states of one scale, from one
-    `_kernel_stack` pass on the nodes for the largest N of them all."""
-    scale = states[0].scale
+    `_kernel_stack` pass at unit scale on the nodes for the largest N of them all."""
     N = np.array([float(s.N) for s in states])
     count = 2 * int(N.max()) + 8
     theta = math.pi * ((np.arange(count) + 0.5) / count - 0.5)
-    psi = _kernel_stack(states, np.tan(theta)) / np.cos(theta)
+    psi = _kernel_stack([QuantumState(s.N, s.l) for s in states], np.tan(theta)) / np.cos(theta)
     blocks = {}
     for l, rows in _groups(s.l for s in states).items():
         n, part = N[rows], psi[rows]
@@ -298,34 +289,30 @@ def _gram_blocks(states) -> dict:
         position = (n[:, None] == n) - 0.5 * (np.abs(n[:, None] - n) == 1.0) * np.sqrt(
             (low - l) * (low + l + 1.0) / (low * (low + 1.0)))
         momentum = part.real @ part.real.T + part.imag @ part.imag.T
-        blocks[l] = momentum * (scale.beta / (2.0 * count)), position
+        blocks[l] = momentum * (0.5 / count), position
     return blocks
 
 
 def diagonalization_residual(u: Callable[[np.ndarray], np.ndarray],
-                             du: Callable[[np.ndarray], np.ndarray], p_grid,
-                             scale: PhysicalScale = PhysicalScale()):
-    """The relative residual of H(p_r f) = p H f over a momentum grid, H
-    under the incoming kernel, for f(r) = u(rho), rho = 2 beta r.
+                             du: Callable[[np.ndarray], np.ndarray], q):
+    """The relative residual of H(p_r f) = p H f over a grid of q = p / hbar beta,
+    H under the incoming kernel, for f(r) = u(rho), rho = 2 beta r.
 
     u and its derivative du take a float64 array of rho and may return a
     stack, as `transform_numeric`'s f may; u must vanish at rho = 0 and
-    decay at least as e^{-rho/2}.  p_r f = -2 i hbar beta (u' + u / rho).
-    (2 beta)^2 H f at p is the transform of 4 u(2r) at unit scale at
-    q = p / hbar beta, so the residual does not depend on the scale: the
-    rows 4 (u'(2r) + u(2r) / 2r) and 4 u(2r) are transformed in one call at
-    unit scale, where no power of the scale can leave the double range.
-    Returns max |-2 i H[row 0] - q H[row 1]| / max |q H[row 1]| over the
+    decay at least as e^{-rho/2}.  p_r f = -2 i hbar beta (u' + u / rho), so with
+    T the unit integral of `transform_numeric` the identity reads
+    -2 i T[u' + u / rho] = q T[u], with no scale in it: u' + u / rho and u
+    are transformed in one call.
+    Returns max |-2 i T[u' + u / rho] - q T[u]| / max |q T[u]| over the
     grid, one residual per function (a float for one function).
     """
 
-    def rows(r):
-        rho = 2.0 * r
+    def rows(rho):
         value = u(rho)
-        return 4.0 * np.stack([du(rho) + value / rho, value])
+        return np.stack([du(rho) + value / rho, value])
 
-    q = np.asarray(p_grid, dtype=float) / scale.momentum
     h_pf, h_f = transform_numeric(rows, q, -1)
-    q_h_f = q * h_f
+    q_h_f = np.asarray(q, dtype=float) * h_f
     error = np.abs(-2j * h_pf - q_h_f)
     return (error.max(axis=-1) / np.abs(q_h_f).max(axis=-1))[()]

@@ -254,26 +254,27 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """Numerical transform of R_{Nl} against the trigonometric closed form.
 
     Run under the outgoing kernel (sign +1), which reproduces the closed
-    form with no extra phase factor.  Every state is transformed in one
-    call, over the same nodes, and `details` reports the cut in rho that
-    the transform took from the states' tails and its panel count.  Each
-    state's residual is relative to its largest |psi_trig| on the grid.
+    form with no extra phase factor, at unit scale, where the unit integral
+    of R is 4 psi_trig, so the residual is the same at every scale.  Every
+    state is transformed in one call, and `details` reports the cut in rho
+    that the transform took from the states' tails and its panel count.
+    Each state's residual is relative to its largest |psi_trig| on the grid.
     """
     pos = np.logspace(-2, math.log10(20.0), 13)
     grid = np.concatenate([-pos[::-1], [0.0], pos])  # q
-    states = _states(4, scale)
+    states = _states(4, PhysicalScale())
     grid_name = f"{grid.size}-point mirrored grid up to 20 hbar beta"
     tolerance = 3e-8
     try:
         numeric, cut, panels = _transform_numeric(
-            lambda r: _radial_stack(states, 2.0 * scale.beta * r), grid * scale.momentum, 1, scale)
+            functools.partial(_radial_stack, states), grid, 1)
     except ConvergenceError as exc:
         failed = np.any(exc.error_bound > exc.tolerance, axis=-1)
         names = ", ".join(f"(N={s.N},l={s.l})" for s, bad in zip(states, failed) if bad)
         return CheckResult.from_residual(
             "quadrature_vs_closed_form", [(s.N, s.l) for s in states], grid_name,
             math.inf, tolerance, f"{names}: {exc}")
-    closed = _kernel_stack(states, grid)
+    closed = 4.0 * _kernel_stack(states, grid)
     error = np.abs(numeric - closed) / np.max(np.abs(closed), axis=1, keepdims=True)
     return _worst("quadrature_vs_closed_form", states, grid_name, error, grid, tolerance,
                   f"cut rho={cut:g}, panels={panels}")

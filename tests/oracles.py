@@ -1,20 +1,21 @@
 """Independent reference routes used only by the tests.
 
 The order -1/2 Ferrers functions (a third assembly of the momentum wave
-function) and the D^1 they take, the spherical Bessel function j_l by
-recurrence and the spherical Neumann function n_0, and the Slater-term
+function) and the C^1 and D^1 they take, the spherical Bessel function j_l
+by recurrence and the spherical Neumann function n_0, and the Slater-term
 route: R_{Nl} as a finite sum of rho^m e^{-rho/2} terms, its exact
 term-wise transform, and the radial momentum operator applied term-wise
-(the p_r check of the Schroedinger equation).
+(the p_r check of the Schroedinger equation).  They share no code with the
+package: it gives them only its PhysicalScale and QuantumState.
 """
 
 import math
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 
-from hmomentum.hydrogenic import PhysicalScale, QuantumState, normalization_constant
-from hmomentum.specfun import gegenbauer_C
+from hmomentum.hydrogenic import PhysicalScale, QuantumState
 
 
 def _check_half_integer_degree(nu: float) -> int:
@@ -46,7 +47,7 @@ def ferrers_P_mhalf(nu: float, x: float) -> float:
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"P requires x in [-1, 1], got {x}")
     pref = math.sqrt(2.0 / math.pi) * math.gamma(nu + 0.5) / math.gamma(nu + 1.5)
-    return pref * (1.0 - x * x) ** 0.25 * gegenbauer_C(n, 1.0, x)
+    return pref * (1.0 - x * x) ** 0.25 * float(mpmath.chebyu(n, x))  # C^1_n = U_n
 
 
 def ferrers_Q_mhalf(nu: float, x: float) -> float:
@@ -138,10 +139,13 @@ def slater_expansion(state: QuantumState) -> SlaterExpansion:
     """R_{Nl} as a Slater expansion: the Laguerre sum written out.
 
     Term t in 0..N-l-1 carries power l+t and coefficient
-    N_{Nl} (-1)^t binom(N+l, N-l-1-t) / t!.
+    N_{Nl} (-1)^t binom(N+l, N-l-1-t) / t!, with
+    N_{Nl} = (2 beta)^{3/2} sqrt((N-l-1)! / (2N (N+l)!)) by mpmath at 30 digits.
     """
     N, l = state.N, state.l
-    norm = normalization_constant(state)
+    with mpmath.workdps(30):
+        norm = float((2 * mpmath.mpf(state.scale.beta)) ** 1.5 * mpmath.sqrt(
+            mpmath.factorial(N - l - 1) / (2 * N * mpmath.factorial(N + l))))
     return SlaterExpansion(tuple(
         (l + t, complex((-1) ** t * math.comb(N + l, N - l - 1 - t) / math.factorial(t)) * norm)
         for t in range(N - l)), state.scale)

@@ -8,11 +8,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmomentum import cli, forms, verification
@@ -658,6 +659,28 @@ def test_contract(argv):
     else:
         assert code == EXIT_USAGE and out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+@example(5e-324)
+@example(1e-310)
+@example(1e-175)
+@example(1e175)
+@example(1.7e308)
+def test_verify_contract(hbar_beta):
+    """verify at any --hbar-beta that is a double exits 0, writes a JSON report
+    with overall_pass, and leaves stdout and stderr empty: no traceback and no
+    warning (pyproject.toml makes warnings errors)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--hbar-beta", repr(hbar_beta), "--output", path])
+        with open(path, encoding="ascii") as handle:
+            report = json.load(handle)
+    assert (code, out.getvalue(), err.getvalue()) == (EXIT_OK, "", "")
+    assert report["overall_pass"] is True and report["config"]["beta"] == hbar_beta
 
 
 def run_python(code: str) -> None:

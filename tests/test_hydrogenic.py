@@ -389,3 +389,13 @@ class TestMoments:
         product = expectation_r2(QuantumState(1, 0)) * expectation_p2(QuantumState(1, 0))
         assert product == pytest.approx(3.0, abs=1e-9)
         assert product >= 2.25
+
+    def test_p2_past_the_largest_double_names_the_state(self):
+        """At hbar beta = 1e200, <p^2> = 1e400 is past the largest double: the
+        error names the state and the scale."""
+        with pytest.raises(OverflowError, match=r"\(N=2, l=1\) at hbar beta = 1e\+200 "):
+            expectation_p2(QuantumState(2, 1, PhysicalScale(1.0, 1e200)))
+
+    def test_p2_below_the_smallest_double_is_zero(self):
+        """At hbar beta = 1e-200, <p^2> = 1e-400 rounds to 0.0, the nearest double."""
+        assert expectation_p2(QuantumState(2, 1, PhysicalScale(1.0, 1e-200))) == 0.0

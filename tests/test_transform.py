@@ -1,4 +1,12 @@
-"""Spherical-wave transform: kernel signs, closed forms, unitarity, diagonal."""
+"""Spherical-wave transform: kernel signs, closed forms, unitarity, diagonal.
+
+`transform_numeric(f, q, sign)` takes f as a function of rho = 2 beta r and
+returns the unit integral int_0^inf f(rho) rho e^{sign i q rho / 2} d rho.  For
+phi(r) = f(2 beta r) that is (2 beta)^2 (H phi)(q hbar beta).  The tests of a
+state at scale beta transform R (2 beta)^{-3/2}, of order 1 at any scale
+(`radial_in_rho`), whose unit integral is (2 beta)^{1/2} H R, and hold H R
+to the bounds it had when the transform took p and a scale.
+"""
 
 import cmath
 import math
@@ -31,27 +39,37 @@ from oracles import (
 )
 
 
+def decay(rho):
+    return np.exp(-rho / 2.0)
+
+
+def radial_in_rho(state):
+    """R_{Nl} (2 beta)^{-3/2} of `state` at its scale, as a function of rho = 2 beta r."""
+    two_beta = 2.0 * state.scale.beta
+    return lambda rho: radial_wavefunction(state, rho / two_beta) * two_beta ** -1.5
+
+
 class TestConvention:
     """The kernel sign is the transform's only convention."""
 
     def test_defaults(self):
         """Sign -1 is the defining incoming kernel e^{-ipr/hbar}:
-        int_0^inf e^{-r} e^{-ipr} r dr = 1 / (1 + ip)^2."""
-        for p in (0.0, 0.9, -2.5):
-            assert transform_numeric(lambda r: np.exp(-r), p, -1) == pytest.approx(
-                1.0 / (1.0 + 1j * p) ** 2, abs=1e-12)
+        int_0^inf e^{-rho/2} e^{-iq rho/2} rho d rho = 4 / (1 + iq)^2."""
+        for q in (0.0, 0.9, -2.5):
+            assert transform_numeric(decay, q, -1) == pytest.approx(
+                4.0 / (1.0 + 1j * q) ** 2, abs=1e-12)
 
     def test_strict_prefactors(self):
         """Sign +1 is the outgoing kernel, with no factor besides it:
-        int_0^inf e^{-r} e^{ipr} r dr = 1 / (1 - ip)^2."""
-        for p in (0.0, 0.9, -2.5):
-            assert transform_numeric(lambda r: np.exp(-r), p, 1) == pytest.approx(
-                1.0 / (1.0 - 1j * p) ** 2, abs=1e-12)
+        int_0^inf e^{-rho/2} e^{iq rho/2} rho d rho = 4 / (1 - iq)^2."""
+        for q in (0.0, 0.9, -2.5):
+            assert transform_numeric(decay, q, 1) == pytest.approx(
+                4.0 / (1.0 - 1j * q) ** 2, abs=1e-12)
 
     def test_invalid(self):
         for sign in (0, 2, -2):
             with pytest.raises(ValueError, match="sign"):
-                transform_numeric(lambda r: np.exp(-r), 1.0, sign)
+                transform_numeric(decay, 1.0, sign)
 
 
 class TestQuadratureSpec:
@@ -121,8 +139,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("power", [0, 1, 2, 5, 10])
     @pytest.mark.parametrize("p", [0.0, 0.1, 1.0, 5.0, 20.0])
     def test_against_numeric(self, monkeypatch, power, p):
-        scale = PhysicalScale()
-        f = lambda r: (2.0 * r) ** power * np.exp(-r)  # rho^m e^{-rho/2}, beta=1
+        """rho^m e^{-rho/2} at q = p (unit scale)."""
+        f = lambda rho: rho ** power * np.exp(-rho / 2.0)
         # The un-cancelled integrand reaches ~2^power Gamma(power+2), which
         # sets the achievable absolute accuracy; budget the tolerances accordingly.
         abs_tol = max(1e-11, 1e-13 * 2.0 ** power * math.gamma(power + 2))
@@ -130,35 +148,35 @@ class TestClosedForm:
         monkeypatch.setattr(transform, "ABS_TOL", abs_tol)
         monkeypatch.setattr(transform, "PANEL_BUDGET", 500)
         numeric = transform_numeric(f, p, 1)
-        closed = transform_slater_closed(power, p, scale) / (2.0 * scale.beta) ** 2
-        assert numeric == pytest.approx(closed, abs=1e-9 + 2.0 * abs_tol)
+        assert numeric == pytest.approx(transform_slater_closed(power, p),
+                                        abs=1e-9 + 2.0 * abs_tol)
 
 
 class TestTransformNumeric:
     def test_ground_state_at_zero(self):
-        # int_0^inf e^{-r} r dr = 1
-        val = transform_numeric(lambda r: np.exp(-r), 0.0, -1)
+        # int_0^inf e^{-rho} rho d rho = 1
+        val = transform_numeric(lambda rho: np.exp(-rho), 0.0, -1)
         assert val == pytest.approx(1.0 + 0.0j, abs=1e-11)
 
     def test_kernel_sign_conjugation(self):
-        f = lambda r: r * np.exp(-r)
-        p = 1.7
-        out = transform_numeric(f, p, 1)
-        inc = transform_numeric(f, p, -1)
+        f = lambda rho: rho * np.exp(-rho)
+        q = 1.7
+        out = transform_numeric(f, q, 1)
+        inc = transform_numeric(f, q, -1)
         assert inc == pytest.approx(out.conjugate(), abs=1e-12)
 
     def test_conjugate_symmetry_in_p(self):
-        f = lambda r: r * np.exp(-r / 2)
-        for p in (0.4, 1.0, 3.3):
-            plus = transform_numeric(f, p, -1)
-            minus = transform_numeric(f, -p, -1)
+        f = lambda rho: rho * np.exp(-rho / 2)
+        for q in (0.4, 1.0, 3.3):
+            plus = transform_numeric(f, q, -1)
+            minus = transform_numeric(f, -q, -1)
             assert minus == pytest.approx(plus.conjugate(), abs=1e-12)
 
     def test_convergence_error(self, monkeypatch):
         monkeypatch.setattr(transform, "REL_TOL", 1e-14)
         monkeypatch.setattr(transform, "ABS_TOL", 1e-16)
         monkeypatch.setattr(transform, "PANEL_BUDGET", 1)
-        f = lambda r: np.exp(-r) * np.cos(7.0 * r)
+        f = lambda rho: np.exp(-rho) * np.cos(7.0 * rho)
         with pytest.raises(ConvergenceError) as err:
             transform_numeric(f, 5.0, -1)
         assert err.value.error_bound > 0
@@ -166,7 +184,7 @@ class TestTransformNumeric:
 
 
 class TestArrayTransform:
-    """transform_numeric over an array of p, in one call of f."""
+    """transform_numeric over an array of q, in one call of f."""
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["conv0", "conv1"])
     @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
@@ -174,58 +192,62 @@ class TestArrayTransform:
         """Both calls take the same cut from f and lay out the MIN_PANELS
         floor here (|b| cut <= 64 pi), so they sum the same nodes; across
         layouts the values agree to the rounding of the integrand at the
-        nodes, which test_matches_psi_trig bounds."""
+        nodes, which test_matches_psi_trig bounds.  H R is held to 1e-15."""
         scale = PhysicalScale(1.0, hbar_beta)
         q = np.array([[-1.5, -0.7, -1e-3, 0.0], [0.0, 1e-3, 0.7, 0.7]])
         for N, l in [(1, 0), (3, 1), (6, 5), (8, 2)]:
-            state = QuantumState(N, l, scale)
-            f = lambda r: radial_wavefunction(state, r)
-            values, cut, _ = transform._transform_numeric(f, q * hbar_beta, sign, scale)
+            f = radial_in_rho(QuantumState(N, l, scale))
+            values, cut, _ = transform._transform_numeric(f, q, sign)
             assert 0.5 * 1.5 * cut <= MIN_PANELS * PANEL_PHASE
             assert values.shape == q.shape
-            for p, value in zip((q * hbar_beta).ravel(), values.ravel()):
-                assert abs(value - transform_numeric(f, p, sign, scale=scale)) <= 1e-15
+            for x, value in zip(q.ravel(), values.ravel()):
+                assert abs(value - transform_numeric(f, x, sign)) <= 1e-15 * (2.0 * hbar_beta) ** 0.5
 
     @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
     def test_matches_psi_trig(self, hbar_beta):
+        """H R_{Nl} is psi_trig at p = q hbar beta, to 1e-12, and the term-wise
+        transform of the Slater expansion of tests/oracles.py, which shares no
+        code with the package, to 1e-13 of its peak (the alternating Slater
+        sum of (8, 2) cancels to 8e-14 near q = 0)."""
         scale = PhysicalScale(1.0, hbar_beta)
         q = np.array([0.0, 1e-3, 1.0, 20.0, 1000.0])
-        p = np.concatenate([-q[:0:-1], q]) * hbar_beta
+        q = np.concatenate([-q[:0:-1], q])
         for N, l in [(1, 0), (2, 1), (3, 0), (4, 3), (5, 2), (8, 2), (8, 7)]:
             state = QuantumState(N, l, scale)
-            numeric = transform_numeric(lambda r: radial_wavefunction(state, r), p, 1, scale)
-            assert np.max(np.abs(numeric - psi_trig(state, p))) <= 1e-12, (N, l)
+            numeric = transform_numeric(radial_in_rho(state), q, 1) / (2.0 * hbar_beta) ** 0.5
+            assert np.max(np.abs(numeric - psi_trig(state, q * hbar_beta))) <= 1e-12, (N, l)
+            oracle = transform_slater_expansion(slater_expansion(state), q * hbar_beta)
+            assert np.max(np.abs(numeric - oracle)) <= 1e-13 * np.max(np.abs(oracle)), (N, l)
 
     @pytest.mark.parametrize("cut", [100.0, 112.0, 116.0, 120.0, 250.0])
     def test_phase_at_large_p(self, monkeypatch, cut):
-        """At |p| = 1000 hbar beta the phase b rho of the outer sums reaches
-        b times the cut; taken from rounded panel centers, it was off by
-        their ulp from panel to panel, and the value by up to 1e-13
-        depending on the layout.  Over fixed intervals in rho the value of
-        R_{43} is right to 1e-15, below the value itself (2.7e-15)."""
+        """At |q| = 1000 the phase b rho of the outer sums reaches b times
+        the cut; taken from rounded panel centers, it was off by their ulp
+        from panel to panel, and H R_{43} by up to 1e-13 depending on the
+        layout.  Over fixed intervals in rho H R_{43} is right to 1e-15,
+        below the value itself (2.7e-15)."""
         monkeypatch.setattr(transform, "tail_cut", lambda integrand, floor: cut)
         state = QuantumState(4, 3)
-        p = np.array([-1000.0, 1000.0])
-        numeric, used, _ = transform._transform_numeric(
-            lambda r: radial_wavefunction(state, r), p, 1, PhysicalScale())
+        q = np.array([-1000.0, 1000.0])
+        numeric, used, _ = transform._transform_numeric(radial_in_rho(state), q, 1)
         assert used == cut
-        assert np.max(np.abs(numeric - psi_trig(state, p))) <= 1e-15
+        assert np.max(np.abs(numeric / 2.0 ** 0.5 - psi_trig(state, q))) <= 1e-15
 
     def test_shapes(self):
-        value = transform_numeric(lambda r: np.exp(-r), 0.5, -1)
+        value = transform_numeric(decay, 0.5, -1)
         assert isinstance(value, complex) and np.ndim(value) == 0
-        assert transform_numeric(lambda r: np.exp(-r), np.array([]), -1).shape == (0,)
+        assert transform_numeric(decay, np.array([]), -1).shape == (0,)
 
     def test_panel_budget_exceeded(self, monkeypatch):
-        """|p| = 1000 hbar beta needs about 40000 panels; 400 do not resolve it."""
-        f = lambda r: radial_wavefunction(QuantumState(2, 1), r)
-        p = np.array([0.5, 1000.0])
-        transform_numeric(f, p, 1)
+        """|q| = 1000 needs about 40000 panels; 400 do not resolve it."""
+        f = radial_in_rho(QuantumState(2, 1))
+        q = np.array([0.5, 1000.0])
+        transform_numeric(f, q, 1)
         monkeypatch.setattr(transform, "PANEL_BUDGET", 400)
         with pytest.raises(ConvergenceError) as err:
-            transform_numeric(f, p, 1)
+            transform_numeric(f, q, 1)
         assert "panel_budget 400" in str(err.value)
-        assert err.value.estimate.shape == p.shape
+        assert err.value.estimate.shape == q.shape
         assert err.value.error_bound[1] > ABS_TOL
 
     @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
@@ -234,19 +256,20 @@ class TestArrayTransform:
         on one layout each row equals its own call, and the batch axes lead
         the result.  The batch takes its cut from the longest tail, that of
         (8, 2), so each row's own call stacks it with (8, 2) to keep that
-        layout."""
+        layout.  H R is held to 1e-15."""
         scale = PhysicalScale(1.0, hbar_beta)
         states = [QuantumState(N, l, scale) for N, l in [(1, 0), (3, 1), (6, 5), (8, 2)]]
         q = np.array([[-20.0, -0.7, -1e-3, 0.0], [0.0, 1e-3, 3.3, 20.0]])
         batch = transform_numeric(
-            lambda r: np.stack([radial_wavefunction(s, r) for s in states]).reshape(2, 2, -1),
-            q * hbar_beta, 1, scale)
+            lambda rho: np.stack([radial_in_rho(s)(rho) for s in states]).reshape(2, 2, -1),
+            q, 1)
         assert batch.shape == (2, 2) + q.shape
         for state, rows in zip(states, batch.reshape(len(states), *q.shape)):
             single = transform_numeric(
-                lambda r: np.stack([radial_wavefunction(s, r) for s in (state, states[-1])]),
-                q * hbar_beta, 1, scale)[0]
-            assert np.max(np.abs(rows - single)) <= 1e-15, (state.N, state.l)
+                lambda rho: np.stack([radial_in_rho(s)(rho) for s in (state, states[-1])]),
+                q, 1)[0]
+            assert np.max(np.abs(rows - single)) <= 1e-15 * (2.0 * hbar_beta) ** 0.5, (
+                state.N, state.l)
 
     @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
     def test_batch_rows_across_layouts(self, hbar_beta):
@@ -255,12 +278,11 @@ class TestArrayTransform:
         integral, 1e-13 of the row's peak."""
         scale = PhysicalScale(1.0, hbar_beta)
         states = [QuantumState(N, l, scale) for N, l in [(1, 0), (3, 1), (6, 5), (8, 2)]]
-        p = np.array([-20.0, -0.7, -1e-3, 0.0, 1e-3, 3.3, 20.0, 1000.0]) * hbar_beta
-        f = lambda r: np.stack([radial_wavefunction(s, r) for s in states])
-        batch, batch_cut, _ = transform._transform_numeric(f, p, 1, scale)
+        q = np.array([-20.0, -0.7, -1e-3, 0.0, 1e-3, 3.3, 20.0, 1000.0])
+        f = lambda rho: np.stack([radial_in_rho(s)(rho) for s in states])
+        batch, batch_cut, _ = transform._transform_numeric(f, q, 1)
         for state, row in zip(states[:-1], batch):
-            single, cut, _ = transform._transform_numeric(
-                lambda r: radial_wavefunction(state, r), p, 1, scale)
+            single, cut, _ = transform._transform_numeric(radial_in_rho(state), q, 1)
             assert cut < batch_cut, (state.N, state.l)
             assert np.max(np.abs(row - single)) <= 1e-13 * np.max(np.abs(single))
 
@@ -268,10 +290,10 @@ class TestArrayTransform:
         """With the cut's limit at rho = 250, the tail of R_{60,0} is too long."""
         monkeypatch.setattr(transform, "MAX_RHO", 250.0)
         states = [QuantumState(1, 0), QuantumState(60, 0)]
-        p = np.array([0.0, 0.3, 1.0])
+        q = np.array([0.0, 0.3, 1.0])
         with pytest.raises(ConvergenceError) as err:
-            transform_numeric(lambda r: np.stack([radial_wavefunction(s, r) for s in states]),
-                              p, 1)
+            transform_numeric(lambda rho: np.stack([radial_in_rho(s)(rho) for s in states]),
+                              q, 1)
         exc = err.value
         assert exc.estimate.shape == exc.error_bound.shape == exc.tolerance.shape == (2, 3)
         assert np.all(exc.error_bound[0] <= exc.tolerance[0])
@@ -284,22 +306,22 @@ class TestArrayTransform:
         tail (to rho = 1036 at N = 200), so the value is right, not truncated
         (test_batch_convergence_error_per_row has the raise at a short limit)."""
         state = QuantumState(N, 0)
-        p = np.array([0.0, 0.3, 1.0, 30.0])
-        numeric = transform_numeric(lambda r: radial_wavefunction(state, r), p, 1)
-        exact = psi_trig(state, p)
+        q = np.array([0.0, 0.3, 1.0, 30.0])
+        numeric = transform_numeric(radial_in_rho(state), q, 1)
+        exact = 2.0 ** 0.5 * psi_trig(state, q)
         assert np.max(np.abs(numeric - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     def test_non_finite_f_raises(self):
         """A NaN of f fails the error check instead of passing as the value."""
-        f = lambda r: np.where(r > 10.0, np.nan, np.exp(-r))
+        f = lambda rho: np.where(rho > 20.0, np.nan, np.exp(-rho / 2.0))
         with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError) as err:
             transform_numeric(f, np.array([0.0, 1.0]), -1)
         assert "past rho = 2000" in str(err.value)
 
     def test_non_finite_p_rejected(self):
         for bad in (math.inf, math.nan, np.array([0.0, -math.inf])):
-            with pytest.raises(ValueError):
-                transform_numeric(lambda r: np.exp(-r), bad, -1)
+            with pytest.raises(ValueError, match="finite q"):
+                transform_numeric(decay, bad, -1)
 
 
 class TestExpansionTransform:
@@ -408,13 +430,13 @@ class TestDiagonalization:
 class TestSlaterShapes:
     @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
     def test_against_closed_form(self, hbar_beta):
-        """transform_numeric of u_k(2 beta r) against the exact Slater-term
-        transform, under both kernels, relative to the largest value."""
+        """transform_numeric of u_k(rho) at q against the exact Slater-term
+        transform in rho at p = q hbar beta and scale hbar beta, under both
+        kernels, relative to the largest value."""
         scale = PhysicalScale(1.0, hbar_beta)
-        p = np.linspace(-20.0, 20.0, 41) * hbar_beta
+        q = np.linspace(-20.0, 20.0, 41)
         for sign in (1, -1):
-            numeric = transform_numeric(lambda r: slater_shapes(2.0 * scale.beta * r), p,
-                                        sign, scale)
-            closed = np.stack([transform_slater_closed(k, sign * p, scale)
-                               for k in SLATER_POWERS[:, 0]]) / (2.0 * scale.beta) ** 2
+            numeric = transform_numeric(slater_shapes, q, sign)
+            closed = np.stack([transform_slater_closed(k, sign * q * hbar_beta, scale)
+                               for k in SLATER_POWERS[:, 0]])
             assert np.max(np.abs(numeric - closed)) <= 1e-14 * np.max(np.abs(closed))

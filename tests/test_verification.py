@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmomentum import forms, transform, verification
@@ -216,9 +216,11 @@ class TestWorstPoint:
         assert 1 <= N <= 4 and 0 <= l < N and 0.2 <= p <= 5.0
 
     def test_quadrature_names_failing_states(self, monkeypatch):
-        """Cut at rho = 60, the tail of R_{1,0} is within tolerance and the
-        tails of every state with N >= 2 are not."""
-        monkeypatch.setattr(transform, "MAX_RHO", 60.0)
+        """Cut at rho = 64, the tail of R_{1,0} is within tolerance and the
+        tails of every state with N >= 2 are not.  ABS_TOL bounds the unit
+        integral, 4 psi for R at unit scale, so cut at rho = 60 R_{1,0} fails
+        too."""
+        monkeypatch.setattr(transform, "MAX_RHO", 64.0)
         res = verify_quadrature()
         assert not res.passed and res.max_residual == math.inf
         assert "(N=1,l=0)" not in res.details
@@ -591,6 +593,24 @@ class TestScales:
         unit = run_all(PhysicalScale(), names[:2])
         assert [r.max_residual for r in report.results[:2]] == [
             r.max_residual for r in unit.results]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(log_uniform(1e-300, 1e300), log_uniform(1e-3, 1e3))
+    @example(5e-324, 1.0)
+    @example(1e-310, 1.0)
+    @example(1.7e308, 1.0)
+    def test_run_all_over_the_double_range(self, hbar_beta, hbar):
+        """Every suite takes its grid in q and rho at unit scale, and the
+        transform reads no scale, so run_all passes at any hbar beta that is a
+        double, with no numpy warning (pyproject.toml makes warnings errors),
+        and quadrature and parseval_diagonalization read their hbar beta = 1
+        residuals bit for bit."""
+        report = run_all(PhysicalScale(hbar, hbar_beta / hbar))
+        assert report.overall_pass, [(r.name, r.details) for r in report.results if not r.passed]
+        names = ["quadrature", "parseval_diagonalization"]
+        unit = run_all(PhysicalScale(), names).results
+        assert [r.max_residual for r in report.results if r.name in {u.name for u in unit}] == [
+            r.max_residual for r in unit]
 
     def test_diagonalization_at_large_beta(self):
         assert verify_parseval_and_diagonalization(PhysicalScale(1e-3, 1e7)).passed
