@@ -3,9 +3,9 @@
 The momentum-space radial functions in closed form (one recurrence kernel
 for the trigonometric, Gegenbauer and script-D expansions and the
 Lombardi-Ogilvie family) and by direct quadrature of the spherical-wave
-transform, the Podolsky-Pauling family, and a verification suite
-cross-checking them, against the paper's literal sums in exact
-arithmetic among others, unitarity included.
+transform, the Podolsky-Pauling family, the closed-form <r^2> and <p^2>,
+and a verification suite cross-checking them, against the paper's literal
+sums in exact arithmetic among others, unitarity and <p^2> included.
 """
 
 from .forms import distribution_max_l, podolsky_pauling_G, psi_trig
@@ -17,12 +17,7 @@ from .hydrogenic import (
     normalization_constant,
     radial_wavefunction,
 )
-from .transform import (
-    ConvergenceError,
-    diagonalization_residual,
-    gram_matrices,
-    transform_numeric,
-)
+from .transform import ConvergenceError, diagonalization_residual, transform_numeric
 from .verification import CheckResult, VerificationReport, run_all
 
 __version__ = "0.1.0"

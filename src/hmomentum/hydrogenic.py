@@ -1,7 +1,8 @@
 """Position-space hydrogenic radial states and their analytic machinery.
 
 Radial wave functions R_{Nl}, `sqrt_ratio` for every normalization, and
-the exact <r^2>, <p^2> expectation values of the uncertainty check.
+the closed-form <r^2>, <p^2> expectation values.  It imports only `specfun`
+from the package: the check of G against <p^2> lives in `verification`.
 
 Scaled units (hbar = 1, beta = 1) are the default.
 """
@@ -106,7 +107,8 @@ def radial_wavefunction(state: QuantumState, r):
     N_{Nl} and rho^l leave the double range at large l where R does not
     (N_{151,150} is 5e-310, and rho^149 overflows from rho = 117), so
     the powers of 2 of both apply in one last step.  R is 0 wherever
-    e^{-rho/2} is, r = inf included, although L may overflow there.
+    e^{-rho/2} is, r = inf included, although L may overflow there, and
+    at r = nan it is the nan of e^{-rho/2}, whose sign no other row moves.
     """
     return _radial_stack([state], 2.0 * state.scale.beta * r)[0]
 
@@ -128,7 +130,7 @@ def _radial_stack(states, rho) -> np.ndarray:
                 norm * rho_mantissa ** l * decay
                 * laguerre([states[i].N - l - 1 for i in ladder], 2 * l + 1, rho),
                 norm_exponent.astype(np.int32) + l * rho_exponent)  # int32: ldexp's fast loop
-        values[ladder] = np.where(decay == 0.0, 0.0, value)
+        values[ladder] = np.where(decay > 0.0, value, decay)
     return values
 
 
@@ -139,29 +141,13 @@ def expectation_r2(state: QuantumState) -> float:
 
 
 def expectation_p2(state: QuantumState) -> float:
-    """<p^2> = int_0^inf p^4 G_{Nl}(p)^2 dp = (hbar beta)^2 `_p2_stack` of the state alone:
-    0.0, the nearest double, below hbar beta = 2.2e-162.  Raises OverflowError naming
-    the state and hbar beta where it is past the largest double, from 1.35e154 on."""
-    try:
-        value = float(_p2_stack([state])[0]) * state.scale.momentum ** 2
-    except OverflowError:
-        value = math.inf
+    """<p^2> = (hbar beta)^2, in closed form: at a common beta every R_{Nl} has
+    the energy -hbar^2 beta^2 / 2m, and the virial theorem gives <p^2> = -2m E.
+    0.0, the nearest double, below hbar beta = 2.2e-162.  Raises OverflowError
+    naming the state and hbar beta where it is past the largest double, from
+    1.35e154 on."""
+    value = state.scale.momentum * state.scale.momentum
     if value == math.inf:
         raise OverflowError(f"<p^2> of (N={state.N}, l={state.l}) at hbar beta = "
                             f"{state.scale.momentum:g} is past the largest double")
     return value
-
-
-def _p2_stack(states) -> np.ndarray:
-    """<p^2> / (hbar beta)^2 = int_0^inf q^4 (G_{Nl} (hbar beta)^{3/2})^2 dq, q = p / hbar beta:
-    a function of N and l alone, so G (hbar beta)^{3/2} is G at unit scale.  At
-    q = tan(chi/2) (Fock's stereographic map) the integrand times dq/dchi is a
-    polynomial of degree 2N + 1 in cos(chi), so one `_pp_stack` of the closed-form
-    G on the chi-midpoint rule of N_max + 6 nodes is exact."""
-    from .forms import _pp_stack
-
-    count = max(s.N for s in states) + 6
-    half_chi = 0.5 * math.pi * (np.arange(count) + 0.5) / count
-    q = np.tan(half_chi)
-    G = _pp_stack([QuantumState(s.N, s.l) for s in states], q)
-    return (q * q * G) ** 2 @ (0.5 / np.cos(half_chi) ** 2) * (math.pi / count)

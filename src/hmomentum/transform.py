@@ -8,12 +8,10 @@ For phi(r) = f(rho), rho = 2 beta r, (2 beta)^2 (H phi)(q hbar beta) is the
 unit integral int_0^inf f(rho) rho e^{s i q rho / 2} d rho at any scale, which
 `transform_numeric` evaluates over a grid of q by Gauss-Legendre panels in
 rho, to REL_TOL, ABS_TOL and PANEL_BUDGET, up to the cut `tail_cut`.
-`gram_matrices` checks unitarity on the closed form `psi_trig`: its
-momentum Gram matrix, by the midpoint rule in theta = arctan(q), which is
-exact for it, against the position one, which is known in closed form
-because the R_{Nl} of one l and one beta are Coulomb Sturmians.
 `diagonalization_residual` checks that H diagonalizes the radial momentum
 operator, H(p_r f) = p H f, on functions of rho that decay as e^{-rho/2}.
+The module imports nothing from the package, so the numerical H is
+independent of the closed forms that `verification` checks it against.
 """
 
 from __future__ import annotations
@@ -23,9 +21,6 @@ import math
 from typing import Callable
 
 import numpy as np
-
-from .forms import _kernel_stack
-from .hydrogenic import QuantumState, _groups
 
 
 class ConvergenceError(RuntimeError):
@@ -249,48 +244,6 @@ def _transform_numeric(f, q, sign):
             value[()], err[:, index].reshape(shape)[()], tol[:, index].reshape(shape)[()],
         )
     return value[()], cut, panels
-
-
-def gram_matrices(states) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum and position Gram matrices of hydrogenic states of one l and one scale.
-
-    momentum[i, j] is the full-line integral of psi_i conj(psi_j) dp / (2 pi hbar),
-    psi = `psi_trig`, and position[i, j] is int_0^inf R_i R_j r^2 dr,
-    R = `radial_wavefunction`: equal, since psi is the unitary transform of R.
-    Both are the same at every scale, so the momentum side is one stack of psi
-    at unit scale on one node set, exact:
-    at q = p / hbar beta = tan(theta), psi_i conj(psi_j) dp / d theta is a
-    trigonometric polynomial of degree N_max = max N in 2 theta (psi is one in
-    w = cos(theta) e^{i theta} of powers l+2 .. N+1), taken by the midpoint
-    rule with 2 N_max + 8 nodes.  The position side is in closed form: the
-    R_{Nl} of one l and one beta are Coulomb Sturmians, whose Gram matrix
-    (DLMF 18.9.13 with 18.3) is 1 on the diagonal,
-    -1/2 sqrt((N-l)(N+l+1) / (N(N+1))) between N and N+1, and 0 elsewhere.
-
-    Raises ValueError for states of more than one l or more than one scale.
-    """
-    l, scale = states[0].l, states[0].scale
-    if any((s.l, s.scale) != (l, scale) for s in states):
-        raise ValueError("Gram matrices need states of one l and one scale")
-    return _gram_blocks(states)[l]
-
-
-def _gram_blocks(states) -> dict:
-    """{l: `gram_matrices` of its states} for states of one scale, from one
-    `_kernel_stack` pass at unit scale on the nodes for the largest N of them all."""
-    N = np.array([float(s.N) for s in states])
-    count = 2 * int(N.max()) + 8
-    theta = math.pi * ((np.arange(count) + 0.5) / count - 0.5)
-    psi = _kernel_stack([QuantumState(s.N, s.l) for s in states], np.tan(theta)) / np.cos(theta)
-    blocks = {}
-    for l, rows in _groups(s.l for s in states).items():
-        n, part = N[rows], psi[rows]
-        low = np.minimum.outer(n, n)
-        position = (n[:, None] == n) - 0.5 * (np.abs(n[:, None] - n) == 1.0) * np.sqrt(
-            (low - l) * (low + l + 1.0) / (low * (low + 1.0)))
-        momentum = part.real @ part.real.T + part.imag @ part.imag.T
-        blocks[l] = momentum * (0.5 / count), position
-    return blocks
 
 
 def diagonalization_residual(u: Callable[[np.ndarray], np.ndarray],

@@ -6,7 +6,9 @@ run_all bundles them into a VerificationReport, whose config records the
 scale and the numerical transform's constants.  The stacks take unit grids
 in q = p / hbar beta and rho = 2 beta r.  The form suites compare the kernel
 with the paper's literal sums, summed exactly in integers at Pythagorean
-momenta, so cancellation limits no N.
+momenta, so cancellation limits no N.  The Gram matrices of unitarity and
+<p^2> of the uncertainty suite are sums over one midpoint rule in
+theta = arctan(q), exact for their integrands (`_theta_rule`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import os
 import traceback
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .hydrogenic import (
     PhysicalScale,
     QuantumState,
     _groups,
-    _p2_stack,
+    _normalization,
     _radial_stack,
     expectation_r2,
     sqrt_ratio,
@@ -39,7 +42,6 @@ from .transform import (
     PANEL_BUDGET,
     REL_TOL,
     ConvergenceError,
-    _gram_blocks,
     _transform_numeric,
     diagonalization_residual,
     gauss_legendre_panels,
@@ -259,6 +261,8 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     state is transformed in one call, and `details` reports the cut in rho
     that the transform took from the states' tails and its panel count.
     Each state's residual is relative to its largest |psi_trig| on the grid.
+    R's normalization N_{Nl} at the requested scale is held to its exact value
+    as well (`_normalization_error`); `details` names its worst state.
     """
     pos = np.logspace(-2, math.log10(20.0), 13)
     grid = np.concatenate([-pos[::-1], [0.0], pos])  # q
@@ -276,8 +280,22 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
             math.inf, tolerance, f"{names}: {exc}")
     closed = 4.0 * _kernel_stack(states, grid)
     error = np.abs(numeric - closed) / np.max(np.abs(closed), axis=1, keepdims=True)
-    return _worst("quadrature_vs_closed_form", states, grid_name, error, grid, tolerance,
-                  f"cut rho={cut:g}, panels={panels}")
+    norm = [_normalization_error(s) for s in _states(4, scale)]
+    k = int(np.argmax(norm))
+    result = _worst("quadrature_vs_closed_form", states, grid_name, error, grid, tolerance,
+                    f"cut rho={cut:g}, panels={panels}; N_Nl worst at "
+                    f"(N={states[k].N},l={states[k].l}): {norm[k]:.3e}")
+    return CheckResult.from_residual(result.name, result.states_covered, grid_name,
+                                     max(result.max_residual, norm[k]), tolerance, result.details)
+
+
+def _normalization_error(state: QuantumState) -> float:
+    """|N_{Nl} / exact - 1| of `_normalization`, to first order: half the relative
+    error of its square against the exact N_{Nl}^2 = 4 beta^3 / (N perm(N+l, 2l+1)),
+    in rationals from beta = num / den exactly."""
+    (m, e), (num, den) = _normalization(state), state.scale.beta.as_integer_ratio()
+    square = Fraction(m) ** 2 * Fraction(4) ** e * den ** 3 / (4 * num ** 3)
+    return float(abs(square * state.N * math.perm(state.N + state.l, 2 * state.l + 1) - 1)) / 2
 
 
 def verify_lo_proportionality(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
@@ -348,17 +366,63 @@ def verify_pp_vs_hankel(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
                   f"cut rho={cut:g}, panels={panels}")
 
 
+def _theta_rule(count: int, half_line: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoint rule of `count` nodes in theta over (-pi/2, pi/2), or over
+    (0, pi/2) for the half line: its nodes q = tan(theta) and weights
+    d theta / cos^2(theta), so that sum(weights * f(q)) is int f dq over the full
+    or half line of q.  On Fock's stereographic map q = tan(chi/2), theta = chi/2."""
+    x = (np.arange(count) + 0.5) / count
+    step, theta = ((0.5 * math.pi / count, 0.5 * math.pi * x) if half_line
+                   else (math.pi / count, math.pi * (x - 0.5)))
+    return np.tan(theta), step / np.cos(theta) ** 2
+
+
+def _gram_blocks(states) -> dict:
+    """{l: (momentum, position)}, the Gram matrices of the states (at unit scale)
+    of each l, from one `_kernel_stack` pass on the `_theta_rule` for the largest N.
+
+    momentum[i, j] = int psi_i conj(psi_j) dq / (2 pi), psi = `psi_trig`, is exact:
+    at q = tan(theta) its integrand times dq / d theta is a trigonometric polynomial
+    of degree N_max in 2 theta (psi is one in w = cos(theta) e^{i theta} of powers
+    l+2 .. N+1), and the rule has 2 N_max + 8 nodes.  position[i, j] = int R_i R_j r^2 dr
+    is in closed form, as the R_{Nl} of one l and one beta are Coulomb Sturmians
+    (DLMF 18.9.13 with 18.3): 1 on the diagonal, -1/2 sqrt((N-l)(N+l+1) / (N(N+1)))
+    between N and N+1, and 0 elsewhere.  They are equal, as psi is the unitary transform of R.
+    """
+    N = np.array([float(s.N) for s in states])
+    q, weights = _theta_rule(2 * int(N.max()) + 8, half_line=False)
+    psi = _kernel_stack(states, q)
+    blocks = {}
+    for l, rows in _groups(s.l for s in states).items():
+        n, part = N[rows], psi[rows]
+        low = np.minimum.outer(n, n)
+        position = (n[:, None] == n) - 0.5 * (np.abs(n[:, None] - n) == 1.0) * np.sqrt(
+            (low - l) * (low + l + 1.0) / (low * (low + 1.0)))
+        momentum = (part.real * weights) @ part.real.T + (part.imag * weights) @ part.imag.T
+        blocks[l] = momentum / (2.0 * math.pi), position
+    return blocks
+
+
+def _p2_stack(states) -> np.ndarray:
+    """<p^2> / (hbar beta)^2 = int_0^inf q^4 (G_{Nl} (hbar beta)^{3/2})^2 dq of each
+    state at unit scale, where G (hbar beta)^{3/2} is G.  At q = tan(theta) the
+    integrand times dq / d theta is a polynomial of degree 2N + 1 in cos(2 theta),
+    so one `_pp_stack` on the half-line `_theta_rule` of N_max + 6 nodes is exact."""
+    q, weights = _theta_rule(max(s.N for s in states) + 6, half_line=True)
+    return (q * q * _pp_stack(states, q)) ** 2 @ weights
+
+
 def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """Unitarity (measure dp/(2 pi hbar)) plus the diagonalization identity.
 
     Unitarity is checked, for each l of the states with N <= 5, as the
     momentum Gram matrix of psi_trig equal, entry by entry, to the
-    closed-form Gram matrix of the R_{Nl} (`gram_matrices`, all l in one pass).
+    closed-form Gram matrix of the R_{Nl} (`_gram_blocks`, all l in one pass).
     H(p_r f) = p H f is checked on u_k(rho) = rho^k e^{-rho/2}, k = 1, 2, 3,
-    by `diagonalization_residual`, whose residuals do not depend on the scale,
-    so it takes them at unit scale.
+    by `diagonalization_residual`.  Neither depends on the scale, so both are
+    taken at unit scale.
     """
-    states = _states(5, scale)
+    states = _states(5, PhysicalScale())
     error = np.zeros((len(states), len(states)))
     rows = _groups(s.l for s in states)
     for l, (momentum, position) in _gram_blocks(states).items():
@@ -380,10 +444,11 @@ def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) 
 
 def verify_uncertainty(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """<p^2> / (hbar beta)^2 = 1 at a common beta (the diagonal of Fock's orthogonality),
-    the residual, and <r^2><p^2> / hbar^2 = <(beta r)^2> <p^2> / (hbar beta)^2 >= 9/4, D = 3."""
-    states = _states(5, scale)
+    the residual, and <r^2><p^2> / hbar^2 = <(beta r)^2> <p^2> / (hbar beta)^2 >= 9/4, D = 3.
+    Both are functions of N and l alone, so they are taken at unit scale."""
+    states = _states(5, PhysicalScale())
     p2 = _p2_stack(states)
-    products = p2 * [expectation_r2(QuantumState(s.N, s.l)) for s in states]
+    products = p2 * [expectation_r2(s) for s in states]
     error = np.abs(p2 - 1.0)
     row = int(np.argmax(error))
     tolerance = 1e-9

@@ -17,10 +17,11 @@ from hmomentum.forms import (
     podolsky_pauling_G,
     psi_trig,
 )
-from hmomentum.hydrogenic import QuantumState, expectation_p2, expectation_r2
+from hmomentum.hydrogenic import QuantumState, expectation_r2
 from hmomentum.specfun import gegenbauer_C, laguerre
-from hmomentum.transform import gram_matrices
 from hmomentum.verification import (
+    _gram_blocks,
+    _p2_stack,
     verify_form_equivalence,
     verify_lo_proportionality,
     verify_parseval_and_diagonalization,
@@ -65,7 +66,7 @@ def test_criterion_04_parseval():
     with unit diagonal, for every l and N <= 12, to 1e-13."""
     worst = 0.0
     for l in range(12):
-        momentum, position = gram_matrices([QuantumState(N, l) for N in range(l + 1, 13)])
+        momentum, position = _gram_blocks([QuantumState(N, l) for N in range(l + 1, 13)])[l]
         worst = max(worst, np.max(np.abs(momentum - position)),
                     np.max(np.abs(np.diag(momentum) - 1.0)))
     # Ground-state analytic oracle: int dp / (beta^2 + p^2)^2 = pi / (2 beta^3)
@@ -138,15 +139,12 @@ def test_criterion_07_figure_reproduction(capsys, tmp_path):
 
 
 def test_criterion_08_uncertainty():
-    """<r^2><p^2> >= 9/4 for N <= 5; ground-state product 3.0 +- 1e-9."""
-    worst_shortfall = -math.inf
-    for N in range(1, 6):
-        for l in range(N):
-            state = QuantumState(N, l)
-            product = expectation_r2(state) * expectation_p2(state)
-            worst_shortfall = max(worst_shortfall, 2.25 - product)
-    ground = expectation_r2(QuantumState(1, 0)) * expectation_p2(QuantumState(1, 0))
-    ground_err = abs(ground - 3.0)
+    """<r^2><p^2> >= 9/4 for N <= 5; ground-state product 3.0 +- 1e-9, with <p^2>
+    the integral of G (`_p2_stack`)."""
+    states = [QuantumState(N, l) for N in range(1, 6) for l in range(N)]
+    products = [expectation_r2(s) * p2 for s, p2 in zip(states, _p2_stack(states))]
+    worst_shortfall = max(2.25 - product for product in products)
+    ground_err = abs(products[0] - 3.0)
     report(8, "uncertainty bound", max(worst_shortfall, ground_err), 1e-9,
            worst_shortfall <= 0.0 and ground_err <= 1e-9)
 

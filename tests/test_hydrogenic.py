@@ -18,7 +18,7 @@ from hmomentum.hydrogenic import (
     radial_wavefunction,
     sqrt_ratio,
 )
-from hmomentum.transform import gram_matrices
+from hmomentum.verification import _gram_blocks, _p2_stack
 from oracles import SlaterExpansion, apply_radial_momentum, slater_expansion
 
 
@@ -271,14 +271,15 @@ class TestOrthonormality:
     def test_sturmian_gram(self, l, hbar_beta):
         """int R_{Nl} R_{N'l} r^2 dr, N, N' <= 100, by Gauss-Laguerre (exact
         for e^{-rho} times a polynomial of degree 2 N_max with N_max + 4
-        nodes), against the closed-form Gram of `gram_matrices`."""
+        nodes), against the closed-form Gram of `_gram_blocks`."""
         scale = PhysicalScale(1.0, hbar_beta)
         states = [QuantumState(N, l, scale) for N in range(l + 1, 101)]
         rho, weights = gauss_laguerre_rule(104)
         r = rho / (2.0 * scale.beta)
         radial = _radial_stack(states, rho) * r
         position = (radial * weights) @ radial.T / (2.0 * scale.beta)
-        assert np.max(np.abs(position - gram_matrices(states)[1])) <= 1e-12
+        closed = _gram_blocks([QuantumState(N, l) for N in range(l + 1, 101)])[l][1]
+        assert np.max(np.abs(position - closed)) <= 1e-12
 
 
 def gauss_laguerre_rule(count):
@@ -370,15 +371,24 @@ class TestMoments:
         assert a == pytest.approx(b / 4.0, rel=1e-12)
 
     def test_p2_ground_state(self):
-        assert expectation_p2(QuantumState(1, 0)) == pytest.approx(1.0, abs=1e-10)
+        assert expectation_p2(QuantumState(1, 0)) == 1.0
+        assert _p2_stack([QuantumState(1, 0)])[0] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("N", range(1, 6))
     def test_p2_virial_identity(self, N):
         # At fixed beta every R_{Nl} has energy -beta^2/2, so the virial
-        # theorem gives <p^2> = -2 E = (hbar beta)^2 independent of (N, l).
-        for l in range(N):
-            assert expectation_p2(QuantumState(N, l)) == pytest.approx(
-                1.0, abs=1e-9)
+        # theorem gives <p^2> = -2 E = (hbar beta)^2 independent of (N, l):
+        # the closed form, and the integral of G (`_p2_stack`) meets it.
+        states = [QuantumState(N, l) for l in range(N)]
+        assert [expectation_p2(s) for s in states] == [1.0] * N
+        assert np.max(np.abs(_p2_stack(states) - 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("hbar,beta", [(1.0, 1e-3), (1.0, 7.0), (1e-3, 0.3)])
+    def test_p2_is_the_closed_form(self, hbar, beta):
+        """<p^2> is (hbar beta)^2, correctly rounded, for every state."""
+        scale = PhysicalScale(hbar, beta)
+        for N, l in [(1, 0), (3, 1), (8, 7), (40, 0), (120, 3)]:
+            assert expectation_p2(QuantumState(N, l, scale)) == scale.momentum * scale.momentum
 
     def test_p2_scale_covariance(self):
         a = expectation_p2(QuantumState(2, 0, PhysicalScale(beta=0.5)))

@@ -1,5 +1,6 @@
 """The Python examples and the `hmomentum` commands of README.md run as written."""
 
+import importlib
 import pathlib
 import re
 import shlex
@@ -69,3 +70,17 @@ def test_readme_names_every_suite():
     cannot drop out unnoticed."""
     text = README.read_text(encoding="utf-8")
     assert [key for key in SUITES if f"`{key}`" not in text] == []
+
+
+# A backticked `module.name` of the package, such as `hydrogenic._radial_stack`.
+MODULE_NAME = re.compile(r"`(specfun|hydrogenic|forms|transform|verification|cli)\.(\w+)")
+
+
+def test_readme_names_only_live_code():
+    """Every `module.name` the README cites exists, so a rename or a removal
+    cannot leave it pointing at dead code."""
+    names = set(MODULE_NAME.findall(README.read_text(encoding="utf-8")))
+    assert len(names) >= 10
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(f"hmomentum.{module}"), name)]
+    assert missing == []

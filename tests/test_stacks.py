@@ -8,9 +8,11 @@ on an array are the stack of their one state at q = p / hbar beta or
 rho = 2 beta r.  The kernel stacks run one recurrence pass with a row per
 distinct l, each row stopped at its own largest degree, over q in blocks of
 BLOCK_POINTS, and each value is the one the stack gives at its point alone;
-`_radial_stack` runs one pass per l.
-`transform._gram_blocks` gives the Gram matrices of every l from one kernel
-pass, and `hydrogenic._p2_stack` <p^2> of every state from one ladder."""
+`_radial_stack` runs one pass per l.  Every row, NaN included, is compared on
+its int64 view.
+`verification._gram_blocks` gives the Gram matrices of every l from one kernel
+pass, and `verification._p2_stack` <p^2> of every state from one ladder, both
+at unit scale on one rule in theta = arctan(q)."""
 
 import math
 
@@ -28,15 +30,8 @@ from hmomentum.forms import (
     podolsky_pauling_G,
     psi_trig,
 )
-from hmomentum.hydrogenic import (
-    PhysicalScale,
-    QuantumState,
-    _p2_stack,
-    _radial_stack,
-    expectation_p2,
-    radial_wavefunction,
-)
-from hmomentum.transform import _gram_blocks, gram_matrices
+from hmomentum.hydrogenic import PhysicalScale, QuantumState, _radial_stack, radial_wavefunction
+from hmomentum.verification import _gram_blocks, _p2_stack
 
 Q_SPECIAL = [0.0, 1e-300, -1e-300, 1e154, -1e154, math.inf, -math.inf, math.nan]
 RHO_SPECIAL = [0.0, 1e-300, 1e200, math.inf]
@@ -56,15 +51,11 @@ KERNEL_STACKS = [(_kernel_stack, psi_trig), (lombardi_ogilvie_stack, _lombardi_o
 
 def assert_rows_equal(stack, states, x):
     """Each row of `stack` over `states` at x is the stack of its state alone
-    at the same x: on the int64 view, but for the sign of a NaN of R, which
-    depends on the other degrees of its Laguerre pass."""
+    at the same x, on the int64 view."""
     values = stack(states, x)
     assert values.shape == (len(states),) + x.shape
     for row, state in zip(values, states):
-        alone = stack([state], x)[0]
-        if stack is _radial_stack:
-            row, alone = (np.where(np.isnan(v), np.nan, v) for v in (row, alone))
-        assert np.array_equal(bits(row), bits(alone)), (state.N, state.l)
+        assert np.array_equal(bits(row), bits(stack([state], x)[0])), (state.N, state.l)
 
 
 def assert_public_calls(states, p, r):
@@ -202,36 +193,37 @@ def test_pp_negative_p_rejected():
         podolsky_pauling_G(QuantumState(2, 0, PhysicalScale(1.0, 7.0)), np.array([1.0, -7e-3]))
 
 
-@pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 7.0])
+ROW_ORDERS = {"listed": lambda states: states, "reversed": lambda states: states[::-1],
+              "shuffled": lambda states: list(np.random.default_rng(29).permutation(states))}
+
+
+@pytest.mark.parametrize("order", ROW_ORDERS)
 @pytest.mark.parametrize("ladder", [[(N, l) for N in range(1, 6) for l in range(N)],
                                     [(N, l) for l in (0, 3, 9) for N in range(l + 1, 41)]])
-def test_gram_blocks_are_the_per_l_calls(ladder, hbar_beta):
+def test_gram_blocks_are_the_per_l_calls(ladder, order):
     """Every l of these reaches the same largest N, so each block takes the
-    node set of its own `gram_matrices` call and equals it bit for bit."""
-    scale = PhysicalScale(1.0, hbar_beta)
-    states = [QuantumState(N, l, scale) for N, l in ladder]
+    node set of the `_gram_blocks` call on its l alone and equals it bit for
+    bit, whatever the order of the rows."""
+    states = ROW_ORDERS[order]([QuantumState(N, l) for N, l in ladder])
     blocks = _gram_blocks(states)
     assert sorted(blocks) == sorted({l for _, l in ladder})
     for l, block in blocks.items():
-        single = gram_matrices([s for s in states if s.l == l])
+        single = _gram_blocks([s for s in states if s.l == l])[l]
         assert all(np.array_equal(a, b) for a, b in zip(block, single)), l
 
 
-@pytest.mark.parametrize("hbar_beta", [1e-200, 1e-3, 1.0, 7.0, 1e200])
-def test_p2_stack(hbar_beta):
-    """In a stack of every state with N <= 12, on one rule of 18 nodes, each
-    <p^2> / (hbar beta)^2 is 1 to rounding, even where <p^2> is no double."""
-    scale = PhysicalScale(1.0, hbar_beta)
-    states = [QuantumState(N, l, scale) for N in range(1, 13) for l in range(N)]
+@pytest.mark.parametrize("top", [1, 2, 5, 8, 12])
+def test_p2_stack(top):
+    """In a stack of every state with N <= top, on one rule of top + 6 nodes,
+    each <p^2> / (hbar beta)^2 is 1 to rounding."""
+    states = [QuantumState(N, l) for N in range(1, top + 1) for l in range(N)]
     assert np.max(np.abs(_p2_stack(states) - 1.0)) <= 3e-15
 
 
-@pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 7.0])
-def test_expectation_p2_is_a_stack_of_one(hbar_beta):
-    scale = PhysicalScale(1.0, hbar_beta)
-    for N, l in [(1, 0), (3, 1), (8, 7), (40, 0), (120, 3)]:
-        state = QuantumState(N, l, scale)
-        assert expectation_p2(state) == _p2_stack([state])[0] * hbar_beta ** 2
+@pytest.mark.parametrize("N,l", [(40, 0), (120, 3), (200, 0)])
+def test_p2_of_one_large_state(N, l):
+    """<p^2> / (hbar beta)^2 of one state of N in the hundreds, from its G alone."""
+    assert abs(_p2_stack([QuantumState(N, l)])[0] - 1.0) <= 3e-14
 
 
 @pytest.mark.parametrize("beta", [1e-3, 1.0, 7.0])

@@ -1,4 +1,4 @@
-"""Spherical-wave transform: kernel signs, closed forms, unitarity, diagonal.
+"""Spherical-wave transform: kernel signs, closed forms, the diagonal.
 
 `transform_numeric(f, q, sign)` takes f as a function of rho = 2 beta r and
 returns the unit integral int_0^inf f(rho) rho e^{sign i q rho / 2} d rho.  For
@@ -27,7 +27,6 @@ from hmomentum.transform import (
     REL_TOL,
     ConvergenceError,
     diagonalization_residual,
-    gram_matrices,
     tail_cut,
     transform_numeric,
 )
@@ -345,60 +344,6 @@ class TestExpansionTransform:
         bad = SlaterExpansion(((-1, 1.0 + 0j),))
         with pytest.raises(ValueError):
             transform_slater_expansion(bad, 1.0)
-
-
-class TestParseval:
-    """Unitarity as equal momentum and position Gram matrices."""
-
-    @pytest.mark.parametrize("N,l", [(1, 0), (2, 0), (2, 1), (4, 2), (5, 0)])
-    def test_normalized_states(self, N, l):
-        momentum, position = gram_matrices([QuantumState(N, l)])
-        assert momentum.shape == position.shape == (1, 1)
-        assert abs(position[0, 0] - 1.0) <= 1e-13
-        assert abs(momentum[0, 0] - 1.0) <= 1e-13
-
-    def test_gram_off_diagonal(self):
-        """At one beta the states are not orthogonal under r^2 dr, so the
-        off-diagonal entries are a check too: with R_10 = 2 e^{-rho/2} and
-        R_20 = (2 - rho) e^{-rho/2}, <R_10|R_20> = int (2 - rho) rho^2 e^{-rho} / 4 = -1/2."""
-        momentum, position = gram_matrices([QuantumState(1, 0), QuantumState(2, 0)])
-        assert position[0, 1] == pytest.approx(-0.5, rel=1e-14)
-        assert np.max(np.abs(momentum - position)) <= 1e-14
-
-    def test_mixed_scales_rejected(self):
-        with pytest.raises(ValueError):
-            gram_matrices([QuantumState(1, 0), QuantumState(2, 0, PhysicalScale(beta=2.0))])
-
-    def test_mixed_l_rejected(self):
-        """The closed-form position Gram holds for the states of one l."""
-        with pytest.raises(ValueError, match="one l"):
-            gram_matrices([QuantumState(2, 0), QuantumState(2, 1)])
-
-    @pytest.mark.parametrize("l,top", [(0, 300), (50, 300), (150, 300), (0, 500)])
-    def test_hundreds(self, l, top):
-        """The momentum Gram of psi_trig equals the closed-form Sturmian
-        Gram to a few ulps for N in the hundreds."""
-        states = [QuantumState(N, l) for N in range(l + 1, top + 1)]
-        momentum, position = gram_matrices(states)
-        assert momentum.shape == position.shape == (len(states),) * 2
-        assert np.max(np.abs(momentum - position)) <= 2e-14
-
-    @pytest.mark.parametrize("hbar_beta", [1e-6, 1.0, 1e4])
-    @pytest.mark.parametrize("l", [0, 10])
-    def test_large_N(self, l, hbar_beta):
-        """Every state with N <= 100 of one l, at scales far from 1."""
-        states = [QuantumState(N, l, PhysicalScale(1.0, hbar_beta)) for N in range(l + 1, 101)]
-        momentum, position = gram_matrices(states)
-        assert np.max(np.abs(momentum - position)) <= 1e-12
-        assert np.max(np.abs(np.diag(position) - 1.0)) <= 1e-12
-
-    @pytest.mark.parametrize("hbar_beta", [1e-6, 1.0, 1e4])
-    def test_laguerre_weights_from_nodes(self, hbar_beta):
-        """The momentum Gram of l = 10, N <= 100 is within a few ulps of
-        the closed form at scales far from 1."""
-        states = [QuantumState(N, 10, PhysicalScale(1.0, hbar_beta)) for N in range(11, 101)]
-        momentum, position = gram_matrices(states)
-        assert np.max(np.abs(momentum - position)) <= 3e-14
 
 
 SLATER_POWERS = np.arange(1, 4)[:, None]

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hmomentum import forms, transform, verification
+from hmomentum import hydrogenic, transform, verification
 from hmomentum.forms import _kernel_stack, _pp_stack, distribution_max_l
-from hmomentum.hydrogenic import PhysicalScale, QuantumState, _radial_stack, expectation_p2
+from hmomentum.hydrogenic import PhysicalScale, QuantumState, _radial_stack
 from hmomentum.specfun import spherical_bessel_j_orders
-from hmomentum.transform import GL_ORDER, gauss_legendre_panels, gram_matrices
+from hmomentum.transform import GL_ORDER, gauss_legendre_panels
 from hmomentum.verification import (
     SUITES,
     CheckResult,
+    _gram_blocks,
+    _p2_stack,
     pythagorean_momenta,
     run_all,
     verify_form_equivalence,
@@ -227,6 +229,38 @@ class TestWorstPoint:
         assert all(f"(N={N},l={l})" in res.details for N in range(2, 5) for l in range(N))
 
 
+class TestQuadratureNormalization:
+    """quadrature holds N_{Nl} at the requested scale to its exact value."""
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-300, 0.1, 2.0, 1e300, 1.7e308])
+    def test_correctly_rounded_at_every_scale(self, beta):
+        """N_{Nl} is correctly rounded, so it is off by at most 2^-53 (1.1e-16),
+        below the transform's residual, which it leaves as it is at unit scale."""
+        res = verify_quadrature(PhysicalScale(1.0, beta))
+        match = re.search(r"; N_Nl worst at \(N=(\d+),l=(\d+)\): (\S+)$", res.details)
+        assert match, res.details
+        assert (int(match[1]), int(match[2])) in res.states_covered
+        assert float(match[3]) <= 1.12e-16
+        assert res.max_residual == verify_quadrature().max_residual
+
+    def test_skewed_normalization_fails(self, monkeypatch):
+        """N_{Nl} times 1 + 1e-6 wherever beta is not 1 leaves R at unit scale,
+        which the transform checks, as it is, and fails quadrature alone."""
+        normalization = hydrogenic._normalization
+
+        def skewed(state):
+            m, e = normalization(state)
+            return (m if state.scale.beta == 1.0 else m * (1.0 + 1e-6)), e
+
+        for module in (hydrogenic, verification):
+            monkeypatch.setattr(module, "_normalization", skewed)
+        report = run_all(PhysicalScale(1.0, 2.0))
+        assert [r.name for r in report.results if not r.passed] == ["quadrature_vs_closed_form"]
+        quadrature = report.results[list(SUITES).index("quadrature")]
+        assert 0.9e-6 <= quadrature.max_residual <= 1.1e-6, quadrature.details
+        assert run_all(PhysicalScale(), ["quadrature"]).overall_pass
+
+
 class TestUncertainty:
     """<p^2> = (hbar beta)^2 for every state, and the 9 hbar^2 / 4 bound."""
 
@@ -260,7 +294,7 @@ class TestUncertainty:
 
     def test_perturbed_G_fails(self, monkeypatch):
         """G of (3, 1) scaled by 1 + 1e-9 moves its <p^2> by 2e-9."""
-        monkeypatch.setattr(forms, "_pp_stack", perturbed_ladder((3, 1), 1.0 + 1e-9))
+        monkeypatch.setattr(verification, "_pp_stack", perturbed_ladder((3, 1), 1.0 + 1e-9))
         res = verify_uncertainty()
         assert not res.passed and res.max_residual > 1e-9
         assert self.worst_state(res.details) == (3, 1)
@@ -328,6 +362,43 @@ class TestSO4Constancy:
         assert self.worst_state(res.details) == (5, 4)
 
 
+class TestGramBlocks:
+    """Unitarity as equal momentum and position Gram matrices (`_gram_blocks`,
+    at unit scale)."""
+
+    @pytest.mark.parametrize("N,l", [(1, 0), (2, 0), (2, 1), (4, 2), (5, 0)])
+    def test_normalized_states(self, N, l):
+        momentum, position = _gram_blocks([QuantumState(N, l)])[l]
+        assert momentum.shape == position.shape == (1, 1)
+        assert abs(position[0, 0] - 1.0) <= 1e-13
+        assert abs(momentum[0, 0] - 1.0) <= 1e-13
+
+    def test_gram_off_diagonal(self):
+        """At one beta the states are not orthogonal under r^2 dr, so the
+        off-diagonal entries are a check too: with R_10 = 2 e^{-rho/2} and
+        R_20 = (2 - rho) e^{-rho/2}, <R_10|R_20> = int (2 - rho) rho^2 e^{-rho} / 4 = -1/2."""
+        momentum, position = _gram_blocks([QuantumState(1, 0), QuantumState(2, 0)])[0]
+        assert position[0, 1] == pytest.approx(-0.5, rel=1e-14)
+        assert np.max(np.abs(momentum - position)) <= 1e-14
+
+    @pytest.mark.parametrize("l,top", [(0, 300), (50, 300), (150, 300), (0, 500)])
+    def test_hundreds(self, l, top):
+        """The momentum Gram of psi_trig equals the closed-form Sturmian
+        Gram to a few ulps for N in the hundreds."""
+        states = [QuantumState(N, l) for N in range(l + 1, top + 1)]
+        momentum, position = _gram_blocks(states)[l]
+        assert momentum.shape == position.shape == (len(states),) * 2
+        assert np.max(np.abs(momentum - position)) <= 2e-14
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 10, 30, 60])
+    def test_large_N(self, l):
+        """Every state with N <= 100 of one l, within a few ulps of the closed form."""
+        states = [QuantumState(N, l) for N in range(l + 1, 101)]
+        momentum, position = _gram_blocks(states)[l]
+        assert np.max(np.abs(momentum - position)) <= 3e-14
+        assert np.max(np.abs(np.diag(position) - 1.0)) <= 1e-12
+
+
 class TestUnitarity:
     """parseval_diagonalization compares the same-l Gram matrices of
     psi_trig and radial_wavefunction."""
@@ -344,7 +415,7 @@ class TestUnitarity:
 
     def test_perturbed_momentum_row_fails(self, monkeypatch):
         """One state's psi_trig off by a factor 1 + 1e-6 shows in its row."""
-        monkeypatch.setattr(transform, "_kernel_stack",
+        monkeypatch.setattr(verification, "_kernel_stack",
                             perturbed_rows((4, 1), lambda p: 1.0 + 1e-6))
         res = verify_parseval_and_diagonalization()
         assert not res.passed and res.max_residual > 1e-7
@@ -533,21 +604,20 @@ def log_uniform(lo, hi):
 
 class TestScales:
     """The finite rules of the Gram matrices, <p^2> and the Hankel check are
-    exact at every scale, so the suites pass far from hbar beta = 1."""
+    exact, and take numbers of order 1, so the suites pass far from hbar beta = 1."""
+
+    def test_exact_rules(self):
+        """Every state with N <= 12: the Gram blocks of each l and <p^2> / (hbar beta)^2."""
+        states = [QuantumState(N, l) for N in range(1, 13) for l in range(N)]
+        for l, (momentum, position) in _gram_blocks(states).items():
+            assert np.max(np.abs(momentum - position)) <= 1e-13, l
+            assert np.max(np.abs(np.diag(position) - 1.0)) <= 1e-13, l
+        assert np.max(np.abs(_p2_stack(states) - 1.0)) <= 1e-13
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(log_uniform(1e-8, 1e4), log_uniform(1e-3, 1e3))
-    def test_exact_rules(self, hbar_beta, hbar):
+    def test_exact_rule_suites(self, hbar_beta, hbar):
         scale = PhysicalScale(hbar, hbar_beta / hbar)
-        for l in range(12):
-            momentum, position = gram_matrices(
-                [QuantumState(N, l, scale) for N in range(l + 1, 13)])
-            assert np.max(np.abs(momentum - position)) <= 1e-13, l
-            assert np.max(np.abs(np.diag(position) - 1.0)) <= 1e-13, l
-        for N in range(1, 13):
-            for l in range(N):
-                p2 = expectation_p2(QuantumState(N, l, scale))
-                assert abs(p2 / scale.momentum ** 2 - 1.0) <= 1e-13, (N, l, p2)
         assert verify_uncertainty(scale).passed
         assert verify_pp_vs_hankel(scale).passed
 
