@@ -14,7 +14,6 @@ from .hydrogenic import (
     QuantumState,
     expectation_p2,
     expectation_r2,
-    normalization_constant,
     radial_wavefunction,
 )
 from .transform import ConvergenceError, diagonalization_residual, transform_numeric

@@ -10,7 +10,6 @@ Scaled units (hbar = 1, beta = 1) are the default.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,19 +85,6 @@ def _normalization(state: QuantumState) -> tuple[float, int]:
     return sqrt_ratio(4 * num ** 3, N * math.perm(N + l, 2 * l + 1) * den ** 3)
 
 
-def normalization_constant(state: QuantumState) -> float:
-    """Normalization N_{Nl} = (2 beta)^{3/2} sqrt((N-l-1)! / (2N (N+l)!)), correctly rounded.
-
-    Raises ValueError where N_{Nl} is not a normal double (at beta = 1,
-    for l = N - 1 from N = 151 on, or at beta far from 1).
-    """
-    m, e = _normalization(state)
-    if not sys.float_info.min_exp <= e <= sys.float_info.max_exp:
-        raise ValueError(f"N_{{Nl}} of (N={state.N}, l={state.l}) at beta={state.scale.beta:g} "
-                         f"is not a normal double")
-    return math.ldexp(m, e)
-
-
 def radial_wavefunction(state: QuantumState, r):
     """R_{Nl}(r) = N_{Nl} e^{-rho/2} rho^l L_{N-l-1}^{2l+1}(rho), rho = 2 beta r.
 
@@ -117,7 +103,7 @@ def _radial_stack(states, rho) -> np.ndarray:
     """np.stack([radial_wavefunction(s, rho / 2 beta) for s in states]) at rho >= 0,
     bit for bit: one Laguerre recurrence per l up to its largest N, all its rows
     scaled at once by their own N_{Nl}, and the functions of rho shared by every l."""
-    if np.min(rho) < 0:
+    if np.any(rho < 0):
         raise ValueError(f"rho = 2 beta r must be >= 0, got {np.min(rho)}")
     values = np.empty((len(states),) + np.shape(rho))
     rho_mantissa, rho_exponent = np.frexp(rho)
@@ -135,9 +121,22 @@ def _radial_stack(states, rho) -> np.ndarray:
 
 
 def expectation_r2(state: QuantumState) -> float:
-    """<r^2> = (5 N^2 + 1 - 3 l (l+1)) / (2 beta^2), in closed form."""
+    """<r^2> = (5 N^2 + 1 - 3 l (l+1)) / (2 beta^2), in closed form.  From beta =
+    2^512 on, where beta^2 is past the largest double, beta is an integer and <r^2>
+    the correctly rounded quotient of integers, 0.0 where it underflows.  Raises
+    OverflowError naming the state and beta where <r^2> is past the largest double,
+    below beta = 1.3e-154 at N = 1."""
     N, l = state.N, state.l
-    return (5 * N * N + 1 - 3 * l * (l + 1)) / (2.0 * state.scale.beta ** 2)
+    n, beta = 5 * N * N + 1 - 3 * l * (l + 1), state.scale.beta
+    if beta >= 2.0 ** 512:
+        value = n / (2 * int(beta) ** 2)
+    else:
+        square = beta ** 2
+        value = n / 2.0 / square if square else math.inf
+    if value == math.inf:
+        raise OverflowError(f"<r^2> of (N={N}, l={l}) at beta = {beta:g} "
+                            f"is past the largest double")
+    return value
 
 
 def expectation_p2(state: QuantumState) -> float:

@@ -1,12 +1,13 @@
 """Cross-form, transform, normalization and inequality check suites.
 
 Each suite takes a PhysicalScale, its only input, and returns a
-deterministic CheckResult with its residual and a constant tolerance;
-run_all bundles them into a VerificationReport, whose config records the
-scale and the numerical transform's constants.  The stacks take unit grids
-in q = p / hbar beta and rho = 2 beta r.  The form suites compare the kernel
-with the paper's literal sums, summed exactly in integers at Pythagorean
-momenta, so cancellation limits no N.  The Gram matrices of unitarity and
+deterministic CheckResult with its residual and a constant tolerance, which
+it passes where the residual is within the tolerance; run_all bundles them
+into a VerificationReport, whose config records the scale and the numerical
+transform's constants.  The stacks take unit grids in q = p / hbar beta and
+rho = 2 beta r.  The form suites compare the kernel with the paper's literal
+sums, summed exactly in integers at Pythagorean momenta, so cancellation
+limits no N.  The Gram matrices of unitarity and
 <p^2> of the uncertainty suite are sums over one midpoint rule in
 theta = arctan(q), exact for their integrands (`_theta_rule`).
 """
@@ -19,7 +20,7 @@ import json
 import math
 import os
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -52,50 +53,36 @@ from .transform import (
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one verification suite."""
+    """Outcome of one verification suite: it passed where its residual is within
+    its tolerance, a nan tolerance (a suite that raised) never."""
 
     name: str
     states_covered: tuple
     grid: str
     max_residual: float
     tolerance: float
-    passed: bool
+    # Not an argument: __post_init__ sets it.  Its default_factory makes __init__
+    # assign it in field order, so vars() lists it before details, as the JSON does.
+    passed: bool = field(init=False, default_factory=bool)
     details: str = ""
 
-    @classmethod
-    def from_residual(cls, name, states, grid, residual, tolerance, details=""):
-        return cls(name, tuple(states), grid, float(residual), float(tolerance),
-                   bool(residual <= tolerance), details)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "states_covered": [list(s) for s in self.states_covered],
-            "grid": self.grid,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "details": self.details,
-        }
+    def __post_init__(self):
+        for key, kind in (("states_covered", tuple), ("max_residual", float),
+                          ("tolerance", float)):
+            object.__setattr__(self, key, kind(getattr(self, key)))
+        object.__setattr__(self, "passed", self.max_residual <= self.tolerance)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    results: tuple
     config: dict
     timestamp: str
     overall_pass: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "timestamp": self.timestamp,
-            "overall_pass": self.overall_pass,
-            "results": [r.to_dict() for r in self.results],
-        }
+    results: tuple
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """The report's fields, each result's in its own order, as JSON."""
+        return json.dumps({**vars(self), "results": [vars(r) for r in self.results]}, indent=2)
 
 
 def _states(max_N: int, scale: PhysicalScale):
@@ -109,9 +96,8 @@ def _worst(name, states, grid, error, q, tolerance, note=""):
     `note`, in `details`."""
     row, col = np.unravel_index(np.argmax(error), error.shape)
     where = f"worst at (N={states[row].N},l={states[row].l},q={q[col]:.6g})"
-    return CheckResult.from_residual(name, [(s.N, s.l) for s in states], grid,
-                                     error[row, col], tolerance,
-                                     f"{where}; {note}" if note else where)
+    return CheckResult(name, [(s.N, s.l) for s in states], grid, error[row, col],
+                       tolerance, f"{where}; {note}" if note else where)
 
 
 # At q = p / hbar beta = 2mk / (m^2 - k^2), cos(gamma) = X/h and sin(gamma) = S/h,
@@ -275,7 +261,7 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     except ConvergenceError as exc:
         failed = np.any(exc.error_bound > exc.tolerance, axis=-1)
         names = ", ".join(f"(N={s.N},l={s.l})" for s, bad in zip(states, failed) if bad)
-        return CheckResult.from_residual(
+        return CheckResult(
             "quadrature_vs_closed_form", [(s.N, s.l) for s in states], grid_name,
             math.inf, tolerance, f"{names}: {exc}")
     closed = 4.0 * _kernel_stack(states, grid)
@@ -285,8 +271,7 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     result = _worst("quadrature_vs_closed_form", states, grid_name, error, grid, tolerance,
                     f"cut rho={cut:g}, panels={panels}; N_Nl worst at "
                     f"(N={states[k].N},l={states[k].l}): {norm[k]:.3e}")
-    return CheckResult.from_residual(result.name, result.states_covered, grid_name,
-                                     max(result.max_residual, norm[k]), tolerance, result.details)
+    return replace(result, max_residual=max(result.max_residual, norm[k]))
 
 
 def _normalization_error(state: QuantumState) -> float:
@@ -436,7 +421,7 @@ def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) 
         lambda rho: (k - rho / 2.0) * rho ** (k - 1) * np.exp(-rho / 2.0),
         np.linspace(-10.0, 10.0, 21))
     details += [f"rho^{power} e^(-rho/2): {res:.3e}" for power, res in zip(k[:, 0], residuals)]
-    return CheckResult.from_residual(
+    return CheckResult(
         "parseval_and_diagonalization", [(s.N, s.l) for s in states],
         "Gram matrices per l, N <= 5; 21-point p grid in [-10, 10] hbar beta",
         max(error[i, j], residuals.max()), 1e-7, details="; ".join(details))
@@ -444,18 +429,17 @@ def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) 
 
 def verify_uncertainty(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     """<p^2> / (hbar beta)^2 = 1 at a common beta (the diagonal of Fock's orthogonality),
-    the residual, and <r^2><p^2> / hbar^2 = <(beta r)^2> <p^2> / (hbar beta)^2 >= 9/4, D = 3.
-    Both are functions of N and l alone, so they are taken at unit scale."""
+    the residual, and <r^2><p^2> / hbar^2 = <(beta r)^2> <p^2> / (hbar beta)^2 >= 9/4, D = 3:
+    a state below the bound has an infinite residual.  Both are functions of N and l
+    alone, so they are taken at unit scale."""
     states = _states(5, PhysicalScale())
     p2 = _p2_stack(states)
     products = p2 * [expectation_r2(s) for s in states]
-    error = np.abs(p2 - 1.0)
+    error = np.where(products >= 2.25, np.abs(p2 - 1.0), math.inf)
     row = int(np.argmax(error))
-    tolerance = 1e-9
     return CheckResult(
-        "uncertainty_bound", tuple((s.N, s.l) for s in states),
-        "analytic <r^2>, quadrature <p^2>", float(error[row]), tolerance,
-        bool(error[row] <= tolerance and np.all(products >= 2.25)),
+        "uncertainty_bound", [(s.N, s.l) for s in states],
+        "analytic <r^2>, quadrature <p^2>", error[row], 1e-9,
         f"worst at (N={states[row].N},l={states[row].l}); "
         f"ground-state product: {products[0]:.12g}")
 
@@ -485,7 +469,7 @@ def verify_so4_constancy(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
                        np.abs(lo.mean(axis=1) - 1.0),
                        np.abs(pp.mean(axis=1) / pp_constant - 1.0)], axis=0)
     row = int(np.argmax(residual))
-    return CheckResult.from_residual(
+    return CheckResult(
         "so4_form_constancy", [(s.N, s.l) for s in states],
         f"{grid.size}-point mirrored log grid (PP on its p > 0 half)", residual[row], 1e-10,
         f"worst at (N={states[row].N},l={states[row].l})")
@@ -510,7 +494,7 @@ def _run_suite(name: str, scale: PhysicalScale) -> CheckResult:
     except Exception as exc:  # noqa: BLE001 - one suite's crash fails only that suite
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         return CheckResult(
-            name, (), "", math.inf, math.nan, False,
+            name, (), "", math.inf, math.nan,
             f"raised {type(exc).__name__}: {exc} (in {frame.name}, "
             f"{os.path.basename(frame.filename)}:{frame.lineno})")
 
@@ -520,16 +504,15 @@ def run_all(scale: PhysicalScale = PhysicalScale(), suites=None) -> Verification
     report, whose config records the scale and the quadrature constants.
 
     A suite that raises is reported as failed (see `_run_suite`); the
-    others still run.
+    others still run.  An unknown suite or none raises ValueError.
     """
     names = list(SUITES) if suites is None else list(suites)
     unknown = [n for n in names if n not in SUITES]
-    if unknown:
-        raise ValueError(f"unknown suites: {unknown}")
+    if unknown or not names:
+        raise ValueError(f"unknown suites: {unknown}" if unknown else "no suite requested")
     results = tuple(_run_suite(name, scale) for name in names)
     config = {"hbar": scale.hbar, "beta": scale.beta,
               "quadrature": {"rel_tol": REL_TOL, "abs_tol": ABS_TOL, "max_rho": MAX_RHO,
                              "panel_budget": PANEL_BUDGET}}
-    return VerificationReport(results, config,
-                              datetime.datetime.now(datetime.timezone.utc).isoformat(),
-                              all(r.passed for r in results))
+    return VerificationReport(config, datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                              all(r.passed for r in results), results)

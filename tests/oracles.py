@@ -3,9 +3,9 @@
 The order -1/2 Ferrers functions (a third assembly of the momentum wave
 function) and the C^1 and D^1 they take, the spherical Bessel function j_l
 by recurrence and the spherical Neumann function n_0, and the Slater-term
-route: R_{Nl} as a finite sum of rho^m e^{-rho/2} terms, its exact
-term-wise transform, and the radial momentum operator applied term-wise
-(the p_r check of the Schroedinger equation).  They share no code with the
+route: N_{Nl} in mpmath, R_{Nl} as a finite sum of rho^m e^{-rho/2} terms,
+its exact term-wise transform, and the radial momentum operator applied
+term-wise (the p_r check of the Schroedinger equation).  They share no code with the
 package: it gives them only its PhysicalScale and QuantumState.
 """
 
@@ -135,17 +135,22 @@ class SlaterExpansion:
         return sum(c * rho ** m for m, c in self.terms) * math.exp(-rho / 2.0)
 
 
+def normalization(state: QuantumState) -> float:
+    """N_{Nl} = (2 beta)^{3/2} sqrt((N-l-1)! / (2N (N+l)!)) by mpmath at 30 digits."""
+    N, l = state.N, state.l
+    with mpmath.workdps(30):
+        return float((2 * mpmath.mpf(state.scale.beta)) ** 1.5 * mpmath.sqrt(
+            mpmath.factorial(N - l - 1) / (2 * N * mpmath.factorial(N + l))))
+
+
 def slater_expansion(state: QuantumState) -> SlaterExpansion:
     """R_{Nl} as a Slater expansion: the Laguerre sum written out.
 
     Term t in 0..N-l-1 carries power l+t and coefficient
-    N_{Nl} (-1)^t binom(N+l, N-l-1-t) / t!, with
-    N_{Nl} = (2 beta)^{3/2} sqrt((N-l-1)! / (2N (N+l)!)) by mpmath at 30 digits.
+    N_{Nl} (-1)^t binom(N+l, N-l-1-t) / t!, with N_{Nl} of `normalization`.
     """
     N, l = state.N, state.l
-    with mpmath.workdps(30):
-        norm = float((2 * mpmath.mpf(state.scale.beta)) ** 1.5 * mpmath.sqrt(
-            mpmath.factorial(N - l - 1) / (2 * N * mpmath.factorial(N + l))))
+    norm = normalization(state)
     return SlaterExpansion(tuple(
         (l + t, complex((-1) ** t * math.comb(N + l, N - l - 1 - t) / math.factorial(t)) * norm)
         for t in range(N - l)), state.scale)

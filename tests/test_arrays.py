@@ -16,8 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmomentum.cli import CSV_BLOCK_ROWS, EXIT_OK, main
-from hmomentum.forms import FORM_EVALUATORS, Q_CAP, podolsky_pauling_G
-from hmomentum.hydrogenic import PhysicalScale, QuantumState
+from hmomentum.forms import (
+    FORM_EVALUATORS,
+    Q_CAP,
+    _lombardi_ogilvie_kernel,
+    distribution_max_l,
+    podolsky_pauling_G,
+    psi_trig,
+)
+from hmomentum.hydrogenic import PhysicalScale, QuantumState, radial_wavefunction
+from hmomentum.transform import transform_numeric
 
 REL_TOL = 1e-14
 SMALLEST_NORMAL = 2.2250738585072014e-308
@@ -80,6 +88,20 @@ def test_scalar_in_scalar_out():
     for form, evaluator in FORM_EVALUATORS.items():
         value = evaluator(state, 0.7)
         assert isinstance(value, complex) and np.ndim(value) == 0, form
+
+
+@pytest.mark.parametrize("function", [
+    lambda x: radial_wavefunction(QuantumState(3, 1), x),
+    lambda x: psi_trig(QuantumState(3, 1), x),
+    lambda x: _lombardi_ogilvie_kernel(QuantumState(3, 1), x),
+    lambda x: podolsky_pauling_G(QuantumState(3, 1), x),
+    lambda x: transform_numeric(lambda rho: rho * np.exp(-rho / 2.0), x, 1),
+    lambda x: distribution_max_l("LO", 3, x),
+    lambda x: distribution_max_l("PP", 3, x),
+], ids=["R", "psi", "LO", "G", "transform", "LO shape", "PP shape"])
+def test_empty_array_gives_empty_result(function):
+    for shape in [(0,), (0, 3)]:
+        assert function(np.empty(shape)).shape == shape
 
 
 def test_podolsky_pauling_rejects_negative_entry():

@@ -27,7 +27,6 @@ from hmomentum.hydrogenic import (
     PhysicalScale,
     QuantumState,
     _normalization,
-    normalization_constant,
 )
 from hmomentum.specfun import gegenbauer_C
 from hmomentum.verification import (
@@ -43,6 +42,7 @@ from oracles import (
     ferrers_P_mhalf,
     ferrers_Q_mhalf,
     gegenbauer_D1,
+    normalization,
     slater_expansion,
     transform_slater_expansion,
 )
@@ -54,7 +54,7 @@ Q = pythagorean_momenta()
 def coeff_a(state, t):
     """Gegenbauer-expansion coefficient a_t, from the integers of the exact sum."""
     integers, _ = gegenbauer_coefficients(state.N, state.l)
-    return integers[t] * normalization_constant(state) / (2.0 * state.scale.beta) ** 2
+    return integers[t] * normalization(state) / (2.0 * state.scale.beta) ** 2
 
 
 class TestCoefficients:
@@ -64,7 +64,7 @@ class TestCoefficients:
         assert coeff_a(QuantumState(1, 0), 0) == pytest.approx(2.0)
 
     def test_2p(self):
-        expect = 4.0 * normalization_constant(QuantumState(2, 1))
+        expect = 4.0 * normalization(QuantumState(2, 1))
         assert coeff_a(QuantumState(2, 1), 0) == pytest.approx(expect)
 
     def test_b_equals_a(self):
@@ -495,7 +495,7 @@ def psi_ferrers(state, p):
     beta = state.scale.beta
     b = p / (2.0 * pm)
     x = 0.5 / math.sqrt(0.25 + b * b)
-    norm = normalization_constant(state)
+    norm = normalization(state)
     pref = (p / state.scale.hbar) * math.sqrt(math.pi * pm / p) * norm
     total = 0.0 + 0.0j
     for t in range(N - l):

@@ -1,6 +1,7 @@
 """Position-space machinery: normalization, Slater terms, p_r, moments."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,10 +12,10 @@ from scipy.integrate import quad
 from hmomentum.hydrogenic import (
     PhysicalScale,
     QuantumState,
+    _normalization,
     _radial_stack,
     expectation_p2,
     expectation_r2,
-    normalization_constant,
     radial_wavefunction,
     sqrt_ratio,
 )
@@ -126,21 +127,26 @@ class TestSqrtRatio:
             0.5, power // 2 + 1)
 
 
+def normalization(state):
+    """N_{Nl} of the package, `_normalization`'s (m, e) as one float."""
+    return math.ldexp(*_normalization(state))
+
+
 class TestNormalization:
     def test_ground_state(self):
         # (2 beta)^{3/2} sqrt(0!/(2*1*1!)) = 2^{3/2}/sqrt(2) = 2 at beta=1
-        assert normalization_constant(QuantumState(1, 0)) == pytest.approx(2.0)
+        assert normalization(QuantumState(1, 0)) == pytest.approx(2.0)
 
     def test_2p(self):
         # (2)^{3/2} sqrt(1/(4*6)) = 2 sqrt(2) / (2 sqrt(6)) = 1/sqrt(3)... check:
         # 2^{3/2} sqrt(0!/(2*2*3!)) = 2.8284 * sqrt(1/24)
         expect = 2.0 ** 1.5 * math.sqrt(1.0 / 24.0)
-        assert normalization_constant(QuantumState(2, 1)) == pytest.approx(expect)
+        assert normalization(QuantumState(2, 1)) == pytest.approx(expect)
         assert expect == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
 
     def test_beta_scaling(self):
-        a = normalization_constant(QuantumState(3, 1, PhysicalScale(beta=0.5)))
-        b = normalization_constant(QuantumState(3, 1))
+        a = normalization(QuantumState(3, 1, PhysicalScale(beta=0.5)))
+        b = normalization(QuantumState(3, 1))
         assert a == pytest.approx(b * 0.5 ** 1.5)
 
     @staticmethod
@@ -159,7 +165,7 @@ class TestNormalization:
         with mpmath.workdps(40):
             exact = mpmath.mpf(2) ** 1.5 * mpmath.sqrt(
                 mpmath.factorial(N - l - 1) / (2 * N * mpmath.factorial(N + l)))
-        assert normalization_constant(state) == pytest.approx(float(exact), rel=1e-15)
+        assert normalization(state) == pytest.approx(float(exact), rel=1e-15)
         for r in (0.5, 1.0, 7.3, 50.0, 150.0):
             exact = float(self.mp_radial(N, l, r))
             assert radial_wavefunction(state, r) == pytest.approx(exact, rel=1e-13), r
@@ -195,12 +201,6 @@ class TestNormalization:
             values = _radial_stack([QuantumState(N, l) for N in range(l + 1, 301)], 2.0 * r)
             assert np.isfinite(values).all(), l
 
-    @pytest.mark.parametrize("N,l,beta", [(151, 150, 1.0), (300, 200, 1.0), (3, 1, 1e250),
-                                          (3, 1, 1e-250)])
-    def test_not_normal_raises(self, N, l, beta):
-        with pytest.raises(ValueError, match=rf"\(N={N}, l={l}\)"):
-            normalization_constant(QuantumState(N, l, PhysicalScale(beta=beta)))
-
     @pytest.mark.parametrize("N,l", [(1, 0), (2, 0), (2, 1), (3, 1), (5, 3)])
     def test_unit_norm_by_quadrature(self, N, l):
         state = QuantumState(N, l)
@@ -215,17 +215,17 @@ class TestSlaterExpansion:
     def test_ground_state_single_term(self):
         # R_10 = N_10 e^{-rho/2}, N_10 = 2
         exp10 = slater_expansion(QuantumState(1, 0))
-        assert exp10.terms == ((0, normalization_constant(QuantumState(1, 0)) + 0j),)
+        assert exp10.terms == ((0, normalization(QuantumState(1, 0)) + 0j),)
 
     def test_2s_coefficients(self):
         # R_20 / N_20 = (2 - rho) e^{-rho/2}: powers {0: 2, 1: -1}
-        norm = normalization_constant(QuantumState(2, 0))
+        norm = normalization(QuantumState(2, 0))
         exp20 = slater_expansion(QuantumState(2, 0))
         assert dict(exp20.terms) == {0: 2 * norm + 0j, 1: -norm + 0j}
 
     def test_2p_single_term(self):
         exp21 = slater_expansion(QuantumState(2, 1))
-        assert exp21.terms == ((1, normalization_constant(QuantumState(2, 1)) + 0j),)
+        assert exp21.terms == ((1, normalization(QuantumState(2, 1)) + 0j),)
 
     def test_sign_alternation(self):
         for N, l in [(4, 0), (5, 1), (6, 2)]:
@@ -399,6 +399,42 @@ class TestMoments:
         product = expectation_r2(QuantumState(1, 0)) * expectation_p2(QuantumState(1, 0))
         assert product == pytest.approx(3.0, abs=1e-9)
         assert product >= 2.25
+
+    @pytest.mark.parametrize("beta", [1e-160, 1e-200, 5e-324])
+    def test_r2_past_the_largest_double_names_the_state(self, beta):
+        """<r^2> is past the largest double below beta = 1.3e-154 at N = 1, and beta^2
+        is 0.0 from 2.2e-162 down: either way the error names the state and beta."""
+        with pytest.raises(OverflowError, match=rf"\(N=2, l=1\) at beta = {beta:g} "):
+            expectation_r2(QuantumState(2, 1, PhysicalScale(1.0, beta)))
+
+    @pytest.mark.parametrize("N,l,beta", [(2, 1, 1e200), (2, 1, 1.7e308), (1, 0, 1.35e154),
+                                          (10 ** 9, 3, 1e160), (10 ** 9, 3, 1e300)])
+    def test_r2_past_beta_squared_is_correctly_rounded(self, N, l, beta):
+        """From beta = 2^512 on, where beta^2 is past the largest double, <r^2> is the
+        exact quotient correctly rounded: 0.0 where it underflows (1e-400 at 1e200)."""
+        exact = Fraction(5 * N * N + 1 - 3 * l * (l + 1)) / (2 * Fraction(beta) ** 2)
+        assert expectation_r2(QuantumState(N, l, PhysicalScale(1.0, beta))) == float(exact)
+
+    @pytest.mark.parametrize("N,l,beta", [(1, 0, 1.2e154), (3, 0, 1.08e154),
+                                          (10 ** 6, 829, 1.17e154)])
+    def test_r2_where_two_beta_squared_overflows(self, N, l, beta):
+        """Between beta = 9.5e153 and 2^512, 2 beta^2 is past the largest double but
+        beta^2 is not: <r^2> is n / 2 / beta ** 2, within 2 ulps of the exact value."""
+        n = 5 * N * N + 1 - 3 * l * (l + 1)
+        value = expectation_r2(QuantumState(N, l, PhysicalScale(1.0, beta)))
+        assert value == n / 2.0 / beta ** 2
+        assert value == pytest.approx(float(Fraction(n) / (2 * Fraction(beta) ** 2)),
+                                      rel=4.5e-16, abs=0.0)
+
+    def test_r2_is_the_quotient_of_beta_squared(self):
+        """Where 2 beta^2 and <r^2> are doubles, <r^2> is (5 N^2 + 1 - 3 l (l+1)) /
+        (2.0 beta ** 2), bit for bit, beta ** 2 rounded first, at 2000 log-uniform beta."""
+        rng = np.random.default_rng(3)
+        for beta in 10.0 ** rng.uniform(-150.0, 153.9, 2000):
+            beta, N = float(beta), int(rng.integers(1, 1000))
+            l = int(rng.integers(0, N))
+            expect = (5 * N * N + 1 - 3 * l * (l + 1)) / (2.0 * beta ** 2)
+            assert expectation_r2(QuantumState(N, l, PhysicalScale(1.0, beta))) == expect
 
     def test_p2_past_the_largest_double_names_the_state(self):
         """At hbar beta = 1e200, <p^2> = 1e400 is past the largest double: the

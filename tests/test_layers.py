@@ -1,7 +1,7 @@
-"""The import graph follows the layers: `transform` imports nothing from the
-package and `hydrogenic` only `specfun`, at module level, so the numerical
-transform and R do not lean on the closed forms (`forms`) or the checks
-(`verification`) built on them."""
+"""The import graph follows the layers: `specfun` and `transform` import nothing
+from the package, `hydrogenic` only `specfun`, at module level, and `forms` only
+`hydrogenic` and `specfun`, so the kernels, the numerical transform and R do not
+lean on the closed forms (`forms`) or the checks (`verification`) built on them."""
 
 import ast
 import pathlib
@@ -37,7 +37,9 @@ def imports(module):
 PACKAGE = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
 
 
-@pytest.mark.parametrize("module,allowed", [("transform", set()), ("hydrogenic", {"specfun"})])
+@pytest.mark.parametrize("module,allowed", [("specfun", set()), ("transform", set()),
+                                            ("hydrogenic", {"specfun"}),
+                                            ("forms", {"hydrogenic", "specfun"})])
 def test_package_imports(module, allowed):
     assert {name for name, _ in imports(module)} & PACKAGE <= allowed
 

@@ -1,5 +1,6 @@
 """Verification suites: pass/fail mechanics, determinism, serialization."""
 
+import dataclasses
 import json
 import math
 import re
@@ -17,6 +18,7 @@ from hmomentum.transform import GL_ORDER, gauss_legendre_panels
 from hmomentum.verification import (
     SUITES,
     CheckResult,
+    VerificationReport,
     _gram_blocks,
     _p2_stack,
     pythagorean_momenta,
@@ -59,16 +61,20 @@ def perturbed_ladder(state, factor):
 
 class TestCheckResult:
     def test_pass_consistency(self):
-        res = CheckResult.from_residual("x", [(1, 0)], "g", 1e-12, 1e-11)
+        res = CheckResult("x", [(1, 0)], "g", 1e-12, 1e-11)
         assert res.passed
-        res = CheckResult.from_residual("x", [(1, 0)], "g", 1e-10, 1e-11)
+        res = CheckResult("x", [(1, 0)], "g", 1e-10, 1e-11)
         assert not res.passed
+        assert not CheckResult("x", (), "", math.inf, math.nan).passed
+        with pytest.raises(TypeError):
+            CheckResult("x", (), "", 1.0, 0.5, passed=True)
 
     def test_dict_round_trip(self):
-        res = CheckResult.from_residual("x", [(2, 1)], "g", 0.5, 1.0, "note")
-        d = res.to_dict()
-        assert json.loads(json.dumps(d)) == d
-        assert d["states_covered"] == [[2, 1]] and d["details"] == "note"
+        res = CheckResult("x", [(2, 1)], "g", np.float64(0.5), 1.0, "note")
+        [d] = json.loads(VerificationReport({}, "", True, (res,)).to_json())["results"]
+        assert d == {"name": "x", "states_covered": [[2, 1]], "grid": "g",
+                     "max_residual": 0.5, "tolerance": 1.0, "passed": True, "details": "note"}
+        assert list(d) == [f.name for f in dataclasses.fields(CheckResult)]
 
 
 class TestFastSuites:
@@ -300,10 +306,13 @@ class TestUncertainty:
         assert self.worst_state(res.details) == (3, 1)
 
     def test_bound_is_a_condition(self, monkeypatch):
-        """A product below 9 hbar^2 / 4 fails the suite with <p^2> exact."""
-        monkeypatch.setattr(verification, "expectation_r2", lambda state: 1.0)
+        """A product below 9 hbar^2 / 4 fails the suite with <p^2> exact: that
+        state's residual is infinite, and `details` names it."""
+        monkeypatch.setattr(verification, "expectation_r2", lambda state: 1.0 if (
+            state.N, state.l) == (3, 1) else hydrogenic.expectation_r2(state))
         res = verify_uncertainty()
-        assert not res.passed and res.max_residual <= 1e-14
+        assert not res.passed and res.max_residual == math.inf
+        assert self.worst_state(res.details) == (3, 1)
 
 
 class TestSO4Constancy:
@@ -576,6 +585,24 @@ class TestRunAll:
         with pytest.raises(ValueError):
             run_all(suites=["nope"])
 
+    def test_empty_suite_list_rejected(self):
+        """No suite is no check: it does not pass vacuously."""
+        with pytest.raises(ValueError, match="no suite"):
+            run_all(suites=[])
+
+    @pytest.mark.parametrize("case", ["default", "crash", "product below 9/4"])
+    def test_passed_is_the_residual_within_tolerance(self, monkeypatch, case):
+        """Every result passes exactly where its residual is within its tolerance,
+        whatever made it fail; the report passes where every result does."""
+        if case == "crash":
+            monkeypatch.setitem(SUITES, "quadrature", lambda scale: 1 / 0)
+        elif case == "product below 9/4":
+            monkeypatch.setattr(verification, "expectation_r2", lambda state: 1.0)
+        report = run_all()
+        for result in json.loads(report.to_json())["results"] + [vars(r) for r in report.results]:
+            assert result["passed"] is (result["max_residual"] <= result["tolerance"]), result
+        assert report.overall_pass is (case == "default")
+
     def test_deterministic(self):
         fast = ["form_equivalence", "lo_proportionality", "so4_constancy"]
         a = run_all(suites=fast)
@@ -585,11 +612,15 @@ class TestRunAll:
             assert ra.passed == rb.passed
 
     def test_json_round_trip(self):
+        """The JSON is the report's fields and each result's, in their order."""
         report = run_all(suites=["so4_constancy"])
-        text = report.to_json()
-        parsed = json.loads(text)
+        parsed = json.loads(report.to_json())
         assert parsed["overall_pass"] is True
-        assert parsed == report.to_dict()
+        assert list(parsed) == [f.name for f in dataclasses.fields(VerificationReport)]
+        assert (parsed["config"], parsed["timestamp"]) == (report.config, report.timestamp)
+        [result] = report.results
+        assert parsed["results"] == [{**vars(result), "states_covered": [
+            list(s) for s in result.states_covered]}]
 
     def test_config_recorded(self):
         report = run_all(PhysicalScale(beta=2.0), suites=["form_equivalence"])
