@@ -40,13 +40,13 @@ from .transform import (
     ABS_TOL,
     GL_ORDER,
     MAX_RHO,
+    MIN_PANELS,
     PANEL_BUDGET,
     REL_TOL,
     ConvergenceError,
     _transform_numeric,
     diagonalization_residual,
     gauss_legendre_panels,
-    panels_needed,
     tail_cut,
 )
 
@@ -245,7 +245,8 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     form with no extra phase factor, at unit scale, where the unit integral
     of R is 4 psi_trig, so the residual is the same at every scale.  Every
     state is transformed in one call, and `details` reports the cut in rho
-    that the transform took from the states' tails and its panel count.
+    that the transform took from the states' tails, the panel count it
+    settled on and its largest error bound relative to a state's peak.
     Each state's residual is relative to its largest |psi_trig| on the grid.
     R's normalization N_{Nl} at the requested scale is held to its exact value
     as well (`_normalization_error`); `details` names its worst state.
@@ -256,7 +257,7 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     grid_name = f"{grid.size}-point mirrored grid up to 20 hbar beta"
     tolerance = 3e-8
     try:
-        numeric, cut, panels = _transform_numeric(
+        numeric, cut, layout = _transform_numeric(
             functools.partial(_radial_stack, states), grid, 1)
     except ConvergenceError as exc:
         failed = np.any(exc.error_bound > exc.tolerance, axis=-1)
@@ -269,7 +270,8 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     norm = [_normalization_error(s) for s in _states(4, scale)]
     k = int(np.argmax(norm))
     result = _worst("quadrature_vs_closed_form", states, grid_name, error, grid, tolerance,
-                    f"cut rho={cut:g}, panels={panels}; N_Nl worst at "
+                    f"cut rho={cut:g}, panels={layout.panels}, error bound "
+                    f"{layout.relative_bound:.3e} of the peak; N_Nl worst at "
                     f"(N={states[k].N},l={states[k].l}): {norm[k]:.3e}")
     return replace(result, max_residual=max(result.max_residual, norm[k]))
 
@@ -307,6 +309,15 @@ def verify_lo_proportionality(scale: PhysicalScale = PhysicalScale()) -> CheckRe
 
 
 HANKEL_Q = np.linspace(0.2, 5.0, 12)  # pp_vs_hankel's momenta, p = q hbar beta
+# The j_l rule's panels span at most half a period of j_l(q rho / 2), and
+# there are at least MIN_PANELS of them.
+PANEL_PHASE = math.pi
+
+
+def panels_needed(b, length: float):
+    """Panels of the composite rule for cos/sin(b rho) over `length` in rho:
+    one per PANEL_PHASE of phase, and at least MIN_PANELS."""
+    return np.maximum(MIN_PANELS, np.ceil(np.abs(b) * length / PANEL_PHASE)).astype(np.int64)
 
 
 @functools.lru_cache(maxsize=4)
@@ -404,8 +415,10 @@ def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) 
     momentum Gram matrix of psi_trig equal, entry by entry, to the
     closed-form Gram matrix of the R_{Nl} (`_gram_blocks`, all l in one pass).
     H(p_r f) = p H f is checked on u_k(rho) = rho^k e^{-rho/2}, k = 1, 2, 3,
-    by `diagonalization_residual`.  Neither depends on the scale, so both are
-    taken at unit scale.
+    by `diagonalization_residual`; `details` reports the panel count its
+    transform settled on and its largest error bound relative to a
+    function's peak.  Neither check depends on the scale, so both are taken
+    at unit scale.
     """
     states = _states(5, PhysicalScale())
     error = np.zeros((len(states), len(states)))
@@ -416,11 +429,14 @@ def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) 
     details = [f"Gram worst at (N={states[i].N},N'={states[j].N},l={states[i].l}): "
                f"{error[i, j]:.3e}"]
     k = np.arange(1, 4)[:, None]
+    layouts = []
     residuals = diagonalization_residual(
         lambda rho: rho ** k * np.exp(-rho / 2.0),
         lambda rho: (k - rho / 2.0) * rho ** (k - 1) * np.exp(-rho / 2.0),
-        np.linspace(-10.0, 10.0, 21))
+        np.linspace(-10.0, 10.0, 21), layouts)
     details += [f"rho^{power} e^(-rho/2): {res:.3e}" for power, res in zip(k[:, 0], residuals)]
+    details[1] = (f"transform on {layouts[0].panels} panels, error bound "
+                  f"{layouts[0].relative_bound:.3e} of the peak, {details[1]}")
     return CheckResult(
         "parseval_and_diagonalization", [(s.N, s.l) for s in states],
         "Gram matrices per l, N <= 5; 21-point p grid in [-10, 10] hbar beta",

@@ -202,3 +202,45 @@ def apply_radial_momentum(expansion: SlaterExpansion) -> SlaterExpansion:
         acc[m] = acc.get(m, 0.0 + 0.0j) + 1j * hbar * beta * c
     terms = tuple(sorted((m, c) for m, c in acc.items() if c != 0))
     return SlaterExpansion(terms, expansion.scale)
+
+
+def _gauss_legendre_mp(order: int) -> tuple[list, list]:
+    """The Gauss-Legendre nodes and weights of `order` on [-1, 1] at mpmath's
+    working precision: Newton's method on P_order by Bonnet's recurrence, from
+    numpy's nodes, and w = 2 / ((1 - x^2) P_order'(x)^2)."""
+    from numpy.polynomial.legendre import leggauss
+
+    def legendre(x):  # P_order(x) and P_order'(x)
+        low, high = mpmath.mpf(1), x
+        for m in range(1, order):
+            low, high = high, ((2 * m + 1) * x * high - m * low) / (m + 1)
+        return high, order * (x * high - low) / (x * x - 1)
+
+    nodes = []
+    for x in leggauss(order)[0]:
+        x = mpmath.mpf(float(x))
+        for _ in range(6):
+            value, slope = legendre(x)
+            x -= value / slope
+        nodes.append(x)
+    return nodes, [2 / ((1 - x * x) * legendre(x)[1] ** 2) for x in nodes]
+
+
+def filon_weights(order: int, betas, dps: int = 40) -> tuple[list, list]:
+    """int_{-1}^{1} e^{i beta t} l_k(t) dt at each beta, l_k the Lagrange basis
+    of the `order` Gauss-Legendre nodes, at `dps` digits, and the nodes'
+    Gauss-Legendre weights w_k.
+
+    Each integral takes a 96-node Gauss-Legendre rule, exact for l_k times the
+    Taylor polynomial of e^{i beta t} to degree 176; the rest is below
+    (4 pi)^177 / 177! < 1e-120 for |beta| <= 4 pi.  Returns one list of
+    mpmath complex weights per beta, and the w_k.
+    """
+    with mpmath.workdps(dps):
+        nodes, weights = _gauss_legendre_mp(order)
+        t, dt = _gauss_legendre_mp(96)
+        basis = [[mpmath.fprod((s - y) / (x - y) for y in nodes if y is not x) for s in t]
+                 for x in nodes]
+        return ([[mpmath.fsum(w * mpmath.expj(beta * s) * l for s, w, l in zip(t, dt, row))
+                  for row in basis] for beta in map(mpmath.mpf, betas)],
+                weights)

@@ -11,7 +11,8 @@ from scipy.special import eval_gegenbauer, jv, spherical_jn, yv
 
 from hmomentum import specfun
 from hmomentum.specfun import gegenbauer_C, laguerre
-from hmomentum.transform import GL_ORDER, gauss_legendre_panels, panels_needed
+from hmomentum.transform import GL_ORDER, gauss_legendre_panels
+from hmomentum.verification import panels_needed
 from oracles import (
     ferrers_P_mhalf,
     ferrers_Q_mhalf,

@@ -11,6 +11,7 @@ to the bounds it had when the transform took p and a scale.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,10 +20,11 @@ from hmomentum.forms import psi_trig
 from hmomentum.hydrogenic import PhysicalScale, QuantumState, radial_wavefunction
 from hmomentum.transform import (
     ABS_TOL,
+    ESTIMATE_ORDER,
+    GL_ORDER,
     MAX_RHO,
     MIN_PANELS,
     PANEL_BUDGET,
-    PANEL_PHASE,
     PROBE_STEP,
     REL_TOL,
     ConvergenceError,
@@ -32,6 +34,7 @@ from hmomentum.transform import (
 )
 from oracles import (
     SlaterExpansion,
+    filon_weights,
     slater_expansion,
     transform_slater_closed,
     transform_slater_expansion,
@@ -189,15 +192,16 @@ class TestArrayTransform:
     @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
     def test_equals_point_by_point(self, sign, hbar_beta):
         """Both calls take the same cut from f and lay out the MIN_PANELS
-        floor here (|b| cut <= 64 pi), so they sum the same nodes; across
-        layouts the values agree to the rounding of the integrand at the
-        nodes, which test_matches_psi_trig bounds.  H R is held to 1e-15."""
+        floor here (|b| cut <= 64 times 8 pi), where the bound holds at every
+        q, so they sum the same nodes; across layouts the values agree to the
+        rounding of the integrand at the nodes, which test_matches_psi_trig
+        bounds.  H R is held to 1e-15."""
         scale = PhysicalScale(1.0, hbar_beta)
         q = np.array([[-1.5, -0.7, -1e-3, 0.0], [0.0, 1e-3, 0.7, 0.7]])
         for N, l in [(1, 0), (3, 1), (6, 5), (8, 2)]:
             f = radial_in_rho(QuantumState(N, l, scale))
-            values, cut, _ = transform._transform_numeric(f, q, sign)
-            assert 0.5 * 1.5 * cut <= MIN_PANELS * PANEL_PHASE
+            values, _, layout = transform._transform_numeric(f, q, sign)
+            assert layout.panels == MIN_PANELS
             assert values.shape == q.shape
             for x, value in zip(q.ravel(), values.ravel()):
                 assert abs(value - transform_numeric(f, x, sign)) <= 1e-15 * (2.0 * hbar_beta) ** 0.5
@@ -238,14 +242,16 @@ class TestArrayTransform:
         assert transform_numeric(decay, np.array([]), -1).shape == (0,)
 
     def test_panel_budget_exceeded(self, monkeypatch):
-        """|q| = 1000 needs about 40000 panels; 400 do not resolve it."""
+        """|q| = 1000 over the cut at rho = 100 takes 1990 panels of four
+        periods; as the Filon weights follow R, not the phase, 32 would do.
+        8 panels, 12.5 wide in rho, do not resolve it."""
         f = radial_in_rho(QuantumState(2, 1))
         q = np.array([0.5, 1000.0])
         transform_numeric(f, q, 1)
-        monkeypatch.setattr(transform, "PANEL_BUDGET", 400)
+        monkeypatch.setattr(transform, "PANEL_BUDGET", 8)
         with pytest.raises(ConvergenceError) as err:
             transform_numeric(f, q, 1)
-        assert "panel_budget 400" in str(err.value)
+        assert "panel_budget 8" in str(err.value)
         assert err.value.estimate.shape == q.shape
         assert err.value.error_bound[1] > ABS_TOL
 
@@ -310,6 +316,18 @@ class TestArrayTransform:
         exact = 2.0 ** 0.5 * psi_trig(state, q)
         assert np.max(np.abs(numeric - exact)) <= 1e-12 * np.max(np.abs(exact))
 
+    @pytest.mark.parametrize("N", [29, 40, 100, 200])
+    def test_s_state_at_zero_alone(self, N):
+        """At q = 0 alone the layout starts at MIN_PANELS, which do not resolve
+        the N - 1 nodes of R_{N0}; the panel count doubles until the bound
+        holds (1024 panels at N = 200), so the value is right where a layout
+        that followed the phase alone raised from N = 29.  |H R_{N0}| peaks
+        at q = 0."""
+        state = QuantumState(N, 0)
+        numeric = transform_numeric(radial_in_rho(state), 0.0, 1)
+        exact = 2.0 ** 0.5 * psi_trig(state, 0.0)
+        assert abs(numeric - exact) <= 1e-13 * abs(exact)
+
     def test_non_finite_f_raises(self):
         """A NaN of f fails the error check instead of passing as the value."""
         f = lambda rho: np.where(rho > 20.0, np.nan, np.exp(-rho / 2.0))
@@ -321,6 +339,34 @@ class TestArrayTransform:
         for bad in (math.inf, math.nan, np.array([0.0, -math.inf])):
             with pytest.raises(ValueError, match="finite q"):
                 transform_numeric(decay, bad, -1)
+
+
+class TestFilonWeights:
+    """The panel weights W_k(beta) = int_{-1}^{1} e^{i beta t} l_k(t) dt, summed
+    in long double from the Rayleigh expansion, against tests/oracles.py."""
+
+    BETAS = [0.0, 1e-12, 1e-3, 0.5, math.pi, 4.0 * math.pi]
+
+    @pytest.mark.parametrize("order", [ESTIMATE_ORDER, GL_ORDER])
+    def test_against_mpmath(self, order):
+        """Each weight is within 2 ulps of the 40-digit integral, relative to
+        the Gauss-Legendre weight w_k of its node."""
+        weights = transform._filon_weights(np.array(self.BETAS), 1.0, (order,))[0]
+        reference, w = filon_weights(order, self.BETAS)
+        for got, expected in zip(weights, reference):
+            for k in range(order):
+                error = abs(mpmath.mpc(got[0, k], got[1, k]) - expected[k])
+                assert error <= 2.0 * np.spacing(float(w[k])), (order, k)
+
+    def test_each_beta_alone(self):
+        """The weights of one beta are the same, bit for bit, alone or in a
+        batch with other beta, those past the order included."""
+        betas = np.array(self.BETAS[::-1] + [7.0, 16.0, 17.0, 1562.5])
+        orders = (GL_ORDER, ESTIMATE_ORDER)
+        batch = transform._filon_weights(betas, 0.3, orders)
+        for i, beta in enumerate(betas):
+            for alone, rows in zip(transform._filon_weights(betas[i:i + 1], 0.3, orders), batch):
+                assert np.array_equal(alone[0], rows[i]), beta
 
 
 class TestExpansionTransform:
@@ -364,6 +410,11 @@ class TestDiagonalization:
         res = diagonalization_residual(slater_shapes, self._derivative, grid)
         assert res.shape == (3,)
         assert np.all(res <= 1e-8)
+
+    def test_empty_grid_rejected(self):
+        """A residual over no q does not exist."""
+        with pytest.raises(ValueError, match="non-empty q"):
+            diagonalization_residual(slater_shapes, self._derivative, np.array([]))
 
     def test_one_function_gives_a_float(self):
         res = diagonalization_residual(lambda rho: rho * np.exp(-rho / 2.0),

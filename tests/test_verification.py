@@ -553,6 +553,22 @@ class TestRunAll:
         assert len(report.results) == len(SUITES)
         assert all(r.passed for r in report.results)
 
+    def test_double_as_the_extended_type(self, monkeypatch):
+        """Where long double is double, the Filon weights are summed in double,
+        and every suite still passes."""
+        monkeypatch.setattr(transform, "_EXTENDED", np.float64)
+        seen = set()
+        bessel = transform._spherical_bessel
+
+        def recording(beta, count):
+            seen.add(beta.dtype)
+            return bessel(beta, count)
+
+        monkeypatch.setattr(transform, "_spherical_bessel", recording)
+        report = run_all()
+        assert report.overall_pass, [(r.name, r.details) for r in report.results if not r.passed]
+        assert seen == {np.dtype(np.float64)}
+
     def test_subset_and_order(self):
         report = run_all(suites=["so4_constancy", "form_equivalence"])
         assert [r.name for r in report.results] == [
