@@ -9,6 +9,7 @@ Scaled units (hbar = 1, beta = 1) are the default.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,9 +80,15 @@ def _groups(keys) -> dict:
 
 
 def _normalization(state: QuantumState) -> tuple[float, int]:
-    """N_{Nl} as (m, e): N_{Nl}^2 = 4 beta^3 / (N perm(N+l, 2l+1)), beta = num / den exactly."""
-    N, l = state.N, state.l
-    num, den = state.scale.beta.as_integer_ratio()
+    """N_{Nl} as (m, e): N_{Nl}^2 = 4 beta^3 / (N perm(N+l, 2l+1)), beta = num / den
+    exactly, kept per process (`_normalization_of`)."""
+    return _normalization_of(state.N, state.l, state.scale.beta)
+
+
+@functools.lru_cache(maxsize=4096)
+def _normalization_of(N: int, l: int, beta: float) -> tuple[float, int]:
+    """`_normalization` of the state (N, l) at beta."""
+    num, den = beta.as_integer_ratio()
     return sqrt_ratio(4 * num ** 3, N * math.perm(N + l, 2 * l + 1) * den ** 3)
 
 
@@ -102,7 +109,8 @@ def radial_wavefunction(state: QuantumState, r):
 def _radial_stack(states, rho) -> np.ndarray:
     """np.stack([radial_wavefunction(s, rho / 2 beta) for s in states]) at rho >= 0,
     bit for bit: one Laguerre recurrence per l up to its largest N, all its rows
-    scaled at once by their own N_{Nl}, and the functions of rho shared by every l."""
+    scaled at once by their own N_{Nl}, and the functions of rho, and the rho
+    where e^{-rho/2} is 0 or nan, shared by every l."""
     if np.any(rho < 0):
         raise ValueError(f"rho = 2 beta r must be >= 0, got {np.min(rho)}")
     values = np.empty((len(states),) + np.shape(rho))
@@ -116,7 +124,8 @@ def _radial_stack(states, rho) -> np.ndarray:
                 norm * rho_mantissa ** l * decay
                 * laguerre([states[i].N - l - 1 for i in ladder], 2 * l + 1, rho),
                 norm_exponent.astype(np.int32) + l * rho_exponent)  # int32: ldexp's fast loop
-        values[ladder] = np.where(decay > 0.0, value, decay)
+        values[ladder] = value
+    np.copyto(values, decay, where=~(decay > 0.0))
     return values
 
 

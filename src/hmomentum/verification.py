@@ -21,7 +21,6 @@ import math
 import os
 import traceback
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -146,19 +145,23 @@ def _lombardi_ogilvie_terms(X: int, S: int, count: int) -> list:
     return terms
 
 
+@functools.lru_cache(maxsize=4096)
 def gegenbauer_coefficients(N: int, l: int) -> tuple:
     """The integers a_t (2 beta)^2 / N_{Nl} = (-1)^t 2^{l+t+2} C(N+l, N-l-1-t)
-    (l+t+1)! / t!, t = 0..N-l-1, of the paper's Gegenbauer expansion, and 1."""
-    return [(-1) ** t * 2 ** (l + t + 2) * math.comb(N + l, N - l - 1 - t)
-            * (math.factorial(l + t + 1) // math.factorial(t)) for t in range(N - l)], 1
+    (l+t+1)! / t!, t = 0..N-l-1, of the paper's Gegenbauer expansion, as a
+    tuple, and 1, kept per process."""
+    return tuple((-1) ** t * 2 ** (l + t + 2) * math.comb(N + l, N - l - 1 - t)
+                 * (math.factorial(l + t + 1) // math.factorial(t)) for t in range(N - l)), 1
 
 
+@functools.lru_cache(maxsize=4096)
 def lombardi_ogilvie_coefficients(N: int, l: int) -> tuple:
     """The integers (N+l)! c_k, k = 0..N-l-1, of the Lombardi-Ogilvie sum,
-    c_k = 2^k (N-l-1)! (l+k+1)! / (k! (N-l-k-1)! (2l+k+1)!), and (N+l)!."""
-    return [2 ** k * math.comb(N - l - 1, k) * math.factorial(l + k + 1)
-            * (math.factorial(N + l) // math.factorial(2 * l + k + 1))
-            for k in range(N - l)], math.factorial(N + l)
+    c_k = 2^k (N-l-1)! (l+k+1)! / (k! (N-l-k-1)! (2l+k+1)!), as a tuple, and
+    (N+l)!, kept per process."""
+    return tuple(2 ** k * math.comb(N - l - 1, k) * math.factorial(l + k + 1)
+                 * (math.factorial(N + l) // math.factorial(2 * l + k + 1))
+                 for k in range(N - l)), math.factorial(N + l)
 
 
 def _exact_sums(keys, terms, coefficients) -> np.ndarray:
@@ -191,18 +194,20 @@ def _exact_block(keys: tuple, terms, coefficients) -> np.ndarray:
     return block
 
 
-def _n_over_4beta2(state: QuantumState) -> float:
+@functools.lru_cache(maxsize=4096)
+def _n_over_4beta2(N: int, l: int, beta: float) -> float:
     """N_{Nl} / (2 beta)^2 = sqrt(1 / (4 beta N perm(N+l, 2l+1))), beta = num / den
-    exactly, correctly rounded: O(beta^{-1/2}), a normal double at any beta."""
-    num, den = state.scale.beta.as_integer_ratio()
-    return math.ldexp(*sqrt_ratio(den, 4 * num * state.N
-                                  * math.perm(state.N + state.l, 2 * state.l + 1)))
+    exactly, correctly rounded: O(beta^{-1/2}), a normal double at any beta.
+    Kept per process."""
+    num, den = beta.as_integer_ratio()
+    return math.ldexp(*sqrt_ratio(den, 4 * num * N * math.perm(N + l, 2 * l + 1)))
 
 
 def _a0(state: QuantumState) -> float:
     """a_0 = `gegenbauer_coefficients`(N, l)[0][0] N_{Nl} / (2 beta)^2, the
     first coefficient of the paper's Gegenbauer expansion."""
-    return gegenbauer_coefficients(state.N, state.l)[0][0] * _n_over_4beta2(state)
+    return (gegenbauer_coefficients(state.N, state.l)[0][0]
+            * _n_over_4beta2(state.N, state.l, state.scale.beta))
 
 
 def exact_gegenbauer(states) -> np.ndarray:
@@ -212,7 +217,7 @@ def exact_gegenbauer(states) -> np.ndarray:
     `psi_trig`.  The exact sum is rounded, then scaled by N_{Nl} / (2 beta)^2."""
     values = _exact_block(tuple((s.N, s.l) for s in states), _gegenbauer_terms,
                           gegenbauer_coefficients)
-    return values * np.array([[_n_over_4beta2(s)] for s in states])
+    return values * np.array([[_n_over_4beta2(s.N, s.l, s.scale.beta)] for s in states])
 
 
 def exact_lombardi_ogilvie(states) -> np.ndarray:
@@ -279,10 +284,16 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
 def _normalization_error(state: QuantumState) -> float:
     """|N_{Nl} / exact - 1| of `_normalization`, to first order: half the relative
     error of its square against the exact N_{Nl}^2 = 4 beta^3 / (N perm(N+l, 2l+1)),
-    in rationals from beta = num / den exactly."""
+    from beta = num / den and m = a / b exactly.  The square over the exact one is
+    a^2 4^e den^3 N perm(N+l, 2l+1) / (4 b^2 num^3), an integer ratio top / bottom,
+    and |top - bottom| / bottom, int / int, is correctly rounded."""
     (m, e), (num, den) = _normalization(state), state.scale.beta.as_integer_ratio()
-    square = Fraction(m) ** 2 * Fraction(4) ** e * den ** 3 / (4 * num ** 3)
-    return float(abs(square * state.N * math.perm(state.N + state.l, 2 * state.l + 1) - 1)) / 2
+    a, b = m.as_integer_ratio()
+    top = a * a * den ** 3 * state.N * math.perm(state.N + state.l, 2 * state.l + 1)
+    bottom = b * b * num ** 3
+    shift = 2 * e - 2  # 4^e / 4
+    top, bottom = (top << shift, bottom) if shift >= 0 else (top, bottom << -shift)
+    return abs(top - bottom) / bottom / 2
 
 
 def verify_lo_proportionality(scale: PhysicalScale = PhysicalScale()) -> CheckResult:

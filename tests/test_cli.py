@@ -694,7 +694,9 @@ def run_python(code: str) -> None:
 
 
 def test_import_loads_no_scipy(tmp_path):
-    """No command loads scipy: not eval, not table, not verify."""
+    """No command loads scipy: not eval, not table, not verify.  Nor does verify
+    load fractions or numpy.polynomial: N_{Nl} is checked in integers, and the
+    Gauss-Legendre rules are the package's own."""
     report = str(tmp_path / "report.json")
     code = ("import sys, hmomentum.cli\n"
             "assert not any(m.startswith('scipy') for m in sys.modules)\n"
@@ -702,5 +704,8 @@ def test_import_loads_no_scipy(tmp_path):
             "hmomentum.cli.main(['table', 'podolsky_pauling', '3', '1', '--pmin', '0',"
             " '--pmax', '2', '--count', '5'])\n"
             f"assert hmomentum.cli.main(['verify', '--output', {report!r}]) == 0\n"
-            "assert not any(m.startswith('scipy') for m in sys.modules)\n")
+            "assert not any(m.startswith('scipy') for m in sys.modules)\n"
+            "loaded = [m for m in sys.modules if m == 'fractions'"
+            " or m.startswith('numpy.polynomial')]\n"
+            "assert not loaded, loaded\n")
     run_python(code)

@@ -60,7 +60,7 @@ def coeff_a(state, t):
 class TestCoefficients:
     def test_ground_state(self):
         # N_{10} 2^2 binom(1,0) Gamma(2) / 4 = 2
-        assert gegenbauer_coefficients(1, 0) == ([4], 1)
+        assert gegenbauer_coefficients(1, 0) == ((4,), 1)
         assert coeff_a(QuantumState(1, 0), 0) == pytest.approx(2.0)
 
     def test_2p(self):
@@ -278,7 +278,7 @@ class TestLombardiOgilvie:
     the Pythagorean momenta (`verification.exact_lombardi_ogilvie`)."""
 
     def test_c_ground_state(self):
-        assert lombardi_ogilvie_coefficients(1, 0) == ([1], 1)
+        assert lombardi_ogilvie_coefficients(1, 0) == ((1,), 1)
 
     def test_c_out_of_range(self):
         """The sum runs over k = 0..N-l-1 only."""
@@ -287,7 +287,7 @@ class TestLombardiOgilvie:
 
     def test_c_2s(self):
         # (N+l)! c_k = 2! (1, 2): c_1 = 2^1 1! 2! / (1! 0! 2!) = 2
-        assert lombardi_ogilvie_coefficients(2, 0) == ([2, 4], 2)
+        assert lombardi_ogilvie_coefficients(2, 0) == ((2, 4), 2)
 
     def test_ground_state_value(self):
         """alpha_{10} = z^2, z = i / (q - i); at p = 0, z = -1."""

@@ -46,3 +46,12 @@ def test_package_imports(module, allowed):
 
 def test_hydrogenic_imports_at_module_level():
     assert [name for name, nested in imports("hydrogenic") if nested] == []
+
+
+@pytest.mark.parametrize("module", ["verification", "transform"])
+def test_no_fractions_or_numpy_polynomial(module):
+    """verify checks N_{Nl} in integers and takes its Gauss-Legendre rules from
+    `transform`, so neither module imports fractions or numpy.polynomial, at
+    module level or inside a function."""
+    assert [name for name, _ in imports(module)
+            if name == "fractions" or name.startswith("numpy.polynomial")] == []

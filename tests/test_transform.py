@@ -34,6 +34,7 @@ from hmomentum.transform import (
 )
 from oracles import (
     SlaterExpansion,
+    _gauss_legendre_mp,
     filon_weights,
     slater_expansion,
     transform_slater_closed,
@@ -339,6 +340,56 @@ class TestArrayTransform:
         for bad in (math.inf, math.nan, np.array([0.0, -math.inf])):
             with pytest.raises(ValueError, match="finite q"):
                 transform_numeric(decay, bad, -1)
+
+
+class TestGaussLegendre:
+    """The Gauss-Legendre rules of `transform`, from Newton's method in integers."""
+
+    @pytest.mark.parametrize("order", range(2, 21))
+    def test_correctly_rounded(self, order):
+        """Each node and weight is within half the gap to its neighbour double
+        toward the 40-digit value (`oracles._gauss_legendre_mp`)."""
+        x, w, _ = transform._gauss_legendre(order)
+        with mpmath.workdps(40):
+            nodes, weights = _gauss_legendre_mp(order)
+            for got, exact in zip(np.concatenate([x, w]), nodes + weights):
+                gap = abs(np.nextafter(got, math.inf if exact > got else -math.inf) - got)
+                assert abs(mpmath.mpf(float(got)) - exact) <= gap / 2, (order, got)
+
+    @staticmethod
+    def exactly(value):
+        """A long double as an mpf, exactly: its double and the rest."""
+        head = float(value)
+        return mpmath.mpf(head) + float(value - np.longdouble(head))
+
+    @pytest.mark.parametrize("order", range(2, 21))
+    def test_extended_nodes_correctly_rounded(self, order):
+        """Each node's double plus its rest, the nodes of the Filon rule's table,
+        is within half the gap to its neighbour long double toward the 40-digit
+        value."""
+        x, _, rests = transform._gauss_legendre(order)
+        extended = x.astype(np.longdouble) + rests.astype(np.longdouble)
+        with mpmath.workdps(40):
+            for got, exact in zip(extended, _gauss_legendre_mp(order)[0]):
+                toward = np.longdouble(math.inf if exact > self.exactly(got) else -math.inf)
+                gap = abs(self.exactly(np.nextafter(got, toward)) - self.exactly(got))
+                assert abs(self.exactly(got) - exact) <= gap / 2, (order, got)
+
+    # The nodes x >= 0 of the Filon rules as numpy's leggauss nodes refined in
+    # long double gave them.
+    FILON_NODES = {
+        ESTIMATE_ORDER: ["0x1.007a5f8f630e4p-3", "0x1.78a8d20a8b19dp-2", "0x1.2cb4f05c077f9p-1",
+                         "0x1.8a30aeed88f36p-1", "0x1.cee874ffb88b4p-1", "0x1.f68f1d8e42e81p-1"],
+        GL_ORDER: ["0x1.852bd6676a9f9p-4", "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2",
+                   "0x1.3c5a466d5e8b8p-1", "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1",
+                   "0x1.e39f56616f9b0p-1", "0x1.fa92c264d787ep-1"],
+    }
+
+    @pytest.mark.parametrize("order", [ESTIMATE_ORDER, GL_ORDER])
+    def test_filon_nodes_unchanged(self, order):
+        nodes = transform._filon_rule(order, transform._EXTENDED)[0]
+        assert [float(v).hex() for v in nodes[order // 2:]] == self.FILON_NODES[order]
+        assert np.array_equal(nodes[:order // 2], -nodes[:order // 2 - 1:-1])
 
 
 class TestFilonWeights:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -265,6 +266,61 @@ class TestQuadratureNormalization:
         quadrature = report.results[list(SUITES).index("quadrature")]
         assert 0.9e-6 <= quadrature.max_residual <= 1.1e-6, quadrature.details
         assert run_all(PhysicalScale(), ["quadrature"]).overall_pass
+
+
+class TestWarmCaches:
+    """After `run_all()` has filled every per-process cache (N_{Nl}, the oracle's
+    coefficients and sums, the Gauss-Legendre and Filon rules, the Hankel rule),
+    quadrature still evaluates R and checks N_{Nl} on each call."""
+
+    def test_scaled_R_fails(self, monkeypatch):
+        """R times 1 + 5e-8, as `verification` sees `_radial_stack`, is off the
+        closed form by more than the 3e-8 tolerance."""
+        run_all()
+        monkeypatch.setattr(verification, "_radial_stack",
+                            lambda states, rho: _radial_stack(states, rho) * (1.0 + 5e-8))
+        res = verify_quadrature()
+        assert not res.passed and res.max_residual >= 4e-8, res.details
+
+    def test_scaled_normalization_named(self, monkeypatch):
+        """N_{3,1} with its mantissa times 1 + 2^-40, as `verification` sees
+        `_normalization`, reads 2^-40 in the N_{Nl} check, where a correctly
+        rounded N_{Nl} reads at most 1.12e-16, and the check names the state;
+        R at unit scale, which the transform checks, is untouched."""
+        scale = PhysicalScale(1.0, 2.5)
+        run_all(scale)
+        normalization = hydrogenic._normalization
+
+        def scaled(state):
+            m, e = normalization(state)
+            return (m * (1.0 + 2.0 ** -40) if (state.N, state.l) == (3, 1) else m), e
+
+        monkeypatch.setattr(verification, "_normalization", scaled)
+        res = verify_quadrature(scale)
+        match = re.search(r"; N_Nl worst at \(N=(\d+),l=(\d+)\): (\S+)$", res.details)
+        assert match and (int(match[1]), int(match[2])) == (3, 1), res.details
+        assert res.max_residual == pytest.approx(2.0 ** -40, rel=1e-3)
+        assert float(match[3]) == pytest.approx(2.0 ** -40, rel=1e-3)
+
+
+class TestNormalizationError:
+    """`verification._normalization_error` in integers."""
+
+    @staticmethod
+    def in_fractions(state):
+        """The error as it was taken in rationals, with fractions.Fraction."""
+        (m, e), (num, den) = hydrogenic._normalization(state), state.scale.beta.as_integer_ratio()
+        square = Fraction(m) ** 2 * Fraction(4) ** e * den ** 3 / (4 * num ** 3)
+        return float(abs(square * state.N * math.perm(state.N + state.l, 2 * state.l + 1)
+                         - 1)) / 2
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-300, 0.1, 1.0, 2.5, 1e300,
+                                      1.7976931348623157e308])
+    def test_equals_the_rationals(self, beta):
+        """Bit for bit, for every state with N <= 30."""
+        for state in verification._states(30, PhysicalScale(1.0, beta)):
+            assert verification._normalization_error(state).hex() == \
+                self.in_fractions(state).hex(), state
 
 
 class TestUncertainty:
