@@ -1,8 +1,8 @@
-"""Special functions evaluated by stable recurrences.
+"""Orthogonal polynomials evaluated by stable recurrences.
 
-Generalized Laguerre polynomials, Gegenbauer polynomials and the
-spherical Bessel functions j_0, ..., j_L, and the `ladder` that runs a
-three-term recurrence of many orders in one pass.
+Generalized Laguerre polynomials, Gegenbauer polynomials, and the
+`ladder` that runs a three-term recurrence of many orders in one pass.
+The spherical Bessel functions are `transform._spherical_bessel`.
 
 Polynomials are evaluated with three-term recurrences rather than their
 explicit alternating sums, which become unstable at high degree.  All
@@ -84,43 +84,3 @@ def gegenbauer_C(n, lam, x):
     if isinstance(n, list):
         return ladder(n, lam, functools.partial(_gegenbauer_steps, x), np.shape(x))
     return _gegenbauer_steps(x, lam, 1.0, 2.0 * lam * x, 1, n)[1] if n else 1.0
-
-
-def spherical_bessel_j_orders(max_l: int, x) -> np.ndarray:
-    """j_0(x), ..., j_{max_l}(x) for x >= 0, a float or a float64 array,
-    stacked along a new first axis.
-
-    One upward recurrence from j_0 and j_1, on one sin and one cos of x,
-    runs over all x; below x = l + 1, where it loses digits, order l is then
-    overwritten by the power series of DLMF 10.53.1, which has no zero
-    there.  Those regions are prefixes of one sorted index array, and one
-    loop over the largest sums every order's series to its own region's rounding.
-    """
-    if max_l < 0:
-        raise ValueError(f"order must be >= 0, got {max_l}")
-    x = np.asarray(x, dtype=float)
-    values = np.empty((max_l + 1,) + x.shape)
-    flat, xf = values.reshape(max_l + 1, -1), x.ravel()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        prev = np.sin(xf)
-        cur = prev / (xf * xf) - np.cos(xf) / xf
-        prev /= xf
-        flat[0] = prev
-        for l in range(1, max_l + 1):
-            if l > 1:
-                prev, cur = cur, (2 * l - 1) / xf * cur - prev
-            flat[l] = cur
-    small = np.flatnonzero(xf < max_l + 1)
-    small = small[np.argsort(xf[small])]
-    ends = np.searchsorted(xf[small], np.arange(1, max_l + 2))
-    xs, l = xf[small], np.arange(max_l + 1)[:, None]
-    region, k = np.arange(xs.size) < ends[:, None], 0
-    term = total = np.ones((max_l + 1, xs.size))
-    with np.errstate(over="ignore", invalid="ignore"):  # past its region, order l may overflow
-        while np.any(region & (np.abs(term) > 1e-17 * total)):
-            k += 1
-            term = term * -0.5 * xs * xs / (k * (2 * l + 2 * k + 1))
-            total = total + term
-        power = np.cumprod(np.vstack([np.ones_like(xs), xs / (2 * l[1:] + 1)]), axis=0)
-        flat[:, small] = np.where(region, total * power, flat[:, small])  # x^l / (2l+1)!!
-    return values

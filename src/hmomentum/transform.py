@@ -17,6 +17,7 @@ verify's diagonalization residual reads 2.3e-15 instead of 1.7e-15 and its
 quadrature residual 6.8e-16 instead of 5.6e-16; every suite still passes.
 `diagonalization_residual` checks that H diagonalizes the radial momentum
 operator, H(p_r f) = p H f, on functions of rho that decay as e^{-rho/2}.
+Its Gauss-Legendre panels and j_l serve `verification`'s Hankel check too.
 The module imports nothing from the package, so the numerical H is
 independent of the closed forms that `verification` checks it against.
 """
@@ -79,10 +80,8 @@ TAIL_LENGTH = 2.0
 PROBE_STEP = 4.0
 TAIL_FLOOR = 1e-17
 # The Filon weights are summed in _EXTENDED and rounded to double once, so
-# each is within an ulp of its exact value.  Their j_m(beta) come from the
-# power series below SERIES_BETA, from Miller's downward recurrence started
-# MILLER_MARGIN orders above the highest one up to beta = that order, and
-# from the upward recurrence past it, where it is stable.
+# each is within an ulp of its exact value.  `_spherical_bessel` gives their
+# j_m(beta), by regions that SERIES_BETA and MILLER_MARGIN set.
 _EXTENDED = np.longdouble
 SERIES_BETA = 2.0 ** -7
 MILLER_MARGIN = 24
@@ -149,12 +148,12 @@ def _legendre(order: int, x: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _filon_rule(order: int, extended) -> tuple[np.ndarray, np.ndarray]:
-    """The `order` Gauss-Legendre nodes x_k on [-1, 1] of `_gauss_legendre`, and
-    the table (-1)^{floor(m/2)} (2m + 1) w_k P_m(x_k), m < order, in `extended`,
-    at the x_k in `extended`, each node's double plus its rest: with
+def _filon_rule(order: int, extended) -> np.ndarray:
+    """The table (-1)^{floor(m/2)} (2m + 1) w_k P_m(x_k), m < order, in `extended`,
+    of the `order` Gauss-Legendre nodes x_k on [-1, 1] of `_gauss_legendre`, at
+    the x_k in `extended`, each node's double plus its rest: with
     i^m = (-1)^{floor(m/2)} i^{m mod 2}, its even rows make the real part of
-    the Filon weights and its odd rows the imaginary part.  Both read-only."""
+    the Filon weights and its odd rows the imaginary part.  Read-only."""
     nodes, _, rests = _gauss_legendre(order)
     x = nodes.astype(extended) + rests.astype(extended)
     p = _legendre(order, x)
@@ -162,24 +161,31 @@ def _filon_rule(order: int, extended) -> tuple[np.ndarray, np.ndarray]:
     m = np.arange(order)[:, None]
     table = (-1) ** (m // 2) * (2 * m + 1) * (2 / ((1 - x * x) * slope * slope)) * p[:order]
     table.flags.writeable = False
-    return nodes, table
+    return table
 
 
 def _spherical_bessel(beta: np.ndarray, count: int) -> np.ndarray:
     """j_0 .. j_{count-1}(beta), rows of shape (count,) + beta.shape, in the type of
-    the 1-d array beta >= 0; each column depends on its own beta alone.
+    the array beta >= 0, of any shape; each element depends on its own beta alone.
 
-    Below SERIES_BETA, by the power series j_m(beta) = beta^m / (2m+1)!!
-    sum_k (-beta^2/2)^k / (k! (2m+3) ... (2m+2k+1)) to k = 4.  Up to beta = count,
-    by Miller's downward recurrence j_{m-1} = (2m+1) j_m / beta - j_{m+1} from
-    m = count + MILLER_MARGIN, normalized by sum_m (2m+1) j_m^2 = 1 (DLMF 10.60),
-    which holds at every beta, zeros of j_0 included.  Past it, where m < beta,
-    upward from j_0 = sin(beta) / beta and j_1 = (j_0 - cos beta) / beta.
-    """
-    j = np.empty((count,) + beta.shape, beta.dtype)
-    m = np.arange(count)[:, None]
+    Past beta = count, where m < beta, upward from j_0 = sin(beta) / beta and
+    j_1 = (j_0 - cos beta) / beta.  Below SERIES_BETA, by the power series
+    j_m(beta) = beta^m / (2m+1)!! sum_k (-beta^2/2)^k / (k! (2m+3) ... (2m+2k+1))
+    to k = 4.  Between, by Miller's downward recurrence j_{m-1} = (2m+1) j_m / beta
+    - j_{m+1} from m = count + MILLER_MARGIN, normalized by sum_m (2m+1) j_m^2 = 1
+    (DLMF 10.60), which holds at every beta, zeros of j_0 included."""
+    j = np.empty((max(count, 2),) + beta.shape, beta.dtype)  # j_0 and j_1 at least
     series, upward = beta < SERIES_BETA, beta > count
     miller = ~(series | upward)
+    if upward.any():
+        # Over every beta, in j itself; the series and Miller overwrite it below.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            j[0] = np.sin(beta) / beta
+            j[1] = (j[0] - np.cos(beta)) / beta
+            for n in range(1, count - 1):
+                j[n + 1] = (2 * n + 1) / beta * j[n] - j[n - 1]
+    j = j[:count]
+    m = np.arange(count)[:, None]
     if series.any():
         b = beta[series]
         half_square, total = b * b / 2, 1
@@ -189,24 +195,19 @@ def _spherical_bessel(beta: np.ndarray, count: int) -> np.ndarray:
     if miller.any():
         b = beta[miller]
         top = count + MILLER_MARGIN
-        y = np.zeros((top + 2, b.size), beta.dtype)
-        y[top] = 1
         step = (2 * np.arange(top + 2)[:, None] + 3) / b
+        y = np.zeros_like(step)
+        y[top] = 1
         for n in range(top - 1, -1, -1):
             y[n] = step[n] * y[n + 1] - y[n + 2]
-        # Scaled so that the squares stay in range in double, and summed along
-        # a contiguous last axis, so that each beta sums alike at any b.size.
-        y = (y / np.abs(y).max(axis=0)).T.copy()
-        norm = ((2 * np.arange(top + 2) + 1) * y * y).sum(axis=-1)
-        j[:, miller] = (y[:, :count] / np.sqrt(norm)[:, None]).T
-    if upward.any():
-        b = beta[upward]
-        rows = np.empty((count, b.size), beta.dtype)
-        rows[0] = np.sin(b) / b
-        rows[1] = (rows[0] - np.cos(b)) / b
-        for n in range(1, count - 1):
-            rows[n + 1] = (2 * n + 1) / b * rows[n] - rows[n - 1]
-        j[:, upward] = rows
+        del step  # freed before the copy's and the squares' temporaries are made
+        # A row per beta, so that its squares, scaled to stay in range in double,
+        # are summed along a contiguous last axis, alike at any b.size.
+        y = y.T.copy()
+        y /= np.abs(y).max(axis=-1, keepdims=True)
+        square = (2 * np.arange(top + 2) + 1) * y
+        square *= y
+        j[:, miller] = (y[:, :count] / np.sqrt(square.sum(axis=-1))[:, None]).T
     return j
 
 
@@ -227,7 +228,7 @@ def _filon_weights(beta, half: float, orders) -> list:
     j = _spherical_bessel(np.asarray(beta, dtype=_EXTENDED), max(orders)).T
     weights = []
     for order in orders:
-        table = _filon_rule(order, _EXTENDED)[1]
+        table = _filon_rule(order, _EXTENDED)
         parts = [j[:, parity:order:2] @ table[parity::2] for parity in (0, 1)]
         weights.append((np.stack(parts, axis=1) * half).astype(float))
     return weights
@@ -360,9 +361,8 @@ def _panel_sums(f, cut: float, panels: int, b: np.ndarray):
     orders = (GL_ORDER, ESTIMATE_ORDER)
     # Node k of panel j at [k, j], so each order's values reshape to
     # (rows, order, panels) with the panel axis contiguous.
-    centers = half * (2.0 * np.arange(panels) + 1.0)
-    rho = np.concatenate([(half * _filon_rule(order, _EXTENDED)[0][:, None] + centers).ravel()
-                          for order in orders])
+    rules = [gauss_legendre_panels(0.0, cut, panels, order) for order in orders]
+    rho = np.concatenate([(offsets[:, None] + centers).ravel() for centers, offsets, _ in rules])
     g = np.asarray(f(rho)) * rho
     batch = g.shape[:-1]
     g = g.reshape(-1, GL_ORDER + ESTIMATE_ORDER, panels)
@@ -430,11 +430,13 @@ def diagonalization_residual(u: Callable[[np.ndarray], np.ndarray],
     Returns max |-2 i T[u' + u / rho] - q T[u]| / max |q T[u]| over the
     grid, one residual per function (a float for one function), and appends
     the call's `Layout` to the list `layouts` if one is given.
-    Raises ValueError for an empty q, over which there is no residual.
+    Raises ValueError for a q that is empty or all zero, over which
+    max |q T[u]| is 0 and there is no residual.
     """
     q = np.asarray(q, dtype=float)
-    if q.size == 0:
-        raise ValueError("diagonalization_residual requires a non-empty q")
+    if not q.any():
+        raise ValueError(f"diagonalization_residual requires a non-empty q with a non-zero "
+                         f"value, got q = {np.array2string(q, threshold=6)}")
 
     def rows(rho):
         value = u(rho)

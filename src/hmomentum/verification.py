@@ -9,7 +9,8 @@ rho = 2 beta r.  The form suites compare the kernel with the paper's literal
 sums, summed exactly in integers at Pythagorean momenta, so cancellation
 limits no N.  The Gram matrices of unitarity and
 <p^2> of the uncertainty suite are sums over one midpoint rule in
-theta = arctan(q), exact for their integrands (`_theta_rule`).
+theta = arctan(q), exact for their integrands (`_theta_rule`).  The Hankel
+check takes its Gauss-Legendre panels and j_l from `transform`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .hydrogenic import (
     expectation_r2,
     sqrt_ratio,
 )
-from .specfun import spherical_bessel_j_orders
 from .transform import (
     ABS_TOL,
     GL_ORDER,
@@ -43,6 +43,7 @@ from .transform import (
     PANEL_BUDGET,
     REL_TOL,
     ConvergenceError,
+    _spherical_bessel,
     _transform_numeric,
     diagonalization_residual,
     gauss_legendre_panels,
@@ -337,8 +338,8 @@ def _hankel_rule(max_l: int, cut: float, panels: int) -> tuple:
     [0, cut], and j_0 .. j_{max_l}(rho q / 2) at q = HANKEL_Q, all read-only."""
     centers, offsets, weights = gauss_legendre_panels(0.0, cut, panels, GL_ORDER)
     rho = (centers[:, None] + offsets).ravel()
-    rule = rho, np.tile(weights, panels), spherical_bessel_j_orders(
-        max_l, np.outer(rho, HANKEL_Q / 2.0))
+    rule = rho, np.tile(weights, panels), _spherical_bessel(
+        np.outer(rho, HANKEL_Q / 2.0), max_l + 1)
     for array in rule:
         array.flags.writeable = False
     return rule

@@ -55,3 +55,15 @@ def test_no_fractions_or_numpy_polynomial(module):
     module level or inside a function."""
     assert [name for name, _ in imports(module)
             if name == "fractions" or name.startswith("numpy.polynomial")] == []
+
+
+def test_one_spherical_bessel():
+    """j_l has one routine, `transform._spherical_bessel`, which the Filon
+    weights and the Hankel check share: no other module defines a function
+    whose name contains 'bessel'."""
+    defined = {module: [node.name for node in ast.walk(ast.parse(
+        (SRC / f"{module}.py").read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "bessel" in node.name.lower()] for module in PACKAGE}
+    assert {module: names for module, names in defined.items() if names} == {
+        "transform": ["_spherical_bessel"]}

@@ -9,9 +9,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_gegenbauer, jv, spherical_jn, yv
 
-from hmomentum import specfun
 from hmomentum.specfun import gegenbauer_C, laguerre
-from hmomentum.transform import GL_ORDER, gauss_legendre_panels
+from hmomentum.transform import GL_ORDER, SERIES_BETA, _spherical_bessel, gauss_legendre_panels
 from hmomentum.verification import panels_needed
 from oracles import (
     ferrers_P_mhalf,
@@ -215,7 +214,9 @@ class TestSphericalBessel:
 
 
 class TestSphericalBesselArray:
-    """specfun's j_l: upward recurrence from x = l + 1, power series below."""
+    """The package's j_l, `transform._spherical_bessel`: the power series below
+    SERIES_BETA, Miller's normalized downward recurrence up to beta = count,
+    the upward recurrence past it."""
 
     ABS_TOL = 2e-15
 
@@ -231,53 +232,45 @@ class TestSphericalBesselArray:
         suite = self.hankel_suite_arguments()
         for l in range(11):
             for x in (np.linspace(0.0, l + 3.0, 301), suite):
-                values = specfun.spherical_bessel_j_orders(l, x)[l]
+                values = _spherical_bessel(x, l + 1)[l]
                 assert values.shape == x.shape
                 assert np.max(np.abs(values - spherical_jn(l, x))) <= self.ABS_TOL, l
 
     def test_against_recurrence_oracle(self):
         for l in range(11):
             for x in [0.0] + [f * l for f in (0.25, 0.5, 0.75, 0.95)] + [l + 1.0, 30.0]:
-                assert abs(specfun.spherical_bessel_j_orders(l, x)[l]
+                assert abs(_spherical_bessel(np.array(x), l + 1)[l]
                            - spherical_bessel_j(l, x)) <= self.ABS_TOL, (l, x)
 
     def test_against_mpmath(self):
         for l in range(11):
             for x in np.linspace(0.0, l + 4.0, 61)[1:]:
-                error = abs(specfun.spherical_bessel_j_orders(l, x)[l]
-                            - mpmath_spherical_j(l, x))
+                error = abs(_spherical_bessel(np.array(x), l + 1)[l] - mpmath_spherical_j(l, x))
                 assert error <= 1e-15, (l, x)
 
-    def test_orders_are_the_single_orders(self):
-        """One recurrence for j_0 ... j_L gives each order bit for bit."""
-        for x in (self.hankel_suite_arguments(), np.linspace(0.0, 14.0, 281), 0.5, 7.0):
-            orders = specfun.spherical_bessel_j_orders(10, x)
-            assert orders.shape == (11,) + np.shape(x)
-            for l in range(11):
-                assert np.array_equal(orders[l], specfun.spherical_bessel_j_orders(l, x)[l]), l
-        with pytest.raises(ValueError):
-            specfun.spherical_bessel_j_orders(-1, 1.0)
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_fewest_orders(self, count):
+        """No rows for count 0; for counts 1 and 2, the series at 1e-3, Miller
+        at 0.5, upward at 3 and 30."""
+        x = np.array([1e-3, 0.5, 3.0, 30.0])
+        orders = _spherical_bessel(x, count)
+        assert orders.shape == (count, x.size)
+        for l in range(count):
+            for got, point in zip(orders[l], x):
+                assert abs(got - mpmath_spherical_j(l, point)) <= 1e-15, (count, l, point)
 
     def test_columns_are_the_single_points(self):
         """Each x of an array gives what the call on that x alone gives, at
-        every order, on both sides of each series region x < l + 1."""
-        edges = np.arange(0.0, 42.0)
+        every order, on both sides of each region's edge: SERIES_BETA and
+        beta = count."""
+        edges = np.concatenate([[SERIES_BETA], np.arange(1.0, 42.0)])
         x = np.concatenate([[0.0, 1e-300, 1e-8, 1e5, np.nan], edges,
-                            np.nextafter(edges, -1.0)[1:], np.linspace(0.0, 60.0, 97)])
-        for max_l in (0, 1, 3, 12, 40):
-            orders = specfun.spherical_bessel_j_orders(max_l, x)
+                            np.nextafter(edges, -1.0), np.linspace(0.0, 60.0, 97)])
+        for count in (1, 2, 4, 13, 41):
+            orders = _spherical_bessel(x, count)
             for column, point in zip(orders.T, x):
-                assert np.array_equal(column, specfun.spherical_bessel_j_orders(max_l, point),
-                                      equal_nan=True), (max_l, point)
-
-    def test_float_in_float_out(self):
-        assert specfun.spherical_bessel_j_orders(0, 0.0)[0] == 1.0
-        assert specfun.spherical_bessel_j_orders(3, 0.0)[3] == 0.0
-        assert np.ndim(specfun.spherical_bessel_j_orders(2, 5.0)[2]) == 0
-
-    def test_negative_order(self):
-        with pytest.raises(ValueError):
-            specfun.spherical_bessel_j_orders(-1, 1.0)
+                assert np.array_equal(column, _spherical_bessel(np.array([point]), count)[:, 0],
+                                      equal_nan=True), (count, point)
 
 
 class TestSphericalNeumann:

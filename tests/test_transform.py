@@ -387,7 +387,7 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize("order", [ESTIMATE_ORDER, GL_ORDER])
     def test_filon_nodes_unchanged(self, order):
-        nodes = transform._filon_rule(order, transform._EXTENDED)[0]
+        nodes = transform._gauss_legendre(order)[0]
         assert [float(v).hex() for v in nodes[order // 2:]] == self.FILON_NODES[order]
         assert np.array_equal(nodes[:order // 2], -nodes[:order // 2 - 1:-1])
 
@@ -466,6 +466,13 @@ class TestDiagonalization:
         """A residual over no q does not exist."""
         with pytest.raises(ValueError, match="non-empty q"):
             diagonalization_residual(slater_shapes, self._derivative, np.array([]))
+
+    @pytest.mark.parametrize("q", [[0.0], [0.0, -0.0, 0.0]])
+    def test_all_zero_grid_rejected(self, q):
+        """At q = 0 alone, q T[u] is 0 and the residual's scale is 0: an
+        error that names q, not inf and a divide-by-zero warning."""
+        with pytest.raises(ValueError, match=r"non-zero value, got q = \["):
+            diagonalization_residual(slater_shapes, self._derivative, np.array(q))
 
     def test_one_function_gives_a_float(self):
         res = diagonalization_residual(lambda rho: rho * np.exp(-rho / 2.0),

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hmomentum import hydrogenic, transform, verification
 from hmomentum.forms import _kernel_stack, _pp_stack, distribution_max_l
 from hmomentum.hydrogenic import PhysicalScale, QuantumState, _radial_stack
-from hmomentum.specfun import spherical_bessel_j_orders
 from hmomentum.transform import GL_ORDER, gauss_legendre_panels
 from hmomentum.verification import (
     SUITES,
@@ -550,7 +549,7 @@ class TestHankelMatrix:
         centers, offsets, weights = gauss_legendre_panels(0.0, cut, panels, GL_ORDER)
         rho = (centers[:, None] + offsets).ravel()
         fresh = (rho, np.tile(weights, panels),
-                 spherical_bessel_j_orders(3, np.outer(rho, np.linspace(0.2, 5.0, 12) / 2.0)))
+                 transform._spherical_bessel(np.outer(rho, np.linspace(0.2, 5.0, 12) / 2.0), 4))
         for array, expected in zip(kept, fresh):
             assert np.array_equal(array, expected)
             with pytest.raises(ValueError):
@@ -560,11 +559,11 @@ class TestHankelMatrix:
         run_all()
         calls = []
 
-        def counting(max_l, x):
-            calls.append(np.shape(x))
-            return spherical_bessel_j_orders(max_l, x)
+        def counting(beta, count):
+            calls.append(beta.shape)
+            return transform._spherical_bessel(beta, count)
 
-        monkeypatch.setattr(verification, "spherical_bessel_j_orders", counting)
+        monkeypatch.setattr(verification, "_spherical_bessel", counting)
         assert run_all(PhysicalScale(2.5, 0.3)).overall_pass and calls == []
         assert verify_pp_vs_hankel(PhysicalScale(1.0, 1e-150)).passed and calls == []
         verification._hankel_rule.cache_clear()
