@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .forms import FORM_EVALUATORS, distribution_max_l
+from .forms import FORM_EVALUATORS, MAX_SHAPE_N, distribution_max_l
 from .hydrogenic import PhysicalScale, QuantumState
 from .verification import SUITES, run_all
 
@@ -309,9 +309,10 @@ def cmd_plot(args) -> int:
     grid = _grid(0.0 if args.form == "PP" else -pmax, pmax, args.count)
     try:
         density = distribution_max_l(args.form, args.N, grid, scale)
-    except ValueError as exc:  # N below 1, or else the shape past double precision
-        raise UsageError(exc if args.N < 1 else f"the {args.form} density of N={args.N} overflows "
-                         f"double precision at --hbar-beta {args.hbar_beta!r}") from exc
+    except ValueError as exc:  # N out of range, or else the shape past double precision
+        raise UsageError(exc if not 1 <= args.N <= MAX_SHAPE_N else f"the {args.form} density "
+                         f"of N={args.N} overflows double precision at --hbar-beta "
+                         f"{args.hbar_beta!r}") from exc
     _write_csv(args.output, "p,density", [grid, density], args.hbar_beta)
     return EXIT_OK
 

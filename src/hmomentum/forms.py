@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .hydrogenic import PhysicalScale, QuantumState, sqrt_ratio
-from .specfun import gegenbauer_C, ladder
+from .specfun import _gegenbauer_steps, gegenbauer_C, ladder
 
 
 _LOG2 = math.log(2.0)
@@ -64,20 +64,10 @@ def _polynomial_steps(z, one_minus_z, l, prev, cur, start, stop):
     return prev, cur
 
 
-def _polynomials(n, l, q):
-    """2F1(-n, l+2; 2l+2; 2w) at q, by the recurrence of `_hypergeometric_kernel`:
-    for an int n and l, at a float q; for a list n and a list l of the same
-    length, the values at each pair (n[i], l[i]) of one `ladder` over q."""
-    if isinstance(n, list):
-        # q as a row, so that (1 - z) F broadcasts over no missing axis: numpy then
-        # takes the same complex product for a block of one row and one point
-        # as for any other, and each value does not depend on the block.
-        q = q.reshape(1, -1)
+def _z(q):
+    """z = 2w = 2 / (1 - i q) of the 2F1 of `_polynomial_steps`, at q."""
     d = 1.0 + q * q
-    z = 2.0 / d + 1j * (2.0 * q / d)
-    if isinstance(n, list):
-        return ladder(n, l, functools.partial(_polynomial_steps, z, 1.0 - z), q.shape[1:])
-    return _polynomial_steps(z, 1.0 - z, l, 0.0, 1.0, 0, n)[1]
+    return 2.0 / d + 1j * (2.0 * q / d)
 
 
 def _in_blocks(q, rows, count, dtype) -> np.ndarray:
@@ -111,8 +101,8 @@ def _hypergeometric_kernel(N: int, l: int, q: float, m, e) -> complex:
     own and values in the subnormal range are still the nearest doubles.
     `_kernel_stack` runs the same steps on arrays, for many states.
     """
-    b, n = l + 2, N - l - 1
-    cur = _polynomials(n, l, q)
+    b, z = l + 2, _z(q)
+    cur = _polynomial_steps(z, 1.0 - z, l, 0.0, 1.0, 0, N - l - 1)[1]
     log_abs = -0.5 * b * math.log1p(q * q)
     if not log_abs > -math.inf:  # NaN q, or |q| > 1e154 where w^{l+2} is 0
         return complex(math.exp(log_abs))
@@ -176,7 +166,10 @@ def _kernel_stack(states, q, lombardi_ogilvie: bool = False) -> np.ndarray:
     def rows(q):
         q = -q if lombardi_ogilvie else q
         with np.errstate(over="ignore", invalid="ignore"):  # |q| > 1e154 and inf q
-            cur = _polynomials(degrees, ls, q)
+            # q as a row, so that (1 - z) F broadcasts over no missing axis: numpy then takes
+            # the same complex product for any block, one point included.
+            z = _z(q.reshape(1, -1))
+            cur = ladder(degrees, ls, functools.partial(_polynomial_steps, z, 1.0 - z), q.shape)
             log_abs = -0.5 * (l + 2) * np.log1p(q * q)
             regular = log_abs > -np.inf  # NaN q, or |q| > 1e154 where w^{l+2} is 0
             shift = np.floor(np.where(regular, log_abs, 0.0) / _LOG2).astype(np.int64)
@@ -229,7 +222,7 @@ def podolsky_pauling_G(state: QuantumState, p):
     q = min(p / state.scale.momentum, Q_CAP)
     c2 = 1.0 / (1.0 + q * q)
     return (_pp_prefactor(N, l) * state.scale.momentum ** -1.5 * c2 * c2 * (2.0 * q * c2) ** l
-            * gegenbauer_C(N - l - 1, l + 1, 2.0 * c2 - 1.0))
+            * _gegenbauer_steps(2.0 * c2 - 1.0, l + 1, 0.0, 1.0, 0, N - l - 1)[1])
 
 
 def _pp_stack(states, q) -> np.ndarray:
@@ -254,16 +247,23 @@ def _pp_stack(states, q) -> np.ndarray:
 
 
 def _power(x: np.ndarray, n: int):
-    """(m, e) with x ** n = m 2^e, m in [1/2, 1] or 0, for x >= 0 and an
-    integer n: the powers of 2 of x are summed apart, and the rest is
-    renormalized every 256 factors, so that no part under- or overflows."""
+    """(m, e) with x ** n = m 2^e, m in [1/2, 1] or 0, for x >= 0 and an integer
+    n, |n| <= 2^51 + 2: the powers of 2 of x are summed apart in int64, and the
+    rest is base ** n in one step for |n| <= 256, past that (base^{+-256})^{|n| // 256}
+    by squaring, then times base^{rest}, each product renormalized: O(log n) steps."""
     base, e = np.frexp(x)
-    m, e = 1.0, n * e.astype(np.int64)
-    while n:
-        k = max(-256, min(256, n))
-        m, shift = np.frexp(m * base ** k)
-        e, n = e + shift, n - k
-    return m, e
+    step = 256 if n > 0 else -256
+    chunks = n // step if abs(n) > 256 else 0
+    m, k = 1.0, np.int64(0)
+    for bit in f"{chunks:b}":  # binary digits, the highest first
+        m, shift = np.frexp(m * m * (base ** step if bit == "1" else 1.0))
+        k = 2 * k + shift
+    m, shift = np.frexp(m * base ** (n - chunks * step))
+    return m, n * e.astype(np.int64) + k + shift
+
+
+# The largest N of the maximal-l shapes: past it `_power`'s n e could leave int64.
+MAX_SHAPE_N = 2 ** 50
 
 
 def distribution_max_l(form: str, N: int, p,
@@ -276,10 +276,10 @@ def distribution_max_l(form: str, N: int, p,
     into [0, 1] by one power of 2, kept apart with the powers of 2 that
     `_power` takes out, so only the value itself can leave the double
     range: it is 0 where it underflows (PP at p = 0 for N >= 2, and at
-    p = inf), and raises ValueError where it overflows.
+    p = inf), and raises ValueError where it overflows, or for N past MAX_SHAPE_N.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    if not 1 <= N <= MAX_SHAPE_N:
+        raise ValueError(f"N must be in [1, 2^50], got {N}")
     p = np.asarray(p, dtype=float)
     if form == "PP":
         if (p < 0).any():

@@ -71,14 +71,6 @@ def sqrt_ratio(num: int, den: int) -> tuple[float, int]:
     return m, e - k
 
 
-def _groups(keys) -> dict:
-    """{key: the indices where it occurs}, in order of first occurrence."""
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return groups
-
-
 def _normalization(state: QuantumState) -> tuple[float, int]:
     """N_{Nl} as (m, e): N_{Nl}^2 = 4 beta^3 / (N perm(N+l, 2l+1)), beta = num / den
     exactly, kept per process (`_normalization_of`)."""
@@ -108,23 +100,25 @@ def radial_wavefunction(state: QuantumState, r):
 
 def _radial_stack(states, rho) -> np.ndarray:
     """np.stack([radial_wavefunction(s, rho / 2 beta) for s in states]) at rho >= 0,
-    bit for bit: one Laguerre recurrence per l up to its largest N, all its rows
-    scaled at once by their own N_{Nl}, and the functions of rho, and the rho
-    where e^{-rho/2} is 0 or nan, shared by every l."""
+    bit for bit: one `laguerre` pass with a row per l, stopped at its largest N,
+    rho^l once per l, each state's own N_{Nl}, and the functions of rho, and the
+    rho where e^{-rho/2} is 0 or nan, shared by every state."""
     if np.any(rho < 0):
         raise ValueError(f"rho = 2 beta r must be >= 0, got {np.min(rho)}")
-    values = np.empty((len(states),) + np.shape(rho))
+    ls = [s.l for s in states]
     rho_mantissa, rho_exponent = np.frexp(rho)
     decay = np.exp(-rho / 2.0)
-    for l, ladder in _groups(s.l for s in states).items():
-        norm, norm_exponent = (np.reshape(x, (-1,) + (1,) * np.ndim(rho)) for x in
-                               zip(*[_normalization(states[i]) for i in ladder]))
-        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where decay is 0
-            value = np.ldexp(
-                norm * rho_mantissa ** l * decay
-                * laguerre([states[i].N - l - 1 for i in ladder], 2 * l + 1, rho),
-                norm_exponent.astype(np.int32) + l * rho_exponent)  # int32: ldexp's fast loop
-        values[ladder] = value
+    power = {l: rho_mantissa ** l for l in set(ls)}  # numpy rounds an array of l otherwise
+    norm, norm_exponent, l_column = (np.reshape(x, (-1,) + (1,) * np.ndim(rho)) for x in
+                                     (*zip(*map(_normalization, states)), ls))
+    # norm rho^l decay L in place (a double product commutes): all-row temporaries fault pages
+    values = np.array([power[l] for l in ls])
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where decay is 0
+        values *= norm
+        values *= decay
+        values *= laguerre([s.N - s.l - 1 for s in states], [2 * l + 1 for l in ls], rho)
+        np.ldexp(values, norm_exponent.astype(np.int32) + l_column.astype(np.int32) * rho_exponent,
+                 out=values)  # int32: ldexp's fast loop
     np.copyto(values, decay, where=~(decay > 0.0))
     return values
 

@@ -1,8 +1,8 @@
 """Orthogonal polynomials evaluated by stable recurrences.
 
-Generalized Laguerre polynomials, Gegenbauer polynomials, and the
-`ladder` that runs a three-term recurrence of many orders in one pass.
-The spherical Bessel functions are `transform._spherical_bessel`.
+Generalized Laguerre and Gegenbauer polynomials, each one steps function, and
+`ladder`, the one loop that keeps recurrence rungs, running a family's steps for
+many orders in one pass.  Spherical Bessel functions: `transform._spherical_bessel`.
 
 Polynomials are evaluated with three-term recurrences rather than their
 explicit alternating sums, which become unstable at high degree.  All
@@ -16,26 +16,22 @@ import functools
 import numpy as np
 
 
-def laguerre(n, alpha: int, x):
-    """Generalized Laguerre polynomial L_n^alpha(x) by three-term recurrence.
+def _laguerre_steps(x, alpha, prev, cur, start, stop):
+    """(L_{stop-1}, L_stop) from (L_{start-1}, L_start), both of index alpha, at x."""
+    for k in range(start, stop):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return prev, cur
 
-    The recurrence (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}
-    is stable in the direction of increasing degree.  x is a float or a
-    float64 array; the value has x's shape.  For a list n, the values of
-    one pass come stacked along a new first axis.
-    """
-    degrees = n if isinstance(n, list) else [n]
+
+def laguerre(degrees, orders, x):
+    """Generalized Laguerre polynomials L_{n_i}^{alpha_i}(x) of equal-length lists
+    n and alpha >= 0, stacked, from one `ladder` at a float or float64 array x.
+    (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1} is stable upward."""
     if min(degrees) < 0:
         raise ValueError(f"laguerre degree must be >= 0, got {min(degrees)}")
-    if alpha < 0:
-        raise ValueError(f"laguerre index must be >= 0, got {alpha}")
-    kept = {0: np.ones_like(x) if isinstance(x, np.ndarray) else 1.0, 1: 1.0 + alpha - x}
-    prev, cur = 1.0, kept[1]
-    for k in range(1, max(degrees)):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-        if k + 1 in degrees:
-            kept[k + 1] = cur
-    return np.array([kept[k] for k in n]) if isinstance(n, list) else kept[n]
+    if min(orders) < 0:
+        raise ValueError(f"laguerre index must be >= 0, got {min(orders)}")
+    return ladder(degrees, orders, functools.partial(_laguerre_steps, x), np.shape(x))
 
 
 def ladder(degrees, orders, steps, shape) -> np.ndarray:
@@ -48,6 +44,8 @@ def ladder(degrees, orders, steps, shape) -> np.ndarray:
     largest degree asked of them, and each stretch of steps takes only the
     rows not yet at theirs, so that every row stops at its own degree, and
     every value is that of its order's pass alone."""
+    if len(degrees) != len(orders):
+        raise ValueError(f"one order per degree, got {len(degrees)} and {len(orders)}")
     tops = {}
     for n, order in zip(degrees, orders):
         tops[order] = max(n, tops.get(order, 0))
@@ -71,16 +69,12 @@ def _gegenbauer_steps(x, lam, prev, cur, start, stop):
     return prev, cur
 
 
-def gegenbauer_C(n, lam, x):
-    """Gegenbauer polynomial C_n^lambda(x) by the standard recurrence
-    k C_k = 2(k+lambda-1) x C_{k-1} - (k+2 lambda-2) C_{k-2}, C_0 = 1, C_1 = 2 lambda x,
-    at a float or array x, for lam >= 1; for a list n and a list lam of
-    integers, of the same length, the C_{n_i}^{lam_i}(x) of one `ladder`."""
-    degrees, orders = (n, lam) if isinstance(n, list) else ((n,), (lam,))
+def gegenbauer_C(degrees, orders, x):
+    """Gegenbauer polynomials C_{n_i}^{lambda_i}(x) of equal-length lists n and
+    lambda >= 1, stacked, from one `ladder` at a float or float64 array x, by
+    k C_k = 2(k+lambda-1) x C_{k-1} - (k+2 lambda-2) C_{k-2}."""
     if min(degrees) < 0:
         raise ValueError(f"gegenbauer degree must be >= 0, got {min(degrees)}")
     if min(orders) < 1:
         raise ValueError(f"gegenbauer order must be >= 1, got {min(orders)}")
-    if isinstance(n, list):
-        return ladder(n, lam, functools.partial(_gegenbauer_steps, x), np.shape(x))
-    return _gegenbauer_steps(x, lam, 1.0, 2.0 * lam * x, 1, n)[1] if n else 1.0
+    return ladder(degrees, orders, functools.partial(_gegenbauer_steps, x), np.shape(x))

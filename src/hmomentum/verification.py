@@ -29,7 +29,6 @@ from .forms import _kernel_stack, _pp_stack, distribution_max_l
 from .hydrogenic import (
     PhysicalScale,
     QuantumState,
-    _groups,
     _normalization,
     _radial_stack,
     expectation_r2,
@@ -83,6 +82,14 @@ class VerificationReport:
     def to_json(self) -> str:
         """The report's fields, each result's in its own order, as JSON."""
         return json.dumps({**vars(self), "results": [vars(r) for r in self.results]}, indent=2)
+
+
+def _groups(keys) -> dict:
+    """{key: the indices where it occurs}, in order of first occurrence."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 def _states(max_N: int, scale: PhysicalScale):
@@ -255,7 +262,8 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     settled on and its largest error bound relative to a state's peak.
     Each state's residual is relative to its largest |psi_trig| on the grid.
     R's normalization N_{Nl} at the requested scale is held to its exact value
-    as well (`_normalization_error`); `details` names its worst state.
+    as well (`_normalization_error`), to 2^-52, past which the residual is infinite
+    (a correctly rounded one reads at most 2^-53); `details` names its worst state.
     """
     pos = np.logspace(-2, math.log10(20.0), 13)
     grid = np.concatenate([-pos[::-1], [0.0], pos])  # q
@@ -279,7 +287,8 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
                     f"cut rho={cut:g}, panels={layout.panels}, error bound "
                     f"{layout.relative_bound:.3e} of the peak; N_Nl worst at "
                     f"(N={states[k].N},l={states[k].l}): {norm[k]:.3e}")
-    return replace(result, max_residual=max(result.max_residual, norm[k]))
+    return replace(result, max_residual=max(result.max_residual, norm[k])
+                   if norm[k] <= 2.0 ** -52 else math.inf)
 
 
 def _normalization_error(state: QuantumState) -> float:

@@ -6,7 +6,8 @@ by recurrence and the spherical Neumann function n_0, and the Slater-term
 route: N_{Nl} in mpmath, R_{Nl} as a finite sum of rho^m e^{-rho/2} terms,
 its exact term-wise transform, and the radial momentum operator applied
 term-wise (the p_r check of the Schroedinger equation).  They share no code with the
-package: it gives them only its PhysicalScale and QuantumState.
+package: it gives them only its PhysicalScale and QuantumState.  Also R_{Nl} by a
+plain Laguerre loop per l, which pins the arithmetic of `hydrogenic._radial_stack`.
 """
 
 import math
@@ -244,3 +245,36 @@ def filon_weights(order: int, betas, dps: int = 40) -> tuple[list, list]:
         return ([[mpmath.fsum(w * mpmath.expj(beta * s) * l for s, w, l in zip(t, dt, row))
                   for row in basis] for beta in map(mpmath.mpf, betas)],
                 weights)
+
+
+def laguerre_kept(degrees, alpha: int, x) -> np.ndarray:
+    """L_n^alpha(x) of each n of `degrees`, stacked, from one upward pass of
+    (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1} from L_0 = 1 and
+    L_1 = 1 + alpha - x, keeping every rung."""
+    kept = {0: np.ones_like(x), 1: 1.0 + alpha - x}
+    prev, cur = 1.0, kept[1]
+    for k in range(1, max(degrees)):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+        kept[k + 1] = cur
+    return np.array([kept[n] for n in degrees])
+
+
+def radial_per_l(states, rho: np.ndarray, normalization) -> np.ndarray:
+    """R_{Nl} of each state at the array rho = 2 beta r >= 0, stacked, by one
+    `laguerre_kept` pass per l: N_{Nl} m (normalization(state) = (m, e)) times
+    rho's mantissa to the l, e^{-rho/2} and L, in that order, then 2^{e + l k}
+    with k rho's exponent, and e^{-rho/2} itself where it is 0 or nan."""
+    values = np.empty((len(states),) + rho.shape)
+    rho_mantissa, rho_exponent = np.frexp(rho)
+    decay = np.exp(-rho / 2.0)
+    for l in {s.l for s in states}:
+        rows = [i for i, s in enumerate(states) if s.l == l]
+        norm, norm_exponent = (np.reshape(x, (-1,) + (1,) * rho.ndim)
+                               for x in zip(*[normalization(states[i]) for i in rows]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values[rows] = np.ldexp(
+                norm * rho_mantissa ** l * decay
+                * laguerre_kept([states[i].N - l - 1 for i in rows], 2 * l + 1, rho),
+                norm_exponent.astype(np.int32) + l * rho_exponent)
+    np.copyto(values, decay, where=~(decay > 0.0))
+    return values

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,24 @@ class TestPlot:
     def test_invalid_N(self, capsys):
         code, _ = run_cli(capsys, "plot", "PP", "0")
         assert code == EXIT_USAGE
+
+    def test_huge_N_in_log_time(self, capsys):
+        """The shapes take O(log N) steps: LO at N = 2^40 is 1 at p = 0 and 0
+        at +-5, at once."""
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "plot", "LO", str(2 ** 40), "--count", "3")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK and parse_csv(out)[1] == [[-5.0, 0.0], [0.0, 1.0], [5.0, 0.0]]
+
+    @pytest.mark.parametrize("N", [2 ** 50 + 1, 2 ** 63 - 1])
+    def test_N_past_the_largest_named(self, capsys, N):
+        """Past MAX_SHAPE_N = 2^50 a shape's powers of 2 could leave int64:
+        a usage error that names N, not an overflow, at once."""
+        start = time.perf_counter()
+        assert main(["plot", "LO", str(N)]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: N must be in [1, 2^50], got {N}\n"
 
     @pytest.mark.parametrize("hbar", ["2", "0", "-1", "nan", "inf"])
     def test_no_hbar_flag(self, hbar):

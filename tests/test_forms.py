@@ -249,7 +249,7 @@ class TestPsiGegenbauer:
             for gamma in (0.2, 0.8, 1.4):
                 x = math.cos(gamma)
                 combo = math.sin(gamma) * complex(
-                    gegenbauer_D1(n, x), gegenbauer_C(n, 1.0, x))
+                    gegenbauer_D1(n, x), gegenbauer_C([n], [1.0], x)[0])
                 assert combo == pytest.approx(
                     cmath.exp(1j * (n + 1) * gamma), abs=1e-13)
         for m, k in PYTHAGOREAN_PAIRS[1:]:
@@ -259,7 +259,7 @@ class TestPsiGegenbauer:
                 combo = complex(Fraction(re, (X * h) ** (n + 1)), Fraction(im, (X * h) ** (n + 1)))
                 assert combo.real == pytest.approx(math.cos((n + 1) * gamma), abs=1e-13)
                 assert combo.imag == pytest.approx(
-                    math.sin(gamma) * gegenbauer_C(n, 1.0, X / h), abs=1e-13)
+                    math.sin(gamma) * gegenbauer_C([n], [1.0], X / h)[0], abs=1e-13)
 
     def test_script_D_identical(self):
         """The CLI's Gegenbauer and script-D routes against the literal sum.
@@ -452,6 +452,24 @@ class TestDistributions:
                         assert abs(Fraction(got) / exact - 1) <= 1e-13, (form, N, q)
                     if form == "PP" and N >= 2 and p == 0:
                         assert got == 0.0
+
+    @pytest.mark.parametrize("N", [300, 10 ** 4, 10 ** 6])
+    def test_large_N_against_mpmath(self, N):
+        """At p = k / 2^16 <= 1 and hbar beta = 1 the bases 4 hbar beta p and
+        hbar^2 beta^2 + p^2 are exact, so what the shapes lose is `_power`'s own
+        rounding: within 2^-52 (4 + n / 256) of the exact value, n the outer power,
+        at p near the peak of LO and where PP is near 1, in the normal range."""
+        x0 = round((2.0 - math.sqrt(3.0)) * 2 ** 16)  # 4p / (1 + p^2) = 1 there
+        lo = np.linspace(0.0, 2 ** 16 * math.sqrt(600.0 / N), 21).round()
+        pp = x0 + np.linspace(-1.0, 1.0, 21) * (2 ** 16 * min(90.0 / N, 0.1))
+        for form, k, n in (("LO", lo, N + 1), ("PP", pp.round(), 2 * N + 2)):
+            got = distribution_max_l(form, N, k / 2 ** 16)
+            for value, p in zip(got, k / 2 ** 16):
+                p = mpmath.mpf(p)
+                exact = ((4 * p) ** (2 * N - 2) / (1 + p * p) ** (2 * N + 2) if form == "PP"
+                         else 1 / (1 + p * p) ** (N + 1))
+                assert np.finfo(float).tiny < exact < np.finfo(float).max, (form, p)
+                assert abs(value / exact - 1) <= 2.0 ** -52 * (4 + n / 256), (form, N, p)
 
     def test_pp_origin_in_an_overflowing_grid(self):
         """p = 0 is 0, but the value at p = 1e-45 overflows, so the grid raises."""

@@ -67,3 +67,31 @@ def test_one_spherical_bessel():
         and "bessel" in node.name.lower()] for module in PACKAGE}
     assert {module: names for module, names in defined.items() if names} == {
         "transform": ["_spherical_bessel"]}
+
+
+def loops_outside(module, allowed):
+    """The functions of the package's `module` (None for module level) that hold
+    a `for` or `while` statement, where the functions that `allowed(name)` admits
+    are not searched."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not allowed(child.name):
+                    visit(child, child.name)
+                continue
+            if isinstance(child, (ast.For, ast.AsyncFor, ast.While)):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")), None)
+    return found
+
+
+@pytest.mark.parametrize("module", ["specfun", "hydrogenic"])
+def test_one_recurrence_runner(module):
+    """`specfun.ladder` is the one loop that keeps recurrence rungs: it runs each
+    family's steps function (`*_steps`), and outside those no code of `specfun`
+    or `hydrogenic` holds a `for` or `while` statement (comprehensions are fine)."""
+    assert loops_outside(module, lambda name: name == "ladder" or name.endswith("_steps")) == []

@@ -1,5 +1,6 @@
 """Special-function unit tests with independent oracles."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_gegenbauer, jv, spherical_jn, yv
 
-from hmomentum.specfun import gegenbauer_C, laguerre
+from hmomentum.forms import _polynomial_steps
+from hmomentum.specfun import gegenbauer_C, ladder, laguerre
 from hmomentum.transform import GL_ORDER, SERIES_BETA, _spherical_bessel, gauss_legendre_panels
 from hmomentum.verification import panels_needed
 from oracles import (
@@ -32,76 +34,98 @@ def laguerre_sum_exact(n, alpha, x):
 
 class TestLaguerre:
     def test_degree_zero(self):
-        assert laguerre(0, 7, 3.3) == 1.0
+        assert laguerre([0], [7], 3.3)[0] == 1.0
 
     def test_degree_one(self):
         # 1 + alpha - x
-        assert laguerre(1, 2, 1.0) == pytest.approx(2.0, abs=1e-15)
+        assert laguerre([1], [2], 1.0)[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_value_at_zero(self):
         # L_2^1(0) = binom(3, 2) = 3
-        assert laguerre(2, 1, 0.0) == pytest.approx(3.0, abs=1e-14)
+        assert laguerre([2], [1], 0.0)[0] == pytest.approx(3.0, abs=1e-14)
 
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0, 50.0])
     def test_recurrence_vs_explicit_sum(self, x):
         for n in range(31):
             for alpha in (0, 1, 3, 9, 21):
                 exact = laguerre_sum_exact(n, alpha, x)
-                got = laguerre(n, alpha, x)
+                got = laguerre([n], [alpha], x)[0]
                 assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_array_equals_point_by_point(self):
         x = np.array([[0.0, 0.1, 1.0], [10.0, 50.0, 200.0]])
         for n in (0, 1, 2, 7, 30):
-            values = laguerre(n, 3, x)
+            values = laguerre([n], [3], x)[0]
             assert values.shape == x.shape
-            assert [float(v) for v in values.ravel()] == [laguerre(n, 3, float(v))
+            assert [float(v) for v in values.ravel()] == [laguerre([n], [3], float(v))[0]
                                                          for v in x.ravel()]
 
     def test_degree_list_is_the_single_degrees(self):
-        """A list of degrees, in any order and with repeats, gives each
-        degree's own value bit for bit, stacked."""
-        degrees = [30, 0, 7, 1, 7, 2]
-        for x in (np.array([[0.0, 0.1, 1.0], [10.0, 50.0, 1e6]]), 3.5):
-            values = laguerre(degrees, 5, x)
-            assert values.shape == (len(degrees),) + np.shape(x)
-            for row, n in zip(values, degrees):
-                assert np.array_equal(row, laguerre(n, 5, x)), n
+        """Lists of degrees and of orders, mixed and in any order, with repeats,
+        give each pair's own value bit for bit, stacked, for both families."""
+        degrees = [30, 0, 7, 1, 7, 2, 12, 7, 0, 3]
+        orders = [5, 5, 0, 3, 5, 0, 3, 0, 9, 9]
+        for x in (np.array([[0.0, 0.1, 1.0], [10.0, 50.0, 1e6]]), 3.5, 0.3):
+            for family, shift in ((laguerre, 0), (gegenbauer_C, 1)):
+                lams = [a + shift for a in orders]
+                values = family(degrees, lams, x)
+                assert values.shape == (len(degrees),) + np.shape(x)
+                for row, n, a in zip(values, degrees, lams):
+                    assert np.array_equal(row, family([n], [a], x)[0]), (family, n, a)
         with pytest.raises(ValueError):
-            laguerre([3, -1], 0, 1.0)
+            laguerre([3, -1], [0, 0], 1.0)
+        with pytest.raises(ValueError):
+            gegenbauer_C([3, -1], [1, 1], 0.5)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            laguerre(-1, 0, 1.0)
+            laguerre([-1], [0], 1.0)
         with pytest.raises(ValueError):
-            laguerre(2, -1, 1.0)
+            laguerre([2], [-1], 1.0)
 
 
 class TestGegenbauerC:
     def test_degree_zero(self):
-        assert gegenbauer_C(0, 3.0, 0.7) == 1.0
+        assert gegenbauer_C([0], [3.0], 0.7)[0] == 1.0
 
     def test_degree_one_is_2_lambda_x(self):
-        assert gegenbauer_C(1, 2.0, 0.25) == pytest.approx(1.0, abs=1e-15)
+        assert gegenbauer_C([1], [2.0], 0.25)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_sine_ratio_zero(self):
         # C_2^1(cos(pi/3)) = sin(pi)/sin(pi/3) = 0
-        assert gegenbauer_C(2, 1.0, 0.5) == pytest.approx(0.0, abs=1e-14)
+        assert gegenbauer_C([2], [1.0], 0.5)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_against_scipy(self):
         for n in range(12):
             for lam in (1.0, 1.5, 2.0, 4.0):
                 for x in (-0.9, -0.3, 0.0, 0.4, 0.99):
                     ref = float(eval_gegenbauer(n, lam, x))
-                    assert gegenbauer_C(n, lam, x) == pytest.approx(
+                    assert gegenbauer_C([n], [lam], x)[0] == pytest.approx(
                         ref, rel=1e-12, abs=1e-12)
 
     def test_lambda1_trig_identity(self):
         thetas = np.linspace(0.0, math.pi, 102)[1:-1]
         for n in range(41):
             for theta in thetas:
-                lhs = gegenbauer_C(n, 1.0, math.cos(theta)) * math.sin(theta)
+                lhs = gegenbauer_C([n], [1.0], math.cos(theta))[0] * math.sin(theta)
                 assert abs(lhs - math.sin((n + 1) * theta)) <= 1e-13
+
+
+FAMILIES = {
+    "laguerre": laguerre,
+    "gegenbauer_C": gegenbauer_C,
+    "hypergeometric": lambda degrees, orders, x: ladder(
+        degrees, orders, functools.partial(_polynomial_steps, x, 1.0 - x), ()),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("degrees,orders", [([2, 1], [1]), ([1, 2], [1]), ([1], [1, 2])])
+def test_unequal_lists_rejected(family, degrees, orders):
+    """Every family runs on `ladder`, which takes one order per degree: lists of
+    two lengths raise ValueError, rather than giving the rows of what zip pairs."""
+    with pytest.raises(ValueError, match="one order per degree"):
+        FAMILIES[family](degrees, orders, 0.5)
 
 
 class TestGegenbauerD1:

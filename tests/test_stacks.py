@@ -8,8 +8,9 @@ on an array are the stack of their one state at q = p / hbar beta or
 rho = 2 beta r.  The kernel stacks run one recurrence pass with a row per
 distinct l, each row stopped at its own largest degree, over q in blocks of
 BLOCK_POINTS, and each value is the one the stack gives at its point alone;
-`_radial_stack` runs one pass per l.  Every row, NaN included, is compared on
-its int64 view.
+`_radial_stack` runs one `laguerre` pass with a row per l, which a plain loop
+per l (`oracles.radial_per_l`) pins bit for bit.  Every row, NaN included, is
+compared on its int64 view.
 `verification._gram_blocks` gives the Gram matrices of every l from one kernel
 pass, and `verification._p2_stack` <p^2> of every state from one ladder, both
 at unit scale on one rule in theta = arctan(q)."""
@@ -30,8 +31,10 @@ from hmomentum.forms import (
     podolsky_pauling_G,
     psi_trig,
 )
+from hmomentum import hydrogenic
 from hmomentum.hydrogenic import PhysicalScale, QuantumState, _radial_stack, radial_wavefunction
 from hmomentum.verification import _gram_blocks, _p2_stack
+from oracles import radial_per_l
 
 Q_SPECIAL = [0.0, 1e-300, -1e-300, 1e154, -1e154, math.inf, -math.inf, math.nan]
 RHO_SPECIAL = [0.0, 1e-300, 1e200, math.inf]
@@ -238,6 +241,16 @@ def test_large_states(beta):
     rho = np.array(RHO_SPECIAL + [1e-3, 0.5, 3.0, 117.0, 400.0, 1400.0])
     assert_rows_equal(_radial_stack, states, rho)
     assert_public_calls(states, q * scale.momentum, rho / (2.0 * beta))
+
+
+def test_radial_rows_are_the_per_l_loop():
+    """`_radial_stack`'s one `laguerre` pass gives, bit for bit, what a plain
+    Laguerre loop per l gives, for every l < N <= 60, at the edges of rho
+    (where L or rho^l leaves the double range, and e^{-rho/2} is 0) and on a grid."""
+    states = [QuantumState(N, l) for N in range(1, 61) for l in range(N)]
+    rho = np.concatenate([[0.0, 1e-300, 700.0, 1500.0, math.inf], np.linspace(0.0, 300.0, 61)])
+    assert np.array_equal(bits(_radial_stack(states, rho)),
+                          bits(radial_per_l(states, rho, hydrogenic._normalization)))
 
 
 def test_negative_r_rejected():
