@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,9 @@ class PhysicalScale:
     """Physical scale of a hydrogenic state: action unit and inverse length.
 
     The momentum scale of the state is hbar * beta; for hydrogen it is
-    Z mu c alpha / N.  The default fixes hbar = beta = 1.
+    Z mu c alpha / N.  The default fixes hbar = beta = 1.  Any other real
+    (a numpy scalar, an int) is kept as its float, so that no lower precision
+    or promotion follows it into the forms.
     """
 
     hbar: float = 1.0
@@ -33,6 +36,9 @@ class PhysicalScale:
         if not (0 < self.hbar < math.inf and 0 < self.beta < math.inf):
             raise ValueError(f"hbar and beta must be positive and finite, "
                              f"got hbar={self.hbar}, beta={self.beta}")
+        if type(self.hbar) is not float or type(self.beta) is not float:
+            object.__setattr__(self, "hbar", float(self.hbar))
+            object.__setattr__(self, "beta", float(self.beta))
 
     @property
     def momentum(self) -> float:
@@ -42,13 +48,18 @@ class PhysicalScale:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Bound hydrogenic state (N, l) with its physical scale."""
+    """Bound hydrogenic state (N, l) with its physical scale.  N and l are kept
+    as Python ints (`operator.index`: a numpy integer is taken, a float raises
+    TypeError)."""
 
     N: int
     l: int
     scale: PhysicalScale = field(default_factory=PhysicalScale)
 
     def __post_init__(self):
+        if type(self.N) is not int or type(self.l) is not int:
+            object.__setattr__(self, "N", operator.index(self.N))
+            object.__setattr__(self, "l", operator.index(self.l))
         if self.N < 1:
             raise ValueError(f"principal quantum number must be >= 1, got {self.N}")
         if not 0 <= self.l <= self.N - 1:

@@ -11,10 +11,12 @@ PANEL_BUDGET, up to the cut `tail_cut`.  It sums Gauss-Legendre nodes in rho
 with Filon weights (Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383):
 they integrate the polynomial through a panel's nodes times e^{i q rho / 2}
 exactly, so a panel may span four periods, and the panels follow f, not the
-phase.  The weights are summed in long double.  Where long double is double
-they lose a few ulps (up to 31 on the weights, against under one), and
-verify's diagonalization residual reads 2.3e-15 instead of 1.7e-15 and its
-quadrature residual 6.8e-16 instead of 5.6e-16; every suite still passes.
+phase.  The weights are summed in long double, from a table correctly
+rounded to long double.  Where long double is double the table is correctly
+rounded to double and the weights lose a few ulps (up to 7 of w_k at 11 beta
+in [0, 4 pi], against under one); verify's quadrature residual reads 7.4e-16
+instead of 5.6e-16 and its diagonalization residual 1.6e-15 instead of
+1.7e-15, and every suite still passes.
 `diagonalization_residual` checks that H diagonalizes the radial momentum
 operator, H(p_r f) = p H f, on functions of rho that decay as e^{-rho/2}.
 Its Gauss-Legendre panels and j_l serve `verification`'s Hankel check too.
@@ -89,77 +91,63 @@ FIXED_BITS = 128
 NEWTON_STEPS = 5
 
 
-def gauss_legendre_panels(lo: float, hi: float, panels: int,
+def gauss_legendre_panels(length: float, panels: int,
                           order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The composite Gauss-Legendre rule with `order` nodes on each of
-    `panels` equal panels of [lo, hi].
-
-    Returns the panel centers c, and the node offsets d and weights w
-    that every panel shares: the nodes are c[:, None] + d.
-    """
+    """The composite Gauss-Legendre rule of `order` nodes on each of `panels`
+    equal panels of [0, length]: the panel centers c, and the node offsets d
+    and weights w that every panel shares, so the nodes are c[:, None] + d."""
     x, w, _ = _gauss_legendre(order)
-    half = 0.5 * (hi - lo) / panels
-    return lo + half * (2.0 * np.arange(panels) + 1.0), half * x, half * w
+    half = 0.5 * length / panels
+    return half * (2.0 * np.arange(panels) + 1.0), half * x, half * w
+
+
+def _rounded(num: int, den: int) -> tuple[float, float]:
+    """num / den correctly rounded, and the rest, rounded."""
+    mantissa, power = (num / den).as_integer_ratio()
+    return mantissa / power, (num * power - mantissa * den) / (den * power)
 
 
 @functools.lru_cache(maxsize=2)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The `order` Gauss-Legendre nodes on [-1, 1], ascending, their weights
-    w = 2 (1 - x^2) / (order (x P_order - P_{order-1}))^2, both correctly rounded,
-    and each node's rest, the node less its double, rounded: all read-only.
-    Newton's method on P_order by Bonnet's recurrence, in integers scaled by
-    2^FIXED_BITS, from Tricomi's estimate (1 - (1 - 1/n) / 8n^2)
-    cos(pi (4k - 1) / (4n + 2)) written as a sine, so that an odd order's middle
-    node is 0, for the nodes x >= 0, mirrored.  NEWTON_STEPS steps take the
-    estimate's error, at most 1.2e-3, below 2^-FIXED_BITS, and int / int rounds
-    correctly.  Long double does not: its order-8 node rounds the wrong way
-    (the root is 2e-4 ulps past a midpoint), and an order-11 weight is 0.51 ulps
-    off.  numpy's leggauss weights are up to 63 ulps off at order 16."""
-    one, nodes, rests, weights = 1 << FIXED_BITS, [], [], []
-    for k in range(order // 2, order):
+    """The `order` Gauss-Legendre nodes x_k on [-1, 1], ascending, their weights
+    w_k = 2 (1 - x^2) / (order (x P_order - P_{order-1}))^2, and the Filon table
+    (-1)^{floor(m/2)} (2m + 1) w_k P_m(x_k), m < order, as [double, rest][m, k]:
+    all correctly rounded and read-only.  Newton's method on P_order by Bonnet's
+    recurrence, in integers scaled by 2^FIXED_BITS, from Tricomi's estimate
+    (1 - (1 - 1/n) / 8n^2) cos(pi (4k - 1) / (4n + 2)) written as a sine, so that
+    an odd order's middle node is 0; the last pass keeps every P_m.  NEWTON_STEPS
+    steps take the estimate's error, at most 1.2e-3, below 2^-FIXED_BITS, and
+    int / int rounds correctly.  Long double does not: its order-8 node rounds
+    the wrong way, an order-11 weight is 0.51 ulps off, and its table of order
+    16 up to 344 ulps.  numpy's leggauss weights are up to 63 ulps off."""
+    one, nodes, weights, table = 1 << FIXED_BITS, [], [], []
+    for k in range(order):
         x = int(math.ldexp((1 - (1 - 1 / order) / (8 * order * order)) * math.sin(
             math.pi * (2 * k + 1 - order) / (2 * order + 1)), FIXED_BITS))
         for step in range(NEWTON_STEPS + 1):
-            low, high = one, x  # P_{m-1} and P_m at x / one, times one
+            p = [one, x]  # P_m at x / one, times one
             for m in range(1, order):
-                low, high = high, (((2 * m + 1) * x * high >> FIXED_BITS) - m * low) // (m + 1)
-            slope = order * ((x * high >> FIXED_BITS) - low)  # (x^2 - 1) P_order'(x), times one
+                p.append((((2 * m + 1) * x * p[m] >> FIXED_BITS) - m * p[m - 1]) // (m + 1))
+            slope = order * ((x * p[order] >> FIXED_BITS) - p[order - 1])  # (x^2 - 1) P_order'(x), times one
             if step < NEWTON_STEPS:
-                x -= high * ((x * x >> FIXED_BITS) - one) // slope
+                x -= p[order] * ((x * x >> FIXED_BITS) - one) // slope
         nodes.append(x / one)
-        rests.append((x - int(math.ldexp(nodes[-1], FIXED_BITS))) / one)
         weights.append(2 * (one * one - x * x) / (slope * slope))
-    mirrored = slice(order % 2, None)  # all but the middle node 0 of an odd order
-    rule = (np.array([-v for v in reversed(nodes[mirrored])] + nodes),
-            np.array(weights[mirrored][::-1] + weights),
-            np.array([-v for v in reversed(rests[mirrored])] + rests))
+        table.append([_rounded((-1) ** (m // 2) * (2 * m + 1) * 2 * (one * one - x * x) * p[m],
+                               slope * slope * one) for m in range(order)])
+    rule = np.array(nodes), np.array(weights), np.array(table).T  # table[part, m, k]
     for array in rule:
         array.flags.writeable = False
     return rule
 
 
-def _legendre(order: int, x: np.ndarray) -> np.ndarray:
-    """P_0 .. P_order at x, in x's type, by Bonnet's recurrence."""
-    p = np.empty((order + 1,) + x.shape, x.dtype)
-    p[0], p[1] = 1, x
-    for m in range(1, order):
-        p[m + 1] = ((2 * m + 1) * x * p[m] - m * p[m - 1]) / (m + 1)
-    return p
-
-
 @functools.lru_cache(maxsize=4)
 def _filon_rule(order: int, extended) -> np.ndarray:
-    """The table (-1)^{floor(m/2)} (2m + 1) w_k P_m(x_k), m < order, in `extended`,
-    of the `order` Gauss-Legendre nodes x_k on [-1, 1] of `_gauss_legendre`, at
-    the x_k in `extended`, each node's double plus its rest: with
-    i^m = (-1)^{floor(m/2)} i^{m mod 2}, its even rows make the real part of
-    the Filon weights and its odd rows the imaginary part.  Read-only."""
-    nodes, _, rests = _gauss_legendre(order)
-    x = nodes.astype(extended) + rests.astype(extended)
-    p = _legendre(order, x)
-    slope = order * (x * p[order] - p[order - 1]) / (x * x - 1)  # P_order'(x)
-    m = np.arange(order)[:, None]
-    table = (-1) ** (m // 2) * (2 * m + 1) * (2 / ((1 - x * x) * slope * slope)) * p[:order]
+    """The Filon table of `_gauss_legendre(order)` in `extended`, double plus rest,
+    read-only: as i^m = (-1)^{floor(m/2)} i^{m mod 2}, its even rows make the
+    real part of the Filon weights and its odd rows the imaginary part."""
+    head, rest = _gauss_legendre(order)[2]
+    table = head.astype(extended) + rest.astype(extended)
     table.flags.writeable = False
     return table
 
@@ -220,9 +208,9 @@ def _filon_weights(beta, half: float, orders) -> list:
     int P_m l_k dt = w_k P_m(x_k) for m < order and 0 past it,
     W_k = half w_k sum_{m < order} (2m+1) i^m j_m(beta) P_m(x_k), exactly.
 
-    Summed in _EXTENDED from one set of j_m for all orders, and rounded to
-    float64 once.  Returns per order an array of shape (beta.size, 2, order),
-    the real and imaginary parts.  The weights of each beta depend on no
+    Summed in _EXTENDED from one set of j_m and each order's `_filon_rule`
+    table, rounded to float64 once.  Per order an array (beta.size, 2, order)
+    of the real and imaginary parts.  The weights of each beta depend on no
     other: numpy forms a long double matrix product element by element.
     """
     j = _spherical_bessel(np.asarray(beta, dtype=_EXTENDED), max(orders)).T
@@ -361,7 +349,7 @@ def _panel_sums(f, cut: float, panels: int, b: np.ndarray):
     orders = (GL_ORDER, ESTIMATE_ORDER)
     # Node k of panel j at [k, j], so each order's values reshape to
     # (rows, order, panels) with the panel axis contiguous.
-    rules = [gauss_legendre_panels(0.0, cut, panels, order) for order in orders]
+    rules = [gauss_legendre_panels(cut, panels, order) for order in orders]
     rho = np.concatenate([(offsets[:, None] + centers).ravel() for centers, offsets, _ in rules])
     g = np.asarray(f(rho)) * rho
     batch = g.shape[:-1]

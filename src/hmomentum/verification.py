@@ -345,7 +345,7 @@ def panels_needed(b, length: float):
 def _hankel_rule(max_l: int, cut: float, panels: int) -> tuple:
     """The nodes rho and weights of the GL_ORDER-node Gauss-Legendre panels of
     [0, cut], and j_0 .. j_{max_l}(rho q / 2) at q = HANKEL_Q, all read-only."""
-    centers, offsets, weights = gauss_legendre_panels(0.0, cut, panels, GL_ORDER)
+    centers, offsets, weights = gauss_legendre_panels(cut, panels, GL_ORDER)
     rho = (centers[:, None] + offsets).ravel()
     rule = rho, np.tile(weights, panels), _spherical_bessel(
         np.outer(rho, HANKEL_Q / 2.0), max_l + 1)

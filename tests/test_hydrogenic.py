@@ -9,6 +9,7 @@ import pytest
 from numpy.polynomial.laguerre import laggauss
 from scipy.integrate import quad
 
+from hmomentum.forms import podolsky_pauling_G, psi_trig
 from hmomentum.hydrogenic import (
     PhysicalScale,
     QuantumState,
@@ -48,6 +49,42 @@ class TestQuantumState:
             QuantumState(2, 2)
         with pytest.raises(ValueError):
             QuantumState(2, -1)
+
+
+class TestNumpyScalars:
+    """A numpy scalar N, l, hbar or beta is taken as the equal Python value, so
+    numpy's promotion rules do not reach the forms."""
+
+    PYTHON = (3, 1, 2.5, 0.1)
+    NUMPY = (np.int64(3), np.int32(1), np.float32(2.5), np.float32(0.1))
+
+    @staticmethod
+    def state(N, l, hbar, beta):
+        return QuantumState(N, l, PhysicalScale(hbar, beta))
+
+    @pytest.mark.parametrize("which", range(4))
+    def test_same_values_bit_for_bit(self, which):
+        """psi, G and R, on the float path and the array path, and <r^2>, equal
+        those of the Python values (float(np.float32(0.1)) for beta), with no
+        warning."""
+        python = list(self.PYTHON)
+        numpy_ = list(python)
+        numpy_[which] = self.NUMPY[which]
+        python[which] = float(self.NUMPY[which]) if which >= 2 else python[which]
+        reference, state = self.state(*python), self.state(*numpy_)
+        grid = np.array([0.0, 0.3, 1.7, 25.0])
+        for function in (psi_trig, podolsky_pauling_G, radial_wavefunction):
+            for x in (0.3, 1.7, grid):
+                got, expected = function(state, x), function(reference, x)
+                assert np.array_equal(got, expected), (function.__name__, x)
+        assert expectation_r2(state) == expectation_r2(reference)
+        assert (type(state.N), type(state.l), type(state.scale.hbar),
+                type(state.scale.beta)) == (int, int, float, float)
+
+    @pytest.mark.parametrize("N,l", [(3.0, 1), (3, 1.0)])
+    def test_float_quantum_numbers_rejected(self, N, l):
+        with pytest.raises(TypeError):
+            QuantumState(N, l)
 
 
 class TestRadialArrays:

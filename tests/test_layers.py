@@ -69,6 +69,19 @@ def test_one_spherical_bessel():
         "transform": ["_spherical_bessel"]}
 
 
+def test_one_legendre_recurrence():
+    """Bonnet's recurrence has one home, `transform._gauss_legendre`, whose integer
+    pass gives the nodes, the weights and the Filon table, and which
+    `gauss_legendre_panels` lays out: no other function of the package has
+    'legendre' in its name."""
+    defined = {module: [node.name for node in ast.walk(ast.parse(
+        (SRC / f"{module}.py").read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "legendre" in node.name.lower()] for module in PACKAGE}
+    assert {module: sorted(names) for module, names in defined.items() if names} == {
+        "transform": ["_gauss_legendre", "gauss_legendre_panels"]}
+
+
 def loops_outside(module, allowed):
     """The functions of the package's `module` (None for module level) that hold
     a `for` or `while` statement, where the functions that `allowed(name)` admits

@@ -249,7 +249,7 @@ class TestSphericalBesselArray:
         """The node-by-momentum array of the pp_vs_hankel suite."""
         b = np.linspace(0.2, 5.0, 12) / 2.0
         centers, offsets, _ = gauss_legendre_panels(
-            0.0, 250.0, int(panels_needed(b[-1], 250.0)), GL_ORDER)
+            250.0, int(panels_needed(b[-1], 250.0)), GL_ORDER)
         return np.outer((centers[:, None] + offsets).ravel(), b)
 
     def test_against_scipy(self):

@@ -363,17 +363,19 @@ class TestGaussLegendre:
         return mpmath.mpf(head) + float(value - np.longdouble(head))
 
     @pytest.mark.parametrize("order", range(2, 21))
-    def test_extended_nodes_correctly_rounded(self, order):
-        """Each node's double plus its rest, the nodes of the Filon rule's table,
-        is within half the gap to its neighbour long double toward the 40-digit
-        value."""
-        x, _, rests = transform._gauss_legendre(order)
-        extended = x.astype(np.longdouble) + rests.astype(np.longdouble)
+    def test_filon_table_correctly_rounded(self, order):
+        """Each entry (-1)^{floor(m/2)} (2m + 1) w_k P_m(x_k) of the Filon table in
+        long double, its double plus its rest, is within half the gap to its
+        neighbour long double toward the 40-digit value."""
+        table = transform._filon_rule(order, np.longdouble)
         with mpmath.workdps(40):
-            for got, exact in zip(extended, _gauss_legendre_mp(order)[0]):
-                toward = np.longdouble(math.inf if exact > self.exactly(got) else -math.inf)
-                gap = abs(self.exactly(np.nextafter(got, toward)) - self.exactly(got))
-                assert abs(self.exactly(got) - exact) <= gap / 2, (order, got)
+            nodes, weights = _gauss_legendre_mp(order)
+            for m in range(order):
+                for got, x, w in zip(table[m], nodes, weights):
+                    exact = (-1) ** (m // 2) * (2 * m + 1) * w * mpmath.legendre(m, x)
+                    toward = np.longdouble(math.inf if exact > self.exactly(got) else -math.inf)
+                    gap = abs(self.exactly(np.nextafter(got, toward)) - self.exactly(got))
+                    assert abs(self.exactly(got) - exact) <= gap / 2, (order, m, got)
 
     # The nodes x >= 0 of the Filon rules as numpy's leggauss nodes refined in
     # long double gave them.
@@ -398,16 +400,26 @@ class TestFilonWeights:
 
     BETAS = [0.0, 1e-12, 1e-3, 0.5, math.pi, 4.0 * math.pi]
 
-    @pytest.mark.parametrize("order", [ESTIMATE_ORDER, GL_ORDER])
-    def test_against_mpmath(self, order):
-        """Each weight is within 2 ulps of the 40-digit integral, relative to
-        the Gauss-Legendre weight w_k of its node."""
+    def assert_within(self, order, ulps):
+        """Each weight is within `ulps` ulps of the 40-digit integral, relative
+        to the Gauss-Legendre weight w_k of its node."""
         weights = transform._filon_weights(np.array(self.BETAS), 1.0, (order,))[0]
         reference, w = filon_weights(order, self.BETAS)
         for got, expected in zip(weights, reference):
             for k in range(order):
                 error = abs(mpmath.mpc(got[0, k], got[1, k]) - expected[k])
-                assert error <= 2.0 * np.spacing(float(w[k])), (order, k)
+                assert error <= ulps * np.spacing(float(w[k])), (order, k)
+
+    @pytest.mark.parametrize("order", [ESTIMATE_ORDER, GL_ORDER])
+    def test_against_mpmath(self, order):
+        self.assert_within(order, 2.0)
+
+    @pytest.mark.parametrize("order", [ESTIMATE_ORDER, GL_ORDER])
+    def test_double_as_the_extended_type(self, order, monkeypatch):
+        """Where long double is double, the table's entries are its correctly
+        rounded doubles, and each weight is within 8 ulps."""
+        monkeypatch.setattr(transform, "_EXTENDED", np.float64)
+        self.assert_within(order, 8.0)
 
     def test_each_beta_alone(self):
         """The weights of one beta are the same, bit for bit, alone or in a

@@ -548,7 +548,7 @@ class TestHankelMatrix:
         cut, panels = re.findall(r"cut rho=(\S+), panels=(\d+)", verify_pp_vs_hankel().details)[0]
         cut, panels = float(cut), int(panels)
         kept = verification._hankel_rule(3, cut, panels)
-        centers, offsets, weights = gauss_legendre_panels(0.0, cut, panels, GL_ORDER)
+        centers, offsets, weights = gauss_legendre_panels(cut, panels, GL_ORDER)
         rho = (centers[:, None] + offsets).ravel()
         fresh = (rho, np.tile(weights, panels),
                  transform._spherical_bessel(np.outer(rho, np.linspace(0.2, 5.0, 12) / 2.0), 4))
