@@ -26,19 +26,20 @@ class PhysicalScale:
     The momentum scale of the state is hbar * beta; for hydrogen it is
     Z mu c alpha / N.  The default fixes hbar = beta = 1.  Any other real
     (a numpy scalar, an int) is kept as its float, so that no lower precision
-    or promotion follows it into the forms.
+    or promotion follows it into the forms; one whose float is 0 or inf
+    raises ValueError.
     """
 
     hbar: float = 1.0
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.hbar < math.inf and 0 < self.beta < math.inf):
-            raise ValueError(f"hbar and beta must be positive and finite, "
-                             f"got hbar={self.hbar}, beta={self.beta}")
-        if type(self.hbar) is not float or type(self.beta) is not float:
-            object.__setattr__(self, "hbar", float(self.hbar))
-            object.__setattr__(self, "beta", float(self.beta))
+        hbar, beta = float(self.hbar), float(self.beta)
+        if not (0 < hbar < math.inf and 0 < beta < math.inf):
+            raise ValueError(f"hbar and beta must be positive and finite "
+                             f"as floats, got hbar={self.hbar}, beta={self.beta}")
+        object.__setattr__(self, "hbar", hbar)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def momentum(self) -> float:
@@ -57,9 +58,8 @@ class QuantumState:
     scale: PhysicalScale = field(default_factory=PhysicalScale)
 
     def __post_init__(self):
-        if type(self.N) is not int or type(self.l) is not int:
-            object.__setattr__(self, "N", operator.index(self.N))
-            object.__setattr__(self, "l", operator.index(self.l))
+        object.__setattr__(self, "N", operator.index(self.N))
+        object.__setattr__(self, "l", operator.index(self.l))
         if self.N < 1:
             raise ValueError(f"principal quantum number must be >= 1, got {self.N}")
         if not 0 <= self.l <= self.N - 1:

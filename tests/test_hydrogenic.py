@@ -1,6 +1,7 @@
 """Position-space machinery: normalization, Slater terms, p_r, moments."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -85,6 +86,17 @@ class TestNumpyScalars:
     def test_float_quantum_numbers_rejected(self, N, l):
         with pytest.raises(TypeError):
             QuantumState(N, l)
+
+    @pytest.mark.parametrize("value", [
+        Fraction(1, 10**400), Decimal("1e400"), np.longdouble("1e400"),
+        np.longdouble("1e-400")])
+    def test_scale_zero_or_inf_as_float_rejected(self, value):
+        """A real finite and positive in its own type whose float is 0 or inf
+        raises the ValueError, for hbar and for beta."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            PhysicalScale(hbar=value)
+        with pytest.raises(ValueError, match="positive and finite"):
+            PhysicalScale(beta=value)
 
 
 class TestRadialArrays:
