@@ -16,7 +16,7 @@ from .hydrogenic import (
     expectation_r2,
     radial_wavefunction,
 )
-from .transform import ConvergenceError, diagonalization_residual, transform_numeric
+from .transform import ConvergenceError, transform_numeric
 from .verification import CheckResult, VerificationReport, run_all
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -326,6 +327,11 @@ def cmd_verify(args) -> int:
 _parser: argparse.ArgumentParser | None = None
 # Each command's own parser, the `add_parser` objects of `_parser`, by name.
 _command_parsers: dict = {}
+# What a command's parser reads as a negative number, not an option: every
+# negative float literal, exponent form and -inf included.  argparse's own
+# pattern takes only -1 and -1.5, and reads "-1e-05" as an option.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$",
+                              re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,6 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--output", default=None)
     _add_scale_flags(p_verify, hbar=False)
 
+    for command in sub.choices.values():
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     _parser, _command_parsers = parser, sub.choices
     return parser
 

@@ -1,4 +1,4 @@
-"""The spherical-wave integral transform, its numerical path and checks.
+"""The spherical-wave integral transform and its numerical path.
 
 The transform maps a radial function phi on (0, inf) to
 (H phi)(p) = int_0^inf phi(r) e^{s i p r / hbar} r dr, where the kernel
@@ -17,9 +17,9 @@ rounded to double and the weights lose a few ulps (up to 7 of w_k at 11 beta
 in [0, 4 pi], against under one); verify's quadrature residual reads 7.4e-16
 instead of 5.6e-16 and its diagonalization residual 1.6e-15 instead of
 1.7e-15, and every suite still passes.
-`diagonalization_residual` checks that H diagonalizes the radial momentum
-operator, H(p_r f) = p H f, on functions of rho that decay as e^{-rho/2}.
-Its Gauss-Legendre panels and j_l serve `verification`'s Hankel check too.
+`verification` checks H against the closed forms and checks that it
+diagonalizes the radial momentum, H(p_r f) = p H f; its Hankel check takes
+the Gauss-Legendre panels and j_l of this module.
 The module imports nothing from the package, so the numerical H is
 independent of the closed forms that `verification` checks it against.
 """
@@ -51,7 +51,8 @@ class ConvergenceError(RuntimeError):
 # max(ABS_TOL, REL_TOL |value|), a bound on the unit integral in rho, and
 # cuts the integral at `tail_cut`, which searches rho up to MAX_RHO: R_{N0}
 # reaches its cut at rho = 1036 for N = 200.  Its panel count stops at
-# PANEL_BUDGET.
+# PANEL_BUDGET.  REL_TOL bounds what the transform accepts, not what verify
+# accepts: verify's quadrature suite holds its residual to 1e-12.
 REL_TOL = 1e-9
 ABS_TOL = 1e-11
 MAX_RHO = 2000.0
@@ -141,17 +142,6 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
-@functools.lru_cache(maxsize=4)
-def _filon_rule(order: int, extended) -> np.ndarray:
-    """The Filon table of `_gauss_legendre(order)` in `extended`, double plus rest,
-    read-only: as i^m = (-1)^{floor(m/2)} i^{m mod 2}, its even rows make the
-    real part of the Filon weights and its odd rows the imaginary part."""
-    head, rest = _gauss_legendre(order)[2]
-    table = head.astype(extended) + rest.astype(extended)
-    table.flags.writeable = False
-    return table
-
-
 def _spherical_bessel(beta: np.ndarray, count: int) -> np.ndarray:
     """j_0 .. j_{count-1}(beta), rows of shape (count,) + beta.shape, in the type of
     the array beta >= 0, of any shape; each element depends on its own beta alone.
@@ -208,15 +198,18 @@ def _filon_weights(beta, half: float, orders) -> list:
     int P_m l_k dt = w_k P_m(x_k) for m < order and 0 past it,
     W_k = half w_k sum_{m < order} (2m+1) i^m j_m(beta) P_m(x_k), exactly.
 
-    Summed in _EXTENDED from one set of j_m and each order's `_filon_rule`
-    table, rounded to float64 once.  Per order an array (beta.size, 2, order)
-    of the real and imaginary parts.  The weights of each beta depend on no
-    other: numpy forms a long double matrix product element by element.
+    Summed in _EXTENDED from one set of j_m and each order's Filon table,
+    its double plus its rest from `_gauss_legendre`, rounded to float64 once.
+    As i^m = (-1)^{floor(m/2)} i^{m mod 2}, the table's even rows make the
+    real part and its odd rows the imaginary part: per order an array
+    (beta.size, 2, order).  The weights of each beta depend on no other:
+    numpy forms a long double matrix product element by element.
     """
     j = _spherical_bessel(np.asarray(beta, dtype=_EXTENDED), max(orders)).T
     weights = []
     for order in orders:
-        table = _filon_rule(order, _EXTENDED)
+        head, rest = _gauss_legendre(order)[2]
+        table = head.astype(_EXTENDED) + rest.astype(_EXTENDED)
         parts = [j[:, parity:order:2] @ table[parity::2] for parity in (0, 1)]
         weights.append((np.stack(parts, axis=1) * half).astype(float))
     return weights
@@ -403,36 +396,3 @@ def _transform_numeric(f, q, sign):
         )
     return value[()], cut, layout
 
-
-def diagonalization_residual(u: Callable[[np.ndarray], np.ndarray],
-                             du: Callable[[np.ndarray], np.ndarray], q, layouts=None):
-    """The relative residual of H(p_r f) = p H f over a grid of q = p / hbar beta,
-    H under the incoming kernel, for f(r) = u(rho), rho = 2 beta r.
-
-    u and its derivative du take a float64 array of rho and may return a
-    stack, as `transform_numeric`'s f may; u must vanish at rho = 0 and
-    decay at least as e^{-rho/2}.  p_r f = -2 i hbar beta (u' + u / rho), so with
-    T the unit integral of `transform_numeric` the identity reads
-    -2 i T[u' + u / rho] = q T[u], with no scale in it: u' + u / rho and u
-    are transformed in one call.
-    Returns max |-2 i T[u' + u / rho] - q T[u]| / max |q T[u]| over the
-    grid, one residual per function (a float for one function), and appends
-    the call's `Layout` to the list `layouts` if one is given.
-    Raises ValueError for a q that is empty or all zero, over which
-    max |q T[u]| is 0 and there is no residual.
-    """
-    q = np.asarray(q, dtype=float)
-    if not q.any():
-        raise ValueError(f"diagonalization_residual requires a non-empty q with a non-zero "
-                         f"value, got q = {np.array2string(q, threshold=6)}")
-
-    def rows(rho):
-        value = u(rho)
-        return np.stack([du(rho) + value / rho, value])
-
-    (h_pf, h_f), _, layout = _transform_numeric(rows, q, -1)
-    if layouts is not None:
-        layouts.append(layout)
-    q_h_f = q * h_f
-    error = np.abs(-2j * h_pf - q_h_f)
-    return (error.max(axis=-1) / np.abs(q_h_f).max(axis=-1))[()]

@@ -44,7 +44,6 @@ from .transform import (
     ConvergenceError,
     _spherical_bessel,
     _transform_numeric,
-    diagonalization_residual,
     gauss_legendre_panels,
     tail_cut,
 )
@@ -269,7 +268,7 @@ def verify_quadrature(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     grid = np.concatenate([-pos[::-1], [0.0], pos])  # q
     states = _states(4, PhysicalScale())
     grid_name = f"{grid.size}-point mirrored grid up to 20 hbar beta"
-    tolerance = 3e-8
+    tolerance = 1e-12
     try:
         numeric, cut, layout = _transform_numeric(
             functools.partial(_radial_stack, states), grid, 1)
@@ -326,7 +325,7 @@ def verify_lo_proportionality(scale: PhysicalScale = PhysicalScale()) -> CheckRe
     error = np.abs(_kernel_stack(states, q, lombardi_ogilvie=True) - exact)
     error /= np.max(np.abs(exact), axis=1, keepdims=True)
     error = np.maximum(np.abs(_kernel_stack(states, q) / (c * exact.conj()) - 1.0), error)
-    return _worst("lombardi_ogilvie_proportionality", states, PYTHAGOREAN_GRID, error, q, 1e-9)
+    return _worst("lombardi_ogilvie_proportionality", states, PYTHAGOREAN_GRID, error, q, 1e-11)
 
 
 HANKEL_Q = np.linspace(0.2, 5.0, 12)  # pp_vs_hankel's momenta, p = q hbar beta
@@ -379,7 +378,7 @@ def verify_pp_vs_hankel(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     G = _pp_stack(states, HANKEL_Q)
     error = np.abs(G - numeric) / np.abs(G)
     return _worst("podolsky_pauling_vs_hankel", states,
-                  "12-point linear grid, p/(hbar beta) in [0.2, 5]", error, HANKEL_Q, 1e-7,
+                  "12-point linear grid, p/(hbar beta) in [0.2, 5]", error, HANKEL_Q, 3e-11,
                   f"cut rho={cut:g}, panels={panels}")
 
 
@@ -435,11 +434,15 @@ def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) 
     Unitarity is checked, for each l of the states with N <= 5, as the
     momentum Gram matrix of psi_trig equal, entry by entry, to the
     closed-form Gram matrix of the R_{Nl} (`_gram_blocks`, all l in one pass).
-    H(p_r f) = p H f is checked on u_k(rho) = rho^k e^{-rho/2}, k = 1, 2, 3,
-    by `diagonalization_residual`; `details` reports the panel count its
-    transform settled on and its largest error bound relative to a
-    function's peak.  Neither check depends on the scale, so both are taken
-    at unit scale.
+    H(p_r f) = p H f, H under the incoming kernel, is checked on
+    f(r) = u(rho), u_k = rho^k e^{-rho/2}, k = 1, 2, 3: p_r f =
+    -2 i hbar beta (u' + u / rho), so with T the unit integral of
+    `transform_numeric` it reads -2 i T[u' + u / rho] = q T[u], with no scale
+    in it.  The pair (u' + u / rho, u) is transformed in one call on 21 q in
+    [-10, 10], and a function's residual is max |-2 i T[u' + u / rho] - q T[u]|
+    / max |q T[u]|; `details` reports the panel count that call settled on and
+    its largest error bound relative to a function's peak.  Neither check
+    depends on the scale, so both are taken at unit scale.
     """
     states = _states(5, PhysicalScale())
     error = np.zeros((len(states), len(states)))
@@ -447,21 +450,25 @@ def verify_parseval_and_diagonalization(scale: PhysicalScale = PhysicalScale()) 
     for l, (momentum, position) in _gram_blocks(states).items():
         error[np.ix_(rows[l], rows[l])] = np.abs(momentum - position)
     i, j = np.unravel_index(np.argmax(error), error.shape)
-    details = [f"Gram worst at (N={states[i].N},N'={states[j].N},l={states[i].l}): "
-               f"{error[i, j]:.3e}"]
     k = np.arange(1, 4)[:, None]
-    layouts = []
-    residuals = diagonalization_residual(
-        lambda rho: rho ** k * np.exp(-rho / 2.0),
-        lambda rho: (k - rho / 2.0) * rho ** (k - 1) * np.exp(-rho / 2.0),
-        np.linspace(-10.0, 10.0, 21), layouts)
-    details += [f"rho^{power} e^(-rho/2): {res:.3e}" for power, res in zip(k[:, 0], residuals)]
-    details[1] = (f"transform on {layouts[0].panels} panels, error bound "
-                  f"{layouts[0].relative_bound:.3e} of the peak, {details[1]}")
+
+    def pair(rho):
+        u = rho ** k * np.exp(-rho / 2.0)
+        return np.stack([(k - rho / 2.0) * rho ** (k - 1) * np.exp(-rho / 2.0) + u / rho, u])
+
+    q = np.linspace(-10.0, 10.0, 21)
+    (h_pf, h_f), _, layout = _transform_numeric(pair, q, -1)
+    q_h_f = q * h_f
+    residuals = np.abs(-2j * h_pf - q_h_f).max(axis=-1) / np.abs(q_h_f).max(axis=-1)
+    shapes = "; ".join(f"rho^{power} e^(-rho/2): {res:.3e}"
+                       for power, res in zip(k[:, 0], residuals))
     return CheckResult(
         "parseval_and_diagonalization", [(s.N, s.l) for s in states],
         "Gram matrices per l, N <= 5; 21-point p grid in [-10, 10] hbar beta",
-        max(error[i, j], residuals.max()), 1e-7, details="; ".join(details))
+        max(error[i, j], residuals.max()), 3e-12,
+        f"Gram worst at (N={states[i].N},N'={states[j].N},l={states[i].l}): {error[i, j]:.3e}; "
+        f"transform on {layout.panels} panels, error bound {layout.relative_bound:.3e} "
+        f"of the peak, {shapes}")
 
 
 def verify_uncertainty(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
@@ -476,7 +483,7 @@ def verify_uncertainty(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     row = int(np.argmax(error))
     return CheckResult(
         "uncertainty_bound", [(s.N, s.l) for s in states],
-        "analytic <r^2>, quadrature <p^2>", error[row], 1e-9,
+        "analytic <r^2>, quadrature <p^2>", error[row], 1e-12,
         f"worst at (N={states[row].N},l={states[row].l}); "
         f"ground-state product: {products[0]:.12g}")
 
@@ -508,7 +515,7 @@ def verify_so4_constancy(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     row = int(np.argmax(residual))
     return CheckResult(
         "so4_form_constancy", [(s.N, s.l) for s in states],
-        f"{grid.size}-point mirrored log grid (PP on its p > 0 half)", residual[row], 1e-10,
+        f"{grid.size}-point mirrored log grid (PP on its p > 0 half)", residual[row], 3e-12,
         f"worst at (N={states[row].N},l={states[row].l})")
 
 

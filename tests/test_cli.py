@@ -474,6 +474,47 @@ class TestUsageErrors:
         assert err.value.code == 2
 
 
+class TestNegativeValues:
+    """A negative value reads the same after a space as after '=', in every
+    form that float takes, exponent form and -inf included."""
+
+    CASES = [
+        (["eval", "trig", "3", "1"], "--p", "-1e-05", ""),
+        (["eval", "script_D", "4", "2", "--hbar-beta", "2"], "--p", "-1.5E+2", ""),
+        (["table", "trig", "3", "1", "--pmax", "1", "--count", "2"], "--pmin", "-2e1", ""),
+        (["table", "lombardi_ogilvie", "2", "0", "--pmin", "-1e3", "--count", "3"],
+         "--pmax", "-.5e2", ""),
+        (["plot", "LO", "3"], "--pmax", "-1e0", "error: grid needs --pmax > 0\n"),
+        (["eval", "trig", "3", "1"], "--p", "-inf", "error: --p must be finite, got -inf\n"),
+        (["eval", "trig", "3", "1"], "--p", "-NaN", "error: --p must be finite, got nan\n"),
+    ]
+
+    @pytest.mark.parametrize("argv,flag,value,error", CASES,
+                             ids=[" ".join(argv + [flag, value]) for argv, flag, value, _ in CASES])
+    def test_as_after_equals(self, capsys, argv, flag, value, error):
+        """Each exits 0, or 2 with the CLI's own message, not argparse's
+        "expected one argument" for a value it reads as an option."""
+        results = []
+        for tail in ([flag, value], [f"{flag}={value}"]):
+            try:
+                code = main(argv + tail)
+            except SystemExit as exc:  # argparse's own usage error
+                code = exc.code
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1] == ((EXIT_USAGE if error else EXIT_OK), error)
+
+    def test_table_p_back_to_eval(self, capsys):
+        """Each p that `table` prints, passed to `eval --p` as printed, is
+        printed back the same."""
+        _, out = run_cli(capsys, "table", "trig", "3", "1", "--pmin", "-3e-5",
+                         "--pmax", "-1e-5", "--count", "3")
+        for line in out.splitlines()[1:]:
+            p = line.split(",")[0]
+            assert "e-05" in p
+            _, record = run_cli(capsys, "eval", "trig", "3", "1", "--p", p)
+            assert record.split(",")[0] == p
+
+
 class TestOneParser:
     """`main` builds its parser once per process, and every call behaves
     as it would with a freshly built one."""

@@ -57,16 +57,21 @@ def test_no_fractions_or_numpy_polynomial(module):
             if name == "fractions" or name.startswith("numpy.polynomial")] == []
 
 
+def functions_named(word):
+    """{module: the sorted names of its functions that contain `word`, in any
+    case}, for each module of the package that defines one."""
+    defined = {module: sorted(node.name for node in ast.walk(ast.parse(
+        (SRC / f"{module}.py").read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and word in node.name.lower()) for module in PACKAGE}
+    return {module: names for module, names in defined.items() if names}
+
+
 def test_one_spherical_bessel():
     """j_l has one routine, `transform._spherical_bessel`, which the Filon
     weights and the Hankel check share: no other module defines a function
     whose name contains 'bessel'."""
-    defined = {module: [node.name for node in ast.walk(ast.parse(
-        (SRC / f"{module}.py").read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and "bessel" in node.name.lower()] for module in PACKAGE}
-    assert {module: names for module, names in defined.items() if names} == {
-        "transform": ["_spherical_bessel"]}
+    assert functions_named("bessel") == {"transform": ["_spherical_bessel"]}
 
 
 def test_one_legendre_recurrence():
@@ -74,11 +79,7 @@ def test_one_legendre_recurrence():
     pass gives the nodes, the weights and the Filon table, and which
     `gauss_legendre_panels` lays out: no other function of the package has
     'legendre' in its name."""
-    defined = {module: [node.name for node in ast.walk(ast.parse(
-        (SRC / f"{module}.py").read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and "legendre" in node.name.lower()] for module in PACKAGE}
-    assert {module: sorted(names) for module, names in defined.items() if names} == {
+    assert functions_named("legendre") == {
         "transform": ["_gauss_legendre", "gauss_legendre_panels"]}
 
 
@@ -108,3 +109,9 @@ def test_one_recurrence_runner(module):
     family's steps function (`*_steps`), and outside those no code of `specfun`
     or `hydrogenic` holds a `for` or `while` statement (comprehensions are fine)."""
     assert loops_outside(module, lambda name: name == "ladder" or name.endswith("_steps")) == []
+
+
+def test_checks_live_in_verification():
+    """A residual is a check, and the checks live in `verification`: no other
+    module defines a function whose name contains 'residual'."""
+    assert set(functions_named("residual")) <= {"verification"}

@@ -1,4 +1,4 @@
-"""Spherical-wave transform: kernel signs, closed forms, the diagonal.
+"""Spherical-wave transform: kernel signs, closed forms, the Filon rules.
 
 `transform_numeric(f, q, sign)` takes f as a function of rho = 2 beta r and
 returns the unit integral int_0^inf f(rho) rho e^{sign i q rho / 2} d rho.  For
@@ -28,7 +28,6 @@ from hmomentum.transform import (
     PROBE_STEP,
     REL_TOL,
     ConvergenceError,
-    diagonalization_residual,
     tail_cut,
     transform_numeric,
 )
@@ -367,7 +366,8 @@ class TestGaussLegendre:
         """Each entry (-1)^{floor(m/2)} (2m + 1) w_k P_m(x_k) of the Filon table in
         long double, its double plus its rest, is within half the gap to its
         neighbour long double toward the 40-digit value."""
-        table = transform._filon_rule(order, np.longdouble)
+        head, rest = transform._gauss_legendre(order)[2]
+        table = head.astype(np.longdouble) + rest.astype(np.longdouble)
         with mpmath.workdps(40):
             nodes, weights = _gauss_legendre_mp(order)
             for m in range(order):
@@ -461,36 +461,6 @@ SLATER_POWERS = np.arange(1, 4)[:, None]
 def slater_shapes(rho):
     """u_k(rho) = rho^k e^{-rho/2}, k = 1, 2, 3, stacked."""
     return rho ** SLATER_POWERS * np.exp(-rho / 2.0)
-
-
-class TestDiagonalization:
-    @staticmethod
-    def _derivative(rho):
-        return (SLATER_POWERS - rho / 2.0) * rho ** (SLATER_POWERS - 1) * np.exp(-rho / 2.0)
-
-    def test_incoming_eigenvalue(self):
-        grid = np.linspace(-8.0, 8.0, 9)
-        res = diagonalization_residual(slater_shapes, self._derivative, grid)
-        assert res.shape == (3,)
-        assert np.all(res <= 1e-8)
-
-    def test_empty_grid_rejected(self):
-        """A residual over no q does not exist."""
-        with pytest.raises(ValueError, match="non-empty q"):
-            diagonalization_residual(slater_shapes, self._derivative, np.array([]))
-
-    @pytest.mark.parametrize("q", [[0.0], [0.0, -0.0, 0.0]])
-    def test_all_zero_grid_rejected(self, q):
-        """At q = 0 alone, q T[u] is 0 and the residual's scale is 0: an
-        error that names q, not inf and a divide-by-zero warning."""
-        with pytest.raises(ValueError, match=r"non-zero value, got q = \["):
-            diagonalization_residual(slater_shapes, self._derivative, np.array(q))
-
-    def test_one_function_gives_a_float(self):
-        res = diagonalization_residual(lambda rho: rho * np.exp(-rho / 2.0),
-                                       lambda rho: (1.0 - rho / 2.0) * np.exp(-rho / 2.0),
-                                       np.linspace(-8.0, 8.0, 9))
-        assert isinstance(res, float) and res <= 1e-13
 
 
 class TestSlaterShapes:

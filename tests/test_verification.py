@@ -646,13 +646,34 @@ class TestRunAll:
 
     def test_perturbed_radial_fails(self, monkeypatch):
         """R off by a factor 1 + 5e-8 fails quadrature, which holds each
-        state to 3e-8 of its peak; unitarity takes the closed-form position
-        Gram, not R."""
+        state to 1e-12 of its peak, and the Hankel check, which holds G's
+        oracle, an integral of R, to 3e-11; unitarity takes the closed-form
+        position Gram, not R."""
         monkeypatch.setattr(verification, "_radial_stack",
                             lambda states, rho: _radial_stack(states, rho) * (1.0 + 5e-8))
         report = run_all()
         assert not report.overall_pass
-        assert [r.name for r in report.results if not r.passed] == ["quadrature_vs_closed_form"]
+        assert [r.name for r in report.results if not r.passed] == [
+            "quadrature_vs_closed_form", "podolsky_pauling_vs_hankel"]
+
+    @pytest.mark.parametrize("stack", ["_radial_stack", "_pp_stack", "_p2_stack",
+                                       "psi", "lombardi_ogilvie"])
+    def test_one_part_in_1e11_fails(self, monkeypatch, stack):
+        """Each family off by a factor 1 + 1e-11 fails some suite, which names
+        a state: R, G, <p^2> from G, and the psi and Lombardi-Ogilvie rows of
+        the kernel stack."""
+        if stack in ("psi", "lombardi_ogilvie"):
+            def perturbed(states, q, lombardi_ogilvie=False):
+                values = _kernel_stack(states, q, lombardi_ogilvie=lombardi_ogilvie)
+                return values * (1.0 + 1e-11) if lombardi_ogilvie == (stack != "psi") else values
+            monkeypatch.setattr(verification, "_kernel_stack", perturbed)
+        else:
+            original = getattr(verification, stack)
+            monkeypatch.setattr(verification, stack,
+                                lambda *args: original(*args) * (1.0 + 1e-11))
+        failed = [r for r in run_all().results if not r.passed]
+        assert failed, stack
+        assert all(re.search(r"\(N=\d+,(N'=\d+,)?l=\d+", r.details) for r in failed), stack
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
@@ -810,19 +831,21 @@ class TestScales:
         assert suite(PhysicalScale(1.0, hbar_beta)).passed
 
     def test_diagonalization_residual_is_scale_free(self, monkeypatch):
-        """The diagonalization rows are transformed on the unit grid q at unit
+        """The diagonalization pair is transformed on the unit grid q at unit
         scale, so at 20 seeded scales, hbar beta log-uniform in [1e-300, 1e300]
-        and hbar in [1e-3, 1e3], its residuals are their hbar beta = 1 values
+        and hbar in [1e-3, 1e3], its transform is its hbar beta = 1 value
         bit for bit."""
         seen = []
 
         def recording(*args, **kwargs):
-            seen.append(diagonalization_residual(*args, **kwargs))
-            return seen[-1]
+            result = transform_numeric(*args, **kwargs)
+            seen.append(result[0])  # the pair's transform
+            return result
 
-        diagonalization_residual = verification.diagonalization_residual
-        monkeypatch.setattr(verification, "diagonalization_residual", recording)
+        transform_numeric = verification._transform_numeric
+        monkeypatch.setattr(verification, "_transform_numeric", recording)
         verify_parseval_and_diagonalization()
+        assert len(seen) == 1 and seen[0].shape == (2, 3, 21)
         rng = np.random.default_rng(26)
         for hbar_beta, hbar in zip(10.0 ** rng.uniform(-300, 300, 20),
                                    10.0 ** rng.uniform(-3, 3, 20)):
