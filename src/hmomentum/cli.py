@@ -413,7 +413,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError:
-        # Raised by the forms only where a power of hbar beta leaves double range.
+        # Raised by a form at a float p only where its value is past double range.
         print(f"error: a value overflows double precision at --hbar-beta {args.hbar_beta!r}",
               file=sys.stderr)
         return EXIT_USAGE

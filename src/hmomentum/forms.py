@@ -28,7 +28,8 @@ from .hydrogenic import PhysicalScale, QuantumState, sqrt_ratio
 from .specfun import _gegenbauer_steps, gegenbauer_C, ladder
 
 
-_LOG2 = math.log(2.0)
+_LOG2, _TINY = math.log(2.0), np.finfo(float).tiny  # log 2, the smallest normal double
+_Q_CAP = 1e300  # G is 0 from q = _Q_CAP on at any scale; q is lowered to it, so 2q is finite
 
 
 # The prefactors below are ratios of factorials.  (N+l)!/(N-l-1)! =
@@ -96,15 +97,15 @@ def _hypergeometric_kernel(N: int, l: int, q: float, m, e) -> complex:
     does not cancel at large n.  The recurrence uses only operators, so
     q stays a Python scalar through it, and the tail is `math` and `cmath`.
     w^{l+2} = cos^{l+2}(theta) e^{i (l+2) theta}, theta = arctan q, is one
-    exponential; its powers of 2 and e scale the value last, in one
-    correctly rounded step, so that no factor under- or overflows on its
-    own and values in the subnormal range are still the nearest doubles.
+    exponential, log(1 + q^2) = 2 log|q| where q^2 overflows; its powers of 2 and
+    e scale the value last, in one correctly rounded step, so that no factor under-
+    or overflows on its own and subnormal values are still the nearest doubles.
     `_kernel_stack` runs the same steps on arrays, for many states.
     """
     b, z = l + 2, _z(q)
     cur = _polynomial_steps(z, 1.0 - z, l, 0.0, 1.0, 0, N - l - 1)[1]
-    log_abs = -0.5 * b * math.log1p(q * q)
-    if not log_abs > -math.inf:  # NaN q, or |q| > 1e154 where w^{l+2} is 0
+    log_abs = -0.5 * b * (math.log1p(q * q) if q * q < math.inf else 2.0 * math.log(abs(q)))
+    if not log_abs > -math.inf:  # NaN q, or inf q where w^{l+2} is 0
         return complex(math.exp(log_abs))
     shift = math.floor(log_abs / _LOG2)
     value = cmath.exp((log_abs - shift * _LOG2) + 1j * (b * math.atan(q))) * cur * m
@@ -165,13 +166,13 @@ def _kernel_stack(states, q, lombardi_ogilvie: bool = False) -> np.ndarray:
 
     def rows(q):
         q = -q if lombardi_ogilvie else q
-        with np.errstate(over="ignore", invalid="ignore"):  # |q| > 1e154 and inf q
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # q^2 overflows, inf q
             # q as a row, so that (1 - z) F broadcasts over no missing axis: numpy then takes
             # the same complex product for any block, one point included.
             z = _z(q.reshape(1, -1))
             cur = ladder(degrees, ls, functools.partial(_polynomial_steps, z, 1.0 - z), q.shape)
-            log_abs = -0.5 * (l + 2) * np.log1p(q * q)
-            regular = log_abs > -np.inf  # NaN q, or |q| > 1e154 where w^{l+2} is 0
+            log_abs = -0.5 * (l + 2) * np.where(q * q < np.inf, np.log1p(q * q), 2 * np.log(abs(q)))
+            regular = log_abs > -np.inf  # NaN q, or inf q where w^{l+2} is 0
             shift = np.floor(np.where(regular, log_abs, 0.0) / _LOG2).astype(np.int64)
             value = np.exp((log_abs - shift * _LOG2) + 1j * ((l + 2) * np.arctan(q))) * cur * m
             value = np.ldexp(value.real, shift + e) + 1j * np.ldexp(value.imag, shift + e)
@@ -187,17 +188,13 @@ _PI = (314159265358979323846264338327950288, 10 ** 35)
 
 
 @functools.lru_cache(maxsize=4096)
-def _pp_prefactor(N: int, l: int) -> float:
-    """2^{5/2} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)), the prefactor of the
-    Podolsky-Pauling function but for its (hbar beta)^{-3/2}."""
-    return math.ldexp(*sqrt_ratio((N * math.factorial(l) ** 2 << (2 * l + 5)) * _PI[1],
-                                  math.perm(N + l, 2 * l + 1) * _PI[0]))
-
-
-# At q = p / hbar beta >= Q_CAP the Podolsky-Pauling function is 0 in
-# double precision (given a finite prefactor), and below it 1 + q*q
-# is still finite; larger q, inf included, is lowered to Q_CAP.
-Q_CAP = 1e154
+def _pp_prefactor(N: int, l: int, momentum: float) -> tuple[float, int]:
+    """2^{5/2} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)) (hbar beta)^{-3/2}, hbar beta = num / den,
+    as m 2^k: m correctly rounded but for k, its power of 2 past 2^{+-512} (0 near scale 1)."""
+    num, den = momentum.as_integer_ratio()
+    m, e = sqrt_ratio((N * math.factorial(l) ** 2 << (2 * l + 5)) * _PI[1] * den ** 3,
+                      math.perm(N + l, 2 * l + 1) * _PI[0] * num ** 3)
+    return math.ldexp(m, min(max(e, -512), 512)), e - min(max(e, -512), 512)
 
 
 def podolsky_pauling_G(state: QuantumState, p):
@@ -207,40 +204,50 @@ def podolsky_pauling_G(state: QuantumState, p):
         (4 hbar beta p)^l / (hbar^2 beta^2 + p^2)^{l+2}
         C^{l+1}_{N-l-1}((hbar^2 beta^2 - p^2) / (hbar^2 beta^2 + p^2)),
     evaluated in q = p / hbar beta as
-    `_pp_prefactor` (hbar beta)^{-3/2} (1+q^2)^{-2} (2q/(1+q^2))^l
-    C^{l+1}_{N-l-1}((1-q^2)/(1+q^2)).
+    `_pp_prefactor` (1+q^2)^{-2} (2q/(1+q^2))^l C^{l+1}_{N-l-1}((1-q^2)/(1+q^2)).
 
     Normalized so that int_0^inf G^2 p^2 dp = 1.  p is a float, taken in Python
     floats, or a float64 array, the stack of one state `_pp_stack([state], p /
-    hbar beta)[0]`; G is 0 from q = Q_CAP on, p = inf included.
+    hbar beta)[0]`.  The prefactor's 2^k (0 near unit scale) applies last, to a product
+    taken from its logarithm where k != 0 and it is not a normal double; past the largest
+    double a float p raises OverflowError and an array p gives inf.
     """
     if (np.asarray(p) < 0).any():
         raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {np.min(p)}")
     if type(p) is not float:
         return _pp_stack([state], _q(state, p))[0]
-    N, l = state.N, state.l
-    q = min(p / state.scale.momentum, Q_CAP)
+    N, l, q = state.N, state.l, min(p / state.scale.momentum, _Q_CAP)
     c2 = 1.0 / (1.0 + q * q)
-    return (_pp_prefactor(N, l) * state.scale.momentum ** -1.5 * c2 * c2 * (2.0 * q * c2) ** l
-            * _gegenbauer_steps(2.0 * c2 - 1.0, l + 1, 0.0, 1.0, 0, N - l - 1)[1])
+    m, k = _pp_prefactor(N, l, state.scale.momentum)
+    g = m * c2 * c2 * (2.0 * q * c2) ** l * _gegenbauer_steps(
+        2.0 * c2 - 1.0, l + 1, 0.0, 1.0, 0, N - l - 1)[1]
+    return math.ldexp(g, k) if not k or abs(g) >= _TINY else float(_pp_stack([state], q)[0])
 
 
 def _pp_stack(states, q) -> np.ndarray:
     """podolsky_pauling_G of each state at q = p / hbar beta >= 0, stacked along a new
     first axis (`_in_blocks`): one Gegenbauer pass with a row per lambda = l+1,
     each row stopped at its largest degree, (2q/(1+q^2))^l per l, and each state's
-    `_pp_prefactor` (hbar beta)^{-3/2}."""
+    `_pp_prefactor` (m, k), its 2^k last; where k != 0 and the product before is not a
+    normal double, (1+q^2)^{-2} (2q/(1+q^2))^l is 2^j exp(L - j log 2), L its log."""
     degrees, orders = [s.N - s.l - 1 for s in states], [s.l + 1 for s in states]
-    prefactor = np.array([[_pp_prefactor(s.N, s.l) * s.scale.momentum ** -1.5] for s in states])
+    m, k, l = (np.reshape(x, (-1, 1)) for x in zip(
+        *[(*_pp_prefactor(s.N, s.l, s.scale.momentum), s.l) for s in states]))
 
     def rows(q):
-        q = np.minimum(q, Q_CAP)
-        c2 = 1.0 / (1.0 + q * q)
-        power = {l: (2.0 * q * c2) ** l for l in {s.l for s in states}}
-        return (prefactor * c2 * c2 * np.array([power[s.l] for s in states])
-                * gegenbauer_C(degrees, orders, 2 * c2 - 1))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # q^2 past 1e308
+            c2 = 1.0 / (1.0 + q * q)
+            power = {l: (2.0 * q * c2) ** l for l in {s.l for s in states}}
+            C = gegenbauer_C(degrees, orders, 2 * c2 - 1)
+            value = m * c2 * c2 * np.array([power[s.l] for s in states]) * C
+            shift, low = 0, (k != 0) & ~(np.abs(value) >= _TINY)
+            if low.any():  # the sign as value's
+                L = l * (_LOG2 + np.log(q)) - 2.0 * (l + 2) * np.log(np.hypot(1.0, q))
+                shift = np.where(low & (L > -np.inf), np.floor(L / _LOG2), 0).astype(np.int64)
+                value = np.where(low, np.copysign(m * np.exp(L - shift * _LOG2) * C, value), value)
+            return np.ldexp(value, k + shift)  # inf past the largest double
 
-    q = np.asarray(q, dtype=float)
+    q = np.minimum(np.asarray(q, dtype=float), _Q_CAP)
     if (q < 0).any():
         raise ValueError(f"Podolsky-Pauling G requires q >= 0, got {np.min(q)}")
     return _in_blocks(q, rows, len(states), float)

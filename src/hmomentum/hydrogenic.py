@@ -135,22 +135,16 @@ def _radial_stack(states, rho) -> np.ndarray:
 
 
 def expectation_r2(state: QuantumState) -> float:
-    """<r^2> = (5 N^2 + 1 - 3 l (l+1)) / (2 beta^2), in closed form.  From beta =
-    2^512 on, where beta^2 is past the largest double, beta is an integer and <r^2>
-    the correctly rounded quotient of integers, 0.0 where it underflows.  Raises
-    OverflowError naming the state and beta where <r^2> is past the largest double,
-    below beta = 1.3e-154 at N = 1."""
+    """<r^2> = (5 N^2 + 1 - 3 l (l+1)) / (2 beta^2) as a quotient of integers, beta =
+    num / den exactly, correctly rounded: 0.0 where it underflows, and OverflowError
+    naming the state and beta past the largest double (beta < 1.3e-154 at N = 1)."""
     N, l = state.N, state.l
-    n, beta = 5 * N * N + 1 - 3 * l * (l + 1), state.scale.beta
-    if beta >= 2.0 ** 512:
-        value = n / (2 * int(beta) ** 2)
-    else:
-        square = beta ** 2
-        value = n / 2.0 / square if square else math.inf
-    if value == math.inf:
-        raise OverflowError(f"<r^2> of (N={N}, l={l}) at beta = {beta:g} "
-                            f"is past the largest double")
-    return value
+    num, den = state.scale.beta.as_integer_ratio()
+    try:
+        return (5 * N * N + 1 - 3 * l * (l + 1)) * den * den / (2 * num * num)
+    except OverflowError:
+        raise OverflowError(f"<r^2> of (N={N}, l={l}) at beta = {state.scale.beta:g} "
+                            f"is past the largest double") from None
 
 
 def expectation_p2(state: QuantumState) -> float:

@@ -6,7 +6,7 @@ sign s is -1 for the incoming spherical wave (the defining choice) and
 +1 for the outgoing one, under which H R_{Nl} is `psi_trig` verbatim.
 For phi(r) = f(rho), rho = 2 beta r, (2 beta)^2 (H phi)(q hbar beta) is the
 unit integral int_0^inf f(rho) rho e^{s i q rho / 2} d rho at any scale, which
-`transform_numeric` evaluates over a grid of q, to REL_TOL, ABS_TOL and
+`transform_numeric` evaluates over a grid of q, to REL_TOL, PEAK_TOL and
 PANEL_BUDGET, up to the cut `tail_cut`.  It sums Gauss-Legendre nodes in rho
 with Filon weights (Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383):
 they integrate the polynomial through a panel's nodes times e^{i q rho / 2}
@@ -47,14 +47,14 @@ class ConvergenceError(RuntimeError):
         self.tolerance = tolerance
 
 
-# The numerical transform holds its error bound at each q within
-# max(ABS_TOL, REL_TOL |value|), a bound on the unit integral in rho, and
-# cuts the integral at `tail_cut`, which searches rho up to MAX_RHO: R_{N0}
-# reaches its cut at rho = 1036 for N = 200.  Its panel count stops at
-# PANEL_BUDGET.  REL_TOL bounds what the transform accepts, not what verify
-# accepts: verify's quadrature suite holds its residual to 1e-12.
+# The numerical transform holds its error bound at each q within max(REL_TOL
+# |value|, PEAK_TOL peak), peak f's largest |f rho| on the probe of `tail_cut`,
+# which searches rho up to MAX_RHO: R_{N0} reaches its cut at rho = 1036 for
+# N = 200.  Its panel count stops at PANEL_BUDGET.  REL_TOL bounds what the
+# transform accepts, not what verify accepts: verify's quadrature suite holds
+# its residual to 1e-12.
 REL_TOL = 1e-9
-ABS_TOL = 1e-11
+PEAK_TOL = 1e-11
 MAX_RHO = 2000.0
 PANEL_BUDGET = 40000
 # It takes its value from the Filon weights of GL_ORDER Gauss-Legendre nodes
@@ -215,24 +215,24 @@ def _filon_weights(beta, half: float, orders) -> list:
     return weights
 
 
-def tail_cut(integrand: Callable[[np.ndarray], np.ndarray], floor: float = math.inf) -> float:
+def tail_cut(integrand: Callable[[np.ndarray], np.ndarray]) -> tuple[float, np.ndarray]:
     """Where to cut int_0^inf integrand(rho) d rho, in rho, for an integrand
-    that decays at least as e^{-rho/2}, or a stack of them (batch + rho.shape).
+    that decays at least as e^{-rho/2}, or a stack of them (batch + rho.shape),
+    and each function's largest finite |integrand| on the probe, in a column.
 
     integrand is called once, on the probe points rho = PROBE_STEP,
     2 PROBE_STEP, ... up to MAX_RHO.  The cut is one PROBE_STEP past the
     last probe point where the tail bound TAIL_LENGTH |integrand| of any
-    function exceeds min(floor, TAIL_FLOOR times its largest probed
-    |integrand|), and at most MAX_RHO; a non-finite value counts as above
-    it.  Taking the last such point, not the first small one, keeps a zero
-    between probe points from ending the interval early.
+    function exceeds TAIL_FLOOR times that function's largest, and at most
+    MAX_RHO; a non-finite value counts as above it.  Taking the last such
+    point, not the first small one, keeps a zero between probe points from
+    ending the interval early.
     """
     rho = PROBE_STEP * np.arange(1, int(MAX_RHO / PROBE_STEP) + 1)
     g = np.abs(np.asarray(integrand(rho), dtype=float)).reshape(-1, rho.size)
     top = np.where(np.isfinite(g), g, 0.0).max(axis=1, keepdims=True)
-    large = ~(TAIL_LENGTH * g <= np.minimum(floor, TAIL_FLOOR * top))
-    last = np.flatnonzero(large.any(axis=0))
-    return float(min(MAX_RHO, rho[last[-1]] + PROBE_STEP)) if last.size else PROBE_STEP
+    last = np.flatnonzero((~(TAIL_LENGTH * g <= TAIL_FLOOR * top)).any(axis=0))
+    return float(min(MAX_RHO, rho[last[-1]] + PROBE_STEP)) if last.size else PROBE_STEP, top
 
 
 def _fourier_sums(parts, first: float, step: float, weights, b: np.ndarray) -> list:
@@ -302,16 +302,14 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], q, sign: int):
     the result at -q is the conjugate of the result at q, and so is the
     result under the other sign.
 
-    The integral is taken over [0, cut], the `tail_cut` of f rho with the
-    floor ABS_TOL / 4 (one call of f): where the tail of every function of
-    the batch is below ABS_TOL / 4 and the rounding of its integral, at
-    MAX_RHO at the latest.  Then f is called on the nodes of GL_ORDER and of
-    ESTIMATE_ORDER Gauss-Legendre nodes on each of max(MIN_PANELS,
+    The integral is taken over [0, cut], the `tail_cut` of f rho (one call of
+    f): where the tail of every function of the batch is below the rounding of
+    its integral, at MAX_RHO at the latest.  Then f is called on the nodes of
+    GL_ORDER and of ESTIMATE_ORDER Gauss-Legendre nodes on each of max(MIN_PANELS,
     ceil(b cut / (2 pi PANEL_PERIODS))) equal panels, b = |q| / 2 the largest,
     at most PANEL_BUDGET.  Each order's panel sums of f rho e^{i b rho} take
-    its Filon weights (`_filon_weights`), which integrate the polynomial
-    through the nodes times e^{i b rho} exactly, so a panel may span
-    PANEL_PERIODS periods and the panel count follows f, not the phase.
+    its Filon weights (`_filon_weights`), exact for the polynomial through the nodes
+    times e^{i b rho}: a panel may span PANEL_PERIODS periods, and f sets the count.
     Where the error bound fails at some q and a finer layout could meet it
     (a finite f, a tail bound within the tolerance), f is called again on
     twice the panels, at most PANEL_BUDGET, and those q are summed anew.
@@ -328,8 +326,9 @@ def transform_numeric(f: Callable[[np.ndarray], np.ndarray], q, sign: int):
 
     Raises ValueError for a sign other than -1 and +1 or a non-finite q, and
     ConvergenceError if for any function at any q the error bound exceeds
-    max(ABS_TOL, REL_TOL * |result|) or is not finite; it carries the
-    estimates, error bounds and tolerances, of shape batch + q.shape.
+    max(REL_TOL |result|, PEAK_TOL peak), peak its largest finite |f rho| on the
+    probe, or is not finite, with the estimates, error bounds and tolerances, of
+    shape batch + q.shape.  So 2^k f gives 2^k times f's value bit for bit, subnormals aside.
     """
     return _transform_numeric(f, q, sign)[0]
 
@@ -361,7 +360,7 @@ def _transform_numeric(f, q, sign):
     q = np.asarray(q, dtype=float)
     if not np.isfinite(q).all():
         raise ValueError("transform_numeric requires finite q")
-    cut = tail_cut(lambda rho: np.asarray(f(rho)) * rho, ABS_TOL / 4)
+    cut, size = tail_cut(lambda rho: np.asarray(f(rho)) * rho)
     b, index = np.unique(np.abs(q).ravel() / 2.0, return_inverse=True)
     panels = int(min(max(MIN_PANELS, math.ceil(
         b.max(initial=0.0) * cut / (2.0 * math.pi * PANEL_PERIODS))), PANEL_BUDGET))
@@ -372,7 +371,7 @@ def _transform_numeric(f, q, sign):
             value, err = value_part, np.empty(value_part.shape)
         value[:, todo] = value_part
         err[:, todo] = np.abs(value_part - estimate) + tail
-        tol = np.maximum(ABS_TOL, REL_TOL * np.abs(value))
+        tol = np.maximum(REL_TOL * np.abs(value), PEAK_TOL * size)
         bad = ~(err <= tol)  # a non-finite f fails, too
         # More panels do not help a tail bound past the tolerance.
         finer = (bad & (tail <= tol))[:, todo].any(axis=0)

@@ -35,11 +35,11 @@ from .hydrogenic import (
     sqrt_ratio,
 )
 from .transform import (
-    ABS_TOL,
     GL_ORDER,
     MAX_RHO,
     MIN_PANELS,
     PANEL_BUDGET,
+    PEAK_TOL,
     REL_TOL,
     ConvergenceError,
     _spherical_bessel,
@@ -369,7 +369,7 @@ def verify_pp_vs_hankel(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
 
     def radial(rho):  # R (2 beta)^{-3/2} at beta = 1
         return _radial_stack(states, rho) / 2.0 ** 1.5
-    cut = tail_cut(lambda rho: radial(rho) * rho * rho)
+    cut, _ = tail_cut(lambda rho: radial(rho) * rho * rho)
     panels = int(panels_needed(HANKEL_Q[-1] / 2.0, cut))
     rho, weights, bessel = _hankel_rule(max(s.l for s in states), cut, panels)
     rows = radial(rho) * (weights * rho * rho) * (0.5 / math.sqrt(math.pi))
@@ -556,7 +556,7 @@ def run_all(scale: PhysicalScale = PhysicalScale(), suites=None) -> Verification
         raise ValueError(f"unknown suites: {unknown}" if unknown else "no suite requested")
     results = tuple(_run_suite(name, scale) for name in names)
     config = {"hbar": scale.hbar, "beta": scale.beta,
-              "quadrature": {"rel_tol": REL_TOL, "abs_tol": ABS_TOL, "max_rho": MAX_RHO,
+              "quadrature": {"rel_tol": REL_TOL, "peak_tol": PEAK_TOL, "max_rho": MAX_RHO,
                              "panel_budget": PANEL_BUDGET}}
     return VerificationReport(config, datetime.datetime.now(datetime.timezone.utc).isoformat(),
                               all(r.passed for r in results), results)

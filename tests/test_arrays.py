@@ -2,10 +2,10 @@
 
 Every `FORM_EVALUATORS` entry takes an array of p as well as a float.
 The array must give what the same entry gives point by point, including
-at p = +-0, +-1e-300, +-inf, NaN, |p / hbar beta| = 1e154 (`Q_CAP`) and
-above, and where the values are subnormal.  `table` evaluates its grid in
-one such call and writes it in blocks; its records must keep the format of
-one record per point.
+at p = +-0, +-1e-300, +-inf, NaN, |p / hbar beta| = 1e154, where q^2 nears
+the largest double, and above, and where the values are subnormal.  `table`
+evaluates its grid in one such call and writes it in blocks; its records must
+keep the format of one record per point.
 """
 
 import math
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from hmomentum.cli import CSV_BLOCK_ROWS, EXIT_OK, main
 from hmomentum.forms import (
     FORM_EVALUATORS,
-    Q_CAP,
     _lombardi_ogilvie_kernel,
     distribution_max_l,
     podolsky_pauling_G,
@@ -51,7 +50,7 @@ def cases(draw):
     hbar_beta = 10.0 ** draw(st.floats(-3.0, 3.0))
     q = draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12))
     special = [0.0, math.inf, -math.inf, math.nan, 3e154 * hbar_beta, -1e300,
-               -0.0, 1e-300, -1e-300, Q_CAP * hbar_beta]
+               -0.0, 1e-300, -1e-300, 1e154 * hbar_beta]
     p = np.array(special + [x * hbar_beta for x in q])
     return QuantumState(N, l, PhysicalScale(1.0, hbar_beta)), p
 

@@ -107,6 +107,20 @@ class TestEval:
         expected = math.sqrt(2.0) * complex(re_1, im_1)
         assert abs(complex(re_2, im_2) - expected) <= 1e-15 * abs(expected)
 
+    @pytest.mark.parametrize("argv,out,err", [
+        (["6", "5", "--p", "1e-212", "--hbar-beta", "1e-210"], "", "abs2 is inf at p=1e-212,"),
+        (["3", "1", "--p", "0", "--hbar-beta", "1e-300"], "0,0,0,0\n", ""),
+        (["1", "0", "--p", "1e155", "--hbar-beta", "1e-200"], "1e+155,0,0,0\n", ""),
+    ], ids=["abs2 past", "zero at p=0", "zero far out"])
+    def test_pp_at_tiny_hbar_beta(self, capsys, argv, out, err):
+        """G's (hbar beta)^{-3/2} is past the largest double below hbar beta =
+        1e-205, but G need not be: G_{65} = 1.5194e307 here, of which only the
+        square is past it, and G is 0 at p = 0 for l >= 1 and far past hbar beta."""
+        code = main(["eval", "podolsky_pauling", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE if err else EXIT_OK, out)
+        assert err in captured.err
+
     @pytest.mark.parametrize("form", ["lombardi_ogilvie", "podolsky_pauling"])
     def test_hbar_beta_alone(self, capsys, form):
         """Forms that depend on hbar beta alone print the same bytes at any hbar."""
@@ -427,10 +441,10 @@ class TestUsageErrors:
          ["abs2", "p=0.0"]),
         (["eval", "podolsky_pauling", "1", "0", "--p", "0", "--hbar-beta", "1e-200"],
          ["abs2", "p=0.0"]),
-        # G's (hbar beta)^{-3/2} overflows before there is a column
+        # G(0) itself is past the largest double
         (["eval", "podolsky_pauling", "1", "0", "--p", "0", "--hbar-beta", "1e-310"], []),
-        (["table", "podolsky_pauling", "2", "1", "--pmin", "0", "--pmax", "1",
-          "--hbar-beta", "1e-310"], []),
+        (["table", "podolsky_pauling", "1", "0", "--pmin", "0", "--pmax", "1",
+          "--hbar-beta", "1e-310"], ["re", "p=0.0"]),
         # beta = hbar beta / hbar overflows
         (["eval", "trig", "1", "0", "--p", "1", "--hbar", "1e-10", "--hbar-beta", "1e308"],
          ["--hbar 1e-10"]),

@@ -136,10 +136,12 @@ class TestPrefactors:
         assert worst <= 0.5, worst
 
     def test_pp_prefactor(self, exact):
-        """2^{5/2} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)); the range holds
+        """2^{5/2} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)) (hbar beta)^{-3/2}, at
+        hbar beta = 1/4, where (hbar beta)^{-3/2} = 8; the range holds
         prefactors near 1, as at (N, l) = (23, 21) and (24, 22)."""
-        worst = self.worst(exact, lambda N, l: math.frexp(_pp_prefactor.__wrapped__(N, l)),
-                           lambda N, l, s, f: mpmath.sqrt(mpmath.ldexp(2, 2 * l + 4) / mpmath.pi)
+        worst = self.worst(exact,
+                           lambda N, l: math.frexp(_pp_prefactor.__wrapped__(N, l, 0.25)[0]),
+                           lambda N, l, s, f: mpmath.sqrt(mpmath.ldexp(2, 2 * l + 10) / mpmath.pi)
                            * f[l] / s)
         assert worst <= 0.5, worst
 
@@ -370,16 +372,18 @@ class TestPodolskyPauling:
 def test_subnormal_scale(hbar_beta):
     """At a subnormal hbar beta, q = p / hbar beta overflows to inf with no
     numpy warning (an error under this suite's settings): the kernel forms
-    are finite at p = 0 and 0 past it, as are their stacks at that q, and
-    G's (hbar beta)^{-3/2} raises OverflowError."""
+    are finite at p = 0 and 0 past it, as are their stacks at that q.  G's
+    prefactor (hbar beta)^{-3/2} is past the largest double, but G of (2, 1)
+    is 0 at p = 0 and past it, and G_{1,0}(0), past it too, raises OverflowError."""
     state = QuantumState(2, 1, PhysicalScale(beta=hbar_beta))
     p = np.array([0.0, 0.5, 1.0])
     q = np.array([0.0, math.inf, math.inf])
     for values in (psi_trig(state, p), FORM_EVALUATORS["lombardi_ogilvie"](state, p),
                    *_kernel_stack([state], q), *_kernel_stack([state], q, lombardi_ogilvie=True)):
         assert np.isfinite(values[0]) and np.all(values[1:] == 0)
+    assert podolsky_pauling_G(state, p).tolist() == [0.0, 0.0, 0.0]
     with pytest.raises(OverflowError):
-        podolsky_pauling_G(state, p)
+        podolsky_pauling_G(QuantumState(1, 0, state.scale), 0.0)
 
 
 class TestDistributions:

@@ -468,22 +468,19 @@ class TestMoments:
                                           (10 ** 6, 829, 1.17e154)])
     def test_r2_where_two_beta_squared_overflows(self, N, l, beta):
         """Between beta = 9.5e153 and 2^512, 2 beta^2 is past the largest double but
-        beta^2 is not: <r^2> is n / 2 / beta ** 2, within 2 ulps of the exact value."""
-        n = 5 * N * N + 1 - 3 * l * (l + 1)
-        value = expectation_r2(QuantumState(N, l, PhysicalScale(1.0, beta)))
-        assert value == n / 2.0 / beta ** 2
-        assert value == pytest.approx(float(Fraction(n) / (2 * Fraction(beta) ** 2)),
-                                      rel=4.5e-16, abs=0.0)
+        beta^2 is not: <r^2> is still the exact quotient correctly rounded."""
+        exact = Fraction(5 * N * N + 1 - 3 * l * (l + 1)) / (2 * Fraction(beta) ** 2)
+        assert expectation_r2(QuantumState(N, l, PhysicalScale(1.0, beta))) == float(exact)
 
-    def test_r2_is_the_quotient_of_beta_squared(self):
-        """Where 2 beta^2 and <r^2> are doubles, <r^2> is (5 N^2 + 1 - 3 l (l+1)) /
-        (2.0 beta ** 2), bit for bit, beta ** 2 rounded first, at 2000 log-uniform beta."""
+    def test_r2_is_correctly_rounded(self):
+        """<r^2> is the exact quotient correctly rounded at 2000 log-uniform beta; with
+        beta ** 2 rounded first, a quarter of them read one ulp off."""
         rng = np.random.default_rng(3)
         for beta in 10.0 ** rng.uniform(-150.0, 153.9, 2000):
             beta, N = float(beta), int(rng.integers(1, 1000))
             l = int(rng.integers(0, N))
-            expect = (5 * N * N + 1 - 3 * l * (l + 1)) / (2.0 * beta ** 2)
-            assert expectation_r2(QuantumState(N, l, PhysicalScale(1.0, beta))) == expect
+            exact = Fraction(5 * N * N + 1 - 3 * l * (l + 1)) / (2 * Fraction(beta) ** 2)
+            assert expectation_r2(QuantumState(N, l, PhysicalScale(1.0, beta))) == float(exact)
 
     def test_p2_past_the_largest_double_names_the_state(self):
         """At hbar beta = 1e200, <p^2> = 1e400 is past the largest double: the

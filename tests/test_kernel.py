@@ -110,6 +110,42 @@ def test_matches_exact_sum(form, oracle, N, l, hbar_beta):
         assert abs(value - ref) <= REL_TOL * peak, (p, value, ref)
 
 
+@pytest.mark.parametrize("N,l,p,hbar_beta", [(6, 5, 1e-212, 1e-210), (3, 1, 0.0, 1e-300),
+                                              (1, 0, 1e155, 1e-200), (4, 2, 1e-199, 1e-200),
+                                              (20, 0, 1e-220, 1e-300), (1, 0, 1e-180, 1e-300),
+                                              (5, 2, 1e-200, 1e-300)])
+def test_pp_at_tiny_hbar_beta(N, l, p, hbar_beta):
+    """Below hbar beta = 1e-205, (hbar beta)^{-3/2} is past the largest double,
+    and G need not be: the prefactor's power of 2 applies last, on the float
+    and the array path.  G is 0 at p = 0 for l >= 1, and at p = 1e155, where
+    q^2 overflows.  At q = 1e120 and 1e100 the product before that power
+    underflows, and G, 3e-30 and 1e-148, comes from its logarithm, of about
+    -1100, so to about 2e-13."""
+    state = QuantumState(N, l, PhysicalScale(1.0, hbar_beta))
+    exact = pp_oracle(N, l, hbar_beta, p).real
+    for value in (FORM_EVALUATORS["podolsky_pauling"](state, p).real,
+                  FORM_EVALUATORS["podolsky_pauling"](state, np.array([p]))[0].real):
+        assert abs(value - exact) <= 1e-12 * abs(exact), (value, exact)
+
+
+@pytest.mark.parametrize("form,oracle", [("trig", trig_oracle),
+                                         ("lombardi_ogilvie", lo_oracle)])
+@pytest.mark.parametrize("N", [1, 5])
+def test_l0_where_q_squared_overflows(form, oracle, N):
+    """At l = 0, |psi| and |LO| fall as q^-2, so they are doubles past |q| =
+    1.3e154, where q^2 overflows and log(1 + q^2) is taken as 2 log|q|, on the
+    float and the array path."""
+    hbar_beta = 1e-10
+    p = np.array([1e140, 1e141, 1e144, 1.4e144, 1.5e144, 2e144, 1e148])
+    p = np.concatenate([-p, p])
+    state = QuantumState(N, 0, PhysicalScale(1.0, hbar_beta))
+    exact = np.array([oracle(N, 0, hbar_beta, x) for x in p])
+    array = FORM_EVALUATORS[form](state, p)
+    floats = np.array([FORM_EVALUATORS[form](state, float(x)) for x in p])
+    for values in (array, floats):
+        assert np.all(np.abs(values - exact) <= 1e-12 * np.abs(exact)), values
+
+
 @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("N", [1, 2, 5, 13, 40, 100, 200])
 def test_unit_norm(N, hbar_beta):

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from hmomentum.forms import (
     BLOCK_POINTS,
-    Q_CAP,
     _kernel_stack,
     _lombardi_ogilvie_kernel,
     _pp_stack,
@@ -130,12 +129,12 @@ def ladders(draw, scales):
 @given(st.data())
 def test_pp_rows_are_the_single_calls(data):
     """`_pp_stack` rows on their int64 view, so signed zeros count, at q = 0,
-    1e-300, Q_CAP (where G is 0), inf and random q >= 0, each the state's
+    1e-300, 1e154 (where G is 0), inf and random q >= 0, each the state's
     stack of one."""
     scales = [PhysicalScale(1.0, 10.0 ** data.draw(st.floats(-3.0, 3.0))) for _ in range(2)]
     states = ladders(data.draw, scales[:data.draw(st.integers(1, 2))])
     q = data.draw(st.lists(st.floats(0.0, 1e3), max_size=10))
-    assert_rows_equal(_pp_stack, states, np.array([0.0, 1e-300, Q_CAP, math.inf] + q))
+    assert_rows_equal(_pp_stack, states, np.array([0.0, 1e-300, 1e154, math.inf] + q))
 
 
 def test_blocks_are_the_points_alone():

@@ -19,12 +19,12 @@ from hmomentum import transform
 from hmomentum.forms import psi_trig
 from hmomentum.hydrogenic import PhysicalScale, QuantumState, radial_wavefunction
 from hmomentum.transform import (
-    ABS_TOL,
     ESTIMATE_ORDER,
     GL_ORDER,
     MAX_RHO,
     MIN_PANELS,
     PANEL_BUDGET,
+    PEAK_TOL,
     PROBE_STEP,
     REL_TOL,
     ConvergenceError,
@@ -76,7 +76,7 @@ class TestConvention:
 
 class TestQuadratureSpec:
     def test_defaults(self):
-        assert (REL_TOL, ABS_TOL, MAX_RHO, PANEL_BUDGET) == (1e-9, 1e-11, 2000.0, 40000)
+        assert (REL_TOL, PEAK_TOL, MAX_RHO, PANEL_BUDGET) == (1e-9, 1e-11, 2000.0, 40000)
 
 
 class TestTailCut:
@@ -89,30 +89,35 @@ class TestTailCut:
     def test_cut_follows_the_tail(self):
         """rho^4 e^{-rho/2} peaks at 75 (rho = 8) and falls below 1e-17 of
         that, over TAIL_LENGTH, between rho = 108 and 112."""
-        assert tail_cut(self.slater) == 112.0
+        cut, peak = tail_cut(self.slater)
+        assert cut == 112.0 and peak == pytest.approx(self.slater(8.0), rel=1e-15)
 
     def test_zero_between_probes_does_not_end_it(self):
         """(rho - 8) rho^3 e^{-rho/2} is 0 at the probe point rho = 8 and
         has the tail of rho^4 e^{-rho/2}."""
-        assert tail_cut(lambda rho: (rho - 8.0) * self.slater(rho) / rho) == 112.0
+        assert tail_cut(lambda rho: (rho - 8.0) * self.slater(rho) / rho)[0] == 112.0
 
     def test_stack_takes_the_longest_tail(self):
-        assert tail_cut(lambda rho: np.stack([np.exp(-rho / 2.0), self.slater(rho)])) == 112.0
-        assert tail_cut(lambda rho: np.exp(-rho / 2.0)) < 112.0
+        """The cut of the stack is that of its longest tail, and each row keeps
+        its own largest value."""
+        cut, peak = tail_cut(lambda rho: np.stack([np.exp(-rho / 2.0), self.slater(rho)]))
+        assert cut == 112.0
+        assert peak.ravel() == pytest.approx([math.exp(-2.0), self.slater(8.0)], rel=1e-15)
+        assert tail_cut(lambda rho: np.exp(-rho / 2.0))[0] < 112.0
 
     def test_floor(self):
-        """A tail below the relative floor may still be above an absolute one."""
+        """The floor is relative only: a large function cuts where a small one does."""
         large = lambda rho: 1e12 * self.slater(rho)
-        assert tail_cut(large) == 112.0
-        assert tail_cut(large, 1e-12) > 112.0
+        assert tail_cut(large)[0] == 112.0
 
     def test_limit(self, monkeypatch):
-        assert tail_cut(lambda rho: np.exp(-rho / 1000.0)) == MAX_RHO
+        assert tail_cut(lambda rho: np.exp(-rho / 1000.0))[0] == MAX_RHO
         monkeypatch.setattr(transform, "MAX_RHO", 250.0)
-        assert tail_cut(lambda rho: np.exp(-rho / 1000.0)) == 250.0
+        assert tail_cut(lambda rho: np.exp(-rho / 1000.0))[0] == 250.0
 
     def test_zero_integrand(self):
-        assert tail_cut(lambda rho: 0.0 * rho) == PROBE_STEP
+        cut, peak = tail_cut(lambda rho: 0.0 * rho)
+        assert cut == PROBE_STEP and not peak.any()
 
 
 class TestClosedForm:
@@ -141,17 +146,15 @@ class TestClosedForm:
     @pytest.mark.parametrize("power", [0, 1, 2, 5, 10])
     @pytest.mark.parametrize("p", [0.0, 0.1, 1.0, 5.0, 20.0])
     def test_against_numeric(self, monkeypatch, power, p):
-        """rho^m e^{-rho/2} at q = p (unit scale)."""
+        """rho^m e^{-rho/2} at q = p (unit scale), to 1e-14 of its peak, the
+        value at q = 0: the transform's floor follows the function's size, so
+        a large rho^m needs no tolerance of its own."""
         f = lambda rho: rho ** power * np.exp(-rho / 2.0)
-        # The un-cancelled integrand reaches ~2^power Gamma(power+2), which
-        # sets the achievable absolute accuracy; budget the tolerances accordingly.
-        abs_tol = max(1e-11, 1e-13 * 2.0 ** power * math.gamma(power + 2))
         monkeypatch.setattr(transform, "REL_TOL", 1e-10)
-        monkeypatch.setattr(transform, "ABS_TOL", abs_tol)
         monkeypatch.setattr(transform, "PANEL_BUDGET", 500)
         numeric = transform_numeric(f, p, 1)
         assert numeric == pytest.approx(transform_slater_closed(power, p),
-                                        abs=1e-9 + 2.0 * abs_tol)
+                                        abs=1e-14 * abs(transform_slater_closed(power, 0.0)))
 
 
 class TestTransformNumeric:
@@ -176,7 +179,7 @@ class TestTransformNumeric:
 
     def test_convergence_error(self, monkeypatch):
         monkeypatch.setattr(transform, "REL_TOL", 1e-14)
-        monkeypatch.setattr(transform, "ABS_TOL", 1e-16)
+        monkeypatch.setattr(transform, "PEAK_TOL", 1e-16)
         monkeypatch.setattr(transform, "PANEL_BUDGET", 1)
         f = lambda rho: np.exp(-rho) * np.cos(7.0 * rho)
         with pytest.raises(ConvergenceError) as err:
@@ -229,7 +232,8 @@ class TestArrayTransform:
         from panel to panel, and H R_{43} by up to 1e-13 depending on the
         layout.  Over fixed intervals in rho H R_{43} is right to 1e-15,
         below the value itself (2.7e-15)."""
-        monkeypatch.setattr(transform, "tail_cut", lambda integrand, floor: cut)
+        probe = transform.tail_cut
+        monkeypatch.setattr(transform, "tail_cut", lambda integrand: (cut, probe(integrand)[1]))
         state = QuantumState(4, 3)
         q = np.array([-1000.0, 1000.0])
         numeric, used, _ = transform._transform_numeric(radial_in_rho(state), q, 1)
@@ -253,7 +257,7 @@ class TestArrayTransform:
             transform_numeric(f, q, 1)
         assert "panel_budget 8" in str(err.value)
         assert err.value.estimate.shape == q.shape
-        assert err.value.error_bound[1] > ABS_TOL
+        assert err.value.error_bound[1] > err.value.tolerance[1]
 
     @pytest.mark.parametrize("hbar_beta", [1e-3, 1.0, 1e3])
     def test_batch_rows_equal_single_calls(self, hbar_beta):
@@ -339,6 +343,69 @@ class TestArrayTransform:
         for bad in (math.inf, math.nan, np.array([0.0, -math.inf])):
             with pytest.raises(ValueError, match="finite q"):
                 transform_numeric(decay, bad, -1)
+
+
+def _radial_rows(states):
+    """R_{Nl} of each state at its scale, stacked, as a function of rho = 2 beta r."""
+    return lambda rho: np.stack([radial_wavefunction(s, rho / (2.0 * s.scale.beta))
+                                 for s in states])
+
+
+def _slater_pair(rho):
+    """The pair (u' + u / rho, u), u = rho^k e^{-rho/2}, k = 1, 2, 3, that
+    `verify_parseval_and_diagonalization` transforms."""
+    k = np.arange(1, 4)[:, None]
+    u = rho ** k * np.exp(-rho / 2.0)
+    return np.stack([(k - rho / 2.0) * rho ** (k - 1) * np.exp(-rho / 2.0) + u / rho, u])
+
+
+STACK = [(1, 0), (3, 1), (6, 5), (8, 2)]
+Q_STACK = np.array([[-20.0, -0.7, -1e-3, 0.0], [0.0, 1e-3, 3.3, 20.0]])
+
+
+class TestScaleFree:
+    """The cut and both tolerances follow f, so no caller has to scale f."""
+
+    CASES = {
+        "R_200_0": (_radial_rows([QuantumState(200, 0)]), np.array([0.0, 0.5]), 1),
+        "R_stack": (_radial_rows([QuantumState(N, l) for N, l in STACK]), Q_STACK, 1),
+        "slater_pair": (_slater_pair, np.linspace(-10.0, 10.0, 21), -1),
+    }
+
+    @pytest.mark.parametrize("k", [-600, -40, 40, 600])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_power_of_two_scales_bit_for_bit(self, case, k):
+        """T[2^k f] = 2^k T[f], on the same cut and layout.  An absolute floor
+        took 64 panels for R_{200,0} at k = -40, off by 2e-2, and raised for
+        the R stack and the Slater pair at k = 40."""
+        f, q, sign = self.CASES[case]
+        value, cut, layout = transform._transform_numeric(f, q, sign)
+        scaled = transform._transform_numeric(lambda rho: np.ldexp(f(rho), k), q, sign)
+        assert scaled[1:] == (cut, layout)
+        assert np.array_equal(scaled[0].real, np.ldexp(value.real, k))
+        assert np.array_equal(scaled[0].imag, np.ldexp(value.imag, k))
+
+    def test_small_function_is_right(self):
+        """R_{200,0} times 2^-40 at q in {0, 0.5} is 2^-40 times 4 psi_trig,
+        to 1e-13 of its peak."""
+        state, q = QuantumState(200, 0), np.array([0.0, 0.5])
+        numeric = transform_numeric(lambda rho: 2.0 ** -40 * radial_wavefunction(state, rho / 2.0),
+                                    q, 1)
+        exact = 2.0 ** -40 * 4.0 * psi_trig(state, q)
+        assert np.max(np.abs(numeric - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    def test_large_function_converges(self):
+        """The R stack at beta = 1e6 as a function of rho, whose values reach
+        1e9, converges well within PANEL_BUDGET (an absolute floor took all
+        40000 panels and raised), and its unit integral is (2 beta)^2 psi_trig
+        at p = q hbar beta, to 1e-13 of each row's peak."""
+        scale = PhysicalScale(1.0, 1e6)
+        states = [QuantumState(N, l, scale) for N, l in STACK]
+        numeric, _, layout = transform._transform_numeric(_radial_rows(states), Q_STACK, 1)
+        assert layout.panels < PANEL_BUDGET
+        for state, row in zip(states, numeric):
+            exact = (2.0 * scale.beta) ** 2 * psi_trig(state, Q_STACK * scale.momentum)
+            assert np.max(np.abs(row - exact)) <= 1e-13 * np.max(np.abs(exact)), (state.N, state.l)
 
 
 class TestGaussLegendre:

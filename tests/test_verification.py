@@ -225,9 +225,9 @@ class TestWorstPoint:
 
     def test_quadrature_names_failing_states(self, monkeypatch):
         """Cut at rho = 64, the tail of R_{1,0} is within tolerance and the
-        tails of every state with N >= 2 are not.  ABS_TOL bounds the unit
-        integral, 4 psi for R at unit scale, so cut at rho = 60 R_{1,0} fails
-        too."""
+        tails of every state with N >= 2 are not.  PEAK_TOL bounds the unit
+        integral relative to R rho's largest probed value, 1.08 for R_{1,0} at
+        unit scale, so cut at rho = 60 R_{1,0} fails too."""
         monkeypatch.setattr(transform, "MAX_RHO", 64.0)
         res = verify_quadrature()
         assert not res.passed and res.max_residual == math.inf
