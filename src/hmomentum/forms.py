@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .hydrogenic import PhysicalScale, QuantumState, sqrt_ratio
 from .specfun import _gegenbauer_steps, gegenbauer_C, ladder
 
 
-_LOG2, _TINY = math.log(2.0), np.finfo(float).tiny  # log 2, the smallest normal double
-_Q_CAP = 1e300  # G is 0 from q = _Q_CAP on at any scale; q is lowered to it, so 2q is finite
+_LOG2, _BELOW_1 = math.log(2.0), 1.0 - 2.0 ** -53  # log 2, the largest double below 1
+_Q_CAP = 1e300  # G is 0 from q = _Q_CAP on at any scale; q is lowered to it, so q is finite
 
 
 # The prefactors below are ratios of factorials.  (N+l)!/(N-l-1)! =
@@ -182,19 +183,29 @@ def _kernel_stack(states, q, lombardi_ogilvie: bool = False) -> np.ndarray:
     return _in_blocks(np.asarray(q, dtype=float), rows, len(states), complex)
 
 
-# pi to 36 digits, as num / den: the prefactor's ratio is then within 1e-36
-# of the exact one, far inside its rounding.
+# pi to 36 digits, as num / den: within 1e-36 of pi, far inside the prefactor's rounding.
 _PI = (314159265358979323846264338327950288, 10 ** 35)
 
 
 @functools.lru_cache(maxsize=4096)
 def _pp_prefactor(N: int, l: int, momentum: float) -> tuple[float, int]:
     """2^{5/2} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)) (hbar beta)^{-3/2}, hbar beta = num / den,
-    as m 2^k: m correctly rounded but for k, its power of 2 past 2^{+-512} (0 near scale 1)."""
+    as (m, e), m correctly rounded (`sqrt_ratio`)."""
     num, den = momentum.as_integer_ratio()
-    m, e = sqrt_ratio((N * math.factorial(l) ** 2 << (2 * l + 5)) * _PI[1] * den ** 3,
+    return sqrt_ratio((N * math.factorial(l) ** 2 << (2 * l + 5)) * _PI[1] * den ** 3,
                       math.perm(N + l, 2 * l + 1) * _PI[0] * num ** 3)
-    return math.ldexp(m, min(max(e, -512), 512)), e - min(max(e, -512), 512)
+
+
+def _pp_factors(q, xp):
+    """(x, c, b, i, k) at a finite q >= 0 in `xp` (math or numpy): x = (1-q^2)/(1+q^2), and
+    (1+q^2)^{-2} (2q/(1+q^2))^l = c^2 b^l 2^{i + l k}.  q >= 1 is r 2^s: 2^{2s}/(1+q^2) =
+    1/(2^{-2s} + r^2) is in range.  b is in (1/2, 1], so b^l >= (2q/(1+q^2))^l, at any l."""
+    s = xp.frexp(q)[1] * (q >= 1)
+    r = xp.ldexp(q, -s)
+    c2 = 1.0 / (xp.ldexp(1.0, -2 * s) + r * r)
+    (c, j), v = xp.frexp(c2), 2.0 * r * c2
+    k = xp.frexp(v * _BELOW_1)[1]  # v = b 2^k, b in (1/2, 1]: 1, not 1/2, at a power of 2
+    return 2.0 * xp.ldexp(c2, -2 * s) - 1.0, c, xp.ldexp(v, -k), 2 * (j - 2 * s), k - s
 
 
 def podolsky_pauling_G(state: QuantumState, p):
@@ -206,46 +217,33 @@ def podolsky_pauling_G(state: QuantumState, p):
     evaluated in q = p / hbar beta as
     `_pp_prefactor` (1+q^2)^{-2} (2q/(1+q^2))^l C^{l+1}_{N-l-1}((1-q^2)/(1+q^2)).
 
-    Normalized so that int_0^inf G^2 p^2 dp = 1.  p is a float, taken in Python
-    floats, or a float64 array, the stack of one state `_pp_stack([state], p /
-    hbar beta)[0]`.  The prefactor's 2^k (0 near unit scale) applies last, to a product
-    taken from its logarithm where k != 0 and it is not a normal double; past the largest
-    double a float p raises OverflowError and an array p gives inf.
+    Normalized so that int_0^inf G^2 p^2 dp = 1.  p is a float, taken in Python floats, or a
+    float64 array (`_pp_stack`).  As in R, each factor is a mantissa and a power of 2, applied
+    last (`_pp_factors`); past the largest double a float p raises OverflowError, an array inf.
     """
     if (np.asarray(p) < 0).any():
         raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {np.min(p)}")
     if type(p) is not float:
         return _pp_stack([state], _q(state, p))[0]
     N, l, q = state.N, state.l, min(p / state.scale.momentum, _Q_CAP)
-    c2 = 1.0 / (1.0 + q * q)
-    m, k = _pp_prefactor(N, l, state.scale.momentum)
-    g = m * c2 * c2 * (2.0 * q * c2) ** l * _gegenbauer_steps(
-        2.0 * c2 - 1.0, l + 1, 0.0, 1.0, 0, N - l - 1)[1]
-    return math.ldexp(g, k) if not k or abs(g) >= _TINY else float(_pp_stack([state], q)[0])
+    (m, e), (x, c, b, i, k) = _pp_prefactor(N, l, state.scale.momentum), _pp_factors(q, math)
+    C = _gegenbauer_steps(x, l + 1, 0.0, 1.0, 0, N - l - 1)[1]
+    return math.ldexp(m * c * c * b ** l * C, e + i + l * k)
 
 
 def _pp_stack(states, q) -> np.ndarray:
-    """podolsky_pauling_G of each state at q = p / hbar beta >= 0, stacked along a new
-    first axis (`_in_blocks`): one Gegenbauer pass with a row per lambda = l+1,
-    each row stopped at its largest degree, (2q/(1+q^2))^l per l, and each state's
-    `_pp_prefactor` (m, k), its 2^k last; where k != 0 and the product before is not a
-    normal double, (1+q^2)^{-2} (2q/(1+q^2))^l is 2^j exp(L - j log 2), L its log."""
+    """`podolsky_pauling_G` of each state at q = p / hbar beta >= 0, stacked along a new first
+    axis (`_in_blocks`), with one Gegenbauer pass, a row per lambda = l+1, and b^l per l."""
     degrees, orders = [s.N - s.l - 1 for s in states], [s.l + 1 for s in states]
-    m, k, l = (np.reshape(x, (-1, 1)) for x in zip(
+    m, e, l = (np.reshape(v, (-1, 1)) for v in zip(
         *[(*_pp_prefactor(s.N, s.l, s.scale.momentum), s.l) for s in states]))
 
     def rows(q):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # q^2 past 1e308
-            c2 = 1.0 / (1.0 + q * q)
-            power = {l: (2.0 * q * c2) ** l for l in {s.l for s in states}}
-            C = gegenbauer_C(degrees, orders, 2 * c2 - 1)
-            value = m * c2 * c2 * np.array([power[s.l] for s in states]) * C
-            shift, low = 0, (k != 0) & ~(np.abs(value) >= _TINY)
-            if low.any():  # the sign as value's
-                L = l * (_LOG2 + np.log(q)) - 2.0 * (l + 2) * np.log(np.hypot(1.0, q))
-                shift = np.where(low & (L > -np.inf), np.floor(L / _LOG2), 0).astype(np.int64)
-                value = np.where(low, np.copysign(m * np.exp(L - shift * _LOG2) * C, value), value)
-            return np.ldexp(value, k + shift)  # inf past the largest double
+        x, c, b, i, k = _pp_factors(q, np)
+        power = {n: b ** n for n in {s.l for s in states}}
+        with np.errstate(over="ignore", invalid="ignore"):  # C, or G (then inf), past the range
+            C = gegenbauer_C(degrees, orders, x)
+            return np.ldexp(m * c * c * np.array([power[s.l] for s in states]) * C, e + i + l * k)
 
     q = np.minimum(np.asarray(q, dtype=float), _Q_CAP)
     if (q < 0).any():
@@ -278,14 +276,14 @@ def distribution_max_l(form: str, N: int, p,
     """Unnormalized maximal-l (l = N-1) momentum density shapes.
 
     "PP": (4 hbar beta p)^{2(N-1)} / (hbar^2 beta^2 + p^2)^{2(N+1)},
-    defined for p >= 0.  "LO": 1 / (hbar^2 beta^2 + p^2)^{N+1}, for any
-    real p.  p is a float or a float64 array.  hbar beta and p are scaled
-    into [0, 1] by one power of 2, kept apart with the powers of 2 that
-    `_power` takes out, so only the value itself can leave the double
-    range: it is 0 where it underflows (PP at p = 0 for N >= 2, and at
-    p = inf), and raises ValueError where it overflows, or for N past MAX_SHAPE_N.
+    defined for p >= 0.  "LO": 1 / (hbar^2 beta^2 + p^2)^{N+1}, for any real p.  p is a
+    float or a float64 array, and N is read as `QuantumState` reads it (`operator.index`).
+    hbar beta and p are scaled into [0, 1] by one power of 2, kept apart with the powers of 2
+    that `_power` takes out, so only the value itself can leave the double range: it is 0
+    where it underflows (PP at p = 0 for N >= 2, and at p = inf), and raises ValueError where
+    it overflows, or for N past MAX_SHAPE_N.
     """
-    if not 1 <= N <= MAX_SHAPE_N:
+    if not 1 <= (N := operator.index(N)) <= MAX_SHAPE_N:
         raise ValueError(f"N must be in [1, 2^50], got {N}")
     p = np.asarray(p, dtype=float)
     if form == "PP":

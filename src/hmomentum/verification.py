@@ -547,10 +547,12 @@ def run_all(scale: PhysicalScale = PhysicalScale(), suites=None) -> Verification
     """Run the requested suites (all by default) at `scale` and assemble a
     report, whose config records the scale and the quadrature constants.
 
-    A suite that raises is reported as failed (see `_run_suite`); the
-    others still run.  An unknown suite or none raises ValueError.
+    A suite that raises is reported failed (`_run_suite`); the others still run.  Each suite
+    runs once, in the order first asked.  Unknown suites or none raise ValueError, a str TypeError.
     """
-    names = list(SUITES) if suites is None else list(suites)
+    if isinstance(suites, str):
+        raise TypeError(f"suites is a list of suite names, not a str: {suites!r}")
+    names = list(SUITES) if suites is None else list(dict.fromkeys(suites))
     unknown = [n for n in names if n not in SUITES]
     if unknown or not names:
         raise ValueError(f"unknown suites: {unknown}" if unknown else "no suite requested")

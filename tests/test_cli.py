@@ -302,6 +302,11 @@ class TestVerify:
         assert report["overall_pass"] is True
         assert report["results"][0]["name"] == "so4_form_constancy"
 
+    def test_repeated_suite_runs_once(self, capsys):
+        code, out = run_cli(capsys, "verify", "--suite", "uncertainty", "--suite", "uncertainty")
+        assert code == EXIT_OK
+        assert [r["name"] for r in json.loads(out)["results"]] == ["uncertainty_bound"]
+
     def test_impossible_tolerance_fails(self, capsys, monkeypatch):
         """The kernel off by 1e-9, past form_equivalence's tolerance of
         1e-11, fails the run."""

@@ -137,10 +137,8 @@ class TestPrefactors:
 
     def test_pp_prefactor(self, exact):
         """2^{5/2} 2^l l! sqrt((N-l-1)! N / (pi (N+l)!)) (hbar beta)^{-3/2}, at
-        hbar beta = 1/4, where (hbar beta)^{-3/2} = 8; the range holds
-        prefactors near 1, as at (N, l) = (23, 21) and (24, 22)."""
-        worst = self.worst(exact,
-                           lambda N, l: math.frexp(_pp_prefactor.__wrapped__(N, l, 0.25)[0]),
+        hbar beta = 1/4, where (hbar beta)^{-3/2} = 8."""
+        worst = self.worst(exact, lambda N, l: _pp_prefactor.__wrapped__(N, l, 0.25),
                            lambda N, l, s, f: mpmath.sqrt(mpmath.ldexp(2, 2 * l + 10) / mpmath.pi)
                            * f[l] / s)
         assert worst <= 0.5, worst
@@ -487,6 +485,13 @@ class TestDistributions:
             distribution_max_l("XX", 1, 0.0)
         with pytest.raises(ValueError):
             distribution_max_l("LO", 0, 0.0)
+
+    def test_N_is_read_as_quantum_state_reads_it(self):
+        """A float N is refused, by Python, and a numpy integer taken."""
+        for N in (3.5, 3.0):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                distribution_max_l("LO", N, 1.0)
+        assert distribution_max_l("PP", np.int64(3), 1.0) == distribution_max_l("PP", 3, 1.0)
 
     def test_lo_matches_alpha_density(self):
         for N in (2, 4):

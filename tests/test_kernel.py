@@ -15,7 +15,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from hmomentum.forms import FORM_EVALUATORS, psi_trig
+from hmomentum import forms
+from hmomentum.forms import FORM_EVALUATORS, podolsky_pauling_G, psi_trig
 from hmomentum.hydrogenic import PhysicalScale, QuantumState
 from hmomentum.verification import (
     PYTHAGOREAN_PAIRS,
@@ -110,22 +111,51 @@ def test_matches_exact_sum(form, oracle, N, l, hbar_beta):
         assert abs(value - ref) <= REL_TOL * peak, (p, value, ref)
 
 
-@pytest.mark.parametrize("N,l,p,hbar_beta", [(6, 5, 1e-212, 1e-210), (3, 1, 0.0, 1e-300),
-                                              (1, 0, 1e155, 1e-200), (4, 2, 1e-199, 1e-200),
-                                              (20, 0, 1e-220, 1e-300), (1, 0, 1e-180, 1e-300),
-                                              (5, 2, 1e-200, 1e-300)])
+# (N, l, p, hbar beta) where some factor of G is past the double range
+TINY_HBAR_BETA = [(6, 5, 1e-212, 1e-210), (3, 1, 0.0, 1e-300), (1, 0, 1e155, 1e-200),
+                  (4, 2, 1e-199, 1e-200), (20, 0, 1e-220, 1e-300), (1, 0, 1e-180, 1e-300),
+                  (5, 2, 1e-200, 1e-300), (19, 3, 2.1e-109 * 1.5e-23, 1.5e-23),
+                  (17, 8, 6.5161e-47 * 6.5576e-69, 6.5576e-69),
+                  (11, 4, 6.8054e-82 * 9.6396e-56, 9.6396e-56),
+                  (19, 13, 1.1e25 * 4.4e-137, 4.4e-137),
+                  (1, 0, 1.8902e156 * 4.5935e-274, 4.5935e-274),
+                  (11, 0, 8.6632e159 * 1.5945e-289, 1.5945e-289)]
+
+
+@pytest.mark.parametrize("N,l,p,hbar_beta", TINY_HBAR_BETA)
 def test_pp_at_tiny_hbar_beta(N, l, p, hbar_beta):
     """Below hbar beta = 1e-205, (hbar beta)^{-3/2} is past the largest double,
-    and G need not be: the prefactor's power of 2 applies last, on the float
-    and the array path.  G is 0 at p = 0 for l >= 1, and at p = 1e155, where
-    q^2 overflows.  At q = 1e120 and 1e100 the product before that power
-    underflows, and G, 3e-30 and 1e-148, comes from its logarithm, of about
-    -1100, so to about 2e-13."""
+    and G need not be: every factor is a mantissa and a power of 2, and the
+    powers of 2 apply last, on the float and the array path.  G is 0 at p = 0
+    for l >= 1, and at p = 1e155, where q overflows.  Where G is a double,
+    (1+q^2)^{-2} is below the double range from q = 1e80 on, (2q/(1+q^2))^l at
+    q = 2.1e-109, 6.8e-82, 6.5e-47 and 1.1e25, and 1+q^2 is past it at q = 1.9e156
+    and 8.7e159, where G is 2.5e-215 and 9.8e-206."""
     state = QuantumState(N, l, PhysicalScale(1.0, hbar_beta))
     exact = pp_oracle(N, l, hbar_beta, p).real
     for value in (FORM_EVALUATORS["podolsky_pauling"](state, p).real,
                   FORM_EVALUATORS["podolsky_pauling"](state, np.array([p]))[0].real):
         assert abs(value - exact) <= 1e-12 * abs(exact), (value, exact)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.0 + 2.0 ** -40, 1.01])
+def test_pp_at_large_l(q):
+    """(2q/(1+q^2))^l is 1 at q = 1 and rounds to 1 near it; its mantissa is
+    taken as 1 there, not 1/2, whose l-th power is 0 past l = 1074."""
+    state = QuantumState(1100, 1099)
+    exact = pp_oracle(1100, 1099, 1.0, q).real
+    for value in (podolsky_pauling_G(state, q), podolsky_pauling_G(state, np.array([q]))[0]):
+        assert abs(value - exact) <= 1e-12 * abs(exact), (value, exact)
+
+
+def test_pp_float_path_takes_no_array(monkeypatch):
+    """G at a float p is Python floats alone: it never hands off to the stack."""
+    def refuse(states, q):
+        raise AssertionError("the float path called _pp_stack")
+
+    monkeypatch.setattr(forms, "_pp_stack", refuse)
+    for N, l, p, hbar_beta in TINY_HBAR_BETA:
+        forms.podolsky_pauling_G(QuantumState(N, l, PhysicalScale(1.0, hbar_beta)), p)
 
 
 @pytest.mark.parametrize("form,oracle", [("trig", trig_oracle),

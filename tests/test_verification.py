@@ -631,6 +631,15 @@ class TestRunAll:
         assert [r.name for r in report.results] == [
             "so4_form_constancy", "form_equivalence"]
 
+    def test_suites_as_str(self):
+        """A str is not a list of names: it is refused whole, not read letter by letter."""
+        with pytest.raises(TypeError, match="list of suite names, not a str"):
+            run_all(suites="quadrature")
+
+    def test_repeated_suite_runs_once(self):
+        report = run_all(suites=["so4_constancy", "uncertainty", "so4_constancy"])
+        assert [r.name for r in report.results] == ["so4_form_constancy", "uncertainty_bound"]
+
     def test_crash_is_isolated(self, monkeypatch):
         def crash(scale):
             raise ZeroDivisionError("boom")
