@@ -13,7 +13,10 @@ emitted as '%.17g' formats them, and all must be finite; a usage error
 for a value past double precision names --hbar-beta, and the column and
 p where it has them.  `table` and `plot` evaluate their whole grid in
 one call of the array-valued forms and format their rows with numpy,
-a block at a time (`_format_block`), byte for byte as '%.17g' does.
+a block at a time (`_format_block`), byte for byte as '%.17g' does: the
+17 digits of a value come from |x| 10^(16-E) taken as a double-double
+(`_decimal`), so neither the bytes nor the speed depend on the width of
+the platform's long double.
 Each call reads its argv in one argparse pass: where argv[0] names a
 command, that command's own parser reads the rest (`_parse`).
 """
@@ -30,6 +33,7 @@ import numpy as np
 
 from .forms import FORM_EVALUATORS, MAX_SHAPE_N, distribution_max_l
 from .hydrogenic import PhysicalScale, QuantumState
+from .transform import _rounded
 from .verification import SUITES, run_all
 
 EXIT_OK = 0
@@ -39,7 +43,9 @@ EXIT_IO = 3
 
 # Rows formatted per write: bounds the text and the formatter's
 # temporaries (about 200 bytes a value) held at once for a large table.
-CSV_BLOCK_ROWS = 4096
+# At 2048 rows of `table`'s 4 columns a float64 temporary takes 64 KiB;
+# at 4096 rows (128 KiB) the formatter took about a quarter longer per value.
+CSV_BLOCK_ROWS = 2048
 
 COMPLEX_HEADER = "p,re,im,abs2"
 
@@ -105,30 +111,70 @@ def _write_lines(path, chunks) -> None:
             handle.writelines(chunks)
 
 
-# The formatter's extended type, and the margin, in its eps, of a value
-# that '%' formats (see `_format_block`).  Where long double is double,
-# every value is within the margin, and '%' formats them all.
-_EXTENDED = np.longdouble
-_MARGIN = 2.0
+# The near-tie margin of `_decimal`, absolute, in units of the last digit.
+_MARGIN = 2.0 ** -46
 # Decimal exponents of doubles, subnormals included.
 _MIN_EXP, _MAX_EXP = -324, 308
+# Veltkamp's splitter 2^27 + 1: c x - (c x - x) is x rounded to 26 bits.
+_SPLITTER = 134217729.0
 
 
 @functools.lru_cache(maxsize=1)
 def _format_tables():
     """The tables of `_decimal` and `_format_block`, built on the first
-    call so that an import does not pay for them: 10^(16-E) in the
-    extended type, correctly rounded, at index E - _MIN_EXP + 1 (E one past
-    either end included), and the type's eps; the 4 ASCII digits of
-    0..9999 in one uint32 each; the suffixes 'e-324'..'e+308', NUL-padded
-    in one uint64 each, and last 0."""
-    exponents = range(_MIN_EXP - 1, _MAX_EXP + 2)
-    powers = np.array([f"1e{16 - e}" for e in exponents]).astype(_EXTENDED)
-    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    quads = digits.astype(np.uint8).view(np.uint32).ravel()
+    call so that an import does not pay for them.  At index E - _MIN_EXP + 1
+    (E one past either end included): the int32 shift a_E = -floor(E log2 10),
+    so that 2^a_E 10^E is in [1, 2), and P_E = 10^(16-E) 2^-a_E, in
+    (5e15, 1e16], as head, the head's Veltkamp halves of 26 bits each, and
+    rest: head is P_E correctly rounded and rest is P_E - head correctly
+    rounded (`transform._rounded`), so |head + rest - P_E| <= 2^-106 P_E.
+    Then the 4 ASCII digits of 0..9999 in one uint32 each; the suffixes
+    'e-324'..'e+308', NUL-padded in one uint64 each, and last 0."""
+    exponents = np.arange(_MIN_EXP - 1, _MAX_EXP + 2)
+    shifts = (-np.floor(exponents * math.log2(10))).astype(np.int32)
+    # P_E = 5^(16-E) 2^(16-E-a_E): 5^(16-E) correctly rounded, and its rest, scaled.
+    fives = [1]  # 5^0 .. 5^(17 - _MIN_EXP)
+    while len(fives) < 18 - _MIN_EXP:
+        fives.append(5 * fives[-1])
+    head, rest = np.ldexp(np.array([_rounded(fives[16 - e], 1) if e <= 16 else
+                                    _rounded(1, fives[e - 16])
+                                    for e in exponents.tolist()]).T,
+                          16 - exponents - shifts)
+    split = _SPLITTER * head
+    high = split - (split - head)
+    digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)  # digits[a, b, c, d] = "abcd"
+    for place in range(4):
+        digits[..., place] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - place))
+    quads = digits.view(np.uint32).ravel()
     suffixes = [b"e%+03d" % e for e in range(_MIN_EXP, _MAX_EXP + 1)] + [b""]
     suffixes = np.array(suffixes, dtype="S8").view(np.uint64)
-    return powers, float(np.finfo(_EXTENDED).eps), quads, suffixes
+    powers = shifts, head, high, head - high, rest
+    return powers, quads, suffixes
+
+
+def _product(magnitude: np.ndarray, i: np.ndarray):
+    """(yh, yl), yh + yl = y = magnitude 10^(16-E), with E = i + _MIN_EXP - 1:
+    xs = magnitude 2^a_E is exact, subnormals included, and Dekker's
+    TwoProduct splits xs head into yh = fl(xs head) and its exact error, to
+    which xs rest is added (`_decimal` bounds the error of yl)."""
+    shift, head, high, low, rest = (column.take(i) for column in _format_tables()[0])
+    xs = np.ldexp(magnitude, shift)  # int32: ldexp's fast loop
+    yh = xs * head
+    xh = xs * _SPLITTER
+    xl = xh - xs
+    xh -= xl  # the high 26 bits of xs
+    np.subtract(xs, xh, out=xl)
+    xs *= rest
+    yl = xh * high
+    yl -= yh
+    xh *= low
+    yl += xh
+    high *= xl
+    yl += high
+    xl *= low
+    yl += xl
+    yl += xs
+    return yh, yl
 
 
 def _decimal(x: np.ndarray):
@@ -136,27 +182,36 @@ def _decimal(x: np.ndarray):
     rounded to 17 digits, 10^16 <= D < 10^17 (D = E = 0 at 0), and where
     D may be off, so that '%' must format x.
 
-    D = rint(y), y = |x| 10^(16-E), with y taken in the extended type: it
-    is rounded twice, so it lies within eps y of the exact product, and
-    both round to the same D unless y lies within _MARGIN eps y of a
-    rounding boundary m + 1/2, exact ties included.
+    y = |x| 10^(16-E) is (yh, yl) (`_product`), yh an integer-valued double,
+    as is every double past 2^53, and D = yh + floor(yl + 1/2).  With
+    y < 1.01e17 and each rounding within 2^-53 of its result, yh + yl is
+    within 2^-106 y of the exact y from rest's rounding, 2^-106 y from that
+    of xs rest, and 2^-105 y from the sum yl (|yl| <= 2^-52 y); yl + 1/2 adds
+    2^-105 y + 2^-54, and its fraction, exact where yl + 1/2 >= 0, 2^-54.  In
+    all, 1.5 2^-104 y + 2^-53 < 7.6e-15, so D is right unless the fraction of
+    yl + 1/2 lies within that of 0, the rounding boundary m + 1/2 of y;
+    _MARGIN, 1.4e-14, flags such values, exact ties included.
     """
-    powers, eps = _format_tables()[:2]
     magnitude = np.abs(x)
     zero = magnitude == 0
     magnitude[zero] = 1.0  # D = E = 0 below
-    e = np.floor(np.log10(magnitude)).astype(np.int64)
-    magnitude = magnitude.astype(_EXTENDED)
-    y = powers[e - (_MIN_EXP - 1)] * magnitude
-    # log10 of a double next to a power of 10 may round to the wrong side.
-    for wrong, step in ((y < 1e16, -1), (y >= 1e17, 1)):
-        if wrong.any():
-            e[wrong] += step
-            y[wrong] = powers[e[wrong] - (_MIN_EXP - 1)] * magnitude[wrong]
-    y += 0.5
-    d = y.astype(np.int64)  # floor(y + 1/2), exact below 2^63
-    y -= d  # frac(y) + 1/2, less 1 above 1/2: exact, and exact as a double
-    near = np.abs(y.astype(float) - 0.5) > 0.5 - _MARGIN * eps * d
+    i = np.floor(np.log10(magnitude)).astype(np.intp) - (_MIN_EXP - 1)
+    yh, yl = _product(magnitude, i)
+    # log10 of a double next to a power of 10 may round to the wrong side:
+    # the sign of y - bound is that of (yh - bound) + yl, where yh - bound is
+    # exact or far from 0.
+    for bound, step in ((1e16, -1), (1e17, 1)):
+        off = yh - bound + yl
+        wrong = np.flatnonzero(off < 0 if step < 0 else off >= 0)
+        if wrong.size:
+            i[wrong] += step
+            yh[wrong], yl[wrong] = _product(magnitude[wrong], i[wrong])
+    yl += 0.5
+    d = np.floor(yl)
+    yl -= d  # the fraction of yl + 1/2
+    d = yh.astype(np.int64) + d.astype(np.int64)
+    near = np.abs(yl - 0.5) > 0.5 - _MARGIN
+    e = i + (_MIN_EXP - 1)
     top = d == 10 ** 17  # y rounded up to the next decade
     d[top] = 10 ** 16
     e += top
@@ -177,7 +232,7 @@ def _format_block(block: np.ndarray) -> str:
     pass over the text removes them.  The slots are held one row per byte
     position, so that every numpy call runs over the whole block.
     """
-    quads, suffixes = _format_tables()[2:]
+    quads, suffixes = _format_tables()[1:]
     x = block.reshape(-1)
     n = len(x)
     d, e, near = _decimal(x)

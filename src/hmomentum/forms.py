@@ -31,6 +31,14 @@ from .specfun import _gegenbauer_steps, gegenbauer_C, ladder
 
 _LOG2, _BELOW_1 = math.log(2.0), 1.0 - 2.0 ** -53  # log 2, the largest double below 1
 _Q_CAP = 1e300  # G is 0 from q = _Q_CAP on at any scale; q is lowered to it, so q is finite
+# ldexp of any double by n is 0 or +-inf, as at +-_LDEXP_CAP, past |n| = _LDEXP_CAP.
+_LDEXP_CAP = 2200
+
+
+def _ldexp_exponent(n):
+    """The int64 exponents n as int32, for ldexp's fast loop, clipped first to
+    +-_LDEXP_CAP, so that no n wraps and ldexp's value is the same."""
+    return np.clip(n, -_LDEXP_CAP, _LDEXP_CAP).astype(np.int32)
 
 
 # The prefactors below are ratios of factorials.  (N+l)!/(N-l-1)! =
@@ -176,7 +184,8 @@ def _kernel_stack(states, q, lombardi_ogilvie: bool = False) -> np.ndarray:
             regular = log_abs > -np.inf  # NaN q, or inf q where w^{l+2} is 0
             shift = np.floor(np.where(regular, log_abs, 0.0) / _LOG2).astype(np.int64)
             value = np.exp((log_abs - shift * _LOG2) + 1j * ((l + 2) * np.arctan(q))) * cur * m
-            value = np.ldexp(value.real, shift + e) + 1j * np.ldexp(value.imag, shift + e)
+            n = _ldexp_exponent(shift + e)
+            value = np.ldexp(value.real, n) + 1j * np.ldexp(value.imag, n)
             value = np.where(regular, value, np.exp(log_abs))
         return np.where(l % 2 == 1, -value, value) if lombardi_ogilvie else value
 
@@ -221,7 +230,7 @@ def podolsky_pauling_G(state: QuantumState, p):
     float64 array (`_pp_stack`).  As in R, each factor is a mantissa and a power of 2, applied
     last (`_pp_factors`); past the largest double a float p raises OverflowError, an array inf.
     """
-    if (np.asarray(p) < 0).any():
+    if p < 0 if type(p) is float else (np.asarray(p) < 0).any():
         raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {np.min(p)}")
     if type(p) is not float:
         return _pp_stack([state], _q(state, p))[0]
@@ -243,7 +252,8 @@ def _pp_stack(states, q) -> np.ndarray:
         power = {n: b ** n for n in {s.l for s in states}}
         with np.errstate(over="ignore", invalid="ignore"):  # C, or G (then inf), past the range
             C = gegenbauer_C(degrees, orders, x)
-            return np.ldexp(m * c * c * np.array([power[s.l] for s in states]) * C, e + i + l * k)
+            return np.ldexp(m * c * c * np.array([power[s.l] for s in states]) * C,
+                            _ldexp_exponent(e + i + l * k))
 
     q = np.minimum(np.asarray(q, dtype=float), _Q_CAP)
     if (q < 0).any():

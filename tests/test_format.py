@@ -86,10 +86,62 @@ def test_ties_need_the_margin(monkeypatch):
     assert wrong.startswith("123456789012345.13\n")
 
 
-def test_powers_correctly_rounded():
-    """The margin assumes 10^(16-E) is the nearest value of the extended type."""
-    powers = cli._format_tables()[0]
-    for e, power in zip(range(cli._MIN_EXP - 1, cli._MAX_EXP + 2), powers):
-        error = abs(Fraction(*power.as_integer_ratio()) - Fraction(10) ** (16 - e))
-        assert error <= Fraction(*np.spacing(power).as_integer_ratio()) / 2, e
+def near_ties() -> list:
+    """Doubles x = M 2^k, none a tie, whose exact y = x 10^j, j = 16 - E,
+    lies within 1e-12 of a rounding boundary m + 1/2.  With 10^j 2^k = a / b
+    in lowest terms, M = R a^-1 mod b puts the fraction of y at R / b, next to
+    1/2.  Where b is below the range of the 53-bit M, R is taken at distances
+    from 1e-12 down to 1e-16, so that `_decimal` takes some of them and flags
+    the others; past it M is unique, and R is tried next to b/2."""
+    found = []
+    for j in range(-30, 30):
+        k = math.floor(math.log2(1e16 / 10.0 ** j)) - 52  # y spans [1e16, 2e16)
+        c = Fraction(10) ** j * Fraction(2) ** k
+        a, b = c.numerator, c.denominator
+        low = max(2 ** 52, math.ceil(10 ** 16 / c))
+        if b < 10 ** 12 or low >= 2 ** 53:
+            continue  # no y within 1e-12 of m + 1/2 but the ties
+        free = b < 2 ** 53 - low
+        offsets = ([round(sign * distance * b) for sign in (1, -1)
+                    for distance in (1e-12, 1e-13, 2e-14, 1e-14, 5e-15, 1e-16)]
+                   if free else range(-300, 300))
+        inverse = pow(a, -1, b)
+        for offset in offsets:
+            m = (b // 2 + offset) * inverse % b
+            if free:
+                m += (low - m + b - 1) // b * b  # the least such M >= low
+            y = m * c
+            distance = abs(y - math.floor(y) - Fraction(1, 2))
+            if low <= m < 2 ** 53 and 0 < distance <= Fraction(1, 10 ** 12):
+                found.append(math.ldexp(m, k))
+    return found
 
+
+def test_near_ties():
+    """Values that are not ties but lie within 1e-12 of one format as '%'
+    does, on the fast path, past the margin, and through '%', inside it."""
+    found = near_ties()
+    assert len(found) >= 100
+    near = cli._decimal(np.array(found))[2]
+    assert near.any() and not near.all()
+    assert_formats(found + [-x for x in found], 3)
+
+
+def test_powers_correctly_rounded():
+    """The error bound of `_decimal` rests on its table: for every E,
+    2^a_E 10^E is in [1, 2); head is P_E = 10^(16-E) 2^-a_E correctly
+    rounded and rest is P_E - head correctly rounded, so that head + rest is
+    within 2^-106 P_E of P_E; the Veltkamp halves of head have 26 bits each
+    and sum to it."""
+    shifts, heads, highs, lows, rests = cli._format_tables()[0]
+    assert shifts.dtype == np.int32
+    for e, a, head, high, low, rest in zip(range(cli._MIN_EXP - 1, cli._MAX_EXP + 2),
+                                           shifts.tolist(), heads, highs, lows, rests):
+        assert 1 <= Fraction(2) ** a * Fraction(10) ** e < 2, e
+        power = Fraction(10) ** (16 - e) / Fraction(2) ** a
+        assert abs(Fraction(head) - power) <= Fraction(np.spacing(head)) / 2, e
+        rest_error = abs(Fraction(rest) - (power - Fraction(head)))
+        assert rest_error <= Fraction(np.spacing(abs(rest))) / 2, e
+        assert abs(Fraction(head) + Fraction(rest) - power) <= power / 2 ** 106, e
+        assert high + low == head, e
+        assert all(math.ldexp(math.frexp(half)[0], 26).is_integer() for half in (high, low)), e

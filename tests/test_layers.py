@@ -115,3 +115,13 @@ def test_checks_live_in_verification():
     """A residual is a check, and the checks live in `verification`: no other
     module defines a function whose name contains 'residual'."""
     assert set(functions_named("residual")) <= {"verification"}
+
+
+def test_cli_takes_no_long_double():
+    """The CSV digits are double-double (`cli._product`), the same bits and speed
+    where long double is a double: `cli` names no long double type and no
+    extended-type hook.  `transform` keeps long double for the Filon weights."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert names & {"longdouble", "float128", "_EXTENDED"} == set()
