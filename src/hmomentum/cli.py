@@ -10,15 +10,18 @@ Exit codes: 0 success/pass, 1 verification failure, 2 usage error (a
 grid too large to allocate, a value that overflows and a flag that is
 not spelled in full included), 3 I/O error.  All floating values are
 emitted as '%.17g' formats them, and all must be finite; a usage error
-for a value past double precision names --hbar-beta, and the column and
-p where it has them.  `table` and `plot` evaluate their whole grid in
+for a value that is not (an inf past double precision, a NaN from an
+intermediate out of range) names --hbar-beta, and the column and p where
+it has them.  `table` and `plot` evaluate their whole grid in
 one call of the array-valued forms and format their rows with numpy,
 a block at a time (`_format_block`), byte for byte as '%.17g' does: the
 17 digits of a value come from |x| 10^(16-E) taken as a double-double
 (`_decimal`), so neither the bytes nor the speed depend on the width of
 the platform's long double.
-Each call reads its argv in one argparse pass: where argv[0] names a
-command, that command's own parser reads the rest (`_parse`).
+Where argv[0] names a command, a plain rest of argv is read in one pass
+over that command's parser's own tables (`_read`), and any other in one
+argparse pass of that parser (`_parse`); the grammar, help, usage and
+error text are argparse's alone (`build_parser`).
 """
 
 from __future__ import annotations
@@ -56,10 +59,14 @@ class UsageError(Exception):
 
 def _not_finite(header: str, row, hbar_beta: float) -> UsageError:
     """The usage error for a `row` of values named by `header`, p first,
-    that holds a value past double precision: it names the first such."""
+    that holds a value that is not finite: it names the first such.  An
+    inf is past double precision; a NaN is not, only an intermediate that
+    left double range (a true 0 may read NaN)."""
     name, value = next((name, value) for name, value in zip(header.split(","), row)
                        if not math.isfinite(value))
-    return UsageError(f"{name} is {value} at p={row[0]!r}, past double precision at "
+    why = (": an intermediate left double range" if math.isnan(value)
+           else ", past double precision")
+    return UsageError(f"{name} is {value} at p={row[0]!r}{why} at "
                       f"--hbar-beta {hbar_beta!r}; nothing written")
 
 
@@ -441,15 +448,70 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(command: argparse.ArgumentParser, name: str, argv) -> argparse.Namespace | None:
+    """command.parse_known_args(argv, Namespace(command=name))'s namespace,
+    read in one pass over the command parser's own tables, where argv is
+    plain: positionals, each in turn, and `--flag=value` or `--flag value`,
+    where --flag names a plain store action exactly and at most once; each
+    value converted by the action's type and checked against its choices.
+    None where argparse must decide: an unknown, abbreviated or repeated
+    flag, -h, --, -, a value after a space that starts with - (a negative
+    number or a flag), an append action, a failed conversion or choice,
+    and a missing required flag or a missing or extra positional.  Every
+    default goes in first, in argparse's order, so vars() lists the items
+    as argparse does; the parsers give no string default, which argparse
+    would convert."""
+    values = {"command": name}
+    for action in command._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            values.setdefault(action.dest, action.default)
+    for dest, default in command._defaults.items():
+        values.setdefault(dest, default)
+    flags, prefix = command._option_string_actions, command.prefix_chars
+    positionals = iter(command._get_positional_actions())
+    seen = set()
+    tokens = iter(argv)
+    for token in tokens:
+        if not token or token[0] not in prefix:
+            action, value = next(positionals, None), token
+        elif token in flags:
+            action, value = flags[token], next(tokens, None)
+            if value is None or (value and value[0] in prefix):
+                return None
+        else:
+            flag, equals, value = token.partition("=")
+            action = flags.get(flag) if equals else None
+        if (action.__class__ is not argparse._StoreAction or action.nargs is not None
+                or action in seen):
+            return None
+        seen.add(action)
+        try:
+            value = value if action.type is None else action.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if any(action.required and action not in seen for action in command._actions):
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), in one argparse pass where argv[0]
-    names a command: its own parser reads argv[1:], and what it leaves is
-    an error of the top-level parser, as argparse's subparser action has it."""
+    """build_parser().parse_args(argv).  Where argv[0] names a command,
+    `_read` reads a plain argv[1:] from that command's parser's tables;
+    else its parser reads argv[1:] in one argparse pass, and what it
+    leaves is an error of the top-level parser, as argparse's subparser
+    action has it.  No argparse pass runs for a plain argv, and argparse
+    alone writes help, usage and errors."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     command = _command_parsers.get(argv[0]) if argv else None
     if command is None:  # no command, -h, or an unknown one
         return parser.parse_args(argv)
+    args = _read(command, argv[0], argv[1:])
+    if args is not None:
+        return args
     args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")

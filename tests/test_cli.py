@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -466,6 +467,22 @@ class TestUsageErrors:
             assert name in err
         assert "--pmax must" not in err and "Numerical result" not in err
 
+    @pytest.mark.parametrize("argv", [
+        # G_{20000,10000} is 0 at p = hbar beta (odd degree at x = 0) and at
+        # p = 0; the recurrence overflows an intermediate and reads NaN
+        ["eval", "podolsky_pauling", "20000", "10000", "--p", "1"],
+        ["table", "podolsky_pauling", "20000", "10000", "--pmin", "0", "--pmax", "2",
+         "--count", "3"],
+    ], ids=" ".join)
+    def test_nan_is_not_past_double_precision(self, capsys, argv):
+        """A NaN is a usage error that names it, and does not call the value
+        past double precision, which a NaN is not."""
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "nan" in captured.err and "past double precision" not in captured.err
+
     @pytest.mark.parametrize("form", sorted(forms.FORM_EVALUATORS))
     @pytest.mark.parametrize("hbar_beta", ["1e-310", "1e-320"])
     def test_subnormal_scale(self, capsys, form, hbar_beta):
@@ -627,46 +644,67 @@ class TestOneParser:
                    "assert built.count('hmomentum') == 1, built\n")
 
 
-class TestDispatch:
-    """Where argv[0] names a command, `main` parses argv[1:] with that
-    command's own parser, in one argparse pass; every argv gives the
-    namespace, exit code and output of build_parser().parse_args(argv)."""
+def captured(call):
+    """(the items of call()'s namespace, each value by its repr, so that NaN
+    equals NaN, or SystemExit's code; stdout; stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = items(call())
+        except SystemExit as exc:
+            result = f"SystemExit({exc.code})"
+    return result, out.getvalue(), err.getvalue()
 
+
+def items(namespace):
+    return [(key, repr(value)) for key, value in vars(namespace).items()]
+
+
+class TestDispatch:
+    """Where argv[0] names a command, `main` reads a plain argv[1:] from
+    that command's parser's tables (`cli._read`), with no argparse pass,
+    and parses any other with that parser, in one argparse pass; every
+    argv gives the namespace, exit code and output of
+    build_parser().parse_args(argv)."""
+
+    # (argv, the argparse passes `main` takes to parse it)
     ARGVS = [
-        ["eval", "trig", "3", "1", "--p", "0.7", "--hbar-beta", "2", "--hbar", "0.5"],
-        ["table", "podolsky_pauling", "4", "2", "--pmin", "0", "--pmax", "3", "--count=7"],
-        ["plot", "LO", "3", "--pmax", "4", "--hbar-beta", "1e-3"],
-        ["verify", "--suite", "uncertainty", "--suite", "so4_constancy", "--output", "r.json"],
-        ["-h"],
-        ["eval", "-h"],
-        [],
-        ["bogus", "trig", "1", "0"],
-        ["eval", "trig", "1", "0", "--p", "1", "--bogus"],
-        ["eval", "trig", "1", "0", "7", "--p", "1"],
-        ["table", "trig", "1", "0", "--pmin", "0", "--pmax", "1", "--c", "3"],
-        ["verify", "--suite", "bogus"],
-        ["eval", "trig", "x", "0", "--p", "1"],
-        ["eval", "nope", "1", "0", "--p", "1"],
-        ["eval", "--p", "1", "--", "trig", "1", "0"],
-        ["eval", "trig", "1", "0", "--p", "1", "--p", "2"],
-        ["plot", "LO", "2", "--", "-3"],
-        ["eval", "trig", "1", "0"],
+        (["eval", "trig", "3", "1", "--p", "0.7", "--hbar-beta", "2", "--hbar", "0.5"], 0),
+        (["table", "podolsky_pauling", "4", "2", "--pmin", "0", "--pmax", "3", "--count=7"], 0),
+        (["plot", "LO", "3", "--pmax", "4", "--hbar-beta", "1e-3"], 0),
+        # a - after = is a value, as argparse has it; int reads 1_0 as 10
+        (["plot", "LO", "2", "--pmax=-1e0"], 0),
+        (["eval", "trig", "1_0", "3", "--p=1", "--output=a=b"], 0),
+        (["verify", "--suite", "uncertainty", "--suite", "so4_constancy", "--output", "r.json"],
+         1),
+        (["-h"], 1),
+        (["eval", "-h"], 1),
+        ([], 1),
+        (["bogus", "trig", "1", "0"], 1),
+        (["eval", "trig", "1", "0", "--p", "1", "--bogus"], 1),
+        (["eval", "trig", "1", "0", "7", "--p", "1"], 1),
+        (["table", "trig", "1", "0", "--pmin", "0", "--pmax", "1", "--c", "3"], 1),
+        (["verify", "--suite", "bogus"], 1),
+        (["eval", "trig", "x", "0", "--p", "1"], 1),
+        (["eval", "nope", "1", "0", "--p", "1"], 1),
+        (["eval", "--p", "1", "--", "trig", "1", "0"], 1),
+        (["eval", "trig", "1", "0", "--p", "1", "--p", "2"], 1),
+        (["plot", "LO", "2", "--", "-3"], 1),
+        (["eval", "trig", "1", "0"], 1),
+        # one argv for each argv `_read` leaves to argparse
+        (["eval", "trig", "1", "0", "--p="], 1),  # a failed conversion
+        (["eval", "trig", "1", "0", "--p"], 1),  # a flag with no value
+        (["eval", "trig", "1", "0", "--p=1", "-h"], 1),
+        (["eval", "trig", "1", "0", "--p=1", "7"], 1),  # an extra positional
+        (["eval", "trig", "1", "0", "--p", "1", "--hbar-beta=2", "--hbar-beta=3"], 1),
+        (["eval", "trig", "-1", "0", "--p", "1"], 1),  # a positional that starts with -
+        (["verify", "--suite", "uncertainty"], 1),  # an append action
+        (["eval", "trig", "3", "1", "--p", "-1e-05"], 1),  # - after a space
     ]
 
-    @staticmethod
-    def captured(call):
-        """(the namespace's items or SystemExit's code, stdout, stderr) of call()."""
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                result = list(vars(call()).items())
-            except SystemExit as exc:
-                result = f"SystemExit({exc.code})"
-        return result, out.getvalue(), err.getvalue()
-
-    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
-    def test_same_as_the_full_parse(self, monkeypatch, argv):
-        expected = self.captured(lambda: cli.build_parser().parse_args(argv))
+    @pytest.mark.parametrize("argv,count", ARGVS, ids=[" ".join(argv) for argv, _ in ARGVS])
+    def test_same_as_the_full_parse(self, monkeypatch, argv, count):
+        expected = captured(lambda: cli.build_parser().parse_args(argv))
         handed = []
         for name in ("cmd_eval", "cmd_table", "cmd_plot", "cmd_verify"):
             monkeypatch.setattr(cli, name, lambda args: handed.append(args) or EXIT_OK)
@@ -678,11 +716,95 @@ class TestDispatch:
             return parse_known_args(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
-        got = self.captured(lambda: handed[0] if main(argv) == EXIT_OK else None)
+        got = captured(lambda: handed[0] if main(argv) == EXIT_OK else None)
         assert got == expected
-        assert len(passes) == 1, passes
-        if not isinstance(expected[0], str):
+        assert len(passes) == count, passes
+        if count and not isinstance(expected[0], str):
             assert passes == [f"hmomentum {argv[0]}"]
+
+
+# Tokens that the property test below puts into, or in place of, a token
+# of a well-formed argv.
+MUTATIONS = ["", "-", "--", "-h", "--help", "-1", "-1e-05", "-.5e2", "-inf", "nan", "-nan",
+             "7", "x", "a=b", "--bogus", "--c", "--p=", "--hbar=1"]
+
+
+def token_of(draw, action):
+    """A value that `action` reads: a choice, an int, a float, or a path."""
+    if action.choices is not None:
+        return draw(st.sampled_from(sorted(action.choices)))
+    if action.type is int:
+        return str(draw(st.integers(-3, 300)))
+    if action.type is float:
+        return repr(draw(st.floats(allow_nan=True, allow_infinity=True)))
+    return draw(st.sampled_from(["out.csv", "", "a=b", "x y"]))
+
+
+@st.composite
+def command_argv(draw):
+    """(argv, plain): an argv drawn from one command's grammar, as its parser
+    declares it, its flags in either spelling and in any order among the
+    positionals; where drawn, then mutated by up to three tokens from
+    MUTATIONS or a repeated flag.  plain: no mutation, no append action,
+    and no token that starts with '-' but a flag or an '=' form."""
+    cli.build_parser()
+    name = draw(st.sampled_from(sorted(cli._command_parsers)))
+    command = cli._command_parsers[name]
+    plain = True
+    positionals = []
+    for action in command._get_positional_actions():
+        positionals.append([token_of(draw, action)])
+        plain &= not positionals[-1][0].startswith("-")
+    flags = []
+    for action in command._get_optional_actions():
+        if action.dest == "help" or not (action.required or draw(st.booleans())):
+            continue
+        appends = isinstance(action, argparse._AppendAction)
+        plain &= not appends
+        for _ in range(draw(st.integers(1, 2)) if appends else 1):
+            flag, value = action.option_strings[-1], token_of(draw, action)
+            spaced = draw(st.booleans())
+            plain &= not (spaced and value.startswith("-"))
+            flags.append([flag, value] if spaced else [f"{flag}={value}"])
+    flags = draw(st.permutations(flags))
+    groups = []
+    while positionals or flags:
+        take = positionals if positionals and (not flags or draw(st.booleans())) else flags
+        groups.append(take.pop(0))
+    argv = [name] + [token for group in groups for token in group]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        plain = False
+        at = draw(st.integers(0, len(argv)))
+        kind = draw(st.sampled_from(["insert", "replace", "delete", "repeat"]))
+        if kind == "repeat" and groups:
+            argv += draw(st.sampled_from(groups))
+        elif kind == "delete" and at < len(argv):
+            del argv[at]
+        else:
+            argv[at:at + (kind == "replace")] = [draw(st.sampled_from(MUTATIONS))]
+    return argv, plain
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(command_argv())
+def test_reader_as_argparse(drawn):
+    """Wherever `_read` reads an argv, it gives argparse's namespace with
+    nothing left over, and it reads every plain argv; and `main` gives the
+    exit code, stdout and stderr of build_parser().parse_args(argv)."""
+    argv, plain = drawn
+    command = cli._command_parsers.get(argv[0]) if argv else None
+    if command is not None:
+        read = cli._read(command, argv[0], argv[1:])
+        assert (read is not None) >= plain, argv
+        if read is not None:
+            args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            assert (items(read), extra) == (items(args), []), argv
+    handed = []
+    stub = dict.fromkeys(["cmd_eval", "cmd_table", "cmd_plot", "cmd_verify"],
+                         lambda args: handed.append(args) or EXIT_OK)
+    with mock.patch.multiple(cli, **stub):
+        got = captured(lambda: handed[0] if main(argv) == EXIT_OK else None)
+    assert got == captured(lambda: cli.build_parser().parse_args(argv)), argv
 
 
 # A value of q = p / hbar beta at which the CLI contract is checked.

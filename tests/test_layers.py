@@ -125,3 +125,25 @@ def test_cli_takes_no_long_double():
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert names & {"longdouble", "float128", "_EXTENDED"} == set()
+
+
+def test_cli_reader_holds_no_grammar():
+    """The grammar is `cli.build_parser`'s alone: `cli._read` reads argv from
+    the parsers' own tables, and its body names no option string (no string
+    literal that starts with '-'), no choice and no type of an action."""
+    from hmomentum import cli
+
+    cli.build_parser()
+    actions = [action for command in cli._command_parsers.values()
+               for action in command._actions]
+    choices = {choice for action in actions for choice in action.choices or ()}
+    types = {action.type.__name__ for action in actions if action.type is not None}
+    assert types == {"float", "int"} and "trig" in choices
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    reader, = (node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_read")
+    body = [node for statement in reader.body[1:] for node in ast.walk(statement)]
+    literals = {node.value for node in body if isinstance(node, ast.Constant)}
+    assert [text for text in literals if str(text).startswith("-")] == []
+    assert literals & choices == set()
+    assert {node.id for node in body if isinstance(node, ast.Name)} & types == set()
