@@ -22,6 +22,10 @@ Where argv[0] names a command, a plain rest of argv is read in one pass
 over that command's parser's own tables (`_read`), and any other in one
 argparse pass of that parser (`_parse`); the grammar, help, usage and
 error text are argparse's alone (`build_parser`).
+numpy is imported at the first array (`_numpy`): `eval`, in Python
+scalars, and every usage error import none of it, so their cold start
+is the package's own import; `table`, `plot` and `verify` load it at
+their grid or first suite.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ import math
 import re
 import sys
 
-import numpy as np
-
+from ._numpy import np
 from .forms import FORM_EVALUATORS, MAX_SHAPE_N, distribution_max_l
 from .hydrogenic import PhysicalScale, QuantumState
 from .transform import _rounded

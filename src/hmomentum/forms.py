@@ -23,8 +23,7 @@ import functools
 import math
 import operator
 
-import numpy as np
-
+from ._numpy import np
 from .hydrogenic import PhysicalScale, QuantumState, sqrt_ratio
 from .specfun import _gegenbauer_steps, gegenbauer_C, ladder
 
@@ -231,7 +230,8 @@ def podolsky_pauling_G(state: QuantumState, p):
     last (`_pp_factors`); past the largest double a float p raises OverflowError, an array inf.
     """
     if p < 0 if type(p) is float else (np.asarray(p) < 0).any():
-        raise ValueError(f"Podolsky-Pauling G requires p >= 0, got {np.min(p)}")
+        raise ValueError(f"Podolsky-Pauling G requires p >= 0, "
+                         f"got {p if type(p) is float else np.min(p)}")
     if type(p) is not float:
         return _pp_stack([state], _q(state, p))[0]
     N, l, q = state.N, state.l, min(p / state.scale.momentum, _Q_CAP)
@@ -320,11 +320,13 @@ def distribution_max_l(form: str, N: int, p,
 
 
 # trig, gegenbauer and script_D are one function (see `psi_trig`).  Every
-# entry takes a float or a float64 array of p.
+# entry takes a float or a float64 array of p and returns complex values: at a
+# float p a Python complex, which keeps the sign of a zero G, as complex128 does.
 FORM_EVALUATORS = {
     "trig": psi_trig,
     "gegenbauer": psi_trig,
     "script_D": psi_trig,
     "lombardi_ogilvie": _lombardi_ogilvie_kernel,
-    "podolsky_pauling": lambda state, p: np.complex128(podolsky_pauling_G(state, p)),
+    "podolsky_pauling": lambda state, p: (complex if type(p) is float else np.complex128)(
+        podolsky_pauling_G(state, p)),
 }

@@ -2,7 +2,8 @@
 
 Radial wave functions R_{Nl}, `sqrt_ratio` for every normalization, and
 the closed-form <r^2>, <p^2> expectation values.  It imports only `specfun`
-from the package: the check of G against <p^2> lives in `verification`.
+from the package, and numpy from `_numpy`: the check of G against <p^2>
+lives in `verification`.
 
 Scaled units (hbar = 1, beta = 1) are the default.
 """
@@ -14,8 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._numpy import np
 from .specfun import laguerre
 
 

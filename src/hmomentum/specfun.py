@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
+from ._numpy import np
 
 
 def _laguerre_steps(x, alpha, prev, cur, start, stop):

@@ -20,8 +20,9 @@ instead of 5.6e-16 and its diagonalization residual 1.6e-15 instead of
 `verification` checks H against the closed forms and checks that it
 diagonalizes the radial momentum, H(p_r f) = p H f; its Hankel check takes
 the Gauss-Legendre panels and j_l of this module.
-The module imports nothing from the package, so the numerical H is
-independent of the closed forms that `verification` checks it against.
+The module imports nothing from the package but its numpy (`_numpy`), so the
+numerical H is independent of the closed forms that `verification` checks it
+against.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import functools
 import math
 from typing import Callable, NamedTuple
 
-import numpy as np
+from ._numpy import np
 
 
 class ConvergenceError(RuntimeError):
@@ -84,8 +85,9 @@ PROBE_STEP = 4.0
 TAIL_FLOOR = 1e-17
 # The Filon weights are summed in _EXTENDED and rounded to double once, so
 # each is within an ulp of its exact value.  `_spherical_bessel` gives their
-# j_m(beta), by regions that SERIES_BETA and MILLER_MARGIN set.
-_EXTENDED = np.longdouble
+# j_m(beta), by regions that SERIES_BETA and MILLER_MARGIN set.  A dtype
+# name, so that an import reads no numpy.
+_EXTENDED = "longdouble"
 SERIES_BETA = 2.0 ** -7
 MILLER_MARGIN = 24
 FIXED_BITS = 128

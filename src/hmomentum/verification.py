@@ -23,8 +23,7 @@ import os
 import traceback
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
+from ._numpy import np
 from .forms import _kernel_stack, _pp_stack, distribution_max_l
 from .hydrogenic import (
     PhysicalScale,
@@ -328,7 +327,15 @@ def verify_lo_proportionality(scale: PhysicalScale = PhysicalScale()) -> CheckRe
     return _worst("lombardi_ogilvie_proportionality", states, PYTHAGOREAN_GRID, error, q, 1e-11)
 
 
-HANKEL_Q = np.linspace(0.2, 5.0, 12)  # pp_vs_hankel's momenta, p = q hbar beta
+@functools.lru_cache(maxsize=1)
+def _hankel_q() -> np.ndarray:
+    """pp_vs_hankel's momenta q = p / hbar beta, read-only, made on the first
+    call, so that an import makes no array."""
+    q = np.linspace(0.2, 5.0, 12)
+    q.flags.writeable = False
+    return q
+
+
 # The j_l rule's panels span at most half a period of j_l(q rho / 2), and
 # there are at least MIN_PANELS of them.
 PANEL_PHASE = math.pi
@@ -343,11 +350,11 @@ def panels_needed(b, length: float):
 @functools.lru_cache(maxsize=4)
 def _hankel_rule(max_l: int, cut: float, panels: int) -> tuple:
     """The nodes rho and weights of the GL_ORDER-node Gauss-Legendre panels of
-    [0, cut], and j_0 .. j_{max_l}(rho q / 2) at q = HANKEL_Q, all read-only."""
+    [0, cut], and j_0 .. j_{max_l}(rho q / 2) at q = `_hankel_q`, all read-only."""
     centers, offsets, weights = gauss_legendre_panels(cut, panels, GL_ORDER)
     rho = (centers[:, None] + offsets).ravel()
     rule = rho, np.tile(weights, panels), _spherical_bessel(
-        np.outer(rho, HANKEL_Q / 2.0), max_l + 1)
+        np.outer(rho, _hankel_q() / 2.0), max_l + 1)
     for array in rule:
         array.flags.writeable = False
     return rule
@@ -370,15 +377,16 @@ def verify_pp_vs_hankel(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     def radial(rho):  # R (2 beta)^{-3/2} at beta = 1
         return _radial_stack(states, rho) / 2.0 ** 1.5
     cut, _ = tail_cut(lambda rho: radial(rho) * rho * rho)
-    panels = int(panels_needed(HANKEL_Q[-1] / 2.0, cut))
+    q = _hankel_q()
+    panels = int(panels_needed(q[-1] / 2.0, cut))
     rho, weights, bessel = _hankel_rule(max(s.l for s in states), cut, panels)
     rows = radial(rho) * (weights * rho * rho) * (0.5 / math.sqrt(math.pi))
     numeric = np.stack([(-1) ** (s.N - s.l - 1) * (row @ bessel[s.l])
                         for row, s in zip(rows, states)])
-    G = _pp_stack(states, HANKEL_Q)
+    G = _pp_stack(states, q)
     error = np.abs(G - numeric) / np.abs(G)
     return _worst("podolsky_pauling_vs_hankel", states,
-                  "12-point linear grid, p/(hbar beta) in [0.2, 5]", error, HANKEL_Q, 3e-11,
+                  "12-point linear grid, p/(hbar beta) in [0.2, 5]", error, q, 3e-11,
                   f"cut rho={cut:g}, panels={panels}")
 
 

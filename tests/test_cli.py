@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 from pathlib import Path
 from unittest import mock
@@ -884,14 +885,16 @@ def test_verify_contract(hbar_beta):
     assert report["overall_pass"] is True and report["config"]["beta"] == hbar_beta
 
 
-def run_python(code: str) -> None:
-    """Run `code` in a new interpreter that imports this checkout's package."""
+def run_python(code: str) -> str:
+    """Run `code` in a new interpreter that imports this checkout's package,
+    and return its stdout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -910,3 +913,73 @@ def test_import_loads_no_scipy(tmp_path):
             " or m.startswith('numpy.polynomial')]\n"
             "assert not loaded, loaded\n")
     run_python(code)
+
+
+def test_eval_loads_no_numpy():
+    """`import hmomentum`, `import hmomentum.cli` and `eval` of every form, and
+    its usage errors, import no numpy module: numpy stays a lazy module
+    (`hmomentum._numpy`) until a command needs an array."""
+    run_python(textwrap.dedent("""\
+        import contextlib, io, sys
+        def loaded():
+            return [m for m in sys.modules if m.startswith('numpy.')]
+        import hmomentum
+        assert not loaded(), loaded()
+        import hmomentum.cli
+        assert not loaded(), loaded()
+        argvs = [['eval', form, '60', '10', '--p', '0.5', '--hbar-beta', '2']
+                 for form in sorted(hmomentum.forms.FORM_EVALUATORS)]
+        argvs += [['eval', 'podolsky_pauling', '2', '1', '--p', '-1'],
+                  ['eval', 'trig', '3', '3', '--p', '1']]
+        with contextlib.redirect_stdout(io.StringIO()) as out, \\
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            codes = [hmomentum.cli.main(argv) for argv in argvs]
+        assert codes == [0] * 5 + [2, 2], (codes, err.getvalue())
+        assert len(out.getvalue().splitlines()) == 5
+        assert not loaded(), loaded()
+        """))
+
+
+# Commands whose output must not depend on whether numpy or the package came first.
+IMPORT_ORDER_ARGVS = [
+    ["eval", "podolsky_pauling", "2", "1", "--p", "-0.0"],
+    ["table", "trig", "60", "10", "--pmin", "-3", "--pmax", "5", "--count", "257"],
+    ["table", "podolsky_pauling", "7", "2", "--pmin", "0", "--pmax", "4", "--count", "33",
+     "--hbar-beta", "1e-100"],
+    ["table", "lombardi_ogilvie", "3", "1", "--pmin", "-1e300", "--pmax", "1e300"],
+    ["plot", "PP", "5", "--count", "41"],
+    ["plot", "LO", "40", "--hbar-beta", "2.5"],
+    ["verify"],
+    ["verify", "--hbar-beta", "1e100", "--suite", "pp_vs_hankel"],
+]
+
+
+def test_same_bytes_in_either_import_order():
+    """Where the package is imported before numpy, so that numpy loads at a
+    command's first array, table, plot and verify (its report without the
+    timestamp) write the bytes and exit codes that they write where numpy
+    came first."""
+    code = textwrap.dedent("""\
+        import contextlib, io, json, sys
+        {first}
+        import hmomentum.cli
+        print(any(m.startswith('numpy.') for m in sys.modules))
+        outputs = []
+        for argv in {argvs!r}:
+            with contextlib.redirect_stdout(io.StringIO()) as out, \\
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = hmomentum.cli.main(argv)
+            text = out.getvalue()
+            if argv[0] == 'verify':
+                report = json.loads(text)
+                del report['timestamp']
+                text = json.dumps(report)
+            outputs.append([code, text, err.getvalue()])
+        print(json.dumps(outputs))
+        """)
+    lazy, eager = (run_python(code.format(first=first, argvs=IMPORT_ORDER_ARGVS)).split("\n", 1)
+                   for first in ("", "import numpy"))
+    assert (lazy[0], eager[0]) == ("False", "True")  # numpy loaded before the first command
+    assert lazy[1] == eager[1]
+    assert [exit_code for exit_code, _, _ in json.loads(lazy[1])] == [EXIT_OK] * len(
+        IMPORT_ORDER_ARGVS)

@@ -1,10 +1,12 @@
 """The import graph follows the layers: `specfun` and `transform` import nothing
 from the package, `hydrogenic` only `specfun`, at module level, and `forms` only
 `hydrogenic` and `specfun`, so the kernels, the numerical transform and R do not
-lean on the closed forms (`forms`) or the checks (`verification`) built on them."""
+lean on the closed forms (`forms`) or the checks (`verification`) built on them.
+Every module may take numpy from `_numpy`, which holds no physics."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -34,7 +36,7 @@ def imports(module):
     return found
 
 
-PACKAGE = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+PACKAGE = {path.stem for path in SRC.glob("*.py")} - {"__init__", "_numpy"}
 
 
 @pytest.mark.parametrize("module,allowed", [("specfun", set()), ("transform", set()),
@@ -46,6 +48,22 @@ def test_package_imports(module, allowed):
 
 def test_hydrogenic_imports_at_module_level():
     assert [name for name, nested in imports("hydrogenic") if nested] == []
+
+
+def test_numpy_comes_from_one_loader():
+    """numpy is imported at its first use, through `_numpy` alone.  It imports
+    only the standard library and defines only its loader and the `np` that
+    the loader returns, so it is no path between layers; no other module
+    imports numpy, at module level or inside a function."""
+    assert {name.split(".")[0] for name, _ in imports("_numpy")} <= sys.stdlib_module_names
+    tree = ast.parse((SRC / "_numpy.py").read_text(encoding="utf-8"))
+    loader, binding = (node for node in tree.body
+                       if not isinstance(node, (ast.Expr, ast.Import, ast.ImportFrom)))
+    assert isinstance(loader, ast.FunctionDef) and isinstance(binding, ast.Assign)
+    assert [target.id for target in binding.targets] == ["np"]
+    assert binding.value.func.id == loader.name and not binding.value.args
+    assert {module: names for module in PACKAGE | {"__init__"} if (names := [
+        name for name, _ in imports(module) if name.split(".")[0] == "numpy"])} == {}
 
 
 @pytest.mark.parametrize("module", ["verification", "transform"])
