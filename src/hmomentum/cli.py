@@ -18,10 +18,11 @@ a block at a time (`_format_block`), byte for byte as '%.17g' does: the
 17 digits of a value come from |x| 10^(16-E) taken as a double-double
 (`_decimal`), so neither the bytes nor the speed depend on the width of
 the platform's long double.
-Where argv[0] names a command, a plain rest of argv is read in one pass
-over that command's parser's own tables (`_read`), and any other in one
-argparse pass of that parser (`_parse`); the grammar, help, usage and
-error text are argparse's alone (`build_parser`).
+Where argv[0] names a command and the rest is positionals and
+`--flag=value` tokens, argv is read in one pass over that command's
+parser's own tables (`_read`); every other argv is
+build_parser().parse_args(argv) (`_parse`).  The grammar, help, usage
+and error text are argparse's alone (`build_parser`).
 numpy is imported at the first array (`_numpy`): `eval`, in Python
 scalars, and every usage error import none of it, so their cold start
 is the package's own import; `table`, `plot` and `verify` load it at
@@ -97,8 +98,11 @@ def _scale_from_args(args) -> PhysicalScale:
     return PhysicalScale(hbar=args.hbar, beta=beta)
 
 
-def _add_scale_flags(parser: argparse.ArgumentParser, hbar: bool) -> None:
-    """--hbar-beta, and --hbar where the output depends on it (else hbar = 1)."""
+def _add_common_flags(parser: argparse.ArgumentParser, hbar: bool) -> None:
+    """The flags every command takes, after its own: --output, --hbar-beta,
+    and --hbar where the output depends on it (else hbar = 1).  Each is a
+    plain store action, which `_read` reads as --flag=value."""
+    parser.add_argument("--output", default=None)
     parser.add_argument("--hbar-beta", type=float, default=1.0,
                         help="momentum scale hbar*beta (default 1)")
     if hbar:
@@ -389,8 +393,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
 
 
-_parser: argparse.ArgumentParser | None = None
-# Each command's own parser, the `add_parser` objects of `_parser`, by name.
+# Each command's own parser, the `add_parser` objects of `build_parser()`, by name.
 _command_parsers: dict = {}
 # What a command's parser reads as a negative number, not an option: every
 # negative float literal, exponent form and -inf included.  argparse's own
@@ -399,15 +402,16 @@ _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|n
                               re.IGNORECASE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser: built on the first call in a process, the same
     instance on every later call, with its commands' parsers kept in
     `_command_parsers`.  Sharing them is safe, because each parse fills a
     fresh Namespace and argparse looks up sys.stdout and sys.stderr only
-    when it prints."""
-    global _parser, _command_parsers
-    if _parser is not None:
-        return _parser
+    when it prints.  `_parse` reads a command's argv from these tables
+    where it is spelled as positionals and `--flag=value` (`_read`), and
+    hands any other argv to this parser's parse_args."""
+    global _command_parsers
     parser = argparse.ArgumentParser(
         prog="hmomentum", allow_abbrev=False,
         description="Hydrogen radial wave functions in the momentum representation")
@@ -418,8 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("N", type=int)
     p_eval.add_argument("l", type=int)
     p_eval.add_argument("--p", type=float, required=True)
-    p_eval.add_argument("--output", default=None)
-    _add_scale_flags(p_eval, hbar=True)
+    _add_common_flags(p_eval, hbar=True)
 
     p_table = sub.add_parser("table", allow_abbrev=False, help="tabulate a form over a grid")
     p_table.add_argument("form", choices=sorted(FORM_EVALUATORS))
@@ -428,42 +431,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--pmin", type=float, required=True)
     p_table.add_argument("--pmax", type=float, required=True)
     p_table.add_argument("--count", type=int, default=101)
-    p_table.add_argument("--output", default=None)
-    _add_scale_flags(p_table, hbar=True)
+    _add_common_flags(p_table, hbar=True)
 
     p_plot = sub.add_parser("plot", allow_abbrev=False, help="emit PP/LO density data")
     p_plot.add_argument("form", choices=["PP", "LO"])
     p_plot.add_argument("N", type=int)
     p_plot.add_argument("--pmax", type=float, default=None)
     p_plot.add_argument("--count", type=int, default=201)
-    p_plot.add_argument("--output", default=None)
-    _add_scale_flags(p_plot, hbar=False)
+    _add_common_flags(p_plot, hbar=False)
 
     p_verify = sub.add_parser("verify", allow_abbrev=False, help="run the verification suites")
     p_verify.add_argument("--suite", action="append", choices=sorted(SUITES),
                           help="suite to run (repeatable; default all)")
-    p_verify.add_argument("--output", default=None)
-    _add_scale_flags(p_verify, hbar=False)
+    _add_common_flags(p_verify, hbar=False)
 
     for command in sub.choices.values():
         command._negative_number_matcher = _NEGATIVE_NUMBER
-    _parser, _command_parsers = parser, sub.choices
+    _command_parsers = sub.choices
     return parser
 
 
 def _read(command: argparse.ArgumentParser, name: str, argv) -> argparse.Namespace | None:
-    """command.parse_known_args(argv, Namespace(command=name))'s namespace,
-    read in one pass over the command parser's own tables, where argv is
-    plain: positionals, each in turn, and `--flag=value` or `--flag value`,
+    """build_parser().parse_args([name, *argv])'s namespace, read in one
+    pass over the tables of `command`, the parser of command `name`, where
+    argv holds only positionals, each in turn, and `--flag=value` tokens,
     where --flag names a plain store action exactly and at most once; each
     value converted by the action's type and checked against its choices.
-    None where argparse must decide: an unknown, abbreviated or repeated
-    flag, -h, --, -, a value after a space that starts with - (a negative
-    number or a flag), an append action, a failed conversion or choice,
-    and a missing required flag or a missing or extra positional.  Every
-    default goes in first, in argparse's order, so vars() lists the items
-    as argparse does; the parsers give no string default, which argparse
-    would convert."""
+    None for any other argv, which argparse then parses: a flag spelled
+    `--flag value`, an unknown, abbreviated or repeated flag, -h, --, -, a
+    positional that starts with -, an append action, a failed conversion
+    or choice, and a missing required flag or a missing or extra
+    positional.  Every default goes in first, in argparse's order, so
+    vars() lists the items as argparse does; the parsers give no string
+    default, which argparse would convert."""
     values = {"command": name}
     for action in command._actions:
         if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
@@ -473,14 +473,9 @@ def _read(command: argparse.ArgumentParser, name: str, argv) -> argparse.Namespa
     flags, prefix = command._option_string_actions, command.prefix_chars
     positionals = iter(command._get_positional_actions())
     seen = set()
-    tokens = iter(argv)
-    for token in tokens:
+    for token in argv:
         if not token or token[0] not in prefix:
             action, value = next(positionals, None), token
-        elif token in flags:
-            action, value = flags[token], next(tokens, None)
-            if value is None or (value and value[0] in prefix):
-                return None
         else:
             flag, equals, value = token.partition("=")
             action = flags.get(flag) if equals else None
@@ -501,24 +496,15 @@ def _read(command: argparse.ArgumentParser, name: str, argv) -> argparse.Namespa
 
 
 def _parse(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv).  Where argv[0] names a command,
-    `_read` reads a plain argv[1:] from that command's parser's tables;
-    else its parser reads argv[1:] in one argparse pass, and what it
-    leaves is an error of the top-level parser, as argparse's subparser
-    action has it.  No argparse pass runs for a plain argv, and argparse
+    """build_parser().parse_args(argv).  Where argv[0] names a command and
+    the rest is positionals and `--flag=value` tokens, `_read` reads it
+    with no argparse pass; argparse parses every other argv itself, and
     alone writes help, usage and errors."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     command = _command_parsers.get(argv[0]) if argv else None
-    if command is None:  # no command, -h, or an unknown one
-        return parser.parse_args(argv)
-    args = _read(command, argv[0], argv[1:])
-    if args is not None:
-        return args
-    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+    args = _read(command, argv[0], argv[1:]) if command is not None else None
+    return args if args is not None else parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -272,6 +272,18 @@ class TestSphericalBesselArray:
                 error = abs(_spherical_bessel(np.array(x), l + 1)[l] - mpmath_spherical_j(l, x))
                 assert error <= 1e-15, (l, x)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("count,x", [(60, 0.01), (80, 0.01), (200, 0.01), (200, 0.5)])
+    def test_many_orders_against_mpmath(self, dtype, count, x):
+        """Miller's recurrence over many orders at a small x, whose rows
+        would pass double range unscaled: every j_l, l < count, within
+        1e-15 of the largest."""
+        orders = _spherical_bessel(np.array([x], dtype=dtype), count)[:, 0]
+        exact = [mpmath_spherical_j(l, x) for l in range(count)]
+        peak = max(map(abs, exact))
+        for l, (got, want) in enumerate(zip(orders.tolist(), exact)):
+            assert abs(got - want) <= 1e-15 * peak, (l, got, want)
+
     @pytest.mark.parametrize("count", [0, 1, 2])
     def test_fewest_orders(self, count):
         """No rows for count 0; for counts 1 and 2, the series at 1e-3, Miller
