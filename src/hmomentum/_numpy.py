@@ -1,16 +1,21 @@
-"""numpy for the package's modules, imported at its first use.
+"""Modules of the package imported at their first use: numpy, and the
+package's own `transform` and `verification`.
 
-Every module takes `np` from here.  Where numpy is already imported, `np`
-is numpy itself.  Otherwise it is a module made by the standard library's
-lazy loader (`importlib.util.LazyLoader`), which runs numpy's import at
-its first attribute access and from then on is the plain numpy module, so
-an array path reads the same numpy as before.  A command that needs no
-array, `eval` and every usage error, then never imports numpy, which is
-most of a cold start.  The lazy module goes into sys.modules, as an eager
-import's would: numpy's own relative imports look it up there, and a later
-`import numpy` anywhere gets the same module.  The first load is not
-guarded against two threads touching it at once; CPython added that guard
-to LazyLoader later (gh-114763).  This module holds no physics and imports
+`lazy(name)` returns the module `name`: the one in sys.modules where it is
+already imported, and otherwise a module made by the standard library's
+lazy loader (`importlib.util.LazyLoader`), which runs its import at its
+first attribute access and from then on is the plain module, so that a
+caller reads the same module as an eager import would give.  Every module
+takes `np = lazy("numpy")` from here, and the package binds `transform`
+and `verification` so (`hmomentum/__init__.py`).  A command that needs no
+array, `eval` and every usage error, then never imports numpy, and only
+`table`, `plot` and `verify` run the numerical transform and the checks,
+which were most of a cold start.  The lazy module goes into sys.modules,
+as an eager import's would: numpy's own relative imports look it up
+there, a later `import numpy` anywhere gets the same module, and a tracer
+finds each of the package's layers there.  The first load is not guarded
+against two threads touching it at once; CPython added that guard to
+LazyLoader later (gh-114763).  This module holds no physics and imports
 only the standard library.
 """
 
@@ -18,18 +23,18 @@ import importlib.util
 import sys
 
 
-def _numpy():
-    """sys.modules' numpy, else a lazy numpy registered there."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
+def lazy(name: str):
+    """sys.modules' module `name`, else a lazy one registered there."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
     if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
-np = _numpy()
+np = lazy("numpy")

@@ -23,10 +23,13 @@ Where argv[0] names a command and the rest is positionals and
 parser's own tables (`_read`); every other argv is
 build_parser().parse_args(argv) (`_parse`).  The grammar, help, usage
 and error text are argparse's alone (`build_parser`).
-numpy is imported at the first array (`_numpy`): `eval`, in Python
-scalars, and every usage error import none of it, so their cold start
-is the package's own import; `table`, `plot` and `verify` load it at
-their grid or first suite.
+numpy, `transform` and `verification` are lazy modules (`_numpy`), run
+at their first use: `eval`, in Python scalars, and every usage error run
+none of them, so their cold start is the closed forms' own import;
+`table` and `plot` load numpy at their grid and run `transform` at their
+first CSV (`_format_tables`), and `verify` runs both at its first suite.
+verify's --suite choices are `SUITE_NAMES`, so that building the parser
+runs no check.
 """
 
 from __future__ import annotations
@@ -37,11 +40,12 @@ import math
 import re
 import sys
 
-from ._numpy import np
+from ._numpy import lazy, np
 from .forms import FORM_EVALUATORS, MAX_SHAPE_N, distribution_max_l
 from .hydrogenic import PhysicalScale, QuantumState
-from .transform import _rounded
-from .verification import SUITES, run_all
+
+transform = lazy(__package__ + ".transform")
+verification = lazy(__package__ + ".verification")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -150,8 +154,8 @@ def _format_tables():
     fives = [1]  # 5^0 .. 5^(17 - _MIN_EXP)
     while len(fives) < 18 - _MIN_EXP:
         fives.append(5 * fives[-1])
-    head, rest = np.ldexp(np.array([_rounded(fives[16 - e], 1) if e <= 16 else
-                                    _rounded(1, fives[e - 16])
+    head, rest = np.ldexp(np.array([transform._rounded(fives[16 - e], 1) if e <= 16 else
+                                    transform._rounded(1, fives[e - 16])
                                     for e in exponents.tolist()]).T,
                           16 - exponents - shifts)
     split = _SPLITTER * head
@@ -388,11 +392,15 @@ def cmd_plot(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_all(_scale_from_args(args), args.suite)
+    report = verification.run_all(_scale_from_args(args), args.suite)
     _write_lines(args.output, [report.to_json() + "\n"])
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
 
 
+# The names of `verification.SUITES`, sorted, as verify's --suite choices:
+# argparse reads them where the parser is built, which `eval` builds too.
+SUITE_NAMES = ("form_equivalence", "lo_proportionality", "parseval_diagonalization",
+               "pp_vs_hankel", "quadrature", "so4_constancy", "uncertainty")
 # Each command's own parser, the `add_parser` objects of `build_parser()`, by name.
 _command_parsers: dict = {}
 # What a command's parser reads as a negative number, not an option: every
@@ -441,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_plot, hbar=False)
 
     p_verify = sub.add_parser("verify", allow_abbrev=False, help="run the verification suites")
-    p_verify.add_argument("--suite", action="append", choices=sorted(SUITES),
+    p_verify.add_argument("--suite", action="append", choices=SUITE_NAMES,
                           help="suite to run (repeatable; default all)")
     _add_common_flags(p_verify, hbar=False)
 

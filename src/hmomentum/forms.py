@@ -76,7 +76,8 @@ def _polynomial_steps(z, one_minus_z, l, prev, cur, start, stop):
 def _z(q):
     """z = 2w = 2 / (1 - i q) of the 2F1 of `_polynomial_steps`, at q."""
     d = 1.0 + q * q
-    return 2.0 / d + 1j * (2.0 * q / d)
+    # 2 (q / d), not 2 q / d: 2 q overflows for |q| > 8.99e307, and inf / inf is NaN.
+    return 2.0 / d + 1j * (2.0 * (q / d))
 
 
 def _in_blocks(q, rows, count, dtype) -> np.ndarray:

@@ -195,6 +195,22 @@ class TestTable:
         assert [r[0] for r in rows] == [-float(p), 0.0, float(p)]
         assert np.all(np.isfinite(rows))
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "trig", "3", "1", "--p=1e308"],
+        ["table", "lombardi_ogilvie", "2", "0", "--pmin=-1.7e308", "--pmax=1.7e308",
+         "--count=3"],
+    ])
+    def test_zero_where_twice_q_overflows(self, capsys, argv):
+        """Past |p / hbar beta| = 8.99e307, where 2q overflows, the kernel forms
+        print 0 and exit 0, not a NaN and a usage error."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_OK, "")
+        rows = [[float(x) for x in line.split(",")] for line in captured.out.splitlines()
+                if not line.startswith("p,")]
+        far = [values for p, *values in rows if abs(p) > 8.99e307]
+        assert far and all(values == [0, 0, 0] for values in far)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.floats(-300, 300), min_size=2, max_size=2),
            st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=2), st.integers(2, 300))
@@ -363,6 +379,11 @@ class TestVerify:
         assert code == EXIT_OK, captured.out
         assert json.loads(captured.out)["overall_pass"] is True
         assert captured.err == ""
+
+    def test_suite_names_are_the_suites(self):
+        """verify's --suite choices, which the parser takes without running
+        `verification`, are its SUITES, sorted."""
+        assert cli.SUITE_NAMES == tuple(sorted(SUITES))
 
     def test_unknown_suite_argparse_exit(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -993,6 +1014,90 @@ def test_eval_loads_no_numpy():
         assert codes == [0] * 5 + [2, 2], (codes, err.getvalue())
         assert len(out.getvalue().splitlines()) == 5
         assert not loaded(), loaded()
+        """))
+
+
+# The child's `ran()`: which of the lazy `transform` and `verification` have run.
+# type() of a lazy module reads none of its attributes, so it does not load it.
+RAN = textwrap.dedent("""\
+    import contextlib, io, sys, types
+    def ran():
+        return [name for name in ('hmomentum.transform', 'hmomentum.verification')
+                if type(sys.modules[name]) is types.ModuleType]
+    def run(argv):
+        try:
+            return hmomentum.cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+    """)
+
+
+def test_eval_runs_no_transform_or_verification():
+    """`import hmomentum`, `import hmomentum.cli`, `eval` of every form in
+    either spelling of --p, its usage errors, and verify's help and --suite
+    error run neither `transform` nor `verification`."""
+    run_python(RAN + textwrap.dedent("""\
+        import hmomentum
+        assert ran() == [], ran()
+        import hmomentum.cli
+        assert ran() == [], ran()
+        argvs = [['eval', form, '60', '10', *p, '--hbar-beta=2']
+                 for form in sorted(hmomentum.forms.FORM_EVALUATORS)
+                 for p in (['--p=0.5'], ['--p', '0.5'])]
+        errors = [['eval', 'podolsky_pauling', '2', '1', '--p', '-1'],
+                  ['eval', 'trig', '3', '3', '--p=1'], ['eval', 'trig', '3', '1', '--p=nan'],
+                  ['eval', 'bogus', '3', '1', '--p=1'], ['eval', 'trig', '3', '1'],
+                  ['eval', 'trig', '3', '1', '--p=x'], ['verify', '--suite=bogus'],
+                  ['verify', '--help'], ['eval', '--help']]
+        with contextlib.redirect_stdout(io.StringIO()) as out, \\
+                contextlib.redirect_stderr(io.StringIO()):
+            codes = [run(argv) for argv in argvs + errors]
+        assert codes == [0] * 10 + [2] * 7 + [0] * 2, codes
+        assert ran() == [], ran()
+        """))
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["table", "trig", "3", "1", "--pmin=-5", "--pmax=5", "--count=11"],
+     ["hmomentum.transform"]),
+    (["plot", "PP", "5", "--count=11"], ["hmomentum.transform"]),
+    (["verify", "--suite=uncertainty"], ["hmomentum.transform", "hmomentum.verification"]),
+], ids=["table", "plot", "verify"])
+def test_what_each_command_runs(argv, expected):
+    """In a fresh interpreter, `table` and `plot` run `transform`, for the CSV
+    digits, and not `verification`; `verify` runs both."""
+    run_python(RAN + textwrap.dedent(f"""\
+        import hmomentum.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run({argv!r}) == 0
+        assert ran() == {expected!r}, ran()
+        """))
+
+
+def test_reexports_are_the_submodules_own():
+    """The package's names from `transform` and `verification` are those
+    modules' own objects, each read running its module alone; the package
+    binds the modules in sys.modules, and an unknown name raises
+    AttributeError."""
+    run_python(RAN + textwrap.dedent("""\
+        import hmomentum
+        assert hmomentum.transform is sys.modules['hmomentum.transform']
+        assert hmomentum.verification is sys.modules['hmomentum.verification']
+        assert ran() == [], ran()
+        for name in ('ConvergenceError', 'transform_numeric'):
+            assert getattr(hmomentum, name) is getattr(hmomentum.transform, name)
+        assert ran() == ['hmomentum.transform'], ran()
+        from hmomentum import run_all
+        assert run_all is hmomentum.verification.run_all
+        for name in ('CheckResult', 'VerificationReport'):
+            assert getattr(hmomentum, name) is getattr(hmomentum.verification, name)
+        try:
+            hmomentum.no_such_name
+        except AttributeError as exc:
+            assert "'no_such_name'" in str(exc), exc
+        else:
+            raise AssertionError('no AttributeError')
+        assert not hasattr(hmomentum, 'SUITES')
         """))
 
 

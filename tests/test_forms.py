@@ -18,6 +18,7 @@ from hmomentum.forms import (
     _b0,
     _c0,
     _kernel_stack,
+    _lombardi_ogilvie_kernel,
     _pp_prefactor,
     distribution_max_l,
     podolsky_pauling_G,
@@ -382,6 +383,18 @@ def test_subnormal_scale(hbar_beta):
     assert podolsky_pauling_G(state, p).tolist() == [0.0, 0.0, 0.0]
     with pytest.raises(OverflowError):
         podolsky_pauling_G(QuantumState(1, 0, state.scale), 0.0)
+
+
+@pytest.mark.parametrize("q", [9e307, 1e308, -1.7e308, sys.float_info.max, -sys.float_info.max])
+def test_zero_where_twice_q_overflows(q):
+    """Past |q| = 8.99e307, where 2q overflows, psi and the LO kernel are 0 at a
+    float q and in an array alike, not NaN: `_z` takes 2 (q / d), where 2q / d
+    would be inf / inf."""
+    for N, l in [(1, 0), (3, 1), (60, 10)]:
+        state = QuantumState(N, l)
+        for kernel in (psi_trig, _lombardi_ogilvie_kernel):
+            assert kernel(state, q) == 0
+            assert kernel(state, np.array([q, -q])).tolist() == [0, 0]
 
 
 class TestDistributions:

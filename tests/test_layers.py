@@ -52,18 +52,42 @@ def test_hydrogenic_imports_at_module_level():
 
 def test_numpy_comes_from_one_loader():
     """numpy is imported at its first use, through `_numpy` alone.  It imports
-    only the standard library and defines only its loader and the `np` that
-    the loader returns, so it is no path between layers; no other module
-    imports numpy, at module level or inside a function."""
+    only the standard library and defines only its loader, which takes a
+    module's name, and the `np` that the loader returns for "numpy", so it is
+    no path between layers; no other module imports numpy, at module level or
+    inside a function."""
     assert {name.split(".")[0] for name, _ in imports("_numpy")} <= sys.stdlib_module_names
     tree = ast.parse((SRC / "_numpy.py").read_text(encoding="utf-8"))
     loader, binding = (node for node in tree.body
                        if not isinstance(node, (ast.Expr, ast.Import, ast.ImportFrom)))
     assert isinstance(loader, ast.FunctionDef) and isinstance(binding, ast.Assign)
+    assert [arg.arg for arg in loader.args.args] == ["name"]
     assert [target.id for target in binding.targets] == ["np"]
-    assert binding.value.func.id == loader.name and not binding.value.args
+    assert binding.value.func.id == loader.name and not binding.value.keywords
+    assert [ast.literal_eval(arg) for arg in binding.value.args] == ["numpy"]
     assert {module: names for module in PACKAGE | {"__init__"} if (names := [
         name for name, _ in imports(module) if name.split(".")[0] == "numpy"])} == {}
+
+
+@pytest.mark.parametrize("module", ["__init__", "cli"])
+def test_transform_and_verification_come_from_the_loader(module):
+    """The package and `cli` import neither `transform` nor `verification`, at
+    module level or inside a function: each binds both only as the lazy modules
+    of `_numpy.lazy`, `name = lazy(<the package> + ".name")`, so that importing
+    them runs neither."""
+    assert {name.removeprefix("hmomentum.") for name, _ in imports(module)} & {
+        "transform", "verification"} == set()
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "_numpy"
+               and "lazy" in [alias.name for alias in node.names] for node in tree.body)
+    calls = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets
+             if isinstance(target, ast.Name) and target.id in {"transform", "verification"}}
+    assert sorted(calls) == ["transform", "verification"]
+    for name, call in calls.items():
+        assert isinstance(call, ast.Call) and call.func.id == "lazy"
+        argument, = call.args
+        assert isinstance(argument, ast.BinOp) and argument.right.value == f".{name}"
 
 
 @pytest.mark.parametrize("module", ["verification", "transform"])
