@@ -11,9 +11,10 @@ Importing the package runs only the closed forms (`forms`, `hydrogenic`,
 `specfun`) and imports no numpy: every module takes numpy from `_numpy`,
 which loads it at the first array, and `transform` and `verification` are
 lazy modules of the same loader, run at their first attribute, such as
-the first read of `transform_numeric` or `run_all` from the package.  A
-float p is evaluated in Python scalars, so a single-point value
-(`psi_trig` at a float p, say) needs neither numpy nor those two modules.
+the first read of `transform_numeric` or `run_all` from the package;
+`__all__` and dir() list those names too.  A float p is evaluated in
+Python scalars, so a single-point value (`psi_trig` at a float p, say)
+needs neither numpy nor those two modules.
 """
 
 from ._numpy import lazy
@@ -34,6 +35,8 @@ _LAZY_NAMES = {"ConvergenceError": transform, "transform_numeric": transform,
                "CheckResult": verification, "VerificationReport": verification,
                "run_all": verification}
 
+__all__ = ["PhysicalScale", "QuantumState", "expectation_p2", "expectation_r2", "psi_trig",
+           "distribution_max_l", "podolsky_pauling_G", "radial_wavefunction", *_LAZY_NAMES]
 __version__ = "0.1.0"
 
 
@@ -41,3 +44,7 @@ def __getattr__(name):
     if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(_LAZY_NAMES[name], name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_NAMES})

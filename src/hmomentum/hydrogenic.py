@@ -3,7 +3,8 @@
 Radial wave functions R_{Nl}, `sqrt_ratio` for every normalization, and
 the closed-form <r^2>, <p^2> expectation values.  It imports only `specfun`
 from the package, and numpy from `_numpy`: the check of G against <p^2>
-lives in `verification`.
+lives in `verification`.  `PhysicalScale` and `QuantumState` are frozen
+`__slots__` values (`_Frozen`), printed and compared as dataclasses are.
 
 Scaled units (hbar = 1, beta = 1) are the default.
 """
@@ -13,14 +14,43 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 
 from ._numpy import np
 from .specfun import laguerre
 
 
-@dataclass(frozen=True)
-class PhysicalScale:
+class _Frozen:
+    """The fields of a subclass's `__slots__`, set once by its `__init__`: equal
+    and hashed as their tuple, printed and refused assignment as in a frozen
+    dataclass, and pickled and copied through `__init__`."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._values())
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class PhysicalScale(_Frozen):
     """Physical scale of a hydrogenic state: action unit and inverse length.
 
     The momentum scale of the state is hbar * beta; for hydrogen it is
@@ -30,16 +60,14 @@ class PhysicalScale:
     raises ValueError.
     """
 
-    hbar: float = 1.0
-    beta: float = 1.0
+    __slots__ = __match_args__ = ("hbar", "beta")
 
-    def __post_init__(self):
-        hbar, beta = float(self.hbar), float(self.beta)
-        if not (0 < hbar < math.inf and 0 < beta < math.inf):
+    def __init__(self, hbar: float = 1.0, beta: float = 1.0):
+        object.__setattr__(self, "hbar", float(hbar))
+        object.__setattr__(self, "beta", float(beta))
+        if not (0 < self.hbar < math.inf and 0 < self.beta < math.inf):
             raise ValueError(f"hbar and beta must be positive and finite "
-                             f"as floats, got hbar={self.hbar}, beta={self.beta}")
-        object.__setattr__(self, "hbar", hbar)
-        object.__setattr__(self, "beta", beta)
+                             f"as floats, got hbar={hbar}, beta={beta}")
 
     @property
     def momentum(self) -> float:
@@ -47,26 +75,24 @@ class PhysicalScale:
         return self.hbar * self.beta
 
 
-@dataclass(frozen=True)
-class QuantumState:
+class QuantumState(_Frozen):
     """Bound hydrogenic state (N, l) with its physical scale.  N and l are kept
     as Python ints (`operator.index`: a numpy integer is taken, a float raises
-    TypeError)."""
+    TypeError); a scale that is not a PhysicalScale raises TypeError."""
 
-    N: int
-    l: int
-    scale: PhysicalScale = field(default_factory=PhysicalScale)
+    __slots__ = __match_args__ = ("N", "l", "scale")
 
-    def __post_init__(self):
-        object.__setattr__(self, "N", operator.index(self.N))
-        object.__setattr__(self, "l", operator.index(self.l))
+    def __init__(self, N: int, l: int, scale: PhysicalScale = PhysicalScale()):
+        object.__setattr__(self, "N", operator.index(N))
+        object.__setattr__(self, "l", operator.index(l))
+        object.__setattr__(self, "scale", scale)
         if self.N < 1:
             raise ValueError(f"principal quantum number must be >= 1, got {self.N}")
         if not 0 <= self.l <= self.N - 1:
-            raise ValueError(
-                f"orbital quantum number must satisfy 0 <= l <= N-1, "
-                f"got l={self.l}, N={self.N}"
-            )
+            raise ValueError(f"orbital quantum number must satisfy 0 <= l <= N-1, "
+                             f"got l={self.l}, N={self.N}")
+        if not isinstance(scale, PhysicalScale):
+            raise TypeError(f"scale must be a PhysicalScale, got {type(scale).__name__}")
 
 
 def sqrt_ratio(num: int, den: int) -> tuple[float, int]:
@@ -150,7 +176,8 @@ def expectation_r2(state: QuantumState) -> float:
 def expectation_p2(state: QuantumState) -> float:
     """<p^2> = (hbar beta)^2, in closed form: at a common beta every R_{Nl} has
     the energy -hbar^2 beta^2 / 2m, and the virial theorem gives <p^2> = -2m E.
-    0.0, the nearest double, below hbar beta = 2.2e-162.  Raises OverflowError
+    0.0, the nearest double, below hbar beta = 2^-537.5 = 1.5717e-162, and
+    5e-324 just above it (at 1.6e-162 and 2.1e-162, say).  Raises OverflowError
     naming the state and hbar beta where it is past the largest double, from
     1.35e154 on."""
     value = state.scale.momentum * state.scale.momentum

@@ -1017,13 +1017,15 @@ def test_eval_loads_no_numpy():
         """))
 
 
-# The child's `ran()`: which of the lazy `transform` and `verification` have run.
-# type() of a lazy module reads none of its attributes, so it does not load it.
+# The child's `ran()`: which of the lazy `_csv`, `transform` and `verification`
+# have run.  type() of a lazy module reads none of its attributes, so it does
+# not load it.
 RAN = textwrap.dedent("""\
     import contextlib, io, sys, types
     def ran():
-        return [name for name in ('hmomentum.transform', 'hmomentum.verification')
-                if type(sys.modules[name]) is types.ModuleType]
+        return [name for name in ('hmomentum._csv', 'hmomentum.transform',
+                                  'hmomentum.verification')
+                if type(sys.modules.get(name)) is types.ModuleType]
     def run(argv):
         try:
             return hmomentum.cli.main(argv)
@@ -1035,8 +1037,10 @@ RAN = textwrap.dedent("""\
 def test_eval_runs_no_transform_or_verification():
     """`import hmomentum`, `import hmomentum.cli`, `eval` of every form in
     either spelling of --p, its usage errors, and verify's help and --suite
-    error run neither `transform` nor `verification`."""
+    error run none of `transform`, `verification` and the CSV formatter
+    `_csv`, and import neither dataclasses nor inspect."""
     run_python(RAN + textwrap.dedent("""\
+        before = set(sys.modules)
         import hmomentum
         assert ran() == [], ran()
         import hmomentum.cli
@@ -1054,18 +1058,22 @@ def test_eval_runs_no_transform_or_verification():
             codes = [run(argv) for argv in argvs + errors]
         assert codes == [0] * 10 + [2] * 7 + [0] * 2, codes
         assert ran() == [], ran()
+        assert 'hmomentum._csv' in sys.modules
+        added = {'dataclasses', 'inspect'} & set(sys.modules) - before
+        assert not added, added
         """))
 
 
 @pytest.mark.parametrize("argv,expected", [
     (["table", "trig", "3", "1", "--pmin=-5", "--pmax=5", "--count=11"],
-     ["hmomentum.transform"]),
-    (["plot", "PP", "5", "--count=11"], ["hmomentum.transform"]),
+     ["hmomentum._csv", "hmomentum.transform"]),
+    (["plot", "PP", "5", "--count=11"], ["hmomentum._csv", "hmomentum.transform"]),
     (["verify", "--suite=uncertainty"], ["hmomentum.transform", "hmomentum.verification"]),
 ], ids=["table", "plot", "verify"])
 def test_what_each_command_runs(argv, expected):
-    """In a fresh interpreter, `table` and `plot` run `transform`, for the CSV
-    digits, and not `verification`; `verify` runs both."""
+    """In a fresh interpreter, `table` and `plot` run the CSV formatter `_csv`
+    and, for its digits, `transform`, and not `verification`; `verify` runs
+    `transform` and `verification`, and not `_csv`."""
     run_python(RAN + textwrap.dedent(f"""\
         import hmomentum.cli
         with contextlib.redirect_stdout(io.StringIO()):
@@ -1098,6 +1106,24 @@ def test_reexports_are_the_submodules_own():
         else:
             raise AssertionError('no AttributeError')
         assert not hasattr(hmomentum, 'SUITES')
+        """))
+
+
+def test_package_lists_its_public_names():
+    """dir() of the package lists the names it takes from its lazy modules,
+    running neither module, and a star import gives the 13 public names."""
+    run_python(RAN + textwrap.dedent("""\
+        import hmomentum
+        lazy = {'ConvergenceError', 'transform_numeric', 'CheckResult',
+                'VerificationReport', 'run_all'}
+        assert lazy <= set(dir(hmomentum)) and 'forms' in dir(hmomentum)
+        assert ran() == [], ran()
+        namespace = {}
+        exec('from hmomentum import *', namespace)
+        del namespace['__builtins__']
+        assert sorted(namespace) == sorted(lazy | {
+            'PhysicalScale', 'QuantumState', 'distribution_max_l', 'expectation_p2',
+            'expectation_r2', 'podolsky_pauling_G', 'psi_trig', 'radial_wavefunction'}), namespace
         """))
 
 

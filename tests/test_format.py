@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmomentum import cli
+from hmomentum import _csv
 
 
 def percent(block: np.ndarray) -> str:
@@ -21,7 +21,7 @@ def percent(block: np.ndarray) -> str:
 def assert_formats(values, columns: int = 1) -> None:
     rows = -(-len(values) // columns)
     block = np.array((list(values) * columns)[:rows * columns]).reshape(rows, columns)
-    assert cli._format_block(block) == percent(block)
+    assert _csv._format_block(block) == percent(block)
 
 
 def ties() -> list:
@@ -80,8 +80,8 @@ def test_ties_need_the_margin(monkeypatch):
     """With no margin the fast path rounds each tie half up, so the ties
     whose 17th digit is even come out one too high."""
     block = np.array(ties())[:, None]
-    monkeypatch.setattr(cli, "_MARGIN", 0.0)
-    wrong = cli._format_block(block)
+    monkeypatch.setattr(_csv, "_MARGIN", 0.0)
+    wrong = _csv._format_block(block)
     assert wrong != percent(block)
     assert wrong.startswith("123456789012345.13\n")
 
@@ -122,7 +122,7 @@ def test_near_ties():
     does, on the fast path, past the margin, and through '%', inside it."""
     found = near_ties()
     assert len(found) >= 100
-    near = cli._decimal(np.array(found))[2]
+    near = _csv._decimal(np.array(found))[2]
     assert near.any() and not near.all()
     assert_formats(found + [-x for x in found], 3)
 
@@ -133,9 +133,9 @@ def test_powers_correctly_rounded():
     rounded and rest is P_E - head correctly rounded, so that head + rest is
     within 2^-106 P_E of P_E; the Veltkamp halves of head have 26 bits each
     and sum to it."""
-    shifts, heads, highs, lows, rests = cli._format_tables()[0]
+    shifts, heads, highs, lows, rests = _csv._format_tables()[0]
     assert shifts.dtype == np.int32
-    for e, a, head, high, low, rest in zip(range(cli._MIN_EXP - 1, cli._MAX_EXP + 2),
+    for e, a, head, high, low, rest in zip(range(_csv._MIN_EXP - 1, _csv._MAX_EXP + 2),
                                            shifts.tolist(), heads, highs, lows, rests):
         assert 1 <= Fraction(2) ** a * Fraction(10) ** e < 2, e
         power = Fraction(10) ** (16 - e) / Fraction(2) ** a

@@ -1,6 +1,8 @@
 """Position-space machinery: normalization, Slater terms, p_r, moments."""
 
+import copy
 import math
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -50,6 +52,79 @@ class TestQuantumState:
             QuantumState(2, 2)
         with pytest.raises(ValueError):
             QuantumState(2, -1)
+
+    @pytest.mark.parametrize("scale", [2.5, None, (1.0, 1.0)])
+    def test_scale_must_be_a_physical_scale(self, scale):
+        """A scale that is not a PhysicalScale is refused where the state is
+        made, not deep in the forms."""
+        with pytest.raises(TypeError, match=f"got {type(scale).__name__}$"):
+            QuantumState(2, 1, scale)
+
+
+class TestValueTypes:
+    """The public contract of PhysicalScale and QuantumState: that of a frozen
+    dataclass's repr, equality, hash, immutability, copies and matching."""
+
+    STATE = QuantumState(2, 1, PhysicalScale(hbar=2, beta=np.float32(0.5)))
+
+    def test_repr(self):
+        assert repr(QuantumState(2, 1)) == (
+            "QuantumState(N=2, l=1, scale=PhysicalScale(hbar=1.0, beta=1.0))")
+        assert repr(self.STATE.scale) == "PhysicalScale(hbar=2.0, beta=0.5)"
+
+    def test_equality_and_hash_are_the_field_tuple(self):
+        scale = PhysicalScale(2.0, 0.5)
+        assert self.STATE == QuantumState(N=2, l=1, scale=scale)
+        assert self.STATE != QuantumState(2, 0, scale) and self.STATE != QuantumState(2, 1)
+        assert hash(self.STATE) == hash((2, 1, scale)) and hash(scale) == hash((2.0, 0.5))
+        assert self.STATE != (2, 1, scale) and scale != (2.0, 0.5)
+        assert self.STATE.__eq__((2, 1, scale)) is NotImplemented
+        assert len({QuantumState(1, 0), QuantumState(1, 0, PhysicalScale())}) == 1
+
+    @pytest.mark.parametrize("value", [STATE, STATE.scale], ids=["state", "scale"])
+    def test_frozen(self, value):
+        name = value.__match_args__[0]
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, 3)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+        with pytest.raises(AttributeError, match="^cannot assign to field 'other'$"):
+            value.other = 3
+
+    @pytest.mark.parametrize("value", [STATE, STATE.scale], ids=["state", "scale"])
+    def test_pickle_and_copy_round_trips(self, value):
+        copies = [pickle.loads(pickle.dumps(value, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies + [copy.copy(value), copy.deepcopy(value)]:
+            assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+    def test_keywords_and_match_args(self):
+        assert QuantumState.__match_args__ == ("N", "l", "scale")
+        assert PhysicalScale.__match_args__ == ("hbar", "beta")
+        match QuantumState(l=1, N=3, scale=PhysicalScale(beta=2.0)):
+            case QuantumState(N, l, PhysicalScale(hbar, beta)):
+                assert (N, l, hbar, beta) == (3, 1, 1.0, 2.0)
+            case _:
+                raise AssertionError("no match")
+
+    @pytest.mark.parametrize("make,error,message", [
+        (lambda: QuantumState(0, 0), ValueError,
+         "principal quantum number must be >= 1, got 0"),
+        (lambda: QuantumState(2, 2), ValueError,
+         "orbital quantum number must satisfy 0 <= l <= N-1, got l=2, N=2"),
+        (lambda: QuantumState(2.0, 1), TypeError,
+         "'float' object cannot be interpreted as an integer"),
+        (lambda: PhysicalScale(0, 1), ValueError,
+         "hbar and beta must be positive and finite as floats, got hbar=0, beta=1"),
+        (lambda: PhysicalScale(beta=math.inf), ValueError,
+         "hbar and beta must be positive and finite as floats, got hbar=1.0, beta=inf"),
+        (lambda: PhysicalScale(None), TypeError,
+         "float() argument must be a string or a real number, not 'NoneType'"),
+    ])
+    def test_messages(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
 
 
 class TestNumpyScalars:
@@ -452,7 +527,7 @@ class TestMoments:
     @pytest.mark.parametrize("beta", [1e-160, 1e-200, 5e-324])
     def test_r2_past_the_largest_double_names_the_state(self, beta):
         """<r^2> is past the largest double below beta = 1.3e-154 at N = 1, and beta^2
-        is 0.0 from 2.2e-162 down: either way the error names the state and beta."""
+        is 0.0 from 1.57e-162 down: either way the error names the state and beta."""
         with pytest.raises(OverflowError, match=rf"\(N=2, l=1\) at beta = {beta:g} "):
             expectation_r2(QuantumState(2, 1, PhysicalScale(1.0, beta)))
 
@@ -491,3 +566,14 @@ class TestMoments:
     def test_p2_below_the_smallest_double_is_zero(self):
         """At hbar beta = 1e-200, <p^2> = 1e-400 rounds to 0.0, the nearest double."""
         assert expectation_p2(QuantumState(2, 1, PhysicalScale(1.0, 1e-200))) == 0.0
+
+    def test_p2_rounds_to_zero_below_two_to_the_minus_537_5(self):
+        """(hbar beta)^2 is below half the least subnormal, and rounds to 0.0,
+        where hbar beta < 2^-537.5 = 1.5717e-162; from the double next above
+        that root on, 1.6e-162 and 2.1e-162 included, it is 5e-324."""
+        root = 2.0 ** -537.5
+        assert Fraction(root) > Fraction(2) ** -1075 / Fraction(root)
+        for momentum, p2 in [(math.nextafter(root, 0.0), 0.0), (1e-162, 0.0),
+                             (root, 5e-324), (1.6e-162, 5e-324), (2.1e-162, 5e-324)]:
+            state = QuantumState(2, 1, PhysicalScale(1.0, momentum))
+            assert expectation_p2(state) == p2, momentum

@@ -1,8 +1,9 @@
 """The import graph follows the layers: `specfun` and `transform` import nothing
-from the package, `hydrogenic` only `specfun`, at module level, and `forms` only
-`hydrogenic` and `specfun`, so the kernels, the numerical transform and R do not
-lean on the closed forms (`forms`) or the checks (`verification`) built on them.
-Every module may take numpy from `_numpy`, which holds no physics."""
+from the package, `hydrogenic` only `specfun`, at module level, `forms` only
+`hydrogenic` and `specfun`, and the CSV formatter `_csv` only `transform`, so
+the kernels, the numerical transform and R do not lean on the closed forms
+(`forms`) or the checks (`verification`) built on them.  Every module may take
+numpy from `_numpy`, which holds no physics."""
 
 import ast
 import pathlib
@@ -41,13 +42,24 @@ PACKAGE = {path.stem for path in SRC.glob("*.py")} - {"__init__", "_numpy"}
 
 @pytest.mark.parametrize("module,allowed", [("specfun", set()), ("transform", set()),
                                             ("hydrogenic", {"specfun"}),
-                                            ("forms", {"hydrogenic", "specfun"})])
+                                            ("forms", {"hydrogenic", "specfun"}),
+                                            ("_csv", {"transform"})])
 def test_package_imports(module, allowed):
     assert {name for name, _ in imports(module)} & PACKAGE <= allowed
 
 
 def test_hydrogenic_imports_at_module_level():
     assert [name for name, nested in imports("hydrogenic") if nested] == []
+
+
+@pytest.mark.parametrize("module", ["__init__", "_numpy", "specfun", "hydrogenic", "forms",
+                                    "cli"])
+def test_cold_path_imports_no_heavy_standard_modules(module):
+    """What `import hmomentum.cli` and `eval` run imports none of dataclasses
+    (which imports inspect), inspect, typing, json, datetime or traceback, at
+    module level or inside a function."""
+    assert {name.split(".")[0] for name, _ in imports(module)} & {
+        "dataclasses", "inspect", "typing", "json", "datetime", "traceback"} == set()
 
 
 def test_numpy_comes_from_one_loader():
@@ -69,21 +81,26 @@ def test_numpy_comes_from_one_loader():
         name for name, _ in imports(module) if name.split(".")[0] == "numpy"])} == {}
 
 
+# The modules that the package and `cli` bind lazily, and run at their first use.
+LAZY_BINDINGS = {"__init__": ["transform", "verification"], "cli": ["_csv", "verification"]}
+
+
 @pytest.mark.parametrize("module", ["__init__", "cli"])
 def test_transform_and_verification_come_from_the_loader(module):
-    """The package and `cli` import neither `transform` nor `verification`, at
-    module level or inside a function: each binds both only as the lazy modules
-    of `_numpy.lazy`, `name = lazy(<the package> + ".name")`, so that importing
-    them runs neither."""
+    """The package and `cli` import none of `transform`, `verification` and
+    `_csv` (which imports `transform`), at module level or inside a function:
+    the package binds `transform` and `verification`, and `cli` binds `_csv`
+    and `verification`, only as the lazy modules of `_numpy.lazy`,
+    `name = lazy(<the package> + ".name")`, so that importing them runs none."""
     assert {name.removeprefix("hmomentum.") for name, _ in imports(module)} & {
-        "transform", "verification"} == set()
+        "transform", "verification", "_csv"} == set()
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
     assert any(isinstance(node, ast.ImportFrom) and node.module == "_numpy"
                and "lazy" in [alias.name for alias in node.names] for node in tree.body)
     calls = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
              for target in node.targets
-             if isinstance(target, ast.Name) and target.id in {"transform", "verification"}}
-    assert sorted(calls) == ["transform", "verification"]
+             if isinstance(target, ast.Name) and target.id in LAZY_BINDINGS[module]}
+    assert sorted(calls) == LAZY_BINDINGS[module]
     for name, call in calls.items():
         assert isinstance(call, ast.Call) and call.func.id == "lazy"
         argument, = call.args
@@ -160,13 +177,15 @@ def test_checks_live_in_verification():
 
 
 def test_cli_takes_no_long_double():
-    """The CSV digits are double-double (`cli._product`), the same bits and speed
-    where long double is a double: `cli` names no long double type and no
-    extended-type hook.  `transform` keeps long double for the Filon weights."""
-    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert names & {"longdouble", "float128", "_EXTENDED"} == set()
+    """The CSV digits are double-double (`_csv._product`), the same bits and speed
+    where long double is a double: neither `cli` nor `_csv` names a long double
+    type or an extended-type hook.  `transform` keeps long double for the Filon
+    weights."""
+    for module in ("cli", "_csv"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert names & {"longdouble", "float128", "_EXTENDED"} == set(), module
 
 
 def test_cli_reader_holds_no_grammar():
