@@ -14,26 +14,23 @@ for a value that is not (an inf past double precision, a NaN from an
 intermediate out of range) names --hbar-beta, and the column and p where
 it has them.  `table` and `plot` evaluate their whole grid in one call
 and write its rows, a block at a time, with `_csv._format_block`.
-Where argv[0] names a command and the rest is positionals and
-`--flag=value` tokens, argv is read in one pass over that command's
-parser's own tables (`_read`); every other argv is
-build_parser().parse_args(argv) (`_parse`).  The grammar, help, usage
-and error text are argparse's alone (`build_parser`).
+The grammar is one table, `GRAMMAR` with `COMMON_FLAGS`: `_read` reads
+each argv it can from it, flags as `--flag=value` or `--flag value`, and
+loads neither argparse nor gettext; argparse parses the rest, help and
+usage errors included, with the parser that `build_parser` builds from it.
 numpy, `verification` and the CSV formatter `_csv` are lazy modules
 (`_numpy`), run at their first use, so `eval` and every usage error run
 only the closed forms; `table` and `plot` run numpy at their grid and
 `_csv`, with `transform`, at their first CSV, and `verify` runs
-`transform` and `verification` at its first suite.  verify's --suite
-choices are `SUITE_NAMES`, so that building the parser runs no check.
+`transform` and `verification` at its first suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
-import re
 import sys
+import types
 
 from ._numpy import lazy, np
 from .forms import FORM_EVALUATORS, MAX_SHAPE_N, distribution_max_l
@@ -95,20 +92,6 @@ def _scale_from_args(args) -> PhysicalScale:
         raise UsageError(f"--hbar, --hbar-beta and beta = --hbar-beta / --hbar must be positive "
                          f"and finite, got --hbar {args.hbar!r} --hbar-beta {args.hbar_beta!r}")
     return PhysicalScale(hbar=args.hbar, beta=beta)
-
-
-def _add_common_flags(parser: argparse.ArgumentParser, hbar: bool) -> None:
-    """The flags every command takes, after its own: --output, --hbar-beta,
-    and --hbar where the output depends on it (else hbar = 1).  Each is a
-    plain store action, which `_read` reads as --flag=value."""
-    parser.add_argument("--output", default=None)
-    parser.add_argument("--hbar-beta", type=float, default=1.0,
-                        help="momentum scale hbar*beta (default 1)")
-    if hbar:
-        parser.add_argument("--hbar", type=float, default=1.0,
-                            help="action unit hbar (default 1)")
-    else:
-        parser.set_defaults(hbar=1.0)
 
 
 def _state_from_args(args) -> QuantumState:
@@ -222,122 +205,139 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
 
 
-# The names of `verification.SUITES`, sorted, as verify's --suite choices:
-# argparse reads them where the parser is built, which `eval` builds too.
+# `verification.SUITES`' names, sorted, so that reading the grammar runs no check.
 SUITE_NAMES = ("form_equivalence", "lo_proportionality", "parseval_diagonalization",
                "pp_vs_hankel", "quadrature", "so4_constancy", "uncertainty")
-# Each command's own parser, the `add_parser` objects of `build_parser()`, by name.
-_command_parsers: dict = {}
-# What a command's parser reads as a negative number, not an option: every
-# negative float literal, exponent form and -inf included.  argparse's own
-# pattern takes only -1 and -1.5, and reads "-1e-05" as an option.
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$",
-                              re.IGNORECASE)
+_FORM_STATE = (("form", {"choices": sorted(FORM_EVALUATORS)}), ("N", {"type": int}),
+               ("l", {"type": int}))
+# The CLI's grammar, declared here alone: `_read` reads argv from it and
+# `build_parser` builds argparse's parsers from it.  Per command: its help,
+# whether it takes --hbar, and its own arguments in order, each a name or option
+# string with add_argument keywords (no string default: `_read` converts none).
+GRAMMAR = {
+    "eval": ("evaluate one form at a single p", True, (
+        *_FORM_STATE, ("--p", {"type": float, "required": True}))),
+    "table": ("tabulate a form over a grid", True, (
+        *_FORM_STATE, ("--pmin", {"type": float, "required": True}),
+        ("--pmax", {"type": float, "required": True}),
+        ("--count", {"type": int, "default": 101}))),
+    "plot": ("emit PP/LO density data", False, (
+        ("form", {"choices": ["PP", "LO"]}), ("N", {"type": int}),
+        ("--pmax", {"type": float}), ("--count", {"type": int, "default": 201}))),
+    "verify": ("run the verification suites", False, (
+        ("--suite", {"action": "append", "choices": SUITE_NAMES,
+                     "help": "suite to run (repeatable; default all)"}),)),
+}
+COMMON_FLAGS = (
+    ("--output", {}),
+    ("--hbar-beta", {"type": float, "default": 1.0,
+                     "help": "momentum scale hbar*beta (default 1)"}),
+    ("--hbar", {"type": float, "default": 1.0, "help": "action unit hbar (default 1)"}),
+)
+_PREFIX = "-"  # what starts a flag, as in argparse's prefix_chars
+# What argparse reads as a negative number, not an option: "-1e-05", -inf too.
+_NEGATIVE_NUMBER = r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$"
+
+
+def _arguments(name: str):
+    """(arguments, defaults) of command `name`: (name or option string,
+    attribute, keywords) of its own arguments and the common flags it takes,
+    in order, and by attribute the defaults of the common flags it does not."""
+    _, hbar, own = GRAMMAR[name]
+    arguments = [(option, option.lstrip(_PREFIX).replace(_PREFIX, "_"), keywords)
+                 for option, keywords in own + COMMON_FLAGS]
+    taken = len(arguments) - (not hbar)
+    return arguments[:taken], {dest: kw.get("default") for _, dest, kw in arguments[taken:]}
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser: built on the first call in a process, the same
-    instance on every later call, with its commands' parsers kept in
-    `_command_parsers`.  Sharing them is safe, because each parse fills a
-    fresh Namespace and argparse looks up sys.stdout and sys.stderr only
-    when it prints.  `_parse` reads a command's argv from these tables
-    where it is spelled as positionals and `--flag=value` (`_read`), and
-    hands any other argv to this parser's parse_args."""
-    global _command_parsers
+def _reader(name: str):
+    """(defaults, positionals, flags, required) of command `name`: each default
+    in argparse's order, (attribute, type, choices) of each positional and of
+    each plain store flag by option string, and the required option strings."""
+    arguments, unset = _arguments(name)
+    positionals, flags = [], {}
+    for option, dest, keywords in arguments:
+        entry = (dest, keywords.get("type"), keywords.get("choices"))
+        if not option.startswith(_PREFIX):
+            positionals.append(entry)
+        elif "action" not in keywords:
+            flags[option] = entry
+    defaults = {"command": name} | {dest: keywords.get("default")
+                                    for _, dest, keywords in arguments} | unset
+    return defaults, positionals, flags, {
+        option for option, _, keywords in arguments if keywords.get("required")}
+
+
+@functools.cache
+def build_parser():
+    """The CLI's argparse parser, built from GRAMMAR on the first call in a
+    process and shared by later calls: each parse fills a fresh Namespace, and
+    argparse looks up sys.stdout and sys.stderr only when it prints."""
+    import argparse
+    import re
+
+    negative_number = re.compile(_NEGATIVE_NUMBER, re.IGNORECASE)
     parser = argparse.ArgumentParser(
         prog="hmomentum", allow_abbrev=False,
         description="Hydrogen radial wave functions in the momentum representation")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", allow_abbrev=False, help="evaluate one form at a single p")
-    p_eval.add_argument("form", choices=sorted(FORM_EVALUATORS))
-    p_eval.add_argument("N", type=int)
-    p_eval.add_argument("l", type=int)
-    p_eval.add_argument("--p", type=float, required=True)
-    _add_common_flags(p_eval, hbar=True)
-
-    p_table = sub.add_parser("table", allow_abbrev=False, help="tabulate a form over a grid")
-    p_table.add_argument("form", choices=sorted(FORM_EVALUATORS))
-    p_table.add_argument("N", type=int)
-    p_table.add_argument("l", type=int)
-    p_table.add_argument("--pmin", type=float, required=True)
-    p_table.add_argument("--pmax", type=float, required=True)
-    p_table.add_argument("--count", type=int, default=101)
-    _add_common_flags(p_table, hbar=True)
-
-    p_plot = sub.add_parser("plot", allow_abbrev=False, help="emit PP/LO density data")
-    p_plot.add_argument("form", choices=["PP", "LO"])
-    p_plot.add_argument("N", type=int)
-    p_plot.add_argument("--pmax", type=float, default=None)
-    p_plot.add_argument("--count", type=int, default=201)
-    _add_common_flags(p_plot, hbar=False)
-
-    p_verify = sub.add_parser("verify", allow_abbrev=False, help="run the verification suites")
-    p_verify.add_argument("--suite", action="append", choices=SUITE_NAMES,
-                          help="suite to run (repeatable; default all)")
-    _add_common_flags(p_verify, hbar=False)
-
-    for command in sub.choices.values():
-        command._negative_number_matcher = _NEGATIVE_NUMBER
-    _command_parsers = sub.choices
+    for name, (summary, _, _) in GRAMMAR.items():
+        command = sub.add_parser(name, allow_abbrev=False, help=summary)
+        arguments, unset = _arguments(name)
+        for option, _, keywords in arguments:
+            command.add_argument(option, **keywords)
+        command.set_defaults(**unset)
+        command._negative_number_matcher = negative_number
     return parser
 
 
-def _read(command: argparse.ArgumentParser, name: str, argv) -> argparse.Namespace | None:
-    """build_parser().parse_args([name, *argv])'s namespace, read in one
-    pass over the tables of `command`, the parser of command `name`, where
-    argv holds only positionals, each in turn, and `--flag=value` tokens,
-    where --flag names a plain store action exactly and at most once; each
-    value converted by the action's type and checked against its choices.
-    None for any other argv, which argparse then parses: a flag spelled
-    `--flag value`, an unknown, abbreviated or repeated flag, -h, --, -, a
-    positional that starts with -, an append action, a failed conversion
-    or choice, and a missing required flag or a missing or extra
-    positional.  Every default goes in first, in argparse's order, so
-    vars() lists the items as argparse does; the parsers give no string
-    default, which argparse would convert."""
-    values = {"command": name}
-    for action in command._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            values.setdefault(action.dest, action.default)
-    for dest, default in command._defaults.items():
-        values.setdefault(dest, default)
-    flags, prefix = command._option_string_actions, command.prefix_chars
-    positionals = iter(command._get_positional_actions())
-    seen = set()
-    for token in argv:
-        if not token or token[0] not in prefix:
-            action, value = next(positionals, None), token
+def _read(name: str, argv):
+    """build_parser().parse_args([name, *argv])'s namespace, read from the
+    grammar, where argv holds command `name`'s positionals, each in turn, and
+    its plain store flags, each at most once, as `--flag=value` or `--flag
+    value`, each value of its type and in its choices.  None for any other
+    argv, which argparse parses: a spaced value that is empty or starts with
+    -, an unknown, abbreviated or repeated flag, -h, --, -, a positional that
+    starts with -, an append action, a failed conversion or choice, and a
+    missing required flag or positional or an extra positional."""
+    defaults, positionals, flags, required = _reader(name)
+    values, seen, position, tokens = defaults.copy(), set(), 0, iter(argv)
+    for token in tokens:
+        if not token.startswith(_PREFIX):
+            if position == len(positionals):
+                return None
+            (dest, convert, choices), value = positionals[position], token
+            position += 1
         else:
-            flag, equals, value = token.partition("=")
-            action = flags.get(flag) if equals else None
-        if (action.__class__ is not argparse._StoreAction or action.nargs is not None
-                or action in seen):
-            return None
-        seen.add(action)
+            option, equals, value = token.partition("=")
+            if option not in flags or option in seen:
+                return None
+            seen.add(option)
+            if not equals:
+                value = next(tokens, "")
+                if not value or value.startswith(_PREFIX):
+                    return None
+            dest, convert, choices = flags[option]
         try:
-            value = value if action.type is None else action.type(value)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            value = value if convert is None else convert(value)
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-    if any(action.required and action not in seen for action in command._actions):
+        values[dest] = value
+    if position < len(positionals) or not seen >= required:
         return None
-    return argparse.Namespace(**values)
+    return types.SimpleNamespace(**values)
 
 
-def _parse(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv).  Where argv[0] names a command and
-    the rest is positionals and `--flag=value` tokens, `_read` reads it
-    with no argparse pass; argparse parses every other argv itself, and
-    alone writes help, usage and errors."""
+def _parse(argv):
+    """build_parser().parse_args(argv)'s namespace: `_read`'s where argv[0]
+    names a command and it reads the rest, else argparse's, which alone
+    writes help, usage and errors."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    command = _command_parsers.get(argv[0]) if argv else None
-    args = _read(command, argv[0], argv[1:]) if command is not None else None
-    return args if args is not None else parser.parse_args(argv)
+    args = _read(argv[0], argv[1:]) if argv and argv[0] in GRAMMAR else None
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

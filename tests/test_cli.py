@@ -578,16 +578,18 @@ class TestOneParser:
     """`main` builds its parser once per process, and every call behaves
     as it would with a freshly built one."""
 
+    # Argv that `_read` leaves to argparse, so that each builds the parser:
+    # a repeated flag, -h, a spaced value that starts with -, an append action.
     ARGVS = [
-        ["eval", "trig", "3", "1", "--p", "0.7", "--hbar-beta", "2"],
+        ["eval", "trig", "3", "1", "--p", "0.7", "--hbar-beta", "3", "--hbar-beta", "2"],
         ["verify", "--suite", "bogus"],
-        ["eval", "podolsky_pauling", "3", "1", "--p", "0.7"],
+        ["eval", "podolsky_pauling", "3", "1", "--p=0.1", "--p=0.7"],
         ["-h"],
         ["table", "lombardi_ogilvie", "2", "0", "--pmin", "-1", "--pmax", "1", "--count", "5"],
-        ["eval", "trig", "0", "0", "--p", "1"],
-        ["plot", "PP", "2", "--count", "4"],
+        ["eval", "trig", "0", "0", "--p", "2", "--p", "1"],
+        ["plot", "PP", "2", "--count", "3", "--count", "4"],
         ["verify", "--suite", "so4_constancy"],
-        ["verify"],
+        ["verify", "--hbar-beta=1", "--hbar-beta=1"],
     ]
 
     @staticmethod
@@ -619,6 +621,7 @@ class TestOneParser:
         cli.build_parser.cache_clear()
         shared = [self.outcome(argv) for argv in self.ARGVS]
         assert built.count("hmomentum") == 1
+        assert not any(cli._read(argv[0], argv[1:]) for argv in self.ARGVS[:3] + self.ARGVS[4:])
         fresh = []
         for argv in self.ARGVS:
             cli.build_parser.cache_clear()
@@ -637,9 +640,11 @@ class TestOneParser:
 
     def test_command_looked_up_at_call_time(self, monkeypatch):
         """A cmd_* replaced after the parser exists is the one that runs,
-        as a tracer that wraps it needs."""
-        argv = ["eval", "trig", "3", "1", "--p", "0.7"]
-        before = self.outcome(argv)
+        as a tracer that wraps it needs, whether `_read` or argparse
+        parses the argv."""
+        argvs = [["eval", "trig", "3", "1", "--p", "0.7"],
+                 ["eval", "trig", "3", "1", "--p", "0.1", "--p", "0.7"]]
+        before = [self.outcome(argv) for argv in argvs]
         assert cli.build_parser.cache_info().currsize == 1
         calls = []
         original = cli.cmd_eval
@@ -649,8 +654,8 @@ class TestOneParser:
             return original(args)
 
         monkeypatch.setattr(cli, "cmd_eval", counting)
-        assert self.outcome(argv) == before
-        assert calls == ["trig"]
+        assert [self.outcome(argv) for argv in argvs] == before
+        assert calls == ["trig", "trig"]
 
     def test_import_builds_no_parser(self):
         run_python("import argparse\n"
@@ -663,7 +668,10 @@ class TestOneParser:
                    "import hmomentum.cli\n"
                    "assert built == [], built\n"
                    "hmomentum.cli.main(['eval', 'trig', '1', '0', '--p', '0'])\n"
-                   "hmomentum.cli.main(['eval', 'trig', '1', '0', '--p', '1'])\n"
+                   "hmomentum.cli.main(['eval', 'trig', '1', '0', '--p=1'])\n"
+                   "assert built == [], built\n"
+                   "hmomentum.cli.main(['eval', 'trig', '1', '0', '--p', '0', '--p', '1'])\n"
+                   "hmomentum.cli.main(['eval', 'trig', '1', '0', '--p=1', '--p=0'])\n"
                    "assert built.count('hmomentum') == 1, built\n")
 
 
@@ -684,19 +692,19 @@ def items(namespace):
 
 
 class TestDispatch:
-    """Where argv[0] names a command and the rest is positionals and
-    `--flag=value` tokens, `main` reads it from that command's parser's
-    tables (`cli._read`), with no argparse pass; every other argv is
-    build_parser().parse_args(argv), whose subparser action makes a
+    """Where argv[0] names a command and the rest is its positionals and
+    plain flags, as `--flag=value` or `--flag value`, `main` reads it from
+    the grammar table (`cli._read`), with no argparse pass; every other argv
+    is build_parser().parse_args(argv), whose subparser action makes a
     second pass with the command's parser.  Every argv gives the
     namespace, exit code and output of build_parser().parse_args(argv)."""
 
     # (argv, the argparse passes `main` takes to parse it: 0 where `_read`
     # reads it, 1 where argv[0] names no command, else 2)
     ARGVS = [
-        (["eval", "trig", "3", "1", "--p", "0.7", "--hbar-beta", "2", "--hbar", "0.5"], 2),
-        (["table", "podolsky_pauling", "4", "2", "--pmin", "0", "--pmax", "3", "--count=7"], 2),
-        (["plot", "LO", "3", "--pmax", "4", "--hbar-beta", "1e-3"], 2),
+        (["eval", "trig", "3", "1", "--p", "0.7", "--hbar-beta", "2", "--hbar", "0.5"], 0),
+        (["table", "podolsky_pauling", "4", "2", "--pmin", "0", "--pmax", "3", "--count=7"], 0),
+        (["plot", "LO", "3", "--pmax", "4", "--hbar-beta", "1e-3"], 0),
         # the same three with every flag as --flag=value
         (["eval", "trig", "3", "1", "--p=0.7", "--hbar-beta=2", "--hbar=0.5"], 0),
         (["table", "podolsky_pauling", "4", "2", "--pmin=0", "--pmax=3", "--count=7"], 0),
@@ -725,8 +733,11 @@ class TestDispatch:
         (["eval", "trig", "-1", "0", "--p", "1"], 2),
         (["verify", "--suite", "uncertainty"], 2),
         (["eval", "trig", "3", "1", "--p", "-1e-05"], 2),
-        # one argv for each argv `_read` leaves to argparse
-        (["eval", "trig", "1", "0", "--p", "1"], 2),  # a value after a space
+        # a value after a space, which `_read` reads, and then one argv for
+        # each argv it leaves to argparse
+        (["eval", "trig", "1", "0", "--p", "1"], 0),
+        (["eval", "trig", "1", "0", "--p=1", "--output", ""], 2),  # an empty value after a space
+        (["eval", "trig", "1", "0", "--p=1", "--output", "-"], 2),  # a - after a space
         (["eval", "trig", "1", "0", "--p="], 2),  # a failed conversion
         (["eval", "trig", "1", "0", "--p"], 2),  # a flag with no value
         (["eval", "trig", "1", "0", "--p=1", "-h"], 2),
@@ -734,6 +745,7 @@ class TestDispatch:
         (["eval", "trig", "1", "0", "--p=1", "--hbar-beta=2", "--hbar-beta=3"], 2),  # repeated
         (["eval", "trig", "-1", "0", "--p=1"], 2),  # a positional that starts with -
         (["verify", "--suite=uncertainty"], 2),  # an append action
+        (["plot", "LO", "2", "--hbar", "2"], 2),  # a common flag the command does not take
     ]
 
     @pytest.mark.parametrize("argv,count", ARGVS, ids=[" ".join(argv) for argv, _ in ARGVS])
@@ -755,14 +767,15 @@ class TestDispatch:
         assert passes == ["hmomentum", f"hmomentum {argv[0] if argv else ''}"][:count], passes
 
     def test_either_spelling_hands_over_one_namespace(self, monkeypatch):
-        """`--p 0.7`, which argparse parses, and `--p=0.7`, which `_read`
-        reads, hand `cmd_eval` equal namespaces."""
+        """`--p 0.7` and `--p=0.7`, which `_read` reads, and `--p 0.7 --p
+        0.7`, which argparse parses, hand `cmd_eval` equal namespaces."""
         handed = []
         monkeypatch.setattr(cli, "cmd_eval", lambda args: handed.append(args) or EXIT_OK)
         assert main(["eval", "trig", "3", "1", "--p", "0.7"]) == EXIT_OK
         assert main(["eval", "trig", "3", "1", "--p=0.7"]) == EXIT_OK
-        spaced, joined = handed
-        assert items(spaced) == items(joined)
+        assert main(["eval", "trig", "3", "1", "--p", "0.7", "--p", "0.7"]) == EXIT_OK
+        spaced, joined, parsed = handed
+        assert items(spaced) == items(joined) == items(parsed)
 
 
 # Tokens that the property test below puts into, or in place of, a token
@@ -771,43 +784,46 @@ MUTATIONS = ["", "-", "--", "-h", "--help", "-1", "-1e-05", "-.5e2", "-inf", "na
              "7", "x", "a=b", "--bogus", "--c", "--p=", "--hbar=1"]
 
 
-def token_of(draw, action):
-    """A value that `action` reads: a choice, an int, a float, or a path."""
-    if action.choices is not None:
-        return draw(st.sampled_from(sorted(action.choices)))
-    if action.type is int:
+def token_of(draw, keywords):
+    """A value that an argument of these add_argument `keywords` reads: a
+    choice, an int, a float, or a path."""
+    if "choices" in keywords:
+        return draw(st.sampled_from(sorted(keywords["choices"])))
+    if keywords.get("type") is int:
         return str(draw(st.integers(-3, 300)))
-    if action.type is float:
+    if keywords.get("type") is float:
         return repr(draw(st.floats(allow_nan=True, allow_infinity=True)))
     return draw(st.sampled_from(["out.csv", "", "a=b", "x y"]))
 
 
 @st.composite
 def command_argv(draw):
-    """(argv, plain): an argv drawn from one command's grammar, as its parser
-    declares it, its flags in either spelling and in any order among the
-    positionals; where drawn, then mutated by up to three tokens from
-    MUTATIONS or a repeated flag.  plain: no mutation, no append action,
-    no positional that starts with '-', and every flag as `--flag=value`."""
-    cli.build_parser()
-    name = draw(st.sampled_from(sorted(cli._command_parsers)))
-    command = cli._command_parsers[name]
+    """(argv, plain): an argv drawn from one command's grammar, as the table
+    `cli.GRAMMAR` declares it, its flags in either spelling and in any order
+    among the positionals; where drawn, then mutated by up to three tokens
+    from MUTATIONS or a repeated flag.  plain: no mutation, no append action,
+    no positional that starts with '-', and every flag as `--flag=value` or
+    as `--flag value` with a value that is not empty and does not start
+    with '-'."""
+    name = draw(st.sampled_from(sorted(cli.GRAMMAR)))
+    arguments, _ = cli._arguments(name)
     plain = True
     positionals = []
-    for action in command._get_positional_actions():
-        positionals.append([token_of(draw, action)])
-        plain &= not positionals[-1][0].startswith("-")
+    for option, _, keywords in arguments:
+        if not option.startswith("-"):
+            positionals.append([token_of(draw, keywords)])
+            plain &= not positionals[-1][0].startswith("-")
     flags = []
-    for action in command._get_optional_actions():
-        if action.dest == "help" or not (action.required or draw(st.booleans())):
+    for option, _, keywords in arguments:
+        if not option.startswith("-") or not (keywords.get("required") or draw(st.booleans())):
             continue
-        appends = isinstance(action, argparse._AppendAction)
+        appends = keywords.get("action") == "append"
         plain &= not appends
         for _ in range(draw(st.integers(1, 2)) if appends else 1):
-            flag, value = action.option_strings[-1], token_of(draw, action)
+            value = token_of(draw, keywords)
             spaced = draw(st.booleans())
-            plain &= not spaced
-            flags.append([flag, value] if spaced else [f"{flag}={value}"])
+            plain &= not (spaced and (value == "" or value.startswith("-")))
+            flags.append([option, value] if spaced else [f"{option}={value}"])
     flags = draw(st.permutations(flags))
     groups = []
     while positionals or flags:
@@ -834,12 +850,11 @@ def test_reader_as_argparse(drawn):
     nothing left over, and it reads every plain argv; and `main` gives the
     exit code, stdout and stderr of build_parser().parse_args(argv)."""
     argv, plain = drawn
-    command = cli._command_parsers.get(argv[0]) if argv else None
-    if command is not None:
-        read = cli._read(command, argv[0], argv[1:])
+    if argv and argv[0] in cli.GRAMMAR:
+        read = cli._read(argv[0], argv[1:])
         assert (read is not None) >= plain, argv
         if read is not None:
-            args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            args, extra = cli.build_parser().parse_known_args(argv)
             assert (items(read), extra) == (items(args), []), argv
     handed = []
     stub = dict.fromkeys(["cmd_eval", "cmd_table", "cmd_plot", "cmd_verify"],
@@ -1062,6 +1077,53 @@ def test_eval_runs_no_transform_or_verification():
         added = {'dataclasses', 'inspect'} & set(sys.modules) - before
         assert not added, added
         """))
+
+
+def test_canonical_argv_load_no_argparse():
+    """`import hmomentum.cli` and eval, table, plot and verify with their flags
+    spelled `--flag=value` or `--flag value` import neither argparse nor
+    gettext, which `_read` needs neither of; --help, an abbreviated flag, a
+    repeated flag and an unknown form load argparse, which writes the help,
+    the error or, for the repeated flag, parses the argv to the same record."""
+    out = run_python(RAN + textwrap.dedent("""\
+        import json
+        def loaded():
+            return sorted({'argparse', 'gettext'} & set(sys.modules))
+        import hmomentum.cli
+        assert loaded() == [], loaded()
+        canonical = []
+        for spaced in (False, True):
+            def flag(name, value):
+                return [name, value] if spaced else [f'{name}={value}']
+            canonical += [
+                ['eval', 'trig', '60', '10', *flag('--p', '0.5'), *flag('--hbar-beta', '2')],
+                ['table', 'trig', '3', '1', *flag('--pmin', '0'), *flag('--pmax', '2'),
+                 *flag('--count', '5'), *flag('--hbar', '2')],
+                ['plot', 'LO', '3', *flag('--pmax', '4'), *flag('--count', '3')],
+                ['verify', *flag('--hbar-beta', '2.5')]]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert [run(argv) for argv in canonical] == [0] * 8
+        assert loaded() == [], loaded()
+        outcomes = []
+        for argv in (['eval', '--help'],
+                     ['table', 'trig', '1', '0', '--pmin=0', '--pmax=1', '--c=3'],
+                     ['eval', 'trig', '60', '10', '--p', '0.1', '--p=0.5', '--hbar-beta=2'],
+                     ['eval', 'bogus', '1', '0', '--p=1']):
+            with contextlib.redirect_stdout(io.StringIO()) as out, \\
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                outcomes.append([run(argv), out.getvalue(), err.getvalue()])
+        assert loaded() == ['argparse', 'gettext'], loaded()
+        print(json.dumps([stdout.getvalue().splitlines()[0]] + outcomes))
+        """))
+    record, helped, abbreviated, repeated, unknown = json.loads(out)
+    assert helped[0] == 0 and helped[1].startswith("usage: hmomentum eval [-h] --p P")
+    assert "momentum scale hbar*beta (default 1)" in helped[1] and helped[2] == ""
+    assert abbreviated == [2, "", "usage: hmomentum [-h] {eval,table,plot,verify} ...\n"
+                           "hmomentum: error: unrecognized arguments: --c=3\n"]
+    assert repeated == [0, record + "\n", ""]
+    assert unknown[:2] == [2, ""] and unknown[2].endswith(
+        "hmomentum eval: error: argument form: invalid choice: 'bogus' (choose from "
+        "'gegenbauer', 'lombardi_ogilvie', 'podolsky_pauling', 'script_D', 'trig')\n")
 
 
 @pytest.mark.parametrize("argv,expected", [

@@ -188,23 +188,64 @@ def test_cli_takes_no_long_double():
         assert names & {"longdouble", "float128", "_EXTENDED"} == set(), module
 
 
+def cli_function(name):
+    """The def of `name` in `cli`, from its source."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    function, = (node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == name)
+    return function
+
+
 def test_cli_reader_holds_no_grammar():
-    """The grammar is `cli.build_parser`'s alone: `cli._read` reads argv from
-    the parsers' own tables, and its body names no option string (no string
-    literal that starts with '-'), no choice and no type of an action."""
+    """The grammar is the table's alone (`cli.GRAMMAR` and `cli.COMMON_FLAGS`):
+    the reader `cli._read` and the parser builder `cli.build_parser` read it,
+    and their bodies name no option string (no string literal that starts
+    with '-'), no positional, no choice and no type of an argument.  No
+    default is a string, which argparse would convert and `_read` would not."""
     from hmomentum import cli
 
-    cli.build_parser()
-    actions = [action for command in cli._command_parsers.values()
-               for action in command._actions]
-    choices = {choice for action in actions for choice in action.choices or ()}
-    types = {action.type.__name__ for action in actions if action.type is not None}
-    assert types == {"float", "int"} and "trig" in choices
-    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-    reader, = (node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name == "_read")
-    body = [node for statement in reader.body[1:] for node in ast.walk(statement)]
-    literals = {node.value for node in body if isinstance(node, ast.Constant)}
-    assert [text for text in literals if str(text).startswith("-")] == []
-    assert literals & choices == set()
-    assert {node.id for node in body if isinstance(node, ast.Name)} & types == set()
+    arguments = [argument for name in cli.GRAMMAR for argument in cli._arguments(name)[0]]
+    choices = {choice for *_, keywords in arguments for choice in keywords.get("choices", ())}
+    types = {keywords["type"].__name__ for *_, keywords in arguments if "type" in keywords}
+    positionals = {option for option, *_ in arguments if not option.startswith("-")}
+    assert types == {"float", "int"} and "trig" in choices and positionals == {"form", "N", "l"}
+    assert [option for option, _, keywords in arguments
+            if isinstance(keywords.get("default"), str)] == []  # argparse would convert one
+    for name in ("_read", "build_parser"):
+        function = cli_function(name)
+        body = [node for statement in function.body[1:] for node in ast.walk(statement)]
+        literals = {node.value for node in body if isinstance(node, ast.Constant)}
+        assert [text for text in literals if str(text).startswith("-")] == [], name
+        assert literals & (choices | positionals | set(cli.GRAMMAR)) == set(), name
+        assert {node.id for node in body if isinstance(node, ast.Name)} & types == set(), name
+
+
+def test_cli_fast_path_takes_nothing_from_argparse():
+    """`cli` imports argparse only inside `build_parser`, and neither `_read`
+    nor `_parse` but for its `build_parser().parse_args(argv)` fallback names
+    argparse, a name of the argparse module or any attribute of argparse's
+    parsers and actions, their private tables (`_actions`,
+    `_option_string_actions`, `_defaults`, ...) included, so that the fast
+    path cannot drift back onto them."""
+    import argparse
+
+    assert [nested for name, nested in imports("cli") if name == "argparse"] == [True]
+    assert "argparse" in {node.names[0].name for node in ast.walk(cli_function("build_parser"))
+                          if isinstance(node, ast.Import)}
+    parser = argparse.ArgumentParser()
+    action = parser.add_argument("--flag", type=float)
+    argparse_names = {"argparse", *vars(argparse), *vars(parser), *vars(action),
+                      *dir(argparse.ArgumentParser), *dir(argparse.Action)} - set(dir(object))
+    assert {"_actions", "_option_string_actions", "_defaults", "_get_positional_actions",
+            "_StoreAction", "choices", "dest"} <= argparse_names
+    for name in ("_read", "_parse"):
+        nodes = list(ast.walk(cli_function(name)))
+        fallbacks = [node for node in nodes
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Call)
+                     and getattr(node.value.func, "id", None) == "build_parser"]
+        assert [node.attr for node in fallbacks] == (["parse_args"] if name == "_parse" else [])
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        attributes = {node.attr for node in nodes
+                      if isinstance(node, ast.Attribute) and node not in fallbacks}
+        assert names & {"argparse", *vars(argparse)} == set(), name
+        assert attributes & argparse_names == set(), name
