@@ -153,14 +153,15 @@ def cmd_eval(args) -> int:
 
 
 def _grid(pmin: float, pmax: float, count: int) -> np.ndarray:
-    """np.linspace(pmin, pmax, count), built on the quarters and scaled back
-    in place, so that neither pmax - pmin nor its rounded multiples of the
-    step overflow; bit for bit np.linspace's grid unless a quarter is
-    subnormal."""
+    """np.linspace(pmin, pmax, count), pmin < pmax.  Past pmax - pmin = 2^1023 it
+    is built on the quarters and scaled back in place, so that neither pmax - pmin
+    nor its rounded multiples of the step overflow; below, where a quarter may be
+    subnormal and lose bits, it is np.linspace's grid."""
     if not 2 <= count <= sys.maxsize // 8:  # at most numpy's largest float64 array
         raise UsageError(f"grid needs 2 <= --count <= {sys.maxsize // 8}, got {count}")
-    grid = np.linspace(pmin / 4.0, pmax / 4.0, count)
-    grid *= 4.0
+    shrink = 4.0 if pmax - pmin >= 2.0 ** 1023 else 1.0
+    grid = np.linspace(pmin / shrink, pmax / shrink, count)
+    grid *= shrink
     return grid
 
 

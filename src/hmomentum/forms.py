@@ -5,8 +5,9 @@ Lombardi-Ogilvie family are one polynomial in w = 1 / (1 - i q), q = p / hbar
 beta, and the Podolsky-Pauling family is one Gegenbauer ladder in q.  Each
 family has one array evaluator, its stack (`_kernel_stack`, `_pp_stack`: many
 states of any scales at q, one pass with a row per l, in blocks of BLOCK_POINTS).
-One state at an array p is its stack of one at q = p / hbar beta, and at a
-float p it takes Python scalars (`_hypergeometric_kernel`).  The verification
+Every form takes q = p / hbar beta from `_q`, a float at a float p and an
+array otherwise.  One state at an array q is its stack of one, and at a float
+q it takes Python scalars (`_hypergeometric_kernel`).  The verification
 suites compare the kernel against the paper's literal sums, evaluated exactly
 in integers (`verification.exact_gegenbauer`, `verification.exact_lombardi_ogilvie`).
 Also here: the maximal-l shapes.
@@ -90,8 +91,10 @@ def _in_blocks(q, rows, count, dtype) -> np.ndarray:
     return values.reshape((count,) + q.shape)
 
 
-def _q(state: QuantumState, p) -> np.ndarray:
-    """q = p / hbar beta of an array p, +-inf where it overflows, which every form takes."""
+def _q(state: QuantumState, p):
+    """q = p / hbar beta: a float at a float p, else a float64 array; +-inf where it overflows."""
+    if type(p) is float:
+        return p / state.scale.momentum
     with np.errstate(over="ignore"):
         return np.asarray(p, dtype=float) / state.scale.momentum
 
@@ -137,14 +140,12 @@ def psi_trig(state: QuantumState, p):
     and is evaluated so, with b_0 correctly rounded (`_b0`).  The Gegenbauer and
     script-D expansions are the same function, term by term, because
     sin(gamma) (D^1 + i C^1)(cos gamma) = e^{i (n+1) gamma}.  Defined
-    for any real p; psi(-p) = conj(psi(p)).  A float p takes the Python-scalar
-    `_hypergeometric_kernel`, which rounds differently from an array p, the
-    stack of one state `_kernel_stack([state], p / hbar beta)[0]`.
+    for any real p; psi(-p) = conj(psi(p)).  A float p (`_q`) takes Python scalars,
+    which round differently from an array p, the stack of one state.
     """
-    if type(p) is not float:
-        return _kernel_stack([state], _q(state, p))[0]
-    N, l = state.N, state.l
-    return _hypergeometric_kernel(N, l, p / state.scale.momentum, *_b0(N, l, state.scale.beta))
+    if type(q := _q(state, p)) is not float:
+        return _kernel_stack([state], q)[0]
+    return _hypergeometric_kernel(state.N, state.l, q, *_b0(state.N, state.l, state.scale.beta))
 
 
 def _lombardi_ogilvie_kernel(state: QuantumState, p):
@@ -155,11 +156,10 @@ def _lombardi_ogilvie_kernel(state: QuantumState, p):
     c_0 = (l+1)!/(2l+1)!.  conj(w) is w at -p.  p is a float or an array,
     as for `psi_trig`.
     """
-    if type(p) is not float:
-        return _kernel_stack([state], _q(state, p), lombardi_ogilvie=True)[0]
-    N, l = state.N, state.l
-    value = _hypergeometric_kernel(N, l, -p / state.scale.momentum, *_c0(l))
-    return -value if l % 2 else value
+    if type(q := _q(state, p)) is not float:
+        return _kernel_stack([state], q, lombardi_ogilvie=True)[0]
+    value = _hypergeometric_kernel(state.N, state.l, -q, *_c0(state.l))
+    return -value if state.l % 2 else value
 
 
 def _kernel_stack(states, q, lombardi_ogilvie: bool = False) -> np.ndarray:
@@ -233,9 +233,9 @@ def podolsky_pauling_G(state: QuantumState, p):
     if p < 0 if type(p) is float else (np.asarray(p) < 0).any():
         raise ValueError(f"Podolsky-Pauling G requires p >= 0, "
                          f"got {p if type(p) is float else np.min(p)}")
-    if type(p) is not float:
-        return _pp_stack([state], _q(state, p))[0]
-    N, l, q = state.N, state.l, min(p / state.scale.momentum, _Q_CAP)
+    if type(q := _q(state, p)) is not float:
+        return _pp_stack([state], q)[0]
+    N, l, q = state.N, state.l, min(q, _Q_CAP)
     (m, e), (x, c, b, i, k) = _pp_prefactor(N, l, state.scale.momentum), _pp_factors(q, math)
     C = _gegenbauer_steps(x, l + 1, 0.0, 1.0, 0, N - l - 1)[1]
     return math.ldexp(m * c * c * b ** l * C, e + i + l * k)

@@ -96,12 +96,13 @@ def _states(max_N: int, scale: PhysicalScale):
 
 
 def _worst(name, states, grid, error, q, tolerance, note=""):
-    """The result of a suite whose error is given per state (rows) and
-    q = p / hbar beta (columns): its largest, with its state and q, then
-    `note`, in `details`."""
-    row, col = np.unravel_index(np.argmax(error), error.shape)
-    where = f"worst at (N={states[row].N},l={states[row].l},q={q[col]:.6g})"
-    return CheckResult(name, [(s.N, s.l) for s in states], grid, error[row, col],
+    """The result of a suite whose error is given per state, or per state (rows)
+    and q = p / hbar beta (columns), q None for the first: its largest, with its
+    state (and q), then `note`, in `details`."""
+    at = np.unravel_index(np.argmax(error), error.shape)
+    state, at_q = states[at[0]], "" if q is None else f",q={q[at[1]]:.6g}"
+    where = f"worst at (N={state.N},l={state.l}{at_q})"
+    return CheckResult(name, [(s.N, s.l) for s in states], grid, error[at],
                        tolerance, f"{where}; {note}" if note else where)
 
 
@@ -488,12 +489,8 @@ def verify_uncertainty(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     p2 = _p2_stack(states)
     products = p2 * [expectation_r2(s) for s in states]
     error = np.where(products >= 2.25, np.abs(p2 - 1.0), math.inf)
-    row = int(np.argmax(error))
-    return CheckResult(
-        "uncertainty_bound", [(s.N, s.l) for s in states],
-        "analytic <r^2>, quadrature <p^2>", error[row], 1e-12,
-        f"worst at (N={states[row].N},l={states[row].l}); "
-        f"ground-state product: {products[0]:.12g}")
+    return _worst("uncertainty_bound", states, "analytic <r^2>, quadrature <p^2>", error, None,
+                  1e-12, f"ground-state product: {products[0]:.12g}")
 
 
 def verify_so4_constancy(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
@@ -520,11 +517,9 @@ def verify_so4_constancy(scale: PhysicalScale = PhysicalScale()) -> CheckResult:
     residual = np.max([lo.std(axis=1) / lo.mean(axis=1), pp.std(axis=1) / pp.mean(axis=1),
                        np.abs(lo.mean(axis=1) - 1.0),
                        np.abs(pp.mean(axis=1) / pp_constant - 1.0)], axis=0)
-    row = int(np.argmax(residual))
-    return CheckResult(
-        "so4_form_constancy", [(s.N, s.l) for s in states],
-        f"{grid.size}-point mirrored log grid (PP on its p > 0 half)", residual[row], 3e-12,
-        f"worst at (N={states[row].N},l={states[row].l})")
+    return _worst("so4_form_constancy", states,
+                  f"{grid.size}-point mirrored log grid (PP on its p > 0 half)", residual, None,
+                  3e-12)
 
 
 SUITES = {

@@ -220,6 +220,19 @@ class TestTable:
         pmin, pmax = sorted(s * 10.0 ** e for s, e in zip(signs, exponents))
         assert np.array_equal(cli._grid(pmin, pmax, count), np.linspace(pmin, pmax, count))
 
+    @pytest.mark.parametrize("pmin,pmax,count", [
+        (0.0, 5e-324, 2), (-1e-310, 1e-310, 5), (1e-320, 3e-310, 7), (-2.2e-308, 0.0, 4),
+        (-5e-324, 5e-324, 3)])
+    def test_grid_with_subnormal_ends(self, capsys, pmin, pmax, count):
+        """A subnormal --pmin or --pmax prints as typed, and the grid is
+        np.linspace's: no quarter of it is taken, which would lose bits."""
+        code, out = run_cli(capsys, "table", "trig", "3", "1", f"--pmin={pmin!r}",
+                            f"--pmax={pmax!r}", f"--count={count}")
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert [rows[0][0], rows[-1][0]] == [pmin, pmax]
+        assert np.array_equal(cli._grid(pmin, pmax, count), np.linspace(pmin, pmax, count))
+
 
 class TestCsvText:
     @pytest.mark.parametrize("argv", [

@@ -393,12 +393,14 @@ class TestPodolskyPauling:
         has the parity of its degree; to 1e-12 of each state's peak."""
         assert self.parity_residual(array) <= 1e-12
 
-    def test_so4_parity_sees_a_scaled_q(self, monkeypatch):
+    @pytest.mark.parametrize("array", [False, True], ids=["float", "array"])
+    def test_so4_parity_sees_a_scaled_q(self, monkeypatch, array):
         """The parity identity fails where q = p / hbar beta is off by a part
-        in 1e9, which every verify suite passes."""
-        monkeypatch.setattr(forms, "_q", lambda state, p: np.asarray(p, dtype=float)
-                            / state.scale.momentum * (1.0 + 1e-9))
-        assert self.parity_residual(array=True) > 1e-10
+        in 1e9, which every verify suite passes, on either path: both take q
+        from `forms._q`."""
+        q = forms._q
+        monkeypatch.setattr(forms, "_q", lambda state, p: q(state, p) * (1.0 + 1e-9))
+        assert self.parity_residual(array) > 1e-10
 
     def test_chi_endpoint(self):
         # cos^4(chi/2) kills the value at chi = pi (p = inf) for the nodeless 1s

@@ -176,6 +176,18 @@ def test_checks_live_in_verification():
     assert set(functions_named("residual")) <= {"verification"}
 
 
+def test_q_comes_from_one_helper():
+    """q = p / hbar beta has one home, `forms._q`, on the float and the array
+    path alike: no other code of `forms` divides by a `scale.momentum`, so
+    that a fault in q reaches `eval` as well as `table` and `verify`."""
+    tree = ast.parse((SRC / "forms.py").read_text(encoding="utf-8"))
+    owners = [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+              if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+              and ast.unparse(node.right if isinstance(node, ast.BinOp) else node.value)
+              .endswith("scale.momentum")]
+    assert set(owners) == {"_q"}
+
+
 def test_cli_takes_no_long_double():
     """The CSV digits are double-double (`_csv._product`), the same bits and speed
     where long double is a double: neither `cli` nor `_csv` names a long double
