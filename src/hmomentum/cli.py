@@ -7,13 +7,16 @@ Subcommands:
   verify  run the verification suites at --hbar-beta, JSON report
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error (a
-grid too large to allocate, a value that overflows and a flag that is
-not spelled in full included), 3 I/O error.  All floating values are
-emitted as '%.17g' formats them, and all must be finite; a usage error
-for a value that is not (an inf past double precision, a NaN from an
-intermediate out of range) names --hbar-beta, and the column and p where
-it has them.  `table` and `plot` evaluate their whole grid in one call
-and write its rows, a block at a time, with `_csv._format_block`.
+table whose text cannot fit in the free space of its spool, a value that
+overflows and a flag that is not spelled in full included), 3 I/O error.
+All floating values are emitted as '%.17g' formats them, and all must be
+finite; a usage error for a value that is not (an inf past double
+precision, a NaN from an intermediate out of range) names --hbar-beta,
+and the column and p where it has them, and writes nothing.  `table` and
+`plot` stream their grid: each block of `forms.BLOCK_POINTS` points is
+made, evaluated, checked and formatted (`_csv._format_block`) into a
+spool, which is published once every block has passed (`_write_csv`),
+so their memory does not grow with --count.
 The grammar is one table, `GRAMMAR` with `COMMON_FLAGS`: `_read` reads
 each argv it can from it, flags as `--flag=value` or `--flag value`, and
 loads neither argparse nor gettext; argparse parses the rest, help and
@@ -33,7 +36,7 @@ import sys
 import types
 
 from ._numpy import lazy, np
-from .forms import FORM_EVALUATORS, MAX_SHAPE_N, distribution_max_l
+from .forms import BLOCK_POINTS, FORM_EVALUATORS, MAX_SHAPE_N, distribution_max_l
 from .hydrogenic import PhysicalScale, QuantumState
 
 _csv = lazy(__package__ + "._csv")
@@ -44,8 +47,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# Rows formatted per write: bounds the text and the formatter's
-# temporaries (about 200 bytes a value) held at once for a large table.
+# Rows per `_csv._format_block` call, within each block of BLOCK_POINTS
+# points that `table` and `plot` evaluate and write at a time: bounds the
+# formatter's temporaries (about 200 bytes a value) held at once.
 # At 2048 rows of `table`'s 4 columns a float64 temporary takes 64 KiB;
 # at 4096 rows (128 KiB) the formatter took about a quarter longer per value.
 CSV_BLOCK_ROWS = 2048
@@ -99,7 +103,7 @@ def _state_from_args(args) -> QuantumState:
 
 
 def _write_lines(path, chunks) -> None:
-    """Write the text `chunks`, each ending in a newline, to `path` or stdout."""
+    """Write the text `chunks` to `path` (a file name or descriptor) or stdout."""
     if path is None:
         sys.stdout.writelines(chunks)
     else:
@@ -107,32 +111,76 @@ def _write_lines(path, chunks) -> None:
             handle.writelines(chunks)
 
 
-def _write_csv(path, header: str, columns, hbar_beta: float) -> None:
-    """Write `header`, then one row per entry of the equal-length float
-    `columns`, p first, every value as '%.17g' formats it; if any value is
-    not finite, raise UsageError, naming the first, before writing anything."""
-    bad = [int(np.argmin(finite)) for finite in map(np.isfinite, columns)
-           if not finite.all()]
-    if bad:
-        raise _not_finite(header, [float(column[min(bad)]) for column in columns], hbar_beta)
+def _csv_text(header: str, blocks, hbar_beta: float):
+    """`header`, then the rows of each of `blocks`, a list of equal-length
+    float columns, p first, every value as '%.17g' formats it, in texts of at
+    most CSV_BLOCK_ROWS rows; a block that holds a value that is not finite
+    raises UsageError, naming the first."""
+    yield header + "\n"
+    for columns in blocks:
+        block = np.column_stack(columns)
+        finite = np.isfinite(block)
+        if not finite.all():  # a reduction over the rows first is 15 times slower
+            raise _not_finite(header, block[np.argmin(finite.all(axis=1))].tolist(), hbar_beta)
+        for start in range(0, len(block), CSV_BLOCK_ROWS):
+            yield _csv._format_block(block[start:start + CSV_BLOCK_ROWS])
 
-    def text():
-        yield header + "\n"
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, len(columns[0]))
-            block = np.empty((stop - start, len(columns)))
-            for i, column in enumerate(columns):
-                block[:, i] = column[start:stop]
-            yield _csv._format_block(block)
 
-    _write_lines(path, text())
+def _write_csv(path, header: str, blocks, count: int, hbar_beta: float) -> None:
+    """Write `_csv_text` of `header` and `blocks`, `count` rows in all, to
+    `path` or stdout, and nothing if it raises.  The text is spooled and
+    published only once every block is written: where `path` names nothing,
+    the spool is a new file beside it, with the mode open() gives, that
+    os.replace moves into place; otherwise (stdout, a file, a symlink, a
+    device) it is an anonymous temporary file, copied into `path` as
+    `_write_lines` opens it, so an existing target keeps its inode and mode.
+    A table too large for the free space of the spool is a usage error."""
+    import itertools
+    import os
+    import shutil
+    import tempfile
+
+    new = path is not None and not os.path.lexists(path)
+    directory = (os.path.dirname(path) or os.curdir) if new else tempfile.gettempdir()
+    need = 2 * count * (header.count(",") + 1)  # a digit and a separator per value
+    free = shutil.disk_usage(directory).free
+    if need > free:
+        raise UsageError(f"a grid of --count {count} needs at least {need} bytes of text, "
+                         f"more than the {free} free in {directory}")
+    # A block's temporaries, its evaluation's and then each formatter call's,
+    # take about 1.6 MB, freed at the top of the heap.  glibc gives a free top
+    # past twice the largest mapped block yet freed (from 128 KiB) back to the
+    # OS, so the heap would be faulted in again at every formatter call (42 000
+    # page faults and a fifth more time on a round of table-sweep).  A 2 MiB
+    # array, mapped and freed untouched, raises that bound past a block's.
+    np.empty(2 << 20, np.uint8)
+    chunks = _csv_text(header, blocks, hbar_beta)
+    if not new:
+        with tempfile.TemporaryFile("w+", encoding="ascii", newline="\n") as spool:
+            spool.writelines(chunks)
+            spool.seek(0)
+            _write_lines(path, iter(lambda: spool.read(1 << 16), ""))
+        return
+    for n in itertools.count():
+        spool = os.path.join(directory, f".hmomentum-{os.getpid()}-{n}.tmp")
+        try:
+            fd = os.open(spool, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
+    try:
+        _write_lines(fd, chunks)
+        os.replace(spool, path)
+    except BaseException:
+        os.unlink(spool)
+        raise
 
 
 def _complex_columns(p, values) -> list:
     """The p,re,im,abs2 columns of complex `values` at momenta `p`."""
     # np.hypot is bit for bit Python's abs(complex); np.abs of a complex is not.
     modulus = np.hypot(values.real, values.imag)
-    # abs2 overflows to inf where |value| > 1.3e154, which _write_csv refuses.
+    # abs2 overflows to inf where |value| > 1.3e154, which _csv_text refuses.
     with np.errstate(over="ignore"):
         return [p, values.real, values.imag, modulus * modulus]
 
@@ -152,31 +200,52 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _grid(pmin: float, pmax: float, count: int) -> np.ndarray:
-    """np.linspace(pmin, pmax, count), pmin < pmax.  Past pmax - pmin = 2^1023 it
-    is built on the quarters and scaled back in place, so that neither pmax - pmin
-    nor its rounded multiples of the step overflow; below, where a quarter may be
-    subnormal and lose bits, it is np.linspace's grid."""
-    if not 2 <= count <= sys.maxsize // 8:  # at most numpy's largest float64 array
-        raise UsageError(f"grid needs 2 <= --count <= {sys.maxsize // 8}, got {count}")
+def _grid(pmin: float, pmax: float, count: int, start: int = 0, stop=None) -> np.ndarray:
+    """np.linspace(pmin, pmax, count)[start:stop], pmin < pmax, bit for bit: numpy's
+    i step + pmin, or (i / div) delta + pmin where the step underflows to 0, and pmax
+    last.  Past pmax - pmin = 2^1023 it is built on the quarters and scaled back in
+    place, so that neither pmax - pmin nor its rounded multiples of the step
+    overflow; below, where a quarter may be subnormal and lose bits, it is
+    built on the ends themselves."""
     shrink = 4.0 if pmax - pmin >= 2.0 ** 1023 else 1.0
-    grid = np.linspace(pmin / shrink, pmax / shrink, count)
+    low, high = pmin / shrink, pmax / shrink
+    delta, div = high - low, count - 1
+    step = delta / div
+    stop = count if stop is None else min(stop, count)
+    grid = np.arange(start, stop).astype(float)
+    if step == 0:
+        grid /= div
+        grid *= delta
+    else:
+        grid *= step
+    grid += low
+    if stop == count:
+        grid[-1] = high
     grid *= shrink
     return grid
 
 
-def _grid_from_args(args) -> np.ndarray:
+def _grid_blocks(pmin: float, pmax: float, count: int):
+    """`_grid(pmin, pmax, count)` in blocks of BLOCK_POINTS points, in order."""
+    if not 2 <= count <= sys.maxsize // 8:  # at most numpy's largest float64 array
+        raise UsageError(f"grid needs 2 <= --count <= {sys.maxsize // 8}, got {count}")
+    return (_grid(pmin, pmax, count, start, start + BLOCK_POINTS)
+            for start in range(0, count, BLOCK_POINTS))
+
+
+def _grid_from_args(args):
     _require_finite(pmin=args.pmin, pmax=args.pmax)
     if not args.pmin < args.pmax:
         raise UsageError("grid needs --pmin < --pmax")
-    return _grid(args.pmin, args.pmax, args.count)
+    return _grid_blocks(args.pmin, args.pmax, args.count)
 
 
 def cmd_table(args) -> int:
     state = _state_from_args(args)
-    grid = _grid_from_args(args)
-    values = _usage_checked(FORM_EVALUATORS[args.form], state, grid)
-    _write_csv(args.output, COMPLEX_HEADER, _complex_columns(grid, values), args.hbar_beta)
+    grids = _grid_from_args(args)
+    evaluate = FORM_EVALUATORS[args.form]
+    blocks = (_complex_columns(grid, _usage_checked(evaluate, state, grid)) for grid in grids)
+    _write_csv(args.output, COMPLEX_HEADER, blocks, args.count, args.hbar_beta)
     return EXIT_OK
 
 
@@ -189,14 +258,19 @@ def cmd_plot(args) -> int:
     _require_finite(pmax=pmax)
     if not pmax > 0:
         raise UsageError("grid needs --pmax > 0")
-    grid = _grid(0.0 if args.form == "PP" else -pmax, pmax, args.count)
-    try:
-        density = distribution_max_l(args.form, args.N, grid, scale)
-    except ValueError as exc:  # N out of range, or else the shape past double precision
-        raise UsageError(exc if not 1 <= args.N <= MAX_SHAPE_N else f"the {args.form} density "
-                         f"of N={args.N} overflows double precision at --hbar-beta "
-                         f"{args.hbar_beta!r}") from exc
-    _write_csv(args.output, "p,density", [grid, density], args.hbar_beta)
+    grids = _grid_blocks(0.0 if args.form == "PP" else -pmax, pmax, args.count)
+
+    def blocks():
+        for grid in grids:
+            try:
+                density = distribution_max_l(args.form, args.N, grid, scale)
+            except ValueError as exc:  # N out of range, or else the shape past double precision
+                raise UsageError(exc if not 1 <= args.N <= MAX_SHAPE_N else f"the {args.form} "
+                                 f"density of N={args.N} overflows double precision at "
+                                 f"--hbar-beta {args.hbar_beta!r}") from exc
+            yield [grid, density]
+
+    _write_csv(args.output, "p,density", blocks(), args.count, args.hbar_beta)
     return EXIT_OK
 
 

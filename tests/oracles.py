@@ -278,3 +278,22 @@ def radial_per_l(states, rho: np.ndarray, normalization) -> np.ndarray:
                 norm_exponent.astype(np.int32) + l * rho_exponent)
     np.copyto(values, decay, where=~(decay > 0.0))
     return values
+
+
+def momentum_potential(G, N: int, l: int, q: float, dps: int = 20) -> float:
+    """(2N / (pi q)) int_0^inf q' Q_l(z) G(q') dq', z = (q^2 + q'^2) / (2 q q'):
+    the right side of the radial momentum-space Schroedinger equation of level N
+    in q = p / hbar beta, (1 + q^2) G(q) = that, for the float function G.
+
+    mpmath's tanh-sinh rule at `dps` digits, split at q' = q, where Q_l (the
+    Legendre function of the second kind, `mpmath.legenq` of type 3) has its
+    log singularity.  z - 1 = (q - q')^2 / (2 q q') is added to 1 exactly, so
+    that z keeps it wherever q' is near q."""
+    with mpmath.workdps(dps):
+        q = mpmath.mpf(q)
+
+        def integrand(t):
+            z = mpmath.fadd(1, (q - t) ** 2 / (2 * q * t), exact=True)
+            return t * mpmath.legenq(l, 0, z, type=3).real * G(float(t))
+
+        return float(2 * N / (mpmath.pi * q) * mpmath.quad(integrand, [0, q, mpmath.inf]))

@@ -21,7 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmomentum import cli, forms, verification
-from hmomentum.cli import CSV_BLOCK_ROWS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from hmomentum.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from hmomentum.hydrogenic import PhysicalScale, QuantumState
 from hmomentum.verification import SUITES
 
 
@@ -234,18 +235,22 @@ class TestTable:
         assert np.array_equal(cli._grid(pmin, pmax, count), np.linspace(pmin, pmax, count))
 
 
+def grid_ends(argv):
+    """(pmin, pmax) of a table or plot argv with spaced flags: plot's grid
+    is [0, pmax] for PP and [-pmax, pmax] for LO."""
+    flags = dict(zip(argv, argv[1:]))
+    pmax = float(flags["--pmax"])
+    if argv[0] == "table":
+        return float(flags["--pmin"]), pmax
+    return (0.0 if argv[1] == "PP" else -pmax), pmax
+
+
 class TestCsvText:
-    @pytest.mark.parametrize("argv", [
-        ["table", "podolsky_pauling", "3", "1", "--pmin", "0", "--pmax", "3e17"],
-        ["table", "trig", "2", "1", "--pmin", "0", "--pmax", "2e18", "--hbar-beta", "1e16"],
-        ["plot", "PP", "3", "--pmax", "2e17", "--hbar-beta", "3e16"],
-        ["plot", "LO", "3", "--pmax", "2e17", "--hbar-beta", "3e16"],
-    ], ids=" ".join)
-    def test_same_bytes_to_file(self, capsys, tmp_path, argv):
-        """table and plot write the same bytes to --output as to stdout, every
-        field as '%.17g' formats it, over several blocks holding zeros,
-        values below 1e-4 and values at or above 1e17."""
-        count = 2 * CSV_BLOCK_ROWS + 5
+    def same_bytes(self, capsys, tmp_path, argv, count):
+        """The rows, split into fields, that argv with --count prints, after
+        checking that --output gets the same bytes as stdout, and that every
+        printed p is np.linspace's, bit for bit: on the quarters of the ends
+        scaled back where pmax - pmin >= 2^1023, as `cli._grid` builds it."""
         argv = argv + ["--count", str(count)]
         code, out = run_cli(capsys, *argv)
         assert code == EXIT_OK
@@ -254,10 +259,188 @@ class TestCsvText:
         assert target.read_bytes() == out.encode("ascii")
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == count
+        pmin, pmax = grid_ends(argv)
+        shrink = 4.0 if pmax - pmin >= 2.0 ** 1023 else 1.0
+        grid = np.linspace(pmin / shrink, pmax / shrink, count) * shrink
+        assert [row[0] for row in rows] == ["%.17g" % p for p in grid.tolist()]
+        return rows
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "podolsky_pauling", "3", "1", "--pmin", "0", "--pmax", "3e17"],
+        ["table", "trig", "2", "1", "--pmin", "0", "--pmax", "2e18", "--hbar-beta", "1e16"],
+        ["plot", "PP", "3", "--pmax", "2e17", "--hbar-beta", "3e16"],
+        ["plot", "LO", "3", "--pmax", "2e17", "--hbar-beta", "3e16"],
+    ], ids=" ".join)
+    def test_same_bytes_to_file(self, capsys, tmp_path, argv):
+        """table and plot write the same bytes to --output as to stdout, every
+        field as '%.17g' formats it, over several evaluation blocks holding
+        zeros, values below 1e-4 and values at or above 1e17."""
+        rows = self.same_bytes(capsys, tmp_path, argv, 2 * forms.BLOCK_POINTS + 5)
         assert all(field == "%.17g" % float(field) for row in rows for field in row)
         magnitude = np.abs(np.array(rows, dtype=float))
         assert (magnitude == 0).any() and (magnitude >= 1e17).any()
         assert ((0 < magnitude) & (magnitude < 1e-4)).any()
+
+    @pytest.mark.parametrize("argv", [
+        # pmax - pmin >= 2^1023: the grid is built on the quarters of its ends
+        ["table", "podolsky_pauling", "3", "1", "--pmin", "0", "--pmax", "1.7e308",
+         "--hbar-beta", "1e300"],
+        ["plot", "LO", "2", "--pmax", "1e308"],
+        # a subnormal range, where np.linspace's step underflows to 0
+        ["table", "trig", "1", "0", "--pmin", "0", "--pmax", "1e-320"],
+        ["plot", "PP", "1", "--pmax", "1e-320"],
+    ], ids=" ".join)
+    def test_grid_branches_past_one_block(self, capsys, tmp_path, argv):
+        """Each block of the streamed grid is np.linspace's slice, bit for bit,
+        in `cli._grid`'s two special branches too."""
+        count = 2 * forms.BLOCK_POINTS + 5
+        pmin, pmax = grid_ends(argv)
+        assert pmax - pmin >= 2.0 ** 1023 or np.linspace(pmin, pmax, count, retstep=True)[1] == 0
+        self.same_bytes(capsys, tmp_path, argv, count)
+
+
+class TestNothingWritten:
+    """A table is published only once every block has passed: a value that is
+    not finite, an interrupt or an I/O error anywhere writes nothing and leaves
+    no spool."""
+
+    # abs2 overflows at p = 0 alone, the last of 20000 rows, 3 blocks.
+    LAST_ROW = ["table", "trig", "1", "0", "--pmin=-1", "--pmax=0", "--hbar-beta=1e-310",
+                "--count=20000"]
+    FIRST_ROW = ["table", "trig", "1", "0", "--pmin", "0", "--pmax", "1", "--hbar-beta",
+                 "1e-310"]
+
+    def test_bad_value_only_in_the_last_row(self):
+        state = QuantumState(1, 0, PhysicalScale(beta=1e-310))
+        values = forms.FORM_EVALUATORS["trig"](state, np.linspace(-1.0, 0.0, 20000))
+        with np.errstate(over="ignore"):
+            abs2 = np.hypot(values.real, values.imag) ** 2
+        assert np.flatnonzero(~np.isfinite(abs2)).tolist() == [19999]
+
+    def test_last_row_to_stdout(self, capsys):
+        """It exits 2 with the message of the first-row case, and prints nothing."""
+        assert main(self.FIRST_ROW) == EXIT_USAGE
+        first = capsys.readouterr().err
+        assert "abs2" in first and "p=0.0" in first
+        assert main(self.LAST_ROW) == EXIT_USAGE
+        assert capsys.readouterr() == ("", first)
+
+    def test_last_row_to_an_existing_file(self, capsys, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"kept\n")
+        target.chmod(0o640)
+        assert main(self.LAST_ROW + [f"--output={target}"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == b"kept\n" and target.stat().st_mode & 0o777 == 0o640
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_last_row_to_a_new_file(self, capsys, tmp_path):
+        assert main(self.LAST_ROW + [f"--output={tmp_path / 'out.csv'}"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_interrupt_leaves_no_spool(self, monkeypatch, tmp_path, existing):
+        """A KeyboardInterrupt from the second formatter call leaves the
+        directory as it was."""
+        target = tmp_path / "out.csv"
+        if existing:
+            target.write_bytes(b"kept\n")
+        format_block, calls = cli._csv._format_block, []
+
+        def interrupted(block):
+            calls.append(len(block))
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return format_block(block)
+
+        monkeypatch.setattr(cli._csv, "_format_block", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["table", "trig", "2", "1", "--pmin=-5", "--pmax=5", "--count=10000",
+                  f"--output={target}"])
+        assert len(calls) == 2
+        assert os.listdir(tmp_path) == (["out.csv"] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("output", ["directory", "", "/dev/full"])
+    def test_io_error_leaves_no_spool(self, capsys, monkeypatch, tmp_path, output):
+        """An --output that cannot be written exits 3 and leaves no spool,
+        beside it or in the temporary directory."""
+        work, spools = tmp_path / "work", tmp_path / "spools"
+        work.mkdir()
+        spools.mkdir()
+        (work / "directory").mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(tempfile, "tempdir", str(spools))
+        code = main(["table", "trig", "2", "1", "--pmin=-5", "--pmax=5", "--count=10000",
+                     f"--output={output}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_IO, "")
+        assert captured.err.startswith("I/O error: ")
+        assert os.listdir(work) == ["directory"] and os.listdir(work / "directory") == []
+        assert os.listdir(spools) == []
+
+    def test_text_past_free_space(self, capsys, tmp_path):
+        """A table whose text cannot fit in the free space of its spool is a
+        usage error, raised before any block is evaluated."""
+        code = main(["table", "trig", "2", "1", "--pmin=-5", "--pmax=5", f"--count={2 ** 59}",
+                     f"--output={tmp_path / 'out.csv'}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith(f"error: a grid of --count {2 ** 59} needs at least ")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("dangling", [False, True], ids=["file", "dangling"])
+    def test_symlink_written_through(self, capsys, tmp_path, dangling):
+        argv = ["table", "trig", "2", "1", "--pmin=-5", "--pmax=5", "--count=10000"]
+        assert main(argv) == EXIT_OK
+        text = capsys.readouterr().out.encode("ascii")
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        if not dangling:
+            real.write_bytes(b"old\n")
+        link.symlink_to(real)
+        assert main(argv + [f"--output={link}"]) == EXIT_OK
+        assert link.is_symlink() and real.read_bytes() == text
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+
+    def test_existing_file_keeps_inode_and_mode(self, capsys, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old\n")
+        target.chmod(0o600)
+        before = target.stat()
+        assert main(["plot", "LO", "3", "--count=10000", f"--output={target}"]) == EXIT_OK
+        after = target.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert target.read_bytes().startswith(b"p,density\n-5,")
+
+    def test_new_file_mode(self, tmp_path):
+        """A new target gets the mode open() gives: 0o666 less the umask."""
+        target = tmp_path / "out.csv"
+        umask = os.umask(0o027)
+        try:
+            assert main(["plot", "PP", "2", "--count=10000", f"--output={target}"]) == EXIT_OK
+        finally:
+            os.umask(umask)
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_memory_does_not_grow_with_count(self, tmp_path):
+        """Blocks are evaluated, checked and written one at a time: a
+        2 000 000-row table grows the peak RSS of a fresh interpreter, past
+        a small warm-up table, by under 20 MB (76 MB with the whole grid held).
+        The interpreter is started from a bare one, not from this process,
+        whose peak RSS Linux would carry into its ru_maxrss across the exec."""
+        measure = ("import resource\n"
+                   "from hmomentum.cli import main\n"
+                   "argv = ['table', 'trig', '30', '4', '--pmin=-50', '--pmax=50']\n"
+                   f"assert main(argv + ['--count=3', '--output={tmp_path / 'a.csv'}']) == 0\n"
+                   "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                   f"assert main(argv + ['--count=2000000', '--output={tmp_path / 'b.csv'}']) == 0\n"
+                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+        growth_kb = run_python("import subprocess, sys\n"
+                               f"subprocess.run([sys.executable, '-c', {measure!r}], check=True)\n")
+        assert int(growth_kb) / 1024 < 20
 
 
 class TestPlot:

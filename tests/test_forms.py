@@ -44,6 +44,7 @@ from oracles import (
     ferrers_P_mhalf,
     ferrers_Q_mhalf,
     gegenbauer_D1,
+    momentum_potential,
     normalization,
     slater_expansion,
     transform_slater_expansion,
@@ -401,6 +402,51 @@ class TestPodolskyPauling:
         q = forms._q
         monkeypatch.setattr(forms, "_q", lambda state, p: q(state, p) * (1.0 + 1e-9))
         assert self.parity_residual(array) > 1e-10
+
+    # (N, l, q) of the Schroedinger equation: states with N <= 8, at q off G's
+    # nodes, and two of high N.  At q = 1 a scaled q leaves the residual 0 to
+    # first order, so the other cases take q = 0.3 or 2.7.
+    SCHRODINGER_CASES = [(1, 0, 2.7), (2, 1, 2.7), (3, 1, 0.3), (5, 2, 2.7), (8, 0, 0.3),
+                         (8, 5, 1.0), (40, 0, 0.3), (60, 10, 0.3)]
+
+    @staticmethod
+    def schrodinger_residual(N, l, q):
+        """|(1 + q^2) G(q) - (2N / (pi q)) int_0^inf q' Q_l(z) G(q') dq'| at unit
+        scale, relative to |(1 + q^2) G(q)|: G in the momentum-space equation,
+        whose integral (`oracles.momentum_potential`) shares no algebra with
+        any form and takes N only through the energy."""
+        state = QuantumState(N, l)
+        lhs = (1.0 + q * q) * podolsky_pauling_G(state, q)
+        return abs(lhs - momentum_potential(lambda x: podolsky_pauling_G(state, x), N, l, q)
+                   ) / abs(lhs)
+
+    @pytest.mark.parametrize("N,l,q", SCHRODINGER_CASES)
+    def test_solves_the_schrodinger_equation(self, N, l, q):
+        """G solves (1 + q^2) G(q) = (2N / (pi q)) int_0^inf q' Q_l(z) G(q') dq',
+        z = (q^2 + q'^2) / (2 q q'), the radial partial wave of the momentum-space
+        equation (Bethe & Salpeter, section 8), to 1e-11: it read at most 7.4e-15."""
+        assert self.schrodinger_residual(N, l, q) <= 1e-11
+
+    @pytest.mark.parametrize("edit,N,l,q", [
+        # q = p / hbar beta off by a part in 1e9: 8.4e-10
+        ("q", 8, 0, 0.3),
+        # the Gegenbauer argument x = (1 - q^2) / (1 + q^2) off by a part in
+        # 1e10, which changes G's shape, not its scale: 6.6e-9
+        ("x", 40, 0, 0.3),
+    ])
+    def test_schrodinger_sees_a_changed_G(self, monkeypatch, edit, N, l, q):
+        if edit == "q":
+            scaled = forms._q
+            monkeypatch.setattr(forms, "_q", lambda state, p: scaled(state, p) * (1.0 + 1e-9))
+        else:
+            factors = forms._pp_factors
+
+            def shifted(q, xp):
+                x, *rest = factors(q, xp)
+                return (x * (1.0 + 1e-10), *rest)
+
+            monkeypatch.setattr(forms, "_pp_factors", shifted)
+        assert self.schrodinger_residual(N, l, q) > 1e-11
 
     def test_chi_endpoint(self):
         # cos^4(chi/2) kills the value at chi = pi (p = inf) for the nodeless 1s
